@@ -133,14 +133,19 @@ let split_blocks (prog : Program.t) : seg list =
 type inst = {
   blk : int;
   start : int;
-  vec : fval array array;
+  fields : fval array array;
+      (* per instruction of block [blk], shared by all its instances:
+         the instance's field vector is [fields.(start .. start+len-1)] *)
+  cls : int;  (* equal for two instances of one group iff their vectors are *)
 }
 
+let field inst ii fi = inst.fields.(inst.start + ii).(fi)
+
 type group = {
-  key : I.t list;  (* normalized: flexible fields zeroed *)
+  id : int;  (* creation order, 0-based *)
   len : int;
   repr : I.t array;
-  mutable insts : inst list;
+  mutable insts : inst list;  (* newest first *)
 }
 
 let normalize scheme insn =
@@ -232,28 +237,65 @@ type template = {
   benefit : float;
 }
 
+let fval_equal a b =
+  match a, b with
+  | Vreg x, Vreg y | Vimm x, Vimm y -> x = y
+  | Vtarget (I.Abs x), Vtarget (I.Abs y) -> x = y
+  | Vtarget (I.Lab x), Vtarget (I.Lab y) -> String.equal x y
+  | _ -> false
+
 let fits5 v = v >= -16 && v <= 15
 let fits10 v = v >= -512 && v <= 511
 
 let param_cost = function `Reg | `Imm5 -> 1 | `Imm10 | `Off10 -> 2
 
+(* The bucket count of a [Hashtbl.create initial] table ([initial] a
+   power of two, at least 16) after [n] distinct keys were added: it
+   doubles whenever it holds more than twice as many keys as buckets. *)
+let buckets_after ~initial n =
+  let rec up b = if n <= 2 * b then b else up (2 * b) in
+  up initial
+
 (* Build the best template for a group from its live instances. *)
 let build_template scheme (g : group) (live : inst list) : template option =
   if live = [] then None
   else begin
-    (* Distinct field vectors with counts. *)
-    let tbl : (fval array array, inst list ref) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    List.iter
-      (fun inst ->
-        match Hashtbl.find_opt tbl inst.vec with
-        | Some l -> l := inst :: !l
-        | None -> Hashtbl.replace tbl inst.vec (ref [ inst ]))
-      live;
+    (* Distinct field vectors, each with its instances newest first.
+       Which vector becomes the base, and the order the rest are tried
+       in, decide the template, and instance counts tie often. The
+       order is the one the fold of a [Hashtbl.create 64] from vector
+       to instances, filled in [live] order, yields: buckets
+       descending, first occurrence ascending within a bucket; then
+       stably sorted by instance count, descending. Grouping by int
+       class hashes each distinct vector once, not every instance. *)
+    let arr = Array.of_list live in
+    let n = Array.length arr in
+    let order = Array.init n Fun.id in
+    Array.stable_sort (fun a b -> Int.compare arr.(a).cls arr.(b).cls) order;
+    let classes = ref [] in
+    let i = ref 0 in
+    while !i < n do
+      let first = order.(!i) in
+      let insts = ref [] and count = ref 0 in
+      while !i < n && arr.(order.(!i)).cls = arr.(first).cls do
+        insts := arr.(order.(!i)) :: !insts;
+        incr count;
+        incr i
+      done;
+      classes := (!count, first, !insts) :: !classes
+    done;
+    let mask = buckets_after ~initial:64 (List.length !classes) - 1 in
     let distinct =
-      Hashtbl.fold (fun vec l acc -> (vec, !l) :: acc) tbl []
-      |> List.sort (fun (_, a) (_, b) -> compare (List.length b) (List.length a))
+      List.map
+        (fun (count, first, insts) ->
+          let vec = Array.sub arr.(first).fields arr.(first).start g.len in
+          (count, Hashtbl.hash vec land mask, first, (vec, insts)))
+        !classes
+      |> List.sort (fun (c1, b1, f1, _) (c2, b2, f2, _) ->
+             if c1 <> c2 then Int.compare c2 c1
+             else if b1 <> b2 then Int.compare b2 b1
+             else Int.compare f1 f2)
+      |> List.map (fun (_, _, _, d) -> d)
     in
     match distinct with
     | [] -> None
@@ -261,14 +303,15 @@ let build_template scheme (g : group) (live : inst list) : template option =
       (* Greedily grow coverage under the parameter-slot budget. *)
       let params : ((int * int) * pkind) list ref = ref [] in
       let covered = ref base_insts in
-      let covered_vecs = ref [ base_vec ] in
       let try_add (vec, insts) =
         (* positions where this vector differs from the base *)
         let diffs = ref [] in
         Array.iteri
           (fun ii fields ->
             Array.iteri
-              (fun fi v -> if v <> base_vec.(ii).(fi) then diffs := ((ii, fi), v) :: !diffs)
+              (fun fi v ->
+                if not (fval_equal v base_vec.(ii).(fi)) then
+                  diffs := ((ii, fi), v) :: !diffs)
               fields)
           vec;
         let ok = ref (scheme.max_params > 0) in
@@ -277,7 +320,8 @@ let build_template scheme (g : group) (live : inst list) : template option =
         let new_params = ref !params in
         List.iter
           (fun ((ii, fi), _) ->
-            if not (List.mem_assoc (ii, fi) !new_params) then begin
+            if not (List.exists (fun ((a, b), _) -> a = ii && b = fi) !new_params)
+            then begin
               if rigid_field g.repr.(ii) fi then ok := false
               else
                 let kind =
@@ -293,8 +337,14 @@ let build_template scheme (g : group) (live : inst list) : template option =
             end)
           !diffs;
         if !ok then begin
-          (* Refine immediate widths over all covered vectors + new. *)
-          let vecs = vec :: !covered_vecs in
+          (* Refine immediate widths to the widest over all covered
+             vectors and this one. A position that is not a parameter
+             yet holds the base's value in every covered vector, and a
+             parameter's kind already records the widest covered one. *)
+          let width = function
+            | Vimm x -> if fits5 x then 1 else if fits10 x then 2 else 3
+            | Vreg _ | Vtarget _ -> 1
+          in
           new_params :=
             List.map
               (fun ((ii, fi), k) ->
@@ -302,15 +352,9 @@ let build_template scheme (g : group) (live : inst list) : template option =
                 | `Reg | `Off10 -> ((ii, fi), k)
                 | `Imm5 | `Imm10 ->
                   let widest =
-                    List.fold_left
-                      (fun acc v ->
-                        match v.(ii).(fi) with
-                        | Vimm x ->
-                          if fits5 x then max acc 1
-                          else if fits10 x then max acc 2
-                          else max acc 3
-                        | Vreg _ | Vtarget _ -> acc)
-                      1 vecs
+                    max
+                      (if k = `Imm10 then 2 else 1)
+                      (max (width base_vec.(ii).(fi)) (width vec.(ii).(fi)))
                   in
                   ( (ii, fi),
                     if widest = 1 then `Imm5
@@ -330,8 +374,7 @@ let build_template scheme (g : group) (live : inst list) : template option =
           in
           if (not too_wide) && cost <= scheme.max_params then begin
             params := !new_params;
-            covered := insts @ !covered;
-            covered_vecs := vecs
+            covered := insts @ !covered
           end
         end
       in
@@ -443,7 +486,7 @@ let codeword_fields tpl inst ~offset_of =
   List.iter
     (fun p ->
       let ii, fi = p.pos in
-      match p.kind, inst.vec.(ii).(fi) with
+      match p.kind, field inst ii fi with
       | `Reg, Vreg n -> fields.(p.field) <- n
       | `Imm5, Vimm v -> fields.(p.field) <- R.to_field5 v
       | `Imm10, Vimm v ->
@@ -481,66 +524,215 @@ type result = {
 
 let code_base = 0x00100000
 
+(* A trie over small-int symbols, kept in flat int arrays: an
+   open-addressing (linear probing) table of edges keyed by
+   (node, symbol). The root is node 0; [create ~nodes] sizes the table
+   for that many more nodes at a load factor of at most 1/2. *)
+module Trie = struct
+  type t = {
+    keys : int array;  (* [node * syms + symbol], or -1 when free *)
+    kids : int array;
+    mask : int;
+    syms : int;
+    mutable nodes : int;
+  }
+
+  let create ~nodes ~syms =
+    let rec up c = if c >= 2 * (nodes + 1) then c else up (2 * c) in
+    let cap = up 16 in
+    {
+      keys = Array.make cap (-1);
+      kids = Array.make cap 0;
+      mask = cap - 1;
+      syms;
+      nodes = 1;
+    }
+
+  (* The child of [node] along [sym], added when new. *)
+  let child t node sym =
+    let key = (node * t.syms) + sym in
+    let rec probe i =
+      let k = t.keys.(i) in
+      if k = key then t.kids.(i)
+      else if k < 0 then begin
+        let c = t.nodes in
+        t.nodes <- c + 1;
+        t.keys.(i) <- key;
+        t.kids.(i) <- c;
+        c
+      end
+      else probe ((i + 1) land t.mask)
+    in
+    let h = key * 0x9E3779B97F4A7C1 in
+    probe ((h lxor (h lsr 29)) land t.mask)
+end
+
+(* The most a group of [n] free instances of [len] instructions can
+   save: every instance covered by one entry. A group whose best case
+   is not positive can never be queued. *)
+let best_case scheme ~len n =
+  (n * ((4 * len) - scheme.codeword_bytes)) - (scheme.dict_entry_bytes * len)
+
 (* Candidate enumeration, shared by the greedy compressor and the
    seeded (search-driven) one: split into basic blocks and bucket
-   every legal window into a group keyed by its normalized text. *)
-let enumerate scheme prog =
+   every legal window into a group keyed by its normalized text.
+
+   Each legal instruction is interned to an int, and the windows that
+   start at one position are walked as one path of a {!Trie} over those
+   ids, so growing a window by an instruction costs one int-keyed
+   probe. A trie node is one distinct normalized text, hence one
+   group. A first walk counts each group's windows; a second builds
+   the groups, all of them when [all] (a seeded search may name any
+   window), else only those whose best case is positive: the greedy
+   selection never looks at the others. Each window also gets a class:
+   two windows of one group share it iff their field vectors are
+   equal. With parameters, a second trie over the unnormalized
+   instructions names the classes.
+
+   [groups] gets a group once, when its first window is met, and is
+   created with the bucket count that a [Hashtbl.create 4096] holding
+   every group would have grown to. It therefore iterates its groups
+   in the order such a table, filled window by window, iterates them,
+   which is the order the greedy heap is seeded in: ties in benefit
+   are broken by it. *)
+let enumerate ~all scheme prog =
   let segs = split_blocks prog in
   let blocks =
     List.filter_map (function Blk a -> Some a | Lbl _ -> None) segs
     |> Array.of_list
   in
-  let groups : (I.t list * int, group) Hashtbl.t = Hashtbl.create 4096 in
-  Array.iteri
-    (fun bi arr ->
-      let n = Array.length arr in
-      let legal_at = Array.map (legal scheme) arr in
-      let norms =
-        Array.mapi
-          (fun k i -> if legal_at.(k) then normalize scheme i else I.Nop)
-          arr
-      in
-      let fvecs =
-        Array.mapi
-          (fun k i -> if legal_at.(k) then fields_of i else [||])
-          arr
-      in
-      for start = 0 to n - 1 do
-        let maxl = min scheme.max_len (n - start) in
-        let len = ref 1 in
-        let stop = ref false in
-        while (not !stop) && !len <= maxl do
-          let l = !len in
-          (* positions are vetted incrementally as the window grows *)
-          if not legal_at.(start + l - 1) then stop := true
-          else if l >= scheme.min_len then begin
-            let key = (Array.to_list (Array.sub norms start l), l) in
-            let inst = { blk = bi; start; vec = Array.sub fvecs start l } in
-            match Hashtbl.find_opt groups key with
-            | Some g -> g.insts <- inst :: g.insts
+  let norms =
+    Array.map
+      (Array.map (fun i -> if legal scheme i then normalize scheme i else I.Nop))
+      blocks
+  in
+  (* [fst (intern rows)].(b).(k): an int standing for [rows.(b).(k)],
+     equal for equal instructions, or -1 where block [b]'s instruction
+     [k] may not appear in a candidate; [snd]: how many ints. *)
+  let intern rows =
+    let ids : (I.t, int) Hashtbl.t = Hashtbl.create 1024 in
+    let row bi =
+      Array.mapi (fun k i ->
+          if not (legal scheme blocks.(bi).(k)) then -1
+          else
+            match Hashtbl.find_opt ids i with
+            | Some id -> id
             | None ->
-              Hashtbl.replace groups key
-                {
-                  key = fst key;
-                  len = l;
-                  repr = Array.sub arr start l;
-                  insts = [ inst ];
-                }
-          end;
-          incr len
-        done
+              let id = Hashtbl.length ids in
+              Hashtbl.add ids i id;
+              id)
+    in
+    let rows = Array.mapi row rows in
+    (rows, Hashtbl.length ids)
+  in
+  let ids, n_ids = intern norms in
+  let n_windows = ref 0 in
+  Array.iter
+    (fun row ->
+      let run = ref 0 in
+      for k = Array.length row - 1 downto 0 do
+        run := if row.(k) < 0 then 0 else !run + 1;
+        n_windows := !n_windows + min scheme.max_len !run
       done)
-    blocks;
+    ids;
+  let n_windows = !n_windows in
+  (* [walk trie ids f] calls [f blk start len node] on every legal
+     window, in program order, then by length. *)
+  let walk trie ids f =
+    Array.iteri
+      (fun bi row ->
+        let n = Array.length row in
+        for start = 0 to n - 1 do
+          let maxl = min scheme.max_len (n - start) in
+          let node = ref 0 and len = ref 1 in
+          (* positions are vetted incrementally as the window grows *)
+          while !len <= maxl && row.(start + !len - 1) >= 0 do
+            node := Trie.child trie !node row.(start + !len - 1);
+            f bi start !len !node;
+            incr len
+          done
+        done)
+      ids
+  in
+  let trie = Trie.create ~nodes:n_windows ~syms:n_ids in
+  (* [cls.(w)]: the class of the [w]-th window walked. Without
+     parameters a group's windows are identical, text and fields
+     alike, so the normalized trie already names the class. *)
+  let count = Array.make (n_windows + 1) 0 in
+  let cls = Array.make n_windows 0 in
+  let w = ref 0 in
+  walk trie ids (fun _ _ len node ->
+      if len >= scheme.min_len then count.(node) <- count.(node) + 1;
+      cls.(!w) <- node;
+      incr w);
+  if scheme.max_params > 0 then begin
+    let raw_ids, n_raw = intern blocks in
+    let w = ref 0 in
+    let raw_trie = Trie.create ~nodes:n_windows ~syms:n_raw in
+    walk raw_trie raw_ids (fun _ _ _ node ->
+        cls.(!w) <- node;
+        incr w)
+  end;
+  let n_groups =
+    Array.fold_left (fun n c -> if c > 0 then n + 1 else n) 0 count
+  in
+  let fvecs =
+    Array.map
+      (Array.map (fun i -> if legal scheme i then fields_of i else [||]))
+      blocks
+  in
+  let no_group = { id = -1; len = 0; repr = [||]; insts = [] } in
+  let node_group = Array.make (n_windows + 1) no_group in
+  let groups : (I.t list * int, group) Hashtbl.t =
+    Hashtbl.create (buckets_after ~initial:4096 n_groups)
+  in
+  let w = ref 0 in
+  walk trie ids (fun bi start len node ->
+      let c = cls.(!w) in
+      incr w;
+      let kept = all || best_case scheme ~len count.(node) > 0 in
+      if len >= scheme.min_len && kept then begin
+        let inst = { blk = bi; start; fields = fvecs.(bi); cls = c } in
+        let g = node_group.(node) in
+        if g != no_group then g.insts <- inst :: g.insts
+        else begin
+          let g =
+            {
+              id = Hashtbl.length groups;
+              len;
+              repr = Array.sub blocks.(bi) start len;
+              insts = [ inst ];
+            }
+          in
+          node_group.(node) <- g;
+          (* keyed by normalized text: flexible fields zeroed *)
+          let key = Array.to_list (Array.sub norms.(bi) start len) in
+          Hashtbl.add groups (key, len) g
+        end
+      end);
   (segs, blocks, groups)
 
 let rec compress ~scheme prog =
-  let segs, blocks, groups = enumerate scheme prog in
+  let segs, blocks, groups = enumerate ~all:false scheme prog in
   (* Lazy greedy selection. *)
   let consumed = Array.map (fun arr -> Array.make (Array.length arr) false) blocks in
   let heap = Heap.create () in
+  (* A group's template is rebuilt only when its live-instance count
+     moves: live sets only shrink, so an unchanged count is an
+     unchanged set, and the template built from it is the same. *)
+  let n_groups = Hashtbl.length groups in
+  let built_live = Array.make n_groups (-1) in
+  let built = Array.make n_groups None in
   let current_template (g : group) =
-    let live = List.filter (fun i -> inst_free consumed i g.len) g.insts in
-    build_template scheme g live
+    let free i = inst_free consumed i g.len in
+    let n = List.fold_left (fun n i -> if free i then n + 1 else n) 0 g.insts in
+    if n <> built_live.(g.id) then begin
+      built_live.(g.id) <- n;
+      built.(g.id) <-
+        (if best_case scheme ~len:g.len n <= 0 then None
+         else build_template scheme g (List.filter free g.insts))
+    end;
+    built.(g.id)
   in
   Hashtbl.iter
     (fun _ g ->
@@ -593,12 +785,18 @@ let rec compress ~scheme prog =
   finalize ~scheme ~prog ~segs (Array.of_list (List.rev !chosen))
 
 and finalize ~scheme ~prog ~segs (chosen : chosen array) =
-  (* Map from (blk, start) to the chosen entry covering it. *)
-  let starts : (int * int, chosen * inst) Hashtbl.t = Hashtbl.create 1024 in
+  (* [starts.(blk).(start)]: the chosen entry and instance that a
+     codeword planted there stands for. *)
+  let per_block x =
+    Array.of_list
+      (List.filter_map
+         (function Blk a -> Some (Array.make (Array.length a) x) | Lbl _ -> None)
+         segs)
+  in
+  let starts = per_block None in
   Array.iter
     (fun c ->
-      List.iter (fun i -> Hashtbl.replace starts (i.blk, i.start) (c, i))
-      c.active)
+      List.iter (fun i -> starts.(i.blk).(i.start) <- Some (c, i)) c.active)
     chosen;
   let entry_len c = Array.length c.repr in
   (* Rebuild the program from blocks + decisions. [offset_of] supplies
@@ -617,7 +815,7 @@ and finalize ~scheme ~prog ~segs (chosen : chosen array) =
             let pos = ref 0 in
             let n = Array.length arr in
             while !pos < n do
-              (match Hashtbl.find_opt starts (blk, !pos) with
+              (match starts.(blk).(!pos) with
               | Some (c, inst) ->
                 let p1, p2, p3 = codeword_fields c.tpl inst ~offset_of in
                 out :=
@@ -638,18 +836,17 @@ and finalize ~scheme ~prog ~segs (chosen : chosen array) =
     | _ -> 4
   in
   (* Fixpoint: lay out, check branch-offset parameters, un-compress
-     violating instances. *)
+     violating instances. Codeword sizes are fixed, so the zero-offset
+     layout of the final round is the final layout: it returns that
+     image and every codeword's address in it. *)
   let zero_offsets ~inst:_ ~pos:_ _ = 0 in
-  let rec fixpoint iter =
+  let rec fixpoint () =
     let prog' = rebuild ~offset_of:zero_offsets in
     let img = Program.layout ~base:code_base ~size_of prog' in
-    (* For every active instance with Off10 params, check the final
-       offset. The codeword's address: instances map 1:1 to codewords
-       in rebuild order; recover it by walking the same decision
-       table. We instead compute from the image: the codeword for an
-       instance is the instruction at the address where the instance's
-       first surviving position landed. Simpler: walk blocks again
-       counting emitted instructions. *)
+    (* Instances map 1:1 to codewords in rebuild order, so walking the
+       blocks against the decision table while counting emitted
+       instructions gives each codeword's image index. *)
+    let addrs = per_block (-1) in
     let violations = ref [] in
     let bi = ref (-1) in
     let idx = ref 0 in
@@ -663,15 +860,16 @@ and finalize ~scheme ~prog ~segs (chosen : chosen array) =
           let pos = ref 0 in
           let n = Array.length arr in
           while !pos < n do
-            match Hashtbl.find_opt starts (blk, !pos) with
+            match starts.(blk).(!pos) with
             | Some (c, inst) ->
               let addr = Program.Image.addr_of_index img !idx in
+              addrs.(blk).(!pos) <- addr;
               List.iter
                 (fun p ->
                   match p.kind with
                   | `Off10 -> (
                     let ii, fi = p.pos in
-                    match inst.vec.(ii).(fi) with
+                    match field inst ii fi with
                     | Vtarget t -> (
                       let target =
                         match t with
@@ -694,55 +892,19 @@ and finalize ~scheme ~prog ~segs (chosen : chosen array) =
               incr pos
           done)
       segs;
-    if !violations = [] then img
+    if !violations = [] then (addrs, img)
     else begin
       (* Un-compress the violating instances and re-lay-out; each round
          removes at least one instance, so this terminates. *)
-      List.iter (fun k -> Hashtbl.remove starts k) !violations;
-      fixpoint (iter + 1)
+      List.iter (fun (blk, start) -> starts.(blk).(start) <- None) !violations;
+      fixpoint ()
     end
   in
-  let probe_img = fixpoint 0 in
-  (* Final pass with real offsets. Layout is unchanged (codeword sizes
-     are fixed), so offsets computed against [probe_img] are final. *)
-  ignore probe_img;
-  let final_offsets =
-    (* recompute codeword addresses as in fixpoint *)
-    let tbl : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
-    let prog' = rebuild ~offset_of:zero_offsets in
-    let img = Program.layout ~base:code_base ~size_of prog' in
-    let bi = ref (-1) in
-    let idx = ref 0 in
-    List.iter
-      (fun seg ->
-        match seg with
-        | Lbl _ -> ()
-        | Blk arr ->
-          incr bi;
-          let blk = !bi in
-          let pos = ref 0 in
-          let n = Array.length arr in
-          while !pos < n do
-            match Hashtbl.find_opt starts (blk, !pos) with
-            | Some (c, _) ->
-              Hashtbl.replace tbl (blk, !pos)
-                (Program.Image.addr_of_index img !idx);
-              incr idx;
-              pos := !pos + entry_len c
-            | None ->
-              incr idx;
-              incr pos
-          done)
-      segs;
-    (tbl, img)
-  in
-  let addr_tbl, layout_img = final_offsets in
+  (* Final pass with real offsets, against the fixpoint's layout. *)
+  let addr_tbl, layout_img = fixpoint () in
   let offset_of ~inst ~pos:_ t =
-    let addr =
-      match Hashtbl.find_opt addr_tbl (inst.blk, inst.start) with
-      | Some a -> a
-      | None -> assert false
-    in
+    let addr = addr_tbl.(inst.blk).(inst.start) in
+    assert (addr >= 0);
     let target =
       match t with
       | I.Abs a -> a
@@ -757,7 +919,10 @@ and finalize ~scheme ~prog ~segs (chosen : chosen array) =
   let image = Program.layout ~base:code_base ~size_of final_prog in
   (* Surviving uses per entry. *)
   let uses = Array.make (Array.length chosen) 0 in
-  Hashtbl.iter (fun _ ((c : chosen), _) -> uses.(c.tag) <- uses.(c.tag) + 1)
+  Array.iter
+    (Array.iter (function
+      | Some ((c : chosen), _) -> uses.(c.tag) <- uses.(c.tag) + 1
+      | None -> ()))
     starts;
   let entries =
     Array.to_list chosen
@@ -791,7 +956,7 @@ and finalize ~scheme ~prog ~segs (chosen : chosen array) =
     in
     Prodset.resolve_labels (Program.Image.symbol image) set
   in
-  let codewords = Hashtbl.length starts in
+  let codewords = Array.fold_left ( + ) 0 uses in
   {
     scheme;
     program = final_prog;
@@ -834,7 +999,7 @@ type corpus = {
 }
 
 let corpus ~scheme prog =
-  let segs, blocks, groups = enumerate scheme prog in
+  let segs, blocks, groups = enumerate ~all:true scheme prog in
   let c_index = Array.make (max 1 (Array.length blocks)) 0 in
   let acc = ref 0 in
   Array.iteri

@@ -80,7 +80,28 @@ type result = {
 val compress : scheme:scheme -> Dise_isa.Program.t -> result
 (** Compress a program. The result's [image]/[prodset] pair is directly
     runnable: create an engine from [prodset] and a machine on [image],
-    and execution reproduces the original program's behaviour. *)
+    and execution reproduces the original program's behaviour.
+
+    {b Cost.} Every legal window up to [max_len] inside a basic block
+    is a candidate. Each normalized instruction is interned to an int
+    once, and the windows that start at one position are walked as one
+    path of a trie over those ints, kept in flat arrays: one int-keyed
+    probe per window, no per-window key. Only groups whose best case
+    (every instance covered) saves bytes are materialized for the
+    greedy selection, and a group's template is rebuilt only when its
+    number of free instances changes.
+
+    {b Determinism.} The result is a function of [scheme] without its
+    [name] and of the program. Benefits are integer byte counts, so
+    ties are common, and they are broken by fixed orders: the greedy
+    heap pops equal benefits in push order, which is the iteration
+    order of a [Hashtbl] of groups keyed by (normalized text, length)
+    and filled in first-occurrence order; a template's base is its
+    most frequent field vector, ties going to the order of a
+    [Hashtbl.create 64] of vectors filled in instance order. These
+    orders are part of the output: test/test_acf.ml pins every
+    dictionary of the quick figure suite byte for byte
+    (test/golden/compress.txt). *)
 
 val compression_ratio : result -> float
 (** [text_bytes / orig_text_bytes] (dictionary excluded). *)

@@ -396,7 +396,14 @@ let memoize table key compute =
 let baseline_memo : (string, Stats.t slot) Hashtbl.t = Hashtbl.create 64
 let rewritten_memo : (string * int, Dise_isa.Program.t slot) Hashtbl.t =
   Hashtbl.create 16
-let compress_memo : (string, Compress.result slot) Hashtbl.t =
+
+(* Keyed by what the compressor reads: the workload (bench,
+   dyn_target), whether it is the rewritten binary, and the scheme's
+   fields with its name blanked. The ablation schemes [p0], [p3] and
+   [len8] are [+8byteDE], [DISE] and [DISE] under other names, and
+   share their dictionaries. *)
+let compress_memo :
+    (string * int * bool * Compress.scheme, Compress.result slot) Hashtbl.t =
   Hashtbl.create 64
 
 let clear_memory () =
@@ -548,18 +555,17 @@ let derive_entry t =
   | None -> invalid_arg ("unknown benchmark " ^ t.bench)
 
 let rewritten_program (entry : Suite.entry) =
-  let key =
-    ( entry.Suite.profile.Profile.name,
-      Dise_isa.Program.size entry.Suite.gen.Codegen.program )
-  in
+  let key = (entry.Suite.profile.Profile.name, entry.Suite.dyn_target) in
   memoize rewritten_memo key (fun () ->
       Rewrite.rewrite ~data_seg:Codegen.data_segment_id
         ~code_seg:Codegen.code_segment_id entry.Suite.gen.Codegen.program)
 
 let compress_result ~scheme ?(rewritten = false) (entry : Suite.entry) =
   let key =
-    Printf.sprintf "%s/%s/%b/%d" entry.Suite.profile.Profile.name
-      scheme.Compress.name rewritten entry.Suite.gen.Codegen.total_insns
+    ( entry.Suite.profile.Profile.name,
+      entry.Suite.dyn_target,
+      rewritten,
+      { scheme with Compress.name = "" } )
   in
   memoize compress_memo key (fun () ->
       let prog =
@@ -766,9 +772,8 @@ let summary_of_json j =
 
 (* The canonical form is a distinct top-level shape ({"compress": ...}),
    so compression keys can never collide with run-request keys. The
-   workload is pinned by (bench, total_insns) — total_insns is a
-   deterministic function of (profile, dyn_target), and unlike
-   dyn_target it is directly available from the entry. *)
+   workload is pinned by (bench, dyn_target), exactly as a run
+   request's is. *)
 let summary_canonical ~scheme ~rewritten (entry : Suite.entry) =
   Json.to_string
     (Json.Obj
@@ -778,8 +783,7 @@ let summary_canonical ~scheme ~rewritten (entry : Suite.entry) =
              [
                ( "bench",
                  Json.String entry.Suite.profile.Profile.name );
-               ( "total_insns",
-                 Json.Int entry.Suite.gen.Codegen.total_insns );
+               ("dyn_target", Json.Int entry.Suite.dyn_target);
                ("scheme", scheme_to_json scheme);
                ("rewritten", Json.Bool rewritten);
              ] );

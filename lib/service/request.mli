@@ -172,10 +172,13 @@ val compress_result :
   Dise_acf.Compress.result
 (** Compress the workload's program (optionally after the rewriting
     MFI transformation, Figure 8's software combos). Memoized in
-    memory per (workload, scheme, rewritten): the greedy compressor
-    is by far the most expensive step and several panels reuse the
-    same compressed binaries. Full results (images, production sets)
-    are not persisted to disk — see {!compress_summary} for what is. *)
+    memory per (bench, dyn_target, rewritten, scheme fields): the
+    greedy compressor is by far the most expensive step and several
+    panels reuse the same compressed binaries. The scheme's [name] is
+    not part of the key, so schemes equal in every other field share
+    one result, whose [scheme] is the first caller's. Full results
+    (images, production sets) are not persisted to disk — see
+    {!compress_summary} for what is. *)
 
 type compress_summary = {
   orig_text_bytes : int;

@@ -1,5 +1,6 @@
 type entry = {
   profile : Profile.t;
+  dyn_target : int;
   gen : Codegen.t;
   image : Dise_isa.Program.Image.t;
 }
@@ -38,7 +39,7 @@ let get ?(dyn_target = 300_000) profile =
   | `Compute -> (
     match
       let gen = Codegen.generate ~dyn_target profile in
-      { profile; gen; image = Codegen.layout gen }
+      { profile; dyn_target; gen; image = Codegen.layout gen }
     with
     | e ->
       Mutex.lock cache_mutex;

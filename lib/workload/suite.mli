@@ -4,6 +4,10 @@
 
 type entry = {
   profile : Profile.t;
+  dyn_target : int;
+      (** The length [gen] was generated for. With [profile] it pins
+          the program; only [main]'s outer-loop count depends on it, so
+          two lengths usually share a static size. *)
   gen : Codegen.t;
   image : Dise_isa.Program.Image.t;
 }

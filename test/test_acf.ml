@@ -300,6 +300,113 @@ let test_branch_compression_only_full_dise () =
   check bool_ "+3param has no branch entries" false (has_branch_entry r_par);
   check bool_ "DISE compresses branches" true (has_branch_entry r_dise)
 
+(* --- compressor golden pin ------------------------------------------- *)
+
+(* Every dictionary the quick figure suite builds, pinned byte for byte:
+   the six Figure 7 schemes and the parameter-budget and length-cap
+   ablations (defined here exactly as [Ablate] defines them), on two
+   quick-suite benchmarks and four seeds of the tiny profile, plus the
+   two dictionaries built over the rewritten (MFI) binary, and a digest
+   of one corpus's candidate windows. The expected text is
+   golden/compress.txt. On a mismatch the computed text is written to
+   compress.actual in the test's working directory, so an intended
+   change is reviewed as a diff and copied over. *)
+let pin_schemes =
+  let params k =
+    { Compress.plus_8byte_de with
+      Compress.name = Printf.sprintf "p%d" k;
+      max_params = k;
+      compress_branches = k >= 2;
+    }
+  in
+  let max_len n =
+    { Compress.full_dise with Compress.name = Printf.sprintf "len%d" n; max_len = n }
+  in
+  Compress.fig7_schemes
+  @ List.map params [ 0; 1; 2; 3 ]
+  @ List.map max_len [ 2; 4; 8; 16 ]
+
+let pin_line label (scheme : Compress.scheme) prog =
+  let r = Compress.compress ~scheme prog in
+  let b = Buffer.create 65536 in
+  let ppf = Format.formatter_of_buffer b in
+  Format.fprintf ppf "%a@." Program.pp r.Compress.program;
+  List.iter
+    (fun (en : Compress.entry) ->
+      Format.fprintf ppf "entry %d uses %d@.%a@." en.Compress.tag en.Compress.uses
+        Dise_core.Replacement.pp en.Compress.spec)
+    r.Compress.entries;
+  Format.pp_print_flush ppf ();
+  Printf.sprintf "%s %s text=%d dict=%d codewords=%d entries=%d md5=%s" label
+    scheme.Compress.name r.Compress.text_bytes r.Compress.dict_bytes
+    r.Compress.codewords
+    (List.length r.Compress.entries)
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let windows_line label (scheme : Compress.scheme) prog =
+  let ws = Compress.windows (Compress.corpus ~scheme prog) in
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (w : Compress.window) ->
+      let s = w.Compress.w_seed in
+      Printf.bprintf b "%d %d %d %d %d:" s.Compress.s_blk s.Compress.s_start
+        s.Compress.s_len w.Compress.w_len w.Compress.w_count;
+      List.iter
+        (fun (blk, start, idx) -> Printf.bprintf b " %d/%d/%d" blk start idx)
+        w.Compress.w_sites;
+      Buffer.add_char b '\n')
+    ws;
+  Printf.sprintf "%s %s windows=%d md5=%s" label scheme.Compress.name
+    (List.length ws)
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let compress_pin_lines () =
+  let bench name =
+    let p = Option.get (W.Profile.find name) in
+    (name, (W.Suite.get ~dyn_target:120_000 p).W.Suite.gen.W.Codegen.program)
+  in
+  let tiny seed =
+    ( Printf.sprintf "tiny/s%d" seed,
+      (W.Codegen.generate ~dyn_target:30_000 { W.Profile.tiny with W.Profile.seed })
+        .W.Codegen.program )
+  in
+  let progs = [ bench "mcf"; bench "bzip2"; tiny 1; tiny 2; tiny 3; tiny 4 ] in
+  let mcf_rw =
+    Rewrite.rewrite ~data_seg:W.Codegen.data_segment_id
+      ~code_seg:W.Codegen.code_segment_id (List.assoc "mcf" progs)
+  in
+  List.concat_map
+    (fun (label, prog) -> List.map (fun s -> pin_line label s prog) pin_schemes)
+    progs
+  @ List.map (fun s -> pin_line "mcf/rewritten" s mcf_rw)
+      [ Compress.dedicated; Compress.full_dise ]
+  @ [ windows_line "tiny/s1" Compress.full_dise (List.assoc "tiny/s1" progs) ]
+
+let test_compress_golden_pin () =
+  let got = compress_pin_lines () in
+  let expected =
+    In_channel.with_open_text "golden/compress.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  if got <> expected then begin
+    Out_channel.with_open_text "compress.actual" (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) got);
+    let rec first_diff = function
+      | g :: gs, e :: es -> if g = e then first_diff (gs, es) else Some (e, g)
+      | g :: _, [] -> Some ("<none>", g)
+      | [], e :: _ -> Some (e, "<none>")
+      | [], [] -> None
+    in
+    match first_diff (got, expected) with
+    | Some (e, g) ->
+      Alcotest.failf
+        "compressor output moved (full text in compress.actual)\n\
+         expected: %s\n     got: %s"
+        e g
+    | None -> ()
+  end
+
 let test_incompressible_program () =
   (* A program with no repeated sequences: compression must degrade
      gracefully to (near) identity and still run. *)
@@ -558,6 +665,7 @@ let suite =
     ("dsm access control", `Quick, test_dsm_access_control);
     ("dsm block granularity", `Quick, test_dsm_block_granularity);
     ("incompressible program", `Quick, test_incompressible_program);
+    ("compressor golden pin", `Quick, test_compress_golden_pin);
     ("tracing", `Quick, test_tracing);
     ("profiling", `Quick, test_profiling);
     ("path profiling", `Quick, test_path_profiling);

@@ -434,6 +434,51 @@ let test_jit_knob_distinct_keys () =
 
 let t = QCheck_alcotest.to_alcotest
 
+(* Two lengths of one benchmark share a static size (only [main]'s
+   outer-loop count differs), so the in-memory compression and rewrite
+   memos must key on [dyn_target]: each run made after the other
+   length's, in one process, must equal the same request run from
+   cleared memos. *)
+let test_memo_keys_dyn_target () =
+  let entry dyn = W.Suite.get ~dyn_target:dyn W.Profile.tiny in
+  let size dyn =
+    Dise_isa.Program.size (entry dyn).W.Suite.gen.W.Codegen.program
+  in
+  check int_ "the two lengths share a static size" (size 20_000) (size 40_000);
+  let requests =
+    List.concat_map
+      (fun dyn_target ->
+        [
+          Request.v ~dyn_target
+            ~acf:
+              (Request.Decompress
+                 { scheme = A.Compress.full_dise; mfi = `None; rewritten = false })
+            "tiny";
+          Request.v ~dyn_target
+            ~acf:(Request.Mfi_rewrite A.Rewrite.Segment_matching)
+            "tiny";
+        ])
+      [ 20_000; 40_000 ]
+  in
+  let summary (s : Stats.t) = (s.Stats.cycles, s.Stats.retired) in
+  Request.clear_memory ();
+  let shared = List.map (fun r -> summary (Request.run r)) requests in
+  let fresh =
+    List.map
+      (fun r ->
+        Request.clear_memory ();
+        summary (Request.run r))
+      requests
+  in
+  Request.clear_memory ();
+  List.iter2
+    (fun (r, (c1, r1)) (c2, r2) ->
+      let what = Request.canonical r in
+      check int_ ("cycles of " ^ what) c2 c1;
+      check int_ ("retired of " ^ what) r2 r1)
+    (List.combine requests shared)
+    fresh
+
 let suite =
   [
     t prop_roundtrip;
@@ -450,4 +495,5 @@ let suite =
     ("serve prodset swap between chunks", `Quick,
      test_serve_prodset_swap_chunks);
     ("jit knob distinct cache keys", `Quick, test_jit_knob_distinct_keys);
+    ("memos keyed on dyn_target", `Quick, test_memo_keys_dyn_target);
   ]
