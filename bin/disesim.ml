@@ -592,8 +592,8 @@ let serve_cmd =
   let doc =
     "Serve simulation requests in batch: JSONL requests in, JSONL \
      responses out (in input order). Reads stdin by default, or accepts \
-     connections on a Unix-domain socket. With --workers N, shards the \
-     tier across N worker processes behind an async front end. See \
+     connections on a Unix-domain socket; either way an async front end \
+     routes the jobs to worker processes (--workers). See \
      doc/service.md and doc/serve-tier.md for the request and response \
      schemas and the wire envelope."
   in
@@ -610,7 +610,7 @@ let serve_cmd =
                  routing each job by its content-addressed result key \
                  (consistent hashing), and multiplex clients on an async \
                  front end. A crashed worker is respawned on its shard and \
-                 its journal shard replayed. 0 (default) serves in-process.")
+                 its journal shard replayed. Default: 1.")
   in
   let jobs_arg =
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ]
@@ -619,17 +619,17 @@ let serve_cmd =
   in
   let queue_arg =
     Arg.(value & opt (some int) None & info [ "queue" ] ~docv:"N"
-           ~doc:"Max jobs in flight; further input is not read until the \
-                 current batch's responses have been flushed (default: \
-                 4*jobs).")
+           ~doc:"Max lines of one connection (stdin, or one socket \
+                 client) in flight at once; further lines are admitted in \
+                 input order as responses free slots (default: 4*jobs).")
   in
   let socket_arg =
     Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH"
            ~doc:"Listen on a Unix-domain socket at $(docv) instead of \
-                 serving stdin; connections are served sequentially, each \
-                 as one JSONL stream. If a live server already answers on \
-                 $(docv), refuse to start (exit 6); a stale socket left by \
-                 a crash is reclaimed.")
+                 serving stdin; connections are served concurrently, each \
+                 as its own JSONL stream with in-order responses. If a live \
+                 server already answers on $(docv), refuse to start (exit \
+                 6); a stale socket left by a crash is reclaimed.")
   in
   let deadline_arg =
     Arg.(value & opt (some int) None & info [ "deadline-ms" ] ~docv:"MS"
@@ -639,11 +639,11 @@ let serve_cmd =
   in
   let shed_arg =
     Arg.(value & opt (some int) None & info [ "shed-above" ] ~docv:"WORK"
-           ~doc:"Admission high-water mark per in-flight window, in \
-                 dynamic-instruction (dyn_target) units: jobs beyond it are \
-                 answered with kind 'overloaded' instead of queueing. The \
-                 first job of a window is always admitted. Default: never \
-                 shed.")
+           ~doc:"Admission high-water mark on the work in flight, in \
+                 dynamic-instruction (dyn_target) units: a job that would \
+                 push it past $(docv) is answered with kind 'overloaded' \
+                 instead of queueing. A job arriving while nothing is in \
+                 flight is always admitted. Default: never shed.")
   in
   let tenant_quota_arg =
     Arg.(value & opt (some int) None & info [ "tenant-quota" ] ~docv:"N"
@@ -654,18 +654,19 @@ let serve_cmd =
   in
   let journal_arg =
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"DIR"
-           ~doc:"Crash-safe job journal: append every admitted job to \
-                 $(docv)/journal.jsonl before it executes and mark it done \
-                 once answered. On startup, jobs a previous crash \
-                 interrupted are replayed into the result cache. With \
-                 --workers, each worker keeps its shard's journal in \
-                 $(docv)/worker-<shard>. See doc/resilience.md.")
+           ~doc:"Crash-safe job journal: each worker appends every job \
+                 it is handed to $(docv)/worker-<shard>/journal.jsonl before \
+                 it executes and marks it done once answered. On startup, \
+                 jobs a previous crash interrupted are replayed into the \
+                 result cache through the current shard ring. See \
+                 doc/resilience.md.")
   in
   let serve_manifest_arg =
     Arg.(value & opt (some string) None & info [ "manifest" ] ~docv:"FILE"
-           ~doc:"Write one JSONL 'serve_summary' telemetry record per \
-                 served stream (served/error/timeout/shed/isolated counts, \
-                 resilience counters, breaker state) to $(docv).")
+           ~doc:"Write one JSONL 'serve_summary' telemetry record for \
+                 the run (served/error/timeout/shed/isolated counts, merged \
+                 resilience counters and metrics, per-worker breaker state) \
+                 to $(docv).")
   in
   let breaker_arg =
     Arg.(value & opt (some int) None & info [ "breaker" ] ~docv:"N"
@@ -683,9 +684,8 @@ let serve_cmd =
   let chaos_schedule_arg =
     Arg.(value & opt (some string) None & info [ "chaos-schedule" ]
            ~docv:"FILE"
-           ~doc:"Replay a deterministic chaos schedule against the sharded \
-                 tier (requires --workers): a JSON file of seeded fault \
-                 events (kill/stall/torn/drop_ping/suspect/\
+           ~doc:"Replay a deterministic chaos schedule against the worker \
+                 tier: a JSON file of seeded fault events (kill/stall/torn/drop_ping/suspect/\
                  truncate_journal) fired as the submitted-request count \
                  passes each event's 'after' \
                  (doc/schema/chaos_schedule.schema.json). The same file \
@@ -726,103 +726,50 @@ let serve_cmd =
     let on_signal _ = S.Server.Stop.signal stop in
     Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-    if cfg.S.Serve_config.workers > 0 then begin
-      (* Sharded tier: the coordinator never simulates, so the cache,
-         breaker, JIT, and journal shards are configured inside each
-         worker process from the spawn spec. *)
-      let cache_dir =
-        if no_cache then None
-        else Some (match cache_dir with Some d -> d | None -> default_cache_dir ())
-      in
-      let jit = (not no_jit, jit_threshold) in
-      let chaos =
-        match chaos_schedule with
-        | None -> None
-        | Some file -> (
-          match Fz.Chaos_sched.of_file file with
-          | Error d -> die d
-          | Ok sched ->
-            (* Startup faults (torn journal tails) land before the tier
-               boots, so recovery replays through the live ring. *)
-            (match cfg.S.Serve_config.journal with
-            | Some root ->
-              let n = Fz.Chaos_sched.truncate_journals sched ~root in
-              if n > 0 then
-                Format.eprintf
-                  "disesim serve: chaos schedule truncated %d journal \
-                   tail%s@."
-                  n
-                  (if n = 1 then "" else "s")
-            | None -> ());
-            Some (Fz.Chaos_sched.hook sched))
-      in
-      Fun.protect ~finally:close_manifest (fun () ->
-          match socket with
-          | None ->
-            let s =
-              S.Coordinator.run_channel ~stop ?manifest:manifest_t ?chaos
-                ?cache_dir ~jit cfg stdin stdout
-            in
-            Format.eprintf "disesim serve: %a@." S.Server.pp_summary s
-          | Some path -> (
-            Format.eprintf "disesim serve: listening on %s (%d workers)@."
-              path cfg.S.Serve_config.workers;
-            try
-              let s =
-                S.Coordinator.run_socket ~stop ?manifest:manifest_t ?chaos
-                  ?cache_dir ~jit cfg ~path ()
-              in
-              Format.eprintf "disesim serve: %a@." S.Server.pp_summary s
-            with S.Cache.Diag_error d -> die d))
-    end
-    else begin
-      setup_cache cache_dir no_cache;
-      if cfg.S.Serve_config.breaker > 0 then
-        S.Request.set_cache_breaker
-          (Some
-             (S.Resilience.Breaker.create ~threshold:cfg.S.Serve_config.breaker
-                ~cooldown_s:
-                  (float_of_int cfg.S.Serve_config.breaker_cooldown_ms /. 1000.)
-                ()));
-      (* Replay whatever a previous crash left begun-but-unfinished,
-         then start this run's journal from a clean file (everything
-         recorded is now either cached or just re-executed). *)
-      let journal_t =
-        match cfg.S.Serve_config.journal with
-        | None -> None
-        | Some dir ->
-          let replayed =
-            guarded (fun () ->
-                S.Server.replay_journal ~jobs:cfg.S.Serve_config.jobs ~dir ())
-          in
-          if replayed > 0 then
-            Format.eprintf
-              "disesim serve: replayed %d interrupted job%s from %s@."
-              replayed
-              (if replayed = 1 then "" else "s")
-              (S.Resilience.Journal.file ~dir);
-          S.Resilience.Journal.clear ~dir;
-          Some (guarded (fun () -> S.Resilience.Journal.open_ ~dir))
-      in
-      let session =
-        S.Server.session ~stop ?journal:journal_t ?manifest:manifest_t cfg
-      in
-      let finish () =
-        (match journal_t with
-        | Some j -> S.Resilience.Journal.close j
-        | None -> ());
-        close_manifest ()
-      in
-      Fun.protect ~finally:finish (fun () ->
-          match socket with
-          | None ->
-            let s = S.Server.serve_channel session stdin stdout in
-            Format.eprintf "disesim serve: %a@." S.Server.pp_summary s
-          | Some path -> (
-            Format.eprintf "disesim serve: listening on %s@." path;
-            try S.Server.serve_socket session ~path ()
-            with S.Cache.Diag_error d -> die d))
-    end
+    (* The coordinator never simulates, so the cache, breaker, JIT,
+       and journal shards are configured inside each worker process
+       from the spawn spec. *)
+    let cache_dir =
+      if no_cache then None
+      else Some (match cache_dir with Some d -> d | None -> default_cache_dir ())
+    in
+    let jit = (not no_jit, jit_threshold) in
+    let chaos =
+      match chaos_schedule with
+      | None -> None
+      | Some file -> (
+        match Fz.Chaos_sched.of_file file with
+        | Error d -> die d
+        | Ok sched ->
+          (* Startup faults (torn journal tails) land before the tier
+             boots, so recovery replays through the live ring. *)
+          (match cfg.S.Serve_config.journal with
+          | Some root ->
+            let n = Fz.Chaos_sched.truncate_journals sched ~root in
+            if n > 0 then
+              Format.eprintf
+                "disesim serve: chaos schedule truncated %d journal tail%s@."
+                n
+                (if n = 1 then "" else "s")
+          | None -> ());
+          Some (Fz.Chaos_sched.hook sched))
+    in
+    let front_end =
+      match socket with
+      | None -> S.Coordinator.Stdio { input = Unix.stdin; output = Unix.stdout }
+      | Some path ->
+        Format.eprintf "disesim serve: listening on %s (%d worker%s)@." path
+          cfg.S.Serve_config.workers
+          (if cfg.S.Serve_config.workers = 1 then "" else "s");
+        S.Coordinator.Socket path
+    in
+    Fun.protect ~finally:close_manifest (fun () ->
+        match
+          S.Coordinator.run ~stop ?manifest:manifest_t ?chaos ?cache_dir ~jit
+            cfg front_end
+        with
+        | s -> Format.eprintf "disesim serve: %a@." S.Server.pp_summary s
+        | exception S.Cache.Diag_error d -> die d)
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run $ config_arg $ workers_arg $ jobs_arg $ queue_arg
@@ -1286,12 +1233,10 @@ let conformance_cmd =
           $ track_arg $ jsonl_arg $ md_arg $ check_reg_arg)
 
 let () =
-  (* Re-exec dispatch hooks: a no-op unless the matching environment
+  (* Re-exec dispatch hook: a no-op unless the worker environment
      variable is set. Serve-tier workers (Dise_service.Coordinator)
-     and the fault matrix's SIGKILL victim (Dise_fuzz.Faults) both
      take over the process here, before any CLI parsing. *)
   S.Coordinator.worker_child_main ();
-  Dise_fuzz.Faults.journal_child_main ();
   let doc = "DISE: programmable macro engine reproduction (ISCA 2003)" in
   let info = Cmd.info "disesim" ~doc in
   exit

@@ -71,5 +71,4 @@ val hook : t -> requests:int -> Dise_service.Coordinator.chaos_action list
     fires exactly once, when [requests] first reaches (or passes) its
     [after] count; randomized knobs are drawn from the schedule seed
     in event order, so equal schedules yield equal action streams.
-    Pass [hook t] as [?chaos] to {!Dise_service.Coordinator.run_channel}
-    or [run_socket]. *)
+    Pass [hook t] as [?chaos] to {!Dise_service.Coordinator.run}. *)

@@ -1,6 +1,7 @@
 module Json = Dise_telemetry.Json
 module Cache = Dise_service.Cache
 module Server = Dise_service.Server
+module Coordinator = Dise_service.Coordinator
 module Serve_config = Dise_service.Serve_config
 module Request = Dise_service.Request
 module Resilience = Dise_service.Resilience
@@ -207,10 +208,12 @@ let job ?(dyn = 2_000) id =
   | Json.Obj members -> Json.to_string (Json.Obj (("id", Json.Int id) :: members))
   | _ -> assert false
 
-(* Run one JSONL stream through Server.serve_channel via temp files,
-   exactly as the CLI does over pipes. [input] is raw bytes (some
-   checks need missing newlines). *)
-let serve_raw ?cfg ?stop ?journal ?manifest input =
+(* Run one JSONL stream through the serve tier via temp files, exactly
+   as [disesim serve] does over stdin/stdout. [input] is raw bytes
+   (some checks need missing newlines). The workers are re-execs of
+   the host executable, so it must call
+   [Coordinator.worker_child_main] first thing. *)
+let serve_raw ?cfg ?stop ?manifest ?on_spawn ?chaos ?cache_dir input =
   let inp = Filename.temp_file "dise-fuzz-serve-in" ".jsonl" in
   let out = Filename.temp_file "dise-fuzz-serve-out" ".jsonl" in
   Fun.protect
@@ -219,18 +222,20 @@ let serve_raw ?cfg ?stop ?journal ?manifest input =
       try Sys.remove out with Sys_error _ -> ())
     (fun () ->
       write_raw inp input;
-      let ic = open_in_bin inp in
-      let oc = open_out_bin out in
+      (* close-on-exec, or every worker would inherit the stream *)
+      let ifd = Unix.openfile inp [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+      let ofd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0 in
       let summary =
         Fun.protect
           ~finally:(fun () ->
-            close_in_noerr ic;
-            close_out_noerr oc)
+            Unix.close ifd;
+            Unix.close ofd)
           (fun () ->
             let cfg =
               match cfg with Some c -> c | None -> Serve_config.default ()
             in
-            Server.serve_channel (Server.session ?stop ?journal ?manifest cfg) ic oc)
+            Coordinator.run ?stop ?manifest ?on_spawn ?chaos ?cache_dir cfg
+              (Coordinator.Stdio { input = ifd; output = ofd }))
       in
       let contents = read_raw out in
       let lines =
@@ -401,12 +406,14 @@ let serve_poisoned_job () =
 
 (* A stalled job overruns its wall-clock budget and is answered
    [timeout], in order, without losing its slot or its batch-mates.
-   The chaos stall burns the budget before the simulator starts, so
-   the check is deterministic on any machine. *)
+   The chaos stall burns the budget before the simulator starts. The
+   budget is over 5x a batch-mate's cold run in a fresh worker
+   (46-138 ms measured, workload generation included) and the stall
+   5x the budget, so the check holds on a loaded machine too. *)
 let serve_deadline_overrun () =
-  with_chaos "sleep=2:200" (fun () ->
+  with_chaos "sleep=2:3750" (fun () ->
       expect_stream
-        ~cfg:(Serve_config.of_flags ~jobs:2 ~queue:4 ~deadline_ms:25 ())
+        ~cfg:(Serve_config.of_flags ~jobs:2 ~queue:4 ~deadline_ms:750 ())
         (String.concat "\n" [ job ~dyn:41_011 1; job ~dyn:41_012 2; job ~dyn:41_013 3 ] ^ "\n")
         [
           (Some (Json.Int 1), None);
@@ -437,23 +444,49 @@ let serve_shedding () =
         (Some (Json.Int 4), Some "overloaded");
       ]
 
+(* Read [n] newline-terminated lines from [fd], giving up after
+   [timeout_s] without progress; [None] on timeout or EOF. *)
+let read_lines fd n ~timeout_s =
+  let buf = Buffer.create 1024 in
+  let chunk = Bytes.create 4096 in
+  let count () =
+    String.fold_left (fun c ch -> if ch = '\n' then c + 1 else c) 0 (Buffer.contents buf)
+  in
+  let rec go () =
+    if count () >= n then
+      Some
+        (String.split_on_char '\n' (Buffer.contents buf)
+        |> List.filter (fun l -> l <> ""))
+    else
+      match Unix.select [ fd ] [] [] timeout_s with
+      | [], _, _ -> None
+      | _ -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> None
+        | k ->
+          Buffer.add_subbytes buf chunk 0 k;
+          go ())
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+  in
+  go ()
+
 (* Trip the result-cache breaker by making every store fail: a
    regular file planted where the cache wants its two-hex-char
    subdirectory makes the entry path unusable (works for root too,
-   unlike a chmod). The server must keep answering ok (degraded);
-   the breaker must trip, be visible in the manifest record, and
-   close again after a successful half-open probe. *)
+   unlike a chmod). The breaker lives in the tier's worker, so one
+   tier serves the whole check over pipes: six jobs while the cache
+   is sick must all answer ok (degraded) and trip the breaker; then
+   the cache is healed, the cooldown waited out, and a seventh job's
+   store is the half-open probe that closes it. The worker's final
+   breaker state reaches the manifest record as workers[0].breaker:
+   a trip, and exactly one close (none while every store failed). *)
 let serve_breaker_trip_and_recover () =
   let dir = temp_dir "dise-fuzz-breaker" in
-  let prev_cache = Request.disk_cache () in
-  let prev_breaker = Request.cache_breaker () in
   Fun.protect
-    ~finally:(fun () ->
-      Request.set_cache_breaker prev_breaker;
-      Request.set_disk_cache prev_cache;
-      rm_rf dir)
+    ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      let c = Cache.create ~dir in
+      let cdir = Filename.concat dir "cache" in
+      let c = Cache.create ~dir:cdir in
       let dyns = List.init 6 (fun i -> 41_021 + i) in
       let block_paths =
         List.sort_uniq compare
@@ -464,144 +497,153 @@ let serve_breaker_trip_and_recover () =
              dyns)
       in
       List.iter (fun p -> write_raw p "not a directory") block_paths;
-      Request.set_disk_cache (Some c);
-      let b = Resilience.Breaker.create ~threshold:2 ~cooldown_s:0.05 () in
-      Request.set_cache_breaker (Some b);
       let buf = Buffer.create 256 in
       let manifest = Dise_telemetry.Manifest.to_buffer buf in
-      let input =
-        String.concat "\n" (List.mapi (fun i d -> job ~dyn:d (i + 1)) dyns)
-        ^ "\n"
+      let cfg =
+        Serve_config.of_flags ~jobs:2 ~queue:6 ~breaker:2
+          ~breaker_cooldown_ms:50 ()
       in
-      let summary, lines =
-        serve_raw ~manifest
-          ~cfg:(Serve_config.of_flags ~jobs:2 ~queue:6 ())
-          input
+      let in_r, in_w = Unix.pipe ~cloexec:true () in
+      let out_r, out_w = Unix.pipe ~cloexec:true () in
+      let tier =
+        Domain.spawn (fun () ->
+            Fun.protect
+              ~finally:(fun () ->
+                Unix.close in_r;
+                Unix.close out_w)
+              (fun () ->
+                Coordinator.run ~manifest ~cache_dir:cdir cfg
+                  (Coordinator.Stdio { input = in_r; output = out_w })))
       in
-      let all_ok =
+      let all_ok lines =
         List.for_all
           (fun l -> match response_shape l with Ok (_, None) -> true | _ -> false)
           lines
       in
-      if summary.Server.errors <> 0 || not all_ok then
-        Error "server did not keep answering ok while the cache was sick"
-      else if Resilience.Breaker.trips b < 1 then
-        Error "breaker never tripped"
-      else if not (Resilience.Breaker.blocked b) then
-        Error "breaker closed while every store still fails"
-      else if count_occurrences "serve_summary" (Buffer.contents buf) <> 1 then
-        Error "no serve_summary manifest record"
-      else if count_occurrences "\"breaker\"" (Buffer.contents buf) < 1 then
-        Error "manifest record carries no breaker state"
-      else begin
-        (* Recovery: heal the cache, wait out the cooldown, serve one
-           more job; its store is the half-open probe. *)
-        List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) block_paths;
-        Unix.sleepf 0.06;
-        let _, lines =
-          serve_raw
-            ~cfg:(Serve_config.of_flags ~jobs:1 ~queue:1 ())
-            (job ~dyn:41_031 7 ^ "\n")
-        in
-        match List.map response_shape lines with
-        | [ Ok (_, None) ] ->
-          if Resilience.Breaker.state b <> Resilience.Breaker.Closed then
-            Error "breaker did not close after a successful probe"
-          else Ok ()
-        | _ -> Error "recovery job did not succeed"
-      end)
+      let phases =
+        Fun.protect
+          ~finally:(fun () -> Unix.close in_w)
+          (fun () ->
+            Coordinator.write_all in_w
+              (String.concat "\n" (List.mapi (fun i d -> job ~dyn:d (i + 1)) dyns)
+              ^ "\n")
+              0;
+            match read_lines out_r (List.length dyns) ~timeout_s:60. with
+            | None -> Error "no answers while the cache was sick"
+            | Some lines when not (all_ok lines) ->
+              Error "server did not keep answering ok while the cache was sick"
+            | Some _ -> (
+              (* Recovery: heal the cache, wait out the cooldown, serve
+                 one more job; its store is the half-open probe. *)
+              List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) block_paths;
+              Unix.sleepf 0.1;
+              Coordinator.write_all in_w (job ~dyn:41_031 7 ^ "\n") 0;
+              match read_lines out_r 1 ~timeout_s:60. with
+              | Some [ l ] when all_ok [ l ] -> Ok ()
+              | _ -> Error "recovery job did not succeed"))
+      in
+      let summary = Domain.join tier in
+      Unix.close out_r;
+      let breaker =
+        match
+          List.filter_map
+            (fun l ->
+              match Json.parse l with
+              | r when Json.member "record" r = Some (Json.String "serve_summary") ->
+                Some r
+              | _ -> None
+              | exception Json.Parse_error _ -> None)
+            (String.split_on_char '\n' (Buffer.contents buf))
+        with
+        | [ r ] -> (
+          match Json.member "workers" r with
+          | Some (Json.List (w :: _)) -> Ok (Json.member "breaker" w)
+          | _ -> Error "serve_summary record has no workers")
+        | _ -> Error "no serve_summary manifest record"
+      in
+      let int_of name b =
+        match Json.member name b with Some (Json.Int n) -> n | _ -> -1
+      in
+      match (phases, breaker) with
+      | Error e, _ | _, Error e -> Error e
+      | Ok (), Ok None -> Error "manifest record carries no breaker state"
+      | Ok (), Ok (Some b) ->
+        if summary.Server.errors <> 0 then
+          Error "server did not keep answering ok while the cache was sick"
+        else if int_of "trips" b < 1 then Error "breaker never tripped"
+        else if int_of "closes" b <> 1 then
+          Error
+            (Printf.sprintf
+               "breaker closed %d times (wanted once: never while every \
+                store fails, then after the successful probe)"
+               (int_of "closes" b))
+        else if Json.member "state" b <> Some (Json.String "closed") then
+          Error "breaker did not close after a successful probe"
+        else Ok ())
 
-(* Crash-safety: SIGKILL a journalling server mid-batch (after the
-   begins are fsynced, before any job finishes — a chaos stall holds
-   the batch open), then replay the journal in the parent and assert
-   every interrupted job landed in the result cache.
-
-   OCaml 5 forbids [Unix.fork] once any domain has ever been spawned,
-   and both the pool and earlier checks spawn domains, so the victim
-   server is a fresh process instead: the host executable re-execs
-   itself and [journal_child_main] (called first thing by both
-   [disesim] and the test runner) diverts the child into the serving
-   role before any normal startup runs. *)
-let journal_child_env = "DISE_FAULTS_JOURNAL_CHILD"
-
-let journal_child_main () =
-  match Sys.getenv_opt journal_child_env with
-  | None | Some "" -> ()
-  | Some spec ->
-    let code =
-      try
-        match String.split_on_char '|' spec with
-        | [ cdir; jdir; inp; out ] ->
-          (* Serial (domain-free) journalling server; the inherited
-             chaos stall on job 1 holds the batch open so the
-             parent's SIGKILL lands mid-execution. *)
-          Request.set_disk_cache (Some (Cache.create ~dir:cdir));
-          let j = Resilience.Journal.open_ ~dir:jdir in
-          let ic = open_in_bin inp and oc = open_out_bin out in
-          ignore
-            (Server.serve_channel
-               (Server.session ~journal:j
-                  (Serve_config.of_flags ~jobs:1 ~queue:4 ()))
-               ic oc);
-          0
-        | _ -> 1
-      with _ -> 1
-    in
-    (* [_exit] skips the host's at_exit/flush machinery. *)
-    Unix._exit code
-
+(* Crash-safety: SIGKILL a journalling tier's worker mid-batch (after
+   the begins are fsynced, before any job finishes — a chaos stall
+   holds the batch open), then replay the worker's journal shard and
+   assert every interrupted job landed in the result cache. The tier
+   gets no respawn ([respawn_cap = 0]) and one worker, so losing it
+   ends the run and leaves the journal exactly as the kill left it;
+   the replay is the one a restarted worker runs at startup. *)
 let serve_journal_sigkill_replay () =
-  let jdir = temp_dir "dise-fuzz-journal" in
-  let cdir = temp_dir "dise-fuzz-jcache" in
-  let inp = Filename.temp_file "dise-fuzz-journal-in" ".jsonl" in
-  let out = Filename.temp_file "dise-fuzz-journal-out" ".jsonl" in
+  let root = temp_dir "dise-fuzz-journal" in
   let prev_cache = Request.disk_cache () in
   Fun.protect
     ~finally:(fun () ->
       Request.set_disk_cache prev_cache;
-      rm_rf jdir;
-      rm_rf cdir;
-      (try Sys.remove inp with Sys_error _ -> ());
-      try Sys.remove out with Sys_error _ -> ())
+      rm_rf root)
     (fun () ->
+      let cdir = Filename.concat root "cache" in
+      let jroot = Filename.concat root "journal" in
+      let jdir = Filename.concat jroot "worker-0" in
       let dyns = [ 41_041; 41_042; 41_043 ] in
-      write_raw inp
-        (String.concat "\n" (List.mapi (fun i d -> job ~dyn:d (i + 1)) dyns)
-        ^ "\n");
-      let exe = Sys.executable_name in
-      let spec = String.concat "|" [ cdir; jdir; inp; out ] in
-      Unix.putenv journal_child_env spec;
-      Unix.putenv Resilience.Chaos.env_var "sleep=1:5000";
-      let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-      let pid =
-        Fun.protect
-          ~finally:(fun () ->
-            Unix.close devnull;
-            Unix.putenv journal_child_env "";
-            Unix.putenv Resilience.Chaos.env_var "")
-          (fun () ->
-            Unix.create_process exe [| exe |] devnull Unix.stdout Unix.stderr)
+      let input =
+        String.concat "\n" (List.mapi (fun i d -> job ~dyn:d (i + 1)) dyns) ^ "\n"
       in
-      begin
-        let jfile = Resilience.Journal.file ~dir:jdir in
-        let deadline = Unix.gettimeofday () +. 10. in
-        let rec wait_for_begins () =
-          if Unix.gettimeofday () > deadline then false
-          else if
-            Sys.file_exists jfile
-            && count_occurrences "\"begin\"" (read_raw jfile)
-               >= List.length dyns
-          then true
-          else begin
-            Unix.sleepf 0.005;
-            wait_for_begins ()
-          end
-        in
-        let saw = wait_for_begins () in
-        Unix.kill pid Sys.sigkill;
-        ignore (Unix.waitpid [] pid);
-        if not saw then Error "journal begins never appeared"
-        else begin
+      let victim = Atomic.make (-1) in
+      let on_spawn ~shard:_ ~pid = Atomic.set victim pid in
+      let killer =
+        Domain.spawn (fun () ->
+            let jfile = Resilience.Journal.file ~dir:jdir in
+            let deadline = Unix.gettimeofday () +. 10. in
+            let rec wait_for_begins () =
+              if Unix.gettimeofday () > deadline then false
+              else if
+                Sys.file_exists jfile
+                && count_occurrences "\"begin\"" (read_raw jfile)
+                   >= List.length dyns
+              then true
+              else begin
+                Unix.sleepf 0.005;
+                wait_for_begins ()
+              end
+            in
+            let saw = wait_for_begins () in
+            (try Unix.kill (Atomic.get victim) Sys.sigkill
+             with Unix.Unix_error _ -> ());
+            saw)
+      in
+      let served =
+        with_chaos "sleep=1:5000" (fun () ->
+            match
+              serve_raw ~on_spawn ~cache_dir:cdir
+                ~cfg:
+                  (Serve_config.of_flags ~jobs:1 ~queue:4 ~journal:jroot
+                     ~respawn_cap:0 ())
+                input
+            with
+            | _ -> Error "the tier outlived its only worker"
+            | exception Cache.Diag_error _ -> Ok ())
+      in
+      let saw = Domain.join killer in
+      if not saw then Error "journal begins never appeared"
+      else
+        match served with
+        | Error e -> Error e
+        | Ok () ->
           let pending = Resilience.Journal.pending ~dir:jdir in
           if List.length pending <> List.length dyns then
             Error
@@ -631,9 +673,7 @@ let serve_journal_sigkill_replay () =
                      (List.length missing))
               else Ok ()
             end
-          end
-        end
-      end)
+          end)
 
 let resilience_faults ~seed:_ =
   run_checks
@@ -703,8 +743,6 @@ let chaos_run ~seed () =
   Fun.protect
     ~finally:(fun () -> rm_rf root)
     (fun () ->
-      let inp = Filename.concat root "in.jsonl" in
-      let out = Filename.concat root "out.jsonl" in
       (* distinct dyn targets: distinct cache keys, so jobs spread
          across the ring instead of collapsing onto one shard *)
       let input =
@@ -712,26 +750,13 @@ let chaos_run ~seed () =
           (List.init chaos_jobs (fun i -> job ~dyn:(50_000 + i) (i + 1)))
         ^ "\n"
       in
-      write_raw inp input;
       let cfg =
         Serve_config.of_flags ~workers:3 ~jobs:1
           ~journal:(Filename.concat root "journal")
           ~heartbeat_ms:100 ~suspect_misses:2 ()
       in
-      let ic = open_in_bin inp in
-      let oc = open_out_bin out in
-      let summary =
-        Fun.protect
-          ~finally:(fun () ->
-            close_in_noerr ic;
-            close_out_noerr oc)
-          (fun () ->
-            Dise_service.Coordinator.run_channel
-              ~chaos:(Chaos_sched.hook sched) cfg ic oc)
-      in
-      let lines =
-        String.split_on_char '\n' (read_raw out)
-        |> List.filter (fun l -> String.trim l <> "")
+      let summary, lines =
+        serve_raw ~cfg ~chaos:(Chaos_sched.hook sched) input
       in
       (* The normalized projection: (id, outcome) in emission order.
          Timings vary run to run; identity and order must not. *)

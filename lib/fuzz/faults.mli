@@ -10,24 +10,31 @@
     raises or observes a wrong payload.
 
     Serve faults: JSONL streams with malformed, oversized, and
-    partial lines — {!Dise_service.Server} documents one in-order
+    partial lines, served by a real worker tier
+    ({!Dise_service.Coordinator}, over temp files standing in for
+    stdin/stdout) — {!Dise_service.Server} documents one in-order
     response per job with kind ["parse"] for bad lines and no stream
-    desync. The drain check delivers a real SIGINT mid-batch through
+    desync. The drain check delivers a real SIGINT mid-stream through
     the same handler wiring [disesim serve] installs and asserts the
-    loop finishes its chunk, flushes whole response lines, and
-    returns.
+    tier finishes its admitted work, flushes whole response lines,
+    and returns.
 
     Resilience faults (doc/resilience.md): chaos directives
     ({!Dise_service.Resilience.Chaos}) poison or stall individual
     jobs to assert the serve layer's isolation ([internal] responses
     in order), deadline ([timeout]) and shedding ([overloaded])
     guarantees; planted non-directory files make every cache store
-    fail to trip the circuit breaker and observe half-open recovery;
-    and a forked, journalling server is SIGKILLed mid-batch to assert
+    fail to trip a worker's circuit breaker and observe half-open
+    recovery in the summary's per-worker breaker state; and a
+    journalling tier's worker is SIGKILLed mid-batch to assert
     {!Dise_service.Server.replay_journal} re-executes exactly the
     interrupted jobs into the result cache.
 
-    See doc/fuzzing.md for the full fault matrix. *)
+    Every serve check spawns worker processes, which are re-execs of
+    the host executable: call
+    {!Dise_service.Coordinator.worker_child_main} first thing in any
+    executable that runs them (the CLI and the test runner do). See
+    doc/fuzzing.md for the full fault matrix. *)
 
 type report = {
   passed : int;
@@ -38,6 +45,23 @@ val cache_faults : seed:int -> report
 val serve_faults : seed:int -> report
 val resilience_faults : seed:int -> report
 
+val serve_raw :
+  ?cfg:Dise_service.Serve_config.t ->
+  ?stop:Dise_service.Server.Stop.t ->
+  ?manifest:Dise_telemetry.Manifest.t ->
+  ?on_spawn:(shard:int -> pid:int -> unit) ->
+  ?chaos:(requests:int -> Dise_service.Coordinator.chaos_action list) ->
+  ?cache_dir:string ->
+  string ->
+  Dise_service.Server.summary * string list
+(** [serve_raw input] serves the raw bytes [input] (one JSONL stream;
+    a missing final newline is allowed) through a real worker tier,
+    exactly as [disesim serve] does over stdin/stdout, with temp
+    files standing in for the two pipes; returns the tier summary and
+    the non-blank response lines. [cfg] defaults to
+    {!Dise_service.Serve_config.default}; the other arguments are
+    {!Dise_service.Coordinator.run}'s. *)
+
 val chaos_faults : seed:int -> report
 (** Scheduled chaos against a live 3-worker tier ([disesim fuzz
     --chaos]): a fixed {!Chaos_sched} schedule drops a heartbeat,
@@ -45,17 +69,7 @@ val chaos_faults : seed:int -> report
     mid-stream, and permanently kills a shard mid-run — asserting
     every request is still answered exactly once, in order, all ok,
     with zero summary errors; and that two executions of the same
-    schedule produce identical normalized response streams. Requires
-    {!journal_child_main}'s host-hook discipline (the worker children
-    are re-execs of the host executable). *)
-
-val journal_child_main : unit -> unit
-(** Host-executable hook for the SIGKILL replay check. If the
-    dispatch environment variable is set, diverts this process into
-    the journalling-server victim role and [_exit]s; otherwise a
-    no-op. Call it first thing from any executable that runs
-    {!resilience_faults} — OCaml 5 forbids [Unix.fork] once domains
-    have been spawned, so the victim is a re-exec of the host. *)
+    schedule produce identical normalized response streams. *)
 
 val run_all : seed:int -> report
 (** All of the above; reports are concatenated. *)

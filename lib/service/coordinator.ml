@@ -6,9 +6,8 @@ module Diag = Dise_isa.Diag
 let env_var = "DISESIM_SERVE_WORKER"
 
 (* The coordinator executes nothing itself, so its latency instruments
-   come from the workers; [serve_execute_ns] here is the same
-   registry instrument the in-process server uses (make is
-   idempotent), recorded inside each worker process. *)
+   come from the workers: [serve_execute_ns] (pickup -> response
+   ready) is recorded inside each worker process. *)
 let h_execute = Metrics.Histogram.make "serve_execute_ns"
 
 (* Client-observed latency of every logical request the coordinator
@@ -31,14 +30,21 @@ let h_tier = Metrics.Histogram.make "tier_request_ns"
      W -> C   {"op":"hello","shard":S}     (first frame, always)
               {"op":"resp","seq":N,"tag":"hit"|"fresh"|"error",
                "kind":CATEGORY?,"resp":RESPONSE}
-              {"op":"pong","t":N}
-              {"op":"summary","shard":S,"counters":{..},"metrics":{..}}
+              {"op":"pong","t":N}          (answer to a ping)
+              {"op":"pong"}                (keep-alive during a batch)
+              {"op":"summary","shard":S,"counters":{..},"metrics":{..},
+               "breaker":{..}?}
 
    [seq] is coordinator-global and monotonic, so a respawned worker can
    be handed the same frame again without ambiguity. [ping] frames are
-   the supervision heartbeat: a worker answers [pong] from its frame
-   loop, so a worker wedged inside a batch stops answering — exactly
-   the signal the health machine wants.
+   the supervision heartbeat. The frame loop answers them between
+   batches; while a batch runs, a helper domain in the worker sends
+   keep-alive pongs once the batch has outlived half a heartbeat
+   interval, so a long legitimate job never looks like a dead worker.
+   A frame loop wedged outside any batch (the chaos [stall] op, a
+   deadlock) answers nothing — exactly the signal the health machine
+   wants. Long jobs are bounded by [deadline_ms] and latency hedging
+   instead.
 
    [hello] synchronizes the stream: a worker is a re-exec of the host
    executable, and anything linked into that host may write banners to
@@ -176,7 +182,9 @@ let extract_frames st =
   (List.rev !out, !poisoned)
 
 (* Outgoing byte queue for one descriptor: strings are pushed whole
-   and written as far as the fd will take them. *)
+   and written as far as the fd will take them. Queued strings are
+   coalesced into one write, so frames routed together reach a worker
+   together and it batches them as one. *)
 type outstream = { oq : string Queue.t; mutable off : int }
 
 let outstream () = { oq = Queue.create (); off = 0 }
@@ -186,6 +194,16 @@ let out_push os s = Queue.add s os.oq
 (* Write until the queue drains or the fd blocks. Raises on hard
    write errors (EPIPE: the peer is gone). *)
 let out_write fd os =
+  if Queue.length os.oq > 1 then begin
+    let head = Queue.pop os.oq in
+    let rest = List.of_seq (Queue.to_seq os.oq) in
+    Queue.clear os.oq;
+    Queue.add
+      (String.concat ""
+         (String.sub head os.off (String.length head - os.off) :: rest))
+      os.oq;
+    os.off <- 0
+  end;
   try
     while not (Queue.is_empty os.oq) do
       let s = Queue.peek os.oq in
@@ -246,8 +264,7 @@ let shard_journal_dir ~root shard =
 
 let tag_name = function `Hit -> "hit" | `Fresh -> "fresh" | `Error _ -> "error"
 
-(* One decoded job frame, ready for the execution pipeline the
-   in-process server uses ([Server.run_parsed]). *)
+(* One decoded job frame, ready for [Server.run_parsed]. *)
 type wjob = { j_seq : int; j_enq : float; j_doc : Json.t; j_parsed : Server.parsed }
 
 let decode_job doc =
@@ -276,8 +293,7 @@ let decode_job doc =
   }
 
 (* Journal entries are the request document with the id merged back
-   in — the same shape the single-process server journals, so
-   [Server.replay_journal] replays either. *)
+   in, so [Request.of_json] decodes them directly on replay. *)
 let worker_journal_doc wj =
   match wj.j_doc with
   | Json.Obj fields -> Json.Obj (("id", wj.j_parsed.Server.id) :: fields)
@@ -289,8 +305,15 @@ let worker_journal_doc wj =
 let worker_serve spec journal ~counters0 ~metrics0 =
   let cfg = spec.w_cfg in
   let chaos = Resilience.Chaos.of_env () in
-  let emit_frame doc = write_all Unix.stdout (frame_string doc) 0 in
+  (* Two writers share stdout (the frame loop and the ponger), so
+     every frame is written whole under one lock. *)
+  let out_lock = Mutex.create () in
+  let write_out s = Mutex.protect out_lock (fun () -> write_all Unix.stdout s 0) in
+  let emit_frame doc = write_out (frame_string doc) in
+  (* When the running batch started; 0 between batches. *)
+  let batch_since = Atomic.make 0. in
   let run_batch batch =
+    Atomic.set batch_since (Unix.gettimeofday ());
     let batch = Array.of_list batch in
     let seqs =
       match journal with
@@ -334,17 +357,17 @@ let worker_serve spec journal ~counters0 ~metrics0 =
              @ kind
              @ [ ("resp", resp) ])))
       outcomes;
-    match journal with
+    (match journal with
     | None -> ()
     | Some j ->
       Array.iter
         (function Some s -> Resilience.Journal.mark_done j s | None -> ())
         seqs;
-      Resilience.Journal.sync j
+      Resilience.Journal.sync j);
+    Atomic.set batch_since 0.
   in
   (* Supervision and chaos control frames, answered inline from the
-     frame loop (a worker wedged inside a batch therefore stops
-     ponging — the signal the coordinator's health machine reads). *)
+     frame loop between batches. *)
   let handle_ctl doc op =
     match op with
     | "ping" ->
@@ -375,6 +398,7 @@ let worker_serve spec journal ~counters0 ~metrics0 =
       Bytes.set full 2 '\001';
       Bytes.set full 3 '\000';
       let cut = max 1 (min cut (4 + promised - 1)) in
+      Mutex.lock out_lock;
       write_all Unix.stdout (Bytes.sub_string full 0 cut) 0;
       Unix._exit 9
     | _ -> ()
@@ -417,8 +441,26 @@ let worker_serve spec journal ~counters0 ~metrics0 =
   in
   (* First bytes this incarnation contributes: the sync point the
      coordinator scans for past any module-init stdout pollution. *)
-  write_all Unix.stdout (hello_frame spec.w_shard) 0;
+  write_out (hello_frame spec.w_shard);
+  (* The ponger never reads stdin: it only keeps a long batch from
+     looking like a dead worker. It polls at an eighth of an interval
+     and pongs once the batch has run half of one, so a pong lands in
+     every heartbeat interval the batch spans, with an eighth to
+     spare. The process [_exit]s without joining it. *)
+  let finished = Atomic.make false in
+  if cfg.Serve_config.heartbeat_ms > 0 then begin
+    let half = float_of_int cfg.Serve_config.heartbeat_ms /. 2000. in
+    let pong = frame_string (Json.Obj [ ("op", Json.String "pong") ]) in
+    ignore
+      (Domain.spawn (fun () ->
+           while not (Atomic.get finished) do
+             Unix.sleepf (half /. 4.);
+             let since = Atomic.get batch_since in
+             if since > 0. && Unix.gettimeofday () -. since > half then write_out pong
+           done))
+  end;
   loop ();
+  Atomic.set finished true;
   let counter_deltas =
     List.map
       (fun (k, v) ->
@@ -428,12 +470,16 @@ let worker_serve spec journal ~counters0 ~metrics0 =
   in
   emit_frame
     (Json.Obj
-       [
-         ("op", Json.String "summary");
-         ("shard", Json.Int spec.w_shard);
-         ("counters", Json.Obj counter_deltas);
-         ("metrics", Metrics.to_json (Metrics.delta ~since:metrics0 (Metrics.snapshot ())));
-       ])
+       ([
+          ("op", Json.String "summary");
+          ("shard", Json.Int spec.w_shard);
+          ("counters", Json.Obj counter_deltas);
+          ("metrics", Metrics.to_json (Metrics.delta ~since:metrics0 (Metrics.snapshot ())));
+        ]
+       @
+       match Request.cache_breaker () with
+       | None -> []
+       | Some b -> [ ("breaker", Resilience.Breaker.to_json b) ]))
 
 let worker_main spec_text =
   let fail d =
@@ -479,10 +525,9 @@ let worker_main spec_text =
           | None -> None
           | Some root ->
             let dir = shard_journal_dir ~root spec.w_shard in
-            (* Same startup sequence as the single-process CLI: replay
-               what a crash interrupted, then start a fresh journal.
-               The replay line on (inherited) stderr is the operator's
-               crash-recovery audit trail. *)
+            (* Replay what a crash interrupted, then start a fresh
+               journal. The replay line on (inherited) stderr is the
+               operator's crash-recovery audit trail. *)
             let n = Server.replay_journal ~jobs:cfg.Serve_config.jobs ~dir () in
             if n > 0 then
               Printf.eprintf "disesim serve: replayed %d interrupted job%s from %s\n%!"
@@ -570,7 +615,6 @@ type t = {
   cfg : Serve_config.t;
   cache_dir : string option;
   jit : (bool * int) option;
-  nonblocking : bool;
   mutable ring : Shard.t;  (* shrinks as workers are failed over *)
   mutable workers : worker array;
   mutable next_seq : int;
@@ -584,14 +628,14 @@ type t = {
   metrics0 : Metrics.snapshot;
   mutable summaries : (int * Json.t) list;
   mutable shutting_down : bool;
-  (* stream-level tallies (both modes) *)
+  (* tier-level tallies over every client connection *)
   mutable s_served : int;
   mutable s_errors : int;
   mutable s_hits : int;
   mutable s_timeouts : int;
   mutable s_shed : int;
   mutable s_isolated : int;
-  (* live admission state (socket mode) *)
+  (* live admission state, across connections *)
   mutable inflight_work : int;
   tenant_inflight : (string, int) Hashtbl.t;
   scratch : Bytes.t;
@@ -599,10 +643,10 @@ type t = {
 
 let worker_spec t shard =
   let cfg =
-    (* Workers must not recurse into coordinators or double-write the
-       manifest; everything else (jobs, queue, deadline, journal root,
-       breaker) is theirs. *)
-    { t.cfg with Serve_config.workers = 0; manifest = None }
+    (* Workers must not double-write the manifest; everything else
+       (jobs, queue, deadline, journal root, breaker, heartbeat) is
+       theirs. *)
+    { t.cfg with Serve_config.manifest = None }
   in
   Json.to_string
     (Json.Obj
@@ -641,12 +685,12 @@ let spawn_env spec =
 
 (* Spawn the worker process for [w.shard] and (re)wire its pipes. The
    child inherits stderr, so worker diagnostics (journal replay lines,
-   isolation backtraces) land on the server's stderr like the
-   single-process path. Pipe fds are created close-on-exec: the ends
-   meant for the child are passed through [create_process_env]'s dup2
-   (which clears the flag on the child's copies), and nothing leaks
-   into sibling workers — vital, or a dead worker's pipe would never
-   read EOF while a sibling still held its write end. *)
+   isolation backtraces) land on the server's stderr. Pipe fds are
+   created close-on-exec: the ends meant for the child are passed
+   through [create_process_env]'s dup2 (which clears the flag on the
+   child's copies), and nothing leaks into sibling workers — vital,
+   or a dead worker's pipe would never read EOF while a sibling still
+   held its write end. *)
 let fresh_health cfg =
   Resilience.Health.create
     ~interval_s:(float_of_int cfg.Serve_config.heartbeat_ms /. 1000.)
@@ -664,10 +708,8 @@ let spawn_into t w =
   in
   Unix.close stdin_r;
   Unix.close stdout_w;
-  if t.nonblocking then begin
-    Unix.set_nonblock stdin_w;
-    Unix.set_nonblock stdout_r
-  end;
+  Unix.set_nonblock stdin_w;
+  Unix.set_nonblock stdout_r;
   w.pid <- pid;
   w.to_w <- stdin_w;
   w.from_w <- stdout_r;
@@ -793,7 +835,7 @@ let resubmit_journal_docs t drained =
         docs)
     drained
 
-let create ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit ~nonblocking cfg =
+let create ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg =
   let workers_n = max 1 cfg.Serve_config.workers in
   let cfg = { cfg with Serve_config.workers = workers_n } in
   let t =
@@ -801,7 +843,6 @@ let create ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit ~nonblocking cfg =
       cfg;
       cache_dir;
       jit;
-      nonblocking;
       ring = Shard.ring ~workers:workers_n ();
       workers = [||];
       next_seq = 0;
@@ -861,8 +902,7 @@ let create ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit ~nonblocking cfg =
   resubmit_journal_docs t drained;
   t
 
-(* Stream-level outcome bookkeeping — the same classification
-   [Server.serve_channel] applies, including the resilience-counter
+(* Tier-level outcome bookkeeping, including the resilience-counter
    bumps (workers don't bump timeout/shed counters themselves, so the
    merged counter deltas count each event exactly once). *)
 let tally t ~tag ~kind =
@@ -1170,10 +1210,12 @@ let hedge_worker t w =
           end)
     w.inflight
 
-(* One supervision pass, run from both event loops between selects:
+(* One supervision pass, run from the event loop between selects:
    send due heartbeats, flag gray failures (a request outliving
    [hedge_p95x] times the tier p95 marks its worker Suspect), hedge
-   Suspect workers, and fail Dead ones over. *)
+   Suspect workers, and fail Dead ones over. A worker is pinged only
+   once its hello has synced the stream: start-up (exec, module
+   initialization, journal replay) is not a missed heartbeat. *)
 let supervise t =
   let cfg = t.cfg in
   if (not t.shutting_down) && cfg.Serve_config.heartbeat_ms > 0 then begin
@@ -1194,7 +1236,7 @@ let supervise t =
       (fun w ->
         if w.alive && not w.dead then begin
           let h = w.health in
-          if Resilience.Health.due h then begin
+          if w.saw_hello && Resilience.Health.due h then begin
             if w.drop_pings > 0 then
               (* chaos: the ping is lost in transit — never queued, so
                  it can only ever count as a miss *)
@@ -1272,9 +1314,9 @@ let apply_chaos t act =
     | Some w -> Resilience.Health.suspect w.health ~reason:"chaos schedule")
 
 (* Count one client request against the chaos schedule and apply
-   whatever faults it releases. Called at the front door (channel
-   chunks and socket lines alike), never for internal resubmissions —
-   "kill worker 2 after 40 requests" means client requests. *)
+   whatever faults it releases. Called at the front door, never for
+   internal resubmissions — "kill worker 2 after 40 requests" means
+   client requests. *)
 let chaos_tick t =
   match t.chaos with
   | None -> ()
@@ -1321,20 +1363,30 @@ let merged_summary t =
     Array.to_list
       (Array.map
          (fun w ->
+           (* The cache breaker lives in the worker; its final state
+              rides in the worker's summary frame. *)
+           let breaker =
+             match
+               Option.bind (List.assoc_opt w.shard t.summaries) (Json.member "breaker")
+             with
+             | Some b -> [ ("breaker", b) ]
+             | None -> []
+           in
            Json.Obj
-             [
-               ("shard", Json.Int w.shard);
-               ("pid", Json.Int w.pid);
-               ("served", Json.Int w.served);
-               ("cache_hits", Json.Int w.hits);
-               ("cache_misses", Json.Int w.misses);
-               ("errors", Json.Int w.errs);
-               ("restarts", Json.Int w.restarts);
-               ( "health",
-                 Json.String
-                   (Resilience.Health.state_name (Resilience.Health.state w.health))
-               );
-             ])
+             ([
+                ("shard", Json.Int w.shard);
+                ("pid", Json.Int w.pid);
+                ("served", Json.Int w.served);
+                ("cache_hits", Json.Int w.hits);
+                ("cache_misses", Json.Int w.misses);
+                ("errors", Json.Int w.errs);
+                ("restarts", Json.Int w.restarts);
+                ( "health",
+                  Json.String
+                    (Resilience.Health.state_name (Resilience.Health.state w.health))
+                );
+              ]
+             @ breaker))
          t.workers)
   in
   (* The post-failover topology: which shards still hold ring points.
@@ -1437,87 +1489,22 @@ let shutdown t =
     t.workers;
   merged_summary t
 
-(* --- channel mode ------------------------------------------------------- *)
+(* --- the front end ------------------------------------------------------ *)
 
-(* Batch-synchronous front end over one JSONL stream: read a chunk,
-   shed/route/submit, drain until every slot has its response, emit in
-   input order — the multi-process analogue of
-   [Server.serve_channel], byte-compatible on the wire. *)
-let channel_loop t ic oc =
-  let cfg = t.cfg in
-  let lineno = ref 0 in
-  let rec drain_until done_ =
-    if not (done_ ()) then begin
-      supervise t;
-      Array.iter (fun w -> flush_worker t w) t.workers;
-      let rs =
-        Array.to_list t.workers
-        |> List.filter_map (fun w -> if w.alive then Some w.from_w else None)
-      in
-      (* The select deadline bounds the supervision tick, so it must
-         stay well under the heartbeat interval. *)
-      (match Unix.select rs [] [] 0.2 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | rready, _, _ ->
-        Array.iter
-          (fun w -> if w.alive && List.mem w.from_w rready then pump_worker t w)
-          t.workers);
-      drain_until done_
-    end
-  in
-  let rec loop () =
-    if not (Server.Stop.signalled t.stop) then
-      match Server.read_chunk ~stop:t.stop ic ~lineno cfg.Serve_config.queue with
-      | None -> ()
-      | Some chunk ->
-        let chunk = Server.admit cfg chunk in
-        let n = Array.length chunk in
-        let responses = Array.make n None in
-        let outstanding = ref 0 in
-        let enq = Unix.gettimeofday () in
-        Array.iteri
-          (fun i p ->
-            match p.Server.req with
-            | Error d ->
-              tally t ~tag:"error" ~kind:(Some (Diag.category d));
-              responses.(i) <- Some (Server.error_response p.Server.id d)
-            | Ok req ->
-              incr outstanding;
-              submit t p req ~enq ~complete:(fun ~tag:_ resp ->
-                  responses.(i) <- Some resp;
-                  decr outstanding);
-              chaos_tick t)
-          chunk;
-        drain_until (fun () -> !outstanding = 0);
-        Array.iter
-          (fun r ->
-            output_string oc (Json.to_string (Option.get r));
-            output_char oc '\n')
-          responses;
-        flush oc;
-        if n = cfg.Serve_config.queue then loop ()
-  in
-  loop ()
-
-let run_channel ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg ic oc =
-  let t =
-    create ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit ~nonblocking:false
-      cfg
-  in
-  match channel_loop t ic oc with
-  | () -> shutdown t
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    ignore (shutdown t);
-    Printexc.raise_with_backtrace e bt
-
-(* --- socket mode: the async front end ----------------------------------- *)
+(* A client connection: the CLI's stdin/stdout pair, or one accepted
+   socket. Input is framed into lines as it is read; at most [queue]
+   of a connection's lines are in flight at once (its window), and
+   the rest wait in [lines] until slots free. *)
+type line = Line of string | Oversized
 
 type conn = {
-  fd : Unix.file_descr;
+  ifd : Unix.file_descr;
+  ofd : Unix.file_descr;
+  owned : bool;  (* an accepted socket, closed when done; stdio is the caller's *)
   cid : int;
   cbuf : Buffer.t;  (* partial input line *)
   mutable oversized : bool;  (* discarding an over-long line's tail *)
+  lines : line Queue.t;  (* framed, not yet admitted *)
   cout : outstream;
   mutable lineno : int;
   mutable next_slot : int;
@@ -1534,6 +1521,29 @@ type conn = {
   mutable cerrors : int;
   mutable chits : int;
 }
+
+let new_conn ~ifd ~ofd ~owned cid =
+  {
+    ifd;
+    ofd;
+    owned;
+    cid;
+    cbuf = Buffer.create 256;
+    oversized = false;
+    lines = Queue.create ();
+    cout = outstream ();
+    lineno = 0;
+    next_slot = 0;
+    next_emit = 0;
+    ready = Hashtbl.create 16;
+    releases = Hashtbl.create 16;
+    pending = 0;
+    eof = false;
+    closed = false;
+    cserved = 0;
+    cerrors = 0;
+    chits = 0;
+  }
 
 let conn_tally c ~tag =
   c.cserved <- c.cserved + 1;
@@ -1560,10 +1570,11 @@ let finish_slot c slot resp =
     done
   end
 
-(* Live-window admission, the event-loop counterpart of
-   [Server.admit]: the same policies (per-tenant quota, then the
-   cumulative [dyn_target] budget) applied against what is currently
-   in flight across all connections rather than within one chunk. *)
+(* Admission against what is in flight across all connections: the
+   per-tenant quota first, then the cumulative [dyn_target] budget.
+   The first job admitted into an empty tier always runs, however
+   large: shedding must bound latency, not deadlock a
+   heavy-but-legitimate job. *)
 let admit_live t (p : Server.parsed) req =
   let cfg = t.cfg in
   let tenant = Option.value p.Server.tenant ~default:"" in
@@ -1632,26 +1643,10 @@ let handle_parsed t c slot (p : Server.parsed) =
           finish_slot c slot resp);
       chaos_tick t)
 
-let process_line t c line =
-  c.lineno <- c.lineno + 1;
-  if String.trim line <> "" then begin
-    let slot = c.next_slot in
-    c.next_slot <- slot + 1;
-    c.pending <- c.pending + 1;
-    handle_parsed t c slot (Server.parse_job ~lineno:c.lineno line)
-  end
-
-let oversized_slot t c =
-  c.lineno <- c.lineno + 1;
-  let slot = c.next_slot in
-  c.next_slot <- slot + 1;
-  c.pending <- c.pending + 1;
-  handle_parsed t c slot (Server.oversized_line ~lineno:c.lineno)
-
-(* Split freshly read bytes into lines, honoring the 1 MiB line bound
-   the way [Server.read_raw_line] does: an over-long line is
-   discarded up to its newline and costs one parse-error slot. *)
-let feed_conn t c data =
+(* Split freshly read bytes into lines, honoring the 1 MiB line bound:
+   an over-long line is discarded up to its newline and costs one
+   parse-error slot. *)
+let feed_conn c data =
   let len = String.length data in
   let start = ref 0 in
   for i = 0 to len - 1 do
@@ -1659,16 +1654,15 @@ let feed_conn t c data =
       let seg = i - !start in
       if c.oversized then begin
         c.oversized <- false;
-        oversized_slot t c
+        Queue.add Oversized c.lines
       end
       else if Buffer.length c.cbuf + seg > Server.max_line_bytes then begin
         Buffer.clear c.cbuf;
-        oversized_slot t c
+        Queue.add Oversized c.lines
       end
       else begin
-        let line = Buffer.contents c.cbuf ^ String.sub data !start seg in
-        Buffer.clear c.cbuf;
-        process_line t c line
+        Queue.add (Line (Buffer.contents c.cbuf ^ String.sub data !start seg)) c.lines;
+        Buffer.clear c.cbuf
       end;
       start := i + 1
     end
@@ -1681,34 +1675,103 @@ let feed_conn t c data =
     end
     else Buffer.add_substring c.cbuf data !start (len - !start)
 
-let run_socket ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg ~path () =
-  Server.with_sigpipe_ignored @@ fun () ->
-  let sock = Server.listen_socket ~path in
-  Unix.set_nonblock sock;
-  (* Workers are spawned (and respawned) while connections are open;
-     any fd not marked cloexec leaks into them. A worker holding a
-     duplicate of a client's socket keeps that client from ever seeing
-     EOF after the coordinator closes its copy. *)
-  Unix.set_close_on_exec sock;
-  let t =
-    create ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit ~nonblocking:true
-      cfg
+(* End of input: a trailing line without its newline still gets an
+   answer. *)
+let end_input c =
+  c.eof <- true;
+  if c.oversized then begin
+    c.oversized <- false;
+    Queue.add Oversized c.lines
+  end
+  else if Buffer.length c.cbuf > 0 then begin
+    Queue.add (Line (Buffer.contents c.cbuf)) c.lines;
+    Buffer.clear c.cbuf
+  end
+
+(* Admit framed lines in input order while the connection's window
+   has a free slot. Runs after every read and on every event-loop
+   pass, so lines that arrived together are admitted as slots free,
+   not only when the fd turns readable again. Blank lines take no
+   slot but still count for line numbers. *)
+let admit_lines t c =
+  while c.pending < t.cfg.Serve_config.queue && not (Queue.is_empty c.lines) do
+    c.lineno <- c.lineno + 1;
+    match Queue.pop c.lines with
+    | Line l when String.trim l = "" -> ()
+    | item ->
+      let slot = c.next_slot in
+      c.next_slot <- slot + 1;
+      c.pending <- c.pending + 1;
+      handle_parsed t c slot
+        (match item with
+        | Line l -> Server.parse_job ~lineno:c.lineno l
+        | Oversized -> Server.oversized_line ~lineno:c.lineno)
+  done
+
+(* A client that hangs up mid-response must surface as a write error
+   on its connection, not as a process-killing SIGPIPE. *)
+let with_sigpipe_ignored f =
+  let prev =
+    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
+    with Invalid_argument _ | Sys_error _ -> None
   in
-  let conns = ref [] in
-  let next_cid = ref 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      match prev with
+      | Some b -> ( try Sys.set_signal Sys.sigpipe b with _ -> ())
+      | None -> ())
+    f
+
+type front_end =
+  | Stdio of { input : Unix.file_descr; output : Unix.file_descr }
+  | Socket of string
+
+let run ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg front_end =
+  with_sigpipe_ignored @@ fun () ->
+  let listener =
+    match front_end with
+    | Stdio _ -> None
+    | Socket path ->
+      let sock = Server.listen_socket ~path in
+      Unix.set_nonblock sock;
+      (* Workers are spawned (and respawned) while connections are
+         open; any fd not marked cloexec leaks into them. A worker
+         holding a duplicate of a client's socket keeps that client
+         from ever seeing EOF after the coordinator closes its copy. *)
+      Unix.set_close_on_exec sock;
+      Some (sock, path)
+  in
+  let finally () =
+    match listener with
+    | None -> ()
+    | Some (sock, path) -> (
+      (try Unix.close sock with Unix.Unix_error _ -> ());
+      try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
+  in
+  Fun.protect ~finally @@ fun () ->
+  let t = create ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg in
+  let conns =
+    ref
+      (match front_end with
+      | Stdio { input; output } -> [ new_conn ~ifd:input ~ofd:output ~owned:false 0 ]
+      | Socket _ -> [])
+  in
+  let next_cid = ref (List.length !conns) in
   let close_conn c =
     if not c.closed then begin
       c.closed <- true;
-      (try Unix.close c.fd with Unix.Unix_error _ -> ());
-      Format.eprintf
-        "disesim serve: connection %d done: served %d job%s (%d error%s, %d \
-         cache hit%s)@."
-        c.cid c.cserved
-        (if c.cserved = 1 then "" else "s")
-        c.cerrors
-        (if c.cerrors = 1 then "" else "s")
-        c.chits
-        (if c.chits = 1 then "" else "s")
+      if c.owned then begin
+        (try Unix.close c.ifd with Unix.Unix_error _ -> ());
+        Format.eprintf
+          "disesim serve: connection %d done: served %d job%s (%d error%s, %d \
+           cache hit%s)@."
+          c.cid c.cserved
+          (if c.cserved = 1 then "" else "s")
+          c.cerrors
+          (if c.cerrors = 1 then "" else "s")
+          c.chits
+          (if c.chits = 1 then "" else "s")
+      end
     end
   in
   let fail_conn c reason =
@@ -1717,7 +1780,8 @@ let run_socket ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg ~path () =
       Format.eprintf "disesim serve: connection %d failed (isolated): %s@."
         c.cid reason;
       c.closed <- true;
-      (try Unix.close c.fd with Unix.Unix_error _ -> ());
+      if c.owned then (try Unix.close c.ifd with Unix.Unix_error _ -> ());
+      Queue.clear c.lines;
       (* The peer is gone for good (a half-closed client keeps its
          admission until each job completes; this path is hard
          failure), so holding quota for work whose answers can never
@@ -1728,7 +1792,7 @@ let run_socket ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg ~path () =
       Hashtbl.reset c.releases
     end
   in
-  let accept_all () =
+  let accept_all sock =
     let continue = ref true in
     while !continue do
       match Unix.accept sock with
@@ -1741,117 +1805,97 @@ let run_socket ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg ~path () =
       | fd, _ ->
         Unix.set_nonblock fd;
         Unix.set_close_on_exec fd;
-        let cid = !next_cid in
-        incr next_cid;
-        conns :=
-          {
-            fd;
-            cid;
-            cbuf = Buffer.create 256;
-            oversized = false;
-            cout = outstream ();
-            lineno = 0;
-            next_slot = 0;
-            next_emit = 0;
-            ready = Hashtbl.create 16;
-            releases = Hashtbl.create 16;
-            pending = 0;
-            eof = false;
-            closed = false;
-            cserved = 0;
-            cerrors = 0;
-            chits = 0;
-          }
-          :: !conns
+        conns := new_conn ~ifd:fd ~ofd:fd ~owned:true !next_cid :: !conns;
+        incr next_cid
     done
   in
   let read_conn c =
-    match Unix.read c.fd t.scratch 0 (Bytes.length t.scratch) with
+    match Unix.read c.ifd t.scratch 0 (Bytes.length t.scratch) with
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       -> ()
     | exception Unix.Unix_error (e, _, _) -> fail_conn c (Unix.error_message e)
     | 0 ->
-      c.eof <- true;
-      (* A trailing line without its newline still gets an answer,
-         like the channel server's final partial line. *)
-      if Buffer.length c.cbuf > 0 || c.oversized then begin
-        if c.oversized then begin
-          c.oversized <- false;
-          oversized_slot t c
-        end
-        else begin
-          let line = Buffer.contents c.cbuf in
-          Buffer.clear c.cbuf;
-          process_line t c line
-        end
-      end
-    | n -> feed_conn t c (Bytes.sub_string t.scratch 0 n)
+      end_input c;
+      admit_lines t c
+    | n ->
+      feed_conn c (Bytes.sub_string t.scratch 0 n);
+      admit_lines t c
   in
   let write_conn c =
-    match out_write c.fd c.cout with
+    match out_write c.ofd c.cout with
     | () -> ()
     | exception Unix.Unix_error (e, _, _) -> fail_conn c (Unix.error_message e)
   in
-  let finally () =
-    (try Unix.close sock with Unix.Unix_error _ -> ());
-    try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ()
-  in
-  Fun.protect ~finally (fun () ->
-      let rec loop () =
-        if Server.Stop.signalled t.stop then
-          (* Graceful drain: no new reads; in-flight work completes
-             and flushes, then the loop exits. *)
-          List.iter (fun c -> c.eof <- true) !conns;
-        List.iter
-          (fun c ->
-            if (not c.closed) && c.eof && c.pending = 0 && not (out_pending c.cout)
-            then close_conn c)
-          !conns;
-        conns := List.filter (fun c -> not c.closed) !conns;
-        if not (Server.Stop.signalled t.stop && !conns = []) then begin
-          supervise t;
-          Array.iter (fun w -> flush_worker t w) t.workers;
-          let stopping = Server.Stop.signalled t.stop in
-          let rs =
-            (if stopping then [] else [ sock ])
-            @ List.filter_map
-                (fun c ->
-                  (* Per-connection backpressure: stop reading a
-                     connection that already has [queue] jobs in
-                     flight; bytes wait in the kernel buffer. *)
-                  if (not c.eof) && c.pending < t.cfg.Serve_config.queue then
-                    Some c.fd
-                  else None)
-                !conns
-            @ (Array.to_list t.workers
-              |> List.filter_map (fun w -> if w.alive then Some w.from_w else None))
-          in
-          let ws =
-            List.filter_map
-              (fun c -> if out_pending c.cout then Some c.fd else None)
-              !conns
-            @ (Array.to_list t.workers
-              |> List.filter_map (fun w ->
-                     if w.alive && out_pending w.wout then Some w.to_w else None))
-          in
-          (match Unix.select rs ws [] 0.25 with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          | rready, wready, _ ->
-            if List.mem sock rready then accept_all ();
-            Array.iter
-              (fun w -> if w.alive && List.mem w.from_w rready then pump_worker t w)
-              t.workers;
-            List.iter
-              (fun c -> if (not c.closed) && List.mem c.fd rready then read_conn c)
-              !conns;
-            Array.iter
-              (fun w -> if w.alive && List.mem w.to_w wready then flush_worker t w)
-              t.workers;
-            List.iter
-              (fun c -> if (not c.closed) && List.mem c.fd wready then write_conn c)
-              !conns);
-          loop ()
-        end
+  let rec loop () =
+    let stopping = Server.Stop.signalled t.stop in
+    List.iter
+      (fun c ->
+        if stopping then begin
+          (* Graceful drain: nothing more is read or admitted; admitted
+             work completes and flushes, then the loop exits. *)
+          c.eof <- true;
+          Queue.clear c.lines
+        end;
+        if not c.closed then admit_lines t c;
+        if (not c.closed) && c.eof && c.pending = 0 && Queue.is_empty c.lines
+           && not (out_pending c.cout)
+        then close_conn c)
+      !conns;
+    conns := List.filter (fun c -> not c.closed) !conns;
+    if not (!conns = [] && (listener = None || stopping)) then begin
+      supervise t;
+      Array.iter (fun w -> flush_worker t w) t.workers;
+      let rs =
+        (match listener with
+        | Some (sock, _) when not stopping -> [ sock ]
+        | _ -> [])
+        @ List.filter_map
+            (fun c ->
+              (* Per-connection backpressure: read only while the
+                 window has room and every framed line is admitted;
+                 further bytes wait in the kernel buffer. *)
+              if (not c.eof) && c.pending < t.cfg.Serve_config.queue
+                 && Queue.is_empty c.lines
+              then Some c.ifd
+              else None)
+            !conns
+        @ (Array.to_list t.workers
+          |> List.filter_map (fun w -> if w.alive then Some w.from_w else None))
       in
-      loop ();
-      shutdown t)
+      let ws =
+        List.filter_map
+          (fun c -> if out_pending c.cout then Some c.ofd else None)
+          !conns
+        @ (Array.to_list t.workers
+          |> List.filter_map (fun w ->
+                 if w.alive && out_pending w.wout then Some w.to_w else None))
+      in
+      (* The select deadline bounds the supervision tick, so it must
+         stay well under the heartbeat interval. *)
+      (match Unix.select rs ws [] 0.25 with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | rready, wready, _ ->
+        (match listener with
+        | Some (sock, _) when List.mem sock rready -> accept_all sock
+        | _ -> ());
+        Array.iter
+          (fun w -> if w.alive && List.mem w.from_w rready then pump_worker t w)
+          t.workers;
+        List.iter
+          (fun c -> if (not c.closed) && List.mem c.ifd rready then read_conn c)
+          !conns;
+        Array.iter
+          (fun w -> if w.alive && List.mem w.to_w wready then flush_worker t w)
+          t.workers;
+        List.iter
+          (fun c -> if (not c.closed) && List.mem c.ofd wready then write_conn c)
+          !conns);
+      loop ()
+    end
+  in
+  match loop () with
+  | () -> shutdown t
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    ignore (shutdown t);
+    Printexc.raise_with_backtrace e bt

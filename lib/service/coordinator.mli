@@ -1,7 +1,7 @@
 (** Sharded multi-process serve tier.
 
-    [disesim serve --workers N] runs this coordinator: [N] worker
-    {e processes} (re-executions of the current binary, dispatched
+    [disesim serve] runs this coordinator: [--workers N] (default 1)
+    worker {e processes} (re-executions of the current binary, dispatched
     through {!worker_child_main} via the {!env_var} spawn
     environment), each owning one shard of the content-addressed
     result keyspace. The coordinator is a pure front end — it parses,
@@ -32,21 +32,28 @@
       its keys move, {!Shard.remove}), its journal shard is replayed
       through the surviving ring, and the tier keeps serving in
       degraded mode — the merged summary's ["topology"] member
-      records the new shape;
+      records the new shape. Pings start once a worker's hello
+      arrives, and a worker keeps ponging while a batch runs (a
+      helper domain does it once the batch outlives half an
+      interval), so heartbeat death means a wedged frame loop, never
+      a long legitimate job;
     - {e admission} — per-tenant quotas and [dyn_target] load
-      shedding, the same policies as the in-process server, applied
-      tier-wide; rejected jobs are answered ["overloaded"] by the
-      coordinator without touching a worker;
+      shedding against the work in flight tier-wide; rejected jobs
+      are answered ["overloaded"] by the coordinator without touching
+      a worker;
     - {e telemetry} — at shutdown each worker ships its counter and
-      metrics deltas; the coordinator folds them
+      metrics deltas and its cache breaker's state; the coordinator
+      folds them
       ({!Dise_telemetry.Metrics.merge}) with its own and emits one
       merged ["serve_summary"] manifest record with a per-worker
-      ["workers"] breakdown
+      ["workers"] breakdown (each entry carrying its ["breaker"])
       (doc/schema/serve_summary.schema.json).
 
-    Responses are byte-compatible with {!Server}: a client cannot
-    tell [--workers 4] from the single-process server except by
-    throughput. See doc/serve-tier.md. *)
+    Stdin and socket clients are connections of the same event loop,
+    so they share one framer, one admission path and one wire
+    contract ({!Server}): a client cannot tell stdio from a socket,
+    or [--workers 4] from [--workers 1], except by throughput. See
+    doc/serve-tier.md. *)
 
 val env_var : string
 (** ["DISESIM_SERVE_WORKER"] — presence in the environment makes
@@ -85,30 +92,6 @@ val worker_child_main : unit -> unit
     journal shard, serves frames from stdin until EOF or a stop
     frame, emits its summary frame, and [_exit]s. *)
 
-val run_channel :
-  ?stop:Server.Stop.t ->
-  ?manifest:Dise_telemetry.Manifest.t ->
-  ?on_spawn:(shard:int -> pid:int -> unit) ->
-  ?chaos:(requests:int -> chaos_action list) ->
-  ?cache_dir:string ->
-  ?jit:bool * int ->
-  Serve_config.t ->
-  in_channel ->
-  out_channel ->
-  Server.summary
-(** Serve one JSONL stream through the worker tier
-    (batch-synchronous, like {!Server.serve_channel}: chunks of
-    [queue] lines, responses emitted in input order after each chunk
-    drains). Spawns [max 1 cfg.workers] workers on entry and tears
-    the tier down (merged summary included) before returning.
-    [cache_dir]/[jit] configure the workers' result cache and JIT
-    ([None] cache = caching off); [on_spawn] observes every (re)spawn
-    — the fault-injection tests use it to aim SIGKILL. [chaos] is
-    consulted once per submitted client request with the running
-    request count and returns the faults to apply at that point —
-    [Dise_fuzz.Chaos_sched.hook] is the schedule-file-driven
-    implementation. *)
-
 val write_all : Unix.file_descr -> string -> int -> unit
 (** [write_all fd s off] writes [s] from [off] to the end, surviving
     [EINTR] and — on a descriptor someone marked nonblocking — a full
@@ -117,7 +100,21 @@ val write_all : Unix.file_descr -> string -> int -> unit
     length-prefixed frame; exposed so the tests can drive it against
     a deliberately tiny, nonblocking pipe. *)
 
-val run_socket :
+type front_end =
+  | Stdio of { input : Unix.file_descr; output : Unix.file_descr }
+      (** One JSONL stream — [disesim serve]'s stdin and stdout. It is
+          finished at EOF once every admitted line is answered and
+          flushed, and then the tier shuts down. The descriptors stay
+          the caller's (never closed here); [input] is read only when
+          [select] reports it readable, so it may be blocking. *)
+  | Socket of string
+      (** A Unix-domain listener at this path, serving every accepted
+          connection until {!Server.Stop.signal}. Socket-claiming
+          semantics are {!Server.listen_socket}'s (a live server on
+          the path refuses the start, a stale file is reclaimed); the
+          socket file is unlinked on the way out. *)
+
+val run :
   ?stop:Server.Stop.t ->
   ?manifest:Dise_telemetry.Manifest.t ->
   ?on_spawn:(shard:int -> pid:int -> unit) ->
@@ -125,15 +122,28 @@ val run_socket :
   ?cache_dir:string ->
   ?jit:bool * int ->
   Serve_config.t ->
-  path:string ->
-  unit ->
+  front_end ->
   Server.summary
-(** The async front end: a non-blocking [select] event loop
-    multiplexing the Unix-domain listener at [path], every accepted
-    connection, and all worker pipes in one thread. Each connection
+(** The serve tier: spawn [cfg.workers] workers, then run one
+    non-blocking [select] event loop multiplexing the front end's
+    connections and every worker pipe in one thread. Each connection
     is an independent JSONL stream with in-order responses and a
-    per-connection in-flight cap of [queue] (backpressure: the
-    coordinator simply stops reading a maxed-out connection).
-    Socket-claiming semantics are {!Server.listen_socket}'s. Returns
-    after {!Server.Stop.signal}: accepts stop, in-flight work drains
-    and flushes, workers are stopped and merged into the summary. *)
+    window of at most [queue] lines in flight: further lines wait,
+    framed, in the connection's buffer and are admitted in input
+    order as slots free (so lines that arrive together are admitted
+    exactly as they would be one by one), and further bytes wait in
+    the kernel. Admission — per-tenant quota, then [shed_above] — is
+    checked against everything in flight tier-wide.
+
+    Returns once the front end is done (stdio: EOF and drained;
+    socket: stopped and drained): workers are stopped and merged into
+    the summary, and the ["serve_summary"] manifest record is written.
+    [cache_dir]/[jit] configure the workers' result cache and JIT
+    ([None] cache = caching off); [on_spawn] observes every (re)spawn
+    — the fault-injection tests use it to aim SIGKILL. [chaos] is
+    consulted once per admitted client request with the running
+    request count and returns the faults to apply at that point —
+    [Dise_fuzz.Chaos_sched.hook] is the schedule-file-driven
+    implementation. Raises [Cache.Diag_error] when the socket cannot
+    be claimed, or when the last worker is gone for good (the tier is
+    torn down first). SIGPIPE is ignored while the tier runs. *)

@@ -10,7 +10,6 @@ type t = {
   tenant_quota : int option;
   journal : string option;
   manifest : string option;
-  metrics_every_s : float;
   breaker : int;
   breaker_cooldown_ms : int;
   heartbeat_ms : int;
@@ -23,7 +22,7 @@ type t = {
 let default () =
   let jobs = Pool.default_jobs () in
   {
-    workers = 0;
+    workers = 1;
     jobs;
     queue = 4 * jobs;
     deadline_ms = None;
@@ -31,7 +30,6 @@ let default () =
     tenant_quota = None;
     journal = None;
     manifest = None;
-    metrics_every_s = 1.0;
     breaker = 8;
     breaker_cooldown_ms = 5000;
     heartbeat_ms = 500;
@@ -46,12 +44,11 @@ let default () =
 let normalize c =
   {
     c with
-    workers = max 0 c.workers;
+    workers = max 1 c.workers;
     jobs = max 1 c.jobs;
     queue = max 1 c.queue;
     breaker = max 0 c.breaker;
     breaker_cooldown_ms = max 0 c.breaker_cooldown_ms;
-    metrics_every_s = (if c.metrics_every_s < 0. then 0. else c.metrics_every_s);
     heartbeat_ms = max 0 c.heartbeat_ms;
     suspect_misses = max 1 c.suspect_misses;
     dead_misses = max 2 c.dead_misses;
@@ -60,14 +57,14 @@ let normalize c =
   }
 
 let of_flags ?workers ?jobs ?queue ?deadline_ms ?shed_above ?tenant_quota
-    ?journal ?manifest ?metrics_every_s ?breaker ?breaker_cooldown_ms
+    ?journal ?manifest ?breaker ?breaker_cooldown_ms
     ?heartbeat_ms ?suspect_misses ?dead_misses ?hedge_p95x ?respawn_cap () =
   let d = default () in
   let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
   let queue = match queue with Some q -> max 1 q | None -> 4 * jobs in
   normalize
     {
-      workers = Option.value workers ~default:0;
+      workers = Option.value workers ~default:d.workers;
       jobs;
       queue;
       deadline_ms;
@@ -75,7 +72,6 @@ let of_flags ?workers ?jobs ?queue ?deadline_ms ?shed_above ?tenant_quota
       tenant_quota;
       journal;
       manifest;
-      metrics_every_s = Option.value metrics_every_s ~default:1.0;
       breaker = Option.value breaker ~default:8;
       breaker_cooldown_ms = Option.value breaker_cooldown_ms ~default:5000;
       heartbeat_ms = Option.value heartbeat_ms ~default:d.heartbeat_ms;
@@ -86,7 +82,7 @@ let of_flags ?workers ?jobs ?queue ?deadline_ms ?shed_above ?tenant_quota
     }
 
 let override cfg ?workers ?jobs ?queue ?deadline_ms ?shed_above ?tenant_quota
-    ?journal ?manifest ?metrics_every_s ?breaker ?breaker_cooldown_ms
+    ?journal ?manifest ?breaker ?breaker_cooldown_ms
     ?heartbeat_ms ?suspect_misses ?dead_misses ?hedge_p95x ?respawn_cap () =
   let v keep = function Some x -> Some x | None -> keep in
   normalize
@@ -104,7 +100,6 @@ let override cfg ?workers ?jobs ?queue ?deadline_ms ?shed_above ?tenant_quota
       tenant_quota = v cfg.tenant_quota tenant_quota;
       journal = v cfg.journal journal;
       manifest = v cfg.manifest manifest;
-      metrics_every_s = Option.value metrics_every_s ~default:cfg.metrics_every_s;
       breaker = Option.value breaker ~default:cfg.breaker;
       breaker_cooldown_ms =
         Option.value breaker_cooldown_ms ~default:cfg.breaker_cooldown_ms;
@@ -139,7 +134,6 @@ let to_json c =
     @ opt_str "journal" c.journal
     @ opt_str "manifest" c.manifest
     @ [
-        ("metrics_every_s", Json.Float c.metrics_every_s);
         ("breaker", Json.Int c.breaker);
         ("breaker_cooldown_ms", Json.Int c.breaker_cooldown_ms);
         ("heartbeat_ms", Json.Int c.heartbeat_ms);
@@ -154,7 +148,7 @@ let parse_error msg = Error (Diag.Parse { source = "serve_config"; line = 0; msg
 let known_members =
   [
     "workers"; "jobs"; "queue"; "deadline_ms"; "shed_above"; "tenant_quota";
-    "journal"; "manifest"; "metrics_every_s"; "breaker"; "breaker_cooldown_ms";
+    "journal"; "manifest"; "breaker"; "breaker_cooldown_ms";
     "heartbeat_ms"; "suspect_misses"; "dead_misses"; "hedge_p95x";
     "respawn_cap";
   ]
@@ -211,7 +205,6 @@ let of_json j =
       let* tenant_quota = opt_int_m "tenant_quota" d.tenant_quota in
       let* journal = opt_str_m "journal" d.journal in
       let* manifest = opt_str_m "manifest" d.manifest in
-      let* metrics_every_s = float_m "metrics_every_s" d.metrics_every_s in
       let* breaker = int_m "breaker" d.breaker in
       let* breaker_cooldown_ms =
         int_m "breaker_cooldown_ms" d.breaker_cooldown_ms
@@ -232,7 +225,6 @@ let of_json j =
              tenant_quota;
              journal;
              manifest;
-             metrics_every_s;
              breaker;
              breaker_cooldown_ms;
              heartbeat_ms;

@@ -1,10 +1,10 @@
 (** One serializable record for every serve-tier knob.
 
     This is the serve API's single configuration surface: the
-    coordinator ([disesim serve --workers N]), the worker processes it
-    spawns, and the classic in-process server all consume the same
-    {!t}. It replaces the optional-argument sprawl that used to live
-    on [Server.opts]: a config is plain data with a canonical JSON
+    coordinator ([disesim serve]) and the worker processes it spawns
+    consume the same {!t}. It replaces the optional-argument sprawl
+    that used to live on [Server.opts]: a config is plain data with a
+    canonical JSON
     encoding, so it can be loaded from a file ([--config FILE]),
     shipped to worker processes through their spawn environment, and
     schema-validated (doc/schema/serve_config.schema.json).
@@ -15,12 +15,14 @@
 
 type t = {
   workers : int;
-      (** Worker {e processes} behind the coordinator; [0] (default)
-          serves in-process with no coordinator (see {!Coordinator}). *)
+      (** Worker {e processes} behind the coordinator (see
+          {!Coordinator}), >= 1; default 1 *)
   jobs : int;  (** worker domains per process, as {!Pool.run}'s [jobs] *)
   queue : int;
-      (** max jobs in flight per stream (chunk size / per-connection
-          backpressure bound), >= 1; defaults to [4 * jobs] *)
+      (** max lines of one connection (stdin, or one socket client) in
+          flight at once — the per-connection window; further lines
+          wait in the connection's buffer, and further bytes in the
+          kernel. >= 1; defaults to [4 * jobs] *)
   deadline_ms : int option;
       (** per-job wall-clock budget; [None] (default): unbounded *)
   shed_above : int option;
@@ -34,8 +36,6 @@ type t = {
       (** crash-journal directory; the coordinator gives each worker
           the [worker-<shard>] subdirectory *)
   manifest : string option;  (** JSONL telemetry manifest path *)
-  metrics_every_s : float;
-      (** min spacing of ["metrics_snapshot"] records (default 1 s) *)
   breaker : int;
       (** result-cache breaker threshold; [0] disables (default 8) *)
   breaker_cooldown_ms : int;  (** breaker open-state cooldown (default 5000) *)
@@ -71,7 +71,6 @@ val of_flags :
   ?tenant_quota:int ->
   ?journal:string ->
   ?manifest:string ->
-  ?metrics_every_s:float ->
   ?breaker:int ->
   ?breaker_cooldown_ms:int ->
   ?heartbeat_ms:int ->
@@ -83,8 +82,8 @@ val of_flags :
   t
 (** Build a config from optional flag values — the mechanical
     migration shim for former [Server.opts] callers. Unset flags take
-    the {!default}; out-of-range values are clamped ([jobs]/[queue]
-    >= 1, [workers]/[breaker] >= 0). *)
+    the {!default}; out-of-range values are clamped ([workers]/[jobs]/
+    [queue] >= 1, [breaker] >= 0). *)
 
 val override :
   t ->
@@ -96,7 +95,6 @@ val override :
   ?tenant_quota:int ->
   ?journal:string ->
   ?manifest:string ->
-  ?metrics_every_s:float ->
   ?breaker:int ->
   ?breaker_cooldown_ms:int ->
   ?heartbeat_ms:int ->

@@ -1,24 +1,21 @@
 module Json = Dise_telemetry.Json
-module Manifest = Dise_telemetry.Manifest
 module Metrics = Dise_telemetry.Metrics
 module Stats = Dise_uarch.Stats
 module Diag = Dise_isa.Diag
 
 (* Per-request latency, split at the worker-pickup instant: queue wait
-   is admission -> pickup, execute is pickup -> response ready (the
-   pool's per-task probe measures it), and serve_request_ns is the
-   end-to-end sum. Process-wide like every registry instrument;
-   serve_summary reports per-session deltas. *)
+   is admission -> pickup, and serve_request_ns is admission -> response
+   ready. Recorded in the worker process that runs the job (the
+   coordinator merges every worker's deltas into its serve_summary);
+   the pickup -> ready part is the worker's serve_execute_ns. *)
 let h_queue_wait = Metrics.Histogram.make "serve_queue_wait_ns"
-let h_execute = Metrics.Histogram.make "serve_execute_ns"
 let h_request = Metrics.Histogram.make "serve_request_ns"
 
 let protocol_version = 1
 
-(* Per-session stop signalling. Each serving loop polls its own flag,
-   so a coordinator, its workers, and any in-process test servers can
-   coexist in one process without clobbering each other — the old
-   process-global [request_stop] made that impossible. *)
+(* Per-tier stop signalling. Each front end polls its own flag, so
+   several tiers (a test harness runs many) can coexist in one process
+   without clobbering each other. *)
 module Stop = struct
   type t = bool Atomic.t
 
@@ -36,21 +33,6 @@ type summary = {
   shed : int;
   isolated : int;
 }
-
-type session = {
-  cfg : Serve_config.t;
-  stop : Stop.t;
-  journal : Resilience.Journal.t option;
-  manifest : Manifest.t option;
-}
-
-let session ?stop ?journal ?manifest cfg =
-  let stop = match stop with Some s -> s | None -> Stop.create () in
-  { cfg; stop; journal; manifest }
-
-let config s = s.cfg
-let stop_signal s = s.stop
-let stop s = Stop.signal s.stop
 
 (* One input line, after the sequential parse step. Parse failures
    keep their slot ([req = Error _]) so responses stay in input
@@ -175,40 +157,6 @@ let isolated_response id e bt =
 
 let max_line_bytes = 1 lsl 20
 
-type raw_line = Line of string | Truncated | Eof
-
-(* Bounded replacement for [input_line]: a line longer than
-   [max_line_bytes] is drained (so the stream stays synchronized on
-   the next newline) and reported as [Truncated] instead of being
-   buffered whole — an adversarial multi-gigabyte line must cost one
-   error response, not the server's heap. A final line without a
-   trailing newline is a normal [Line] (partial last job lines parse
-   or fail on their own merits). *)
-let read_raw_line ic =
-  let buf = Buffer.create 256 in
-  let rec drain () =
-    match input_char ic with
-    | exception End_of_file -> ()
-    | '\n' -> ()
-    | _ -> drain ()
-  in
-  let rec go () =
-    match input_char ic with
-    | exception End_of_file ->
-      if Buffer.length buf = 0 then Eof else Line (Buffer.contents buf)
-    | '\n' -> Line (Buffer.contents buf)
-    | c ->
-      if Buffer.length buf >= max_line_bytes then begin
-        drain ();
-        Truncated
-      end
-      else begin
-        Buffer.add_char buf c;
-        go ()
-      end
-  in
-  go ()
-
 let oversized_line ~lineno =
   {
     id = Json.Null;
@@ -225,262 +173,6 @@ let oversized_line ~lineno =
                  max_line_bytes;
            });
   }
-
-(* Read up to [n] non-blank lines; [None] on immediate EOF. An
-   oversized line takes a job slot with a parse-class error so the
-   response stream stays in input order. *)
-let read_chunk ~stop ic ~lineno n =
-  let jobs = ref [] in
-  let count = ref 0 in
-  let eof = ref false in
-  while !count < n && (not !eof) && not (Stop.signalled stop) do
-    match read_raw_line ic with
-    | Eof -> eof := true
-    | Line line ->
-      incr lineno;
-      if String.trim line <> "" then begin
-        jobs := parse_job ~lineno:!lineno line :: !jobs;
-        incr count
-      end
-    | Truncated ->
-      incr lineno;
-      jobs := oversized_line ~lineno:!lineno :: !jobs;
-      incr count
-  done;
-  match List.rev !jobs with [] -> None | l -> Some (Array.of_list l)
-
-let overload p d = { p with req = Error (Diag.Overloaded d) }
-
-(* Work-budget admission. The unit is the job's [dyn_target] (its
-   dynamic-instruction count — the one size signal a request carries
-   that is proportional to simulation cost); a chunk admits jobs in
-   order while their cumulative work stays within [shed_above], and
-   answers the rest [overloaded] without executing them. The first
-   runnable job is always admitted, however large: shedding must
-   bound latency, not deadlock a heavy-but-legitimate job. *)
-let shed_chunk ~shed_above chunk =
-  match shed_above with
-  | None -> chunk
-  | Some hw ->
-    let admitted = ref 0 in
-    Array.map
-      (fun p ->
-        match p.req with
-        | Error _ -> p
-        | Ok req ->
-          let w = req.Request.dyn_target in
-          if !admitted > 0 && !admitted + w > hw then
-            overload p
-              (Printf.sprintf
-                 "load shed: job of %d dynamic instructions would push \
-                  the in-flight work past the high-water mark of %d"
-                 w hw)
-          else begin
-            admitted := !admitted + w;
-            p
-          end)
-      chunk
-
-(* Per-tenant admission quota: within one in-flight window (a chunk
-   here; the coordinator applies the same rule over its live event
-   loop), each tenant may hold at most [tenant_quota] runnable jobs;
-   the rest are answered [overloaded] in input order. The tenant is
-   the envelope's ["tenant"] member; lines without one share the
-   anonymous tenant. *)
-let quota_chunk ~tenant_quota chunk =
-  match tenant_quota with
-  | None -> chunk
-  | Some quota ->
-    let quota = max 1 quota in
-    let inflight = Hashtbl.create 8 in
-    Array.map
-      (fun p ->
-        match p.req with
-        | Error _ -> p
-        | Ok _ ->
-          let tenant = Option.value p.tenant ~default:"" in
-          let n =
-            Option.value (Hashtbl.find_opt inflight tenant) ~default:0
-          in
-          if n >= quota then
-            overload p
-              (Printf.sprintf
-                 "tenant quota: %s already has %d jobs in flight (quota %d)"
-                 (if tenant = "" then "the anonymous tenant"
-                  else Printf.sprintf "tenant %S" tenant)
-                 n quota)
-          else begin
-            Hashtbl.replace inflight tenant (n + 1);
-            p
-          end)
-      chunk
-
-(* Full admission pipeline over one in-flight window, in policy
-   order: per-tenant fairness first, then the global work budget over
-   the survivors. Shared with the coordinator front end so a request
-   is shed identically whether the tier has 0 workers or 16. *)
-let admit cfg chunk =
-  shed_chunk ~shed_above:cfg.Serve_config.shed_above
-    (quota_chunk ~tenant_quota:cfg.Serve_config.tenant_quota chunk)
-
-(* Replay journal format: the request document with the client id
-   merged back in, so [Request.of_json] decodes it directly. *)
-let journal_doc id req =
-  match Request.to_json req with
-  | Json.Obj fields -> Json.Obj (("id", id) :: fields)
-  | j -> j
-
-(* Everything in the summary is a per-session delta: the counters and
-   the metrics registry are process-wide (they survive across
-   connections), so each stream subtracts the snapshot it took before
-   reading its first chunk. *)
-let summary_fields ~counters0 ~metrics0 s =
-  let counter_deltas =
-    List.map
-      (fun (k, v) ->
-        let v0 = Option.value (List.assoc_opt k counters0) ~default:0 in
-        (k, Json.Int (v - v0)))
-      (Resilience.Counters.snapshot ())
-  in
-  let metrics_delta = Metrics.delta ~since:metrics0 (Metrics.snapshot ()) in
-  [
-    ("record", Json.String "serve_summary");
-    ("served", Json.Int s.served);
-    ("errors", Json.Int s.errors);
-    ("cache_hits", Json.Int s.cache_hits);
-    ("timeouts", Json.Int s.timeouts);
-    ("shed", Json.Int s.shed);
-    ("isolated", Json.Int s.isolated);
-    ("counters", Json.Obj counter_deltas);
-    ("metrics", Metrics.to_json metrics_delta);
-  ]
-  @
-  match Request.cache_breaker () with
-  | None -> []
-  | Some b -> [ ("breaker", Resilience.Breaker.to_json b) ]
-
-let emit_summary ~counters0 ~metrics0 m s =
-  Manifest.emit m (summary_fields ~counters0 ~metrics0 s)
-
-let serve_channel sess ic oc =
-  let o = sess.cfg in
-  let chaos = Resilience.Chaos.of_env () in
-  let lineno = ref 0 in
-  let served = ref 0 and errors = ref 0 and hits = ref 0 in
-  let timeouts = ref 0 and shed = ref 0 and isolated = ref 0 in
-  (* Session baselines for per-stream deltas, taken before the first
-     chunk is read. *)
-  let counters0 = Resilience.Counters.snapshot () in
-  let metrics0 = Metrics.snapshot () in
-  let last_metrics_emit = ref (Unix.gettimeofday ()) in
-  (* Periodic observability heartbeat: at most one "metrics_snapshot"
-     manifest record per [metrics_every_s], carrying the cumulative
-     session delta (chunk-granular — the loop only runs between
-     batches). *)
-  let maybe_emit_metrics () =
-    match sess.manifest with
-    | None -> ()
-    | Some m ->
-      let now = Unix.gettimeofday () in
-      if now -. !last_metrics_emit >= o.Serve_config.metrics_every_s then begin
-        last_metrics_emit := now;
-        Manifest.emit m
-          [
-            ("record", Json.String "metrics_snapshot");
-            ( "metrics",
-              Metrics.to_json (Metrics.delta ~since:metrics0 (Metrics.snapshot ()))
-            );
-          ]
-      end
-  in
-  let rec loop () =
-    if not (Stop.signalled sess.stop) then
-      match read_chunk ~stop:sess.stop ic ~lineno o.Serve_config.queue with
-      | None -> ()
-      | Some chunk ->
-        let enqueued_at = Unix.gettimeofday () in
-        let chunk = admit o chunk in
-        (* Durability point: every admitted job is journalled — and
-           the journal synced — before any of them executes, so a
-           crash mid-batch can lose work but never forget it. *)
-        let seqs =
-          match sess.journal with
-          | None -> [||]
-          | Some j ->
-            let seqs =
-              Array.map
-                (fun p ->
-                  match p.req with
-                  | Ok req ->
-                    Some (Resilience.Journal.append_begin j (journal_doc p.id req))
-                  | Error _ -> None)
-                chunk
-            in
-            Resilience.Journal.sync j;
-            seqs
-        in
-        let outcomes =
-          Pool.run_outcomes ~jobs:o.Serve_config.jobs
-            ~probe:(fun _i ~domain:_ dur ->
-              Metrics.Histogram.observe_s h_execute dur)
-            (Array.map
-               (fun p () ->
-                 run_parsed ~chaos ~deadline_ms:o.Serve_config.deadline_ms
-                   ~enqueued_at p)
-               chunk)
-        in
-        Array.iteri
-          (fun i outcome ->
-            let resp, tag =
-              match outcome with
-              | Ok r -> r
-              | Error (e, bt) -> isolated_response chunk.(i).id e bt
-            in
-            (match tag with
-            | `Error cat -> (
-              incr errors;
-              match cat with
-              | "timeout" ->
-                incr timeouts;
-                Resilience.Counters.incr Resilience.Counters.timeouts
-              | "overloaded" ->
-                incr shed;
-                Resilience.Counters.incr Resilience.Counters.shed
-              | "internal" -> incr isolated
-              | _ -> ())
-            | `Hit -> incr hits
-            | `Fresh -> ());
-            incr served;
-            output_string oc (Json.to_string resp);
-            output_char oc '\n')
-          outcomes;
-        flush oc;
-        (match sess.journal with
-        | None -> ()
-        | Some j ->
-          Array.iter
-            (function
-              | Some seq -> Resilience.Journal.mark_done j seq | None -> ())
-            seqs;
-          Resilience.Journal.sync j);
-        maybe_emit_metrics ();
-        if Array.length chunk = o.Serve_config.queue then loop ()
-  in
-  loop ();
-  let s =
-    {
-      served = !served;
-      errors = !errors;
-      cache_hits = !hits;
-      timeouts = !timeouts;
-      shed = !shed;
-      isolated = !isolated;
-    }
-  in
-  (match sess.manifest with
-  | None -> ()
-  | Some m -> emit_summary ~counters0 ~metrics0 m s);
-  s
 
 let pp_summary ppf s =
   Format.fprintf ppf "served %d job%s (%d error%s, %d cache hit%s)" s.served
@@ -543,8 +235,7 @@ let socket_live path =
         | exception Unix.Unix_error _ -> false)
 
 (* Claim [path] for a fresh listener: refuse if a live server answers,
-   reclaim a stale file, bind and listen. Shared with the coordinator
-   front end. *)
+   reclaim a stale file, bind and listen. *)
 let listen_socket ~path =
   if Sys.file_exists path then
     if socket_live path then
@@ -570,64 +261,3 @@ let listen_socket ~path =
              (Printf.sprintf "cannot listen on %s: %s" path
                 (Unix.error_message e)))));
   sock
-
-(* A client that hangs up mid-response must surface as [Sys_error] on
-   this connection's channel — not as a process-killing SIGPIPE. *)
-let with_sigpipe_ignored f =
-  let prev =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-    with Invalid_argument _ | Sys_error _ -> None
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      match prev with
-      | Some b -> ( try Sys.set_signal Sys.sigpipe b with _ -> ())
-      | None -> ())
-    f
-
-let serve_socket sess ~path () =
-  with_sigpipe_ignored (fun () ->
-      let sock = listen_socket ~path in
-      let rec accept_loop () =
-        if not (Stop.signalled sess.stop) then begin
-          (match Unix.accept sock with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          | exception Unix.Unix_error (e, _, _) ->
-            (* Transient accept failures (ECONNABORTED, EMFILE under fd
-               pressure): log, back off briefly, keep listening. *)
-            if not (Stop.signalled sess.stop) then begin
-              Format.eprintf "disesim serve: accept failed: %s@."
-                (Unix.error_message e);
-              Unix.sleepf 0.05
-            end
-          | conn, _ ->
-            let ic = Unix.in_channel_of_descr conn in
-            let oc = Unix.out_channel_of_descr conn in
-            let finish () =
-              (* One descriptor under both channels: flush the writer,
-                 close once, and mark the reader closed without touching
-                 the (already closed) fd again. *)
-              (try flush oc with Sys_error _ -> ());
-              (try Unix.close conn with Unix.Unix_error _ -> ());
-              close_in_noerr ic
-            in
-            (match serve_channel sess ic oc with
-            | s ->
-              finish ();
-              Format.eprintf "disesim serve: connection done: %a@." pp_summary s
-            | exception e ->
-              (* Connection-level containment: a stream that dies (client
-                 reset, I/O error, even a server bug) costs one
-                 connection, never the listener. *)
-              finish ();
-              Resilience.Counters.incr Resilience.Counters.conn_failures;
-              Format.eprintf "disesim serve: connection failed (isolated): %s@."
-                (Printexc.to_string e)));
-          accept_loop ()
-        end
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          (try Unix.close sock with Unix.Unix_error _ -> ());
-          try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-        accept_loop)

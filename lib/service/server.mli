@@ -1,11 +1,11 @@
-(** JSONL request server: the serve tier's per-process engine.
+(** The serve tier's wire contract and per-job execution: the pieces
+    the {!Coordinator} front end and its worker processes share.
 
-    Reads one JSON request document per line, executes them on a
-    domain pool in bounded chunks, and writes one JSON response per
-    line {e in input order}. This module is the single-process core:
-    the [disesim serve] CLI runs it directly over stdio or a Unix
-    socket, and {!Coordinator} runs one instance's machinery inside
-    each worker process of the sharded tier.
+    The front end ({!Coordinator}) reads one JSON request document per
+    line — from stdin or from Unix-socket clients — parses it with
+    {!parse_job}, admits it, and routes it to a worker process, which
+    executes it with {!run_parsed}; responses go back out {e in input
+    order}, one JSON document per line.
 
     {b Wire envelope (v1).} Beside the {!Request} document proper, an
     input line may carry three envelope members (see doc/service.md
@@ -32,32 +32,20 @@
     {!max_line_bytes} (drained to the next newline so responses never
     desync from input order).
 
-    {b Scheduling.} Jobs are read in chunks of at most [queue] lines
-    and each chunk fans out over the {!Pool} domains ([jobs] wide);
-    the next chunk is not read until the previous one's responses have
-    been written and flushed. The chunk is the backpressure unit.
-
     {b Fault tolerance} (doc/resilience.md has the full semantics):
-    job isolation under {!Pool.run_outcomes} (kind ["internal"]),
-    per-job deadlines (["timeout"]), admission control — load shedding
-    by cumulative [dyn_target] and per-tenant quotas, both answered
-    ["overloaded"] — and the fsync-before-execute crash journal that
-    {!replay_journal} recovers.
-
-    {b Sessions.} All serving state — the {!Serve_config.t}, the stop
-    flag, the journal and manifest handles — lives in an explicit
-    {!session} value; stop signalling is per-session (see {!Stop}), so
-    several servers (a coordinator's workers, a test harness) can run
-    in one process without sharing global flags. *)
+    job isolation under {!Pool.run_outcomes} (kind ["internal"],
+    {!isolated_response}), per-job deadlines (["timeout"]), and the
+    fsync-before-execute crash journal that {!replay_journal}
+    recovers. *)
 
 val protocol_version : int
-(** The wire-envelope version this server speaks: [1]. *)
+(** The wire-envelope version the tier speaks: [1]. *)
 
-(** Cooperative per-session stop flag. [signal] is async-signal-safe
-    (a single atomic store), so SIGINT/SIGTERM handlers may call it;
-    the serving loops poll it between lines and between chunks and
-    drain gracefully — the in-flight chunk finishes, its responses
-    are flushed, and the loop returns instead of reading on. *)
+(** Cooperative per-tier stop flag. [signal] is async-signal-safe (a
+    single atomic store), so SIGINT/SIGTERM handlers may call it; the
+    front end polls it every event-loop pass and drains gracefully —
+    admitted work finishes, its responses are flushed, and the loop
+    returns instead of reading on. *)
 module Stop : sig
   type t
 
@@ -66,31 +54,8 @@ module Stop : sig
   val signalled : t -> bool
 
   val reset : t -> unit
-  (** Re-arm a signalled flag (harnesses that reuse a session). *)
+  (** Re-arm a signalled flag (harnesses that reuse one). *)
 end
-
-type session
-(** A serving context: one {!Serve_config.t} plus optional
-    journal/manifest handles and a {!Stop.t}. One session may serve
-    many streams (e.g. every connection {!serve_socket} accepts). *)
-
-val session :
-  ?stop:Stop.t ->
-  ?journal:Resilience.Journal.t ->
-  ?manifest:Dise_telemetry.Manifest.t ->
-  Serve_config.t ->
-  session
-(** Build a session. The journal and manifest handles remain owned by
-    the caller: [disesim serve] replays and clears the journal
-    {e before} opening it and hands the open handle in (workers do the
-    same for their shard's subdirectory). A fresh {!Stop.t} is created
-    when none is given. *)
-
-val config : session -> Serve_config.t
-val stop_signal : session -> Stop.t
-
-val stop : session -> unit
-(** [stop s] = [Stop.signal (stop_signal s)]. *)
 
 type summary = {
   served : int;  (** responses written (ok and error alike) *)
@@ -100,50 +65,12 @@ type summary = {
   shed : int;  (** of the errors, kind ["overloaded"] (load or quota) *)
   isolated : int;  (** of the errors, kind ["internal"] *)
 }
-(** Per-stream result summary; every field is a per-stream delta (the
-    underlying counters and metrics are process-wide). *)
+(** Per-run result summary of one serving tier. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 (** ["served N jobs (E errors, H cache hits)"], with a
     [" [T timed out, S shed, I isolated]"] suffix when any of those
     is nonzero. *)
-
-val serve_channel : session -> in_channel -> out_channel -> summary
-(** Serve one JSONL stream to completion (EOF or session stop).
-    Responses are flushed after every chunk. Used both by
-    [disesim serve] on stdin/stdout and per-connection in socket mode.
-
-    {b Observability.} Every request's latency is recorded in the
-    process-wide {!Dise_telemetry.Metrics} registry, split into
-    [serve_queue_wait_ns] (chunk admission to worker pickup),
-    [serve_execute_ns] (the pool's per-task wall-clock), and
-    [serve_request_ns] (end-to-end). With a manifest attached, the
-    stream emits ["metrics_snapshot"] records at most every
-    [metrics_every_s] seconds and one final ["serve_summary"] record
-    whose ["counters"] and ["metrics"] members are {e per-session
-    deltas} (doc/schema/serve_summary.schema.json validates the
-    record); request-latency quantiles live at
-    [metrics.histograms.serve_request_ns.p50/p95/p99]. *)
-
-val serve_socket : session -> path:string -> unit -> unit
-(** Listen on a Unix-domain socket at [path], serving connections
-    sequentially — each connection is one {!serve_channel} stream —
-    until the session is stopped. (The concurrent, multiplexed front
-    end lives in {!Coordinator}; this single-process mode favours
-    simplicity.) Per-connection summaries are reported on stderr, and
-    a connection that dies (client reset, I/O error, a contained
-    server bug) is counted ([conn_failures]), logged, and survived:
-    the listener keeps accepting. SIGPIPE is ignored for the
-    listener's lifetime so client hangups surface as per-connection
-    errors.
-
-    If [path] already exists, it is {e probed} first: when a live
-    server answers, this call refuses to start with
-    [Cache.Diag_error (Diag.Overloaded _)] (exit-code class 6) —
-    stealing the socket would silently split the service; only a dead
-    (stale) socket is unlinked and reclaimed. Raises
-    [Cache.Diag_error (Diag.Cache _)] if the socket cannot be
-    bound. *)
 
 val replay_journal : ?jobs:int -> dir:string -> unit -> int
 (** Re-run every job the journal at [dir] records as begun but not
@@ -153,19 +80,12 @@ val replay_journal : ?jobs:int -> dir:string -> unit -> int
     interrupted work lands in the result cache under its original
     key — replay is idempotent. Per-job failures are logged and
     skipped; the caller decides when to {!Resilience.Journal.clear}.
-    [disesim serve --journal DIR] calls this on startup before
-    opening the journal for the new run. *)
+    A worker calls this on its shard's journal at startup. *)
 
 val max_line_bytes : int
 (** Upper bound on one input line (1 MiB). Longer lines are consumed
     up to the next newline and answered with a per-job ["parse"]
     error naming the offending line number, never buffered whole. *)
-
-(** {1 Building blocks shared with the coordinator}
-
-    The sharded tier ({!Coordinator}) parses and answers on its front
-    end but executes in worker processes; these exports keep both
-    sides of the wire byte-identical with the single-process path. *)
 
 type parsed = {
   id : Dise_telemetry.Json.t;  (** the envelope ["id"]; [Null] if absent *)
@@ -181,29 +101,9 @@ val parse_job : lineno:int -> string -> parsed
     non-string ["tenant"], a decoder error) becomes
     [req = Error (Parse _)]. *)
 
-type raw_line = Line of string | Truncated | Eof
-
-val read_raw_line : in_channel -> raw_line
-(** Bounded [input_line]: a line longer than {!max_line_bytes} is
-    drained to the next newline and reported [Truncated]; a final
-    line without a trailing newline is a normal [Line]. *)
-
 val oversized_line : lineno:int -> parsed
-(** The parse-error slot a [Truncated] line occupies. *)
-
-val read_chunk :
-  stop:Stop.t -> in_channel -> lineno:int ref -> int -> parsed array option
-(** Read and parse up to [n] non-blank lines ([None] on immediate
-    EOF), bumping [lineno] per line read; stops early once [stop] is
-    signalled. The chunk reader behind {!serve_channel}, shared with
-    the coordinator's channel mode. *)
-
-val admit : Serve_config.t -> parsed array -> parsed array
-(** Admission control over one in-flight window: per-tenant quotas
-    first, then load shedding by cumulative [dyn_target]; rejected
-    jobs have their [req] replaced by an [Overloaded] error, in
-    place, preserving order. Shared verbatim by {!serve_channel} and
-    the coordinator front end. *)
+(** The parse-error slot a line longer than {!max_line_bytes}
+    occupies. *)
 
 val isolated_response :
   Dise_telemetry.Json.t ->
@@ -214,14 +114,13 @@ val isolated_response :
     isolated (counts it, logs the backtrace to stderr). *)
 
 val listen_socket : path:string -> Unix.file_descr
-(** Claim [path] for a fresh Unix-domain listener with the live-probe
-    semantics documented on {!serve_socket} (refuse a live server,
-    reclaim a stale file). The caller owns the returned descriptor
-    and the socket file. *)
-
-val with_sigpipe_ignored : (unit -> 'a) -> 'a
-(** Run [f] with SIGPIPE ignored (restored after), so peer hangups
-    surface as write errors instead of killing the process. *)
+(** Claim [path] for a fresh Unix-domain listener. If [path] already
+    exists it is {e probed} first: when a live server answers, this
+    refuses with [Cache.Diag_error (Diag.Overloaded _)] (exit-code
+    class 6) — stealing the socket would silently split the service;
+    only a dead (stale) socket is unlinked and reclaimed. Raises
+    [Cache.Diag_error (Diag.Cache _)] if the socket cannot be bound.
+    The caller owns the returned descriptor and the socket file. *)
 
 val error_response : Dise_telemetry.Json.t -> Dise_isa.Diag.t -> Dise_telemetry.Json.t
 (** [error_response id diag]: the v1 error response object. *)

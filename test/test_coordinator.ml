@@ -92,8 +92,10 @@ let test_serve_config_roundtrip () =
       (cfg' = Serve_config.default ())
   | Error d -> Alcotest.fail ("empty config rejected: " ^ Diag.to_string d));
   (* flags override a file config; --jobs re-derives the queue *)
-  let over = Serve_config.override cfg ~jobs:5 ~workers:0 () in
+  let over = Serve_config.override cfg ~jobs:5 ~workers:2 () in
   check int_ "override jobs" 5 over.Serve_config.jobs;
+  check int_ "a tier has at least one worker" 1
+    (Serve_config.of_flags ~workers:0 ()).Serve_config.workers;
   check int_ "override re-derives queue" 20 over.Serve_config.queue;
   check bool_ "untouched members survive override" true
     (over.Serve_config.deadline_ms = Some 500
@@ -178,37 +180,6 @@ let test_envelope_versions () =
       {|{"tenant":3,"id":1,"bench":"tiny","dyn_target":23000}|};
     ]
 
-(* Serve a list of lines through a single-process session and return
-   (summary, responses). *)
-let serve ?cfg ?manifest lines =
-  with_temp_dir (fun dir ->
-      let inp = Filename.concat dir "in.jsonl" in
-      let outp = Filename.concat dir "out.jsonl" in
-      let oc = open_out_bin inp in
-      output_string oc (String.concat "\n" lines ^ "\n");
-      close_out oc;
-      let ic = open_in inp in
-      let oc = open_out outp in
-      let summary =
-        Fun.protect
-          ~finally:(fun () ->
-            close_in_noerr ic;
-            close_out_noerr oc)
-          (fun () ->
-            let cfg = Option.value cfg ~default:(Serve_config.default ()) in
-            Server.serve_channel (Server.session ?manifest cfg) ic oc)
-      in
-      let ic = open_in outp in
-      let rec read acc =
-        match input_line ic with
-        | line -> read (Json.parse line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      let responses =
-        Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> read [])
-      in
-      (summary, responses))
-
 let job ?v ?tenant ?(dyn = 23_000) id =
   let v = match v with None -> "" | Some v -> Printf.sprintf {|"v":%d,|} v in
   let tenant =
@@ -222,7 +193,9 @@ let job ?v ?tenant ?(dyn = 23_000) id =
 let test_v0_compat () =
   (* one legacy line and one v1 line in the same stream: both served,
      and every response speaks v1 *)
-  let _, rs = serve [ job ~dyn:23_001 1; job ~v:1 ~dyn:23_002 2 ] in
+  let _, rs =
+    Serve_harness.serve [ job ~dyn:23_001 1; job ~v:1 ~dyn:23_002 2 ]
+  in
   check int_ "both dialects served" 2 (List.length rs);
   let schema = load_schema "serve_response.schema.json" in
   List.iter
@@ -246,7 +219,7 @@ let test_tenant_quota_order () =
     ]
   in
   let summary, rs =
-    serve
+    Serve_harness.serve
       ~cfg:(Serve_config.of_flags ~jobs:1 ~queue:8 ~tenant_quota:1 ())
       lines
   in
@@ -293,43 +266,18 @@ let test_tenant_quota_order () =
 
 (* Run [lines] through a real worker tier and return
    (summary, responses, manifest records). *)
-let serve_sharded ?on_spawn ?journal ?chaos ?heartbeat_ms ~workers lines =
+let serve_sharded ?on_spawn ?journal ?chaos ?heartbeat_ms ?suspect_misses
+    ?dead_misses ?hedge_p95x ~workers lines =
   with_temp_dir (fun dir ->
-      let inp = Filename.concat dir "in.jsonl" in
-      let outp = Filename.concat dir "out.jsonl" in
-      let oc = open_out_bin inp in
-      List.iter
-        (fun l ->
-          output_string oc l;
-          output_char oc '\n')
-        lines;
-      close_out oc;
       let mbuf = Buffer.create 4096 in
       let manifest = Manifest.to_buffer mbuf in
       let cfg =
-        Serve_config.of_flags ~workers ~jobs:1 ~queue:16 ?journal
-          ?heartbeat_ms ()
+        Serve_config.of_flags ~workers ~jobs:1 ~queue:16 ?journal ?heartbeat_ms
+          ?suspect_misses ?dead_misses ?hedge_p95x ()
       in
-      let ic = open_in inp in
-      let oc = open_out outp in
-      let summary =
-        Fun.protect
-          ~finally:(fun () ->
-            close_in_noerr ic;
-            close_out_noerr oc)
-          (fun () ->
-            Coordinator.run_channel ?on_spawn ?chaos ~manifest
-              ~cache_dir:(Filename.concat dir "cache")
-              cfg ic oc)
-      in
-      let ic = open_in outp in
-      let rec read acc =
-        match input_line ic with
-        | line -> read (Json.parse line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      let responses =
-        Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> read [])
+      let summary, responses =
+        Serve_harness.serve ~cfg ?on_spawn ?chaos ~manifest
+          ~cache_dir:(Filename.concat dir "cache") lines
       in
       let records =
         String.split_on_char '\n' (Buffer.contents mbuf)
@@ -486,8 +434,8 @@ let with_socket_tier ?(cfg = Serve_config.of_flags ~workers:1 ~jobs:1 ())
       let stop = Server.Stop.create () in
       let tier =
         Domain.spawn (fun () ->
-            Coordinator.run_socket ~stop ~cache_dir:(Filename.concat dir "cache")
-              cfg ~path ())
+            Coordinator.run ~stop ~cache_dir:(Filename.concat dir "cache") cfg
+              (Coordinator.Socket path))
       in
       let rec wait_sock n =
         if n = 0 then Alcotest.fail "socket never appeared";
@@ -830,6 +778,96 @@ let test_torn_frame_resubmit () =
   check bool_ "the tear was counted" true
     (Resilience.Counters.get Resilience.Counters.torn_frames - torn0 >= 1)
 
+(* --- one front end: stdio and socket admit alike ------------------------- *)
+
+let outcome r =
+  ( member "id" r,
+    member "ok" r,
+    match Option.bind (Json.member "error" r) (Json.member "kind") with
+    | Some (Json.String k) -> k
+    | _ -> "" )
+
+(* With a window of one line, each job is admitted only after the one
+   before it has answered, so three jobs just over the shed mark all
+   run — whether they arrive on stdin or in one socket write. Before
+   the window was enforced on sockets, the write put all three in
+   flight and shed the last two. *)
+let test_admission_window_parity () =
+  let cfg =
+    Serve_config.of_flags ~workers:1 ~jobs:1 ~queue:1 ~shed_above:50_000 ()
+  in
+  let lines = List.init 3 (fun i -> job ~dyn:(50_001 + i) (i + 1)) in
+  let _, stdio = Serve_harness.serve ~cfg lines in
+  let socket =
+    with_socket_tier ~cfg (fun ~connect ~send ~recv_line ->
+        let fd = connect () in
+        send fd (String.concat "\n" lines);
+        Unix.shutdown fd Unix.SHUTDOWN_SEND;
+        let rs =
+          List.init 3 (fun _ ->
+              match recv_line fd with
+              | Some l -> Json.parse l
+              | None -> Alcotest.fail "socket closed early")
+        in
+        Unix.close fd;
+        rs)
+  in
+  let want = List.init 3 (fun i -> (Json.Int (i + 1), Json.Bool true, "")) in
+  check bool_ "stdin: all three admitted" true (List.map outcome stdio = want);
+  check bool_ "socket: all three admitted" true (List.map outcome socket = want)
+
+let merged_counter record name =
+  match Json.member "counters" record with
+  | Some c -> (
+    match Json.member name c with Some (Json.Int n) -> n | _ -> -1)
+  | None -> Alcotest.fail "merged record lacks counters"
+
+(* A legitimate job that outlives many heartbeat intervals must not
+   get its worker declared dead (nor its sibling, through a hedge):
+   the worker keeps ponging while the batch runs. Latency hedging is
+   switched off: the tier-latency histogram is process-wide and
+   earlier tests have filled it, and this test is about heartbeats. *)
+let test_long_job_keeps_heartbeat () =
+  with_chaos "sleep=1:1000" (fun () ->
+      let summary, rs, records =
+        serve_sharded ~workers:2 ~heartbeat_ms:50 ~suspect_misses:2
+          ~dead_misses:4 ~hedge_p95x:0.
+          [ job ~dyn:25_301 1; job ~dyn:25_302 2 ]
+      in
+      check int_ "both jobs served" 2 summary.Server.served;
+      check bool_ "both ok, in order" true
+        (List.map (fun r -> (member "id" r, member "ok" r)) rs
+        = [ (Json.Int 1, Json.Bool true); (Json.Int 2, Json.Bool true) ]);
+      let record = merged_record records in
+      List.iter
+        (fun name -> check int_ (name ^ " during the long job") 0 (merged_counter record name))
+        [ "failovers"; "hedges"; "heartbeat_misses" ])
+
+(* The keep-alive covers batches only: a frame loop wedged outside
+   one (the chaos stall op) still stops answering, so supervision
+   still counts misses and hedges its requests. *)
+let test_stall_still_detected () =
+  let chaos ~requests =
+    if requests = 1 then
+      [
+        Coordinator.Chaos_stall { shard = 0; ms = 600 };
+        Coordinator.Chaos_stall { shard = 1; ms = 600 };
+      ]
+    else []
+  in
+  let summary, rs, records =
+    serve_sharded ~workers:2 ~heartbeat_ms:50 ~suspect_misses:2 ~dead_misses:4
+      ~chaos
+      (List.init 4 (fun i -> job ~dyn:(25_311 + i) (i + 1)))
+  in
+  check int_ "all jobs served" 4 summary.Server.served;
+  check bool_ "all ok" true (List.for_all (fun r -> member "ok" r = Json.Bool true) rs);
+  let record = merged_record records in
+  let misses = merged_counter record "heartbeat_misses" in
+  let hedges = merged_counter record "hedges" in
+  check bool_ (Printf.sprintf "stall missed heartbeats (%d)" misses) true (misses >= 1);
+  check bool_ (Printf.sprintf "stalled requests hedged (%d)" hedges) true (hedges >= 1)
+
 (* --- scheduled chaos: exactly-once under kill+stall+torn, twice ----------- *)
 
 (* The full deterministic chaos matrix lives in lib/fuzz (and runs as
@@ -873,4 +911,10 @@ let suite =
       test_torn_frame_resubmit;
     Alcotest.test_case "scheduled chaos exactly-once" `Quick
       test_scheduled_chaos;
+    Alcotest.test_case "stdio and socket admit alike" `Quick
+      test_admission_window_parity;
+    Alcotest.test_case "long job keeps its heartbeat" `Quick
+      test_long_job_keeps_heartbeat;
+    Alcotest.test_case "stalled frame loop still detected" `Quick
+      test_stall_still_detected;
   ]

@@ -1,10 +1,9 @@
 (* Test runner: one alcotest suite per library area. *)
 
-(* Re-exec dispatch: serve-tier workers and the fault matrix's SIGKILL
-   victim re-execute this binary, so both hooks must run before
-   anything else — the child never enters alcotest. *)
+(* Re-exec dispatch: serve-tier workers re-execute this binary, so
+   the hook must run before anything else — a worker never enters
+   alcotest. *)
 let () = Dise_service.Coordinator.worker_child_main ()
-let () = Dise_fuzz.Faults.journal_child_main ()
 
 let () =
   Alcotest.run "dise"

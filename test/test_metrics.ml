@@ -7,7 +7,6 @@ module Json_schema = Dise_telemetry.Json_schema
 module Manifest = Dise_telemetry.Manifest
 module Trace = Dise_telemetry.Trace
 module Trajectory = Dise_telemetry.Trajectory
-module Server = Dise_service.Server
 module Conformance = Dise_fuzz.Conformance
 
 let check = Alcotest.check
@@ -212,36 +211,16 @@ let test_metrics_schema () =
 (* --- serve_summary carries quantiles ------------------------------------- *)
 
 let test_serve_summary_metrics () =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dise-metrics-test-%d" (Unix.getpid ()))
-  in
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  let inp = Filename.concat dir "in.jsonl" in
-  let outp = Filename.concat dir "out.jsonl" in
-  let oc = open_out inp in
-  output_string oc
-    "{\"id\":1,\"bench\":\"tiny\",\"dyn_target\":20000}\n\
-     {\"id\":2,\"bench\":\"tiny\",\"dyn_target\":21000}\n";
-  close_out oc;
   let mbuf = Buffer.create 4096 in
   let manifest = Manifest.to_buffer mbuf in
-  let ic = open_in inp and oc = open_out outp in
   let _summary =
-    Fun.protect
-      ~finally:(fun () ->
-        close_in_noerr ic;
-        close_out_noerr oc)
-      (fun () ->
-        Server.serve_channel
-          (Server.session ~manifest
-             (Dise_service.Serve_config.of_flags ~jobs:2 ~queue:2 ()))
-          ic oc)
+    Serve_harness.serve ~manifest
+      ~cfg:(Dise_service.Serve_config.of_flags ~jobs:2 ~queue:2 ())
+      [
+        {|{"id":1,"bench":"tiny","dyn_target":20000}|};
+        {|{"id":2,"bench":"tiny","dyn_target":21000}|};
+      ]
   in
-  Sys.remove inp;
-  Sys.remove outp;
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
   let records =
     String.split_on_char '\n' (Buffer.contents mbuf)
     |> List.filter (fun l -> l <> "")
@@ -269,7 +248,8 @@ let test_serve_summary_metrics () =
       let geti k =
         match Json.member k h with Some (Json.Int i) -> i | _ -> -1
       in
-      (* Per-session delta: exactly this stream's two requests. *)
+      (* Per-run delta merged from the worker: exactly this stream's
+         two requests. *)
       check int_ "request histogram counts this session" 2 (geti "count");
       check bool_ "p50 <= p95 <= p99" true
         (geti "p50" <= geti "p95" && geti "p95" <= geti "p99");

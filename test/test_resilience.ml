@@ -10,6 +10,7 @@ module Diag = Dise_isa.Diag
 module Cache = Dise_service.Cache
 module Request = Dise_service.Request
 module Server = Dise_service.Server
+module Coordinator = Dise_service.Coordinator
 module Serve_config = Dise_service.Serve_config
 module Pool = Dise_service.Pool
 module Resilience = Dise_service.Resilience
@@ -253,37 +254,6 @@ let test_pool_outcomes () =
 
 (* --- serve protocol under faults ----------------------------------------- *)
 
-let serve ?cfg ?manifest lines =
-  with_temp_dir (fun dir ->
-      let inp = Filename.concat dir "in.jsonl" in
-      let outp = Filename.concat dir "out.jsonl" in
-      let oc = open_out_bin inp in
-      output_string oc (String.concat "\n" lines ^ "\n");
-      close_out oc;
-      let ic = open_in inp in
-      let oc = open_out outp in
-      let summary =
-        Fun.protect
-          ~finally:(fun () ->
-            close_in_noerr ic;
-            close_out_noerr oc)
-          (fun () ->
-            let cfg =
-              Option.value cfg ~default:(Serve_config.default ())
-            in
-            Server.serve_channel (Server.session ?manifest cfg) ic oc)
-      in
-      let ic = open_in outp in
-      let rec read acc =
-        match input_line ic with
-        | line -> read (Json.parse line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      let responses =
-        Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> read [])
-      in
-      (summary, responses))
-
 let member name j = Option.get (Json.member name j)
 let kind_of r = Json.member "kind" (member "error" r)
 
@@ -313,7 +283,9 @@ let test_serve_mixed_chunk () =
           job ~dyn:22_004 5 ]
       in
       let summary, rs =
-        serve ~cfg:(Serve_config.of_flags ~jobs:2 ~queue:8 ()) lines
+        Serve_harness.serve
+          ~cfg:(Serve_config.of_flags ~jobs:2 ~queue:8 ())
+          lines
       in
       check int_ "N+2 responses" 5 (List.length rs);
       check int_ "summary served" 5 summary.Server.served;
@@ -353,7 +325,9 @@ let test_serve_truncated_line_number () =
     {|{"id":2,"pad":"|} ^ String.make (Server.max_line_bytes + 32) 'x' ^ {|"}|}
   in
   let _, rs =
-    serve ~cfg:(Serve_config.of_flags ~jobs:1 ~queue:4 ()) [ job 1; big; job 3 ]
+    Serve_harness.serve
+      ~cfg:(Serve_config.of_flags ~jobs:1 ~queue:4 ())
+      [ job 1; big; job 3 ]
   in
   match rs with
   | [ _; r2; _ ] -> (
@@ -399,7 +373,7 @@ let test_serve_shed_first_job_admitted () =
   (* a single job heavier than the high-water mark still runs: the
      mark bounds queued work, it must not starve legitimate jobs *)
   let summary, rs =
-    serve
+    Serve_harness.serve
       ~cfg:(Serve_config.of_flags ~jobs:1 ~queue:4 ~shed_above:10_000 ())
       [ job ~dyn:22_021 1 ]
   in
@@ -412,7 +386,9 @@ let test_serve_manifest_record () =
   let buf = Buffer.create 256 in
   let manifest = Dise_telemetry.Manifest.to_buffer buf in
   let _ =
-    serve ~cfg:(Serve_config.of_flags ~jobs:1 ~queue:2 ()) ~manifest [ job 1 ]
+    Serve_harness.serve
+      ~cfg:(Serve_config.of_flags ~jobs:1 ~queue:2 ())
+      ~manifest [ job 1 ]
   in
   let record = Json.parse (String.trim (Buffer.contents buf)) in
   check bool_ "record tagged serve_summary" true
@@ -486,16 +462,17 @@ let test_socket_supervision () =
       Unix.close stale;
       check bool_ "stale socket file exists" true (Sys.file_exists path);
       let stop = Server.Stop.create () in
-      let sess =
-        Server.session ~stop (Serve_config.of_flags ~jobs:1 ~queue:2 ())
+      let server =
+        Domain.spawn (fun () ->
+            Coordinator.run ~stop (Serve_config.of_flags ~jobs:1 ~queue:2 ())
+              (Coordinator.Socket path))
       in
-      let server = Domain.spawn (fun () -> Server.serve_socket sess ~path ()) in
       Fun.protect
         ~finally:(fun () -> Server.Stop.signal stop)
         (fun () ->
           wait_until_live path;
-          (* Two concurrent connections: served sequentially, both
-             must get their own correct responses. *)
+          (* Two concurrent connections: both must get their own
+             correct responses. *)
           let c1 =
             Domain.spawn (fun () -> connect_client path [ job ~dyn:22_031 1 ])
           in
@@ -510,12 +487,8 @@ let test_socket_supervision () =
             (member "ok" r2 = Json.Bool true && member "id" r2 = Json.Int 2);
           (* A second server on the same live socket must refuse with
              the busy diagnostic (exit-code class 6), not steal it. *)
-          (match
-             Server.serve_socket
-               (Server.session (Serve_config.default ()))
-               ~path ()
-           with
-          | () -> Alcotest.fail "second server started on a live socket"
+          (match Coordinator.run (Serve_config.default ()) (Coordinator.Socket path) with
+          | _ -> Alcotest.fail "second server started on a live socket"
           | exception Cache.Diag_error (Diag.Overloaded _ as d) ->
             check int_ "busy socket refusal is exit-code 6" 6
               (Diag.exit_code d)
@@ -523,7 +496,7 @@ let test_socket_supervision () =
           (* Drain: stop flag + one wake-up connection. *)
           Server.Stop.signal stop;
           ignore (connect_client path []);
-          Domain.join server;
+          ignore (Domain.join server);
           check bool_ "socket unlinked on shutdown" false
             (Sys.file_exists path)))
 

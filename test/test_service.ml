@@ -279,97 +279,72 @@ let test_cold_warm_ratio_panel () =
 
 (* --- the batch server ----------------------------------------------------- *)
 
-let serve lines =
-  with_temp_dir (fun dir ->
-      let inp = Filename.concat dir "in.jsonl" in
-      let outp = Filename.concat dir "out.jsonl" in
-      write_file inp (String.concat "\n" lines ^ "\n");
-      let ic = open_in inp in
-      let oc = open_out outp in
-      let summary =
-        Fun.protect
-          ~finally:(fun () ->
-            close_in_noerr ic;
-            close_out_noerr oc)
-          (fun () ->
-            (* queue = 1 keeps chunks sequential, so the duplicate
-               request deterministically finds the first one's result
-               (in a wider chunk the two could race for the memo claim
-               and either could be the one that simulates). *)
-            Server.serve_channel
-              (Server.session
-                 (Dise_service.Serve_config.of_flags ~jobs:2 ~queue:1 ()))
-              ic oc)
-      in
-      let ic = open_in outp in
-      let rec read acc =
-        match input_line ic with
-        | line -> read (Json.parse line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      let responses = Fun.protect ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> read [])
-      in
-      (summary, responses))
+(* queue = 1 admits one line at a time, so the duplicate request
+   deterministically finds the first one's result (with a wider
+   window the two could race for the memo claim and either could be
+   the one that simulates). *)
+let serve ?cache_dir lines =
+  Serve_harness.serve ?cache_dir
+    ~cfg:(Dise_service.Serve_config.of_flags ~jobs:2 ~queue:1 ())
+    lines
 
 let member name j = Option.get (Json.member name j)
 
 let test_serve_stream () =
   with_temp_dir (fun cache_dir ->
-      with_disk_cache cache_dir (fun () ->
-          let req = {|{"id":1,"bench":"tiny","dyn_target":25000}|} in
-          let dup = {|{"id":2,"bench":"tiny","dyn_target":25000}|} in
-          let bad_bench = {|{"id":3,"bench":"nope","dyn_target":25000}|} in
-          let bad_json = "{this is not json" in
-          let summary, rs =
-            serve [ req; ""; dup; bad_bench; bad_json ]
-          in
-          check int_ "four responses (blank line skipped)" 4
-            (List.length rs);
-          check int_ "summary served" 4 summary.Server.served;
-          check int_ "summary errors" 2 summary.Server.errors;
-          check bool_ "summary hits" true (summary.Server.cache_hits >= 1);
-          (match rs with
-          | [ r1; r2; r3; r4 ] ->
-            check bool_ "ids echoed in input order" true
-              (member "id" r1 = Json.Int 1 && member "id" r2 = Json.Int 2);
-            check bool_ "first ok" true (member "ok" r1 = Json.Bool true);
-            (* The duplicate must be served without re-simulating
-               (memo or disk — either counts). *)
-            check bool_ "duplicate is a cache hit" true
-              (member "cache_hit" r2 = Json.Bool true);
-            check bool_ "stats attached" true
-              (Json.member "cycles" (member "stats" r1) <> None);
-            check bool_ "same key for same request" true
-              (member "key" r1 = member "key" r2);
-            check bool_ "unknown bench is a parse error" true
-              (member "ok" r3 = Json.Bool false
-              && Json.member "kind" (member "error" r3)
-                 = Some (Json.String "parse"));
-            check bool_ "malformed line is a parse error" true
-              (member "ok" r4 = Json.Bool false
-              && Json.member "kind" (member "error" r4)
-                 = Some (Json.String "parse"))
-          | _ -> Alcotest.fail "wrong response count");
-          (* Responses must validate against the published schema. *)
-          let schema =
-            Json.parse
-              (let ic = open_in "../doc/schema/serve_response.schema.json" in
-               Fun.protect ~finally:(fun () -> close_in_noerr ic)
-                 (fun () -> really_input_string ic (in_channel_length ic)))
-          in
-          List.iter
-            (fun r ->
-              match Dise_telemetry.Json_schema.validate ~schema r with
-              | [] -> ()
-              | errs ->
-                Alcotest.failf "response fails schema: %a"
-                  (Format.pp_print_list Dise_telemetry.Json_schema.pp_error)
-                  errs)
-            rs))
+      let req = {|{"id":1,"bench":"tiny","dyn_target":25000}|} in
+      let dup = {|{"id":2,"bench":"tiny","dyn_target":25000}|} in
+      let bad_bench = {|{"id":3,"bench":"nope","dyn_target":25000}|} in
+      let bad_json = "{this is not json" in
+      let summary, rs =
+        serve ~cache_dir [ req; ""; dup; bad_bench; bad_json ]
+      in
+      check int_ "four responses (blank line skipped)" 4
+        (List.length rs);
+      check int_ "summary served" 4 summary.Server.served;
+      check int_ "summary errors" 2 summary.Server.errors;
+      check bool_ "summary hits" true (summary.Server.cache_hits >= 1);
+      (match rs with
+      | [ r1; r2; r3; r4 ] ->
+        check bool_ "ids echoed in input order" true
+          (member "id" r1 = Json.Int 1 && member "id" r2 = Json.Int 2);
+        check bool_ "first ok" true (member "ok" r1 = Json.Bool true);
+        (* The duplicate must be served without re-simulating
+           (memo or disk — either counts). *)
+        check bool_ "duplicate is a cache hit" true
+          (member "cache_hit" r2 = Json.Bool true);
+        check bool_ "stats attached" true
+          (Json.member "cycles" (member "stats" r1) <> None);
+        check bool_ "same key for same request" true
+          (member "key" r1 = member "key" r2);
+        check bool_ "unknown bench is a parse error" true
+          (member "ok" r3 = Json.Bool false
+          && Json.member "kind" (member "error" r3)
+             = Some (Json.String "parse"));
+        check bool_ "malformed line is a parse error" true
+          (member "ok" r4 = Json.Bool false
+          && Json.member "kind" (member "error" r4)
+             = Some (Json.String "parse"))
+      | _ -> Alcotest.fail "wrong response count");
+      (* Responses must validate against the published schema. *)
+      let schema =
+        Json.parse
+          (let ic = open_in "../doc/schema/serve_response.schema.json" in
+           Fun.protect ~finally:(fun () -> close_in_noerr ic)
+             (fun () -> really_input_string ic (in_channel_length ic)))
+      in
+      List.iter
+        (fun r ->
+          match Dise_telemetry.Json_schema.validate ~schema r with
+          | [] -> ()
+          | errs ->
+            Alcotest.failf "response fails schema: %a"
+              (Format.pp_print_list Dise_telemetry.Json_schema.pp_error)
+              errs)
+        rs)
 
-(* Production-set swap between serve chunks: with queue = 1 every
-   request is its own chunk, and the stream alternates production
+(* Production-set swap between serve batches: with queue = 1 every
+   request is its own batch, and the stream alternates production
    sets (MFI dise3 / baseline / dise4 / dise3 again). Each request
    builds its engine afresh, so compiled superblocks must never leak
    across the swaps: a JIT-enabled serve must produce exactly the
