@@ -2,13 +2,12 @@
 
    Regenerates every evaluation panel of the paper (Figures 6, 7, 8)
    over the synthetic SPEC2000-named suite, printing one table per
-   panel, then runs Bechamel microbenchmarks of the engine primitives.
+   panel.
 
    Usage:
      dune exec bench/main.exe                 # everything, full suite
      dune exec bench/main.exe -- --quick      # 4 benchmarks, shorter runs
      dune exec bench/main.exe -- fig6-top fig7-ratio
-     dune exec bench/main.exe -- --no-micro   # skip Bechamel section
      dune exec bench/main.exe -- --jobs 4     # 4 worker domains per panel
      dune exec bench/main.exe -- --json out.json  # machine-readable results
      dune exec bench/main.exe -- --manifest run.jsonl  # per-cell telemetry
@@ -21,22 +20,17 @@
      dune exec bench/main.exe -- --jit-threshold K  # compile after K (def 8) *)
 
 module H = Dise_harness
-module W = Dise_workload
-module A = Dise_acf
-module Core = Dise_core
 module T = Dise_telemetry
-module I = Dise_isa.Insn
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--quick] [--no-micro] [--dyn N] [--jobs N] [--json \
-     FILE] [--manifest FILE] [--trajectory FILE] [--cpi-stack] [--cache \
-     DIR] [--no-cache] [--no-jit] [--jit-threshold K] [panel-id ...]";
+    "usage: main.exe [--quick] [--dyn N] [--jobs N] [--json FILE] \
+     [--manifest FILE] [--trajectory FILE] [--cpi-stack] [--cache DIR] \
+     [--no-cache] [--no-jit] [--jit-threshold K] [panel-id ...]";
   exit 2
 
 let parse_args () =
   let quick = ref false in
-  let micro = ref true in
   let dyn = ref 300_000 in
   let jobs = ref (H.Pool.default_jobs ()) in
   let json = ref None in
@@ -59,9 +53,6 @@ let parse_args () =
     | [] -> ()
     | "--quick" :: rest ->
       quick := true;
-      go rest
-    | "--no-micro" :: rest ->
-      micro := false;
       go rest
     | "--cpi-stack" :: rest ->
       cpi := true;
@@ -101,7 +92,7 @@ let parse_args () =
       go rest
   in
   go (List.tl (Array.to_list Sys.argv));
-  ( !quick, !micro, !dyn, !jobs, !json, (!manifest, !trajectory), !cpi,
+  ( !quick, !dyn, !jobs, !json, (!manifest, !trajectory), !cpi,
     (!cache, !no_cache), (!no_jit, !jit_threshold), List.rev !panels )
 
 (* --- JSON output (BENCH_*.json trajectory format) ---------------------- *)
@@ -194,131 +185,8 @@ let run_panels ~quick ~dyn ~jobs ~manifest ~cpi ids =
       (id, elapsed, fig))
     panels
 
-(* --- Bechamel microbenchmarks of the engine primitives ----------------- *)
-
-let microbenches () =
-  let open Bechamel in
-  let mfi_set =
-    Core.Prodset.resolve_labels
-      (fun _ -> Some 0x9000)
-      (Core.Lang.parse
-         {|
-         P1: T.OPCLASS == store -> R1
-         P2: T.OPCLASS == load -> R1
-         R1: srl T.RS, #26, $dr1
-             xor $dr1, $dr2, $dr1
-             bne $dr1, __error
-             T.INSN
-         |})
-  in
-  let engine = Core.Engine.create mfi_set in
-  let store = I.Mem (Dise_isa.Opcode.Stq, Dise_isa.Reg.r 1, 8, Dise_isa.Reg.r 2) in
-  let alu = I.Rop (Dise_isa.Opcode.Add, Dise_isa.Reg.r 1, Dise_isa.Reg.r 2, Dise_isa.Reg.r 3) in
-  let pc = ref 0x100000 in
-  let bench_expand_hit =
-    Test.make ~name:"engine.expand (memoized)"
-      (Staged.stage (fun () -> Core.Engine.expand engine ~pc:0x100000 store))
-  in
-  let bench_expand_cold =
-    Test.make ~name:"engine.expand (new pc)"
-      (Staged.stage (fun () ->
-           pc := !pc + 4;
-           Core.Engine.expand engine ~pc:!pc store))
-  in
-  let bench_nomatch =
-    Test.make ~name:"engine.expand (no match)"
-      (Staged.stage (fun () -> Core.Engine.expand engine ~pc:0x100000 alu))
-  in
-  (* Same expansion path against a dense image, exercising the flat
-     per-index memo instead of the hashtable. *)
-  let dense_entry = W.Suite.get ~dyn_target:20_000 W.Profile.tiny in
-  let dense_engine =
-    Core.Engine.create ~image:dense_entry.W.Suite.image mfi_set
-  in
-  let dense_img = dense_entry.W.Suite.image in
-  let dense_base = Dise_isa.Program.Image.base dense_img in
-  let bench_expand_dense =
-    Test.make ~name:"engine.expand (dense memo)"
-      (Staged.stage (fun () ->
-           Core.Engine.expand dense_engine ~pc:dense_base store))
-  in
-  let bench_pattern =
-    let p = Core.Pattern.stores in
-    Test.make ~name:"pattern.matches"
-      (Staged.stage (fun () -> Core.Pattern.matches p store))
-  in
-  let rt = Core.Rt.create ~entries:2048 ~assoc:2 () in
-  let rsid = ref 0 in
-  let bench_rt =
-    Test.make ~name:"rt.access"
-      (Staged.stage (fun () ->
-           rsid := (!rsid + 1) land 1023;
-           Core.Rt.access rt ~rsid:!rsid ~len:4))
-  in
-  let cache = Dise_uarch.Cache.create ~size_bytes:32768 ~assoc:2 ~line_bytes:64 in
-  let addr = ref 0 in
-  let bench_cache =
-    Test.make ~name:"icache.access"
-      (Staged.stage (fun () ->
-           addr := (!addr + 64) land 0xFFFFF;
-           Dise_uarch.Cache.access cache !addr))
-  in
-  let entry = W.Suite.get ~dyn_target:20_000 W.Profile.tiny in
-  let bench_emulate =
-    Test.make ~name:"machine.run 20K-insn workload"
-      (Staged.stage (fun () ->
-           let m = Dise_machine.Machine.create entry.W.Suite.image in
-           Dise_machine.Machine.run ~max_steps:2_000_000 m))
-  in
-  (* Steady-state JIT: the superblock state persists across
-     iterations ([adopt_jit]) the same way an engine carries it across
-     serve requests, so after the first iteration every fetch of the
-     hot loop is served from the compiled arena and the row measures
-     pure trace execution plus machine setup — the steady state the
-     acceptance criterion targets. *)
-  let bench_emulate_jit =
-    let js = ref None in
-    Test.make ~name:"machine.run 20K insns (jit)"
-      (Staged.stage (fun () ->
-           let m = Dise_machine.Machine.create entry.W.Suite.image in
-           (match !js with
-           | Some s when Dise_machine.Machine.adopt_jit m s -> ()
-           | _ ->
-             Dise_machine.Machine.enable_jit ~threshold:2 m;
-             js := Dise_machine.Machine.jit_state m);
-           Dise_machine.Machine.run ~max_steps:2_000_000 m))
-  in
-  let bench_compress =
-    Test.make ~name:"compress tiny (full DISE)"
-      (Staged.stage (fun () ->
-           A.Compress.compress ~scheme:A.Compress.full_dise
-             entry.W.Suite.gen.W.Codegen.program))
-  in
-  let tests =
-    Test.make_grouped ~name:"dise"
-      [ bench_expand_hit; bench_expand_cold; bench_expand_dense;
-        bench_nomatch; bench_pattern; bench_rt; bench_cache; bench_emulate;
-        bench_emulate_jit; bench_compress ]
-  in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Format.printf "@.microbenchmarks (ns/op):@.";
-  Hashtbl.iter
-    (fun name ols_result ->
-      match Analyze.OLS.estimates ols_result with
-      | Some [ est ] -> Format.printf "  %-36s %12.1f@." name est
-      | _ -> Format.printf "  %-36s (no estimate)@." name)
-    results
-
 let () =
-  let quick, micro, dyn, jobs, json, (manifest_path, trajectory_path), cpi,
+  let quick, dyn, jobs, json, (manifest_path, trajectory_path), cpi,
       (cache, no_cache), (no_jit, jit_threshold), panels =
     parse_args ()
   in
@@ -408,5 +276,4 @@ let () =
     in
     T.Trajectory.append ~jsonl:file record;
     Format.eprintf "appended trajectory record to %s@." file);
-  if micro then microbenches ();
   Format.printf "@.done.@."

@@ -850,8 +850,13 @@ let exec_cmd =
         match Dise_core.Lang.parse_result ~source:path (read_file path) with
         | Ok set ->
           let set =
-            Dise_core.Prodset.resolve_labels
-              (Dise_isa.Program.Image.symbol img) set
+            match
+              Dise_core.Prodset.resolve_labels
+                (Dise_isa.Program.Image.symbol img) set
+            with
+            | set -> set
+            | exception Dise_core.Replacement.Instantiation_error msg ->
+              die (Diag.Invalid (path ^ ": " ^ msg))
           in
           List.iter
             (fun f ->
@@ -865,16 +870,16 @@ let exec_cmd =
     let pipeline = Dise_uarch.Pipeline.create Config.default in
     (try
        ignore
-         (Machine.run_events ~max_steps:50_000_000 m (fun ev ->
-              Dise_uarch.Pipeline.consume pipeline ev;
+         (Machine.run_raw ~max_steps:50_000_000 m (fun r ->
+              Dise_uarch.Pipeline.consume_raw pipeline r;
               if trace then
-                Format.printf "%08x%s %s@." ev.Machine.Event.pc
-                  (match ev.Machine.Event.origin with
-                  | Machine.Event.App -> "   "
-                  | Machine.Event.Rep { offset; _ } ->
-                    Printf.sprintf ":%-2d" offset)
-                  (Dise_isa.Insn.to_string ev.Machine.Event.insn)))
-     with Machine.Runtime_error msg -> die (Diag.Runtime msg));
+                Format.printf "%08x%s %s@." r.Machine.Raw.pc
+                  (if r.Machine.Raw.rsid < 0 then "   "
+                   else Printf.sprintf ":%-2d" r.Machine.Raw.offset)
+                  (Dise_isa.Insn.to_string r.Machine.Raw.insn)))
+     with
+     | Machine.Runtime_error msg -> die (Diag.Runtime msg)
+     | Dise_core.Engine.Expansion_error msg -> die (Diag.Expansion msg));
     let stats = Dise_uarch.Pipeline.finish pipeline in
     Format.printf "exit code: %d@." (Machine.exit_code m);
     Format.printf "%a@." Stats.pp stats

@@ -61,7 +61,7 @@ let () =
   let m = Machine.create ~expander:(Core.Engine.expander engine) r.A.Compress.image in
   A.Mfi.install m ~data_seg:W.Codegen.data_segment_id
     ~code_seg:W.Codegen.code_segment_id;
-  ignore (Machine.run ~max_steps:5_000_000 m);
+  ignore (Machine.run_raw ~max_steps:5_000_000 m ignore);
   Format.printf "composed run: exit %d, %d dynamic instructions, %d expansions@."
     (Machine.exit_code m) (Machine.executed m) (Machine.expansions m);
 

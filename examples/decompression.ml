@@ -56,12 +56,12 @@ let () =
       ~hi:0x07F00000
   in
   let m0 = Machine.create entry.W.Suite.image in
-  ignore (Machine.run ~max_steps:5_000_000 m0);
+  ignore (Machine.run_raw ~max_steps:5_000_000 m0 ignore);
   let engine = Dise_core.Engine.create r.Compress.prodset in
   let m1 =
     Machine.create ~expander:(Dise_core.Engine.expander engine) r.Compress.image
   in
-  ignore (Machine.run ~max_steps:5_000_000 m1);
+  ignore (Machine.run_raw ~max_steps:5_000_000 m1 ignore);
   Format.printf "@.original:     exit %d, data digest %08x@."
     (Machine.exit_code m0) (data_digest m0 land 0xFFFFFFFF);
   Format.printf "decompressed: exit %d, data digest %08x  -> %s@."

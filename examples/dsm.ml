@@ -53,7 +53,7 @@ let run ~absent_block =
       ~addr:(data_base + (b * A.Dsm.block_bytes))
       ~len:A.Dsm.block_bytes
   | None -> ());
-  ignore (Machine.run ~max_steps:100_000 m);
+  ignore (Machine.run_raw ~max_steps:100_000 m ignore);
   m
 
 let () =

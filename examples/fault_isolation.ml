@@ -38,6 +38,6 @@ let () =
   let m = Machine.create ~expander:(Dise_core.Engine.expander engine) img in
   (* Install a WRONG segment id so every access faults immediately. *)
   Mfi.install m ~data_seg:3 ~code_seg:0;
-  ignore (Machine.run ~max_steps:5_000_000 m);
+  ignore (Machine.run_raw ~max_steps:5_000_000 m ignore);
   Format.printf "@.with a corrupted segment register, exit code = %d (77 = fault)@."
     (Machine.exit_code m)

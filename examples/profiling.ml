@@ -18,7 +18,7 @@ let () =
   let m = Machine.create ~expander:(Dise_core.Engine.expander engine) img in
   let buffer = 0x06000000 in
   A.Profiling.install m ~buffer;
-  ignore (Machine.run ~max_steps:10_000_000 m);
+  ignore (Machine.run_raw ~max_steps:10_000_000 m ignore);
   Format.printf "twolf-like workload profiled: exit %d, %d dynamic instructions@."
     (Machine.exit_code m) (Machine.executed m);
   let counts = A.Profiling.counts m ~buffer in
@@ -34,7 +34,7 @@ let () =
   (* Profiling is an observation-only ACF: the run's architectural
      effect is unchanged. *)
   let m0 = Machine.create img in
-  ignore (Machine.run ~max_steps:10_000_000 m0);
+  ignore (Machine.run_raw ~max_steps:10_000_000 m0 ignore);
   let digest mm =
     Dise_machine.Memory.checksum_range (Machine.memory mm) ~lo:0x04000000
       ~hi:0x05F00000

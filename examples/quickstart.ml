@@ -63,7 +63,7 @@ let () =
   let engine = Core.Engine.create set in
   let m = Machine.create ~expander:(Core.Engine.expander engine) img in
   Machine.set_dise_reg m 2 1 (* $dr2 := legal data segment id *);
-  ignore (Machine.run m);
+  ignore (Machine.run_raw m ignore);
   Format.printf "@.Program exit code: %d (77 = fault handler)@."
     (Machine.exit_code m);
   Format.printf "Dynamic instructions: %d (of which %d app-level)@."

@@ -107,10 +107,10 @@ let run y =
   let pipeline = Pipeline.create Config.default in
   let kind = ref "" in
   ignore
-    (Machine.run_events ~max_steps:2_000_000 m (fun ev ->
-         Pipeline.consume pipeline ev;
+    (Machine.run_raw ~max_steps:2_000_000 m (fun raw ->
+         Pipeline.consume_raw pipeline raw;
          (* The moment the operand load has executed, specialize. *)
-         if ev.Machine.Event.pc + 4 = setup_pc && !kind = "" then begin
+         if raw.Machine.Raw.pc + 4 = setup_pc && !kind = "" then begin
            let observed =
              Dise_machine.Regfile.get (Machine.regs m) (r 9)
            in

@@ -24,17 +24,15 @@ let () =
   let first_store = ref None in
   let m0 = Machine.create img in
   ignore
-    (Machine.run_events ~max_steps:5_000_000 m0 (fun ev ->
-         if
-           !first_store = None
-           && Insn.writes_memory ev.Dise_machine.Machine.Event.insn
-         then first_store := ev.Dise_machine.Machine.Event.mem_addr));
+    (Machine.run_raw ~max_steps:5_000_000 m0 (fun r ->
+         if !first_store = None && Insn.writes_memory r.Machine.Raw.insn then
+           first_store := Some r.Machine.Raw.mem_addr));
   let watched = Option.value ~default:0x04000000 !first_store in
 
   (* Armed: the watch fires. *)
   let m = Machine.create ~expander:(Dise_core.Engine.expander engine) img in
   A.Watchpoint.install m ~addr:watched;
-  ignore (Machine.run ~max_steps:5_000_000 m);
+  ignore (Machine.run_raw ~max_steps:5_000_000 m ignore);
   Format.printf "watch on 0x%08x: exit %d after %d instructions (77 = assertion hit)@."
     watched (Machine.exit_code m) (Machine.executed m);
 

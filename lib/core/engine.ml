@@ -42,11 +42,6 @@ type t = {
       (* Bumped by [set_prodset] and [invalidate]; machines attached
          via [attach_jit] share this ref and retire their superblocks
          when it moves. *)
-  mutable jit : Machine.jit_state option;
-      (* Superblock state warmed by previously attached machines.
-         [attach_jit] re-adopts it so traces compiled while serving
-         one machine keep paying off for every later machine over the
-         same image — compilation is per engine, not per machine. *)
   mutable performed : int;
 }
 
@@ -73,7 +68,6 @@ let create ?image prodset =
     dense;
     cache = Hashtbl.create 4096;
     generation = ref 0;
-    jit = None;
     performed = 0;
   }
 
@@ -98,13 +92,7 @@ let set_prodset t prodset =
   invalidate t
 
 let attach_jit ?threshold t m =
-  let adopted =
-    match t.jit with Some js -> Machine.adopt_jit m js | None -> false
-  in
-  if not adopted then begin
-    Machine.enable_jit ?threshold ~generation:t.generation m;
-    t.jit <- Machine.jit_state m
-  end
+  Machine.enable_jit ?threshold ~generation:t.generation m
 
 let compute t ~pc insn =
   let rec first = function

@@ -56,17 +56,9 @@ val attach_jit : ?threshold:int -> t -> Dise_machine.Machine.t -> unit
 (** Enable the machine's superblock JIT wired to this engine's
     generation counter, so {!set_prodset}/{!invalidate} retire its
     compiled traces. [threshold] defaults to
-    {!Dise_machine.Machine.default_jit_threshold}.
-
-    Superblock state is owned by the engine, not the machine: the
-    first attach creates it, and every later attach over the same
-    image re-adopts it ({!Dise_machine.Machine.adopt_jit}), so traces
-    compiled while serving one machine start the next machine at
-    steady state. A [threshold] passed after the first attach is
-    ignored while the cached state remains valid. Machines sharing the
-    state must run to completion one at a time — interleaved stepping
-    risks a generation bump from one machine retiring traces the other
-    is executing. *)
+    {!Dise_machine.Machine.default_jit_threshold}. Each attach gives
+    the machine its own fresh superblock state: traces are compiled
+    per machine. *)
 
 val expand : t -> pc:int -> Dise_isa.Insn.t -> Dise_machine.Machine.expansion option
 (** [None] when no production matches. An identity production yields

@@ -148,10 +148,8 @@ let run_slice t pid ~steps =
   let m = (get t pid).machine in
   let rec go n =
     if n >= steps then `Ran n
-    else
-      match Machine.step m with
-      | Some _ -> go (n + 1)
-      | None -> `Halted
+    else if Machine.step m then go (n + 1)
+    else `Halted
   in
   go 0
 

@@ -202,7 +202,7 @@ let run_cell ~img ~prodset v backend =
   let t0 = Unix.gettimeofday () in
   let m = machine_for ~img ~prodset ~drs:v.drs backend in
   let outcome =
-    match Machine.run ~max_steps:v.max_steps m with
+    match Machine.run_raw ~max_steps:v.max_steps m ignore with
     | _ -> Ok ()
     | exception Machine.Runtime_error msg -> Error ("runtime: " ^ msg)
     | exception Engine.Expansion_error msg -> Error ("expansion: " ^ msg)

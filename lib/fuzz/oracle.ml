@@ -79,18 +79,19 @@ let encode_roundtrip image =
 
 (* --- lockstep ----------------------------------------------------------- *)
 
-let origin_str = function
-  | Machine.Event.App -> "app"
-  | Machine.Event.Rep { rsid; offset; len } ->
-    Printf.sprintf "R%d[%d/%d]" rsid offset len
+let origin_str (r : Machine.Raw.t) =
+  if r.rsid < 0 then "app" else Printf.sprintf "R%d[%d/%d]" r.rsid r.offset r.len
 
-let event_str (e : Machine.Event.t) =
-  Printf.sprintf "pc=0x%x %s (%s)" e.pc (I.to_string e.insn) (origin_str e.origin)
+let event_str (r : Machine.Raw.t) =
+  Printf.sprintf "pc=0x%x %s (%s)" r.pc (I.to_string r.insn) (origin_str r)
 
-let event_eq (a : Machine.Event.t) (b : Machine.Event.t) =
-  a.pc = b.pc && I.equal a.insn b.insn && a.origin = b.origin
+(* A branch target is only meaningful when there is a branch. *)
+let event_eq (a : Machine.Raw.t) (b : Machine.Raw.t) =
+  a.pc = b.pc && I.equal a.insn b.insn
+  && a.rsid = b.rsid && a.offset = b.offset && a.len = b.len
   && a.expansion_start = b.expansion_start
   && a.mem_addr = b.mem_addr && a.branch = b.branch
+  && (a.branch < 0 || a.target = b.target)
   && a.fetched_new_pc = b.fetched_new_pc
 
 let step_budget (c : Case.t) = (c.dyn_target * 50) + 500_000
@@ -101,7 +102,8 @@ let step_budget (c : Case.t) = (c.dyn_target * 50) + 500_000
    shrunk repro readable. *)
 let lockstep ~budget (sides : (string * Machine.t) array) =
   let n = Array.length sides in
-  let events = Array.make n None in
+  let stepped = Array.make n false in
+  let raw i = Machine.raw (snd sides.(i)) in
   let checksum i = Regfile.checksum_arch (Machine.regs (snd sides.(i))) in
   let rec go steps =
     if steps >= budget then Ok steps (* bounded run: all sides agree so far *)
@@ -110,9 +112,9 @@ let lockstep ~budget (sides : (string * Machine.t) array) =
       for i = 0 to n - 1 do
         let name, m = sides.(i) in
         match Machine.step m with
-        | e -> events.(i) <- Some e
+        | s -> stepped.(i) <- s
         | exception ex ->
-          events.(i) <- None;
+          stepped.(i) <- false;
           if !bad = None then
             bad := Some (name, Printexc.to_string ex)
       done;
@@ -120,33 +122,32 @@ let lockstep ~budget (sides : (string * Machine.t) array) =
       | Some (name, ex) ->
         fail "crash" "side %s raised at step %d: %s" name steps ex
       | None -> (
-        let first = Option.get events.(0) in
+        let first = stepped.(0) in
         let rec cmp i =
           if i >= n then Ok ()
           else
-            match (first, Option.get events.(i)) with
-            | None, None -> cmp (i + 1)
-            | Some a, Some b when event_eq a b -> cmp (i + 1)
-            | Some a, Some b ->
+            match (first, stepped.(i)) with
+            | false, false -> cmp (i + 1)
+            | true, true when event_eq (raw 0) (raw i) -> cmp (i + 1)
+            | true, true ->
               fail "lockstep" "step %d: %s says %s but %s says %s" steps
-                (fst sides.(0)) (event_str a)
+                (fst sides.(0)) (event_str (raw 0))
                 (fst sides.(i))
-                (event_str b)
-            | Some a, None ->
+                (event_str (raw i))
+            | true, false ->
               fail "lockstep" "step %d: %s halted while %s executes %s" steps
                 (fst sides.(i))
-                (fst sides.(0)) (event_str a)
-            | None, Some b ->
+                (fst sides.(0)) (event_str (raw 0))
+            | false, true ->
               fail "lockstep" "step %d: %s halted while %s executes %s" steps
                 (fst sides.(0))
                 (fst sides.(i))
-                (event_str b)
+                (event_str (raw i))
         in
         match cmp 1 with
         | Error f -> Error f
-        | Ok () -> (
-          match first with
-          | None ->
+        | Ok () ->
+          if not first then
             (* all halted together: compare final architectural state *)
             let rec final i =
               if i >= n then Ok steps
@@ -168,23 +169,22 @@ let lockstep ~budget (sides : (string * Machine.t) array) =
               end
             in
             final 1
-          | Some _ ->
-            if steps land 4095 = 0 then begin
-              let c0 = checksum 0 in
-              let rec regs i =
-                if i >= n then Ok ()
-                else if checksum i <> c0 then
-                  fail "state"
-                    "architectural registers diverge between %s and %s by \
-                     step %d"
-                    (fst sides.(0))
-                    (fst sides.(i))
-                    steps
-                else regs (i + 1)
-              in
-              match regs 1 with Error f -> Error f | Ok () -> go (steps + 1)
-            end
-            else go (steps + 1)))
+          else if steps land 4095 = 0 then begin
+            let c0 = checksum 0 in
+            let rec regs i =
+              if i >= n then Ok ()
+              else if checksum i <> c0 then
+                fail "state"
+                  "architectural registers diverge between %s and %s by \
+                   step %d"
+                  (fst sides.(0))
+                  (fst sides.(i))
+                  steps
+              else regs (i + 1)
+            in
+            match regs 1 with Error f -> Error f | Ok () -> go (steps + 1)
+          end
+          else go (steps + 1))
     end
   in
   go 0
@@ -237,7 +237,7 @@ let run_checks ?mutation (b : Case.built) =
        whole original stream, so every event is kept. *)
     let keep =
       match b.Case.case.Case.mode with
-      | Case.Compressed _ -> fun (_ : Machine.Event.t) -> true
+      | Case.Compressed _ -> fun (_ : Machine.Raw.t) -> true
       | Case.Plain | Case.Mfi _ -> Diffexec.app_semantics
     in
     match

@@ -153,8 +153,8 @@ let context_switch opts =
     let pipeline = Pipeline.create ~controller Config.default in
     let count = ref 0 in
     ignore
-      (Machine.run_events ~max_steps:50_000_000 m (fun ev ->
-           Pipeline.consume pipeline ev;
+      (Machine.run_raw ~max_steps:50_000_000 m (fun r ->
+           Pipeline.consume_raw pipeline r;
            incr count;
            match interval with
            | Some n when !count mod n = 0 -> Controller.context_switch controller

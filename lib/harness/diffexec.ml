@@ -1,5 +1,5 @@
 module Machine = Dise_machine.Machine
-module Event = Dise_machine.Machine.Event
+module Raw = Dise_machine.Machine.Raw
 module Memory = Dise_machine.Memory
 module I = Dise_isa.Insn
 
@@ -22,10 +22,7 @@ type outcome =
   | Equivalent of { left_steps : int; right_steps : int }
   | Diverged of divergence
 
-let app_semantics (ev : Event.t) =
-  match ev.Event.origin with
-  | Event.App -> true
-  | Event.Rep { offset; len; _ } -> offset = len - 1
+let app_semantics (r : Raw.t) = r.Raw.rsid < 0 || r.Raw.offset = r.Raw.len - 1
 
 (* Branch targets are layout-dependent; compare instructions with
    targets erased. *)
@@ -45,16 +42,16 @@ let make_pump (s : side) =
   s.init machine;
   { machine; steps = 0 }
 
-(* Advance to the next kept event, or None at halt. *)
+(* Advance to the next kept instruction, or None at halt. *)
 let rec next ~max_steps ~keep p =
   if p.steps > max_steps then
     failwith "Diffexec: max_steps exceeded (non-terminating program?)"
-  else
-    match Machine.step p.machine with
-    | None -> None
-    | Some ev ->
-      p.steps <- p.steps + 1;
-      if keep ev then Some ev else next ~max_steps ~keep p
+  else if not (Machine.step p.machine) then None
+  else begin
+    p.steps <- p.steps + 1;
+    let r = Machine.raw p.machine in
+    if keep r then Some r.Raw.insn else next ~max_steps ~keep p
+  end
 
 let run ?(max_steps = 50_000_000) ?(keep = app_semantics)
     ?(data_lo = 0x04000000) ?(data_hi = 0x07F00000) ~left ~right () =
@@ -86,32 +83,31 @@ let run ?(max_steps = 50_000_000) ?(keep = app_semantics)
               right = None;
             }
         else Equivalent { left_steps = l.steps; right_steps = r.steps }
-    | Some ev, None ->
+    | Some a, None ->
       Diverged
         {
           position;
           reason = "right halted early";
-          left = Some (I.to_string ev.Event.insn);
+          left = Some (I.to_string a);
           right = None;
         }
-    | None, Some ev ->
+    | None, Some b ->
       Diverged
         {
           position;
           reason = "left halted early";
           left = None;
-          right = Some (I.to_string ev.Event.insn);
+          right = Some (I.to_string b);
         }
     | Some a, Some b ->
-      if I.equal (normalize a.Event.insn) (normalize b.Event.insn) then
-        go (position + 1)
+      if I.equal (normalize a) (normalize b) then go (position + 1)
       else
         Diverged
           {
             position;
             reason = "instruction streams differ";
-            left = Some (I.to_string a.Event.insn);
-            right = Some (I.to_string b.Event.insn);
+            left = Some (I.to_string a);
+            right = Some (I.to_string b);
           }
   in
   go 0

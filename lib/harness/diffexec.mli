@@ -36,7 +36,7 @@ type outcome =
   | Equivalent of { left_steps : int; right_steps : int }
   | Diverged of divergence
 
-val app_semantics : Dise_machine.Machine.Event.t -> bool
+val app_semantics : Dise_machine.Machine.Raw.t -> bool
 (** The default filter: keep application instructions and expansion
     triggers (the last element of a replacement sequence), dropping
     inserted ACF instructions. Under this filter a correct transparent
@@ -45,7 +45,7 @@ val app_semantics : Dise_machine.Machine.Event.t -> bool
 
 val run :
   ?max_steps:int ->
-  ?keep:(Dise_machine.Machine.Event.t -> bool) ->
+  ?keep:(Dise_machine.Machine.Raw.t -> bool) ->
   ?data_lo:int ->
   ?data_hi:int ->
   left:side ->

@@ -19,8 +19,9 @@
     - codewords may not appear inside replacement sequences (no
       recursive expansion).
 
-    Each {!step} returns an {!Event.t} describing the executed dynamic
-    instruction; the trace-driven timing model consumes these. *)
+    Each {!step} describes the executed dynamic instruction in the
+    machine's {!Raw.t} record; {!run_raw} streams that record to a sink,
+    and the trace-driven timing model consumes it. *)
 
 type expansion = {
   rsid : int;             (** replacement sequence identifier *)
@@ -31,60 +32,40 @@ type expander = pc:int -> Dise_isa.Insn.t -> expansion option
 
 exception Runtime_error of string
 
-module Event : sig
-  type origin =
-    | App  (** an ordinary application instruction *)
-    | Rep of { rsid : int; offset : int; len : int }
-        (** replacement instruction [offset] of a [len]-long sequence *)
-
-  type branch = {
-    taken : bool;
-    target : int;        (** PC target, or DISEPC for internal branches *)
-    dise_internal : bool;
-  }
-
-  type t = {
-    pc : int;
-    insn : Dise_isa.Insn.t;
-    origin : origin;
-    expansion_start : bool;
-        (** true on the first instruction of an expansion: the cycle in
-            which the engine recognized a trigger *)
-    mem_addr : int option;
-    branch : branch option;
-    fetched_new_pc : bool;
-        (** true when this event consumed a fresh application fetch
-            (the I-cache is touched); replacement instructions after
-            the first come from the RT and do not access the I-cache *)
-  }
-end
-
-(** The allocation-free twin of {!Event.t}: a single mutable record
-    per machine, overwritten by each executed instruction. {!run_raw}
-    passes it to the sink instead of allocating an event; read the
+(** One dynamic instruction of the post-expansion stream: a single
+    mutable record per machine, overwritten by each executed
+    instruction, so walking the stream allocates nothing. Read the
     fields before the next step. *)
 module Raw : sig
   type t = {
     mutable pc : int;
     mutable insn : Dise_isa.Insn.t;
-    mutable rsid : int;  (** [-1] for an application instruction *)
+    mutable rsid : int;
+        (** replacement sequence identifier, [-1] for an application
+            instruction *)
     mutable offset : int;
-    mutable len : int;
+        (** position within the replacement sequence (0 for an
+            application instruction) *)
+    mutable len : int;  (** sequence length (0 for an application instruction) *)
     mutable expansion_start : bool;
+        (** true on the first instruction of an expansion: the cycle in
+            which the engine recognized a trigger *)
     mutable fetched_new_pc : bool;
+        (** true when this instruction consumed a fresh application
+            fetch (the I-cache is touched); replacement instructions
+            after the first come from the RT and do not access the
+            I-cache *)
     mutable mem_addr : int;  (** effective address, or {!no_mem} *)
     mutable branch : int;
         (** [-1] = no branch; else bit 0 = taken, bit 1 = dise_internal *)
     mutable target : int;
+        (** PC target, or DISEPC for internal branches; meaningful only
+            when [branch >= 0] *)
   }
 
   val no_mem : int
   (** Sentinel stored in [mem_addr] when the instruction made no memory
       access. *)
-
-  val make : unit -> t
-  (** A fresh scratch record (for callers translating {!Event.t}
-      values back into raw form). *)
 end
 
 type t
@@ -130,31 +111,25 @@ val resume : t -> pc:int -> disepc:int -> unit
     re-expands the replacement sequence, skipping its first [disepc]
     instructions. *)
 
-val step : t -> Event.t option
-(** Execute one dynamic instruction. [None] once halted. Raises
-    {!Runtime_error} when the PC leaves the text or an illegal
-    situation arises (codeword with no production, codeword inside a
-    replacement sequence, memory fault). *)
-
-val run : ?max_steps:int -> t -> int
-(** Step until halt (or [max_steps], default 100 million). Returns
-    executed-instruction count. Raises {!Runtime_error} once exactly
-    [max_steps] instructions have executed without reaching a halt —
-    never an instruction more; a program whose halting instruction is
-    the [max_steps]-th completes normally. *)
-
-val run_events : ?max_steps:int -> t -> (Event.t -> unit) -> int
-(** Like {!run} but streams every event to the callback. *)
+val step : t -> bool
+(** Execute one dynamic instruction and describe it in {!raw}. [false]
+    once halted. Raises {!Runtime_error} when the PC leaves the text or
+    an illegal situation arises (codeword with no production, codeword
+    inside a replacement sequence, memory fault). *)
 
 val raw : t -> Raw.t
 (** The machine's scratch record, valid after any successful step. *)
 
 val run_raw : ?max_steps:int -> ?poll:(unit -> unit) -> t -> (Raw.t -> unit) -> int
-(** Like {!run_events} but streams the machine's single mutable
-    {!Raw.t} scratch record to the sink — zero allocation per dynamic
-    instruction. The sink must copy out anything it wants to keep.
-    [poll] (if given) is called once every 2048 events, a cooperative
-    cancellation point for deadline enforcement. *)
+(** Step until halt (or [max_steps], default 100 million), passing the
+    machine's {!Raw.t} record to the sink after every step. The sink
+    must copy out anything it wants to keep; [ignore] runs the program
+    for its final state alone. Returns the executed-instruction count.
+    Raises {!Runtime_error} once exactly [max_steps] instructions have
+    executed without reaching a halt — never an instruction more; a
+    program whose halting instruction is the [max_steps]-th completes
+    normally. [poll] (if given) is called once every 2048 steps, a
+    cooperative cancellation point for deadline enforcement. *)
 
 val exit_code : t -> int
 (** Value of r2 at halt, the program's exit-convention register. *)
@@ -164,7 +139,7 @@ val exit_code : t -> int
     Once an application PC has been dispatched [threshold] times at an
     expansion boundary, the straight-line code reachable from it — with
     every production expansion already applied — is flattened into a
-    contiguous arena the run loop executes with zero per-fetch
+    contiguous arena that {!step} then walks with zero per-fetch
     matching, hashing, or allocation. Soundness is generation-stamped:
     the engine bumps the shared [generation] counter on any production
     set swap or PT/RT write, which retires every superblock at the
@@ -182,30 +157,6 @@ val enable_jit : ?threshold:int -> ?generation:int ref -> t -> unit
     execution. *)
 
 val jit_enabled : t -> bool
-
-type jit_state
-(** A machine's superblock state — threshold, hot-PC counters, the
-    compiled-trace arena, and the compile/hit/invalidation totals —
-    detached from any particular machine. The arena is a pure function
-    of the image text and the expander (production-set drift is
-    covered by the generation stamp), so a state warmed by one machine
-    can be re-adopted by a later machine over the same image and start
-    at steady state. *)
-
-val jit_state : t -> jit_state option
-(** The machine's superblock state, for re-adoption elsewhere. *)
-
-val adopt_jit : t -> jit_state -> bool
-(** [adopt_jit m js] attaches an existing superblock state to [m],
-    reusing every already-compiled trace. Returns [false] — leaving
-    [m] untouched — unless [m]'s image text is physically the text
-    [js] was compiled over. The caller is responsible for expander
-    compatibility: adopting a state across engines with different
-    production sets but a shared generation counter is unsound (going
-    through {!Dise_core.Engine.attach_jit} gets this right). Two live
-    machines may share a state, but only run-to-completion style:
-    interleaved stepping risks one machine retiring superblocks (a
-    generation bump) while the other is mid-trace. *)
 
 val jit_compiles : t -> int
 (** Superblocks compiled (0 when the JIT is disabled). *)

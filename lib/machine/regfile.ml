@@ -17,11 +17,6 @@ let set t r v =
   | _ -> t.(Reg.index r) <- Opcode.signed32 v
 
 let copy = Array.copy
-(* Eta-expanded on purpose: a bare [= Array.unsafe_get] alias is a
-   closure, so every call from the machine's hot loop would go through
-   the generic-application path instead of inlining to a single load. *)
-let unsafe_get_idx (t : t) i = Array.unsafe_get t i
-let unsafe_set_idx (t : t) i v = Array.unsafe_set t i v
 
 let arch_equal a b =
   let rec go i = i >= Reg.num_arch || (a.(i) = b.(i) && go (i + 1)) in

@@ -14,18 +14,6 @@ val get : t -> Dise_isa.Reg.t -> int
 val set : t -> Dise_isa.Reg.t -> int -> unit
 val copy : t -> t
 
-val unsafe_get_idx : t -> int -> int
-(** Unchecked read by {!Dise_isa.Reg.index}. Index 0 (the hardwired
-    zero register) reads 0 because nothing ever writes it. For the
-    machine's compiled-trace executor, which resolves register
-    operands to indices at compile time (doc/jit.md); everything else
-    should use {!get}. The index must come from [Reg.index]. *)
-
-val unsafe_set_idx : t -> int -> int -> unit
-(** Unchecked write by register index; the caller must skip index 0
-    (zero-register writes are dropped) and store values already in
-    signed-32-bit canonical form, as {!set} would produce. *)
-
 val arch_equal : t -> t -> bool
 (** Equality over the architectural registers only (dedicated DISE
     state is microarchitectural from the application's viewpoint). *)

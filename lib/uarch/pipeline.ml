@@ -2,7 +2,6 @@ module I = Dise_isa.Insn
 module Op = Dise_isa.Opcode
 module Reg = Dise_isa.Reg
 module Machine = Dise_machine.Machine
-module Event = Dise_machine.Machine.Event
 module Controller = Dise_core.Controller
 module Cpi_stack = Dise_telemetry.Cpi_stack
 module Trace = Dise_telemetry.Trace
@@ -43,10 +42,6 @@ type t = {
   mutable dmiss : bool;
       (* the instruction currently being consumed took an L1-D load miss *)
   mutable finished : bool;
-  raw_scratch : Machine.Raw.t;
-      (* backing store for the [consume] (event-typed) entry point:
-         events are translated into raw form so there is exactly one
-         consumption path *)
 }
 
 let make_cache = function
@@ -90,7 +85,6 @@ let create ?controller ?trace ?profile (cfg : Config.t) =
     pending_redirect = redirect_none;
     dmiss = false;
     finished = false;
-    raw_scratch = Machine.Raw.make ();
   }
 
 (* Penalty of an L1 miss: the L2 access, plus memory on an L2 miss.
@@ -165,10 +159,9 @@ let serialize_stall t bucket cycles =
         ~args:[ ("cycles", Json.Int cycles) ]
   end
 
-(* [mem_addr] is the raw-form effective address ([Machine.Raw.no_mem]
-   when the instruction made no access; loads/stores always set it, so
-   the sentinel is defensively treated as address 0, matching the old
-   event path's [None -> 0]). *)
+(* [mem_addr] is the effective address ([Machine.Raw.no_mem] when the
+   instruction made no access; loads/stores always set it, so the
+   sentinel is defensively treated as address 0). *)
 let latency_of t insn ~mem_addr =
   match insn with
   | I.Rop (Op.Mul, _, _, _) | I.Ropi (Op.Mul, _, _, _) -> t.cfg.mul_latency
@@ -211,8 +204,8 @@ let branch_kind insn =
 
 let is_call = function I.Jal _ | I.Jalr _ -> true | _ -> false
 
-(* The single consumption path, over the machine's raw (allocation
-   free) step record. [rsid < 0] means an application instruction;
+(* The single consumption path, over the machine's (allocation free)
+   step record. [rsid < 0] means an application instruction;
    [branch < 0] no branch, else bit 0 = taken / bit 1 = dise_internal;
    [mem_addr = Raw.no_mem] no memory access. *)
 let consume_raw t (r : Machine.Raw.t) =
@@ -266,9 +259,7 @@ let consume_raw t (r : Machine.Raw.t) =
   (* An expansion is charged once, at its first instruction. An
      interrupt resumption re-enters a sequence at offset > 0 with
      [expansion_start] set; that re-expansion is not a new dynamic
-     expansion, so the offset guard excludes it — exactly the
-     [Rep { offset = 0; _ } when expansion_start] match of the event
-     path. *)
+     expansion, so the offset guard excludes it. *)
   if r.Machine.Raw.expansion_start && r.Machine.Raw.offset = 0 then begin
     let rsid = r.Machine.Raw.rsid and len = r.Machine.Raw.len in
     stats.Stats.expansions <- stats.Stats.expansions + 1;
@@ -433,33 +424,6 @@ let consume_raw t (r : Machine.Raw.t) =
   t.seq <- t.seq + 1;
   stats.Stats.retired <- stats.Stats.retired + 1
 
-(* Event-typed entry point (interactive/debug drivers): translate into
-   the scratch raw record and feed the single consumption path. *)
-let consume t (ev : Event.t) =
-  let r = t.raw_scratch in
-  r.Machine.Raw.pc <- ev.Event.pc;
-  r.Machine.Raw.insn <- ev.Event.insn;
-  (match ev.Event.origin with
-  | Event.App ->
-    r.Machine.Raw.rsid <- -1;
-    r.Machine.Raw.offset <- 0;
-    r.Machine.Raw.len <- 0
-  | Event.Rep { rsid; offset; len } ->
-    r.Machine.Raw.rsid <- rsid;
-    r.Machine.Raw.offset <- offset;
-    r.Machine.Raw.len <- len);
-  r.Machine.Raw.expansion_start <- ev.Event.expansion_start;
-  r.Machine.Raw.fetched_new_pc <- ev.Event.fetched_new_pc;
-  r.Machine.Raw.mem_addr <-
-    (match ev.Event.mem_addr with Some a -> a | None -> Machine.Raw.no_mem);
-  (match ev.Event.branch with
-  | None -> r.Machine.Raw.branch <- -1
-  | Some b ->
-    r.Machine.Raw.branch <-
-      (if b.Event.taken then 1 else 0) lor (if b.Event.dise_internal then 2 else 0);
-    r.Machine.Raw.target <- b.Event.target);
-  consume_raw t r
-
 let finish t =
   if not t.finished then begin
     t.finished <- true;
@@ -476,9 +440,8 @@ let finish t =
 
 let run ?max_steps ?controller ?trace ?profile ?poll cfg machine =
   let p = create ?controller ?trace ?profile cfg in
-  (* The raw stream allocates nothing per dynamic instruction (no
-     Event record, no options); polling for deadlines moved into the
-     machine loop at the same 2048-event cadence. *)
+  (* The raw stream allocates nothing per dynamic instruction;
+     deadline polling happens in the machine loop every 2048 steps. *)
   ignore (Machine.run_raw ?max_steps ?poll machine (fun r -> consume_raw p r));
   let stats = finish p in
   stats.Stats.jit_compiles <- Machine.jit_compiles machine;

@@ -50,14 +50,12 @@ val create :
   Config.t ->
   t
 
-val consume : t -> Dise_machine.Machine.Event.t -> unit
-(** Event-typed entry point; translates into raw form and feeds
-    {!consume_raw}. *)
-
 val consume_raw : t -> Dise_machine.Machine.Raw.t -> unit
-(** The hot consumption path: reads the machine's mutable scratch
-    record directly, allocating nothing per dynamic instruction.
-    {!run} drives this via {!Dise_machine.Machine.run_raw}. *)
+(** Account for one dynamic instruction: reads the machine's mutable
+    record directly, allocating nothing per instruction. {!run} drives
+    this via {!Dise_machine.Machine.run_raw}; callers that interleave
+    their own work (context switches, tracing) call it from their own
+    [run_raw] sink. *)
 
 val finish : t -> Stats.t
 (** Close the run and return the populated statistics (cycle count =

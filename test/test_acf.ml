@@ -51,7 +51,7 @@ let run_mfi ?variant ~bad () =
   let m = Machine.create ~expander:(Engine.expander (Engine.create set)) img in
   Mfi.install m ~data_seg:1 ~code_seg:0;
   if bad then Machine.set_reg m (Reg.r 10) 1;
-  ignore (Machine.run m);
+  ignore (Machine.run_raw m ignore);
   m
 
 let test_mfi_passes_legal () =
@@ -100,7 +100,7 @@ let test_mfi_dise_sandboxing () =
   let m = Machine.create ~expander:(Engine.expander (Engine.create set)) img in
   Mfi.install_sandbox m ~data_seg:1;
   Machine.set_reg m (Reg.r 10) 1 (* enable the bad store *);
-  ignore (Machine.run m);
+  ignore (Machine.run_raw m ignore);
   check int_ "no trap" 0 (Machine.exit_code m);
   check int_ "store redirected into legal segment" 5
     (Memory.read_u32 (Machine.memory m) data_lo);
@@ -117,7 +117,7 @@ let run_rewritten ?variant ~bad () =
   let img = Program.layout ~base:0x100000 rw in
   let m = Machine.create img in
   if bad then Machine.set_reg m (Reg.r 10) 1;
-  ignore (Machine.run m);
+  ignore (Machine.run_raw m ignore);
   (m, prog, rw)
 
 let test_rewrite_passes_legal () =
@@ -156,18 +156,18 @@ let test_rewrite_on_workload () =
   in
   let img = Program.layout ~base:W.Codegen.code_base rw in
   let m = Machine.create img in
-  ignore (Machine.run ~max_steps:5_000_000 m);
+  ignore (Machine.run_raw ~max_steps:5_000_000 m ignore);
   check int_ "rewritten workload runs clean" 0 (Machine.exit_code m);
   (* Same data-segment effects as the original. *)
   let m0 = Machine.create e.W.Suite.image in
-  ignore (Machine.run ~max_steps:5_000_000 m0);
+  ignore (Machine.run_raw ~max_steps:5_000_000 m0 ignore);
   check int_ "identical data effects" (data_checksum m0) (data_checksum m)
 
 (* --- compression ------------------------------------------------------ *)
 
 let reference_run (e : W.Suite.entry) =
   let m = Machine.create e.W.Suite.image in
-  ignore (Machine.run ~max_steps:5_000_000 m);
+  ignore (Machine.run_raw ~max_steps:5_000_000 m ignore);
   (Machine.exit_code m, data_checksum m)
 
 let compressed_run (r : Compress.result) =
@@ -176,7 +176,7 @@ let compressed_run (r : Compress.result) =
       ~expander:(Engine.expander (Engine.create r.Compress.prodset))
       r.Compress.image
   in
-  ignore (Machine.run ~max_steps:5_000_000 m);
+  ignore (Machine.run_raw ~max_steps:5_000_000 m ignore);
   (Machine.exit_code m, data_checksum m)
 
 let tiny_entry () = W.Suite.get ~dyn_target:30_000 W.Profile.tiny
@@ -308,9 +308,8 @@ let test_branch_compression_only_full_dise () =
    quick-suite benchmarks and four seeds of the tiny profile, plus the
    two dictionaries built over the rewritten (MFI) binary, and a digest
    of one corpus's candidate windows. The expected text is
-   golden/compress.txt. On a mismatch the computed text is written to
-   compress.actual in the test's working directory, so an intended
-   change is reviewed as a diff and copied over. *)
+   golden/compress.txt; a mismatch writes compress.actual
+   ([Golden_file.check]). *)
 let pin_schemes =
   let params k =
     { Compress.plus_8byte_de with
@@ -383,29 +382,8 @@ let compress_pin_lines () =
   @ [ windows_line "tiny/s1" Compress.full_dise (List.assoc "tiny/s1" progs) ]
 
 let test_compress_golden_pin () =
-  let got = compress_pin_lines () in
-  let expected =
-    In_channel.with_open_text "golden/compress.txt" In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> l <> "")
-  in
-  if got <> expected then begin
-    Out_channel.with_open_text "compress.actual" (fun oc ->
-        List.iter (fun l -> output_string oc (l ^ "\n")) got);
-    let rec first_diff = function
-      | g :: gs, e :: es -> if g = e then first_diff (gs, es) else Some (e, g)
-      | g :: _, [] -> Some ("<none>", g)
-      | [], e :: _ -> Some (e, "<none>")
-      | [], [] -> None
-    in
-    match first_diff (got, expected) with
-    | Some (e, g) ->
-      Alcotest.failf
-        "compressor output moved (full text in compress.actual)\n\
-         expected: %s\n     got: %s"
-        e g
-    | None -> ()
-  end
+  Golden_file.check ~golden:"golden/compress.txt" ~actual:"compress.actual"
+    ~what:"compressor output" (compress_pin_lines ())
 
 let test_incompressible_program () =
   (* A program with no repeated sequences: compression must degrade
@@ -426,7 +404,7 @@ let test_incompressible_program () =
       ~expander:(Engine.expander (Engine.create r.Compress.prodset))
       r.Compress.image
   in
-  ignore (Machine.run m);
+  ignore (Machine.run_raw m ignore);
   check int_ "still runs" 0 (Machine.exit_code m)
 
 (* --- tracing / profiling / watchpoints -------------------------------- *)
@@ -436,7 +414,7 @@ let test_tracing () =
   let set = Tracing.productions () in
   let m = Machine.create ~expander:(Engine.expander (Engine.create set)) img in
   Tracing.install m ~buffer:0x04100000;
-  ignore (Machine.run m);
+  ignore (Machine.run_raw m ignore);
   check int_ "clean run" 0 (Machine.exit_code m);
   (match Tracing.trace m ~buffer:0x04100000 with
   | [ a ] -> check int_ "store address traced" data_lo a
@@ -450,7 +428,7 @@ let test_profiling () =
       e.W.Suite.image
   in
   Profiling.install m ~buffer:0x06000000;
-  ignore (Machine.run ~max_steps:5_000_000 m);
+  ignore (Machine.run_raw ~max_steps:5_000_000 m ignore);
   check int_ "clean run" 0 (Machine.exit_code m);
   let counts = Profiling.counts m ~buffer:0x06000000 in
   check bool_ "branches profiled" true (List.length counts > 5);
@@ -487,7 +465,7 @@ let test_path_profiling () =
   let set = Path_profiling.productions () in
   let m = Machine.create ~expander:(Engine.expander (Engine.create set)) img in
   Path_profiling.install m ~buffer:0x06000000;
-  ignore (Machine.run ~max_steps:100_000 m);
+  ignore (Machine.run_raw ~max_steps:100_000 m ignore);
   check int_ "clean run" 0 (Machine.exit_code m);
   match Path_profiling.paths m ~buffer:0x06000000 with
   | [ p ] ->
@@ -524,7 +502,7 @@ let test_path_profiling_truncation () =
   let set = Path_profiling.productions () in
   let m = Machine.create ~expander:(Engine.expander (Engine.create set)) img in
   Path_profiling.install m ~buffer:0x06000000;
-  ignore (Machine.run ~max_steps:100_000 m);
+  ignore (Machine.run_raw ~max_steps:100_000 m ignore);
   check int_ "clean run" 0 (Machine.exit_code m);
   match Path_profiling.paths m ~buffer:0x06000000 with
   | [ p ] ->
@@ -538,7 +516,7 @@ let test_watchpoint () =
   let run addr =
     let m = Machine.create ~expander:(Engine.expander (Engine.create set)) img in
     Watchpoint.install m ~addr;
-    ignore (Machine.run m);
+    ignore (Machine.run_raw m ignore);
     m
   in
   let hit = run data_lo in
@@ -547,7 +525,7 @@ let test_watchpoint () =
   check int_ "other stores pass" 0 (Machine.exit_code miss);
   let m = Machine.create ~expander:(Engine.expander (Engine.create set)) img in
   Watchpoint.disarm m;
-  ignore (Machine.run m);
+  ignore (Machine.run_raw m ignore);
   check int_ "disarmed watch never fires" 0 (Machine.exit_code m)
 
 (* --- fine-grain DSM ---------------------------------------------------- *)
@@ -570,7 +548,7 @@ let test_dsm_access_control () =
     if not present then
       Dsm.mark_absent m ~shadow_base:shadow ~data_base:data_lo ~addr:data_lo
         ~len:Dsm.block_bytes;
-    ignore (Machine.run m);
+    ignore (Machine.run_raw m ignore);
     m
   in
   let ok = run ~present:true in
@@ -593,7 +571,7 @@ let test_dsm_block_granularity () =
     ~len:4096;
   Dsm.mark_absent m ~shadow_base:shadow ~data_base:data_lo
     ~addr:(data_lo + 256) ~len:1;
-  ignore (Machine.run m);
+  ignore (Machine.run_raw m ignore);
   check int_ "untouched absent block is harmless" 0 (Machine.exit_code m)
 
 (* --- composition ------------------------------------------------------- *)
@@ -609,7 +587,7 @@ let test_composed_decompression_runs () =
   in
   Mfi.install m ~data_seg:W.Codegen.data_segment_id
     ~code_seg:W.Codegen.code_segment_id;
-  ignore (Machine.run ~max_steps:8_000_000 m);
+  ignore (Machine.run_raw ~max_steps:8_000_000 m ignore);
   check int_ "composed run clean" 0 (Machine.exit_code m);
   check int_ "same data effects as original"
     (snd refr) (data_checksum m)
@@ -626,7 +604,7 @@ let test_composed_catches_bad_store () =
   in
   Mfi.install m ~data_seg:1 ~code_seg:0;
   Machine.set_reg m (Reg.r 10) 1;
-  ignore (Machine.run m);
+  ignore (Machine.run_raw m ignore);
   check int_ "bad store trapped through composition" 77 (Machine.exit_code m)
 
 let test_composition_grows_rt_working_set () =

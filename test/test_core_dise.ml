@@ -318,7 +318,7 @@ let test_lang_opcode_pattern_roundtrip () =
 let test_mfi_catches_bad_store () =
   let m, engine = mfi_machine ~legal:false in
   (* $dr2 = 1: the r1 store is legal, the r9 store is not. *)
-  ignore (Machine.run m);
+  ignore (Machine.run_raw m ignore);
   check int_ "error handler exit code" 77 (Machine.exit_code m);
   check int_ "legal store went through" 7
     (Memory.read_u32 (Machine.memory m) 0x04000000);
@@ -331,7 +331,7 @@ let test_mfi_catches_bad_store () =
 let test_mfi_passes_when_legal () =
   (* With $dr2 = 3 the *first* store traps instead. *)
   let m, _ = mfi_machine ~legal:true in
-  ignore (Machine.run m);
+  ignore (Machine.run_raw m ignore);
   check int_ "trapped on first store" 77 (Machine.exit_code m);
   check int_ "first store suppressed" 0
     (Memory.read_u32 (Machine.memory m) 0x04000000)
@@ -592,7 +592,7 @@ let test_nested_composition_runs () =
   let m = Machine.create ~expander:(Engine.expander engine) img in
   Machine.set_dise_reg m 2 1;            (* legal data segment *)
   Machine.set_dise_reg m 5 0x04100000;   (* trace buffer, in-segment *)
-  ignore (Machine.run m);
+  ignore (Machine.run_raw m ignore);
   check int_ "program completed" 1 (Regfile.get (Machine.regs m) (Reg.r 8));
   let mem = Machine.memory m in
   check int_ "stores performed" 7 (Memory.read_u32 mem 0x04000010);
@@ -629,7 +629,7 @@ let test_nested_composition_traps_tracing_store () =
   let m = Machine.create ~expander:(Engine.expander engine) img in
   Machine.set_dise_reg m 2 1;
   Machine.set_dise_reg m 5 0x0C100000;  (* trace buffer in segment 3! *)
-  ignore (Machine.run m);
+  ignore (Machine.run_raw m ignore);
   check int_ "tracing store trapped" 77 (Machine.exit_code m);
   check int_ "application store suppressed too" 0
     (Memory.read_u32 (Machine.memory m) 0x04000010)

@@ -77,7 +77,7 @@ let test_regfile () =
 let run_asm ?expander ?(entry = "main") src =
   let img = Program.layout (Asm.parse src) in
   let m = Machine.create ?expander ~entry img in
-  ignore (Machine.run ~max_steps:1_000_000 m);
+  ignore (Machine.run_raw ~max_steps:1_000_000 m ignore);
   m
 
 let reg m n = Regfile.get (Machine.regs m) (Reg.r n)
@@ -207,7 +207,7 @@ let test_djmp_semantics () =
     Program.layout (Asm.parse "main:\n lui #1024, r1\n stq r1, 0(r1)\n halt\n")
   in
   let m = Machine.create ~expander img in
-  ignore (Machine.run m);
+  ignore (Machine.run_raw m ignore);
   check int_ "djmp skipped the poison" 0 (reg m 9);
   check bool_ "store still ran" true
     (Memory.read_u32 (Machine.memory m) 0x04000000 <> 0)
@@ -219,14 +219,14 @@ let test_exit_code () =
 let test_pc_escape () =
   let img = Program.layout (Asm.parse "main:\n nop\n") in
   let m = Machine.create img in
-  match Machine.run m with
+  match Machine.run_raw m ignore with
   | exception Machine.Runtime_error _ -> ()
   | _ -> Alcotest.fail "running off the text should be an error"
 
 let test_max_steps () =
   let img = Program.layout (Asm.parse "main:\n jmp main\n") in
   let m = Machine.create img in
-  match Machine.run ~max_steps:1000 m with
+  match Machine.run_raw ~max_steps:1000 m ignore with
   | exception Machine.Runtime_error _ -> ()
   | _ -> Alcotest.fail "infinite loop should exceed max_steps"
 
@@ -235,7 +235,7 @@ let test_max_steps_exact () =
      max_steps instructions, never max_steps + 1. *)
   let img = Program.layout (Asm.parse "main:\n jmp main\n") in
   let m = Machine.create img in
-  (match Machine.run ~max_steps:1000 m with
+  (match Machine.run_raw ~max_steps:1000 m ignore with
   | exception Machine.Runtime_error _ -> ()
   | _ -> Alcotest.fail "expected Runtime_error");
   check int_ "stopped at exactly max_steps" 1000 (Machine.executed m);
@@ -245,7 +245,7 @@ let test_max_steps_exact () =
     Program.layout (Asm.parse "main:\n nop\n nop\n add zero, #7, r2\n halt\n")
   in
   let m2 = Machine.create img2 in
-  check int_ "4-insn program under max_steps=4" 4 (Machine.run ~max_steps:4 m2);
+  check int_ "4-insn program under max_steps=4" 4 (Machine.run_raw ~max_steps:4 m2 ignore);
   check int_ "completed with its exit code" 7 (Machine.exit_code m2)
 
 (* --- DISE expansion semantics --------------------------------------- *)
@@ -276,7 +276,7 @@ let test_expansion_basic () =
          |})
   in
   let m = Machine.create ~expander:(expanding_stores ~seq_of) img in
-  ignore (Machine.run m);
+  ignore (Machine.run_raw m ignore);
   check int_ "two expansions" 2 (Machine.expansions m);
   check int_ "dedicated counter incremented per store" 2
     (Regfile.get (Machine.regs m) (Reg.d 0));
@@ -317,7 +317,7 @@ let test_replacement_branch_aborts_sequence () =
   in
   let m = Machine.create ~expander:(expanding_stores ~seq_of) img in
   Machine.set_dise_reg m 1 1;
-  ignore (Machine.run m);
+  ignore (Machine.run_raw m ignore);
   check int_ "error handler ran" 99 (reg m 4);
   check int_ "store squashed" 0 (Memory.read_u32 (Machine.memory m) 0x04000000);
   check int_ "post-branch replacement squashed" 0
@@ -347,7 +347,7 @@ let test_replacement_branch_falls_through () =
   in
   let m = Machine.create ~expander:(expanding_stores ~seq_of) img in
   (* $dr1 = 0: check passes, store proceeds. *)
-  ignore (Machine.run m);
+  ignore (Machine.run_raw m ignore);
   check int_ "no error" 0 (reg m 4);
   check int_ "store performed" 7
     (Memory.read_u32 (Machine.memory m) 0x04000000)
@@ -368,7 +368,7 @@ let test_dise_internal_branch () =
          "main:\n lui #1024, r1\n add zero, #7, r2\n stq r2, 0(r1)\n halt\n")
   in
   let m = Machine.create ~expander:(expanding_stores ~seq_of) img in
-  ignore (Machine.run m);
+  ignore (Machine.run_raw m ignore);
   check int_ "skipped instruction did not run" 0 (reg m 9);
   check int_ "store ran" 7 (Memory.read_u32 (Machine.memory m) 0x04000000)
 
@@ -382,7 +382,7 @@ let test_dise_branch_to_end_completes () =
       (Asm.parse "main:\n lui #1024, r1\n stq r1, 0(r1)\n add zero, #5, r8\n halt\n")
   in
   let m = Machine.create ~expander:(expanding_stores ~seq_of) img in
-  ignore (Machine.run m);
+  ignore (Machine.run_raw m ignore);
   check int_ "sequence end falls through to next app insn" 5 (reg m 8);
   check int_ "store replaced by nothing (deleted)" 0
     (Memory.read_u32 (Machine.memory m) 0x04000000)
@@ -395,28 +395,26 @@ let test_event_stream () =
   in
   let m = Machine.create ~expander:(expanding_stores ~seq_of) img in
   let events = ref [] in
-  ignore (Machine.run_events m (fun e -> events := e :: !events));
+  (* The record is overwritten by every step: keep copies. *)
+  ignore
+    (Machine.run_raw m (fun r ->
+         events := { r with Machine.Raw.pc = r.Machine.Raw.pc } :: !events));
   let events = List.rev !events in
   check int_ "four events" 4 (List.length events);
   (match events with
   | [ e1; e2; e3; e4 ] ->
-    check bool_ "e1 app" true (e1.Machine.Event.origin = Machine.Event.App);
-    check bool_ "e1 fetches" true e1.Machine.Event.fetched_new_pc;
-    (match e2.Machine.Event.origin with
-    | Machine.Event.Rep { rsid = 1; offset = 0; len = 2 } -> ()
-    | _ -> Alcotest.fail "e2 should be replacement offset 0");
-    check bool_ "e2 starts expansion" true e2.Machine.Event.expansion_start;
-    check bool_ "e2 fetches (trigger)" true e2.Machine.Event.fetched_new_pc;
-    (match e3.Machine.Event.origin with
-    | Machine.Event.Rep { offset = 1; _ } -> ()
-    | _ -> Alcotest.fail "e3 should be replacement offset 1");
-    check bool_ "e3 does not fetch" false e3.Machine.Event.fetched_new_pc;
-    check bool_ "e3 has a memory address" true
-      (e3.Machine.Event.mem_addr <> None);
-    check bool_ "same pc for both replacement events" true
-      (e2.Machine.Event.pc = e3.Machine.Event.pc);
-    check bool_ "e4 is the halt" true
-      (e4.Machine.Event.insn = Insn.Halt)
+    let open Machine.Raw in
+    check bool_ "e1 app" true (e1.rsid = -1);
+    check bool_ "e1 fetches" true e1.fetched_new_pc;
+    check bool_ "e2 is replacement offset 0" true
+      (e2.rsid = 1 && e2.offset = 0 && e2.len = 2);
+    check bool_ "e2 starts expansion" true e2.expansion_start;
+    check bool_ "e2 fetches (trigger)" true e2.fetched_new_pc;
+    check bool_ "e3 is replacement offset 1" true (e3.rsid >= 0 && e3.offset = 1);
+    check bool_ "e3 does not fetch" false e3.fetched_new_pc;
+    check bool_ "e3 has a memory address" true (e3.mem_addr <> no_mem);
+    check bool_ "same pc for both replacement events" true (e2.pc = e3.pc);
+    check bool_ "e4 is the halt" true (e4.insn = Insn.Halt)
   | _ -> Alcotest.fail "expected exactly four events");
   ()
 
@@ -440,7 +438,7 @@ let test_precise_interrupt_resume () =
     let m = Machine.create ~expander:(expanding_stores ~seq_of) img in
     let count = ref 0 in
     let rec go () =
-      if Option.is_some (Machine.step m) then begin
+      if Machine.step m then begin
         incr count;
         if !count = interrupt_at then begin
           (* take the interrupt; "handler" runs elsewhere; return *)
@@ -458,7 +456,7 @@ let test_precise_interrupt_resume () =
      it leaves DISEPC = 1. *)
   let interrupted = run ~interrupt_at:3 in
   let plain = Machine.create ~expander:(expanding_stores ~seq_of) img in
-  ignore (Machine.run plain);
+  ignore (Machine.run_raw plain ignore);
   check bool_ "same architectural state" true
     (Regfile.arch_equal (Machine.regs interrupted) (Machine.regs plain));
   check int_ "same dedicated accumulation" 110
@@ -476,7 +474,7 @@ let test_codeword_without_production_errors () =
         Program.Ins Insn.Halt ]
   in
   let m = Machine.create img in
-  match Machine.run m with
+  match Machine.run_raw m ignore with
   | exception Machine.Runtime_error _ -> ()
   | _ -> Alcotest.fail "unexpanded codeword should be a runtime error"
 
@@ -558,8 +556,8 @@ let test_jit_run_equivalence () =
   let img = jit_image () in
   let interp, _ = engine_machine check_stores_set img in
   let jit, _ = engine_machine ~jit_threshold:2 check_stores_set img in
-  ignore (Machine.run interp);
-  ignore (Machine.run jit);
+  ignore (Machine.run_raw interp ignore);
+  ignore (Machine.run_raw jit ignore);
   same_arch_state "run" interp jit;
   check bool_ "traces compiled" true (Machine.jit_compiles jit > 0);
   check bool_ "traces reused" true (Machine.jit_hits jit > 0)
@@ -570,34 +568,35 @@ let test_jit_step_equivalence () =
   let jit, _ = engine_machine ~jit_threshold:1 check_stores_set img in
   let rec go n =
     match (Machine.step interp, Machine.step jit) with
-    | None, None -> n
-    | Some a, Some b ->
-      let open Machine.Event in
+    | false, false -> n
+    | true, true ->
+      let open Machine.Raw in
+      let a = Machine.raw interp and b = Machine.raw jit in
       check int_ (Printf.sprintf "event %d: pc" n) a.pc b.pc;
       check bool_ (Printf.sprintf "event %d: insn" n) true
         (Insn.equal a.insn b.insn);
       check bool_ (Printf.sprintf "event %d: origin" n) true
-        (a.origin = b.origin);
+        (a.rsid = b.rsid && a.offset = b.offset && a.len = b.len);
       check bool_ (Printf.sprintf "event %d: flags" n) true
         (a.expansion_start = b.expansion_start
         && a.mem_addr = b.mem_addr && a.branch = b.branch
+        && (a.branch < 0 || a.target = b.target)
         && a.fetched_new_pc = b.fetched_new_pc);
       go (n + 1)
-    | Some _, None -> Alcotest.failf "jit halted first at event %d" n
-    | None, Some _ -> Alcotest.failf "interpreter halted first at event %d" n
+    | true, false -> Alcotest.failf "jit halted first at event %d" n
+    | false, true -> Alcotest.failf "interpreter halted first at event %d" n
   in
   let n = go 0 in
   check bool_ "stream covers the loop" true (n > 50);
   same_arch_state "step" interp jit
 
-(* The compiled block does not check the step ceiling per entry, so
-   the dispatcher must refuse whole-block entries that could overrun
-   it: for every budget the JIT must trap (or complete) on exactly the
-   step the interpreter does. *)
+(* The step ceiling holds inside compiled blocks too: for every
+   budget the JIT must trap (or complete) on exactly the step the
+   interpreter does. *)
 let test_jit_max_steps_parity () =
   let img = jit_image () in
   let outcome m ~max_steps =
-    match Machine.run ~max_steps m with
+    match Machine.run_raw ~max_steps m ignore with
     | n -> Ok n
     | exception Machine.Runtime_error _ -> Error (Machine.executed m)
   in
@@ -632,56 +631,31 @@ let test_jit_invalidate_mid_trace () =
     ignore (Machine.step jit)
   done;
   Engine.invalidate eng;
-  let rec drain m = if Option.is_some (Machine.step m) then drain m in
+  let rec drain m = if Machine.step m then drain m in
   drain jit;
-  ignore (Machine.run interp);
+  ignore (Machine.run_raw interp ignore);
   same_arch_state "invalidate" interp jit;
   check bool_ "superblocks retired" true (Machine.jit_invalidations jit > 0);
   check bool_ "traces recompiled" true (Machine.jit_compiles jit > 1)
 
 (* Swapping the production set between two runs over the same engine:
-   the second machine re-adopts the warmed superblock state, must
-   retire every stale trace, and must execute the new expansions. *)
+   the second machine must execute the new expansions, never a trace
+   compiled under the old set. (Retiring traces mid-run is covered by
+   "jit invalidate mid-trace".) *)
 let test_jit_prodset_swap_between_runs () =
   let img = jit_image () in
   let m1, eng = engine_machine ~jit_threshold:1 check_stores_set img in
-  ignore (Machine.run m1);
+  ignore (Machine.run_raw m1 ignore);
   check bool_ "warm state compiled" true (Machine.jit_compiles m1 > 0);
   Engine.set_prodset eng count_stores_set;
   let m2 = Machine.create ~expander:(Engine.expander eng) img in
   Engine.attach_jit ~threshold:1 eng m2;
-  ignore (Machine.run m2);
+  ignore (Machine.run_raw m2 ignore);
   let ref_m, _ = engine_machine count_stores_set img in
-  ignore (Machine.run ref_m);
+  ignore (Machine.run_raw ref_m ignore);
   same_arch_state "swap" ref_m m2;
   check int_ "new productions executed: one count per store" 12
-    (Regfile.get (Machine.regs m2) (Reg.d 2));
-  check bool_ "stale traces retired" true (Machine.jit_invalidations m2 > 0)
-
-(* Steady state across machines: a fresh machine adopting a warmed
-   state replays compiled traces without compiling anything new, and
-   adoption refuses a state built over different text. *)
-let test_jit_state_adoption () =
-  let img = jit_image () in
-  let m1, eng = engine_machine ~jit_threshold:1 check_stores_set img in
-  ignore (Machine.run m1);
-  let compiled = Machine.jit_compiles m1 in
-  let hits = Machine.jit_hits m1 in
-  check bool_ "warmed" true (compiled > 0);
-  let m2 = Machine.create ~expander:(Engine.expander eng) img in
-  Engine.attach_jit eng m2;
-  ignore (Machine.run m2);
-  same_arch_state "adopted" m1 m2;
-  check int_ "no recompilation at steady state" compiled
-    (Machine.jit_compiles m2);
-  check bool_ "every hot fetch served from the arena" true
-    (Machine.jit_hits m2 > hits);
-  let other = Program.layout (Asm.parse "main:\n halt\n") in
-  let m3 = Machine.create other in
-  (match Machine.jit_state m1 with
-  | Some js ->
-    check bool_ "foreign text refused" false (Machine.adopt_jit m3 js)
-  | None -> Alcotest.fail "warmed machine has no jit state")
+    (Regfile.get (Machine.regs m2) (Reg.d 2))
 
 let suite =
   [
@@ -718,5 +692,4 @@ let suite =
     ("jit invalidate mid-trace", `Quick, test_jit_invalidate_mid_trace);
     ("jit prodset swap between runs", `Quick,
      test_jit_prodset_swap_between_runs);
-    ("jit state adoption", `Quick, test_jit_state_adoption);
   ]

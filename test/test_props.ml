@@ -197,7 +197,7 @@ let prop_machine_matches_reference =
       in
       let img = Dise_isa.Program.layout items in
       let m = Machine.create img in
-      ignore (Machine.run m);
+      ignore (Machine.run_raw m ignore);
       let expected = eval_reference prog in
       let ok = ref true in
       for n = 1 to 7 do
@@ -214,7 +214,7 @@ let prop_machine_deterministic =
       let img = W.Codegen.layout gen in
       let run () =
         let m = Machine.create img in
-        ignore (Machine.run ~max_steps:1_000_000 m);
+        ignore (Machine.run_raw ~max_steps:1_000_000 m ignore);
         (Machine.executed m, Regfile.checksum_arch (Machine.regs m))
       in
       run () = run ())
@@ -280,7 +280,7 @@ let prop_compression_lossless_random_seeds =
       let gen = W.Codegen.generate ~dyn_target:8_000 profile in
       let img = W.Codegen.layout gen in
       let m0 = Machine.create img in
-      ignore (Machine.run ~max_steps:2_000_000 m0);
+      ignore (Machine.run_raw ~max_steps:2_000_000 m0 ignore);
       List.for_all
         (fun scheme ->
           let r = Dise_acf.Compress.compress ~scheme gen.W.Codegen.program in
@@ -289,7 +289,7 @@ let prop_compression_lossless_random_seeds =
             Machine.create ~expander:(Engine.expander engine)
               r.Dise_acf.Compress.image
           in
-          ignore (Machine.run ~max_steps:2_000_000 m);
+          ignore (Machine.run_raw ~max_steps:2_000_000 m ignore);
           Machine.exit_code m = Machine.exit_code m0
           && data_digest m = data_digest m0)
         [ Dise_acf.Compress.dedicated; Dise_acf.Compress.full_dise ])

@@ -407,6 +407,42 @@ let test_jit_knob_distinct_keys () =
   check string_ "default spells out the process default"
     (Request.key base) (Request.key on)
 
+(* --- per-cell statistics golden ------------------------------------------- *)
+
+(* A few small cells through [Request.run_ext] with the JIT set
+   explicitly, each cell's full [Stats.to_json] — cycles, the CPI
+   stack, cache misses, expansions, PT/RT misses and the three JIT
+   counters — pinned line for line against golden/stats.jsonl; a
+   mismatch writes stats.actual ([Golden_file.check]). *)
+let stats_cells =
+  let cell label ?controller acf bench =
+    ( label,
+      Request.v ~dyn_target:30_000 ?controller ~acf ~jit:true ~jit_threshold:2
+        bench )
+  in
+  let dec mfi =
+    Request.Decompress { scheme = A.Compress.full_dise; mfi; rewritten = false }
+  in
+  let controller = Controller.default_config in
+  [
+    cell "baseline" Request.Baseline "gzip";
+    cell "mfi-dise3" (Request.Mfi_dise A.Mfi.Dise3) "gzip";
+    cell "decompress-full_dise" ~controller (dec `None) "tiny";
+    cell "composed-full_dise" ~controller (dec `Composed) "tiny";
+  ]
+
+let test_stats_golden () =
+  List.map
+    (fun (label, r) ->
+      match Request.run_ext r with
+      | Ok (stats, _) ->
+        Json.to_string
+          (Json.Obj [ ("cell", Json.String label); ("stats", Stats.to_json stats) ])
+      | Error d -> Alcotest.failf "cell %s failed: %s" label (Diag.to_string d))
+    stats_cells
+  |> Golden_file.check ~golden:"golden/stats.jsonl" ~actual:"stats.actual"
+       ~what:"per-cell stats"
+
 let t = QCheck_alcotest.to_alcotest
 
 (* Two lengths of one benchmark share a static size (only [main]'s
@@ -471,4 +507,5 @@ let suite =
      test_serve_prodset_swap_chunks);
     ("jit knob distinct cache keys", `Quick, test_jit_knob_distinct_keys);
     ("memos keyed on dyn_target", `Quick, test_memo_keys_dyn_target);
+    ("per-cell stats golden", `Quick, test_stats_golden);
   ]

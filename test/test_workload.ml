@@ -60,7 +60,7 @@ let test_generated_program_runs () =
   check bool_ "error label present" true
     (Program.Image.symbol img Codegen.error_label <> None);
   let m = Machine.create img in
-  let steps = Machine.run ~max_steps:2_000_000 m in
+  let steps = Machine.run_raw ~max_steps:2_000_000 m ignore in
   check bool_ "halted" true (Machine.halted m);
   check int_ "clean exit" 0 (Machine.exit_code m);
   (* Dynamic length should be in the ballpark of the target. *)
@@ -74,11 +74,10 @@ let test_memory_safety () =
   let m = Machine.create img in
   let bad = ref 0 in
   ignore
-    (Machine.run_events ~max_steps:2_000_000 m (fun ev ->
-         match ev.Machine.Event.mem_addr with
-         | Some a ->
-           if a lsr 26 <> Codegen.data_segment_id then incr bad
-         | None -> ()));
+    (Machine.run_raw ~max_steps:2_000_000 m (fun r ->
+         let a = r.Machine.Raw.mem_addr in
+         if a <> Machine.Raw.no_mem && a lsr 26 <> Codegen.data_segment_id then
+           incr bad));
   check int_ "no out-of-segment accesses" 0 !bad
 
 let test_reserved_registers_untouched () =
@@ -118,10 +117,10 @@ let test_instruction_mix () =
   let m = Machine.create img in
   let loads = ref 0 and stores = ref 0 and total = ref 0 in
   ignore
-    (Machine.run_events ~max_steps:2_000_000 m (fun ev ->
+    (Machine.run_raw ~max_steps:2_000_000 m (fun r ->
          incr total;
-         if Insn.reads_memory ev.Machine.Event.insn then incr loads;
-         if Insn.writes_memory ev.Machine.Event.insn then incr stores));
+         if Insn.reads_memory r.Machine.Raw.insn then incr loads;
+         if Insn.writes_memory r.Machine.Raw.insn then incr stores));
   let lf = float_of_int !loads /. float_of_int !total in
   let sf = float_of_int !stores /. float_of_int !total in
   (* The paper's fault isolation expands ~30% of instructions
