@@ -610,7 +610,7 @@ let serve_cmd =
                  routing each job by its content-addressed result key \
                  (consistent hashing), and multiplex clients on an async \
                  front end. A crashed worker is respawned on its shard and \
-                 its journal shard replayed. Default: 1.")
+                 handed its in-flight jobs again. Default: 1.")
   in
   let jobs_arg =
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ]
@@ -652,48 +652,25 @@ let serve_cmd =
                  tenant). Excess jobs are answered with kind 'overloaded' \
                  in input order. Default: no quota.")
   in
-  let journal_arg =
-    Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"DIR"
-           ~doc:"Crash-safe job journal: each worker appends every job \
-                 it is handed to $(docv)/worker-<shard>/journal.jsonl before \
-                 it executes and marks it done once answered. On startup, \
-                 jobs a previous crash interrupted are replayed into the \
-                 result cache through the current shard ring. See \
-                 doc/resilience.md.")
-  in
   let serve_manifest_arg =
     Arg.(value & opt (some string) None & info [ "manifest" ] ~docv:"FILE"
            ~doc:"Write one JSONL 'serve_summary' telemetry record for \
                  the run (served/error/timeout/shed/isolated counts, merged \
-                 resilience counters and metrics, per-worker breaker state) \
-                 to $(docv).")
-  in
-  let breaker_arg =
-    Arg.(value & opt (some int) None & info [ "breaker" ] ~docv:"N"
-           ~doc:"Trip the result-cache circuit breaker after $(docv) \
-                 consecutive store failures and serve cache-less (degraded) \
-                 until a half-open probe succeeds. 0 disables the breaker \
-                 (default: 8).")
-  in
-  let breaker_cooldown_arg =
-    Arg.(value & opt (some int) None & info [ "breaker-cooldown-ms" ]
-           ~docv:"MS"
-           ~doc:"How long the breaker stays open before admitting a \
-                 half-open probe (default: 5000).")
+                 counters and metrics, per-worker breakdown) to $(docv).")
   in
   let chaos_schedule_arg =
     Arg.(value & opt (some string) None & info [ "chaos-schedule" ]
            ~docv:"FILE"
            ~doc:"Replay a deterministic chaos schedule against the worker \
-                 tier: a JSON file of seeded fault events (kill/stall/torn/drop_ping/suspect/\
-                 truncate_journal) fired as the submitted-request count \
-                 passes each event's 'after' \
+                 tier: a JSON file of seeded fault events \
+                 (kill/stall/torn/drop_ping/suspect) fired as the \
+                 submitted-request count passes each event's 'after' \
                  (doc/schema/chaos_schedule.schema.json). The same file \
                  replays identically on every run. See doc/resilience.md.")
   in
   let run config workers jobs queue socket deadline_ms shed_above
-      tenant_quota journal manifest_path breaker breaker_cooldown_ms
-      chaos_schedule cache_dir no_cache no_jit jit_threshold =
+      tenant_quota manifest_path chaos_schedule cache_dir no_cache no_jit
+      jit_threshold =
     (* The default applies to every request that leaves the jit member
        out; requests spelling it out still win. *)
     setup_jit no_jit jit_threshold;
@@ -708,8 +685,7 @@ let serve_cmd =
     in
     let cfg =
       S.Serve_config.override base ?workers ?jobs ?queue ?deadline_ms
-        ?shed_above ?tenant_quota ?journal ?manifest:manifest_path ?breaker
-        ?breaker_cooldown_ms ()
+        ?shed_above ?tenant_quota ?manifest:manifest_path ()
     in
     let manifest_chan = Option.map open_out cfg.S.Serve_config.manifest in
     let manifest_t = Option.map T.Manifest.to_channel manifest_chan in
@@ -726,9 +702,8 @@ let serve_cmd =
     let on_signal _ = S.Server.Stop.signal stop in
     Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-    (* The coordinator never simulates, so the cache, breaker, JIT,
-       and journal shards are configured inside each worker process
-       from the spawn spec. *)
+    (* The coordinator never simulates, so the cache and the JIT are
+       configured inside each worker process from the spawn spec. *)
     let cache_dir =
       if no_cache then None
       else Some (match cache_dir with Some d -> d | None -> default_cache_dir ())
@@ -740,19 +715,7 @@ let serve_cmd =
       | Some file -> (
         match Fz.Chaos_sched.of_file file with
         | Error d -> die d
-        | Ok sched ->
-          (* Startup faults (torn journal tails) land before the tier
-             boots, so recovery replays through the live ring. *)
-          (match cfg.S.Serve_config.journal with
-          | Some root ->
-            let n = Fz.Chaos_sched.truncate_journals sched ~root in
-            if n > 0 then
-              Format.eprintf
-                "disesim serve: chaos schedule truncated %d journal tail%s@."
-                n
-                (if n = 1 then "" else "s")
-          | None -> ());
-          Some (Fz.Chaos_sched.hook sched))
+        | Ok sched -> Some (Fz.Chaos_sched.hook sched))
     in
     let front_end =
       match socket with
@@ -774,8 +737,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run $ config_arg $ workers_arg $ jobs_arg $ queue_arg
           $ socket_arg $ deadline_arg $ shed_arg $ tenant_quota_arg
-          $ journal_arg $ serve_manifest_arg $ breaker_arg
-          $ breaker_cooldown_arg $ chaos_schedule_arg $ cache_dir_arg
+          $ serve_manifest_arg $ chaos_schedule_arg $ cache_dir_arg
           $ no_cache_arg $ no_jit_arg $ jit_threshold_arg)
 
 (* --- cache: inspect / clear the result cache ---------------------------- *)

@@ -14,6 +14,21 @@ let r_dseg = Reg.r 23   (* data segment id (matching) or base (sandbox) *)
 let r_scratch = Reg.r 24  (* scratch (matching) or offset mask (sandbox) *)
 let r_copy = Reg.r 25
 let r_cseg = Reg.r 26
+let scavenged = [ r_dseg; r_scratch; r_copy; r_cseg ]
+
+(* The checks hold segment ids and addresses in the scavenged
+   registers, so an application instruction that reads or writes one
+   would silently defeat (or be clobbered by) them. *)
+let check_scavenged insn =
+  let touches r = List.exists (Reg.equal r) scavenged in
+  match List.find_opt touches (I.uses insn @ I.defs insn) with
+  | None -> ()
+  | Some r ->
+    invalid_arg
+      (Printf.sprintf
+         "Rewrite.rewrite: %s uses %s, a register the rewriter reserves \
+          (r23-r26)"
+         (I.to_string insn) (Reg.to_string r))
 
 let seg_shift = 26
 let offset_mask = (1 lsl seg_shift) - 1
@@ -99,6 +114,7 @@ let rewrite ?(variant = Segment_matching) ?(check_jumps = false)
              (init_code variant ~data_seg ~code_seg)
       | Program.Label _ -> [ item ]
       | Program.Ins insn ->
+        check_scavenged insn;
         List.map
           (fun i -> Program.Ins i)
           (rewrite_insn variant ~check_jumps ~error_label insn))

@@ -36,7 +36,10 @@ val rewrite :
   Dise_isa.Program.t
 (** Rewrite a program (default variant [Segment_matching], jumps
     unchecked, error handler ["__error"]). The returned program lays
-    out and runs like the original, plus the checks. *)
+    out and runs like the original, plus the checks. Raises
+    [Invalid_argument], naming the instruction and the register, if
+    any input instruction reads or writes a scavenged register
+    (r23..r26). *)
 
 val static_growth : Dise_isa.Program.t -> Dise_isa.Program.t -> float
 (** Instruction-count ratio rewritten/original. *)

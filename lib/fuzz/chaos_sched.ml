@@ -9,7 +9,6 @@ type action =
   | Torn of { shard : int }
   | Drop_ping of { shard : int }
   | Suspect of { shard : int }
-  | Truncate_journal of { shard : int }
 
 type event = { after : int; action : action }
 
@@ -55,8 +54,6 @@ let event_of_json i j =
       | Some (Json.String "drop_ping") ->
         Ok { after; action = Drop_ping { shard } }
       | Some (Json.String "suspect") -> Ok { after; action = Suspect { shard } }
-      | Some (Json.String "truncate_journal") ->
-        Ok { after; action = Truncate_journal { shard } }
       | Some (Json.String a) -> err (Printf.sprintf "unknown action %S" a)
       | _ -> err "missing \"action\""))
 
@@ -129,7 +126,6 @@ let event_to_json { after; action } =
   | Torn { shard } -> base "torn" shard []
   | Drop_ping { shard } -> base "drop_ping" shard []
   | Suspect { shard } -> base "suspect" shard []
-  | Truncate_journal { shard } -> base "truncate_journal" shard []
 
 let to_json t =
   Json.Obj
@@ -138,36 +134,6 @@ let to_json t =
       ("seed", Json.Int t.seed);
       ("events", Json.List (List.map event_to_json t.events));
     ]
-
-(* Chop a seed-determined number of bytes off the journal tail — at
-   least 1 so the last record is always damaged, at most the length
-   of the trailing record plus a few bytes so the file stays mostly
-   intact (the point is a torn tail, not an empty journal). *)
-let truncate_journals t ~root =
-  let rng = Rng.create (t.seed lxor 0x7ea5) in
-  List.fold_left
-    (fun n { action; _ } ->
-      match action with
-      | Truncate_journal { shard } -> (
-        let path =
-          Filename.concat
-            (Filename.concat root (Printf.sprintf "worker-%d" shard))
-            "journal.jsonl"
-        in
-        match Unix.stat path with
-        | exception Unix.Unix_error _ -> n
-        | st when st.Unix.st_size = 0 -> n
-        | st ->
-          let size = st.Unix.st_size in
-          let chop = 1 + Rng.int rng (min size 40) in
-          let keep = max 0 (size - chop) in
-          let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-          Fun.protect
-            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-            (fun () -> Unix.ftruncate fd keep);
-          n + 1)
-      | _ -> n)
-    0 t.events
 
 let hook t ~requests =
   let acts = ref [] in
@@ -189,7 +155,6 @@ let hook t ~requests =
           acts := Coordinator.Chaos_drop_ping { shard } :: !acts
         | Suspect { shard } ->
           acts := Coordinator.Chaos_suspect { shard } :: !acts
-        | Truncate_journal _ -> () (* startup fault; not a live action *)
       end)
     t.events;
   List.rev !acts

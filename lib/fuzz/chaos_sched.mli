@@ -12,21 +12,17 @@
        {"after": 10, "action": "stall",   "shard": 1, "ms": 500},
        {"after": 20, "action": "torn",    "shard": 0},
        {"after": 15, "action": "drop_ping", "shard": 1},
-       {"after": 12, "action": "suspect", "shard": 0},
-       {"after": 0,  "action": "truncate_journal", "shard": 1}
+       {"after": 12, "action": "suspect", "shard": 0}
      ]}
     v}
 
     Every unspecified knob an action needs (the byte to cut a torn
-    frame at, how much journal tail to chop) is drawn from the seed,
-    so a schedule file replays {e identically} on every run — chaos
-    runs are reproducible by construction, and a failing run's
-    schedule is its own repro artifact.
+    frame at) is drawn from the seed, so a schedule file replays
+    {e identically} on every run — chaos runs are reproducible by
+    construction, and a failing run's schedule is its own repro
+    artifact.
 
-    [truncate_journal] is a {e startup} fault (apply it with
-    {!truncate_journals} before the tier boots: it chops bytes off
-    the shard's journal tail, simulating a crash mid-append); every
-    other action is handed to the coordinator through its [?chaos]
+    Every action is handed to the coordinator through its [?chaos]
     hook ({!hook}) as the request count passes each event's
     [after]. *)
 
@@ -36,7 +32,6 @@ type action =
   | Torn of { shard : int }
   | Drop_ping of { shard : int }
   | Suspect of { shard : int }
-  | Truncate_journal of { shard : int }
 
 type event = { after : int; action : action }
 
@@ -57,14 +52,6 @@ val seed : t -> int
 
 val events : t -> event list
 (** In file order. *)
-
-val truncate_journals : t -> root:string -> int
-(** Apply every [truncate_journal] event against the journal root
-    ([<root>/worker-<shard>/journal.jsonl]): each chops a
-    seed-determined number of bytes (at least 1, at most a full
-    trailing record) off the file tail, leaving exactly the torn tail
-    a mid-append crash leaves. Missing files are skipped. Returns the
-    number of files truncated. *)
 
 val hook : t -> requests:int -> Dise_service.Coordinator.chaos_action list
 (** The coordinator-facing schedule executor. Stateful: each event

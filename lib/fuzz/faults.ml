@@ -381,15 +381,6 @@ let with_chaos spec f =
     ~finally:(fun () -> Unix.putenv Resilience.Chaos.env_var "")
     f
 
-let count_occurrences needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let n = ref 0 in
-  if nl > 0 then
-    for i = 0 to hl - nl do
-      if String.sub hay i nl = needle then incr n
-    done;
-  !n
-
 (* A poisoned job — one that raises an exception the request layer
    does not recognize — must cost exactly its own slot: one in-order
    [internal] response, batch-mates unharmed, server still serving. *)
@@ -470,39 +461,31 @@ let read_lines fd n ~timeout_s =
   in
   go ()
 
-(* Trip the result-cache breaker by making every store fail: a
-   regular file planted where the cache wants its two-hex-char
-   subdirectory makes the entry path unusable (works for root too,
-   unlike a chmod). The breaker lives in the tier's worker, so one
-   tier serves the whole check over pipes: six jobs while the cache
-   is sick must all answer ok (degraded) and trip the breaker; then
-   the cache is healed, the cooldown waited out, and a seventh job's
-   store is the half-open probe that closes it. The worker's final
-   breaker state reaches the manifest record as workers[0].breaker:
-   a trip, and exactly one close (none while every store failed). *)
-let serve_breaker_trip_and_recover () =
-  let dir = temp_dir "dise-fuzz-breaker" in
+(* A sick result cache must not fail jobs. A regular file planted
+   where the cache wants each request's two-hex-char fan-out
+   directory makes every store fail (works for root too, unlike a
+   chmod). One tier serves the whole check over pipes: six jobs while
+   the cache is sick must all answer ok, each dropping its store
+   after the bounded retries (the merged [store_drops] counter); then
+   the cache is healed and a seventh job's result must land in it. *)
+let serve_sick_cache_degrades () =
+  let dir = temp_dir "dise-fuzz-sick-cache" in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let cdir = Filename.concat dir "cache" in
       let c = Cache.create ~dir:cdir in
+      let key_of d = Request.key (Request.v ~dyn_target:d "tiny") in
       let dyns = List.init 6 (fun i -> 41_021 + i) in
+      let healed_dyn = 41_031 in
       let block_paths =
         List.sort_uniq compare
-          (List.map
-             (fun d ->
-               let key = Request.key (Request.v ~dyn_target:d "tiny") in
-               Filename.dirname (Cache.path c ~key))
-             dyns)
+          (List.map (fun d -> Filename.dirname (Cache.path c ~key:(key_of d))) dyns)
       in
       List.iter (fun p -> write_raw p "not a directory") block_paths;
       let buf = Buffer.create 256 in
       let manifest = Dise_telemetry.Manifest.to_buffer buf in
-      let cfg =
-        Serve_config.of_flags ~jobs:2 ~queue:6 ~breaker:2
-          ~breaker_cooldown_ms:50 ()
-      in
+      let cfg = Serve_config.of_flags ~jobs:2 ~queue:6 () in
       let in_r, in_w = Unix.pipe ~cloexec:true () in
       let out_r, out_w = Unix.pipe ~cloexec:true () in
       let tier =
@@ -533,18 +516,15 @@ let serve_breaker_trip_and_recover () =
             | Some lines when not (all_ok lines) ->
               Error "server did not keep answering ok while the cache was sick"
             | Some _ -> (
-              (* Recovery: heal the cache, wait out the cooldown, serve
-                 one more job; its store is the half-open probe. *)
               List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) block_paths;
-              Unix.sleepf 0.1;
-              Coordinator.write_all in_w (job ~dyn:41_031 7 ^ "\n") 0;
+              Coordinator.write_all in_w (job ~dyn:healed_dyn 7 ^ "\n") 0;
               match read_lines out_r 1 ~timeout_s:60. with
               | Some [ l ] when all_ok [ l ] -> Ok ()
-              | _ -> Error "recovery job did not succeed"))
+              | _ -> Error "job after healing did not succeed"))
       in
       let summary = Domain.join tier in
       Unix.close out_r;
-      let breaker =
+      let store_drops =
         match
           List.filter_map
             (fun l ->
@@ -556,124 +536,85 @@ let serve_breaker_trip_and_recover () =
             (String.split_on_char '\n' (Buffer.contents buf))
         with
         | [ r ] -> (
-          match Json.member "workers" r with
-          | Some (Json.List (w :: _)) -> Ok (Json.member "breaker" w)
-          | _ -> Error "serve_summary record has no workers")
+          match Option.bind (Json.member "counters" r) (Json.member "store_drops") with
+          | Some (Json.Int n) -> Ok n
+          | _ -> Error "serve_summary counters carry no store_drops")
         | _ -> Error "no serve_summary manifest record"
       in
-      let int_of name b =
-        match Json.member name b with Some (Json.Int n) -> n | _ -> -1
-      in
-      match (phases, breaker) with
+      match (phases, store_drops) with
       | Error e, _ | _, Error e -> Error e
-      | Ok (), Ok None -> Error "manifest record carries no breaker state"
-      | Ok (), Ok (Some b) ->
+      | Ok (), Ok drops ->
         if summary.Server.errors <> 0 then
           Error "server did not keep answering ok while the cache was sick"
-        else if int_of "trips" b < 1 then Error "breaker never tripped"
-        else if int_of "closes" b <> 1 then
+        else if drops < List.length dyns then
           Error
-            (Printf.sprintf
-               "breaker closed %d times (wanted once: never while every \
-                store fails, then after the successful probe)"
-               (int_of "closes" b))
-        else if Json.member "state" b <> Some (Json.String "closed") then
-          Error "breaker did not close after a successful probe"
+            (Printf.sprintf "%d stores dropped, wanted at least %d" drops
+               (List.length dyns))
+        else if Cache.find c ~key:(key_of healed_dyn) = None then
+          Error "the healed cache did not store the next result"
         else Ok ())
 
-(* Crash-safety: SIGKILL a journalling tier's worker mid-batch (after
-   the begins are fsynced, before any job finishes — a chaos stall
-   holds the batch open), then replay the worker's journal shard and
-   assert every interrupted job landed in the result cache. The tier
-   gets no respawn ([respawn_cap = 0]) and one worker, so losing it
-   ends the run and leaves the journal exactly as the kill left it;
-   the replay is the one a restarted worker runs at startup. *)
-let serve_journal_sigkill_replay () =
-  let root = temp_dir "dise-fuzz-journal" in
-  let prev_cache = Request.disk_cache () in
+(* Crash recovery: SIGKILL the only worker while a chaos stall holds
+   its batch open. The coordinator respawns it and hands the
+   replacement every in-flight frame again, so each job still answers
+   ok exactly once, in order, and its result is in the cache
+   afterwards. *)
+let serve_worker_sigkill_resubmits () =
+  let root = temp_dir "dise-fuzz-sigkill" in
   Fun.protect
-    ~finally:(fun () ->
-      Request.set_disk_cache prev_cache;
-      rm_rf root)
+    ~finally:(fun () -> rm_rf root)
     (fun () ->
       let cdir = Filename.concat root "cache" in
-      let jroot = Filename.concat root "journal" in
-      let jdir = Filename.concat jroot "worker-0" in
       let dyns = [ 41_041; 41_042; 41_043 ] in
       let input =
         String.concat "\n" (List.mapi (fun i d -> job ~dyn:d (i + 1)) dyns) ^ "\n"
       in
-      let victim = Atomic.make (-1) in
-      let on_spawn ~shard:_ ~pid = Atomic.set victim pid in
+      let first = Atomic.make (-1) in
+      let spawns = Atomic.make 0 in
+      let on_spawn ~shard:_ ~pid =
+        if Atomic.fetch_and_add spawns 1 = 0 then Atomic.set first pid
+      in
       let killer =
         Domain.spawn (fun () ->
-            let jfile = Resilience.Journal.file ~dir:jdir in
             let deadline = Unix.gettimeofday () +. 10. in
-            let rec wait_for_begins () =
-              if Unix.gettimeofday () > deadline then false
-              else if
-                Sys.file_exists jfile
-                && count_occurrences "\"begin\"" (read_raw jfile)
-                   >= List.length dyns
-              then true
-              else begin
-                Unix.sleepf 0.005;
-                wait_for_begins ()
-              end
-            in
-            let saw = wait_for_begins () in
-            (try Unix.kill (Atomic.get victim) Sys.sigkill
-             with Unix.Unix_error _ -> ());
-            saw)
+            while Atomic.get first < 0 && Unix.gettimeofday () < deadline do
+              Unix.sleepf 0.005
+            done;
+            Unix.sleepf 0.4;
+            (* never kill (-1): that would signal every process *)
+            let pid = Atomic.get first in
+            if pid > 0 then
+              try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
       in
-      let served =
-        with_chaos "sleep=1:5000" (fun () ->
-            match
-              serve_raw ~on_spawn ~cache_dir:cdir
-                ~cfg:
-                  (Serve_config.of_flags ~jobs:1 ~queue:4 ~journal:jroot
-                     ~respawn_cap:0 ())
-                input
-            with
-            | _ -> Error "the tier outlived its only worker"
-            | exception Cache.Diag_error _ -> Ok ())
+      let summary, lines =
+        with_chaos "sleep=1:1500" (fun () ->
+            serve_raw ~on_spawn ~cache_dir:cdir
+              ~cfg:(Serve_config.of_flags ~jobs:1 ~queue:4 ())
+              input)
       in
-      let saw = Domain.join killer in
-      if not saw then Error "journal begins never appeared"
-      else
-        match served with
-        | Error e -> Error e
-        | Ok () ->
-          let pending = Resilience.Journal.pending ~dir:jdir in
-          if List.length pending <> List.length dyns then
-            Error
-              (Printf.sprintf "%d pending jobs after SIGKILL, wanted %d"
-                 (List.length pending) (List.length dyns))
-          else begin
-            Request.set_disk_cache (Some (Cache.create ~dir:cdir));
-            let replayed = Server.replay_journal ~jobs:2 ~dir:jdir () in
-            if replayed <> List.length dyns then
-              Error
-                (Printf.sprintf "replayed %d jobs, wanted %d" replayed
-                   (List.length dyns))
-            else begin
-              let c = Cache.create ~dir:cdir in
-              let missing =
-                List.filter
-                  (fun (_, doc) ->
-                    match Request.of_json doc with
-                    | Ok req -> Cache.find c ~key:(Request.key req) = None
-                    | Error _ -> true)
-                  pending
-              in
-              if missing <> [] then
-                Error
-                  (Printf.sprintf
-                     "%d replayed jobs missing from the result cache"
-                     (List.length missing))
-              else Ok ()
-            end
-          end)
+      Domain.join killer;
+      let expected = List.mapi (fun i _ -> (Some (Json.Int (i + 1)), None)) dyns in
+      let shapes = List.map response_shape lines in
+      let c = Cache.create ~dir:cdir in
+      let uncached =
+        List.filter
+          (fun d -> Cache.find c ~key:(Request.key (Request.v ~dyn_target:d "tiny")) = None)
+          dyns
+      in
+      if Atomic.get spawns < 2 then Error "the worker was never respawned"
+      else if shapes <> List.map (fun e -> Ok e) expected then
+        Error
+          (Printf.sprintf "%d responses, not each job ok once and in order"
+             (List.length lines))
+      else if summary.Server.served <> List.length dyns then
+        Error
+          (Printf.sprintf "summary served %d, wanted %d" summary.Server.served
+             (List.length dyns))
+      else if uncached <> [] then
+        Error
+          (Printf.sprintf "%d resubmitted jobs missing from the result cache"
+             (List.length uncached))
+      else Ok ())
 
 let resilience_faults ~seed:_ =
   run_checks
@@ -681,8 +622,8 @@ let resilience_faults ~seed:_ =
       ("serve poisoned job isolated", serve_poisoned_job);
       ("serve deadline overrun", serve_deadline_overrun);
       ("serve load shedding", serve_shedding);
-      ("cache breaker trip and recovery", serve_breaker_trip_and_recover);
-      ("journal SIGKILL replay", serve_journal_sigkill_replay);
+      ("sick cache degrades to ok", serve_sick_cache_degrades);
+      ("worker SIGKILL resubmits in-flight jobs", serve_worker_sigkill_resubmits);
     ]
 
 (* --- chaos faults ------------------------------------------------------- *)
@@ -739,36 +680,29 @@ let chaos_run ~seed () =
     | Ok s -> s
     | Error d -> failwith (Dise_isa.Diag.to_string d)
   in
-  let root = temp_dir "dise-fuzz-chaos" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf root)
-    (fun () ->
-      (* distinct dyn targets: distinct cache keys, so jobs spread
-         across the ring instead of collapsing onto one shard *)
-      let input =
-        String.concat "\n"
-          (List.init chaos_jobs (fun i -> job ~dyn:(50_000 + i) (i + 1)))
-        ^ "\n"
-      in
-      let cfg =
-        Serve_config.of_flags ~workers:3 ~jobs:1
-          ~journal:(Filename.concat root "journal")
-          ~heartbeat_ms:100 ~suspect_misses:2 ()
-      in
-      let summary, lines =
-        serve_raw ~cfg ~chaos:(Chaos_sched.hook sched) input
-      in
-      (* The normalized projection: (id, outcome) in emission order.
-         Timings vary run to run; identity and order must not. *)
-      let normalized =
-        List.map
-          (fun line ->
-            match response_shape line with
-            | Ok (id, kind) -> (id, kind)
-            | Error e -> failwith e)
-          lines
-      in
-      (summary, normalized))
+  (* distinct dyn targets: distinct cache keys, so jobs spread across
+     the ring instead of collapsing onto one shard *)
+  let input =
+    String.concat "\n"
+      (List.init chaos_jobs (fun i -> job ~dyn:(50_000 + i) (i + 1)))
+    ^ "\n"
+  in
+  let cfg =
+    Serve_config.of_flags ~workers:3 ~jobs:1 ~heartbeat_ms:100
+      ~suspect_misses:2 ()
+  in
+  let summary, lines = serve_raw ~cfg ~chaos:(Chaos_sched.hook sched) input in
+  (* The normalized projection: (id, outcome) in emission order.
+     Timings vary run to run; identity and order must not. *)
+  let normalized =
+    List.map
+      (fun line ->
+        match response_shape line with
+        | Ok (id, kind) -> (id, kind)
+        | Error e -> failwith e)
+      lines
+  in
+  (summary, normalized)
 
 let serve_chaos_exactly_once ~seed () =
   let summary, normalized = chaos_run ~seed () in

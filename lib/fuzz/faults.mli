@@ -24,11 +24,11 @@
     jobs to assert the serve layer's isolation ([internal] responses
     in order), deadline ([timeout]) and shedding ([overloaded])
     guarantees; planted non-directory files make every cache store
-    fail to trip a worker's circuit breaker and observe half-open
-    recovery in the summary's per-worker breaker state; and a
-    journalling tier's worker is SIGKILLed mid-batch to assert
-    {!Dise_service.Server.replay_journal} re-executes exactly the
-    interrupted jobs into the result cache.
+    fail to assert that jobs still answer ok (each dropped store
+    counted in the summary's [store_drops]) and that a healed cache
+    stores again; and the only worker is SIGKILLed mid-batch to
+    assert its respawned replacement is handed every in-flight job
+    again — each answered ok once, in order, and cached.
 
     Every serve check spawns worker processes, which are re-execs of
     the host executable: call

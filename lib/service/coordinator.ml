@@ -15,6 +15,15 @@ let h_execute = Metrics.Histogram.make "serve_execute_ns"
    supervision layer hedges against this instrument's p95. *)
 let h_tier = Metrics.Histogram.make "tier_request_ns"
 
+(* Supervision and admission events, counted where they happen. *)
+let timeouts = Metrics.Counter.make "timeouts"
+let shed = Metrics.Counter.make "shed"
+let conn_failures = Metrics.Counter.make "conn_failures"
+let hedges = Metrics.Counter.make "hedges"
+let hedge_wins = Metrics.Counter.make "hedge_wins"
+let failovers = Metrics.Counter.make "failovers"
+let torn_frames = Metrics.Counter.make "torn_frames"
+
 (* --- frame protocol ----------------------------------------------------- *)
 
 (* Coordinator <-> worker pipes carry 4-byte big-endian length-prefixed
@@ -32,8 +41,7 @@ let h_tier = Metrics.Histogram.make "tier_request_ns"
                "kind":CATEGORY?,"resp":RESPONSE}
               {"op":"pong","t":N}          (answer to a ping)
               {"op":"pong"}                (keep-alive during a batch)
-              {"op":"summary","shard":S,"counters":{..},"metrics":{..},
-               "breaker":{..}?}
+              {"op":"summary","shard":S,"metrics":{..}}
 
    [seq] is coordinator-global and monotonic, so a respawned worker can
    be handed the same frame again without ambiguity. [ping] frames are
@@ -259,13 +267,10 @@ let wspec_of_json doc =
   in
   Ok { w_shard; w_cache; w_jit; w_cfg }
 
-let shard_journal_dir ~root shard =
-  Filename.concat root (Printf.sprintf "worker-%d" shard)
-
 let tag_name = function `Hit -> "hit" | `Fresh -> "fresh" | `Error _ -> "error"
 
 (* One decoded job frame, ready for [Server.run_parsed]. *)
-type wjob = { j_seq : int; j_enq : float; j_doc : Json.t; j_parsed : Server.parsed }
+type wjob = { j_seq : int; j_enq : float; j_parsed : Server.parsed }
 
 let decode_job doc =
   let id = Option.value (Json.member "id" doc) ~default:Json.Null in
@@ -278,7 +283,6 @@ let decode_job doc =
     | Some (Json.Int i) -> float_of_int i
     | _ -> Unix.gettimeofday ()
   in
-  let j_doc = Option.value (Json.member "req" doc) ~default:Json.Null in
   let req =
     match Json.member "req" doc with
     | Some r -> Request.of_json r
@@ -288,21 +292,12 @@ let decode_job doc =
   {
     j_seq;
     j_enq;
-    j_doc;
     j_parsed = { Server.id; version = Server.protocol_version; tenant = None; req };
   }
 
-(* Journal entries are the request document with the id merged back
-   in, so [Request.of_json] decodes them directly on replay. *)
-let worker_journal_doc wj =
-  match wj.j_doc with
-  | Json.Obj fields -> Json.Obj (("id", wj.j_parsed.Server.id) :: fields)
-  | j -> j
-
-(* [counters0]/[metrics0] are snapshotted by the caller {e before}
-   journal replay, so replayed-job counts ship in the summary delta
-   and surface in the coordinator's merged counters. *)
-let worker_serve spec journal ~counters0 ~metrics0 =
+(* [metrics0] is snapshotted by the caller before the first frame, so
+   the summary frame carries exactly this worker's session. *)
+let worker_serve spec ~metrics0 =
   let cfg = spec.w_cfg in
   let chaos = Resilience.Chaos.of_env () in
   (* Two writers share stdout (the frame loop and the ponger), so
@@ -315,21 +310,6 @@ let worker_serve spec journal ~counters0 ~metrics0 =
   let run_batch batch =
     Atomic.set batch_since (Unix.gettimeofday ());
     let batch = Array.of_list batch in
-    let seqs =
-      match journal with
-      | None -> [||]
-      | Some j ->
-        let seqs =
-          Array.map
-            (fun wj ->
-              match wj.j_parsed.Server.req with
-              | Ok _ -> Some (Resilience.Journal.append_begin j (worker_journal_doc wj))
-              | Error _ -> None)
-            batch
-        in
-        Resilience.Journal.sync j;
-        seqs
-    in
     let outcomes =
       Pool.run_outcomes ~jobs:cfg.Serve_config.jobs
         ~probe:(fun _i ~domain:_ dur -> Metrics.Histogram.observe_s h_execute dur)
@@ -357,13 +337,6 @@ let worker_serve spec journal ~counters0 ~metrics0 =
              @ kind
              @ [ ("resp", resp) ])))
       outcomes;
-    (match journal with
-    | None -> ()
-    | Some j ->
-      Array.iter
-        (function Some s -> Resilience.Journal.mark_done j s | None -> ())
-        seqs;
-      Resilience.Journal.sync j);
     Atomic.set batch_since 0.
   in
   (* Supervision and chaos control frames, answered inline from the
@@ -461,25 +434,13 @@ let worker_serve spec journal ~counters0 ~metrics0 =
   end;
   loop ();
   Atomic.set finished true;
-  let counter_deltas =
-    List.map
-      (fun (k, v) ->
-        let v0 = Option.value (List.assoc_opt k counters0) ~default:0 in
-        (k, Json.Int (v - v0)))
-      (Resilience.Counters.snapshot ())
-  in
   emit_frame
     (Json.Obj
-       ([
-          ("op", Json.String "summary");
-          ("shard", Json.Int spec.w_shard);
-          ("counters", Json.Obj counter_deltas);
-          ("metrics", Metrics.to_json (Metrics.delta ~since:metrics0 (Metrics.snapshot ())));
-        ]
-       @
-       match Request.cache_breaker () with
-       | None -> []
-       | Some b -> [ ("breaker", Resilience.Breaker.to_json b) ]))
+       [
+         ("op", Json.String "summary");
+         ("shard", Json.Int spec.w_shard);
+         ("metrics", Metrics.to_json (Metrics.delta ~since:metrics0 (Metrics.snapshot ())));
+       ])
 
 let worker_main spec_text =
   let fail d =
@@ -511,37 +472,10 @@ let worker_main spec_text =
       with
       | exception Cache.Diag_error d -> fail d
       | () ->
-        let cfg = spec.w_cfg in
-        let counters0 = Resilience.Counters.snapshot () in
         let metrics0 = Metrics.snapshot () in
-        if cfg.Serve_config.breaker > 0 then
-          Request.set_cache_breaker
-            (Some
-               (Resilience.Breaker.create ~threshold:cfg.Serve_config.breaker
-                  ~cooldown_s:(float_of_int cfg.Serve_config.breaker_cooldown_ms /. 1000.)
-                  ()));
-        let journal =
-          match cfg.Serve_config.journal with
-          | None -> None
-          | Some root ->
-            let dir = shard_journal_dir ~root spec.w_shard in
-            (* Replay what a crash interrupted, then start a fresh
-               journal. The replay line on (inherited) stderr is the
-               operator's crash-recovery audit trail. *)
-            let n = Server.replay_journal ~jobs:cfg.Serve_config.jobs ~dir () in
-            if n > 0 then
-              Printf.eprintf "disesim serve: replayed %d interrupted job%s from %s\n%!"
-                n (if n = 1 then "" else "s") dir;
-            Resilience.Journal.clear ~dir;
-            Some (Resilience.Journal.open_ ~dir)
-        in
-        let finish () =
-          match journal with None -> () | Some j -> Resilience.Journal.close j
-        in
-        (match worker_serve spec journal ~counters0 ~metrics0 with
-        | () -> finish ()
+        (match worker_serve spec ~metrics0 with
+        | () -> ()
         | exception e ->
-          finish ();
           Format.eprintf "disesim serve worker: fatal: %s@." (Printexc.to_string e);
           exit 7);
         0))
@@ -578,9 +512,6 @@ type lreq = {
   lr_key : string;  (* result-cache key: the routing key *)
   lr_req : Json.t;  (* request document, re-framed per leg *)
   lr_enq : float;
-  lr_quiet : bool;
-      (* internal resubmission (journal replay): the response must not
-         count as client traffic *)
   lr_complete : tag:string -> Json.t -> unit;
   mutable lr_primary : int;  (* shard of the routed (non-hedge) leg *)
   mutable lr_legs : (int * int) list;  (* (shard, seq) still outstanding *)
@@ -624,7 +555,6 @@ type t = {
   chaos : (requests:int -> chaos_action list) option;
   mutable chaos_requests : int;
   mutable ping_n : int;
-  counters0 : (string * int) list;
   metrics0 : Metrics.snapshot;
   mutable summaries : (int * Json.t) list;
   mutable shutting_down : bool;
@@ -644,8 +574,7 @@ type t = {
 let worker_spec t shard =
   let cfg =
     (* Workers must not double-write the manifest; everything else
-       (jobs, queue, deadline, journal root, breaker, heartbeat) is
-       theirs. *)
+       (jobs, queue, deadline, heartbeat) is theirs. *)
     { t.cfg with Serve_config.manifest = None }
   in
   Json.to_string
@@ -684,8 +613,8 @@ let spawn_env spec =
   Array.of_list (kept @ [ prefix ^ spec ])
 
 (* Spawn the worker process for [w.shard] and (re)wire its pipes. The
-   child inherits stderr, so worker diagnostics (journal replay lines,
-   isolation backtraces) land on the server's stderr. Pipe fds are
+   child inherits stderr, so worker diagnostics (isolation backtraces,
+   cache warnings) land on the server's stderr. Pipe fds are
    created close-on-exec: the ends meant for the child are passed
    through [create_process_env]'s dup2 (which clears the flag on the
    child's copies), and nothing leaks into sibling workers — vital,
@@ -746,9 +675,8 @@ let job_frame lr ~seq =
        ])
 
 (* Route by result-cache key: identical requests always reach the
-   same worker, whose memory and journal shard own that slice of the
-   keyspace. *)
-let submit ?(quiet = false) t (p : Server.parsed) req ~enq ~complete =
+   same worker, whose memory owns that slice of the keyspace. *)
+let submit t (p : Server.parsed) req ~enq ~complete =
   match p.Server.req with
   | Error _ -> invalid_arg "Coordinator.submit: unrunnable job"
   | Ok _ ->
@@ -763,7 +691,6 @@ let submit ?(quiet = false) t (p : Server.parsed) req ~enq ~complete =
         lr_key = key;
         lr_req = Request.to_json req;
         lr_enq = enq;
-        lr_quiet = quiet;
         lr_complete = complete;
         lr_primary = shard;
         lr_legs = [ (shard, seq) ];
@@ -772,68 +699,6 @@ let submit ?(quiet = false) t (p : Server.parsed) req ~enq ~complete =
     in
     Hashtbl.replace w.inflight seq lr;
     out_push w.wout (job_frame lr ~seq)
-
-(* Startup crash recovery across resharding. Per-shard journals are
-   named [<root>/worker-<shard>] after the ring that {e wrote} them;
-   restarting with a different [--workers] count would otherwise
-   replay each file on whichever worker happens to own that name now
-   (dropping shards past the new count outright) while the live ring
-   routes by request key. So the coordinator drains every shard
-   journal itself before the workers start — whatever the previous
-   tier's worker count was — and resubmits the entries through the
-   {e current} ring via {!submit}, where they are journaled afresh by
-   their new owners. Workers keep their own startup replay for the
-   mid-session respawn path, where shard ownership cannot have
-   changed; they find empty directories here. *)
-let shard_of_journal_dirname name =
-  let prefix = "worker-" in
-  let plen = String.length prefix in
-  if String.length name > plen && String.sub name 0 plen = prefix then
-    int_of_string_opt (String.sub name plen (String.length name - plen))
-  else None
-
-let drain_orphan_journals root =
-  let names = match Sys.readdir root with
-    | names -> names
-    | exception Sys_error _ -> [||]
-  in
-  Array.sort compare names;
-  Array.to_list names
-  |> List.filter_map (fun name ->
-         match shard_of_journal_dirname name with
-         | None -> None
-         | Some _ -> (
-           let dir = Filename.concat root name in
-           match Resilience.Journal.pending ~dir with
-           | [] -> None
-           | pending ->
-             Resilience.Journal.clear ~dir;
-             Some (dir, List.map snd pending)))
-
-let resubmit_journal_docs t drained =
-  List.iter
-    (fun (dir, docs) ->
-      let n = List.length docs in
-      Printf.eprintf "disesim serve: replayed %d interrupted job%s from %s\n%!"
-        n (if n = 1 then "" else "s") dir;
-      Resilience.Counters.add Resilience.Counters.journal_replayed n;
-      List.iter
-        (fun doc ->
-          match Request.of_json doc with
-          | Error d ->
-            Format.eprintf
-              "disesim serve: journal entry is not replayable: %s@."
-              (Diag.to_string d)
-          | Ok req ->
-            let id = Option.value (Json.member "id" doc) ~default:Json.Null in
-            let p =
-              { Server.id; version = Server.protocol_version; tenant = None;
-                req = Ok req }
-            in
-            submit ~quiet:true t p req ~enq:(Unix.gettimeofday ())
-              ~complete:(fun ~tag:_ _ -> ()))
-        docs)
-    drained
 
 let create ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg =
   let workers_n = max 1 cfg.Serve_config.workers in
@@ -852,7 +717,6 @@ let create ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg =
       chaos;
       chaos_requests = 0;
       ping_n = 0;
-      counters0 = Resilience.Counters.snapshot ();
       metrics0 = Metrics.snapshot ();
       summaries = [];
       shutting_down = false;
@@ -889,22 +753,12 @@ let create ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg =
           drop_pings = 0;
           saw_hello = false;
         });
-  (* Drain pre-crash journal shards before any worker starts (so their
-     own startup replay cannot race over the same files), spawn the
-     tier, then resubmit the drained entries through the current
-     ring. *)
-  let drained =
-    match cfg.Serve_config.journal with
-    | None -> []
-    | Some root -> drain_orphan_journals root
-  in
   Array.iter (fun w -> spawn_into t w) t.workers;
-  resubmit_journal_docs t drained;
   t
 
-(* Tier-level outcome bookkeeping, including the resilience-counter
-   bumps (workers don't bump timeout/shed counters themselves, so the
-   merged counter deltas count each event exactly once). *)
+(* Tier-level outcome bookkeeping, including the timeout/shed counter
+   bumps (workers don't bump those themselves, so the merged counters
+   count each event exactly once). *)
 let tally t ~tag ~kind =
   t.s_served <- t.s_served + 1;
   match tag with
@@ -915,10 +769,10 @@ let tally t ~tag ~kind =
     match kind with
     | Some "timeout" ->
       t.s_timeouts <- t.s_timeouts + 1;
-      Resilience.Counters.incr Resilience.Counters.timeouts
+      Metrics.Counter.incr timeouts
     | Some "overloaded" ->
       t.s_shed <- t.s_shed + 1;
-      Resilience.Counters.incr Resilience.Counters.shed
+      Metrics.Counter.incr shed
     | Some "internal" -> t.s_isolated <- t.s_isolated + 1
     | _ -> ())
 
@@ -932,16 +786,14 @@ let complete_lreq t w lr ~tag ~kind resp =
     (fun (shard, seq) -> Hashtbl.remove t.workers.(shard).inflight seq)
     lr.lr_legs;
   lr.lr_legs <- [];
-  if not lr.lr_quiet then begin
-    w.served <- w.served + 1;
-    (match tag with
-    | "hit" -> w.hits <- w.hits + 1
-    | "fresh" -> w.misses <- w.misses + 1
-    | _ -> w.errs <- w.errs + 1);
-    Metrics.Histogram.observe_s h_tier (Unix.gettimeofday () -. lr.lr_enq);
-    tally t ~tag ~kind;
-    lr.lr_complete ~tag resp
-  end
+  w.served <- w.served + 1;
+  (match tag with
+  | "hit" -> w.hits <- w.hits + 1
+  | "fresh" -> w.misses <- w.misses + 1
+  | _ -> w.errs <- w.errs + 1);
+  Metrics.Histogram.observe_s h_tier (Unix.gettimeofday () -. lr.lr_enq);
+  tally t ~tag ~kind;
+  lr.lr_complete ~tag resp
 
 (* Shutdown straggler path: there is no respawn to hand work to, so
    every pending request on [w] is answered with an internal error
@@ -982,10 +834,10 @@ let resubmit_lreq t lr =
 
 (* Terminal failover: [w] is gone for good (heartbeat death or respawn
    cap). Shrink the ring so only the dead worker's keys move, re-route
-   its outstanding legs through the survivors, replay its journal
-   shard through the new ring, and keep serving degraded. [w]'s pipes
-   must already be closed and the process reaped. With no survivors
-   there is nothing to fail over to and the tier gives up. *)
+   its outstanding legs through the survivors, and keep serving
+   degraded. [w]'s pipes must already be closed and the process
+   reaped. With no survivors there is nothing to fail over to and the
+   tier gives up. *)
 let fail_over t w ~reason =
   w.dead <- true;
   Resilience.Health.force_dead w.health ~reason;
@@ -998,7 +850,7 @@ let fail_over t w ~reason =
             (Printf.sprintf "worker %d is gone (%s) and no workers remain"
                w.shard reason)))
   end;
-  Resilience.Counters.incr Resilience.Counters.failovers;
+  Metrics.Counter.incr failovers;
   Format.eprintf
     "disesim serve: worker %d failed over (%s); serving degraded on %d \
      shard%s@."
@@ -1019,16 +871,7 @@ let fail_over t w ~reason =
            request with no live leg left needs re-routing. *)
         if lr.lr_legs = [] then resubmit_lreq t lr
       end)
-    pending;
-  match t.cfg.Serve_config.journal with
-  | None -> ()
-  | Some root -> (
-    let dir = shard_journal_dir ~root w.shard in
-    match Resilience.Journal.pending ~dir with
-    | [] -> ()
-    | docs ->
-      Resilience.Journal.clear ~dir;
-      resubmit_journal_docs t [ (dir, List.map snd docs) ])
+    pending
 
 (* Supervision-initiated death of a live process: heartbeat loss means
    the worker may be wedged rather than exited, so it is killed before
@@ -1045,10 +888,10 @@ let declare_dead t w ~reason =
 
 (* A worker died (EOF / write failure) or poisoned its frame stream
    with work outstanding. Reap it, spawn a replacement on the same
-   shard, and resubmit every inflight leg: the replacement first
-   replays its journal shard (re-deriving results into the shared
-   content-addressed cache), so resubmitted jobs that had already run
-   come back as cache hits — crash recovery is idempotent end to end.
+   shard, and resubmit every inflight leg. A resubmitted job that had
+   already stored its result before the crash comes back as a cache
+   hit; one that had not is recomputed bit for bit — every result is
+   a deterministic function of its request.
    Past the respawn cap the shard is failed over instead; during
    shutdown there is no respawn and stragglers are answered with an
    internal error. *)
@@ -1115,8 +958,7 @@ let dispatch t w doc =
            the client. *)
         ()
       else begin
-        if w.shard <> lr.lr_primary then
-          Resilience.Counters.incr Resilience.Counters.hedge_wins;
+        if w.shard <> lr.lr_primary then Metrics.Counter.incr hedge_wins;
         complete_lreq t w lr ~tag ~kind resp
       end)
   | Some (Json.String "pong") -> Resilience.Health.pong w.health
@@ -1139,7 +981,7 @@ let pump_worker t w =
     handle_crash t w (Unix.error_message e)
   | 0 ->
     if Buffer.length w.win.ibuf > 0 then begin
-      Resilience.Counters.incr Resilience.Counters.torn_frames;
+      Metrics.Counter.incr torn_frames;
       Buffer.clear w.win.ibuf
     end;
     handle_crash t w "pipe closed"
@@ -1162,7 +1004,7 @@ let pump_worker t w =
         true
       | None ->
         if String.length data > hello_preamble_limit then begin
-          Resilience.Counters.incr Resilience.Counters.torn_frames;
+          Metrics.Counter.incr torn_frames;
           handle_crash t w "no hello from worker"
         end;
         false
@@ -1171,7 +1013,7 @@ let pump_worker t w =
       let frames, poisoned = extract_frames w.win in
       List.iter (dispatch t w) frames;
       if poisoned then begin
-        Resilience.Counters.incr Resilience.Counters.torn_frames;
+        Metrics.Counter.incr torn_frames;
         handle_crash t w "corrupt frame stream"
       end
     end)
@@ -1194,8 +1036,7 @@ let flush_worker t w =
 let hedge_worker t w =
   Hashtbl.iter
     (fun _seq lr ->
-      if (not lr.lr_done) && (not lr.lr_quiet) && List.length lr.lr_legs = 1
-      then
+      if (not lr.lr_done) && List.length lr.lr_legs = 1 then
         match Shard.next t.ring lr.lr_key ~avoid:w.shard with
         | None -> ()
         | Some shard2 ->
@@ -1206,7 +1047,7 @@ let hedge_worker t w =
             lr.lr_legs <- (shard2, seq2) :: lr.lr_legs;
             Hashtbl.replace w2.inflight seq2 lr;
             out_push w2.wout (job_frame lr ~seq:seq2);
-            Resilience.Counters.incr Resilience.Counters.hedges
+            Metrics.Counter.incr hedges
           end)
     w.inflight
 
@@ -1215,7 +1056,7 @@ let hedge_worker t w =
    [hedge_p95x] times the tier p95 marks its worker Suspect), hedge
    Suspect workers, and fail Dead ones over. A worker is pinged only
    once its hello has synced the stream: start-up (exec, module
-   initialization, journal replay) is not a missed heartbeat. *)
+   initialization) is not a missed heartbeat. *)
 let supervise t =
   let cfg = t.cfg in
   if (not t.shutting_down) && cfg.Serve_config.heartbeat_ms > 0 then begin
@@ -1253,7 +1094,7 @@ let supervise t =
           if latency_limit < infinity then
             Hashtbl.iter
               (fun _ lr ->
-                if (not lr.lr_quiet) && now -. lr.lr_enq > latency_limit then
+                if now -. lr.lr_enq > latency_limit then
                   Resilience.Health.suspect h
                     ~reason:"request outlived the hedge latency bound")
               w.inflight;
@@ -1326,30 +1167,7 @@ let chaos_tick t =
 
 (* --- merged summary ----------------------------------------------------- *)
 
-let sum_counters base extra =
-  List.map
-    (fun (k, v) ->
-      match List.assoc_opt k extra with
-      | Some (Json.Int e) -> (k, v + e)
-      | _ -> (k, v))
-    base
-
 let merged_summary t =
-  let local_counters =
-    List.map
-      (fun (k, v) ->
-        let v0 = Option.value (List.assoc_opt k t.counters0) ~default:0 in
-        (k, v - v0))
-      (Resilience.Counters.snapshot ())
-  in
-  let counters =
-    List.fold_left
-      (fun acc (_, doc) ->
-        match Json.member "counters" doc with
-        | Some (Json.Obj kvs) -> sum_counters acc kvs
-        | _ -> acc)
-      local_counters t.summaries
-  in
   let metrics =
     List.fold_left
       (fun acc (_, doc) ->
@@ -1363,30 +1181,20 @@ let merged_summary t =
     Array.to_list
       (Array.map
          (fun w ->
-           (* The cache breaker lives in the worker; its final state
-              rides in the worker's summary frame. *)
-           let breaker =
-             match
-               Option.bind (List.assoc_opt w.shard t.summaries) (Json.member "breaker")
-             with
-             | Some b -> [ ("breaker", b) ]
-             | None -> []
-           in
            Json.Obj
-             ([
-                ("shard", Json.Int w.shard);
-                ("pid", Json.Int w.pid);
-                ("served", Json.Int w.served);
-                ("cache_hits", Json.Int w.hits);
-                ("cache_misses", Json.Int w.misses);
-                ("errors", Json.Int w.errs);
-                ("restarts", Json.Int w.restarts);
-                ( "health",
-                  Json.String
-                    (Resilience.Health.state_name (Resilience.Health.state w.health))
-                );
-              ]
-             @ breaker))
+             [
+               ("shard", Json.Int w.shard);
+               ("pid", Json.Int w.pid);
+               ("served", Json.Int w.served);
+               ("cache_hits", Json.Int w.hits);
+               ("cache_misses", Json.Int w.misses);
+               ("errors", Json.Int w.errs);
+               ("restarts", Json.Int w.restarts);
+               ( "health",
+                 Json.String
+                   (Resilience.Health.state_name (Resilience.Health.state w.health))
+               );
+             ])
          t.workers)
   in
   (* The post-failover topology: which shards still hold ring points.
@@ -1428,7 +1236,10 @@ let merged_summary t =
       ("isolated", Json.Int t.s_isolated);
       ("workers", Json.List workers_json);
       ("topology", topology);
-      ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) counters));
+      (* the counters section of [metrics], on its own for readers
+         that want only the event counts *)
+      ( "counters",
+        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) metrics.Metrics.counters) );
       ("metrics", Metrics.to_json metrics);
     ]
   in
@@ -1776,7 +1587,7 @@ let run ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg front_end =
   in
   let fail_conn c reason =
     if not c.closed then begin
-      Resilience.Counters.incr Resilience.Counters.conn_failures;
+      Metrics.Counter.incr conn_failures;
       Format.eprintf "disesim serve: connection %d failed (isolated): %s@."
         c.cid reason;
       c.closed <- true;

@@ -9,17 +9,17 @@
 
     - {e sharding} — jobs route by {!Request.key} over a
       consistent-hash ring ({!Shard}), so identical requests always
-      reach the same worker and each worker's in-memory state and
-      crash-journal shard ([<journal>/worker-<shard>]) are
-      authoritative for their slice;
+      reach the same worker and each worker's in-memory state is
+      authoritative for its slice;
     - {e transport} — length-prefixed JSON frames over each worker's
       stdin/stdout pipes; responses carry the coordinator-global
       sequence number, so the front end can reorder per-stream while
       workers answer in completion order;
     - {e supervision} — a worker that exits is reaped, respawned on
-      the same shard, and handed its inflight frames again; the
-      replacement replays its journal shard first, so recovery is
-      idempotent (previously completed jobs return as cache hits).
+      the same shard, and handed its inflight frames again; every
+      result is a deterministic function of its request, so jobs
+      that had stored their result return as cache hits and the rest
+      are recomputed.
       Beyond crash-respawn, the coordinator heartbeats every worker
       ([ping]/[pong] frames, {!Resilience.Health}): a worker that
       misses [suspect_misses] consecutive heartbeats — or holds a
@@ -29,9 +29,9 @@
       response wins and duplicates are deduped. A worker that misses
       [dead_misses] heartbeats or exhausts [respawn_cap] is declared
       [Dead] and {e failed over}: it is removed from the ring (only
-      its keys move, {!Shard.remove}), its journal shard is replayed
-      through the surviving ring, and the tier keeps serving in
-      degraded mode — the merged summary's ["topology"] member
+      its keys move, {!Shard.remove}), its in-flight requests are
+      re-routed through the surviving ring, and the tier keeps
+      serving in degraded mode — the merged summary's ["topology"] member
       records the new shape. Pings start once a worker's hello
       arrives, and a worker keeps ponging while a batch runs (a
       helper domain does it once the batch outlives half an
@@ -41,12 +41,12 @@
       shedding against the work in flight tier-wide; rejected jobs
       are answered ["overloaded"] by the coordinator without touching
       a worker;
-    - {e telemetry} — at shutdown each worker ships its counter and
-      metrics deltas and its cache breaker's state; the coordinator
-      folds them
+    - {e telemetry} — at shutdown each worker ships its metrics
+      delta (the serve counters included); the coordinator folds them
       ({!Dise_telemetry.Metrics.merge}) with its own and emits one
       merged ["serve_summary"] manifest record with a per-worker
-      ["workers"] breakdown (each entry carrying its ["breaker"])
+      ["workers"] breakdown; its ["counters"] member is the merged
+      snapshot's counters section
       (doc/schema/serve_summary.schema.json).
 
     Stdin and socket clients are connections of the same event loop,
@@ -87,10 +87,9 @@ type chaos_action =
 val worker_child_main : unit -> unit
 (** Worker dispatch hook: call {e first} in any binary that may spawn
     workers (the CLI and the test runner do). Returns immediately in
-    a normal process; in a spawned worker it configures the cache,
-    breaker, and JIT from the spawn spec, replays and reopens its
-    journal shard, serves frames from stdin until EOF or a stop
-    frame, emits its summary frame, and [_exit]s. *)
+    a normal process; in a spawned worker it configures the cache and
+    the JIT from the spawn spec, serves frames from stdin until EOF
+    or a stop frame, emits its summary frame, and [_exit]s. *)
 
 val write_all : Unix.file_descr -> string -> int -> unit
 (** [write_all fd s off] writes [s] from [off] to the end, surviving

@@ -12,7 +12,16 @@ module Mfi = Dise_acf.Mfi
 module Rewrite = Dise_acf.Rewrite
 module Compress = Dise_acf.Compress
 module Json = Dise_telemetry.Json
+module Metrics = Dise_telemetry.Metrics
 module Diag = Dise_isa.Diag
+
+(* Process-wide counters for the serve summary: cache stores given up
+   on, and the JIT activity of every run (per-run values live in the
+   stats themselves). *)
+let store_drops = Metrics.Counter.make "store_drops"
+let jit_compiles = Metrics.Counter.make "jit_compiles"
+let jit_hits = Metrics.Counter.make "jit_hits"
+let jit_invalidations = Metrics.Counter.make "jit_invalidations"
 
 type mfi_compose = [ `None | `Composed ]
 
@@ -419,18 +428,6 @@ let set_disk_cache c = disk := c
 let disk_cache () = !disk
 let clear_disk () = match !disk with None -> 0 | Some c -> Cache.clear c
 
-(* Optional circuit breaker over the disk cache, installed by
-   [disesim serve --breaker]. Reads are skipped outright while the
-   breaker is not closed; stores go through [Breaker.allow] so the
-   half-open probe discipline applies. Without a breaker the store
-   path keeps its historical contract (a persistent I/O failure
-   raises [Cache.Diag_error]); with one, exhausted stores degrade to
-   counted drops so a sick cache cannot fail jobs whose statistics
-   already exist. *)
-let breaker : Resilience.Breaker.t option ref = ref None
-let set_cache_breaker b = breaker := b
-let cache_breaker () = !breaker
-
 (* Domain-local hit/miss counters: a worker snapshots them around one
    cell to get a race-free per-cell delta (the harness emits the
    deltas into run manifests). *)
@@ -451,13 +448,6 @@ let cache_counters () =
 let disk_find decode ~key:k =
   match !disk with
   | None -> None
-  | Some _
-    when match !breaker with
-         | Some b -> Resilience.Breaker.blocked b
-         | None -> false ->
-    (* Degraded mode: the cache is suspect, serve without it. The read
-       never happens, so neither counter moves. *)
-    None
   | Some c -> (
     match Cache.find c ~key:k with
     | None ->
@@ -480,24 +470,34 @@ let transient_exn = function
   | Cache.Diag_error _ | Unix.Unix_error _ | Sys_error _ -> true
   | _ -> false
 
+(* A store that still fails after its retries is dropped, never
+   raised: the statistics it would persist already exist, and a sick
+   cache must not fail the job that computed them. Reads need no such
+   rule ({!Cache.find} never raises, so a sick cache reads as misses).
+   The first drop in a process says so on stderr. *)
+let store_warned = Atomic.make false
+
 let disk_store ~key:k ~request payload =
   match !disk with
   | None -> ()
   | Some c -> (
-    let store () =
+    match
       Resilience.with_retries ~transient:transient_exn (fun () ->
           Cache.store c ~key:k ~request ~payload)
-    in
-    match !breaker with
-    | None -> store ()
-    | Some b ->
-      if Resilience.Breaker.allow b then (
-        match store () with
-        | () -> Resilience.Breaker.success b
-        | exception e when transient_exn e ->
-          Resilience.Breaker.failure b;
-          Resilience.Counters.incr Resilience.Counters.store_drops)
-      else Resilience.Counters.incr Resilience.Counters.store_drops)
+    with
+    | () -> ()
+    | exception e when transient_exn e ->
+      Metrics.Counter.incr store_drops;
+      if not (Atomic.exchange store_warned true) then
+        let d =
+          match e with
+          | Cache.Diag_error d -> d
+          | e -> Diag.Cache (Printexc.to_string e)
+        in
+        Format.eprintf
+          "disesim: warning: result cache %s is dropping stores (%a); \
+           results are computed but not cached@."
+          (Cache.dir c) Diag.pp d)
 
 (* --- simulation --------------------------------------------------------- *)
 
@@ -513,16 +513,11 @@ let run_machine t ?prodset ?trace ?profile ?poll m =
   let stats =
     Pipeline.run ~max_steps ?controller ?trace ?profile ?poll t.machine m
   in
-  (* Aggregate into the process-wide counters the serve summary
-     records (per-run values live in the stats themselves). *)
   if stats.Stats.jit_compiles <> 0 then
-    Resilience.Counters.add Resilience.Counters.jit_compiles
-      stats.Stats.jit_compiles;
-  if stats.Stats.jit_hits <> 0 then
-    Resilience.Counters.add Resilience.Counters.jit_hits stats.Stats.jit_hits;
+    Metrics.Counter.add jit_compiles stats.Stats.jit_compiles;
+  if stats.Stats.jit_hits <> 0 then Metrics.Counter.add jit_hits stats.Stats.jit_hits;
   if stats.Stats.jit_invalidations <> 0 then
-    Resilience.Counters.add Resilience.Counters.jit_invalidations
-      stats.Stats.jit_invalidations;
+    Metrics.Counter.add jit_invalidations stats.Stats.jit_invalidations;
   stats
 
 let check_clean name m =
@@ -698,10 +693,10 @@ let diag_of_exn = function
   | e -> Diag.Runtime (Printexc.to_string e)
 
 (* Latency of the run path itself (memo/cache lookups included),
-   regardless of which entry point reached it — the serve loop, a
-   journal replay, or a direct caller. Cache hits and misses land in
-   the same histogram; the serve-level split lives one layer up. *)
-let h_run = Dise_telemetry.Metrics.Histogram.make "request_run_ns"
+   regardless of which entry point reached it — the serve loop or a
+   direct caller. Cache hits and misses land in the same histogram;
+   the serve-level split lives one layer up. *)
+let h_run = Metrics.Histogram.make "request_run_ns"
 
 let run_ext ?entry ?deadline t =
   let expired () =
@@ -716,8 +711,7 @@ let run_ext ?entry ?deadline t =
   else begin
     let t0 = Unix.gettimeofday () in
     let finish r =
-      Dise_telemetry.Metrics.Histogram.observe_s h_run
-        (Unix.gettimeofday () -. t0);
+      Metrics.Histogram.observe_s h_run (Unix.gettimeofday () -. t0);
       r
     in
     match run_cached ?entry ?deadline t with

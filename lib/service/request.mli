@@ -143,9 +143,13 @@ val run_ext :
     is true when the result was served without running the simulator
     (in-memory memo or disk). Failures map onto {!Dise_isa.Diag}:
     unknown benchmark → [Invalid], trapped workload / machine fault →
-    [Runtime], engine fault → [Expansion], disk-cache write failure →
-    [Cache] (breaker-free configurations only; see below), deadline
-    overrun → [Timeout].
+    [Runtime], engine fault → [Expansion], deadline overrun →
+    [Timeout]. A disk-cache store that still fails after bounded
+    retries is {e not} an error: the result is returned uncached, the
+    drop is counted in the [store_drops] metrics counter, and the
+    first drop in a process prints one warning on stderr naming the
+    cache directory. Reads never fail either — a sick cache reads as
+    misses — so jobs answer ok while the cache is sick.
 
     [deadline] is an {e absolute} [Unix.gettimeofday] instant. An
     already-expired deadline fails fast; otherwise the simulator
@@ -213,21 +217,6 @@ val set_disk_cache : Cache.t option -> unit
     spawning worker domains. *)
 
 val disk_cache : unit -> Cache.t option
-
-val set_cache_breaker : Resilience.Breaker.t option -> unit
-(** Install (or remove, [None] — the initial state) a circuit breaker
-    over the disk cache ([disesim serve --breaker]). While installed:
-    cache {e reads} are skipped whenever the breaker is not closed
-    (degraded mode — jobs simulate instead of failing); cache
-    {e stores} flow through {!Resilience.Breaker.allow}, and a store
-    that still fails after bounded retries trips the breaker and is
-    {e dropped} (counted in {!Resilience.Counters.store_drops})
-    rather than raised — a sick cache must not fail a job whose
-    statistics already exist. Without a breaker, stores keep the
-    historical contract: transient failures are retried, persistent
-    ones raise [Cache.Diag_error]. *)
-
-val cache_breaker : unit -> Resilience.Breaker.t option
 
 val cache_counters : unit -> int * int
 (** This domain's cumulative disk-cache [(hits, misses)]. Counters

@@ -1,170 +1,10 @@
 module Json = Dise_telemetry.Json
-module Diag = Dise_isa.Diag
+module Metrics = Dise_telemetry.Metrics
 
 exception Deadline_exceeded
 
-(* --- counters ----------------------------------------------------------- *)
-
-(* Backed by the process-wide Metrics registry so these counters show
-   up in every metrics snapshot alongside the latency histograms; this
-   module keeps its own (ordered) list of the resilience counters so
-   [snapshot]/[reset] touch exactly the counters it declared. *)
-module Counters = struct
-  module M = Dise_telemetry.Metrics
-
-  type t = M.Counter.t
-
-  let registry : t list ref = ref []
-
-  let make name =
-    let c = M.Counter.make name in
-    registry := c :: !registry;
-    c
-
-  let isolated = make "isolated"
-  let timeouts = make "timeouts"
-  let shed = make "shed"
-  let retries = make "retries"
-  let store_drops = make "store_drops"
-  let breaker_trips = make "breaker_trips"
-  let breaker_probes = make "breaker_probes"
-  let breaker_closes = make "breaker_closes"
-  let conn_failures = make "conn_failures"
-  let journal_replayed = make "journal_replayed"
-  let hedges = make "hedges"
-  let hedge_wins = make "hedge_wins"
-  let heartbeat_misses = make "heartbeat_misses"
-  let failovers = make "failovers"
-  let torn_frames = make "torn_frames"
-  let jit_compiles = make "jit_compiles"
-  let jit_hits = make "jit_hits"
-  let jit_invalidations = make "jit_invalidations"
-
-  let incr = M.Counter.incr
-  let add = M.Counter.add
-  let get = M.Counter.get
-
-  let snapshot () =
-    List.rev_map (fun c -> (M.Counter.name c, M.Counter.get c)) !registry
-
-  let reset () = List.iter (fun c -> M.Counter.set_for_test c 0) !registry
-end
-
-(* --- circuit breaker ---------------------------------------------------- *)
-
-module Breaker = struct
-  type state = Closed | Open | Half_open
-
-  let state_name = function
-    | Closed -> "closed"
-    | Open -> "open"
-    | Half_open -> "half_open"
-
-  type t = {
-    threshold : int;
-    cooldown : float;
-    now : unit -> float;
-    mutex : Mutex.t;
-    mutable st : state;
-    mutable consecutive : int;
-    mutable opened_at : float;
-    mutable probing : bool;  (* a half-open probe is in flight *)
-    mutable trips : int;
-    mutable probes : int;
-    mutable closes : int;
-  }
-
-  let create ?(threshold = 8) ?(cooldown_s = 5.0) ?(now = Unix.gettimeofday)
-      () =
-    {
-      threshold = max 1 threshold;
-      cooldown = cooldown_s;
-      now;
-      mutex = Mutex.create ();
-      st = Closed;
-      consecutive = 0;
-      opened_at = 0.;
-      probing = false;
-      trips = 0;
-      probes = 0;
-      closes = 0;
-    }
-
-  let locked t f =
-    Mutex.lock t.mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-  let state t = locked t (fun () -> t.st)
-  let trips t = locked t (fun () -> t.trips)
-
-  (* May an operation that can OBSERVE failure (a store) proceed?
-     Open -> Half_open happens here, once the cooldown has elapsed;
-     in Half_open exactly one in-flight probe is allowed, so a burst
-     of workers cannot stampede a recovering backend. *)
-  let allow t =
-    locked t (fun () ->
-        match t.st with
-        | Closed -> true
-        | Open when t.now () -. t.opened_at >= t.cooldown ->
-          t.st <- Half_open;
-          t.probing <- true;
-          t.probes <- t.probes + 1;
-          Counters.incr Counters.breaker_probes;
-          true
-        | Open -> false
-        | Half_open ->
-          if t.probing then false
-          else begin
-            t.probing <- true;
-            t.probes <- t.probes + 1;
-            Counters.incr Counters.breaker_probes;
-            true
-          end)
-
-  (* Purely observational gate for operations that cannot fail
-     loudly (cache reads): skipped whenever the breaker is not
-     closed, without consuming the half-open probe slot. *)
-  let blocked t = locked t (fun () -> t.st <> Closed)
-
-  let success t =
-    locked t (fun () ->
-        t.consecutive <- 0;
-        match t.st with
-        | Half_open ->
-          t.st <- Closed;
-          t.probing <- false;
-          t.closes <- t.closes + 1;
-          Counters.incr Counters.breaker_closes
-        | Closed | Open -> ())
-
-  let failure t =
-    locked t (fun () ->
-        match t.st with
-        | Half_open ->
-          (* The probe failed: back to Open for a fresh cooldown. *)
-          t.st <- Open;
-          t.probing <- false;
-          t.opened_at <- t.now ()
-        | Open -> ()
-        | Closed ->
-          t.consecutive <- t.consecutive + 1;
-          if t.consecutive >= t.threshold then begin
-            t.st <- Open;
-            t.opened_at <- t.now ();
-            t.trips <- t.trips + 1;
-            Counters.incr Counters.breaker_trips
-          end)
-
-  let to_json t =
-    locked t (fun () ->
-        Json.Obj
-          [
-            ("state", Json.String (state_name t.st));
-            ("trips", Json.Int t.trips);
-            ("probes", Json.Int t.probes);
-            ("closes", Json.Int t.closes);
-          ])
-end
+let retries = Metrics.Counter.make "retries"
+let heartbeat_misses = Metrics.Counter.make "heartbeat_misses"
 
 (* --- per-worker health state machine ------------------------------------ *)
 
@@ -230,7 +70,7 @@ module Health = struct
   let ping_sent t =
     if t.awaiting then begin
       t.misses <- t.misses + 1;
-      Counters.incr Counters.heartbeat_misses
+      Metrics.Counter.incr heartbeat_misses
     end;
     t.awaiting <- true;
     t.last_ping <- t.now ()
@@ -283,7 +123,7 @@ let with_retries ?(attempts = 3) ?(base_delay_s = 0.002)
     match f () with
     | v -> v
     | exception e when n < attempts && transient e ->
-      Counters.incr Counters.retries;
+      Metrics.Counter.incr retries;
       let cap = Float.min max_delay_s (base_delay_s *. (2. ** float_of_int (n - 1))) in
       let delay = Random.State.float (Domain.DLS.get jitter_key) cap in
       Unix.sleepf delay;
@@ -342,126 +182,4 @@ module Chaos = struct
         raise (Injected (Printf.sprintf "chaos: injected fault for job %d" id))
       | Some (Sleep s) -> Unix.sleepf s)
     | _ -> ()
-end
-
-(* --- crash-safe job journal --------------------------------------------- *)
-
-module Journal = struct
-  type t = {
-    fd : Unix.file_descr;
-    mutex : Mutex.t;
-    mutable seq : int;
-    mutable dirty : bool;
-  }
-
-  let file ~dir = Filename.concat dir "journal.jsonl"
-
-  let mkdir_p dir =
-    let rec go d =
-      if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
-        go (Filename.dirname d);
-        try Unix.mkdir d 0o755
-        with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-      end
-    in
-    go dir
-
-  let open_ ~dir =
-    mkdir_p dir;
-    let fd =
-      Unix.openfile (file ~dir) [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
-        0o644
-    in
-    { fd; mutex = Mutex.create (); seq = 0; dirty = false }
-
-  let locked t f =
-    Mutex.lock t.mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-  (* One line per record, written with a single [write] so a crash
-     cannot interleave two records; the trailing partial line a crash
-     can leave is skipped by [pending]. *)
-  let append t doc =
-    let line = Json.to_string doc ^ "\n" in
-    let b = Bytes.of_string line in
-    let rec write off =
-      if off < Bytes.length b then
-        write (off + Unix.write t.fd b off (Bytes.length b - off))
-    in
-    write 0;
-    t.dirty <- true
-
-  let append_begin t job =
-    locked t (fun () ->
-        t.seq <- t.seq + 1;
-        let seq = t.seq in
-        append t
-          (Json.Obj
-             [
-               ("op", Json.String "begin");
-               ("seq", Json.Int seq);
-               ("job", job);
-             ]);
-        seq)
-
-  let mark_done t seq =
-    locked t (fun () ->
-        append t (Json.Obj [ ("op", Json.String "done"); ("seq", Json.Int seq) ]))
-
-  (* The durability point: begins are synced before any job of the
-     batch executes, dones after the batch's responses exist. *)
-  let sync t =
-    locked t (fun () ->
-        if t.dirty then begin
-          Unix.fsync t.fd;
-          t.dirty <- false
-        end)
-
-  let close t =
-    sync t;
-    locked t (fun () -> try Unix.close t.fd with Unix.Unix_error _ -> ())
-
-  (* Jobs journalled as begun but never marked done — the replay set
-     after a crash. Corrupt or half-written lines are skipped, not
-     fatal: the journal must be readable after any kill point. *)
-  let pending ~dir =
-    let path = file ~dir in
-    if not (Sys.file_exists path) then []
-    else begin
-      let ic = open_in_bin path in
-      let begun : (int, Json.t) Hashtbl.t = Hashtbl.create 16 in
-      let order = ref [] in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          try
-            while true do
-              let line = input_line ic in
-              match Json.parse line with
-              | exception Json.Parse_error _ -> ()
-              | doc -> (
-                match (Json.member "op" doc, Json.member "seq" doc) with
-                | Some (Json.String "begin"), Some (Json.Int seq) -> (
-                  match Json.member "job" doc with
-                  | Some job ->
-                    Hashtbl.replace begun seq job;
-                    order := seq :: !order
-                  | None -> ())
-                | Some (Json.String "done"), Some (Json.Int seq) ->
-                  Hashtbl.remove begun seq
-                | _ -> ())
-            done
-          with End_of_file -> ());
-      List.rev !order
-      |> List.filter_map (fun seq ->
-             match Hashtbl.find_opt begun seq with
-             | Some job ->
-               Hashtbl.remove begun seq;
-               (* keep first occurrence only *)
-               Some (seq, job)
-             | None -> None)
-    end
-
-  let clear ~dir =
-    try Sys.remove (file ~dir) with Sys_error _ -> ()
 end

@@ -6,9 +6,8 @@
     low-level — no dependency on {!Request} or {!Server} — so every
     layer of the serve path can use it: per-job isolation and
     deadlines ({!Deadline_exceeded}), bounded retry with jitter
-    ({!with_retries}), a circuit breaker for the result cache
-    ({!Breaker}), fault-injection directives for chaos testing
-    ({!Chaos}), and a crash-safe job journal ({!Journal}). See
+    ({!with_retries}), worker health supervision ({!Health}), and
+    fault-injection directives for chaos testing ({!Chaos}). See
     doc/resilience.md for the full semantics.
 
     All state here is safe to touch from concurrent worker domains. *)
@@ -19,132 +18,14 @@ exception Deadline_exceeded
     when a job's wall-clock budget is exhausted. Mapped to
     {!Dise_isa.Diag.Timeout} by [Request.run_ext]. *)
 
-(** Global, atomic resilience counters. They feed `disesim serve`'s
-    summary line and telemetry manifest records; they are
-    process-wide (across connections and worker domains). *)
-module Counters : sig
-  type t
-
-  val isolated : t
-  (** Jobs answered [internal] after an escape. *)
-
-  val timeouts : t
-  (** Jobs answered [timeout]. *)
-
-  val shed : t
-  (** Jobs answered [overloaded] by admission control. *)
-
-  val retries : t
-  (** Transient-failure retries performed. *)
-
-  val store_drops : t
-  (** Cache stores dropped after retry exhaustion. *)
-
-  val breaker_trips : t
-  (** Closed -> Open transitions. *)
-
-  val breaker_probes : t
-  (** Half-open probe attempts. *)
-
-  val breaker_closes : t
-  (** Half-open -> Closed recoveries. *)
-
-  val conn_failures : t
-  (** Socket connections that died and were contained. *)
-
-  val journal_replayed : t
-  (** Jobs re-executed from a crash journal. *)
-
-  val hedges : t
-  (** Requests duplicated to a second worker because their owner went
-      Suspect (gray failure). *)
-
-  val hedge_wins : t
-  (** Hedged requests whose {e hedge} leg answered first. *)
-
-  val heartbeat_misses : t
-  (** Heartbeat intervals that elapsed without the worker's pong. *)
-
-  val failovers : t
-  (** Workers declared Dead and removed from the ring live. *)
-
-  val torn_frames : t
-  (** Partial or corrupt length-prefixed frames discarded from a
-      worker pipe (the peer is respawned, its work resubmitted). *)
-
-  val jit_compiles : t
-  (** Superblocks compiled across all jobs (see doc/jit.md). *)
-
-  val jit_hits : t
-  (** JIT dispatches served from an already-compiled superblock. *)
-
-  val jit_invalidations : t
-  (** Superblocks retired by production-set/PT/RT generation bumps. *)
-
-  val incr : t -> unit
-  val add : t -> int -> unit
-  val get : t -> int
-
-  val snapshot : unit -> (string * int) list
-  (** All counters, in declaration order, as [(name, value)]. *)
-
-  val reset : unit -> unit
-  (** Zero every counter (tests). *)
-end
-
-(** Consecutive-failure circuit breaker (Closed / Open / Half-open).
-
-    Built for the result cache: [threshold] consecutive failures trip
-    it Open; after [cooldown_s] the next {!allow} admits exactly one
-    half-open probe; the probe's {!success} closes the breaker, its
-    {!failure} re-opens it for a fresh cooldown. While not Closed,
-    {!blocked} is [true] and callers should skip the protected
-    backend entirely (degraded mode) rather than queue on it. *)
-module Breaker : sig
-  type t
-  type state = Closed | Open | Half_open
-
-  val create :
-    ?threshold:int ->
-    ?cooldown_s:float ->
-    ?now:(unit -> float) ->
-    unit ->
-    t
-  (** [threshold] defaults to 8 consecutive failures (clamped to
-      >= 1); [cooldown_s] to 5 s; [now] (injectable for tests) to
-      [Unix.gettimeofday]. *)
-
-  val state : t -> state
-
-  val state_name : state -> string
-  (** ["closed"], ["open"], or ["half_open"]. *)
-
-  val allow : t -> bool
-  (** May a failure-observing operation proceed? Performs the
-      Open -> Half-open transition once the cooldown has elapsed and
-      admits exactly one concurrent probe in Half-open. Callers MUST
-      follow an allowed operation with {!success} or {!failure}. *)
-
-  val blocked : t -> bool
-  (** [state t <> Closed], without consuming the probe slot — the
-      gate for operations that cannot fail loudly (cache reads). *)
-
-  val success : t -> unit
-  val failure : t -> unit
-  val trips : t -> int
-
-  val to_json : t -> Dise_telemetry.Json.t
-  (** [{"state", "trips", "probes", "closes"}] for manifests. *)
-end
-
 (** Per-worker health state machine ([Healthy] / [Suspect] / [Dead])
     for tier supervision (doc/serve-tier.md, "Supervision and
     failover").
 
     The coordinator sends a heartbeat ping to every worker each
     [interval_s] and feeds the evidence in: {!ping_sent} when a ping
-    leaves (an unanswered predecessor becomes a miss and bumps
-    {!Counters.heartbeat_misses}), {!pong} when the worker answers
+    leaves (an unanswered predecessor becomes a miss and bumps the
+    [heartbeat_misses] metrics counter), {!pong} when the worker answers
     (clears the miss run and any forced suspicion). [suspect_misses]
     consecutive misses make the worker [Suspect] — its in-flight
     requests are hedged to the next worker on the ring —
@@ -206,7 +87,8 @@ val with_retries :
     worth retrying, sleeping a full-jitter exponential backoff
     (uniform in [0, min(max_delay_s, base_delay_s * 2^(n-1))])
     between tries. Non-transient exceptions and the last failure
-    propagate unchanged. Each retry bumps {!Counters.retries}. *)
+    propagate unchanged. Each retry bumps the [retries] metrics
+    counter. *)
 
 (** Fault-injection directives, read from the [DISESIM_SERVE_CHAOS]
     environment variable by the serve loop. Syntax:
@@ -227,47 +109,4 @@ module Chaos : sig
   val of_env : unit -> t
   val parse : string -> t
   val apply : t -> id:Dise_telemetry.Json.t -> unit
-end
-
-(** Crash-safe JSONL job journal.
-
-    [disesim serve --journal DIR] appends a ["begin"] record for
-    every admitted job {e before} it executes and a ["done"] record
-    once its response exists, fsyncing at batch granularity
-    ({!sync}). After a crash, {!pending} returns the jobs that begun
-    but never finished — the restart replays them (idempotently: a
-    replayed job re-enters through [Request.run], so its result lands
-    in the content-addressed cache under the same key). Records are
-    written with a single [write(2)] each and a half-written trailing
-    line is skipped on recovery, so the journal stays readable after
-    any kill point. Format (one object per line):
-    [{"op":"begin","seq":N,"job":<request document>}] and
-    [{"op":"done","seq":N}]. *)
-module Journal : sig
-  type t
-
-  val file : dir:string -> string
-  (** [DIR/journal.jsonl]. *)
-
-  val open_ : dir:string -> t
-  (** Create [dir] if needed and open the journal for appending. *)
-
-  val append_begin : t -> Dise_telemetry.Json.t -> int
-  (** Journal one admitted job document; returns its sequence number
-      for the matching {!mark_done}. Not yet durable — call {!sync}
-      before executing the batch. *)
-
-  val mark_done : t -> int -> unit
-
-  val sync : t -> unit
-  (** fsync if anything was appended. *)
-
-  val close : t -> unit
-
-  val pending : dir:string -> (int * Dise_telemetry.Json.t) list
-  (** Begun-but-not-done jobs in journal order ([] if no journal
-      exists). Never raises on corrupt lines. *)
-
-  val clear : dir:string -> unit
-  (** Remove the journal file (after a successful replay). *)
 end

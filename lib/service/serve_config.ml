@@ -8,10 +8,7 @@ type t = {
   deadline_ms : int option;
   shed_above : int option;
   tenant_quota : int option;
-  journal : string option;
   manifest : string option;
-  breaker : int;
-  breaker_cooldown_ms : int;
   heartbeat_ms : int;
   suspect_misses : int;
   dead_misses : int;
@@ -28,10 +25,7 @@ let default () =
     deadline_ms = None;
     shed_above = None;
     tenant_quota = None;
-    journal = None;
     manifest = None;
-    breaker = 8;
-    breaker_cooldown_ms = 5000;
     heartbeat_ms = 500;
     suspect_misses = 3;
     dead_misses = 20;
@@ -47,8 +41,6 @@ let normalize c =
     workers = max 1 c.workers;
     jobs = max 1 c.jobs;
     queue = max 1 c.queue;
-    breaker = max 0 c.breaker;
-    breaker_cooldown_ms = max 0 c.breaker_cooldown_ms;
     heartbeat_ms = max 0 c.heartbeat_ms;
     suspect_misses = max 1 c.suspect_misses;
     dead_misses = max 2 c.dead_misses;
@@ -57,8 +49,7 @@ let normalize c =
   }
 
 let of_flags ?workers ?jobs ?queue ?deadline_ms ?shed_above ?tenant_quota
-    ?journal ?manifest ?breaker ?breaker_cooldown_ms
-    ?heartbeat_ms ?suspect_misses ?dead_misses ?hedge_p95x ?respawn_cap () =
+    ?manifest ?heartbeat_ms ?suspect_misses ?dead_misses ?hedge_p95x ?respawn_cap () =
   let d = default () in
   let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
   let queue = match queue with Some q -> max 1 q | None -> 4 * jobs in
@@ -70,10 +61,7 @@ let of_flags ?workers ?jobs ?queue ?deadline_ms ?shed_above ?tenant_quota
       deadline_ms;
       shed_above;
       tenant_quota;
-      journal;
       manifest;
-      breaker = Option.value breaker ~default:8;
-      breaker_cooldown_ms = Option.value breaker_cooldown_ms ~default:5000;
       heartbeat_ms = Option.value heartbeat_ms ~default:d.heartbeat_ms;
       suspect_misses = Option.value suspect_misses ~default:d.suspect_misses;
       dead_misses = Option.value dead_misses ~default:d.dead_misses;
@@ -82,8 +70,7 @@ let of_flags ?workers ?jobs ?queue ?deadline_ms ?shed_above ?tenant_quota
     }
 
 let override cfg ?workers ?jobs ?queue ?deadline_ms ?shed_above ?tenant_quota
-    ?journal ?manifest ?breaker ?breaker_cooldown_ms
-    ?heartbeat_ms ?suspect_misses ?dead_misses ?hedge_p95x ?respawn_cap () =
+    ?manifest ?heartbeat_ms ?suspect_misses ?dead_misses ?hedge_p95x ?respawn_cap () =
   let v keep = function Some x -> Some x | None -> keep in
   normalize
     {
@@ -98,11 +85,7 @@ let override cfg ?workers ?jobs ?queue ?deadline_ms ?shed_above ?tenant_quota
       deadline_ms = v cfg.deadline_ms deadline_ms;
       shed_above = v cfg.shed_above shed_above;
       tenant_quota = v cfg.tenant_quota tenant_quota;
-      journal = v cfg.journal journal;
       manifest = v cfg.manifest manifest;
-      breaker = Option.value breaker ~default:cfg.breaker;
-      breaker_cooldown_ms =
-        Option.value breaker_cooldown_ms ~default:cfg.breaker_cooldown_ms;
       heartbeat_ms = Option.value heartbeat_ms ~default:cfg.heartbeat_ms;
       suspect_misses = Option.value suspect_misses ~default:cfg.suspect_misses;
       dead_misses = Option.value dead_misses ~default:cfg.dead_misses;
@@ -131,11 +114,8 @@ let to_json c =
     @ opt_int "deadline_ms" c.deadline_ms
     @ opt_int "shed_above" c.shed_above
     @ opt_int "tenant_quota" c.tenant_quota
-    @ opt_str "journal" c.journal
     @ opt_str "manifest" c.manifest
     @ [
-        ("breaker", Json.Int c.breaker);
-        ("breaker_cooldown_ms", Json.Int c.breaker_cooldown_ms);
         ("heartbeat_ms", Json.Int c.heartbeat_ms);
         ("suspect_misses", Json.Int c.suspect_misses);
         ("dead_misses", Json.Int c.dead_misses);
@@ -148,9 +128,8 @@ let parse_error msg = Error (Diag.Parse { source = "serve_config"; line = 0; msg
 let known_members =
   [
     "workers"; "jobs"; "queue"; "deadline_ms"; "shed_above"; "tenant_quota";
-    "journal"; "manifest"; "breaker"; "breaker_cooldown_ms";
-    "heartbeat_ms"; "suspect_misses"; "dead_misses"; "hedge_p95x";
-    "respawn_cap";
+    "manifest"; "heartbeat_ms"; "suspect_misses"; "dead_misses";
+    "hedge_p95x"; "respawn_cap";
   ]
 
 let of_json j =
@@ -203,12 +182,7 @@ let of_json j =
       let* deadline_ms = opt_int_m "deadline_ms" d.deadline_ms in
       let* shed_above = opt_int_m "shed_above" d.shed_above in
       let* tenant_quota = opt_int_m "tenant_quota" d.tenant_quota in
-      let* journal = opt_str_m "journal" d.journal in
       let* manifest = opt_str_m "manifest" d.manifest in
-      let* breaker = int_m "breaker" d.breaker in
-      let* breaker_cooldown_ms =
-        int_m "breaker_cooldown_ms" d.breaker_cooldown_ms
-      in
       let* heartbeat_ms = int_m "heartbeat_ms" d.heartbeat_ms in
       let* suspect_misses = int_m "suspect_misses" d.suspect_misses in
       let* dead_misses = int_m "dead_misses" d.dead_misses in
@@ -223,10 +197,7 @@ let of_json j =
              deadline_ms;
              shed_above;
              tenant_quota;
-             journal;
              manifest;
-             breaker;
-             breaker_cooldown_ms;
              heartbeat_ms;
              suspect_misses;
              dead_misses;

@@ -32,13 +32,7 @@ type t = {
       (** max in-flight jobs per tenant (the envelope's ["tenant"]
           member; absent = the anonymous tenant); excess jobs are
           answered ["overloaded"]. [None] (default): no quota *)
-  journal : string option;
-      (** crash-journal directory; the coordinator gives each worker
-          the [worker-<shard>] subdirectory *)
   manifest : string option;  (** JSONL telemetry manifest path *)
-  breaker : int;
-      (** result-cache breaker threshold; [0] disables (default 8) *)
-  breaker_cooldown_ms : int;  (** breaker open-state cooldown (default 5000) *)
   heartbeat_ms : int;
       (** coordinator-to-worker heartbeat interval; [0] disables
           supervision pings entirely (default 500) *)
@@ -69,10 +63,7 @@ val of_flags :
   ?deadline_ms:int ->
   ?shed_above:int ->
   ?tenant_quota:int ->
-  ?journal:string ->
   ?manifest:string ->
-  ?breaker:int ->
-  ?breaker_cooldown_ms:int ->
   ?heartbeat_ms:int ->
   ?suspect_misses:int ->
   ?dead_misses:int ->
@@ -83,7 +74,7 @@ val of_flags :
 (** Build a config from optional flag values — the mechanical
     migration shim for former [Server.opts] callers. Unset flags take
     the {!default}; out-of-range values are clamped ([workers]/[jobs]/
-    [queue] >= 1, [breaker] >= 0). *)
+    [queue] >= 1). *)
 
 val override :
   t ->
@@ -93,10 +84,7 @@ val override :
   ?deadline_ms:int ->
   ?shed_above:int ->
   ?tenant_quota:int ->
-  ?journal:string ->
   ?manifest:string ->
-  ?breaker:int ->
-  ?breaker_cooldown_ms:int ->
   ?heartbeat_ms:int ->
   ?suspect_misses:int ->
   ?dead_misses:int ->

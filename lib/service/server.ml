@@ -11,6 +11,9 @@ module Diag = Dise_isa.Diag
 let h_queue_wait = Metrics.Histogram.make "serve_queue_wait_ns"
 let h_request = Metrics.Histogram.make "serve_request_ns"
 
+(* Jobs answered [internal] after an escape. *)
+let isolated = Metrics.Counter.make "isolated"
+
 let protocol_version = 1
 
 (* Per-tier stop signalling. Each front end polls its own flag, so
@@ -149,7 +152,7 @@ let isolated_response id e bt =
   Format.eprintf "disesim serve: job isolated after unexpected exception: %s@.%s@."
     (Printexc.to_string e)
     (Printexc.raw_backtrace_to_string bt);
-  Resilience.Counters.incr Resilience.Counters.isolated;
+  Metrics.Counter.incr isolated;
   ( error_response id
       (Diag.Internal
          ("job failed with unexpected exception: " ^ Printexc.to_string e)),
@@ -184,40 +187,6 @@ let pp_summary ppf s =
   if s.timeouts > 0 || s.shed > 0 || s.isolated > 0 then
     Format.fprintf ppf " [%d timed out, %d shed, %d isolated]" s.timeouts
       s.shed s.isolated
-
-(* Replay begun-but-unfinished journal entries after a crash. Each
-   entry re-enters through [Request.run_ext], so a completed replay
-   lands in the content-addressed result cache under the same key the
-   original would have used — replaying is idempotent, and a job that
-   did finish before the crash is a pure cache hit. Failures
-   (including a corrupt entry that no longer decodes) are logged and
-   skipped; replay must never prevent the server from starting. *)
-let replay_journal ?jobs ~dir () =
-  match Resilience.Journal.pending ~dir with
-  | [] -> 0
-  | pending ->
-    let tasks =
-      List.map
-        (fun (seq, doc) () ->
-          match Request.of_json doc with
-          | Ok req -> ignore (Request.run_ext req)
-          | Error d ->
-            Format.eprintf
-              "disesim serve: journal entry %d is not replayable: %s@." seq
-              (Diag.to_string d))
-        pending
-    in
-    let outcomes = Pool.run_outcomes ?jobs (Array.of_list tasks) in
-    Array.iter
-      (function
-        | Error (e, _) ->
-          Format.eprintf "disesim serve: journal replay failed (isolated): %s@."
-            (Printexc.to_string e)
-        | Ok () -> ())
-      outcomes;
-    let n = List.length pending in
-    Resilience.Counters.add Resilience.Counters.journal_replayed n;
-    n
 
 (* Does a live server answer on [path]? Distinguishes "another
    instance is running" (refuse to start — stealing its socket would

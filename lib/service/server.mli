@@ -34,9 +34,7 @@
 
     {b Fault tolerance} (doc/resilience.md has the full semantics):
     job isolation under {!Pool.run_outcomes} (kind ["internal"],
-    {!isolated_response}), per-job deadlines (["timeout"]), and the
-    fsync-before-execute crash journal that {!replay_journal}
-    recovers. *)
+    {!isolated_response}) and per-job deadlines (["timeout"]). *)
 
 val protocol_version : int
 (** The wire-envelope version the tier speaks: [1]. *)
@@ -71,16 +69,6 @@ val pp_summary : Format.formatter -> summary -> unit
 (** ["served N jobs (E errors, H cache hits)"], with a
     [" [T timed out, S shed, I isolated]"] suffix when any of those
     is nonzero. *)
-
-val replay_journal : ?jobs:int -> dir:string -> unit -> int
-(** Re-run every job the journal at [dir] records as begun but not
-    done (a crash's leftovers), returning how many were replayed (0
-    when there is no journal). Each job re-enters through
-    {!Request.run_ext}, so completed work is a cache hit and
-    interrupted work lands in the result cache under its original
-    key — replay is idempotent. Per-job failures are logged and
-    skipped; the caller decides when to {!Resilience.Journal.clear}.
-    A worker calls this on its shard's journal at startup. *)
 
 val max_line_bytes : int
 (** Upper bound on one input line (1 MiB). Longer lines are consumed

@@ -2,8 +2,8 @@
 
     The coordinator routes every job by its {!Request.key} — the
     content-addressed result-cache key — so identical requests always
-    land on the same worker, making each worker's in-memory state and
-    journal shard authoritative for its slice of the keyspace.
+    land on the same worker, making each worker's in-memory state
+    authoritative for its slice of the keyspace.
     Consistent hashing (a ring of md5 points, {!default_vnodes}
     virtual nodes per worker) keeps shard sizes balanced and keyspace
     movement minimal when the worker count changes: growing from [N]

@@ -138,6 +138,26 @@ let test_rewrite_static_growth () =
   check bool_ "growth ratio computed" true
     (Rewrite.static_growth prog rw > 1.5)
 
+let test_rewrite_rejects_scavenged () =
+  let prog = Asm.parse (victim_src ^ "  add zero, #1, r24\n") in
+  List.iter
+    (fun variant ->
+      match Rewrite.rewrite ~variant ~data_seg:1 ~code_seg:0 prog with
+      | _ -> Alcotest.fail "a program writing r24 was rewritten"
+      | exception Invalid_argument msg ->
+        let has sub =
+          let n = String.length sub in
+          let rec go i =
+            i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+          in
+          go 0
+        in
+        check bool_ (Printf.sprintf "names the register (%S)" msg) true
+          (has "r24");
+        check bool_ (Printf.sprintf "names the instruction (%S)" msg) true
+          (has "add"))
+    [ Rewrite.Segment_matching; Rewrite.Sandboxing ]
+
 let test_sandboxing_redirects () =
   (* Sandboxing forces the bad store into the legal segment instead of
      trapping. *)
@@ -627,6 +647,8 @@ let suite =
     ("rewrite passes legal", `Quick, test_rewrite_passes_legal);
     ("rewrite catches illegal", `Quick, test_rewrite_catches_illegal);
     ("rewrite static growth", `Quick, test_rewrite_static_growth);
+    ("rewrite rejects scavenged registers", `Quick,
+     test_rewrite_rejects_scavenged);
     ("sandboxing redirects", `Quick, test_sandboxing_redirects);
     ("rewrite on workload", `Quick, test_rewrite_on_workload);
     ("compression lossless (all schemes)", `Quick,

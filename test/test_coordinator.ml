@@ -7,6 +7,7 @@
    test_main.ml. *)
 
 module Json = Dise_telemetry.Json
+module Metrics = Dise_telemetry.Metrics
 module Json_schema = Dise_telemetry.Json_schema
 module Manifest = Dise_telemetry.Manifest
 module Diag = Dise_isa.Diag
@@ -16,8 +17,8 @@ module Serve_config = Dise_service.Serve_config
 module Shard = Dise_service.Shard
 module Coordinator = Dise_service.Coordinator
 module Resilience = Dise_service.Resilience
-module Journal = Resilience.Journal
 module Chaos = Resilience.Chaos
+module Chaos_sched = Dise_fuzz.Chaos_sched
 
 let check = Alcotest.check
 let bool_ = Alcotest.bool
@@ -67,6 +68,7 @@ let assert_valid ~schema v =
          errs)
 
 let member name j = Option.get (Json.member name j)
+let counter name = Metrics.Counter.get (Option.get (Metrics.find_counter name))
 let kind_of r = Json.member "kind" (member "error" r)
 
 (* --- Serve_config -------------------------------------------------------- *)
@@ -74,7 +76,7 @@ let kind_of r = Json.member "kind" (member "error" r)
 let test_serve_config_roundtrip () =
   let cfg =
     Serve_config.of_flags ~workers:3 ~jobs:2 ~deadline_ms:500 ~shed_above:9_000
-      ~tenant_quota:4 ~journal:"/tmp/j" ~breaker:5 ()
+      ~tenant_quota:4 ~heartbeat_ms:250 ()
   in
   check int_ "jobs-only queue default is 4x" 8 cfg.Serve_config.queue;
   let j = Serve_config.to_json cfg in
@@ -107,6 +109,50 @@ let test_serve_config_roundtrip () =
   match Serve_config.of_json (Json.Obj [ ("jobs", Json.String "2") ]) with
   | Error (Diag.Parse _) -> ()
   | _ -> Alcotest.fail "mistyped member accepted"
+
+(* The crash journal, the cache breaker and the journal-truncating
+   chaos action are gone; a config file or schedule that still names
+   them is rejected, never silently ignored. *)
+let test_retired_inputs_rejected () =
+  List.iter
+    (fun (name, v) ->
+      match Serve_config.of_json (Json.Obj [ (name, v) ]) with
+      | Error (Diag.Parse { msg; _ }) ->
+        check bool_
+          (Printf.sprintf "%s rejected by name (got %S)" name msg)
+          true
+          (msg = Printf.sprintf "unknown member %S" name)
+      | Error d -> Alcotest.fail ("wrong diag: " ^ Diag.to_string d)
+      | Ok _ -> Alcotest.fail (name ^ " accepted"))
+    [
+      ("journal", Json.String "/tmp/j");
+      ("breaker", Json.Int 8);
+      ("breaker_cooldown_ms", Json.Int 5000);
+    ];
+  let sched =
+    Json.Obj
+      [
+        ("seed", Json.Int 1);
+        ( "events",
+          Json.List
+            [
+              Json.Obj
+                [
+                  ("after", Json.Int 0);
+                  ("action", Json.String "truncate_journal");
+                  ("shard", Json.Int 0);
+                ];
+            ] );
+      ]
+  in
+  match Chaos_sched.of_json sched with
+  | Error (Diag.Parse { msg; _ }) ->
+    check bool_
+      (Printf.sprintf "the retired action is unknown (got %S)" msg)
+      true
+      (msg = {|event 0: unknown action "truncate_journal"|})
+  | Error d -> Alcotest.fail ("wrong diag: " ^ Diag.to_string d)
+  | Ok _ -> Alcotest.fail "the retired chaos action was accepted"
 
 (* --- the consistent-hash ring -------------------------------------------- *)
 
@@ -266,13 +312,13 @@ let test_tenant_quota_order () =
 
 (* Run [lines] through a real worker tier and return
    (summary, responses, manifest records). *)
-let serve_sharded ?on_spawn ?journal ?chaos ?heartbeat_ms ?suspect_misses
+let serve_sharded ?on_spawn ?chaos ?heartbeat_ms ?suspect_misses
     ?dead_misses ?hedge_p95x ~workers lines =
   with_temp_dir (fun dir ->
       let mbuf = Buffer.create 4096 in
       let manifest = Manifest.to_buffer mbuf in
       let cfg =
-        Serve_config.of_flags ~workers ~jobs:1 ~queue:16 ?journal ?heartbeat_ms
+        Serve_config.of_flags ~workers ~jobs:1 ~queue:16 ?heartbeat_ms
           ?suspect_misses ?dead_misses ?hedge_p95x ()
       in
       let summary, responses =
@@ -331,97 +377,58 @@ let test_coordinator_end_to_end () =
 
 let test_coordinator_crash_recovery () =
   (* Stall job 1 in its worker, then SIGKILL every initially-spawned
-     worker mid-batch: the coordinator must respawn, the replacements
-     must replay their journal shards, and every job must still get
-     its answer in order. *)
-  with_temp_dir (fun jdir ->
-      with_chaos "sleep=1:1500" (fun () ->
-          let initial = ref [] in
-          let spawns = ref 0 in
-          let m = Mutex.create () in
-          let on_spawn ~shard:_ ~pid =
-            Mutex.lock m;
-            incr spawns;
-            if !spawns <= 2 then initial := pid :: !initial;
-            Mutex.unlock m
-          in
-          let killer =
-            Domain.spawn (fun () ->
-                Unix.sleepf 0.4;
-                Mutex.lock m;
-                let victims = !initial in
-                Mutex.unlock m;
-                List.iter
-                  (fun pid ->
-                    try Unix.kill pid Sys.sigkill
-                    with Unix.Unix_error _ -> ())
-                  victims)
-          in
-          let lines = List.init 6 (fun i -> job ~dyn:(24_101 + i) (i + 1)) in
-          let summary, rs, records =
-            serve_sharded ~on_spawn ~workers:2
-              ~journal:(Filename.concat jdir "journal")
-              lines
-          in
-          Domain.join killer;
-          check int_ "all jobs answered despite the kill" 6
-            summary.Server.served;
-          check int_ "no errors surfaced" 0 summary.Server.errors;
-          List.iteri
-            (fun i r ->
-              check bool_
-                (Printf.sprintf "response %d ok and in order" (i + 1))
-                true
-                (member "id" r = Json.Int (i + 1)
-                && member "ok" r = Json.Bool true))
-            rs;
-          let record = merged_record records in
-          assert_valid ~schema:(load_schema "serve_summary.schema.json") record;
-          match Json.member "workers" record with
-          | Some (Json.List ws) ->
-            let restarts =
-              List.fold_left
-                (fun acc w ->
-                  match Json.member "restarts" w with
-                  | Some (Json.Int n) -> acc + n
-                  | _ -> acc)
-                0 ws
-            in
-            check bool_
-              (Printf.sprintf "the tier restarted workers (%d)" restarts)
-              true (restarts >= 1)
-          | _ -> Alcotest.fail "merged record lacks a workers array"))
-
-let test_coordinator_journal_shard_replay () =
-  (* Plant begun-but-not-done entries in one shard's journal — the
-     leftovers of a crash — and start an empty-stream tier over the
-     same root: the owning worker must replay exactly those jobs, and
-     the count must surface in the merged counters. *)
-  with_temp_dir (fun root ->
-      let jroot = Filename.concat root "journal" in
-      let shard_dir = Filename.concat jroot "worker-1" in
-      let j = Journal.open_ ~dir:shard_dir in
-      for i = 1 to 3 do
-        ignore
-          (Journal.append_begin j
-             (Json.parse (job ~dyn:(24_201 + i) i)))
-      done;
-      Journal.sync j;
-      Journal.close j;
-      let summary, rs, records =
-        serve_sharded ~workers:2 ~journal:jroot []
+     worker mid-batch: the coordinator must respawn them and hand the
+     replacements their in-flight frames again, and every job must
+     still get its answer in order. *)
+  with_chaos "sleep=1:1500" (fun () ->
+      let initial = ref [] in
+      let spawns = ref 0 in
+      let m = Mutex.create () in
+      let on_spawn ~shard:_ ~pid =
+        Mutex.lock m;
+        incr spawns;
+        if !spawns <= 2 then initial := pid :: !initial;
+        Mutex.unlock m
       in
-      check int_ "empty stream serves nothing" 0 summary.Server.served;
-      check int_ "no responses" 0 (List.length rs);
+      let killer =
+        Domain.spawn (fun () ->
+            Unix.sleepf 0.4;
+            Mutex.lock m;
+            let victims = !initial in
+            Mutex.unlock m;
+            List.iter
+              (fun pid ->
+                try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+              victims)
+      in
+      let lines = List.init 6 (fun i -> job ~dyn:(24_101 + i) (i + 1)) in
+      let summary, rs, records = serve_sharded ~on_spawn ~workers:2 lines in
+      Domain.join killer;
+      check int_ "all jobs answered despite the kill" 6 summary.Server.served;
+      check int_ "no errors surfaced" 0 summary.Server.errors;
+      List.iteri
+        (fun i r ->
+          check bool_
+            (Printf.sprintf "response %d ok and in order" (i + 1))
+            true
+            (member "id" r = Json.Int (i + 1) && member "ok" r = Json.Bool true))
+        rs;
       let record = merged_record records in
-      match Json.member "counters" record with
-      | Some (Json.Obj counters) ->
+      assert_valid ~schema:(load_schema "serve_summary.schema.json") record;
+      match Json.member "workers" record with
+      | Some (Json.List ws) ->
+        let restarts =
+          List.fold_left
+            (fun acc w ->
+              match Json.member "restarts" w with
+              | Some (Json.Int n) -> acc + n
+              | _ -> acc)
+            0 ws
+        in
         check bool_
-          (Printf.sprintf "merged counters report the shard's replay (%s)"
-             (Json.to_string (Json.Obj counters)))
-          true
-          (List.assoc_opt "journal_replayed" counters = Some (Json.Int 3))
-      | _ -> Alcotest.fail "merged record lacks counters")
+          (Printf.sprintf "the tier restarted workers (%d)" restarts)
+          true (restarts >= 1)
+      | _ -> Alcotest.fail "merged record lacks a workers array")
 
 (* --- socket-mode harness ------------------------------------------------- *)
 
@@ -553,45 +560,6 @@ let test_write_all_nonblocking_pipe () =
   check int_ "every byte arrived" total count;
   check bool_ "bytes arrived in order, untorn" true ok
 
-(* --- journal replay across a worker-count change -------------------------- *)
-
-let plant_journal ~jroot ~shard entries =
-  let dir = Filename.concat jroot (Printf.sprintf "worker-%d" shard) in
-  let j = Journal.open_ ~dir in
-  List.iter (fun doc -> ignore (Journal.append_begin j doc)) entries;
-  Journal.sync j;
-  Journal.close j
-
-(* A tier that crashed at --workers 3 left entries in worker-0/1/2;
-   restarting at --workers 2 must replay {e all} of them — routed by
-   the current ring — not just the two directories whose names happen
-   to match a live shard. Pre-fix, worker-2's journal is orphaned and
-   only 4 of the 6 jobs replay. *)
-let test_coordinator_journal_reshard_replay () =
-  with_temp_dir (fun root ->
-      let jroot = Filename.concat root "journal" in
-      List.iter
-        (fun shard ->
-          plant_journal ~jroot ~shard
-            [
-              Json.parse (job ~dyn:(24_301 + (2 * shard)) ((2 * shard) + 1));
-              Json.parse (job ~dyn:(24_302 + (2 * shard)) ((2 * shard) + 2));
-            ])
-        [ 0; 1; 2 ];
-      let summary, rs, records = serve_sharded ~workers:2 ~journal:jroot [] in
-      check int_ "empty stream serves nothing" 0 summary.Server.served;
-      check int_ "no responses" 0 (List.length rs);
-      let record = merged_record records in
-      match Json.member "counters" record with
-      | Some (Json.Obj counters) ->
-        check bool_
-          (Printf.sprintf
-             "all three crashed shards replay through the new ring (%s)"
-             (Json.to_string (Json.Obj counters)))
-          true
-          (List.assoc_opt "journal_replayed" counters = Some (Json.Int 6))
-      | _ -> Alcotest.fail "merged record lacks counters")
-
 (* --- ring shrink: the failover movement property -------------------------- *)
 
 let test_shard_shrink () =
@@ -648,7 +616,7 @@ let test_shard_shrink () =
    envelope dialects. *)
 let test_hedge_dedup () =
   with_chaos "sleep=3:1200" (fun () ->
-      let hedges0 = Resilience.Counters.get Resilience.Counters.hedges in
+      let hedges0 = counter "hedges" in
       let chaos ~requests:_ =
         [
           Coordinator.Chaos_suspect { shard = 0 };
@@ -680,7 +648,7 @@ let test_hedge_dedup () =
             && member "ok" r = Json.Bool true
             && Json.member "v" r = Some (Json.Int 1)))
         rs;
-      let hedged = Resilience.Counters.get Resilience.Counters.hedges in
+      let hedged = counter "hedges" in
       check bool_
         (Printf.sprintf "the stalled request was hedged (%d)"
            (hedged - hedges0))
@@ -693,62 +661,57 @@ let test_hedge_dedup () =
 (* --- live failover: a permanent kill leaves a degraded tier --------------- *)
 
 let test_failover_degraded () =
-  with_temp_dir (fun jdir ->
-      let failovers0 = Resilience.Counters.get Resilience.Counters.failovers in
-      let killed = ref None in
-      let m = Mutex.create () in
-      (* kill shard 1 for good once the stream is flowing *)
-      let chaos ~requests =
-        Mutex.lock m;
-        let acts =
-          if requests >= 3 && !killed = None then begin
-            killed := Some 1;
-            [ Coordinator.Chaos_kill { shard = 1; permanent = true } ]
-          end
-          else []
-        in
-        Mutex.unlock m;
-        acts
-      in
-      let lines = List.init 10 (fun i -> job ~dyn:(25_101 + i) (i + 1)) in
-      let summary, rs, records =
-        serve_sharded ~workers:3 ~heartbeat_ms:100 ~chaos
-          ~journal:(Filename.concat jdir "journal")
-          lines
-      in
-      check int_ "all jobs served degraded" 10 summary.Server.served;
-      check int_ "no client-visible errors" 0 summary.Server.errors;
-      List.iteri
-        (fun i r ->
-          check bool_
-            (Printf.sprintf "response %d ok and in order" (i + 1))
-            true
-            (member "id" r = Json.Int (i + 1)
-            && member "ok" r = Json.Bool true))
-        rs;
-      check bool_ "a failover was recorded" true
-        (Resilience.Counters.get Resilience.Counters.failovers - failovers0
-        >= 1);
-      let record = merged_record records in
-      assert_valid ~schema:(load_schema "serve_summary.schema.json") record;
-      match Json.member "topology" record with
-      | Some topo ->
-        check bool_ "tier reports degraded" true
-          (member "degraded" topo = Json.Bool true);
-        check bool_ "shard 1 listed dead" true
-          (match member "dead" topo with
-          | Json.List l -> List.mem (Json.Int 1) l
-          | _ -> false);
-        check bool_ "shard 1 off the alive list" true
-          (match member "alive" topo with
-          | Json.List l -> not (List.mem (Json.Int 1) l)
-          | _ -> false)
-      | None -> Alcotest.fail "merged record lacks a topology member")
+  let failovers0 = counter "failovers" in
+  let killed = ref None in
+  let m = Mutex.create () in
+  (* kill shard 1 for good once the stream is flowing *)
+  let chaos ~requests =
+    Mutex.lock m;
+    let acts =
+      if requests >= 3 && !killed = None then begin
+        killed := Some 1;
+        [ Coordinator.Chaos_kill { shard = 1; permanent = true } ]
+      end
+      else []
+    in
+    Mutex.unlock m;
+    acts
+  in
+  let lines = List.init 10 (fun i -> job ~dyn:(25_101 + i) (i + 1)) in
+  let summary, rs, records =
+    serve_sharded ~workers:3 ~heartbeat_ms:100 ~chaos lines
+  in
+  check int_ "all jobs served degraded" 10 summary.Server.served;
+  check int_ "no client-visible errors" 0 summary.Server.errors;
+  List.iteri
+    (fun i r ->
+      check bool_
+        (Printf.sprintf "response %d ok and in order" (i + 1))
+        true
+        (member "id" r = Json.Int (i + 1) && member "ok" r = Json.Bool true))
+    rs;
+  check bool_ "a failover was recorded" true
+    (counter "failovers" - failovers0 >= 1);
+  let record = merged_record records in
+  assert_valid ~schema:(load_schema "serve_summary.schema.json") record;
+  match Json.member "topology" record with
+  | Some topo ->
+    check bool_ "tier reports degraded" true
+      (member "degraded" topo = Json.Bool true);
+    check bool_ "shard 1 listed dead" true
+      (match member "dead" topo with
+      | Json.List l -> List.mem (Json.Int 1) l
+      | _ -> false);
+    check bool_ "shard 1 off the alive list" true
+      (match member "alive" topo with
+      | Json.List l -> not (List.mem (Json.Int 1) l)
+      | _ -> false)
+  | None -> Alcotest.fail "merged record lacks a topology member"
 
 (* --- torn frames: discarded and resubmitted, never parsed ----------------- *)
 
 let test_torn_frame_resubmit () =
-  let torn0 = Resilience.Counters.get Resilience.Counters.torn_frames in
+  let torn0 = counter "torn_frames" in
   let tore = ref false in
   let m = Mutex.create () in
   let chaos ~requests =
@@ -776,7 +739,7 @@ let test_torn_frame_resubmit () =
         (member "id" r = Json.Int (i + 1) && member "ok" r = Json.Bool true))
     rs;
   check bool_ "the tear was counted" true
-    (Resilience.Counters.get Resilience.Counters.torn_frames - torn0 >= 1)
+    (counter "torn_frames" - torn0 >= 1)
 
 (* --- one front end: stdio and socket admit alike ------------------------- *)
 
@@ -885,6 +848,8 @@ let suite =
   [
     Alcotest.test_case "serve_config round-trip" `Quick
       test_serve_config_roundtrip;
+    Alcotest.test_case "retired serve inputs rejected" `Quick
+      test_retired_inputs_rejected;
     Alcotest.test_case "shard routing" `Quick test_shard_routing;
     Alcotest.test_case "wire envelope versions" `Quick test_envelope_versions;
     Alcotest.test_case "v0 client compatibility" `Quick test_v0_compat;
@@ -894,10 +859,6 @@ let suite =
       test_coordinator_end_to_end;
     Alcotest.test_case "worker crash recovery" `Quick
       test_coordinator_crash_recovery;
-    Alcotest.test_case "journal shard replay" `Quick
-      test_coordinator_journal_shard_replay;
-    Alcotest.test_case "journal replay across resharding" `Quick
-      test_coordinator_journal_reshard_replay;
     Alcotest.test_case "write_all vs nonblocking full pipe" `Quick
       test_write_all_nonblocking_pipe;
     Alcotest.test_case "quota released on connection failure" `Quick

@@ -1,11 +1,12 @@
-(* Tests for the fault-tolerant serve layer: circuit breaker, retry,
-   chaos directives, crash journal, per-job isolation, deadlines,
-   admission shedding, and the supervised socket loop. The
-   whole-system chaos matrix (SIGKILL replay, breaker trip under
+(* Tests for the fault-tolerant serve layer: retry, chaos directives,
+   per-job isolation, deadlines, admission shedding, heartbeat health,
+   the serve counters, and the supervised socket loop. The
+   whole-system chaos matrix (SIGKILL resubmission, a sick cache under
    load) lives in lib/fuzz/faults.ml; these are the deterministic
    unit and protocol tests. *)
 
 module Json = Dise_telemetry.Json
+module Metrics = Dise_telemetry.Metrics
 module Diag = Dise_isa.Diag
 module Cache = Dise_service.Cache
 module Request = Dise_service.Request
@@ -14,8 +15,6 @@ module Coordinator = Dise_service.Coordinator
 module Serve_config = Dise_service.Serve_config
 module Pool = Dise_service.Pool
 module Resilience = Dise_service.Resilience
-module Breaker = Resilience.Breaker
-module Journal = Resilience.Journal
 module Chaos = Resilience.Chaos
 
 let check = Alcotest.check
@@ -49,55 +48,14 @@ let with_chaos spec f =
   Unix.putenv Chaos.env_var spec;
   Fun.protect ~finally:(fun () -> Unix.putenv Chaos.env_var "") f
 
-(* --- breaker state machine (fake clock) ---------------------------------- *)
-
-let test_breaker_states () =
-  let clock = ref 0.0 in
-  let b = Breaker.create ~threshold:3 ~cooldown_s:10.0 ~now:(fun () -> !clock) () in
-  check bool_ "starts closed" true (Breaker.state b = Breaker.Closed);
-  check bool_ "closed allows" true (Breaker.allow b);
-  Breaker.failure b;
-  Breaker.failure b;
-  check bool_ "below threshold: still closed" true
-    (Breaker.state b = Breaker.Closed);
-  Breaker.success b;
-  (* success resets the consecutive count *)
-  Breaker.failure b;
-  Breaker.failure b;
-  check bool_ "reset count: still closed" true
-    (Breaker.state b = Breaker.Closed);
-  Breaker.failure b;
-  check bool_ "third consecutive failure trips" true
-    (Breaker.state b = Breaker.Open);
-  check int_ "one trip recorded" 1 (Breaker.trips b);
-  check bool_ "open blocks" false (Breaker.allow b);
-  check bool_ "blocked reports open" true (Breaker.blocked b);
-  clock := 9.0;
-  check bool_ "still cooling down" false (Breaker.allow b);
-  clock := 10.5;
-  check bool_ "cooldown over: probe admitted" true (Breaker.allow b);
-  check bool_ "half-open" true (Breaker.state b = Breaker.Half_open);
-  check bool_ "single probe: second caller refused" false (Breaker.allow b);
-  Breaker.failure b;
-  check bool_ "failed probe re-opens" true (Breaker.state b = Breaker.Open);
-  clock := 21.0;
-  check bool_ "second probe admitted" true (Breaker.allow b);
-  Breaker.success b;
-  check bool_ "successful probe closes" true (Breaker.state b = Breaker.Closed);
-  check bool_ "closed is not blocked" false (Breaker.blocked b);
-  check int_ "still one trip" 1 (Breaker.trips b);
-  match Breaker.to_json b with
-  | Json.Obj fields ->
-    check bool_ "to_json carries state" true
-      (List.assoc_opt "state" fields = Some (Json.String "closed"))
-  | _ -> Alcotest.fail "to_json not an object"
-
 (* --- bounded retry ------------------------------------------------------- *)
 
 exception Flaky
 
+let counter name = Metrics.Counter.get (Option.get (Metrics.find_counter name))
+
 let test_retries () =
-  let before = Resilience.Counters.get Resilience.Counters.retries in
+  let before = counter "retries" in
   let calls = ref 0 in
   let v =
     Resilience.with_retries ~base_delay_s:0.0001 ~max_delay_s:0.001
@@ -109,7 +67,7 @@ let test_retries () =
   check int_ "third try succeeds" 42 v;
   check int_ "two retries performed" 3 !calls;
   check bool_ "retries counted" true
-    (Resilience.Counters.get Resilience.Counters.retries >= before + 2);
+    (counter "retries" >= before + 2);
   (* non-transient: no retry *)
   let calls = ref 0 in
   (try
@@ -153,81 +111,6 @@ let test_chaos_parse () =
   check bool_ "sleep directive stalls" true (Unix.gettimeofday () -. t0 >= 0.04);
   let none = Chaos.parse "" in
   Chaos.apply none ~id:(Json.Int 2)
-
-(* --- crash journal ------------------------------------------------------- *)
-
-let doc i = Json.Obj [ ("bench", Json.String "tiny"); ("n", Json.Int i) ]
-
-let test_journal_roundtrip () =
-  with_temp_dir (fun dir ->
-      let j = Journal.open_ ~dir in
-      let s1 = Journal.append_begin j (doc 1) in
-      let s2 = Journal.append_begin j (doc 2) in
-      let s3 = Journal.append_begin j (doc 3) in
-      check bool_ "sequence numbers are distinct and ordered" true
-        (s1 < s2 && s2 < s3);
-      Journal.sync j;
-      Journal.mark_done j s2;
-      Journal.close j;
-      let pending = Journal.pending ~dir in
-      check int_ "two jobs pending" 2 (List.length pending);
-      check bool_ "pending in journal order, done job gone" true
-        (List.map fst pending = [ s1; s3 ]);
-      check bool_ "documents survive the round-trip" true
-        (List.map snd pending = [ doc 1; doc 3 ]);
-      (* a half-written trailing line (crash mid-append) is skipped *)
-      let oc =
-        open_out_gen [ Open_append; Open_binary ] 0o644 (Journal.file ~dir)
-      in
-      output_string oc "{\"op\":\"begin\",\"seq\":9,\"jo";
-      close_out oc;
-      let pending' = Journal.pending ~dir in
-      check bool_ "partial trailing line is ignored" true
-        (List.map fst pending' = [ s1; s3 ]);
-      Journal.clear ~dir;
-      check int_ "clear empties the journal" 0
-        (List.length (Journal.pending ~dir)))
-
-let test_journal_missing_dir () =
-  with_temp_dir (fun dir ->
-      let nested = Filename.concat dir "does/not/exist" in
-      check int_ "no journal means nothing pending" 0
-        (List.length (Journal.pending ~dir:nested));
-      (* open_ creates the directory chain *)
-      let j = Journal.open_ ~dir:nested in
-      ignore (Journal.append_begin j (doc 1));
-      Journal.close j;
-      check int_ "journal usable in a created directory" 1
-        (List.length (Journal.pending ~dir:nested)))
-
-(* --- journal replay ------------------------------------------------------ *)
-
-let test_replay_journal () =
-  with_temp_dir (fun dir ->
-      let jdir = Filename.concat dir "journal" in
-      let cdir = Filename.concat dir "cache" in
-      let j = Journal.open_ ~dir:jdir in
-      let interrupted = Request.v ~dyn_target:21_011 "tiny" in
-      let finished = Request.v ~dyn_target:21_012 "tiny" in
-      ignore (Journal.append_begin j (Request.to_json interrupted));
-      let s2 = Journal.append_begin j (Request.to_json finished) in
-      Journal.mark_done j s2;
-      Journal.close j;
-      Request.set_disk_cache (Some (Cache.create ~dir:cdir));
-      Fun.protect
-        ~finally:(fun () ->
-          Request.set_disk_cache None;
-          Request.clear_memory ())
-        (fun () ->
-          let replayed = Server.replay_journal ~jobs:1 ~dir:jdir () in
-          check int_ "only the interrupted job replays" 1 replayed;
-          let c = Option.get (Request.disk_cache ()) in
-          check bool_ "replayed job landed in the result cache" true
-            (Cache.find c ~key:(Request.key interrupted) <> None);
-          check bool_ "finished job was not re-run" true
-            (Cache.find c ~key:(Request.key finished) = None);
-          check int_ "replay with no journal is a no-op" 0
-            (Server.replay_journal ~dir:(Filename.concat dir "none") ())))
 
 (* --- per-task isolation in the pool -------------------------------------- *)
 
@@ -399,7 +282,7 @@ let test_serve_manifest_record () =
   | Some (Json.Obj counters) ->
     check bool_ "resilience counters embedded" true
       (List.mem_assoc "isolated" counters
-      && List.mem_assoc "breaker_trips" counters)
+      && List.mem_assoc "store_drops" counters)
   | _ -> Alcotest.fail "no counters object"
 
 (* --- the socket loop ----------------------------------------------------- *)
@@ -565,33 +448,37 @@ let test_health_states () =
   check bool_ "force_dead keeps its reason" true
     (reason h2 = Some "respawn cap")
 
+(* The serve counters live in the metrics registry, declared by the
+   modules that bump them; the retired breaker and journal counters
+   are gone. *)
 let test_counters () =
-  let snap = Resilience.Counters.snapshot () in
-  check int_ "eighteen counters registered" 18 (List.length snap);
+  let snap = (Metrics.snapshot ()).Metrics.counters in
+  let serve_counters =
+    [
+      "isolated"; "timeouts"; "shed"; "retries"; "store_drops";
+      "conn_failures"; "jit_compiles"; "jit_hits"; "jit_invalidations";
+      "hedges"; "hedge_wins"; "heartbeat_misses"; "failovers"; "torn_frames";
+    ]
+  in
+  check int_ "fourteen serve counters" 14 (List.length serve_counters);
   List.iter
     (fun name ->
       check bool_ (name ^ " present") true (List.mem_assoc name snap))
-    [
-      "isolated"; "timeouts"; "shed"; "retries"; "store_drops";
-      "breaker_trips"; "breaker_probes"; "breaker_closes"; "conn_failures";
-      "journal_replayed"; "jit_compiles"; "jit_hits"; "jit_invalidations";
-      "hedges"; "hedge_wins"; "heartbeat_misses"; "failovers"; "torn_frames";
-    ];
-  let before = Resilience.Counters.get Resilience.Counters.shed in
-  Resilience.Counters.incr Resilience.Counters.shed;
-  Resilience.Counters.add Resilience.Counters.shed 2;
-  check int_ "incr/add" (before + 3)
-    (Resilience.Counters.get Resilience.Counters.shed)
+    serve_counters;
+  List.iter
+    (fun name ->
+      check bool_ (name ^ " retired") false (List.mem_assoc name snap))
+    [ "breaker_trips"; "breaker_probes"; "breaker_closes"; "journal_replayed" ];
+  let shed = Option.get (Metrics.find_counter "shed") in
+  let before = Metrics.Counter.get shed in
+  Metrics.Counter.incr shed;
+  Metrics.Counter.add shed 2;
+  check int_ "incr/add" (before + 3) (Metrics.Counter.get shed)
 
 let suite =
   [
-    Alcotest.test_case "breaker state machine" `Quick test_breaker_states;
     Alcotest.test_case "bounded retry with backoff" `Quick test_retries;
     Alcotest.test_case "chaos directive parsing" `Quick test_chaos_parse;
-    Alcotest.test_case "journal round-trip" `Quick test_journal_roundtrip;
-    Alcotest.test_case "journal missing directory" `Quick
-      test_journal_missing_dir;
-    Alcotest.test_case "journal replay" `Quick test_replay_journal;
     Alcotest.test_case "pool outcome isolation" `Quick test_pool_outcomes;
     Alcotest.test_case "serve mixed fault chunk" `Quick test_serve_mixed_chunk;
     Alcotest.test_case "serve truncated line number" `Quick

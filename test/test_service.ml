@@ -229,6 +229,34 @@ let test_counters_and_clear () =
           Dise_harness.Experiment.clear_cache ();
           check int_ "clear_cache wipes disk" 0 (Cache.entries c)))
 
+(* A cache that cannot store is dropped around, never raised: the job
+   answers with the stats it computed, and the drop is counted. *)
+let test_sick_cache_store_dropped () =
+  let r = Request.v ~dyn_target:25_301 "tiny" in
+  Request.clear_memory ();
+  let cacheless, _ = Result.get_ok (Request.run_ext r) in
+  let drops () =
+    Dise_telemetry.Metrics.Counter.get
+      (Option.get (Dise_telemetry.Metrics.find_counter "store_drops"))
+  in
+  with_temp_dir (fun dir ->
+      with_disk_cache dir (fun () ->
+          let c = Option.get (Request.disk_cache ()) in
+          (* a regular file where the key's fan-out directory belongs *)
+          write_file (Filename.dirname (Cache.path c ~key:(Request.key r))) "x";
+          let d0 = drops () in
+          (match Request.run_ext r with
+          | Ok (stats, hit) ->
+            check bool_ "fresh run" false hit;
+            check bool_ "stats equal a cache-less run" true
+              (Stats.to_json stats = Stats.to_json cacheless)
+          | Error d -> Alcotest.fail ("sick cache failed the job: " ^ Diag.to_string d));
+          check int_ "one store dropped" 1 (drops () - d0);
+          Request.clear_memory ();
+          match Request.run_ext r with
+          | Ok (_, hit) -> check bool_ "nothing was cached" false hit
+          | Error d -> Alcotest.fail ("second run failed: " ^ Diag.to_string d)))
+
 let test_sink_bypasses_cache () =
   with_temp_dir (fun dir ->
       with_disk_cache dir (fun () ->
@@ -499,6 +527,7 @@ let suite =
     ("cache store/find/corrupt", `Quick, test_store_find_corrupt);
     ("run recovers from corruption", `Quick, test_run_recovers_from_corruption);
     ("counters and clear_cache", `Quick, test_counters_and_clear);
+    ("sick cache store is dropped", `Quick, test_sick_cache_store_dropped);
     ("sinks bypass caches", `Quick, test_sink_bypasses_cache);
     ("cold vs warm CSV identical", `Quick, test_cold_warm_csv_identical);
     ("cold vs warm ratio panel", `Quick, test_cold_warm_ratio_panel);
