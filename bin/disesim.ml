@@ -108,6 +108,23 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
+(* Outputs are opened before any simulation, so a path that cannot be
+   written fails fast with exit 2, naming it, instead of after the
+   run. *)
+let open_output path =
+  try open_out path
+  with Sys_error msg -> die (Diag.Invalid ("cannot write " ^ msg))
+
+let output_dir dir =
+  match Unix.mkdir dir 0o755 with
+  | () -> ()
+  | exception Unix.Unix_error (Unix.EEXIST, _, _) when Sys.is_directory dir ->
+    ()
+  | exception Unix.Unix_error (e, _, _) ->
+    die
+      (Diag.Invalid
+         (Printf.sprintf "cannot create %s: %s" dir (Unix.error_message e)))
+
 (* --- list ------------------------------------------------------------- *)
 
 let list_cmd =
@@ -158,39 +175,26 @@ let machine_of icache width =
   |> Config.with_width width
   |> Config.with_icache_kb (match icache with Some 0 -> None | x -> x)
 
-let spec_of dyn icache width rt rt_assoc composing =
-  let controller =
-    match rt with
-    | None -> None
-    | Some entries ->
-      Some
-        { Controller.default_config with
-          rt_entries = entries;
-          rt_assoc;
-          composing }
-  in
-  { H.Experiment.dyn_target = dyn; machine = machine_of icache width;
-    controller }
-
 (* --- run --------------------------------------------------------------- *)
 
 let acf_arg =
-  let acfs =
-    [ ("none", `None); ("mfi-dise3", `Dise3); ("mfi-dise4", `Dise4);
-      ("mfi-rewrite", `Rewrite); ("decompress", `Decompress);
-      ("composed", `Composed) ]
+  let decompress mfi =
+    S.Request.Decompress
+      { scheme = A.Compress.full_dise; mfi; rewritten = false }
   in
-  Arg.(value & opt (enum acfs) `None & info [ "acf" ] ~docv:"ACF"
-         ~doc:"Customization function: $(docv) is one of none, mfi-dise3, \
-               mfi-dise4, mfi-rewrite, decompress, composed.")
-
-let acf_name = function
-  | `None -> "none"
-  | `Dise3 -> "mfi-dise3"
-  | `Dise4 -> "mfi-dise4"
-  | `Rewrite -> "mfi-rewrite"
-  | `Decompress -> "decompress"
-  | `Composed -> "composed"
+  let acfs =
+    [ ("none", S.Request.Baseline);
+      ("mfi-dise3", S.Request.Mfi_dise A.Mfi.Dise3);
+      ("mfi-dise4", S.Request.Mfi_dise A.Mfi.Dise4);
+      ("mfi-rewrite", S.Request.Mfi_rewrite A.Rewrite.Segment_matching);
+      ("decompress", decompress `None); ("composed", decompress `Composed) ]
+  in
+  Arg.(value
+       & opt (enum (List.map (fun (n, a) -> (n, (n, a))) acfs))
+           ("none", S.Request.Baseline)
+       & info [ "acf" ] ~docv:"ACF"
+           ~doc:"Customization function: $(docv) is one of none, mfi-dise3, \
+                 mfi-dise4, mfi-rewrite, decompress, composed.")
 
 let stats_json_arg =
   Arg.(value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE"
@@ -210,35 +214,34 @@ let cpi_stack_arg =
 
 let run_cmd =
   let doc = "Simulate one workload under one ACF and machine configuration." in
-  let run bench dyn icache width acf rt rt_assoc stats_json trace_path cpi
-      cache_dir no_cache no_jit jit_threshold =
+  let run bench dyn icache width (acf_name, acf) rt rt_assoc stats_json
+      trace_path cpi cache_dir no_cache no_jit jit_threshold =
     setup_cache cache_dir no_cache;
     setup_jit no_jit jit_threshold;
     let entry = entry_of bench dyn in
-    let spec = spec_of dyn icache width rt rt_assoc (acf = `Composed) in
-    let trace_chan = Option.map open_out trace_path in
+    let trace_chan = Option.map open_output trace_path in
+    let stats_chan = Option.map open_output stats_json in
+    let controller =
+      Option.map
+        (fun entries ->
+          { Controller.default_config with
+            rt_entries = entries;
+            rt_assoc;
+            composing =
+              (match acf with
+              | S.Request.Decompress { mfi = `Composed; _ } -> true
+              | _ -> false) })
+        rt
+    in
+    let req =
+      S.Request.v ~dyn_target:dyn ~machine:(machine_of icache width)
+        ?controller ~acf bench
+    in
     let trace = Option.map (fun c -> T.Trace.to_channel c) trace_chan in
     let profile =
       if stats_json <> None || cpi then Some (T.Profile.create ()) else None
     in
-    let stats =
-      guarded (fun () ->
-          match acf with
-          | `None -> H.Experiment.baseline ?trace ?profile spec entry
-          | `Dise3 ->
-            H.Experiment.mfi_dise ~variant:A.Mfi.Dise3 ?trace ?profile spec
-              entry
-          | `Dise4 ->
-            H.Experiment.mfi_dise ~variant:A.Mfi.Dise4 ?trace ?profile spec
-              entry
-          | `Rewrite -> H.Experiment.mfi_rewrite ?trace ?profile spec entry
-          | `Decompress ->
-            H.Experiment.decompress_run ~scheme:A.Compress.full_dise ?trace
-              ?profile spec entry
-          | `Composed ->
-            H.Experiment.decompress_run ~scheme:A.Compress.full_dise
-              ~mfi:`Composed ?trace ?profile spec entry)
-    in
+    let stats = guarded (fun () -> S.Request.run ~entry ?trace ?profile req) in
     (match trace_chan with
     | Some c ->
       close_out c;
@@ -248,12 +251,15 @@ let run_cmd =
           (Option.get trace_path) (T.Trace.emitted tr) (T.Trace.dropped tr)
       else Format.printf "(trace written to %s)@." (Option.get trace_path)
     | None -> ());
-    Format.printf "machine: %a@." Config.pp spec.H.Experiment.machine;
+    Format.printf "machine: %a@." Config.pp req.S.Request.machine;
     Format.printf "%a@." Stats.pp stats;
-    let base = guarded (fun () -> H.Experiment.baseline spec entry) in
-    if acf <> `None then
+    let base =
+      guarded (fun () ->
+          S.Request.run ~entry { req with S.Request.acf = S.Request.Baseline })
+    in
+    if acf <> S.Request.Baseline then
       Format.printf "relative to ACF-free: %.3f@."
-        (H.Experiment.relative stats ~baseline:base);
+        (S.Request.relative stats ~baseline:base);
     if cpi then begin
       Format.printf "@.%a@." T.Cpi_stack.pp stats.Stats.cpi;
       match profile with
@@ -261,14 +267,14 @@ let run_cmd =
         Format.printf "@.%a@." T.Profile.pp p
       | _ -> ()
     end;
-    match stats_json with
+    match stats_chan with
     | None -> ()
-    | Some path ->
+    | Some oc ->
       let doc =
         T.Json.Obj
           [
             ("benchmark", T.Json.String bench);
-            ("acf", T.Json.String (acf_name acf));
+            ("acf", T.Json.String acf_name);
             ("dyn_target", T.Json.Int dyn);
             ( "machine",
               T.Json.Obj
@@ -296,8 +302,9 @@ let run_cmd =
               | None -> T.Json.Null );
           ]
       in
-      write_file path (T.Json.to_string ~indent:true doc);
-      Format.printf "(stats written to %s)@." path
+      output_string oc (T.Json.to_string ~indent:true doc);
+      close_out oc;
+      Format.printf "(stats written to %s)@." (Option.get stats_json)
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const run $ bench_arg $ dyn_arg $ icache_arg $ width_arg $ acf_arg
@@ -325,18 +332,17 @@ let compress_cmd =
     Arg.(value & opt int 0 & info [ "show-dictionary" ] ~docv:"N"
            ~doc:"Print the $(docv) most-used dictionary entries.")
   in
-  let run bench dyn scheme show stats_json cache_dir no_cache no_jit
-      jit_threshold =
+  let run bench dyn scheme show stats_json cache_dir no_cache =
     setup_cache cache_dir no_cache;
-    setup_jit no_jit jit_threshold;
     let entry = entry_of bench dyn in
+    let stats_chan = Option.map open_output stats_json in
     (* A sizes-only invocation goes through the disk-cacheable summary
        (warm reruns skip the compressor); dumping dictionary entries
        needs the full in-memory result. *)
     let s, full =
       guarded (fun () ->
           if show > 0 then
-            let r = H.Experiment.compress_result ~scheme entry in
+            let r = S.Request.compress_result ~scheme entry in
             ( {
                 S.Request.orig_text_bytes = r.A.Compress.orig_text_bytes;
                 text_bytes = r.A.Compress.text_bytes;
@@ -347,9 +353,9 @@ let compress_cmd =
               Some r )
           else (S.Request.compress_summary ~scheme entry, None))
     in
-    (match stats_json with
+    (match stats_chan with
     | None -> ()
-    | Some path ->
+    | Some oc ->
       let doc =
         T.Json.Obj
           [
@@ -365,8 +371,9 @@ let compress_cmd =
             ("total_ratio", T.Json.Float (S.Request.summary_total_ratio s));
           ]
       in
-      write_file path (T.Json.to_string ~indent:true doc);
-      Format.printf "(stats written to %s)@." path);
+      output_string oc (T.Json.to_string ~indent:true doc);
+      close_out oc;
+      Format.printf "(stats written to %s)@." (Option.get stats_json));
     Format.printf "scheme %s on %s:@." scheme.A.Compress.name bench;
     Format.printf "  original text:   %7d bytes@." s.S.Request.orig_text_bytes;
     Format.printf "  compressed text: %7d bytes (%.1f%%)@."
@@ -399,8 +406,7 @@ let compress_cmd =
   in
   Cmd.v (Cmd.info "compress" ~doc)
     Term.(const run $ bench_arg $ dyn_arg $ scheme_arg $ show_arg
-          $ stats_json_arg $ cache_dir_arg $ no_cache_arg $ no_jit_arg
-          $ jit_threshold_arg)
+          $ stats_json_arg $ cache_dir_arg $ no_cache_arg)
 
 (* --- synthesize: profile-guided dictionary search ----------------------- *)
 
@@ -409,9 +415,8 @@ let synthesize_cmd =
     "Synthesize a decompression dictionary from a workload's dynamic \
      profile: collect the baseline fetch histogram, mine the recurring \
      compressible windows, and hill-climb over candidate dictionaries, \
-     scoring each on the timing model through the result cache (locally \
-     on the domain pool, or against a running serve tier with \
-     $(b,--serve)). Capacity is a hard constraint: candidates that \
+     scoring each on the timing model through the result cache on the \
+     domain pool. Capacity is a hard constraint: candidates that \
      overflow the controller's PT or RT are rejected unsimulated. The \
      search is deterministic for a given $(b,--seed), and the journal in \
      $(b,--out) makes an interrupted run resumable. See doc/synthesize.md."
@@ -428,33 +433,21 @@ let synthesize_cmd =
   let jobs_arg =
     Arg.(value & opt int (S.Pool.default_jobs ())
          & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Worker domains for local scoring (default: available \
-                   cores); ignored with $(b,--serve).")
-  in
-  let serve_arg =
-    Arg.(value & opt (some string) None & info [ "serve" ] ~docv:"PATH"
-           ~doc:"Score timing runs against the serve tier listening on the \
-                 Unix-domain socket at $(docv) ($(b,disesim serve --socket)) \
-                 instead of simulating in-process.")
+             ~doc:"Worker domains for scoring (default: available \
+                   cores).")
   in
   let out_arg =
     Arg.(value & opt string "synth-out" & info [ "out" ] ~docv:"DIR"
            ~doc:"Output directory (default synth-out): dictionary.json plus \
                  the journal.jsonl resume memo.")
   in
-  let run bench dyn scheme seed budget jobs serve out cache_dir no_cache
-      no_jit jit_threshold =
+  let run bench dyn scheme seed budget jobs out cache_dir no_cache no_jit
+      jit_threshold =
     setup_cache cache_dir no_cache;
     setup_jit no_jit jit_threshold;
-    (try Unix.mkdir out 0o755
-     with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    let backend =
-      match serve with
-      | Some path -> Sy.Score.Serve { path }
-      | None -> Sy.Score.Local { jobs }
-    in
+    output_dir out;
     let cfg =
-      Sy.Search.v ~dyn_target:dyn ~scheme ~rng_seed:seed ~budget ~backend
+      Sy.Search.v ~dyn_target:dyn ~scheme ~rng_seed:seed ~budget ~jobs
         ~journal:(Filename.concat out "journal.jsonl")
         ~progress:(fun m -> Format.eprintf "disesim synthesize: %s@." m)
         bench
@@ -481,7 +474,7 @@ let synthesize_cmd =
   in
   Cmd.v (Cmd.info "synthesize" ~doc)
     Term.(const run $ bench_arg $ dyn_arg $ scheme_arg $ seed_arg $ budget_arg
-          $ jobs_arg $ serve_arg $ out_arg $ cache_dir_arg $ no_cache_arg
+          $ jobs_arg $ out_arg $ cache_dir_arg $ no_cache_arg
           $ no_jit_arg $ jit_threshold_arg)
 
 (* --- figures ------------------------------------------------------------ *)
@@ -498,10 +491,11 @@ let figures_cmd =
   in
   let csv_arg =
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR"
-           ~doc:"Also write one CSV per panel into $(docv).")
+           ~doc:"Also write one CSV per panel into $(docv) (created if \
+                 missing).")
   in
   let jobs_arg =
-    Arg.(value & opt int (H.Pool.default_jobs ())
+    Arg.(value & opt int (S.Pool.default_jobs ())
          & info [ "j"; "jobs" ] ~docv:"N"
              ~doc:"Worker domains per panel (default: available cores). \
                    Results are identical for every $(docv); 1 is serial.")
@@ -516,18 +510,6 @@ let figures_cmd =
       jit_threshold =
     setup_cache cache_dir no_cache;
     setup_jit no_jit jit_threshold;
-    let opts =
-      if quick then H.Figures.quick_opts
-      else { H.Figures.default_opts with H.Figures.dyn_target = dyn }
-    in
-    let manifest_chan = Option.map open_out manifest_path in
-    let manifest = Option.map T.Manifest.to_channel manifest_chan in
-    let opts =
-      { opts with
-        H.Figures.jobs;
-        progress = (fun msg -> Format.eprintf "  [%s]@." msg);
-        manifest }
-    in
     let lookup id =
       match H.Figures.by_id id with
       | Some f -> (id, f)
@@ -542,6 +524,19 @@ let figures_cmd =
       match ids with
       | [] -> H.Figures.all @ H.Ablate.all
       | ids -> List.map lookup ids
+    in
+    Option.iter output_dir csv;
+    let manifest_chan = Option.map open_output manifest_path in
+    let manifest = Option.map T.Manifest.to_channel manifest_chan in
+    let opts =
+      if quick then H.Figures.quick_opts
+      else { H.Figures.default_opts with H.Figures.dyn_target = dyn }
+    in
+    let opts =
+      { opts with
+        H.Figures.jobs;
+        progress = (fun msg -> Format.eprintf "  [%s]@." msg);
+        manifest }
     in
     (match manifest with
     | Some m ->

@@ -8,7 +8,7 @@ module Machine = Dise_machine.Machine
 module Config = Dise_uarch.Config
 module Stats = Dise_uarch.Stats
 module W = Dise_workload
-module H = Dise_harness
+module Request = Dise_service.Request
 module Mfi = Dise_acf.Mfi
 
 let () =
@@ -16,20 +16,22 @@ let () =
   Format.printf "workload: gzip-like, %d static instructions (%d hot)@."
     entry.W.Suite.gen.W.Codegen.total_insns entry.W.Suite.gen.W.Codegen.hot_insns;
 
-  let spec = { H.Experiment.default_spec with H.Experiment.dyn_target = 150_000 } in
-  let base = H.Experiment.baseline spec entry in
+  let run acf =
+    Request.run ~entry (Request.v ~dyn_target:150_000 ~acf "gzip")
+  in
+  let base = run Request.Baseline in
   Format.printf "baseline:        %8d cycles (IPC %.2f)@." base.Stats.cycles
     (Stats.ipc base);
 
   let show name stats =
     Format.printf "%-16s %8d cycles  (%.3fx, +%d checked ops, %d extra insns)@."
       name stats.Stats.cycles
-      (H.Experiment.relative stats ~baseline:base)
+      (Request.relative stats ~baseline:base)
       stats.Stats.expansions stats.Stats.rep_instrs
   in
-  show "DISE3:" (H.Experiment.mfi_dise ~variant:Mfi.Dise3 spec entry);
-  show "DISE4:" (H.Experiment.mfi_dise ~variant:Mfi.Dise4 spec entry);
-  show "rewriting:" (H.Experiment.mfi_rewrite spec entry);
+  show "DISE3:" (run (Request.Mfi_dise Mfi.Dise3));
+  show "DISE4:" (run (Request.Mfi_dise Mfi.Dise4));
+  show "rewriting:" (run (Request.Mfi_rewrite Dise_acf.Rewrite.Segment_matching));
 
   (* The protection is real: corrupt a pointer and watch it trap. *)
   let img = entry.W.Suite.image in

@@ -12,12 +12,18 @@ module A = Dise_acf
 module Compress = Dise_acf.Compress
 module Request = Dise_service.Request
 module F = Figures
-module E = Experiment
 
 (* Every ablation cell is an independent closure, so the panels share
    {!Figures.series}/{!Figures.figure} and evaluate on the same worker
    pool as the paper's own figures. *)
 let series = F.series
+
+(* The cell's request at the panel's workload length, run on the entry
+   the cell already holds. *)
+let run ?controller ?acf opts (e : Suite.entry) =
+  Request.run ~entry:e
+    (Request.v ~dyn_target:opts.F.dyn_target ?controller ?acf
+       e.Suite.profile.Profile.name)
 
 (* --- dictionary parameterization budget -------------------------------- *)
 
@@ -81,7 +87,7 @@ let decode opts =
     [ ("free", Config.Free); ("stall", Config.Stall_per_expansion);
       ("+pipe", Config.Extra_stage) ]
   in
-  let run (e : Suite.entry) build_set dise_decode =
+  let run_acf (e : Suite.entry) build_set dise_decode =
     let set = build_set e.Suite.image in
     let engine = Engine.create ~image:e.Suite.image set in
     let m = Machine.create ~expander:(Engine.expander engine) e.Suite.image in
@@ -95,13 +101,8 @@ let decode opts =
     series opts
       (Printf.sprintf "%s/%s" acf_name dec_name)
       (fun e ->
-        let base =
-          E.baseline
-            { E.dyn_target = opts.F.dyn_target; machine = Config.default;
-              controller = None }
-            e
-        in
-        let stats = run e build_set dec in
+        let base = run opts e in
+        let stats = run_acf e build_set dec in
         float_of_int stats.Stats.cycles /. float_of_int base.Stats.cycles)
   in
   F.figure opts ~id:"ablate-decode"
@@ -123,16 +124,12 @@ let rt_block opts =
     series opts
       (Printf.sprintf "512ent/%d-blk" epb)
       (fun e ->
-        let spec =
-          { E.dyn_target = opts.F.dyn_target; machine = Config.default;
-            controller = Some controller }
+        let base = run opts e in
+        let acf =
+          Request.Decompress
+            { scheme = Compress.full_dise; mfi = `None; rewritten = false }
         in
-        let base =
-          E.baseline { spec with E.controller = None } e
-        in
-        E.relative
-          (E.decompress_run ~scheme:Compress.full_dise spec e)
-          ~baseline:base)
+        Request.relative (run ~controller ~acf opts e) ~baseline:base)
   in
   F.figure opts ~id:"ablate-rt-block"
     ~title:"Ablation: RT block coalescing, 512-entry 2-way RT"
@@ -143,7 +140,7 @@ let rt_block opts =
 
 let context_switch opts =
   let run_with_switches (e : Suite.entry) interval =
-    let result = E.compress_result ~scheme:Compress.full_dise e in
+    let result = Request.compress_result ~scheme:Compress.full_dise e in
     let prodset = result.Compress.prodset in
     let engine = Engine.create ~image:result.Compress.image prodset in
     let m =
@@ -163,12 +160,7 @@ let context_switch opts =
   in
   let mk label interval =
     series opts label (fun e ->
-        let base =
-          E.baseline
-            { E.dyn_target = opts.F.dyn_target; machine = Config.default;
-              controller = None }
-            e
-        in
+        let base = run opts e in
         let stats = run_with_switches e interval in
         float_of_int stats.Stats.cycles /. float_of_int base.Stats.cycles)
   in

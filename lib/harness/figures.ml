@@ -7,8 +7,9 @@ module Compress = Dise_acf.Compress
 module Mfi = Dise_acf.Mfi
 module Manifest = Dise_telemetry.Manifest
 module Json = Dise_telemetry.Json
+module Rewrite = Dise_acf.Rewrite
 module Request = Dise_service.Request
-module E = Experiment
+module Pool = Dise_service.Pool
 
 type series = {
   label : string;
@@ -52,8 +53,27 @@ let entries opts =
       | None -> invalid_arg ("unknown benchmark " ^ name))
     opts.benchmarks
 
-let spec ?controller ?(machine = Config.default) opts =
-  { E.dyn_target = opts.dyn_target; machine; controller }
+(* One cell's run: a machine (default: the paper's), a controller
+   ([None]: DISE is free) and an ACF at [opts.dyn_target], named as a
+   Request and run on the entry the cell already holds, so a cache miss
+   does not regenerate the workload. *)
+let run ?(machine = Config.default) ?controller opts acf (e : Suite.entry) =
+  Request.run ~entry:e
+    (Request.v ~dyn_target:opts.dyn_target ~machine ?controller ~acf
+       e.Suite.profile.Profile.name)
+
+(* A timing cell's value and statistics: [acf]'s run relative to the
+   ACF-free run on [norm] (default: the paper's machine). *)
+let rel ?machine ?controller ?(norm = Config.default) opts acf e =
+  let st = run ?machine ?controller opts acf e in
+  let baseline = run ~machine:norm opts Request.Baseline e in
+  (Request.relative st ~baseline, st)
+
+let dise3 = Request.Mfi_dise Mfi.Dise3
+let rewrite = Request.Mfi_rewrite Rewrite.Segment_matching
+
+let decompress ?(mfi = `None) ?(rewritten = false) scheme =
+  Request.Decompress { scheme; mfi; rewritten }
 
 (* A deferred series: one closure per (series × benchmark) cell. Cells
    are independent — each builds its own machine/engine/controller —
@@ -213,23 +233,18 @@ let figure opts ~id ~title ~ylabel dss =
 (* --- Figure 6: memory fault isolation -------------------------------- *)
 
 let fig6_top opts =
-  let base = spec opts in
-  let rel f e =
-    let st = f e in
-    (E.relative st ~baseline:(E.baseline base e), st)
-  in
-  let with_decode d = spec ~machine:(Config.with_dise_decode d Config.default) opts in
+  let decode d = Config.with_dise_decode d Config.default in
   figure opts ~id:"fig6-top"
     ~title:"Figure 6 (top): memory fault isolation, 4-wide, 32KB I$"
     ~ylabel:"execution time relative to no-MFI"
     [
-      series_stats opts "rewrite" (rel (E.mfi_rewrite base));
-      series_stats opts "DISE4" (rel (E.mfi_dise ~variant:Mfi.Dise4 base));
+      series_stats opts "rewrite" (rel opts rewrite);
+      series_stats opts "DISE4" (rel opts (Request.Mfi_dise Mfi.Dise4));
       series_stats opts "#stall"
-        (rel (E.mfi_dise ~variant:Mfi.Dise3 (with_decode Config.Stall_per_expansion)));
+        (rel ~machine:(decode Config.Stall_per_expansion) opts dise3);
       series_stats opts "+pipe"
-        (rel (E.mfi_dise ~variant:Mfi.Dise3 (with_decode Config.Extra_stage)));
-      series_stats opts "DISE3" (rel (E.mfi_dise ~variant:Mfi.Dise3 base));
+        (rel ~machine:(decode Config.Extra_stage) opts dise3);
+      series_stats opts "DISE3" (rel opts dise3);
     ]
 
 let cache_points = [ (Some 8, "8K"); (Some 32, "32K"); (Some 128, "128K"); (None, "inf") ]
@@ -237,15 +252,11 @@ let cache_points = [ (Some 8, "8K"); (Some 32, "32K"); (Some 128, "128K"); (None
 let fig6_cache opts =
   let mk (size, tag) =
     let machine = Config.with_icache_kb size Config.default in
-    let sp = spec ~machine opts in
-    let rel f e =
-      let st = f e in
-      (E.relative st ~baseline:(E.baseline sp e), st)
-    in
     [
       series_stats opts (Printf.sprintf "DISE3@%s" tag)
-        (rel (E.mfi_dise ~variant:Mfi.Dise3 sp));
-      series_stats opts (Printf.sprintf "rewrite@%s" tag) (rel (E.mfi_rewrite sp));
+        (rel ~machine ~norm:machine opts dise3);
+      series_stats opts (Printf.sprintf "rewrite@%s" tag)
+        (rel ~machine ~norm:machine opts rewrite);
     ]
   in
   figure opts ~id:"fig6-cache"
@@ -256,15 +267,11 @@ let fig6_cache opts =
 let fig6_width opts =
   let mk w =
     let machine = Config.with_width w Config.default in
-    let sp = spec ~machine opts in
-    let rel f e =
-      let st = f e in
-      (E.relative st ~baseline:(E.baseline sp e), st)
-    in
     [
       series_stats opts (Printf.sprintf "DISE3@%dw" w)
-        (rel (E.mfi_dise ~variant:Mfi.Dise3 sp));
-      series_stats opts (Printf.sprintf "rewrite@%dw" w) (rel (E.mfi_rewrite sp));
+        (rel ~machine ~norm:machine opts dise3);
+      series_stats opts (Printf.sprintf "rewrite@%dw" w)
+        (rel ~machine ~norm:machine opts rewrite);
     ]
   in
   figure opts ~id:"fig6-width"
@@ -296,19 +303,13 @@ let fig7_ratio opts =
 let fig7_perf opts =
   (* All values normalized to the uncompressed run on the default 32KB
      machine. Perfect RT (free DISE). *)
-  let base32 = spec opts in
   let mk (size, tag) =
     let machine = Config.with_icache_kb size Config.default in
-    let sp = spec ~machine opts in
     [
       series_stats opts (Printf.sprintf "uncomp@%s" tag)
-        (fun e ->
-          let st = E.baseline sp e in
-          (E.relative st ~baseline:(E.baseline base32 e), st));
+        (rel ~machine opts Request.Baseline);
       series_stats opts (Printf.sprintf "DISE@%s" tag)
-        (fun e ->
-          let st = E.decompress_run ~scheme:Compress.full_dise sp e in
-          (E.relative st ~baseline:(E.baseline base32 e), st));
+        (rel ~machine opts (decompress Compress.full_dise));
     ]
   in
   figure opts ~id:"fig7-perf"
@@ -325,53 +326,34 @@ let rt_configs =
   ]
 
 let fig7_rt opts =
-  let base32 = spec opts in
   let mk (entries_, assoc, tag) =
     let controller =
       { Controller.default_config with rt_entries = entries_; rt_assoc = assoc }
     in
-    series_stats opts (Printf.sprintf "RT %s" tag) (fun e ->
-        let st =
-          E.decompress_run ~scheme:Compress.full_dise (spec ~controller opts) e
-        in
-        (E.relative st ~baseline:(E.baseline base32 e), st))
+    series_stats opts (Printf.sprintf "RT %s" tag)
+      (rel ~controller opts (decompress Compress.full_dise))
   in
   figure opts ~id:"fig7-rt"
     ~title:"Figure 7 (bottom): decompression vs RT configuration, 32KB I$"
     ~ylabel:"execution time relative to uncompressed, 32KB I$"
     (List.map mk rt_configs
      @ [
-         series_stats opts "RT perfect" (fun e ->
-             let st =
-               E.decompress_run ~scheme:Compress.full_dise (spec opts) e
-             in
-             (E.relative st ~baseline:(E.baseline (spec opts) e), st));
+         series_stats opts "RT perfect"
+           (rel opts (decompress Compress.full_dise));
        ])
 
 (* --- Figure 8: composing decompression and fault isolation ------------ *)
 
 let fig8_combo opts =
-  let base32 = spec opts in
   let mk (size, tag) =
     let machine = Config.with_icache_kb size Config.default in
-    let sp = spec ~machine opts in
-    let norm st e = (E.relative st ~baseline:(E.baseline base32 e), st) in
     [
       series_stats opts (Printf.sprintf "rw+dedic@%s" tag)
-        (fun e ->
-          norm
-            (E.decompress_run ~scheme:Compress.dedicated ~rewritten:true sp e)
-            e);
+        (rel ~machine opts (decompress ~rewritten:true Compress.dedicated));
       series_stats opts (Printf.sprintf "rw+DISE@%s" tag)
-        (fun e ->
-          norm
-            (E.decompress_run ~scheme:Compress.full_dise ~rewritten:true sp e)
-            e);
+        (rel ~machine opts (decompress ~rewritten:true Compress.full_dise));
       series_stats opts (Printf.sprintf "DISE+DISE@%s" tag)
-        (fun e ->
-          norm
-            (E.decompress_run ~scheme:Compress.full_dise ~mfi:`Composed sp e)
-            e);
+        (rel ~machine opts (decompress ~mfi:`Composed Compress.full_dise));
     ]
   in
   figure opts ~id:"fig8-combo"
@@ -380,7 +362,6 @@ let fig8_combo opts =
     (List.concat_map mk cache_points)
 
 let fig8_rt opts =
-  let base32 = spec opts in
   let mk ~latency (entries_, assoc, tag) =
     let controller =
       {
@@ -391,12 +372,8 @@ let fig8_rt opts =
         compose_penalty = latency;
       }
     in
-    series_stats opts (Printf.sprintf "%s miss=%d" tag latency) (fun e ->
-        let st =
-          E.decompress_run ~scheme:Compress.full_dise ~mfi:`Composed
-            (spec ~controller opts) e
-        in
-        (E.relative st ~baseline:(E.baseline base32 e), st))
+    series_stats opts (Printf.sprintf "%s miss=%d" tag latency)
+      (rel ~controller opts (decompress ~mfi:`Composed Compress.full_dise))
   in
   figure opts ~id:"fig8-rt"
     ~title:
@@ -422,32 +399,19 @@ let synth_dict opts =
             let bench = e.Suite.profile.Profile.name in
             opts.progress (Printf.sprintf "synth-dict %s: searching" bench);
             let cfg =
-              Sy.Search.v ~dyn_target:opts.dyn_target ~budget:96
-                ~backend:(Sy.Score.Local { jobs = 1 })
-                bench
+              Sy.Search.v ~dyn_target:opts.dyn_target ~budget:96 ~jobs:1 bench
             in
             let r = Sy.Search.run cfg in
             let greedy =
               Request.compress_summary ~scheme:Compress.full_dise e
             in
             let greedy_rel =
-              let req =
-                Request.v ~dyn_target:opts.dyn_target
-                  ~controller:Controller.default_config
-                  ~acf:
-                    (Request.Decompress
-                       {
-                         scheme = Compress.full_dise;
-                         mfi = `None;
-                         rewritten = false;
-                       })
-                  bench
+              let st =
+                run ~controller:Controller.default_config opts
+                  (decompress Compress.full_dise) e
               in
-              match Request.run_ext ~entry:e req with
-              | Ok (st, _) ->
-                float_of_int st.Stats.cycles
-                /. float_of_int r.Sy.Search.baseline_cycles
-              | Error d -> failwith (Dise_isa.Diag.to_string d)
+              float_of_int st.Stats.cycles
+              /. float_of_int r.Sy.Search.baseline_cycles
             in
             (bench, r, greedy, greedy_rel))
          (entries opts))

@@ -4,7 +4,9 @@
     suite and returns a {!figure}: one labelled series per bar/line of
     the paper's panel, one value per benchmark. Values are normalized
     execution times or size ratios exactly as in the paper (noted per
-    driver). *)
+    driver). Every cell is one {!Dise_service.Request.t} run through
+    {!Dise_service.Request.run}, so cells share its memos and result
+    cache. *)
 
 type series = {
   label : string;
@@ -45,8 +47,9 @@ val quick_opts : opts
 
 type dseries
 (** A deferred series: one independent closure per benchmark cell,
-    evaluated through {!Pool} when the enclosing figure is built.
-    Shared with {!Ablate} so every panel parallelizes the same way. *)
+    evaluated through {!Dise_service.Pool} when the enclosing figure
+    is built. Shared with {!Ablate} so every panel parallelizes the
+    same way. *)
 
 val series :
   opts -> string -> (Dise_workload.Suite.entry -> float) -> dseries

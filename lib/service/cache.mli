@@ -20,7 +20,7 @@
     behaviour, to the canonical request encoding, or to the payload
     schema MUST bump {!version}: old entries then fail the salt check
     and are treated as misses (and deleted lazily). As a backstop for
-    a forgotten bump, [Experiment.clear_cache]/[disesim cache clear]
+    a forgotten bump, [Request.clear_disk]/[disesim cache clear]
     wipe the directory outright.
 
     {b Durability.} Writes go to a temp file in the same directory

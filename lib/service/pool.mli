@@ -9,8 +9,7 @@
     result array produce output bit-identical to a serial run.
 
     (Lives in [Dise_service] so both the experiment harness and the
-    batch server schedule on the same pool; [Dise_harness.Pool]
-    re-exports it unchanged.)
+    batch server schedule on the same pool.)
 
     Scheduling guarantees:
 

@@ -5,9 +5,8 @@
     canonical JSON encoding. That one value is what the whole stack
     agrees on:
 
-    - {!run} is the single driver behind every experiment (the
-      [Dise_harness.Experiment] functions are one-line constructors
-      over it);
+    - {!run} is the single driver behind every experiment (every
+      figure and ablation cell is one [t]);
     - {!canonical}/{!key} derive the content address under which the
       run's statistics persist in the on-disk {!Cache};
     - the JSONL protocol of [disesim serve] ships {!to_json} values
@@ -21,8 +20,7 @@
     persisted field is an integer, so the round-trip is exact.
 
     {b Telemetry sinks bypass every cache.} This is the single place
-    the rule lives (the deprecated [Experiment] drivers inherit it):
-    sinks ([?trace]/[?profile]) consume the expansion {e event
+    the rule lives: sinks ([?trace]/[?profile]) consume the expansion {e event
     stream}, which cached statistics cannot replay, and closures make
     unusable hash keys — so a sink-carrying [run] simulates
     unconditionally and leaves every memo and the disk cache
@@ -231,6 +229,6 @@ val clear_memory : unit -> unit
     recomputation, never correctness. *)
 
 val clear_disk : unit -> int
-(** Wipe the installed disk cache (0 when none is installed).
-    [Experiment.clear_cache] calls both, so a stale cache cannot
-    survive a code change that forgot to bump {!Cache.version}. *)
+(** Wipe the installed disk cache (0 when none is installed). Call it
+    after {!clear_memory} so a stale cache cannot survive a code
+    change that forgot to bump {!Cache.version}. *)

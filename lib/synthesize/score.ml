@@ -7,8 +7,6 @@ module Stats = Dise_uarch.Stats
 module Json = Dise_telemetry.Json
 module Diag = Dise_isa.Diag
 
-type backend = Local of { jobs : int } | Serve of { path : string }
-
 type outcome = {
   fits : bool;
   ratio : float;
@@ -21,7 +19,7 @@ let fitness ~rel_budget ~slow_penalty ~ratio ~rel =
   (1.0 -. ratio) -. (slow_penalty *. Float.max 0.0 (rel -. rel_budget))
 
 type t = {
-  backend : backend;
+  jobs : int;
   base : Request.t;
   entry : Dise_workload.Suite.entry;
   scheme : Compress.scheme;
@@ -32,10 +30,10 @@ type t = {
   slow_penalty : float;
 }
 
-let create ~backend ~base ~entry ~scheme ~corpus ~controller ~baseline_cycles
+let create ~jobs ~base ~entry ~scheme ~corpus ~controller ~baseline_cycles
     ~rel_budget ~slow_penalty =
   {
-    backend;
+    jobs;
     base;
     entry;
     scheme;
@@ -59,141 +57,41 @@ let seeds_key seeds =
               ])
           seeds))
 
-(* Static half: ratio + capacity. [compress_seeded] only reads the
-   shared corpus, so these run unsynchronized on pool domains. *)
-let static_of t seeds =
+(* One candidate: the static half (ratio + capacity), then, if it fits,
+   the timing half through the result-cached Request path.
+   [compress_seeded] only reads the shared corpus, so candidates run
+   unsynchronized on pool domains. *)
+let eval t seeds () =
   let r = Compress.compress_seeded t.corpus ~seeds in
+  let ratio = Compress.total_ratio r in
   let fits =
     Prodset.fits
       ~entries_per_block:t.controller.Controller.rt_entries_per_block
       ~pt_entries:t.controller.Controller.pt_entries
       ~rt_entries:t.controller.Controller.rt_entries r.Compress.prodset
   in
-  (fits, Compress.total_ratio r)
-
-let request_of t seeds =
-  { t.base with Request.acf = Request.Synth { scheme = t.scheme; seeds } }
-
-let unfit ratio =
-  { fits = false; ratio; rel = Float.nan; fitness = Float.neg_infinity;
-    fresh = true }
-
-let timed t ~ratio (stats : Stats.t) ~cache_hit =
-  let rel = float_of_int stats.Stats.cycles /. float_of_int t.baseline_cycles in
-  {
-    fits = true;
-    ratio;
-    rel;
-    fitness =
-      fitness ~rel_budget:t.rel_budget ~slow_penalty:t.slow_penalty ~ratio ~rel;
-    fresh = not cache_hit;
-  }
-
-let eval_local t seeds () =
-  let fits, ratio = static_of t seeds in
-  if not fits then unfit ratio
+  if not fits then
+    { fits = false; ratio; rel = Float.nan; fitness = Float.neg_infinity;
+      fresh = true }
   else
-    match Request.run_ext ~entry:t.entry (request_of t seeds) with
-    | Ok (stats, cache_hit) -> timed t ~ratio stats ~cache_hit
+    let req =
+      { t.base with Request.acf = Request.Synth { scheme = t.scheme; seeds } }
+    in
+    match Request.run_ext ~entry:t.entry req with
+    | Ok (stats, cache_hit) ->
+      let rel =
+        float_of_int stats.Stats.cycles /. float_of_int t.baseline_cycles
+      in
+      {
+        fits = true;
+        ratio;
+        rel;
+        fitness =
+          fitness ~rel_budget:t.rel_budget ~slow_penalty:t.slow_penalty ~ratio
+            ~rel;
+        fresh = not cache_hit;
+      }
     | Error d -> failwith ("synthesize: candidate run failed: " ^ Diag.to_string d)
 
-(* One pipelined exchange on a fresh connection: all request lines
-   out, then all responses back (the server answers in order). *)
-let serve_exchange ~path (reqs : Request.t array) =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let finally () = try Unix.close fd with Unix.Unix_error _ -> () in
-  Fun.protect ~finally (fun () ->
-      (try Unix.connect fd (Unix.ADDR_UNIX path)
-       with Unix.Unix_error (e, _, _) ->
-         failwith
-           (Printf.sprintf "synthesize: cannot reach serve tier at %s: %s" path
-              (Unix.error_message e)));
-      let oc = Unix.out_channel_of_descr fd in
-      let ic = Unix.in_channel_of_descr fd in
-      Array.iteri
-        (fun i req ->
-          let members =
-            match Request.to_json req with
-            | Json.Obj ms -> ms
-            | _ -> assert false
-          in
-          let envelope =
-            Json.Obj (("v", Json.Int 1) :: ("id", Json.Int i) :: members)
-          in
-          output_string oc (Json.to_string envelope);
-          output_char oc '\n')
-        reqs;
-      flush oc;
-      (* Half-close: the server's chunk reader batches until EOF (or
-         its queue fills), so the write side must end for a batch
-         smaller than the server's queue to be served. *)
-      Unix.shutdown fd Unix.SHUTDOWN_SEND;
-      Array.mapi
-        (fun i _ ->
-          let line =
-            try input_line ic
-            with End_of_file ->
-              failwith "synthesize: serve tier closed the connection mid-batch"
-          in
-          let j =
-            try Json.parse line
-            with Json.Parse_error m ->
-              failwith ("synthesize: bad serve response: " ^ m)
-          in
-          (match Json.member "id" j with
-          | Some (Json.Int got) when got = i -> ()
-          | _ -> failwith "synthesize: serve response out of order");
-          match Json.member "ok" j with
-          | Some (Json.Bool true) -> (
-            let stats =
-              match Json.member "stats" j with
-              | Some s -> (
-                match Stats.of_json s with
-                | Ok st -> st
-                | Error m -> failwith ("synthesize: bad serve stats: " ^ m))
-              | None -> failwith "synthesize: serve response missing stats"
-            in
-            let cache_hit =
-              match Json.member "cache_hit" j with
-              | Some (Json.Bool b) -> b
-              | _ -> false
-            in
-            (stats, cache_hit))
-          | _ ->
-            let msg =
-              match Json.member "error" j with
-              | Some e -> (
-                match Json.member "message" e with
-                | Some (Json.String m) -> m
-                | _ -> Json.to_string e)
-              | None -> line
-            in
-            failwith ("synthesize: serve tier error: " ^ msg))
-        reqs)
-
 let score_batch t (seedss : Compress.seed list array) =
-  match t.backend with
-  | Local { jobs } ->
-    Pool.run ~jobs (Array.map (fun seeds -> eval_local t seeds) seedss)
-  | Serve { path } ->
-    let statics =
-      Pool.run (Array.map (fun seeds () -> static_of t seeds) seedss)
-    in
-    let fit_idx =
-      Array.to_list statics
-      |> List.mapi (fun i (fits, _) -> (i, fits))
-      |> List.filter_map (fun (i, fits) -> if fits then Some i else None)
-      |> Array.of_list
-    in
-    let reqs = Array.map (fun i -> request_of t seedss.(i)) fit_idx in
-    let timings = serve_exchange ~path reqs in
-    let out =
-      Array.map (fun (_, ratio) -> unfit ratio) statics
-    in
-    Array.iteri
-      (fun k i ->
-        let _, ratio = statics.(i) in
-        let stats, cache_hit = timings.(k) in
-        out.(i) <- timed t ~ratio stats ~cache_hit)
-      fit_idx;
-    out
+  Pool.run ~jobs:t.jobs (Array.map (fun seeds -> eval t seeds) seedss)

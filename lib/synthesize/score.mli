@@ -5,19 +5,12 @@
     ({!Dise_acf.Compress.compress_seeded}) yields the total
     compression ratio and — via {!Dise_core.Prodset.footprint} against
     the controller's PT/RT geometry — the hard capacity verdict; it
-    always runs locally. The {e timing} half runs the candidate on the
-    timing model through the result-cached {!Dise_service.Request}
-    API (acf [Synth]), either on this process's domain pool or against
-    a running [disesim serve] tier; unfit candidates are never
-    simulated. Fitness rewards bytes saved and penalizes execution
-    slowdown past a budget — see {!fitness}. *)
-
-type backend =
-  | Local of { jobs : int }  (** score on this process's domain pool *)
-  | Serve of { path : string }
-      (** ship timing runs to the serve tier listening on this
-          Unix-socket path (v1 JSONL protocol, one pipelined
-          connection per batch); static measurement stays local *)
+    comes first. The {e timing} half runs the candidate on the timing
+    model through the result-cached {!Dise_service.Request} API (acf
+    [Synth]); unfit candidates are never simulated. Candidates are
+    scored in parallel on this process's domain pool. Fitness rewards
+    bytes saved and penalizes execution slowdown past a budget — see
+    {!fitness}. *)
 
 type outcome = {
   fits : bool;
@@ -37,7 +30,7 @@ val fitness :
 type t
 
 val create :
-  backend:backend ->
+  jobs:int ->
   base:Dise_service.Request.t ->
   entry:Dise_workload.Suite.entry ->
   scheme:Dise_acf.Compress.scheme ->
@@ -47,18 +40,16 @@ val create :
   rel_budget:float ->
   slow_penalty:float ->
   t
-(** [base] is the request template (bench, dyn_target, machine,
-    controller, jit knobs); scoring swaps in the candidate's [Synth]
-    acf, so each candidate caches under its own key. [corpus] must be
-    built from [entry]'s program with [scheme]. *)
+(** [jobs] is the pool width of {!score_batch}. [base] is the request
+    template (bench, dyn_target, machine, controller, jit knobs);
+    scoring swaps in the candidate's [Synth] acf, so each candidate
+    caches under its own key. [corpus] must be built from [entry]'s
+    program with [scheme]. *)
 
 val score_batch : t -> Dise_acf.Compress.seed list array -> outcome array
-(** Score candidates (results in submission order). Local backends
-    evaluate whole candidates in parallel on the pool; serve backends
-    parallelize the static half locally and pipeline the timing runs
-    over one connection. Raises [Failure] on a serve-tier error
-    response or a candidate whose compressed image faults — both mean
-    a bug, not a bad candidate. *)
+(** Score candidates in parallel on the pool (results in submission
+    order). Raises [Failure] on a candidate whose compressed image
+    faults — a bug, not a bad candidate. *)
 
 val seeds_key : Dise_acf.Compress.seed list -> string
 (** Canonical journal/memo key: the compact JSON of the seed list as

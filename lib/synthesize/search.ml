@@ -21,7 +21,7 @@ type config = {
   patience : int;
   rel_budget : float;
   slow_penalty : float;
-  backend : Score.backend;
+  jobs : int;
   journal : string option;
   progress : string -> unit;
 }
@@ -29,12 +29,8 @@ type config = {
 let v ?(dyn_target = 300_000) ?(scheme = Compress.full_dise)
     ?(controller = Controller.default_config) ?(rng_seed = 1) ?(budget = 192)
     ?batch ?(max_seeds = 1024) ?(patience = 4) ?(rel_budget = 1.05)
-    ?(slow_penalty = 4.0) ?backend ?journal ?(progress = fun _ -> ()) bench =
-  let backend =
-    match backend with
-    | Some b -> b
-    | None -> Score.Local { jobs = Pool.default_jobs () }
-  in
+    ?(slow_penalty = 4.0) ?(jobs = Pool.default_jobs ()) ?journal
+    ?(progress = fun _ -> ()) bench =
   (* Fixed default width: the proposal stream must not depend on the
      worker count, so --jobs (like figures --jobs) never changes the
      result, only the wall clock. *)
@@ -51,7 +47,7 @@ let v ?(dyn_target = 300_000) ?(scheme = Compress.full_dise)
     patience;
     rel_budget;
     slow_penalty;
-    backend;
+    jobs;
     journal;
     progress;
   }
@@ -94,7 +90,7 @@ let outcome_of_measure cfg (m : Journal.measure) =
     }
 
 (* Score a batch through the journal memo: known candidates answer
-   instantly, distinct unknowns go to the backend once. *)
+   instantly, distinct unknowns are scored once. *)
 let score_all cfg scorer journal (proposals : Compress.seed list array) =
   let keys = Array.map Score.seeds_key proposals in
   let pending = Hashtbl.create 16 in
@@ -205,7 +201,7 @@ let run cfg =
     (Printf.sprintf "%d candidate groups, %d journal entries inherited"
        (Array.length cands) inherited);
   let scorer =
-    Score.create ~backend:cfg.backend ~base ~entry ~scheme:cfg.scheme ~corpus
+    Score.create ~jobs:cfg.jobs ~base ~entry ~scheme:cfg.scheme ~corpus
       ~controller:cfg.controller ~baseline_cycles ~rel_budget:cfg.rel_budget
       ~slow_penalty:cfg.slow_penalty
   in

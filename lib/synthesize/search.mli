@@ -37,7 +37,7 @@ type config = {
   patience : int;  (** improvement-free iterations before stopping *)
   rel_budget : float;  (** tolerated execution-time ratio *)
   slow_penalty : float;  (** fitness slope past the budget *)
-  backend : Score.backend;
+  jobs : int;  (** worker domains scoring each batch *)
   journal : string option;  (** JSONL memo path ([None]: in-memory) *)
   progress : string -> unit;
 }
@@ -53,7 +53,7 @@ val v :
   ?patience:int ->
   ?rel_budget:float ->
   ?slow_penalty:float ->
-  ?backend:Score.backend ->
+  ?jobs:int ->
   ?journal:string ->
   ?progress:(string -> unit) ->
   string ->
@@ -63,8 +63,8 @@ val v :
     budget 192, batch 8 (a constant, never the worker count — the
     proposal stream must not depend on [--jobs]), 1024 max seeds
     (capacity, not the cap, is the effective bound), patience 4, 5%
-    slowdown budget with penalty slope 4, local backend on the
-    default pool, no journal, silent progress. *)
+    slowdown budget with penalty slope 4, [Pool.default_jobs ()]
+    scoring domains, no journal, silent progress. *)
 
 type result = {
   seeds : Dise_acf.Compress.seed list;  (** the winning dictionary *)
@@ -79,8 +79,8 @@ type result = {
 
 val run : config -> result
 (** Raises [Invalid_argument] on an unknown benchmark and [Failure]
-    when a measurement fails (unreachable serve tier, faulting
-    candidate image — bugs, not bad candidates). *)
+    when a measurement fails (a faulting candidate image — a bug, not
+    a bad candidate). *)
 
 val dictionary_json : config -> result -> Dise_telemetry.Json.t
 (** The dictionary document: everything needed to reproduce and apply

@@ -81,8 +81,7 @@ let md_header =
   "# Results tracking\n\n\
    Machine-appended trajectory of the continuous conformance/perf \
    monitor\n\
-   (`disesim conformance --track`) and the bench harness \
-   (`dise-bench --trajectory`).\n\
+   (`disesim conformance --track`).\n\
    One row per run; the JSONL twin (RESULTS_TRACKING.jsonl, schema \
    doc/schema/trajectory.schema.json)\n\
    carries the full records. See doc/observability.md.\n\n\

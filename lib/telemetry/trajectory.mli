@@ -1,8 +1,8 @@
 (** Per-commit performance/conformance trajectory records.
 
-    One record summarizes one tool run (the conformance suite, a
-    bench sweep) at one commit: pass rate, wall-clock, key latency
-    quantiles. Records accumulate in two tracked files — a JSONL
+    One record summarizes one tool run (the conformance suite) at one
+    commit: pass rate, wall-clock, key latency quantiles. Records
+    accumulate in two tracked files — a JSONL
     trajectory (machine-read, one record per line, validated by
     doc/schema/trajectory.schema.json) and a markdown table
     (human-read) — so a regression shows up as a diff in review and
@@ -10,11 +10,11 @@
     previous record for the same tool and suite. *)
 
 type record = {
-  tool : string;  (** ["conformance"], ["bench"], ... *)
-  suite : string;  (** ["quick"], ["full"], a bench suite name, ... *)
+  tool : string;  (** ["conformance"], ... *)
+  suite : string;  (** ["quick"], ["full"], ... *)
   ts : int;  (** unix seconds, supplied by the caller *)
   commit : string;  (** see {!commit_id} *)
-  cells : int;  (** units of work (vector x backend cells, bench runs) *)
+  cells : int;  (** units of work (vector x backend cells) *)
   passed : int;
   wall_s : float;
   p50_ns : int;

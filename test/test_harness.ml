@@ -8,37 +8,50 @@ module A = Dise_acf
 module Config = Dise_uarch.Config
 module Controller = Dise_core.Controller
 module Stats = Dise_uarch.Stats
+module Request = Dise_service.Request
+module Pool = Dise_service.Pool
 
 let check = Alcotest.check
 let bool_ = Alcotest.bool
 let int_ = Alcotest.int
 
-let tiny_spec =
-  { Experiment.default_spec with Experiment.dyn_target = 25_000 }
-
 let tiny_entry () = W.Suite.get ~dyn_target:25_000 W.Profile.tiny
 
+(* One cell of the tiny workload, named as a request and run on the
+   entry the test already holds. *)
+let run ?controller acf e =
+  Request.run ~entry:e
+    (Request.v ~dyn_target:25_000 ?controller ~acf
+       W.Profile.tiny.W.Profile.name)
+
+let decompress ?(mfi = `None) ?(rewritten = false) () =
+  Request.Decompress { scheme = A.Compress.full_dise; mfi; rewritten }
+
+let clear_cache () =
+  Request.clear_memory ();
+  ignore (Request.clear_disk ())
+
 let test_baseline_runs () =
-  let stats = Experiment.baseline tiny_spec (tiny_entry ()) in
+  let stats = run Request.Baseline (tiny_entry ()) in
   check bool_ "cycles positive" true (stats.Stats.cycles > 0);
   check int_ "no expansions" 0 stats.Stats.expansions
 
 let test_mfi_dise_costs () =
   let e = tiny_entry () in
-  let base = Experiment.baseline tiny_spec e in
-  let d3 = Experiment.mfi_dise ~variant:A.Mfi.Dise3 tiny_spec e in
-  let d4 = Experiment.mfi_dise ~variant:A.Mfi.Dise4 tiny_spec e in
+  let base = run Request.Baseline e in
+  let d3 = run (Request.Mfi_dise A.Mfi.Dise3) e in
+  let d4 = run (Request.Mfi_dise A.Mfi.Dise4) e in
   check bool_ "MFI slower than baseline" true
     (d3.Stats.cycles > base.Stats.cycles);
   check bool_ "DISE4 at least DISE3" true (d4.Stats.cycles >= d3.Stats.cycles);
   check bool_ "expansions happened" true (d3.Stats.expansions > 500);
   check bool_ "relative > 1" true
-    (Experiment.relative d3 ~baseline:base > 1.0)
+    (Request.relative d3 ~baseline:base > 1.0)
 
 let test_mfi_rewrite_costs () =
   let e = tiny_entry () in
-  let base = Experiment.baseline tiny_spec e in
-  let rw = Experiment.mfi_rewrite tiny_spec e in
+  let base = run Request.Baseline e in
+  let rw = run (Request.Mfi_rewrite A.Rewrite.Segment_matching) e in
   check bool_ "rewriting slower than baseline" true
     (rw.Stats.cycles > base.Stats.cycles);
   check int_ "no DISE expansions under rewriting" 0 rw.Stats.expansions;
@@ -46,30 +59,23 @@ let test_mfi_rewrite_costs () =
     (rw.Stats.retired > base.Stats.retired)
 
 let test_compress_cached () =
-  Experiment.clear_cache ();
+  clear_cache ();
   let e = tiny_entry () in
-  let a = Experiment.compress_result ~scheme:A.Compress.full_dise e in
-  let b = Experiment.compress_result ~scheme:A.Compress.full_dise e in
+  let a = Request.compress_result ~scheme:A.Compress.full_dise e in
+  let b = Request.compress_result ~scheme:A.Compress.full_dise e in
   check bool_ "cache returns same result" true (a == b);
-  let c = Experiment.compress_result ~scheme:A.Compress.dedicated e in
+  let c = Request.compress_result ~scheme:A.Compress.dedicated e in
   check bool_ "different scheme recompresses" true (a != c)
 
 let test_decompress_run_clean () =
   let e = tiny_entry () in
-  let stats =
-    Experiment.decompress_run ~scheme:A.Compress.full_dise tiny_spec e
-  in
+  let stats = run (decompress ()) e in
   check bool_ "expansions happened" true (stats.Stats.expansions > 100)
 
 let test_decompress_composed () =
   let e = tiny_entry () in
-  let plain =
-    Experiment.decompress_run ~scheme:A.Compress.full_dise tiny_spec e
-  in
-  let composed =
-    Experiment.decompress_run ~scheme:A.Compress.full_dise ~mfi:`Composed
-      tiny_spec e
-  in
+  let plain = run (decompress ()) e in
+  let composed = run (decompress ~mfi:`Composed ()) e in
   check bool_ "composition adds work" true
     (composed.Stats.retired > plain.Stats.retired);
   check bool_ "composition costs cycles" true
@@ -77,10 +83,7 @@ let test_decompress_composed () =
 
 let test_decompress_rewritten () =
   let e = tiny_entry () in
-  let stats =
-    Experiment.decompress_run ~scheme:A.Compress.full_dise ~rewritten:true
-      tiny_spec e
-  in
+  let stats = run (decompress ~rewritten:true ()) e in
   (* The rewritten binary carries the SFI checks as ordinary (possibly
      compressed) instructions. *)
   check bool_ "runs clean with checks inside" true (stats.Stats.cycles > 0)
@@ -90,8 +93,7 @@ let test_controller_spec_wired () =
   let controller =
     { Controller.default_config with rt_entries = 4; rt_assoc = 1 }
   in
-  let spec = { tiny_spec with Experiment.controller = Some controller } in
-  let stats = Experiment.decompress_run ~scheme:A.Compress.full_dise spec e in
+  let stats = run ~controller (decompress ()) e in
   check bool_ "tiny RT misses show up" true (stats.Stats.rt_misses > 10);
   check bool_ "stalls accounted" true (stats.Stats.dise_stall_cycles > 0)
 
@@ -180,7 +182,7 @@ let test_report_render_and_csv () =
    report columns); the rendered stack table and CSV must agree with
    the figure. *)
 let test_report_cpi_stacks () =
-  Experiment.clear_cache ();
+  clear_cache ();
   let fig = Figures.fig6_top micro_opts in
   check bool_ "stacks populated" true (List.length fig.Figures.stacks > 0);
   check int_ "one stack per timing cell" (5 * 2)
@@ -192,9 +194,97 @@ let test_report_cpi_stacks () =
   check bool_ "cpi csv header" true
     (contains csv "series,benchmark,cycles,base,icache");
   (* fig7-ratio is a static panel: no timing cells, no stacks. *)
-  Experiment.clear_cache ();
+  clear_cache ();
   let ratio = Figures.fig7_ratio micro_opts in
   check int_ "ratio panel has no stacks" 0 (List.length ratio.Figures.stacks)
+
+(* --- paper shapes ------------------------------------------------------- *)
+
+(* EXPERIMENTS.md's "Shape" claims, checked on the geomean rows of the
+   quick-suite goldens (test/golden/figures-quick/), so a model change
+   that regenerates the goldens cannot silently break the paper's
+   result. *)
+
+let golden_geomeans panel =
+  let path = Printf.sprintf "golden/figures-quick/%s.csv" panel in
+  let rows =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.map (String.split_on_char ',')
+  in
+  match rows with
+  | (_ :: labels) :: rest -> (
+    match List.find_opt (fun r -> List.hd r = "geomean") rest with
+    | Some (_ :: values) ->
+      List.combine labels (List.map float_of_string values)
+    | _ -> Alcotest.failf "%s: no geomean row" path)
+  | _ -> Alcotest.failf "%s: no header" path
+
+let rec ascending = function
+  | a :: (b :: _ as rest) -> a < b && ascending rest
+  | _ -> true
+
+let within_1pct a b = Float.abs (a -. b) <= 0.01 *. b
+
+(* (panel, claim, check over the panel's geomean of a series label) *)
+let paper_shapes =
+  let gap g tag = g ("rewrite@" ^ tag) -. g ("DISE3@" ^ tag) in
+  let dict g = List.map (fun s -> g (s ^ " +dict")) in
+  [
+    ( "fig6-top", "DISE3 < DISE4 < rewrite",
+      fun g -> ascending [ g "DISE3"; g "DISE4"; g "rewrite" ] );
+    ( "fig6-top", "+pipe within 1% of DISE3",
+      fun g -> within_1pct (g "+pipe") (g "DISE3") );
+    ( "fig6-cache", "rewrite-DISE3 gap shrinks as the I-cache grows",
+      fun g -> ascending (List.map (gap g) [ "inf"; "128K"; "32K"; "8K" ]) );
+    ( "fig6-width", "rewrite-DISE3 gap grows with width",
+      fun g -> ascending (List.map (gap g) [ "2w"; "4w"; "8w" ]) );
+    ( "fig7-ratio", "+dict: dedicated < -1insn < -2byteCW < +8byteDE",
+      fun g ->
+        ascending (dict g [ "dedicated"; "-1insn"; "-2byteCW"; "+8byteDE" ]) );
+    ( "fig7-ratio", "+dict: DISE < +3param < +8byteDE",
+      fun g -> ascending (dict g [ "DISE"; "+3param"; "+8byteDE" ]) );
+    ( "fig7-perf", "DISE beats uncompressed at 8K, within 1% of it at inf",
+      fun g ->
+        g "DISE@8K" < g "uncomp@8K"
+        && within_1pct (g "DISE@inf") (g "uncomp@inf") );
+    ( "fig7-rt", "2K-2way within 1% of perfect",
+      fun g -> within_1pct (g "RT 2K-2way") (g "RT perfect") );
+    ( "fig8-combo", "DISE+DISE lowest at every I-cache size",
+      fun g ->
+        List.for_all
+          (fun tag ->
+            let dd = g ("DISE+DISE@" ^ tag) in
+            dd < g ("rw+dedic@" ^ tag) && dd < g ("rw+DISE@" ^ tag))
+          [ "8K"; "32K"; "128K"; "inf" ] );
+    ( "fig8-rt", "a smaller or direct-mapped RT costs more at both latencies",
+      fun g ->
+        List.for_all
+          (fun miss ->
+            let c rt = g (Printf.sprintf "%s miss=%d" rt miss) in
+            c "2K-DM" < c "512-DM" && c "2K-2way" < c "512-2way"
+            && c "512-2way" < c "512-DM" && c "2K-2way" < c "2K-DM")
+          [ 30; 150 ] );
+    ( "fig8-rt", "a 150-cycle handler costs more than a 30-cycle one",
+      fun g ->
+        List.for_all
+          (fun rt -> g (rt ^ " miss=30") < g (rt ^ " miss=150"))
+          [ "512-DM"; "512-2way"; "2K-DM"; "2K-2way" ] );
+  ]
+
+let test_paper_shapes () =
+  List.iter
+    (fun (panel, claim, holds) ->
+      let geo = golden_geomeans panel in
+      let g label =
+        match List.assoc_opt label geo with
+        | Some v -> v
+        | None -> Alcotest.failf "%s: no series %S" panel label
+      in
+      if not (holds g) then
+        Alcotest.failf "%s: shape claim fails: %s" panel claim)
+    paper_shapes
 
 (* --- worker pool -------------------------------------------------------- *)
 
@@ -241,9 +331,9 @@ let test_pool_empty_and_map_list () =
 (* The tentpole guarantee: a figure built on 4 worker domains renders
    bit-identically to the serial build. *)
 let test_parallel_figures_deterministic () =
-  Experiment.clear_cache ();
+  clear_cache ();
   let serial = Figures.fig6_top { Figures.quick_opts with Figures.jobs = 1 } in
-  Experiment.clear_cache ();
+  clear_cache ();
   let parallel = Figures.fig6_top { Figures.quick_opts with Figures.jobs = 4 } in
   let render f = Format.asprintf "%a" (Report.render ?cpi_stacks:None) f in
   check Alcotest.string "rendered figures identical" (render serial)
@@ -277,7 +367,7 @@ let test_diffexec_mfi_stream_equivalent () =
 
 let test_diffexec_decompression_equivalent () =
   let e = tiny_entry () in
-  let r = Experiment.compress_result ~scheme:A.Compress.full_dise e in
+  let r = Request.compress_result ~scheme:A.Compress.full_dise e in
   let engine = Dise_core.Engine.create r.A.Compress.prodset in
   let right =
     Diffexec.side ~expander:(Dise_core.Engine.expander engine)
@@ -337,4 +427,5 @@ let suite =
     ("figures registry", `Quick, test_figures_registry);
     ("report render and csv", `Quick, test_report_render_and_csv);
     ("report cpi stacks", `Slow, test_report_cpi_stacks);
+    ("paper shapes hold on the quick goldens", `Quick, test_paper_shapes);
   ]

@@ -225,8 +225,8 @@ let test_counters_and_clear () =
           check int_ "warm run no miss" 0 (m2 - m1);
           let c = Option.get (Request.disk_cache ()) in
           check bool_ "entries persisted" true (Cache.entries c > 0);
-          (* Experiment.clear_cache must wipe the disk cache too. *)
-          Dise_harness.Experiment.clear_cache ();
+          Request.clear_memory ();
+          ignore (Request.clear_disk ());
           check int_ "clear_cache wipes disk" 0 (Cache.entries c)))
 
 (* A cache that cannot store is dropped around, never raised: the job

@@ -243,7 +243,7 @@ let test_journal_roundtrip () =
 
 let search_cfg ?journal () =
   Sy.Search.v ~dyn_target:4_000 ~rng_seed:7 ~budget:12 ~batch:4 ~patience:2
-    ~backend:(Sy.Score.Local { jobs = 1 }) ?journal "tiny"
+    ~jobs:1 ?journal "tiny"
 
 let test_search_deterministic () =
   let doc cfg = Json.to_string (Sy.Search.dictionary_json cfg (Sy.Search.run cfg)) in

@@ -13,6 +13,7 @@ module Controller = Dise_core.Controller
 module W = Dise_workload
 module A = Dise_acf
 module H = Dise_harness
+module Request = Dise_service.Request
 
 let check = Alcotest.check
 let bool_ = Alcotest.bool
@@ -131,10 +132,16 @@ let prop_cpi_sums_narrow_machine =
       let stats = Pipeline.run cfg m in
       Cpi_stack.total stats.Stats.cpi = stats.Stats.cycles)
 
-let tiny_spec =
-  { H.Experiment.default_spec with H.Experiment.dyn_target = 25_000 }
-
 let tiny_entry () = W.Suite.get ~dyn_target:25_000 W.Profile.tiny
+
+(* One cell of the tiny workload, named as a request and run on the
+   entry the test already holds. *)
+let run ?machine ?controller ?trace ?profile acf e =
+  Request.run ~entry:e ?trace ?profile
+    (Request.v ~dyn_target:25_000 ?machine ?controller ~acf
+       W.Profile.tiny.W.Profile.name)
+
+let dise3 = Request.Mfi_dise A.Mfi.Dise3
 
 (* Cells of the kind the quick suite runs: every driver must uphold the
    invariant, and the DISE-specific buckets must land where expected. *)
@@ -145,36 +152,32 @@ let test_cpi_cells () =
       (Cpi_stack.total stats.Stats.cpi);
     stats
   in
-  let base = total_ok "baseline" (H.Experiment.baseline tiny_spec e) in
+  let base = total_ok "baseline" (run Request.Baseline e) in
   check bool_ "baseline spends cycles in base" true
     (base.Stats.cpi.Cpi_stack.base > 0);
   check int_ "baseline has no DISE decode cycles" 0
     base.Stats.cpi.Cpi_stack.dise_decode;
+  ignore (total_ok "mfi_dise" (run dise3 e));
   ignore
-    (total_ok "mfi_dise"
-       (H.Experiment.mfi_dise ~variant:A.Mfi.Dise3 tiny_spec e));
-  ignore (total_ok "mfi_rewrite" (H.Experiment.mfi_rewrite tiny_spec e));
-  let stall_spec =
-    { tiny_spec with
-      H.Experiment.machine =
-        Config.with_dise_decode Config.Stall_per_expansion Config.default }
+    (total_ok "mfi_rewrite"
+       (run (Request.Mfi_rewrite A.Rewrite.Segment_matching) e));
+  let machine =
+    Config.with_dise_decode Config.Stall_per_expansion Config.default
   in
-  let stalled =
-    total_ok "decode-stall"
-      (H.Experiment.mfi_dise ~variant:A.Mfi.Dise3 stall_spec e)
-  in
+  let stalled = total_ok "decode-stall" (run ~machine dise3 e) in
   check bool_ "decode stalls attributed" true
     (stalled.Stats.cpi.Cpi_stack.dise_decode > 0);
   check int_ "decode bucket equals one cycle per expansion"
     stalled.Stats.expansions stalled.Stats.cpi.Cpi_stack.dise_decode;
-  let rt_spec =
-    { tiny_spec with
-      H.Experiment.controller =
-        Some { Controller.default_config with rt_entries = 4; rt_assoc = 1 } }
+  let controller =
+    { Controller.default_config with rt_entries = 4; rt_assoc = 1 }
   in
   let missy =
     total_ok "tiny-RT decompress"
-      (H.Experiment.decompress_run ~scheme:A.Compress.full_dise rt_spec e)
+      (run ~controller
+         (Request.Decompress
+            { scheme = A.Compress.full_dise; mfi = `None; rewritten = false })
+         e)
   in
   check bool_ "PT/RT miss cycles attributed" true
     (missy.Stats.cpi.Cpi_stack.ptrt_miss > 0);
@@ -186,11 +189,9 @@ let test_cpi_cells () =
 let test_profile_matches_stats () =
   let e = tiny_entry () in
   let profile = Profile.create () in
-  let spec =
-    { tiny_spec with
-      H.Experiment.controller = Some Controller.default_config }
+  let stats =
+    run ~controller:Controller.default_config ~profile dise3 e
   in
-  let stats = H.Experiment.mfi_dise ~variant:A.Mfi.Dise3 ~profile spec e in
   let prods = Profile.productions profile in
   check bool_ "some production profiled" true (prods <> []);
   let sum f = List.fold_left (fun acc (_, en) -> acc + f en) 0 prods in
@@ -225,7 +226,7 @@ let test_trace_parses () =
   let e = tiny_entry () in
   let buf = Buffer.create 4096 in
   let trace = Trace.to_buffer buf in
-  let stats = H.Experiment.mfi_dise ~variant:A.Mfi.Dise3 ~trace tiny_spec e in
+  let stats = run ~trace dise3 e in
   (* Pipeline.finish closed the sink. *)
   match Json.parse (Buffer.contents buf) with
   | Json.List events ->
@@ -257,7 +258,7 @@ let test_trace_truncation () =
   let e = tiny_entry () in
   let buf = Buffer.create 4096 in
   let trace = Trace.to_buffer ~max_events:100 buf in
-  ignore (H.Experiment.baseline ~trace tiny_spec e);
+  ignore (run ~trace Request.Baseline e);
   check bool_ "cap hit" true (Trace.truncated trace);
   check int_ "emitted capped" 100 (Trace.emitted trace);
   match Json.parse (Buffer.contents buf) with
@@ -289,7 +290,8 @@ let test_manifest_jsonl () =
       manifest = Some manifest;
     }
   in
-  H.Experiment.clear_cache ();
+  Request.clear_memory ();
+  ignore (Request.clear_disk ());
   let fig = H.Figures.fig6_top opts in
   Manifest.close manifest;
   let cells = List.length fig.H.Figures.series * 2 in
@@ -348,7 +350,7 @@ let stats_schema_src = {|{
 
 let test_stats_json_schema () =
   let e = tiny_entry () in
-  let stats = H.Experiment.baseline tiny_spec e in
+  let stats = run Request.Baseline e in
   let doc = Json.parse (Json.to_string ~indent:true (Stats.to_json stats)) in
   let schema = Json.parse stats_schema_src in
   match Json_schema.validate ~schema doc with
