@@ -8,6 +8,7 @@
      figures                  regenerate evaluation panels and ablations
      serve                    batch JSONL simulation service (stdin or socket)
      fuzz                     differential fuzzing + fault injection
+     conformance              architectural vectors on all four backends
      cache                    inspect or clear the on-disk result cache
      exec                     assemble and run a user program (+productions)
      safety                   inspect a production-set file
@@ -216,6 +217,7 @@ let run_cmd =
   let doc = "Simulate one workload under one ACF and machine configuration." in
   let run bench dyn icache width (acf_name, acf) rt rt_assoc stats_json
       trace_path cpi cache_dir no_cache no_jit jit_threshold =
+    if width < 1 then die (Diag.Invalid "--width must be >= 1");
     setup_cache cache_dir no_cache;
     setup_jit no_jit jit_threshold;
     let entry = entry_of bench dyn in
@@ -794,6 +796,14 @@ let exec_cmd =
            ~doc:"Print every executed instruction.")
   in
   let run asm_path prods_path drs trace =
+    List.iter
+      (fun (n, _) ->
+        if n < 0 || n >= Dise_isa.Reg.num_dedicated then
+          die
+            (Diag.Invalid
+               (Printf.sprintf "--dr %d: dedicated registers are 0..%d" n
+                  (Dise_isa.Reg.num_dedicated - 1))))
+      drs;
     let program =
       match Dise_isa.Asm.parse_result ~source:asm_path (read_file asm_path) with
       | Ok p -> p
@@ -1045,11 +1055,9 @@ let conformance_cmd =
   let doc =
     "Run the checked-in architectural conformance vectors (test/arch/) on \
      all four expander backends (naive reference, dense-memo, \
-     hashtable-memo, superblock JIT), write a per-cell CSV + HTML report, \
-     and optionally append a per-commit trajectory record to \
-     RESULTS_TRACKING.md/.jsonl. Exits non-zero on any signature mismatch \
-     (and, with $(b,--check-regression), on a wall-clock or pass-rate \
-     regression against the previous record). See doc/observability.md."
+     hashtable-memo, superblock JIT) and write a per-cell CSV report. \
+     Exits 1 on any signature mismatch. A correctness gate only: \
+     performance is measured by perfbench/. See doc/observability.md."
   in
   let dir_arg =
     Arg.(value & opt dir Fz.Conformance.default_dir
@@ -1059,18 +1067,7 @@ let conformance_cmd =
   in
   let out_arg =
     Arg.(value & opt string "_conformance" & info [ "out" ] ~docv:"DIR"
-           ~doc:"Directory for report.csv and report.html (default \
-                 _conformance).")
-  in
-  let quick_arg =
-    Arg.(value & flag & info [ "quick" ]
-           ~doc:"Run only the checked-in vectors (the default; overrides \
-                 $(b,--fuzz)).")
-  in
-  let fuzz_arg =
-    Arg.(value & opt int 0 & info [ "fuzz" ] ~docv:"N"
-           ~doc:"Additionally run N fixed-seed differential-fuzz oracle \
-                 iterations (the \"full\" suite; default 0).")
+           ~doc:"Directory for report.csv (default _conformance).")
   in
   let update_arg =
     Arg.(value & flag & info [ "update" ]
@@ -1078,41 +1075,7 @@ let conformance_cmd =
                  reference run and rewrite manifest.json (the authoring \
                  path for new vectors), instead of checking.")
   in
-  let track_arg =
-    Arg.(value & flag & info [ "track" ]
-           ~doc:"Append this run's trajectory record to the tracking files.")
-  in
-  let jsonl_arg =
-    Arg.(value & opt string "RESULTS_TRACKING.jsonl"
-         & info [ "jsonl" ] ~docv:"FILE"
-             ~doc:"JSONL trajectory file (default RESULTS_TRACKING.jsonl).")
-  in
-  let md_arg =
-    Arg.(value & opt string "RESULTS_TRACKING.md" & info [ "md" ] ~docv:"FILE"
-           ~doc:"Markdown trajectory table (default RESULTS_TRACKING.md).")
-  in
-  let check_reg_arg =
-    Arg.(value & flag & info [ "check-regression" ]
-           ~doc:"Compare against the previous trajectory record for the \
-                 same suite and fail on a >20% wall-clock regression or a \
-                 pass-rate drop.")
-  in
-  let mkdir_p d =
-    let rec go d =
-      if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
-        go (Filename.dirname d);
-        try Unix.mkdir d 0o755
-        with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-      end
-    in
-    go d
-  in
-  let write_file path s =
-    let oc = open_out_bin path in
-    output_string oc s;
-    close_out oc
-  in
-  let run suite_dir out quick fuzz update track jsonl md check_reg =
+  let run suite_dir out update =
     let vectors =
       match Fz.Conformance.load_suite ~dir:suite_dir with
       | Ok vs -> vs
@@ -1133,13 +1096,10 @@ let conformance_cmd =
           (Filename.concat suite_dir "manifest.json")
     end
     else begin
-      let fuzz = if quick then 0 else fuzz in
-      let report = Fz.Conformance.run_suite ~fuzz ~dir:suite_dir vectors in
-      mkdir_p out;
+      output_dir out;
+      let report = Fz.Conformance.run_suite ~dir:suite_dir vectors in
       write_file (Filename.concat out "report.csv")
         (Fz.Conformance.csv_of_report report);
-      write_file (Filename.concat out "report.html")
-        (Fz.Conformance.html_of_report report);
       let total = List.length report.Fz.Conformance.cells in
       List.iter
         (fun c ->
@@ -1153,46 +1113,16 @@ let conformance_cmd =
                   c.Fz.Conformance.signature c.Fz.Conformance.expected))
         report.Fz.Conformance.cells;
       Format.printf
-        "conformance: %s suite: %d/%d cells passed (%d vectors x %d \
-         backends) in %.3fs; p50 %dns p95 %dns p99 %dns; report in %s@."
-        report.Fz.Conformance.suite report.Fz.Conformance.passed total
-        report.Fz.Conformance.vectors
+        "conformance: %d/%d cells passed (%d vectors x %d backends); report \
+         in %s@."
+        report.Fz.Conformance.passed total report.Fz.Conformance.vectors
         (List.length Fz.Conformance.backends)
-        report.Fz.Conformance.wall_s report.Fz.Conformance.p50_ns
-        report.Fz.Conformance.p95_ns report.Fz.Conformance.p99_ns out;
-      if report.Fz.Conformance.fuzz_cases > 0 then
-        Format.printf "conformance: fuzz: %d cases, %d failures@."
-          report.Fz.Conformance.fuzz_cases report.Fz.Conformance.fuzz_failures;
-      let record =
-        Fz.Conformance.trajectory_record
-          ~ts:(int_of_float (Unix.time ()))
-          report
-      in
-      let regression =
-        if not check_reg then Ok ()
-        else
-          match
-            T.Trajectory.last ~jsonl ~tool:"conformance"
-              ~suite:report.Fz.Conformance.suite
-          with
-          | None -> Ok ()
-          | Some prev -> T.Trajectory.check_regression ~prev record
-      in
-      if track then T.Trajectory.append ~md ~jsonl record;
-      (match regression with
-      | Ok () -> ()
-      | Error msg ->
-        Format.eprintf "conformance: REGRESSION: %s@." msg;
-        exit 1);
-      if
-        report.Fz.Conformance.passed <> total
-        || report.Fz.Conformance.fuzz_failures > 0
-      then exit 1
+        out;
+      if report.Fz.Conformance.passed <> total then exit 1
     end
   in
   Cmd.v (Cmd.info "conformance" ~doc)
-    Term.(const run $ dir_arg $ out_arg $ quick_arg $ fuzz_arg $ update_arg
-          $ track_arg $ jsonl_arg $ md_arg $ check_reg_arg)
+    Term.(const run $ dir_arg $ out_arg $ update_arg)
 
 let () =
   (* Re-exec dispatch hook: a no-op unless the worker environment

@@ -28,12 +28,12 @@
 type scheme = {
   name : string;
   codeword_bytes : int;   (** 2 (dedicated) or 4 (DISE) *)
-  min_len : int;          (** 1 allows single-instruction compression *)
+  min_len : int;          (** >= 1; 1 allows single-instruction compression *)
   max_len : int;
   max_params : int;       (** 0..3 codeword parameter fields *)
   dict_entry_bytes : int; (** per dictionary instruction: 4, or 8 with directives *)
   compress_branches : bool;
-  max_entries : int;      (** tag space, 2048 *)
+  max_entries : int;      (** 1..2048, the codeword tag space *)
 }
 
 val dedicated : scheme

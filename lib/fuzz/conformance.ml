@@ -1,6 +1,4 @@
 module Json = Dise_telemetry.Json
-module Metrics = Dise_telemetry.Metrics
-module Trajectory = Dise_telemetry.Trajectory
 module Diag = Dise_isa.Diag
 module Asm = Dise_isa.Asm
 module Program = Dise_isa.Program
@@ -10,7 +8,6 @@ module Memory = Dise_machine.Memory
 module Engine = Dise_core.Engine
 module Lang = Dise_core.Lang
 module Prodset = Dise_core.Prodset
-module Rng = Dise_workload.Rng
 
 type vector = {
   name : string;
@@ -29,29 +26,17 @@ type cell = {
   expected : string;
   steps : int;
   expansions : int;
-  wall_s : float;
   error : string option;
 }
 
 type report = {
-  suite : string;
   cells : cell list;
   vectors : int;
   passed : int;
-  wall_s : float;
-  p50_ns : int;
-  p95_ns : int;
-  p99_ns : int;
-  fuzz_cases : int;
-  fuzz_failures : int;
 }
 
 let backends = [ "naive"; "engine-memo"; "engine-hash"; "engine-jit" ]
 let default_dir = Filename.concat "test" "arch"
-
-(* Registered once; per-run deltas give each report its own
-   quantiles without resetting anyone else's view of the registry. *)
-let h_run = Metrics.Histogram.make "conformance_run_ns"
 
 let ( let* ) = Result.bind
 
@@ -199,7 +184,6 @@ let signature_of m =
     (Memory.checksum (Machine.memory m))
 
 let run_cell ~img ~prodset v backend =
-  let t0 = Unix.gettimeofday () in
   let m = machine_for ~img ~prodset ~drs:v.drs backend in
   let outcome =
     match Machine.run_raw ~max_steps:v.max_steps m ignore with
@@ -209,8 +193,6 @@ let run_cell ~img ~prodset v backend =
     | exception Dise_core.Replacement.Instantiation_error msg ->
       Error ("instantiation: " ^ msg)
   in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  Metrics.Histogram.observe_s h_run wall_s;
   match outcome with
   | Ok () ->
     {
@@ -221,7 +203,6 @@ let run_cell ~img ~prodset v backend =
       expected = "";
       steps = Machine.executed m;
       expansions = Machine.expansions m;
-      wall_s;
       error = None;
     }
   | Error msg ->
@@ -233,7 +214,6 @@ let run_cell ~img ~prodset v backend =
       expected = "";
       steps = Machine.executed m;
       expansions = Machine.expansions m;
-      wall_s;
       error = Some msg;
     }
 
@@ -250,7 +230,6 @@ let run_vector ~dir v =
           expected = v.signature;
           steps = 0;
           expansions = 0;
-          wall_s = 0.;
           error = Some (Diag.to_string d);
         })
       backends
@@ -285,35 +264,12 @@ let run_vector ~dir v =
 
 (* --- the suite ----------------------------------------------------------- *)
 
-let fuzz_seed = 0xD15E
-
-let run_suite ?(fuzz = 0) ~dir vectors =
-  let since = Metrics.Histogram.snapshot h_run in
-  let t0 = Unix.gettimeofday () in
+let run_suite ~dir vectors =
   let cells = List.concat_map (run_vector ~dir) vectors in
-  let fuzz_failures = ref 0 in
-  if fuzz > 0 then begin
-    let rng = Rng.create fuzz_seed in
-    for _ = 1 to fuzz do
-      let case = Case.generate rng in
-      match Oracle.check case with
-      | Oracle.Pass _ -> ()
-      | Oracle.Fail _ -> incr fuzz_failures
-    done
-  end;
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let d = Metrics.Histogram.delta ~since (Metrics.Histogram.snapshot h_run) in
   {
-    suite = (if fuzz > 0 then "full" else "quick");
     cells;
     vectors = List.length vectors;
     passed = List.length (List.filter (fun c -> c.pass) cells);
-    wall_s;
-    p50_ns = Metrics.Histogram.quantile d 0.50;
-    p95_ns = Metrics.Histogram.quantile d 0.95;
-    p99_ns = Metrics.Histogram.quantile d 0.99;
-    fuzz_cases = fuzz;
-    fuzz_failures = !fuzz_failures;
   }
 
 let update_signatures ~dir vectors =
@@ -339,92 +295,12 @@ let csv_escape s =
 let csv_of_report r =
   let b = Buffer.create 1024 in
   Buffer.add_string b
-    "vector,backend,pass,signature,expected,steps,expansions,wall_s,error\n";
+    "vector,backend,pass,signature,expected,steps,expansions,error\n";
   List.iter
     (fun c ->
       Buffer.add_string b
-        (Printf.sprintf "%s,%s,%b,%s,%s,%d,%d,%.6f,%s\n" (csv_escape c.vector)
+        (Printf.sprintf "%s,%s,%b,%s,%s,%d,%d,%s\n" (csv_escape c.vector)
            c.backend c.pass c.signature c.expected c.steps c.expansions
-           c.wall_s
            (csv_escape (Option.value ~default:"" c.error))))
     r.cells;
   Buffer.contents b
-
-let html_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '<' -> Buffer.add_string b "&lt;"
-      | '>' -> Buffer.add_string b "&gt;"
-      | '&' -> Buffer.add_string b "&amp;"
-      | '"' -> Buffer.add_string b "&quot;"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let html_of_report r =
-  let b = Buffer.create 4096 in
-  let total = List.length r.cells in
-  Buffer.add_string b
-    "<!doctype html>\n<html><head><meta charset=\"utf-8\">\n\
-     <title>disesim conformance report</title>\n\
-     <style>\n\
-     body { font-family: sans-serif; margin: 2em; }\n\
-     table { border-collapse: collapse; }\n\
-     th, td { border: 1px solid #ccc; padding: 4px 10px; \
-     font-family: monospace; font-size: 13px; }\n\
-     th { background: #f0f0f0; }\n\
-     tr.fail td { background: #fdd; }\n\
-     tr.pass td { background: #efe; }\n\
-     </style></head><body>\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "<h1>disesim conformance: %s suite</h1>\n\
-        <p>%d/%d cells passed (%d vectors &times; %d backends) in %.3f s; \
-        per-cell run latency p50 %d ns, p95 %d ns, p99 %d ns.</p>\n"
-       (html_escape r.suite) r.passed total r.vectors (List.length backends)
-       r.wall_s r.p50_ns r.p95_ns r.p99_ns);
-  if r.fuzz_cases > 0 then
-    Buffer.add_string b
-      (Printf.sprintf "<p>Differential fuzz: %d cases, %d failures.</p>\n"
-         r.fuzz_cases r.fuzz_failures);
-  Buffer.add_string b
-    "<table>\n<tr><th>vector</th><th>backend</th><th>pass</th>\
-     <th>signature</th><th>expected</th><th>steps</th><th>expansions</th>\
-     <th>wall (s)</th><th>error</th></tr>\n";
-  List.iter
-    (fun c ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "<tr class=\"%s\"><td>%s</td><td>%s</td><td>%s</td><td>%s</td>\
-            <td>%s</td><td>%d</td><td>%d</td><td>%.6f</td><td>%s</td></tr>\n"
-           (if c.pass then "pass" else "fail")
-           (html_escape c.vector) c.backend
-           (if c.pass then "yes" else "NO")
-           (html_escape c.signature) (html_escape c.expected) c.steps
-           c.expansions c.wall_s
-           (html_escape (Option.value ~default:"" c.error))))
-    r.cells;
-  Buffer.add_string b "</table>\n</body></html>\n";
-  Buffer.contents b
-
-let trajectory_record ~ts r =
-  {
-    Trajectory.tool = "conformance";
-    suite = r.suite;
-    ts;
-    commit = Trajectory.commit_id ();
-    cells = List.length r.cells;
-    passed = r.passed;
-    wall_s = r.wall_s;
-    p50_ns = r.p50_ns;
-    p95_ns = r.p95_ns;
-    p99_ns = r.p99_ns;
-    extra =
-      [
-        ("vectors", Json.Int r.vectors);
-        ("fuzz_cases", Json.Int r.fuzz_cases);
-        ("fuzz_failures", Json.Int r.fuzz_failures);
-      ];
-  }

@@ -19,13 +19,9 @@
     and memory checksum after the run. The naive backend must
     reproduce the manifest's recorded signature; the optimized
     backends must reproduce the naive run's. [disesim conformance]
-    drives this module, renders the per-cell CSV/HTML report, and
-    appends a {!Dise_telemetry.Trajectory} record so wall-clock and
-    pass-rate move under version control (RESULTS_TRACKING.md).
-
-    Per-cell run latency is observed in the process-wide metrics
-    histogram ["conformance_run_ns"], whose per-run delta supplies
-    the report's quantiles. *)
+    drives this module, writes the per-cell CSV report, and exits
+    non-zero on any failing cell. It is a correctness gate only:
+    performance is measured in [perfbench/]. *)
 
 type vector = {
   name : string;
@@ -44,21 +40,13 @@ type cell = {
   expected : string;
   steps : int;
   expansions : int;
-  wall_s : float;
   error : string option;  (** runtime/expansion error, if any *)
 }
 
 type report = {
-  suite : string;  (** ["quick"] or ["full"] *)
   cells : cell list;  (** vector x backend, manifest order *)
   vectors : int;
   passed : int;  (** cells with [pass = true] *)
-  wall_s : float;
-  p50_ns : int;  (** per-cell run latency quantiles *)
-  p95_ns : int;
-  p99_ns : int;
-  fuzz_cases : int;  (** [full] suite only *)
-  fuzz_failures : int;
 }
 
 val backends : string list
@@ -77,11 +65,8 @@ val run_vector : dir:string -> vector -> cell list
     when it succeeds). Source-level failures (unparseable program or
     production set) yield one failing cell per backend. *)
 
-val run_suite : ?fuzz:int -> dir:string -> vector list -> report
-(** Run the whole suite. [fuzz] > 0 (the ["full"] suite) additionally
-    runs that many fixed-seed {!Oracle.check} iterations, folding
-    failures into [fuzz_failures] (they do not affect [passed], which
-    counts vector cells only). *)
+val run_suite : dir:string -> vector list -> report
+(** Run every vector on every backend. *)
 
 val update_signatures :
   dir:string -> vector list -> (vector list, Dise_isa.Diag.t) result
@@ -94,12 +79,4 @@ val save_manifest : dir:string -> vector list -> unit
 
 val csv_of_report : report -> string
 (** Header [vector,backend,pass,signature,expected,steps,expansions,
-    wall_s,error] then one row per cell. *)
-
-val html_of_report : report -> string
-(** Self-contained single-page report: summary line, quantiles, and
-    the per-cell table with failing rows highlighted. *)
-
-val trajectory_record : ts:int -> report -> Dise_telemetry.Trajectory.record
-(** Tool ["conformance"]; [extra] carries [vectors], [fuzz_cases],
-    and [fuzz_failures]. *)
+    error] then one row per cell. *)

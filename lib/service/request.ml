@@ -182,6 +182,16 @@ let int_field ctx j name =
   | Some _ -> parse_error (Printf.sprintf "%s.%s: expected integer" ctx name)
   | None -> parse_error (Printf.sprintf "%s.%s: missing" ctx name)
 
+(* An integer member with a documented range: a value outside it is
+   an input error naming the field, raised before any simulation runs
+   on it or caches its result. *)
+let ranged_field ctx j name ~expect ok =
+  let* v = int_field ctx j name in
+  if ok v then Ok v
+  else
+    parse_error
+      (Printf.sprintf "%s.%s: %d out of range (expected %s)" ctx name v expect)
+
 let bool_field ctx j name =
   match Json.member name j with
   | Some (Json.Bool v) -> Ok v
@@ -194,13 +204,24 @@ let string_field ctx j name =
 
 let scheme_of_json j =
   let* name = string_field "scheme" j "name" in
-  let* codeword_bytes = int_field "scheme" j "codeword_bytes" in
-  let* min_len = int_field "scheme" j "min_len" in
-  let* max_len = int_field "scheme" j "max_len" in
-  let* max_params = int_field "scheme" j "max_params" in
-  let* dict_entry_bytes = int_field "scheme" j "dict_entry_bytes" in
+  let field = ranged_field "scheme" j in
+  let* codeword_bytes =
+    field "codeword_bytes" ~expect:"2 or 4" (fun v -> v = 2 || v = 4)
+  in
+  let* min_len = field "min_len" ~expect:">= 1" (fun v -> v >= 1) in
+  let* max_len =
+    field "max_len" ~expect:">= min_len" (fun v -> v >= min_len)
+  in
+  let* max_params =
+    field "max_params" ~expect:"0..3" (fun v -> v >= 0 && v <= 3)
+  in
+  let* dict_entry_bytes =
+    field "dict_entry_bytes" ~expect:"4 or 8" (fun v -> v = 4 || v = 8)
+  in
   let* compress_branches = bool_field "scheme" j "compress_branches" in
-  let* max_entries = int_field "scheme" j "max_entries" in
+  let* max_entries =
+    field "max_entries" ~expect:"1..2048" (fun v -> v >= 1 && v <= 2048)
+  in
   Ok
     {
       Compress.name;
@@ -214,14 +235,19 @@ let scheme_of_json j =
     }
 
 let controller_of_json j =
-  let* pt_entries = int_field "controller" j "pt_entries" in
+  let* pt_entries =
+    ranged_field "controller" j "pt_entries" ~expect:">= 1" (fun v -> v >= 1)
+  in
   let* pt_perfect = bool_field "controller" j "pt_perfect" in
   let* rt_entries = int_field "controller" j "rt_entries" in
   let* rt_assoc = int_field "controller" j "rt_assoc" in
   let* rt_entries_per_block = int_field "controller" j "rt_entries_per_block" in
   let* rt_perfect = bool_field "controller" j "rt_perfect" in
-  let* miss_penalty = int_field "controller" j "miss_penalty" in
-  let* compose_penalty = int_field "controller" j "compose_penalty" in
+  let penalty name =
+    ranged_field "controller" j name ~expect:">= 0" (fun v -> v >= 0)
+  in
+  let* miss_penalty = penalty "miss_penalty" in
+  let* compose_penalty = penalty "compose_penalty" in
   let* composing = bool_field "controller" j "composing" in
   Ok
     {
@@ -305,10 +331,8 @@ let of_json j =
       | Some _ -> Ok ()
       | None -> Error (Diag.Invalid (Printf.sprintf "unknown benchmark %S" bench))
     in
-    let* dyn_target = int_field "request" j "dyn_target" in
-    let* () =
-      if dyn_target > 0 then Ok ()
-      else parse_error "request.dyn_target: must be positive"
+    let* dyn_target =
+      ranged_field "request" j "dyn_target" ~expect:">= 1" (fun v -> v >= 1)
     in
     let* machine =
       match Json.member "machine" j with
@@ -332,9 +356,10 @@ let of_json j =
       | None -> Ok !default_jit
       | Some jj ->
         let* enabled = bool_field "jit" jj "enabled" in
-        let* threshold = int_field "jit" jj "threshold" in
-        if threshold < 1 then parse_error "jit.threshold: must be >= 1"
-        else Ok (enabled, threshold)
+        let* threshold =
+          ranged_field "jit" jj "threshold" ~expect:">= 1" (fun v -> v >= 1)
+        in
+        Ok (enabled, threshold)
     in
     Ok { bench; dyn_target; machine; controller; acf; jit; jit_threshold }
   | _ -> parse_error "request: expected object"

@@ -104,7 +104,12 @@ val to_json : t -> Dise_telemetry.Json.t
 val of_json : Dise_telemetry.Json.t -> (t, Dise_isa.Diag.t) result
 (** Member order free; unknown members ignored (the serve protocol
     adds ["id"]); [bench] must name a known profile; a missing
-    ["jit"] member takes the {!set_default_jit} default. Errors are
+    ["jit"] member takes the {!set_default_jit} default. Integers
+    must lie in their documented ranges — a scheme's as in
+    {!Dise_acf.Compress.scheme}, [max_len >= min_len]; a controller's
+    [pt_entries >= 1] and penalties [>= 0]; a machine's as in
+    {!Dise_uarch.Config.of_json} — and a value outside one is a
+    [Diag.Parse] naming the field. Errors are
     [Diag.Parse]/[Diag.Invalid] (exit-code class "parse"). *)
 
 val canonical : t -> string

@@ -1,12 +1,3 @@
-let enabled =
-  Atomic.make
-    (match Sys.getenv_opt "DISESIM_METRICS" with
-    | Some ("0" | "off" | "false" | "no") -> false
-    | _ -> true)
-
-let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
-
 (* Log-linear bucket layout, shared by histogram and snapshot code.
    Values 0..7 get unit buckets; [2^k, 2^(k+1)) is split into 8
    sub-buckets of width 2^(k-3), so consecutive bucket bounds differ
@@ -41,8 +32,8 @@ module Counter0 = struct
   type t = { name : string; cell : int Atomic.t }
 
   let unregistered name = { name; cell = Atomic.make 0 }
-  let incr t = if Atomic.get enabled then ignore (Atomic.fetch_and_add t.cell 1)
-  let add t n = if Atomic.get enabled then ignore (Atomic.fetch_and_add t.cell n)
+  let incr t = ignore (Atomic.fetch_and_add t.cell 1)
+  let add t n = ignore (Atomic.fetch_and_add t.cell n)
   let get t = Atomic.get t.cell
   let name t = t.name
   let set_for_test t v = Atomic.set t.cell v
@@ -52,7 +43,7 @@ module Gauge0 = struct
   type t = { name : string; cell : int Atomic.t }
 
   let unregistered name = { name; cell = Atomic.make 0 }
-  let set t v = if Atomic.get enabled then Atomic.set t.cell v
+  let set t v = Atomic.set t.cell v
   let get t = Atomic.get t.cell
   let name t = t.name
 end
@@ -82,12 +73,10 @@ module Histogram0 = struct
   let name t = t.name
 
   let observe t v =
-    if Atomic.get enabled then begin
-      let v = if v < 0 then 0 else v in
-      ignore (Atomic.fetch_and_add t.cells.(bucket_index v) 1);
-      ignore (Atomic.fetch_and_add t.count 1);
-      ignore (Atomic.fetch_and_add t.sum v)
-    end
+    let v = if v < 0 then 0 else v in
+    ignore (Atomic.fetch_and_add t.cells.(bucket_index v) 1);
+    ignore (Atomic.fetch_and_add t.count 1);
+    ignore (Atomic.fetch_and_add t.sum v)
 
   let observe_s t secs = observe t (int_of_float ((secs *. 1e9) +. 0.5))
   let count (t : t) = Atomic.get t.count

@@ -13,12 +13,9 @@
     Registering the same name as two different kinds raises
     [Invalid_argument].
 
-    {b Cost when disabled.} The registry is enabled by default; setting
-    the environment variable [DISESIM_METRICS] to [0], [off], [false],
-    or [no] — or calling {!set_enabled}[ false] — turns every recording
-    operation into a single atomic load and branch, and histogram
-    observation into a no-op. Nothing is allocated on the recording
-    path either way.
+    {b Cost.} Recording is unconditional: a counter or gauge update is
+    one atomic operation, a histogram observation three atomic adds.
+    Nothing is allocated on the recording path.
 
     {b Snapshot semantics.} All instruments are monotone except gauges,
     so a later snapshot minus an earlier one ({!delta}) is a valid
@@ -28,12 +25,6 @@
     This module has no dependencies (not even [Unix]); callers supply
     timestamps and convert to nanoseconds (or use
     {!Histogram.observe_s}). *)
-
-val set_enabled : bool -> unit
-(** Enable or disable all recording. Reading (snapshots, [get]) always
-    works. *)
-
-val is_enabled : unit -> bool
 
 module Counter : sig
   type t
@@ -84,7 +75,7 @@ module Histogram : sig
 
   val observe : t -> int -> unit
   (** Record one non-negative integer observation (negative values
-      clamp to 0). No-op while the registry is disabled. *)
+      clamp to 0). *)
 
   val observe_s : t -> float -> unit
   (** Record a duration given in seconds, converted to nanoseconds. *)

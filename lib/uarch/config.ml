@@ -92,6 +92,14 @@ let of_json j =
     | Some _ -> Error (Printf.sprintf "machine.%s: expected integer" name)
     | None -> Error (Printf.sprintf "machine.%s: missing" name)
   in
+  let at_least lo name =
+    let* v = int_field name in
+    if v >= lo then Ok v
+    else
+      Error
+        (Printf.sprintf "machine.%s: %d out of range (expected >= %d)" name v
+           lo)
+  in
   let cache_field name =
     match Json.member name j with
     | Some Json.Null -> Ok None
@@ -108,16 +116,16 @@ let of_json j =
     | Some _ -> Error (Printf.sprintf "machine.%s: expected object or null" name)
     | None -> Error (Printf.sprintf "machine.%s: missing" name)
   in
-  let* width = int_field "width" in
-  let* depth = int_field "depth" in
-  let* rob_size = int_field "rob_size" in
+  let* width = at_least 1 "width" in
+  let* depth = at_least 1 "depth" in
+  let* rob_size = at_least 1 "rob_size" in
   let* icache = cache_field "icache" in
   let* dcache = cache_field "dcache" in
   let* l2 = cache_field "l2" in
-  let* l1_latency = int_field "l1_latency" in
-  let* l2_latency = int_field "l2_latency" in
-  let* mem_latency = int_field "mem_latency" in
-  let* mul_latency = int_field "mul_latency" in
+  let* l1_latency = at_least 0 "l1_latency" in
+  let* l2_latency = at_least 0 "l2_latency" in
+  let* mem_latency = at_least 0 "mem_latency" in
+  let* mul_latency = at_least 0 "mul_latency" in
   let* dise_decode =
     match Json.member "dise_decode" j with
     | Some (Json.String "free") -> Ok Free

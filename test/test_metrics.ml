@@ -1,18 +1,16 @@
-(* Metrics core, trajectory records, trace drop accounting, and the
-   conformance suite — the observability layer's own tests. *)
+(* Metrics core, trace drop accounting, and the conformance gate — the
+   observability layer's own tests. *)
 
 module Metrics = Dise_telemetry.Metrics
 module Json = Dise_telemetry.Json
 module Json_schema = Dise_telemetry.Json_schema
 module Manifest = Dise_telemetry.Manifest
 module Trace = Dise_telemetry.Trace
-module Trajectory = Dise_telemetry.Trajectory
 module Conformance = Dise_fuzz.Conformance
 
 let check = Alcotest.check
 let bool_ = Alcotest.bool
 let int_ = Alcotest.int
-let string_ = Alcotest.string
 
 let read_file path =
   let ic = open_in_bin path in
@@ -122,22 +120,6 @@ let test_registry () =
   let snap = Metrics.snapshot () in
   check bool_ "registry snapshot carries it" true
     (List.mem_assoc "test_reg_counter" snap.Metrics.counters)
-
-let test_disabled_gate () =
-  let c = Metrics.Counter.make "test_gate_counter" in
-  let h = Metrics.Histogram.make "test_gate_hist" in
-  let v0 = Metrics.Counter.get c and n0 = Metrics.Histogram.count h in
-  Metrics.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Metrics.set_enabled true)
-    (fun () ->
-      Metrics.Counter.incr c;
-      Metrics.Histogram.observe h 42;
-      check int_ "counter frozen when disabled" v0 (Metrics.Counter.get c);
-      check int_ "histogram frozen when disabled" n0
-        (Metrics.Histogram.count h));
-  Metrics.Counter.incr c;
-  check int_ "counter live again" (v0 + 1) (Metrics.Counter.get c)
 
 let test_delta () =
   let h = Metrics.Histogram.make "test_delta_hist" in
@@ -284,66 +266,15 @@ let test_trace_dropped () =
       (marker <> None)
   | _ -> Alcotest.fail "trace is not a JSON array"
 
-(* --- trajectory records --------------------------------------------------- *)
-
-let sample_record ts wall =
-  {
-    Trajectory.tool = "conformance";
-    suite = "quick";
-    ts;
-    commit = "deadbeef";
-    cells = 32;
-    passed = 32;
-    wall_s = wall;
-    p50_ns = 1000;
-    p95_ns = 5000;
-    p99_ns = 9000;
-    extra = [ ("vectors", Json.Int 8) ];
-  }
-
-let test_trajectory () =
-  let schema = load_schema "trajectory.schema.json" in
-  let r = sample_record 1_700_000_000 1.5 in
-  let doc = Trajectory.to_json r in
-  assert_valid ~schema doc;
-  (match Trajectory.of_json doc with
-  | Some r' ->
-    check string_ "tool roundtrips" r.Trajectory.tool r'.Trajectory.tool;
-    check int_ "cells roundtrip" r.Trajectory.cells r'.Trajectory.cells;
-    check bool_ "extra survives" true
-      (List.assoc_opt "vectors" r'.Trajectory.extra = Some (Json.Int 8))
-  | None -> Alcotest.fail "of_json rejected its own to_json");
-  let jsonl =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dise-traj-%d.jsonl" (Unix.getpid ()))
-  in
-  if Sys.file_exists jsonl then Sys.remove jsonl;
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove jsonl with Sys_error _ -> ())
-    (fun () ->
-      Trajectory.append ~jsonl r;
-      Trajectory.append ~jsonl (sample_record 1_700_000_100 2.0);
-      match Trajectory.last ~jsonl ~tool:"conformance" ~suite:"quick" with
-      | None -> Alcotest.fail "last found nothing"
-      | Some prev ->
-        check int_ "last record wins" 1_700_000_100 prev.Trajectory.ts;
-        check bool_ "within budget passes" true
-          (Trajectory.check_regression ~prev (sample_record 0 2.3) = Ok ());
-        check bool_ ">20% wall regression fails" true
-          (Trajectory.check_regression ~prev (sample_record 0 2.5) <> Ok ());
-        let worse = { (sample_record 0 2.0) with Trajectory.passed = 31 } in
-        check bool_ "pass-rate drop fails" true
-          (Trajectory.check_regression ~prev worse <> Ok ()))
-
 (* --- the conformance suite, in-process ------------------------------------ *)
 
+let load_suite dir =
+  match Conformance.load_suite ~dir with
+  | Ok vs -> vs
+  | Error d -> Alcotest.failf "load_suite: %s" (Dise_isa.Diag.to_string d)
+
 let test_conformance_quick () =
-  let vectors =
-    match Conformance.load_suite ~dir:"arch" with
-    | Ok vs -> vs
-    | Error d -> Alcotest.failf "load_suite: %s" (Dise_isa.Diag.to_string d)
-  in
+  let vectors = load_suite "arch" in
   check bool_ "suite has vectors" true (List.length vectors >= 8);
   List.iter
     (fun v ->
@@ -370,15 +301,53 @@ let test_conformance_quick () =
   (* Rendering stays well-formed. *)
   let csv = Conformance.csv_of_report report in
   check bool_ "csv has header + rows" true
-    (List.length (String.split_on_char '\n' csv) > total);
-  let html = Conformance.html_of_report report in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    nn = 0 || go 0
+    (List.length (String.split_on_char '\n' csv) > total)
+
+(* The gate itself: a copy of the suite whose manifest records a wrong
+   signature for one vector must fail exactly that vector's cells on
+   every backend, and nothing else. *)
+let test_conformance_flags_wrong_signature () =
+  let vectors = load_suite "arch" in
+  let victim =
+    match List.find_opt (fun v -> v.Conformance.productions <> None) vectors with
+    | Some v -> v.Conformance.name
+    | None -> Alcotest.fail "suite has no vector with productions"
   in
-  check bool_ "html mentions every backend" true
-    (List.for_all (contains html) Conformance.backends)
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dise-conformance-%d" (Unix.getpid ()))
+  in
+  Unix.mkdir dir 0o755;
+  let rm_dir () =
+    Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+    Unix.rmdir dir
+  in
+  Fun.protect ~finally:rm_dir (fun () ->
+      Array.iter
+        (fun n ->
+          let oc = open_out_bin (Filename.concat dir n) in
+          output_string oc (read_file (Filename.concat "arch" n));
+          close_out oc)
+        (Sys.readdir "arch");
+      Conformance.save_manifest ~dir
+        (List.map
+           (fun v ->
+             if v.Conformance.name = victim then
+               { v with Conformance.signature = "0:0:00000000:00000000" }
+             else v)
+           vectors);
+      let report = Conformance.run_suite ~dir (load_suite dir) in
+      List.iter
+        (fun c ->
+          check bool_
+            (Printf.sprintf "%s/%s" c.Conformance.vector c.Conformance.backend)
+            (c.Conformance.vector <> victim)
+            c.Conformance.pass)
+        report.Conformance.cells;
+      check int_ "exactly the victim's cells fail"
+        (List.length report.Conformance.cells - List.length Conformance.backends)
+        report.Conformance.passed)
 
 let suite =
   [
@@ -386,7 +355,6 @@ let suite =
     QCheck_alcotest.to_alcotest quantile_qcheck;
     QCheck_alcotest.to_alcotest invariant_qcheck;
     Alcotest.test_case "registry" `Quick test_registry;
-    Alcotest.test_case "disabled gate" `Quick test_disabled_gate;
     Alcotest.test_case "histogram delta" `Quick test_delta;
     Alcotest.test_case "empty/reset histogram edges" `Quick
       test_histogram_empty_and_reset_edges;
@@ -394,7 +362,8 @@ let suite =
     Alcotest.test_case "serve_summary metrics" `Quick
       test_serve_summary_metrics;
     Alcotest.test_case "trace dropped count" `Quick test_trace_dropped;
-    Alcotest.test_case "trajectory records" `Quick test_trajectory;
     Alcotest.test_case "conformance quick suite" `Quick
       test_conformance_quick;
+    Alcotest.test_case "conformance flags a wrong signature" `Quick
+      test_conformance_flags_wrong_signature;
   ]

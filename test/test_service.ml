@@ -142,6 +142,60 @@ let test_of_json_rejects () =
   | Ok r -> check string_ "bench decoded" "tiny" r.Request.bench
   | Error d -> Alcotest.failf "rejected id-carrying request: %s" (Diag.to_string d)
 
+(* Integers outside their documented ranges used to decode and then
+   run: a negative max_params answered ok with a wrong result (and
+   cached it), a zero codeword size ran to the step limit, a zero
+   width divided by zero. Each must be a parse error naming the field,
+   before anything runs. *)
+let test_out_of_range_rejected () =
+  let rec set path v j =
+    match (path, j) with
+    | [], _ -> v
+    | k :: rest, Json.Obj kvs ->
+      Json.Obj
+        (List.map (fun (k', x) -> (k', if k' = k then set rest v x else x)) kvs)
+    | _ -> Alcotest.failf "no member %s" (String.concat "." path)
+  in
+  let valid =
+    Request.to_json
+      (Request.v ~dyn_target:5_000 ~controller:Controller.default_config
+         ~acf:
+           (Request.Decompress
+              { scheme = A.Compress.full_dise; mfi = `None; rewritten = false })
+         "tiny")
+  in
+  (match Request.of_json valid with
+  | Ok _ -> ()
+  | Error d -> Alcotest.failf "valid probe base rejected: %s" (Diag.to_string d));
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun (edits, field) ->
+      let j = List.fold_left (fun j (path, v) -> set path v j) valid edits in
+      match Request.of_json j with
+      | Error (Diag.Parse { msg; _ }) ->
+        check bool_ (Printf.sprintf "%S names %s" msg field) true
+          (contains msg field)
+      | Error d ->
+        Alcotest.failf "%s: not a parse error: %s" field (Diag.to_string d)
+      | Ok _ -> Alcotest.failf "%s: out-of-range value accepted" field)
+    [
+      ([ ([ "acf"; "scheme"; "max_params" ], Json.Int (-1)) ],
+       "scheme.max_params");
+      ([ ([ "acf"; "scheme"; "codeword_bytes" ], Json.Int 0) ],
+       "scheme.codeword_bytes");
+      ([ ([ "acf"; "scheme"; "max_params" ], Json.Int 9) ], "scheme.max_params");
+      ( [
+          ([ "machine"; "width" ], Json.Int 0);
+          ([ "machine"; "rob_size" ], Json.Int (-5));
+        ],
+        "machine.width" );
+      ([ ([ "controller"; "pt_entries" ], Json.Int 0) ], "controller.pt_entries");
+    ]
+
 (* --- cache-key stability -------------------------------------------------- *)
 
 (* Golden: pins the canonical encoding AND the salted hash. If this
@@ -524,6 +578,7 @@ let suite =
     t prop_roundtrip_via_text;
     ("cache key golden", `Quick, test_key_golden);
     ("of_json rejections", `Quick, test_of_json_rejects);
+    ("out-of-range request fields rejected", `Quick, test_out_of_range_rejected);
     ("cache store/find/corrupt", `Quick, test_store_find_corrupt);
     ("run recovers from corruption", `Quick, test_run_recovers_from_corruption);
     ("counters and clear_cache", `Quick, test_counters_and_clear);
