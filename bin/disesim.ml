@@ -172,9 +172,21 @@ let rt_assoc_arg =
          ~doc:"RT associativity.")
 
 let machine_of icache width =
-  Config.default
-  |> Config.with_width width
-  |> Config.with_icache_kb (match icache with Some 0 -> None | x -> x)
+  let cfg =
+    Config.default
+    |> Config.with_width width
+    |> Config.with_icache_kb (match icache with Some 0 -> None | x -> x)
+  in
+  (match cfg.Config.icache with
+  | Some { Config.size_bytes; assoc; line_bytes } -> (
+    match Dise_uarch.Cache.check_geometry ~size_bytes ~assoc ~line_bytes with
+    | Ok () -> ()
+    | Error msg ->
+      die
+        (Diag.Invalid
+           (Printf.sprintf "--icache %d: %s" (size_bytes / 1024) msg)))
+  | None -> ());
+  cfg
 
 (* --- run --------------------------------------------------------------- *)
 
@@ -218,6 +230,7 @@ let run_cmd =
   let run bench dyn icache width (acf_name, acf) rt rt_assoc stats_json
       trace_path cpi cache_dir no_cache no_jit jit_threshold =
     if width < 1 then die (Diag.Invalid "--width must be >= 1");
+    let machine = machine_of icache width in
     setup_cache cache_dir no_cache;
     setup_jit no_jit jit_threshold;
     let entry = entry_of bench dyn in
@@ -236,7 +249,7 @@ let run_cmd =
         rt
     in
     let req =
-      S.Request.v ~dyn_target:dyn ~machine:(machine_of icache width)
+      S.Request.v ~dyn_target:dyn ~machine
         ?controller ~acf bench
     in
     let trace = Option.map (fun c -> T.Trace.to_channel c) trace_chan in

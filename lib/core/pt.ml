@@ -57,7 +57,7 @@ let access t ~key =
        until they fit (a group larger than the PT is truncated to
        capacity; it will simply re-miss, as real hardware would
        thrash). *)
-    let fill = min need t.capacity in
+    let fill = Int.min need t.capacity in
     t.occupancy <- t.occupancy - t.resident.(key);
     t.resident.(key) <- 0;
     while t.occupancy + fill > t.capacity do

@@ -1,8 +1,5 @@
-type way = {
-  mutable tag : int;  (* (rsid lsl 12) lor block index; -1 = invalid *)
-  mutable lru : int;
-}
-
+(* Way [w] of set [s] lives at flat index [s * assoc + w] of [tags]
+   and [stamps]: no per-way record, so an access allocates nothing. *)
 type t = {
   perfect : bool;
   n_sets : int;
@@ -16,7 +13,8 @@ type t = {
       (* len -> ceil(len / entries_per_block), precomputed at
          construction for every length up to [max_precomputed_len] so
          the access path never divides. *)
-  sets : way array array;
+  tags : int array;  (* (rsid lsl 12) lor block index; -1 = invalid *)
+  stamps : int array;  (* LRU: clock of the last touch *)
   mutable clock : int;
   mutable accesses : int;
   mutable misses : int;
@@ -41,9 +39,8 @@ let create ?(entries_per_block = 1) ~entries ~assoc () =
     entries_per_block;
     index_mask = (if n_sets land (n_sets - 1) = 0 then n_sets - 1 else -1);
     blocks_for_len = precompute_blocks entries_per_block;
-    sets =
-      Array.init n_sets (fun _ ->
-          Array.init assoc (fun _ -> { tag = -1; lru = 0 }));
+    tags = Array.make (n_sets * assoc) (-1);
+    stamps = Array.make (n_sets * assoc) 0;
     clock = 0;
     accesses = 0;
     misses = 0;
@@ -58,7 +55,8 @@ let perfect () =
     entries_per_block = 1;
     index_mask = -1;
     blocks_for_len = [||];
-    sets = [||];
+    tags = [||];
+    stamps = [||];
     clock = 0;
     accesses = 0;
     misses = 0;
@@ -76,27 +74,31 @@ let set_index t tag =
   let h = h lsr 16 in
   if t.index_mask >= 0 then h land t.index_mask else h mod t.n_sets
 
+(* Flat index of the way in [i, last) holding [tag], or -1. *)
+let rec find_way (tags : int array) (tag : int) i last =
+  if i = last then -1
+  else if tags.(i) = tag then i
+  else find_way tags tag (i + 1) last
+
 let probe t tag =
-  let set = t.sets.(set_index t tag) in
-  let rec go i = if i >= t.assoc then None
-    else if set.(i).tag = tag then Some set.(i)
-    else go (i + 1)
-  in
-  go 0
+  let base = set_index t tag * t.assoc in
+  find_way t.tags tag base (base + t.assoc)
+
+(* The first invalid way in [i, last), else the first least recently
+   used one; [best] is the LRU candidate so far. *)
+let rec victim (tags : int array) (stamps : int array) i last best =
+  if i = last then best
+  else if tags.(i) = -1 then i
+  else
+    victim tags stamps (i + 1) last
+      (if stamps.(i) < stamps.(best) then i else best)
 
 let fill t tag =
-  let set = t.sets.(set_index t tag) in
-  (* Reuse an invalid way, else evict LRU. *)
-  let victim = ref set.(0) in
-  Array.iter
-    (fun w ->
-      if w.tag = -1 && !victim.tag <> -1 then victim := w
-      else if w.tag <> -1 && !victim.tag <> -1 && w.lru < !victim.lru then
-        victim := w)
-    set;
-  if !victim.tag = -1 then t.resident <- t.resident + 1;
-  !victim.tag <- tag;
-  !victim.lru <- t.clock
+  let base = set_index t tag * t.assoc in
+  let v = victim t.tags t.stamps base (base + t.assoc) base in
+  if t.tags.(v) = -1 then t.resident <- t.resident + 1;
+  t.tags.(v) <- tag;
+  t.stamps.(v) <- t.clock
 
 let blocks_of_len t len =
   if len <= max_precomputed_len && not t.perfect then
@@ -108,35 +110,27 @@ let access t ~rsid ~len =
   if t.perfect then `Hit
   else begin
     t.clock <- t.clock + 1;
-    let blocks = blocks_of_len t (max 1 len) in
+    let blocks = blocks_of_len t (Int.max 1 len) in
     let all_hit = ref true in
     for blk = 0 to blocks - 1 do
-      match probe t (block_tag ~rsid ~blk) with
-      | Some w -> w.lru <- t.clock
-      | None -> all_hit := false
+      let w = probe t (block_tag ~rsid ~blk) in
+      if w >= 0 then t.stamps.(w) <- t.clock else all_hit := false
     done;
     if !all_hit then `Hit
     else begin
       t.misses <- t.misses + 1;
       for blk = 0 to blocks - 1 do
         let tag = block_tag ~rsid ~blk in
-        match probe t tag with
-        | Some w -> w.lru <- t.clock
-        | None -> fill t tag
+        let w = probe t tag in
+        if w >= 0 then t.stamps.(w) <- t.clock else fill t tag
       done;
       `Miss
     end
   end
 
 let invalidate t =
-  Array.iter
-    (fun set ->
-      Array.iter
-        (fun w ->
-          w.tag <- -1;
-          w.lru <- 0)
-        set)
-    t.sets;
+  Array.fill t.tags 0 (Array.length t.tags) (-1);
+  Array.fill t.stamps 0 (Array.length t.stamps) 0;
   t.resident <- 0
 
 let accesses t = t.accesses

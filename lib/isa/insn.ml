@@ -94,32 +94,32 @@ let uses i =
   in
   List.filter non_zero u
 
-(* Allocation-free variants of [uses]/[defs] for the timing model's
-   per-event scoreboard walk ([uses]/[defs] build a fresh list per
-   call, which dominates the event loop's allocation). *)
+(* Closure-free forms of [uses]/[defs] for the timing model's
+   scoreboard: flat register indices, -1 for none. Every instruction
+   reads at most two registers and writes at most one. *)
 
-let fold_uses f acc i =
-  match i with
-  | Rop (_, rs, rt, _) ->
-    let acc = if non_zero rs then f acc rs else acc in
-    if non_zero rt then f acc rt else acc
-  | Ropi (_, rs, _, _) | Lda (rs, _, _) | Mem ((Ldq | Ldbu), rs, _, _)
+let dep_index r = match r with Reg.R 0 -> -1 | _ -> Reg.index r
+
+let use1 = function
+  | Rop (_, rs, _, _) | Ropi (_, rs, _, _) | Lda (rs, _, _) | Mem (_, rs, _, _)
   | Br (_, rs, _) | Jr rs | Jalr (rs, _) | Dbr (_, rs, _) ->
-    if non_zero rs then f acc rs else acc
-  | Mem ((Stq | Stb), rs, _, rt) ->
-    let acc = if non_zero rs then f acc rs else acc in
-    if non_zero rt then f acc rt else acc
-  | Lui _ | Jmp _ | Jal _ | Djmp _ | Codeword _ | Nop | Halt -> acc
+    dep_index rs
+  | Lui _ | Jmp _ | Jal _ | Djmp _ | Codeword _ | Nop | Halt -> -1
 
-let iter_defs f i =
-  match i with
+let use2 = function
+  | Rop (_, _, rt, _) | Mem ((Stq | Stb), _, _, rt) -> dep_index rt
+  | Ropi _ | Lda _ | Lui _ | Mem ((Ldq | Ldbu), _, _, _) | Br _ | Jmp _
+  | Jal _ | Jr _ | Jalr _ | Dbr _ | Djmp _ | Codeword _ | Nop | Halt ->
+    -1
+
+let def1 = function
   | Rop (_, _, _, rd) | Ropi (_, _, _, rd) | Lda (_, _, rd) | Lui (_, rd)
   | Jalr (_, rd) | Mem ((Ldq | Ldbu), _, _, rd) ->
-    if non_zero rd then f rd
-  | Jal _ -> f Reg.ra
+    dep_index rd
+  | Jal _ -> Reg.index Reg.ra
   | Mem ((Stq | Stb), _, _, _) | Br _ | Jmp _ | Jr _ | Dbr _ | Djmp _
   | Codeword _ | Nop | Halt ->
-    ()
+    -1
 
 let is_control = function
   | Br _ | Jmp _ | Jal _ | Jr _ | Jalr _ | Halt -> true
@@ -154,12 +154,11 @@ let codeword ~op ~p1 ~p2 ~p3 ~tag =
    Jmp: 40, Jal: 41, Jr: 42, Jalr: 43, Dbr: 44..49, Djmp: 50,
    Codeword: 51..54, Nop: 55, Halt: 56. *)
 
-let rop_index op =
-  let rec find i = function
-    | [] -> assert false
-    | x :: rest -> if x = op then i else find (i + 1) rest
-  in
-  find 0 Opcode.all_rops
+let rop_index (op : Opcode.rop) =
+  match op with
+  | Add -> 0 | Sub -> 1 | Mul -> 2 | And_ -> 3 | Or_ -> 4 | Xor -> 5
+  | Sll -> 6 | Srl -> 7 | Sra -> 8 | Slt -> 9 | Sltu -> 10 | Cmpeq -> 11
+  | Cmplt -> 12 | Cmple -> 13
 
 let mop_index (op : Opcode.mop) =
   match op with Ldq -> 0 | Ldbu -> 1 | Stq -> 2 | Stb -> 3

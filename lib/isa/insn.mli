@@ -61,14 +61,15 @@ val defs : t -> Reg.t list
 val uses : t -> Reg.t list
 (** Registers read. *)
 
-val fold_uses : ('a -> Reg.t -> 'a) -> 'a -> t -> 'a
-(** [fold_uses f acc i] folds [f] over the registers [i] reads, in the
-    same order as {!uses} but without building a list — for per-event
-    hot paths. *)
-
-val iter_defs : (Reg.t -> unit) -> t -> unit
-(** [iter_defs f i] applies [f] to each register [i] writes (excluding
-    the zero register), allocation-free counterpart of {!defs}. *)
+val use1 : t -> int
+val use2 : t -> int
+val def1 : t -> int
+(** Closure-free forms of {!uses} and {!defs} for per-instruction hot
+    paths: each is a {!Reg.index} or [-1] for none. Every instruction
+    reads at most two registers and writes at most one; {!uses} lists
+    exactly the non-negative ones of [use1], [use2] (in that order) and
+    {!defs} the non-negative [def1] (property "use1/use2/def1 agree with
+    uses/defs" in test/test_props.ml). *)
 
 val is_control : t -> bool
 (** True for every instruction that may redirect the application PC. *)

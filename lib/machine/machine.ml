@@ -183,7 +183,7 @@ let exit_code t = Regfile.get t.regs (Reg.r 2)
 let raw t = t.raw
 
 let enable_jit ?(threshold = default_jit_threshold) ?(generation = ref 0) t =
-  let threshold = max 1 threshold in
+  let threshold = Int.max 1 threshold in
   let n = if t.dense then Array.length t.insns else 0 in
   t.jit <-
     Some
@@ -192,8 +192,8 @@ let enable_jit ?(threshold = default_jit_threshold) ?(generation = ref 0) t =
         generation;
         cur_gen = !generation;
         jit_base = Image.base t.image;
-        slot_block = Array.make (max n 1) (-1);
-        slot_count = Array.make (max n 1) 0;
+        slot_block = Array.make (Int.max n 1) (-1);
+        slot_count = Array.make (Int.max n 1) 0;
         sparse_block = Hashtbl.create (if n = 0 then 1024 else 1);
         sparse_count = Hashtbl.create (if n = 0 then 1024 else 1);
         blk_start = Array.make 16 0;
@@ -220,11 +220,13 @@ let jit_hits t = match t.jit with None -> 0 | Some j -> j.hits
 let jit_invalidations t =
   match t.jit with None -> 0 | Some j -> j.invalidations
 
-(* Result of executing one instruction. *)
+(* Result of executing one instruction. A transfer's destination is
+   in [t.raw.target]; constant constructors keep the return
+   allocation-free. *)
 type flow =
   | Next
-  | App_goto of int
-  | Dise_goto of int
+  | App_goto
+  | Dise_goto
   | Stop
 
 let target_addr = function
@@ -237,72 +239,73 @@ let target_addr = function
    address after the (possibly expanded) trigger. Memory address and
    branch outcome are reported through [t.raw]. *)
 let exec_one t insn ~in_seq =
-  let get r = Regfile.get t.regs r in
-  let set r v = Regfile.set t.regs r v in
+  let regs = t.regs in
   let r = t.raw in
   r.Raw.mem_addr <- no_mem;
   r.Raw.branch <- -1;
   match insn with
   | I.Rop (op, a, b, c) ->
-    set c (Op.eval_rop op (get a) (get b));
+    Regfile.set regs c
+      (Op.eval_rop op (Regfile.get regs a) (Regfile.get regs b));
     Next
   | I.Ropi (op, a, v, c) ->
-    set c (Op.eval_rop op (get a) v);
+    Regfile.set regs c (Op.eval_rop op (Regfile.get regs a) v);
     Next
   | I.Lda (base, off, rd) ->
-    set rd (get base + off);
+    Regfile.set regs rd (Regfile.get regs base + off);
     Next
   | I.Lui (v, rd) ->
-    set rd (v lsl 16);
+    Regfile.set regs rd (v lsl 16);
     Next
   | I.Mem (mop, base, off, data) ->
-    let addr = Op.mask32 (get base + off) in
+    let addr = Op.mask32 (Regfile.get regs base + off) in
     r.Raw.mem_addr <- addr;
     (match mop with
-    | Op.Ldq -> set data (Memory.read_s32 t.mem addr)
-    | Op.Ldbu -> set data (Memory.read_u8 t.mem addr)
-    | Op.Stq -> Memory.write_u32 t.mem addr (Op.mask32 (get data))
-    | Op.Stb -> Memory.write_u8 t.mem addr (get data));
+    | Op.Ldq -> Regfile.set regs data (Memory.read_s32 t.mem addr)
+    | Op.Ldbu -> Regfile.set regs data (Memory.read_u8 t.mem addr)
+    | Op.Stq ->
+      Memory.write_u32 t.mem addr (Op.mask32 (Regfile.get regs data))
+    | Op.Stb -> Memory.write_u8 t.mem addr (Regfile.get regs data));
     Next
   | I.Br (bop, r0, tgt) ->
     let target = target_addr tgt in
-    let taken = Op.eval_bop bop (get r0) in
+    let taken = Op.eval_bop bop (Regfile.get regs r0) in
     r.Raw.branch <- (if taken then 1 else 0);
     r.Raw.target <- target;
-    if taken then App_goto target else Next
+    if taken then App_goto else Next
   | I.Jmp tgt ->
     let target = target_addr tgt in
     r.Raw.branch <- 1;
     r.Raw.target <- target;
-    App_goto target
+    App_goto
   | I.Jal tgt ->
     let target = target_addr tgt in
-    set Reg.ra (t.pc + t.cur_size);
+    Regfile.set regs Reg.ra (t.pc + t.cur_size);
     r.Raw.branch <- 1;
     r.Raw.target <- target;
-    App_goto target
+    App_goto
   | I.Jr r0 ->
-    let target = Op.mask32 (get r0) in
+    let target = Op.mask32 (Regfile.get regs r0) in
     r.Raw.branch <- 1;
     r.Raw.target <- target;
-    App_goto target
+    App_goto
   | I.Jalr (r0, rd) ->
-    let target = Op.mask32 (get r0) in
-    set rd (t.pc + t.cur_size);
+    let target = Op.mask32 (Regfile.get regs r0) in
+    Regfile.set regs rd (t.pc + t.cur_size);
     r.Raw.branch <- 1;
     r.Raw.target <- target;
-    App_goto target
+    App_goto
   | I.Dbr (bop, r0, off) ->
     if not in_seq then fail "DISE branch outside replacement sequence";
-    let taken = Op.eval_bop bop (get r0) in
+    let taken = Op.eval_bop bop (Regfile.get regs r0) in
     r.Raw.branch <- (if taken then 3 else 2);
     r.Raw.target <- off;
-    if taken then Dise_goto off else Next
+    if taken then Dise_goto else Next
   | I.Djmp off ->
     if not in_seq then fail "DISE jump outside replacement sequence";
     r.Raw.branch <- 3;
     r.Raw.target <- off;
-    Dise_goto off
+    Dise_goto
   | I.Codeword _ ->
     if in_seq then fail "codeword inside replacement sequence (recursion)"
     else fail "codeword at 0x%x matched no production" t.pc
@@ -335,11 +338,12 @@ let step_in_sequence_core t (e : expansion) ~expansion_start =
   | Next ->
     t.disepc <- offset + 1;
     if t.disepc >= len then finish_sequence t
-  | App_goto target ->
+  | App_goto ->
     t.cur <- None;
     t.disepc <- 0;
-    t.pc <- target
-  | Dise_goto d ->
+    t.pc <- r.Raw.target
+  | Dise_goto ->
+    let d = r.Raw.target in
     if d < 0 || d > len then
       fail "DISE transfer to offset %d outside sequence of length %d" d len;
     t.disepc <- d;
@@ -381,11 +385,12 @@ let step_core t =
         t.cur_size <- (if t.dense then 4 else Image.size_of_index t.image idx);
         t.app_fetched <- t.app_fetched + 1;
         match t.expander ~pc:t.pc insn with
-        | Some e ->
+        | Some e as cur ->
           if Array.length e.seq = 0 then
             fail "empty replacement sequence for 0x%x" t.pc;
           t.expansions <- t.expansions + 1;
-          t.cur <- Some e;
+          (* The expander's own option: [Some e] would allocate. *)
+          t.cur <- cur;
           (* A restored DISEPC (interrupt resumption) skips the first
              instructions of the sequence; normally it is 0. *)
           if t.disepc >= Array.length e.seq then t.disepc <- 0;
@@ -404,8 +409,8 @@ let step_core t =
           r.Raw.fetched_new_pc <- true;
           (match flow with
           | Next -> advance_app t
-          | App_goto target -> t.pc <- target
-          | Dise_goto _ -> assert false
+          | App_goto -> t.pc <- r.Raw.target
+          | Dise_goto -> assert false
           | Stop -> t.halted <- true);
           t.executed <- t.executed + 1;
           true
@@ -416,7 +421,7 @@ let step_core t =
 let ensure_capacity j n =
   let cap = Array.length j.a_pc in
   if j.a_used + n > cap then begin
-    let ncap = max (2 * cap) (j.a_used + n) in
+    let ncap = Int.max (2 * cap) (j.a_used + n) in
     let grow a =
       let b = Array.make ncap 0 in
       Array.blit a 0 b 0 j.a_used;
@@ -664,12 +669,13 @@ let exec_entry t j i =
         t.disepc <- Array.unsafe_get j.a_off i + 1;
         i + 1
       end
-    | App_goto target ->
+    | App_goto ->
       t.cur <- None;
       t.disepc <- 0;
-      t.pc <- target;
+      t.pc <- r.Raw.target;
       -1
-    | Dise_goto d ->
+    | Dise_goto ->
+      let d = r.Raw.target in
       let len = Array.unsafe_get j.a_len i in
       if d < 0 || d > len then
         fail "DISE transfer to offset %d outside sequence of length %d" d len;

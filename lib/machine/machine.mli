@@ -34,8 +34,13 @@ exception Runtime_error of string
 
 (** One dynamic instruction of the post-expansion stream: a single
     mutable record per machine, overwritten by each executed
-    instruction, so walking the stream allocates nothing. Read the
-    fields before the next step. *)
+    instruction. Read the fields before the next step. On a dense
+    image with an allocation-free expander (the engine's dense memo),
+    stepping allocates nothing per instruction: what a run allocates
+    is one-time work (memo fills, JIT compiles, newly touched memory
+    pages). Test "pipeline allocation-free" in test/test_uarch.ml
+    bounds a whole [Pipeline.run] at one minor-heap word per
+    instruction. *)
 module Raw : sig
   type t = {
     mutable pc : int;

@@ -22,9 +22,10 @@ let page t addr =
   if key = t.last_key then t.last_page
   else
     let p =
-      match Hashtbl.find_opt t.pages key with
-      | Some p -> p
-      | None ->
+      (* [find], not [find_opt]: a hit allocates no option. *)
+      match Hashtbl.find t.pages key with
+      | p -> p
+      | exception Not_found ->
         let p = Bytes.make page_size '\000' in
         Hashtbl.replace t.pages key p;
         p

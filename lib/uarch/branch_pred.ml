@@ -53,15 +53,17 @@ let predict_dir t pc = Char.code (Bytes.get t.pht (pht_index t pc)) >= 2
 let train_dir t pc taken =
   let i = pht_index t pc in
   let c = Char.code (Bytes.get t.pht i) in
-  let c' = if taken then min 3 (c + 1) else max 0 (c - 1) in
+  let c' = if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1) in
   Bytes.set t.pht i (Char.chr c');
   t.history <- ((t.history lsl 1) lor (if taken then 1 else 0)) land t.hist_mask
 
 let btb_index t pc = (pc lsr 2) mod Array.length t.btb_tags
 
+(* Targets and return addresses are non-negative, so -1 is "no
+   prediction" and never matches an actual target. *)
 let btb_predict t pc =
   let i = btb_index t pc in
-  if t.btb_tags.(i) = pc then Some t.btb_targets.(i) else None
+  if t.btb_tags.(i) = pc then t.btb_targets.(i) else -1
 
 let btb_train t pc target =
   let i = btb_index t pc in
@@ -81,10 +83,10 @@ let ras_push t addr =
   end
 
 let ras_pop t =
-  if t.ras_top = 0 then None
+  if t.ras_top = 0 then -1
   else begin
     t.ras_top <- t.ras_top - 1;
-    Some t.ras.(t.ras_top)
+    t.ras.(t.ras_top)
   end
 
 let record t outcome =
@@ -107,14 +109,9 @@ let on_branch t ~pc ~kind ~taken ~target ~fallthrough =
     | Indirect ->
       let predicted = btb_predict t pc in
       btb_train t pc target;
-      record t
-        (match predicted with
-        | Some p when p = target -> `Correct
-        | Some _ | None -> `Mispredict)
-    | Return -> (
-      match ras_pop t with
-      | Some p when p = target -> record t `Correct
-      | Some _ | None -> record t `Mispredict)
+      record t (if predicted = target then `Correct else `Mispredict)
+    | Return ->
+      record t (if ras_pop t = target then `Correct else `Mispredict)
 
 let on_call t ~pc ~target ~fallthrough ~indirect =
   if t.perfect then record t `Correct
@@ -123,10 +120,7 @@ let on_call t ~pc ~target ~fallthrough ~indirect =
     if indirect then begin
       let predicted = btb_predict t pc in
       btb_train t pc target;
-      record t
-        (match predicted with
-        | Some p when p = target -> `Correct
-        | Some _ | None -> `Mispredict)
+      record t (if predicted = target then `Correct else `Mispredict)
     end
     else record t `Correct
   end

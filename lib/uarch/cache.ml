@@ -1,15 +1,13 @@
-type way = {
-  mutable tag : int;  (* -1 = invalid *)
-  mutable lru : int;
-}
-
+(* Way [w] of set [s] lives at flat index [s * assoc + w] of both
+   arrays: no per-way record, so an access allocates nothing. *)
 type t = {
   size_bytes : int;
   line_bytes : int;
   line_shift : int;
-  n_sets : int;
+  set_mask : int;  (* n_sets - 1 *)
   assoc : int;
-  sets : way array array;
+  tags : int array;  (* -1 = invalid *)
+  stamps : int array;  (* LRU: clock of the last touch *)
   mutable clock : int;
   mutable accesses : int;
   mutable misses : int;
@@ -19,59 +17,75 @@ let log2 n =
   let rec go acc v = if v <= 1 then acc else go (acc + 1) (v lsr 1) in
   go 0 n
 
-let create ~size_bytes ~assoc ~line_bytes =
+let check_geometry ~size_bytes ~assoc ~line_bytes =
   if size_bytes <= 0 || assoc <= 0 || line_bytes <= 0 then
-    invalid_arg "Cache.create: non-positive parameter";
-  if line_bytes land (line_bytes - 1) <> 0 then
-    invalid_arg "Cache.create: line size must be a power of two";
-  if size_bytes mod (assoc * line_bytes) <> 0 then
-    invalid_arg "Cache.create: size not divisible by assoc * line";
+    Error "size_bytes, assoc and line_bytes must be positive"
+  else if line_bytes land (line_bytes - 1) <> 0 then
+    Error "line size must be a power of two"
+  else if size_bytes mod (assoc * line_bytes) <> 0 then
+    Error "size not divisible by assoc * line"
+  else
+    let n_sets = size_bytes / (assoc * line_bytes) in
+    if n_sets land (n_sets - 1) <> 0 then
+      Error "set count must be a power of two"
+    else Ok ()
+
+let create ~size_bytes ~assoc ~line_bytes =
+  (match check_geometry ~size_bytes ~assoc ~line_bytes with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Cache.create: " ^ msg));
   let n_sets = size_bytes / (assoc * line_bytes) in
-  if n_sets land (n_sets - 1) <> 0 then
-    invalid_arg "Cache.create: set count must be a power of two";
   {
     size_bytes;
     line_bytes;
     line_shift = log2 line_bytes;
-    n_sets;
+    set_mask = n_sets - 1;
     assoc;
-    sets =
-      Array.init n_sets (fun _ ->
-          Array.init assoc (fun _ -> { tag = -1; lru = 0 }));
+    tags = Array.make (n_sets * assoc) (-1);
+    stamps = Array.make (n_sets * assoc) 0;
     clock = 0;
     accesses = 0;
     misses = 0;
   }
 
+(* Flat index of the way in [i, last) holding [tag], or -1. *)
+let rec find_way (tags : int array) (tag : int) i last =
+  if i = last then -1
+  else if tags.(i) = tag then i
+  else find_way tags tag (i + 1) last
+
+(* The first invalid way in [i, last), else the first least recently
+   used one; [best] is the LRU candidate so far. *)
+let rec victim (tags : int array) (stamps : int array) i last best =
+  if i = last then best
+  else if tags.(i) = -1 then i
+  else
+    victim tags stamps (i + 1) last
+      (if stamps.(i) < stamps.(best) then i else best)
+
 let access t addr =
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
   let tag = addr lsr t.line_shift in
-  let set = t.sets.(tag land (t.n_sets - 1)) in
-  let rec find i = if i >= t.assoc then None
-    else if set.(i).tag = tag then Some set.(i)
-    else find (i + 1)
-  in
-  match find 0 with
-  | Some w ->
-    w.lru <- t.clock;
+  let base = (tag land t.set_mask) * t.assoc in
+  let last = base + t.assoc in
+  let w = find_way t.tags tag base last in
+  if w >= 0 then begin
+    t.stamps.(w) <- t.clock;
     `Hit
-  | None ->
+  end
+  else begin
     t.misses <- t.misses + 1;
-    let victim = ref set.(0) in
-    Array.iter
-      (fun w ->
-        if w.tag = -1 && !victim.tag <> -1 then victim := w
-        else if w.tag <> -1 && !victim.tag <> -1 && w.lru < !victim.lru then
-          victim := w)
-      set;
-    !victim.tag <- tag;
-    !victim.lru <- t.clock;
+    let v = victim t.tags t.stamps base last base in
+    t.tags.(v) <- tag;
+    t.stamps.(v) <- t.clock;
     `Miss
+  end
 
 let probe t addr =
   let tag = addr lsr t.line_shift in
-  Array.exists (fun w -> w.tag = tag) t.sets.(tag land (t.n_sets - 1))
+  let base = (tag land t.set_mask) * t.assoc in
+  find_way t.tags tag base (base + t.assoc) >= 0
 
 let line_bytes t = t.line_bytes
 let line_of t addr = addr lsr t.line_shift
@@ -88,11 +102,5 @@ let reset_stats t =
   t.misses <- 0
 
 let invalidate t =
-  Array.iter
-    (fun set ->
-      Array.iter
-        (fun w ->
-          w.tag <- -1;
-          w.lru <- 0)
-        set)
-    t.sets
+  Array.fill t.tags 0 (Array.length t.tags) (-1);
+  Array.fill t.stamps 0 (Array.length t.stamps) 0

@@ -4,17 +4,25 @@
 
 type t
 
+val check_geometry :
+  size_bytes:int -> assoc:int -> line_bytes:int -> (unit, string) result
+(** [Ok ()] when sizes are positive, [size_bytes] is divisible by
+    [assoc * line_bytes], and both the line size and the resulting set
+    count are powers of two (so indexing is mask-and-shift on the hot
+    path); otherwise [Error] names the first rule broken, for the
+    caller to prefix with the field or option it came from. *)
+
 val create : size_bytes:int -> assoc:int -> line_bytes:int -> t
-(** Raises [Invalid_argument] unless sizes are positive,
-    [size_bytes] is divisible by [assoc * line_bytes], and both the
-    line size and the resulting set count are powers of two (so
-    indexing is mask-and-shift on the hot path). *)
+(** Raises [Invalid_argument] when {!check_geometry} rejects the
+    geometry. *)
 
 val access : t -> int -> [ `Hit | `Miss ]
-(** Touch the line containing the byte address; allocates on miss. *)
+(** Touch the line containing the byte address. On a miss the line
+    replaces the set's first invalid way, else its first least recently
+    used way. Allocates nothing ("cache probe" in test/test_uarch.ml). *)
 
 val probe : t -> int -> bool
-(** Presence check without LRU update or allocation. *)
+(** Presence check without LRU update; allocates nothing. *)
 
 val line_bytes : t -> int
 

@@ -112,6 +112,11 @@ let of_json j =
       let* size_bytes = cint "size_bytes" in
       let* assoc = cint "assoc" in
       let* line_bytes = cint "line_bytes" in
+      let* () =
+        Result.map_error
+          (fun msg -> Printf.sprintf "machine.%s: %s" name msg)
+          (Cache.check_geometry ~size_bytes ~assoc ~line_bytes)
+      in
       Ok (Some { size_bytes; assoc; line_bytes })
     | Some _ -> Error (Printf.sprintf "machine.%s: expected object or null" name)
     | None -> Error (Printf.sprintf "machine.%s: missing" name)

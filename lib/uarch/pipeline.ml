@@ -26,7 +26,11 @@ type t = {
   profile : Profile.t option;
   trace_lanes : int;
   reg_ready : int array;
-  rob : int array;  (* ring buffer of retire timestamps *)
+  rob : int array;
+      (* ring of retire timestamps, indexed by [seq land rob_mask]: a
+         power of two >= rob_size and width, so both look-backs are
+         still in it and indexing masks instead of dividing *)
+  rob_mask : int;
   issue_ring : int array;  (* last [width] issue timestamps *)
   mutable issue_head : int;
   mutable serial_stalls : int;
@@ -49,8 +53,13 @@ let make_cache = function
   | Some { Config.size_bytes; assoc; line_bytes } ->
     Some (Cache.create ~size_bytes ~assoc ~line_bytes)
 
+let pow2_at_least n =
+  let rec go p = if p >= n then p else go (2 * p) in
+  go 1
+
 let create ?controller ?trace ?profile (cfg : Config.t) =
-  let trace_lanes = 4 * max 1 cfg.width in
+  let trace_lanes = 4 * Int.max 1 cfg.width in
+  let rob_len = pow2_at_least (Int.max cfg.rob_size cfg.width) in
   (match trace with
   | None -> ()
   | Some tr ->
@@ -72,8 +81,9 @@ let create ?controller ?trace ?profile (cfg : Config.t) =
     profile;
     trace_lanes;
     reg_ready = Array.make (Reg.num_arch + Reg.num_dedicated) 0;
-    rob = Array.make (max cfg.rob_size cfg.width) 0;
-    issue_ring = Array.make (max 1 cfg.width) 0;
+    rob = Array.make rob_len 0;
+    rob_mask = rob_len - 1;
+    issue_ring = Array.make (Int.max 1 cfg.width) 0;
     issue_head = 0;
     serial_stalls = 0;
     seq = 0;
@@ -91,7 +101,7 @@ let create ?controller ?trace ?profile (cfg : Config.t) =
    [prefetched] marks L2 misses whose latency a next-line prefetcher
    would have hidden (sequential instruction streaming): they cost only
    the L2 access. *)
-let l1_miss_penalty ?(prefetched = false) t addr =
+let l1_miss_penalty ~prefetched t addr =
   match t.l2 with
   | None -> t.cfg.l2_latency
   | Some l2 -> (
@@ -110,7 +120,7 @@ let redirect_depth t =
    [cause] tells CPI attribution which bucket the bubble belongs to
    once the next fetched instruction exposes it. *)
 let redirect t ~cause cycle =
-  t.fetch_cycle <- max t.fetch_cycle (cycle + redirect_depth t);
+  t.fetch_cycle <- Int.max t.fetch_cycle (cycle + redirect_depth t);
   t.fetch_count <- 0;
   t.last_line <- -1;
   t.pending_redirect <- cause;
@@ -176,7 +186,7 @@ let latency_of t insn ~mem_addr =
       | `Miss ->
         t.stats.Stats.dcache_misses <- t.stats.Stats.dcache_misses + 1;
         t.dmiss <- true;
-        t.cfg.l1_latency + l1_miss_penalty t addr))
+        t.cfg.l1_latency + l1_miss_penalty ~prefetched:false t addr))
   | I.Mem ((Op.Stq | Op.Stb), _, _, _) ->
     (* Stores retire through a store buffer; charge 1 cycle but track
        the footprint. *)
@@ -189,7 +199,7 @@ let latency_of t insn ~mem_addr =
       | `Hit -> ()
       | `Miss ->
         t.stats.Stats.dcache_misses <- t.stats.Stats.dcache_misses + 1;
-        ignore (l1_miss_penalty t addr)));
+        ignore (l1_miss_penalty ~prefetched:false t addr)));
     1
   | _ -> 1
 
@@ -292,31 +302,34 @@ let consume_raw t (r : Machine.Raw.t) =
   let fetch = t.fetch_cycle in
   t.fetch_count <- t.fetch_count + 1;
   (* ---- dispatch: ROB back-pressure ---- *)
-  let rob_len = Array.length t.rob in
   let rob_bound =
     t.seq >= cfg.rob_size
-    && t.rob.((t.seq - cfg.rob_size) mod rob_len) > fetch
+    && t.rob.((t.seq - cfg.rob_size) land t.rob_mask) > fetch
   in
   let fetch =
-    if rob_bound then t.rob.((t.seq - cfg.rob_size) mod rob_len) else fetch
+    if rob_bound then t.rob.((t.seq - cfg.rob_size) land t.rob_mask) else fetch
   in
-  t.fetch_cycle <- max t.fetch_cycle fetch;
+  t.fetch_cycle <- Int.max t.fetch_cycle fetch;
   (* ---- issue / execute ---- *)
+  let insn = r.Machine.Raw.insn in
+  let u1 = I.use1 insn and u2 = I.use2 insn in
   let src_ready =
-    I.fold_uses (fun acc reg -> max acc t.reg_ready.(Reg.index reg)) 0
-      r.Machine.Raw.insn
+    Int.max
+      (if u1 < 0 then 0 else t.reg_ready.(u1))
+      (if u2 < 0 then 0 else t.reg_ready.(u2))
   in
   (* Issue bandwidth: at most [width] instructions may begin execution
      per cycle; the [width]-th previous issue bounds this one. *)
   let bandwidth_ready = t.issue_ring.(t.issue_head) + 1 in
   let fetch_dominant = fetch >= src_ready && fetch >= bandwidth_ready in
-  let start = max (max fetch src_ready) bandwidth_ready in
+  let start = Int.max (Int.max fetch src_ready) bandwidth_ready in
   t.issue_ring.(t.issue_head) <- start;
-  t.issue_head <- (t.issue_head + 1) mod Array.length t.issue_ring;
-  let lat = latency_of t r.Machine.Raw.insn ~mem_addr:r.Machine.Raw.mem_addr in
+  let head = t.issue_head + 1 in
+  t.issue_head <- (if head = Array.length t.issue_ring then 0 else head);
+  let lat = latency_of t insn ~mem_addr:r.Machine.Raw.mem_addr in
   let complete = start + lat in
-  I.iter_defs (fun reg -> t.reg_ready.(Reg.index reg) <- complete)
-    r.Machine.Raw.insn;
+  let d = I.def1 insn in
+  if d >= 0 then t.reg_ready.(d) <- complete;
   (* ---- control flow ---- *)
   (if r.Machine.Raw.branch >= 0 then begin
      let taken = r.Machine.Raw.branch land 1 <> 0 in
@@ -367,12 +380,12 @@ let consume_raw t (r : Machine.Raw.t) =
      end
    end);
   (* ---- retire ---- *)
-  let in_order = if t.seq > 0 then t.rob.((t.seq - 1) mod rob_len) else 0 in
+  let in_order = if t.seq > 0 then t.rob.((t.seq - 1) land t.rob_mask) else 0 in
   let bandwidth =
-    if t.seq >= cfg.width then t.rob.((t.seq - cfg.width) mod rob_len) + 1
+    if t.seq >= cfg.width then t.rob.((t.seq - cfg.width) land t.rob_mask) + 1
     else 0
   in
-  let retire = max complete (max in_order bandwidth) in
+  let retire = Int.max complete (Int.max in_order bandwidth) in
   (* ---- CPI attribution ----
      The retire-to-retire gap of this instruction is charged, in full,
      to the dominant constraint. Retire timestamps are monotonic
@@ -410,7 +423,7 @@ let consume_raw t (r : Machine.Raw.t) =
     Trace.complete tr
       ~name:(I.to_string r.Machine.Raw.insn)
       ~cat:(if r.Machine.Raw.rsid < 0 then "app" else "rep")
-      ~ts:fetch ~dur:(max 1 (retire - fetch))
+      ~ts:fetch ~dur:(Int.max 1 (retire - fetch))
       ~tid:(1 + (t.seq mod t.trace_lanes))
       ~args:
         (("pc", Json.String (Printf.sprintf "0x%x" r.Machine.Raw.pc))
@@ -419,7 +432,7 @@ let consume_raw t (r : Machine.Raw.t) =
         :: ("complete", Json.Int complete)
         :: ("retire", Json.Int retire)
         :: origin_args));
-  t.rob.(t.seq mod rob_len) <- retire;
+  t.rob.(t.seq land t.rob_mask) <- retire;
   t.last_retire <- retire;
   t.seq <- t.seq + 1;
   stats.Stats.retired <- stats.Stats.retired + 1

@@ -38,8 +38,7 @@
     sinks — a {!Dise_telemetry.Trace} Chrome-trace writer emitting one
     span per retired instruction and a {!Dise_telemetry.Profile}
     recording per-production and per-PC expansion activity — cost
-    nothing (no allocation, one [option] match per event) when
-    absent. *)
+    one [option] match per event and no allocation when absent. *)
 
 type t
 
@@ -52,10 +51,12 @@ val create :
 
 val consume_raw : t -> Dise_machine.Machine.Raw.t -> unit
 (** Account for one dynamic instruction: reads the machine's mutable
-    record directly, allocating nothing per instruction. {!run} drives
-    this via {!Dise_machine.Machine.run_raw}; callers that interleave
-    their own work (context switches, tracing) call it from their own
-    [run_raw] sink. *)
+    record directly. Without sinks it allocates nothing (test
+    "pipeline allocation-free" in test/test_uarch.ml bounds a whole
+    {!run} at one minor-heap word per instruction, one-time costs
+    included). {!run} drives this via {!Dise_machine.Machine.run_raw};
+    callers that interleave their own work (context switches, tracing)
+    call it from their own [run_raw] sink. *)
 
 val finish : t -> Stats.t
 (** Close the run and return the populated statistics (cycle count =

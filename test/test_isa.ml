@@ -117,7 +117,9 @@ let test_key_class_consistency () =
   for k = 0 to Insn.num_keys - 1 do
     let c = Insn.cls_of_key k in
     if not (List.mem k (Insn.keys_of_class c)) then
-      Alcotest.failf "key %d not in its own class %s" k (Opcode.cls_to_string c)
+      Alcotest.failf "key %d not in its own class %s" k
+        (Opcode.cls_to_string c);
+    check int_ "key inverts example_of_key" k (Insn.key (Insn.example_of_key k))
   done;
   let total =
     List.fold_left

@@ -167,6 +167,66 @@ let prop_cache_rehit =
           Dise_uarch.Cache.access c a = `Hit)
         addrs)
 
+(* A direct model of set-associative LRU: each set is the list of its
+   lines, most recently used first. Returns the hit/miss sequence. *)
+let lru_model ~n_sets ~assoc ~line_bytes addrs =
+  let sets = Array.make n_sets [] in
+  List.map
+    (fun a ->
+      let line = a / line_bytes in
+      let s = line mod n_sets in
+      let hit = List.mem line sets.(s) in
+      let ways = line :: List.filter (fun l -> l <> line) sets.(s) in
+      sets.(s) <- List.filteri (fun i _ -> i < assoc) ways;
+      hit)
+    addrs
+
+(* Random geometries and address streams; half the streams cycle a
+   few more lines than there are ways through two sets, so evictions
+   and LRU order decide most outcomes. *)
+let cache_stream_gen =
+  let open QCheck.Gen in
+  let* assoc = oneofl [ 1; 2; 4; 8 ] in
+  let* n_sets = oneofl [ 1; 2; 16 ] in
+  let* line_bytes = oneofl [ 16; 64 ] in
+  let* conflict = bool in
+  let addr =
+    if conflict then
+      map3
+        (fun k s off -> (((k * n_sets) + s) * line_bytes) + off)
+        (int_bound (2 * assoc)) (int_bound 1) (int_bound (line_bytes - 1))
+    else int_bound 0xFFFF
+  in
+  let+ addrs = list_size (int_range 1 400) addr in
+  (assoc, n_sets, line_bytes, addrs)
+
+let prop_cache_matches_lru_model =
+  QCheck.Test.make ~name:"cache hit/miss sequence matches an LRU model"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (assoc, n_sets, line_bytes, addrs) ->
+         Printf.sprintf "assoc=%d sets=%d line=%d [%s]" assoc n_sets line_bytes
+           (String.concat ";" (List.map string_of_int addrs)))
+       cache_stream_gen)
+    (fun (assoc, n_sets, line_bytes, addrs) ->
+      let c =
+        Dise_uarch.Cache.create ~size_bytes:(n_sets * assoc * line_bytes) ~assoc
+          ~line_bytes
+      in
+      let got = List.map (fun a -> Dise_uarch.Cache.access c a = `Hit) addrs in
+      let want = lru_model ~n_sets ~assoc ~line_bytes addrs in
+      got = want
+      && Dise_uarch.Cache.misses c = List.length (List.filter not want))
+
+(* --- closure-free use/def indices ----------------------------------------- *)
+
+let prop_use_def_indices =
+  QCheck.Test.make ~name:"use1/use2/def1 agree with uses/defs" ~count:500
+    (Gens.arbitrary_insn ~pc:0x100000) (fun i ->
+      let present = List.filter (fun x -> x >= 0) in
+      present [ Insn.use1 i; Insn.use2 i ] = List.map Reg.index (Insn.uses i)
+      && present [ Insn.def1 i ] = List.map Reg.index (Insn.defs i))
+
 (* --- machine vs. reference ALU semantics ----------------------------------- *)
 
 (* A direct evaluator over an int array, the specification the machine
@@ -331,6 +391,8 @@ let suite =
     t prop_engine_agrees_with_prodset;
     t prop_rt_bounded_and_rehit;
     t prop_cache_rehit;
+    t prop_cache_matches_lru_model;
+    t prop_use_def_indices;
     t prop_machine_matches_reference;
     t prop_machine_deterministic;
     t prop_pipeline_stats_jit_invariant;

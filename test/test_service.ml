@@ -194,6 +194,10 @@ let test_out_of_range_rejected () =
         ],
         "machine.width" );
       ([ ([ "controller"; "pt_entries" ], Json.Int 0) ], "controller.pt_entries");
+      ( [ ([ "machine"; "icache"; "size_bytes" ], Json.Int 100) ],
+        "machine.icache" );
+      ([ ([ "machine"; "dcache"; "assoc" ], Json.Int 0) ], "machine.dcache");
+      ([ ([ "machine"; "l2"; "line_bytes" ], Json.Int 48) ], "machine.l2");
     ]
 
 (* --- cache-key stability -------------------------------------------------- *)

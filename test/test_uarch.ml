@@ -43,11 +43,27 @@ let test_cache_lru () =
   check bool_ "LRU victim chosen" true (Cache.access c 0 = `Hit);
   check bool_ "evicted line misses" true (Cache.access c set_stride = `Miss)
 
+(* Minor-heap words [f] allocates. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
 let test_cache_probe () =
   let c = Cache.create ~size_bytes:1024 ~assoc:2 ~line_bytes:64 in
-  check bool_ "probe does not allocate" false (Cache.probe c 0x40);
+  check bool_ "probe misses a cold line" false (Cache.probe c 0x40);
   ignore (Cache.access c 0x40);
-  check bool_ "probe sees line" true (Cache.probe c 0x40)
+  check bool_ "probe sees line" true (Cache.probe c 0x40);
+  (* Hits, conflict misses and probes in one 2-way set. *)
+  let stride = 1024 / 2 in
+  let words =
+    minor_words_of (fun () ->
+        for i = 0 to 999 do
+          ignore (Cache.access c (i mod 3 * stride));
+          ignore (Cache.probe c (i mod 5 * stride))
+        done)
+  in
+  check (Alcotest.float 0.) "access and probe allocate nothing" 0. words
 
 let test_cache_validation () =
   (match Cache.create ~size_bytes:100 ~assoc:2 ~line_bytes:64 with
@@ -346,6 +362,54 @@ let test_pipeline_controller_rt_misses_cost () =
   check bool_ "RT misses cost cycles" true
     (tiny_rt.Stats.cycles > perfect.Stats.cycles)
 
+(* The timing model allocates (almost) nothing per instruction: every
+   word it allocates is minor-GC work on the hottest path. The bound
+   leaves room for one-time costs (memo fills, JIT compiles, first
+   expansions), which is why the runs are long: at a 300K-instruction
+   target those alone come to one word per instruction on the composed
+   cell. *)
+let test_pipeline_allocation_free () =
+  let gzip = Option.get (Workload.Profile.find "gzip") in
+  let entry = Workload.Suite.get ~dyn_target:1_100_000 gzip in
+  let per_insn name ?controller m =
+    let stats = ref None in
+    let words =
+      minor_words_of (fun () ->
+          stats := Some (Pipeline.run ?controller Config.default m))
+    in
+    let retired = (Option.get !stats).Stats.retired in
+    check bool_
+      (Printf.sprintf "%s runs %d >= 1M instructions" name retired)
+      true (retired >= 1_000_000);
+    let w = words /. float_of_int retired in
+    check bool_
+      (Printf.sprintf "%s: %.2f minor words per instruction <= 1" name w)
+      true (w <= 1.)
+  in
+  let baseline = Machine.create entry.Workload.Suite.image in
+  Machine.enable_jit baseline;
+  per_insn "baseline" baseline;
+  (* Decompression composed with MFI, under the default PT/RT
+     controller: expansion, the engine memo and the controller are all
+     on the path. *)
+  let result =
+    Dise_acf.Compress.compress ~scheme:Dise_acf.Compress.full_dise
+      entry.Workload.Suite.gen.Workload.Codegen.program
+  in
+  let prodset = Dise_acf.Acf_compose.for_compressed result in
+  let image = result.Dise_acf.Compress.image in
+  let engine = Dise_core.Engine.create ~image prodset in
+  let m = Machine.create ~expander:(Dise_core.Engine.expander engine) image in
+  Dise_core.Engine.attach_jit engine m;
+  Dise_acf.Mfi.install m ~data_seg:Workload.Codegen.data_segment_id
+    ~code_seg:Workload.Codegen.code_segment_id;
+  let controller =
+    Controller.create
+      { Controller.default_config with composing = true }
+      prodset
+  in
+  per_insn "composed decompression" ~controller m
+
 let test_pipeline_workload_end_to_end () =
   let entry = Workload.Suite.get ~dyn_target:50_000 Workload.Profile.tiny in
   let m = Machine.create entry.Workload.Suite.image in
@@ -375,4 +439,5 @@ let suite =
     ("pipeline stall proportional", `Quick, test_pipeline_stall_proportional);
     ("pipeline RT miss cost", `Quick, test_pipeline_controller_rt_misses_cost);
     ("pipeline workload end-to-end", `Quick, test_pipeline_workload_end_to_end);
+    ("pipeline allocation-free", `Quick, test_pipeline_allocation_free);
   ]
