@@ -111,7 +111,7 @@ let compute t ~pc insn =
         rsid
     | Some spec -> (
       match Replacement.instantiate spec ~trigger:insn ~pc with
-      | seq -> Some { Machine.rsid; seq }
+      | seq -> Some (Machine.expansion ~rsid seq)
       | exception Replacement.Instantiation_error msg ->
         fail "instantiating R%d for trigger at 0x%x: %s" rsid pc msg))
 

@@ -12,7 +12,7 @@ let expander prodset ~pc insn =
       raise (Engine.Expansion_error (Printf.sprintf "unbound sequence R%d" rsid))
     | Some spec -> (
       match Replacement.instantiate spec ~trigger:insn ~pc with
-      | seq -> Some { Machine.rsid; seq }
+      | seq -> Some (Machine.expansion ~rsid seq)
       | exception Replacement.Instantiation_error msg ->
         raise
           (Engine.Expansion_error

@@ -45,7 +45,7 @@ let mutate mutation inner =
         if !count mod k = 0 && Array.length e.Machine.seq > 0 then begin
           let seq = Array.copy e.Machine.seq in
           seq.(Array.length seq - 1) <- I.Nop;
-          Some { e with Machine.seq }
+          Some (Machine.expansion ~rsid:e.Machine.rsid seq)
         end
         else Some e
 
@@ -85,9 +85,12 @@ let origin_str (r : Machine.Raw.t) =
 let event_str (r : Machine.Raw.t) =
   Printf.sprintf "pc=0x%x %s (%s)" r.pc (I.to_string r.insn) (origin_str r)
 
-(* A branch target is only meaningful when there is a branch. *)
+(* A branch target is only meaningful when there is a branch. The
+   descriptor is compared too: each side decodes it on its own path
+   (image, memoized expansion, fresh expansion, JIT arena). *)
 let event_eq (a : Machine.Raw.t) (b : Machine.Raw.t) =
   a.pc = b.pc && I.equal a.insn b.insn
+  && (a.desc :> int) = (b.desc :> int)
   && a.rsid = b.rsid && a.offset = b.offset && a.len = b.len
   && a.expansion_start = b.expansion_start
   && a.mem_addr = b.mem_addr && a.branch = b.branch

@@ -56,6 +56,11 @@ module Image : sig
       not a copy — callers must not mutate it. Exposed so the emulator
       can predecode without an extra copy. *)
 
+  val raw_descs : t -> Desc.t array
+  (** The timing descriptor of each instruction, indexed like {!get}
+      ([Desc.of_insn (get t i)]), decoded once when the image is laid
+      out. Shared, not a copy. *)
+
   val fetch : t -> int -> Insn.t option
   (** Instruction at a byte address, if one starts there. *)
 

@@ -2,11 +2,15 @@ module I = Dise_isa.Insn
 module Op = Dise_isa.Opcode
 module Reg = Dise_isa.Reg
 module Image = Dise_isa.Program.Image
+module Desc = Dise_isa.Desc
 
 type expansion = {
   rsid : int;
   seq : I.t array;
+  descs : Desc.t array;
 }
+
+let expansion ~rsid seq = { rsid; seq; descs = Array.map Desc.of_insn seq }
 
 type expander = pc:int -> I.t -> expansion option
 
@@ -21,6 +25,7 @@ module Raw = struct
   type t = {
     mutable pc : int;
     mutable insn : I.t;
+    mutable desc : Desc.t;  (* [Desc.of_insn insn], decoded once *)
     mutable rsid : int;  (* -1 = application instruction *)
     mutable offset : int;
     mutable len : int;
@@ -39,6 +44,7 @@ module Raw = struct
     {
       pc = 0;
       insn = I.Nop;
+      desc = Desc.of_insn I.Nop;
       rsid = -1;
       offset = 0;
       len = 0;
@@ -82,6 +88,7 @@ type jit = {
      as parallel arrays (no per-entry record, no per-fetch pointer
      chase beyond the instruction itself) *)
   mutable a_insn : I.t array;
+  mutable a_desc : Desc.t array;
   mutable a_pc : int array;  (* application PC of the (trigger) instruction *)
   mutable a_size : int array;  (* byte size of the application instruction *)
   mutable a_rsid : int array;  (* -1 = application instruction *)
@@ -111,6 +118,7 @@ let jit_max_block_app = 4096
 type t = {
   image : Image.t;
   insns : I.t array;  (* predecoded text: [Image.raw_insns image] *)
+  descs : Desc.t array;  (* [Image.raw_descs image] *)
   dense : bool;       (* [Image.is_dense image]: size 4 everywhere *)
   mem : Memory.t;
   regs : Regfile.t;
@@ -150,6 +158,7 @@ let create ?(expander = no_expander) ?(entry = "main") image =
   {
     image;
     insns = Image.raw_insns image;
+    descs = Image.raw_descs image;
     dense = Image.is_dense image;
     mem = Memory.create ();
     regs;
@@ -200,6 +209,7 @@ let enable_jit ?(threshold = default_jit_threshold) ?(generation = ref 0) t =
         blk_len = Array.make 16 0;
         n_blocks = 0;
         a_insn = Array.make 4096 I.Nop;
+        a_desc = Array.make 4096 (Desc.of_insn I.Nop);
         a_pc = Array.make 4096 0;
         a_size = Array.make 4096 0;
         a_rsid = Array.make 4096 0;
@@ -329,6 +339,7 @@ let step_in_sequence_core t (e : expansion) ~expansion_start =
   let r = t.raw in
   r.Raw.pc <- t.pc;
   r.Raw.insn <- insn;
+  r.Raw.desc <- Array.unsafe_get e.descs offset;
   r.Raw.rsid <- e.rsid;
   r.Raw.offset <- offset;
   r.Raw.len <- len;
@@ -402,6 +413,7 @@ let step_core t =
           let r = t.raw in
           r.Raw.pc <- t.pc;
           r.Raw.insn <- insn;
+          r.Raw.desc <- Array.unsafe_get t.descs idx;
           r.Raw.rsid <- -1;
           r.Raw.offset <- 0;
           r.Raw.len <- 0;
@@ -430,6 +442,9 @@ let ensure_capacity j n =
     let insns = Array.make ncap I.Nop in
     Array.blit j.a_insn 0 insns 0 j.a_used;
     j.a_insn <- insns;
+    let descs = Array.make ncap (Desc.of_insn I.Nop) in
+    Array.blit j.a_desc 0 descs 0 j.a_used;
+    j.a_desc <- descs;
     j.a_pc <- grow j.a_pc;
     j.a_size <- grow j.a_size;
     j.a_rsid <- grow j.a_rsid;
@@ -496,10 +511,11 @@ let unresolved = function
    those sides never enable the JIT. *)
 let compile_block t j start_pc =
   let first = j.a_used in
-  let append insn ~pc ~size ~rsid ~off ~len ~base ~flags =
+  let append insn desc ~pc ~size ~rsid ~off ~len ~base ~flags =
     ensure_capacity j 1;
     let i = j.a_used in
     j.a_insn.(i) <- insn;
+    j.a_desc.(i) <- desc;
     j.a_pc.(i) <- pc;
     j.a_size.(i) <- size;
     j.a_rsid.(i) <- rsid;
@@ -523,8 +539,8 @@ let compile_block t j start_pc =
          if unresolved insn then raise Stop_compile;
          (* An unmatched codeword is included: executing it raises
             exactly the error the interpreter would. *)
-         append insn ~pc:!pc ~size ~rsid:(-1) ~off:0 ~len:0 ~base:j.a_used
-           ~flags:(f_app lor f_last);
+         append insn t.descs.(idx) ~pc:!pc ~size ~rsid:(-1) ~off:0 ~len:0
+           ~base:j.a_used ~flags:(f_app lor f_last);
          incr napp;
          if ends_straight_line insn then raise Stop_compile
        | Some e ->
@@ -534,7 +550,8 @@ let compile_block t j start_pc =
          if len = 0 || Array.exists unresolved e.seq then raise Stop_compile;
          let base = j.a_used in
          for off = 0 to len - 1 do
-           append e.seq.(off) ~pc:!pc ~size ~rsid:e.rsid ~off ~len ~base
+           append e.seq.(off) e.descs.(off) ~pc:!pc ~size ~rsid:e.rsid ~off
+             ~len ~base
              ~flags:
                (f_inseq
                lor (if off = 0 then f_app lor f_estart else 0)
@@ -652,6 +669,7 @@ let exec_entry t j i =
   let r = t.raw in
   r.Raw.pc <- pc;
   r.Raw.insn <- insn;
+  r.Raw.desc <- Array.unsafe_get j.a_desc i;
   r.Raw.rsid <- Array.unsafe_get j.a_rsid i;
   r.Raw.offset <- Array.unsafe_get j.a_off i;
   r.Raw.len <- Array.unsafe_get j.a_len i;

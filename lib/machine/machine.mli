@@ -23,10 +23,19 @@
     machine's {!Raw.t} record; {!run_raw} streams that record to a sink,
     and the trace-driven timing model consumes it. *)
 
-type expansion = {
+type expansion = private {
   rsid : int;             (** replacement sequence identifier *)
   seq : Dise_isa.Insn.t array;  (** fully instantiated sequence *)
+  descs : Dise_isa.Desc.t array;
+      (** [Desc.of_insn] of each instruction of [seq], decoded once *)
 }
+(** What an expander returns for a matched trigger. The record is
+    private: only {!expansion} builds one, so [descs] always agrees
+    with [seq]. An expander that memoizes its results (the engine)
+    stores the built expansion and pays for the decoding once. *)
+
+val expansion : rsid:int -> Dise_isa.Insn.t array -> expansion
+(** [expansion ~rsid seq] pairs [seq] with its timing descriptors. *)
 
 type expander = pc:int -> Dise_isa.Insn.t -> expansion option
 
@@ -45,6 +54,11 @@ module Raw : sig
   type t = {
     mutable pc : int;
     mutable insn : Dise_isa.Insn.t;
+    mutable desc : Dise_isa.Desc.t;
+        (** [Desc.of_insn insn], copied from the image's
+            ({!Dise_isa.Program.Image.raw_descs}) or the expansion's
+            pre-decoded array, never re-decoded: the timing model reads
+            this instead of matching [insn] *)
     mutable rsid : int;
         (** replacement sequence identifier, [-1] for an application
             instruction *)

@@ -4,47 +4,51 @@ type kind =
   | Indirect
   | Return
 
+(* Every table is a power of two long and indexed with a mask. *)
+let hist_bits = 12
+let btb_entries = 2048
+let ras_entries = 16
+
 type t = {
   perfect : bool;
   hist_mask : int;
   pht : Bytes.t;             (* 2-bit counters *)
+  btb_mask : int;
   btb_tags : int array;
   btb_targets : int array;
+  ras_mask : int;
   ras : int array;
-  mutable ras_top : int;     (* number of valid entries, capped *)
+      (* ring: the newest entry sits just below [ras_top]; a push onto
+         a full stack overwrites the oldest *)
+  mutable ras_top : int;     (* next slot to push, in [0, ras length) *)
+  mutable ras_count : int;   (* valid entries, capped at the ring length *)
   mutable history : int;
   mutable lookups : int;
   mutable mispredicts : int;
 }
 
-let create ?(hist_bits = 12) ?(btb_entries = 2048) ?(ras_entries = 16) () =
+let make ~perfect ~hist_bits ~btb_entries ~ras_entries =
   let pht_size = 1 lsl hist_bits in
   {
-    perfect = false;
+    perfect;
     hist_mask = pht_size - 1;
     pht = Bytes.make pht_size '\002';  (* weakly taken *)
+    btb_mask = btb_entries - 1;
     btb_tags = Array.make btb_entries (-1);
     btb_targets = Array.make btb_entries 0;
+    ras_mask = ras_entries - 1;
     ras = Array.make ras_entries 0;
     ras_top = 0;
+    ras_count = 0;
     history = 0;
     lookups = 0;
     mispredicts = 0;
   }
 
-let perfect () =
-  {
-    perfect = true;
-    hist_mask = 0;
-    pht = Bytes.create 1;
-    btb_tags = [| -1 |];
-    btb_targets = [| 0 |];
-    ras = [| 0 |];
-    ras_top = 0;
-    history = 0;
-    lookups = 0;
-    mispredicts = 0;
-  }
+let create () = make ~perfect:false ~hist_bits ~btb_entries ~ras_entries
+
+(* The oracle never reads its tables, so they are minimal. *)
+let perfect () = make ~perfect:true ~hist_bits:0 ~btb_entries:1 ~ras_entries:1
 
 let pht_index t pc = ((pc lsr 2) lxor t.history) land t.hist_mask
 
@@ -57,7 +61,7 @@ let train_dir t pc taken =
   Bytes.set t.pht i (Char.chr c');
   t.history <- ((t.history lsl 1) lor (if taken then 1 else 0)) land t.hist_mask
 
-let btb_index t pc = (pc lsr 2) mod Array.length t.btb_tags
+let btb_index t pc = (pc lsr 2) land t.btb_mask
 
 (* Targets and return addresses are non-negative, so -1 is "no
    prediction" and never matches an actual target. *)
@@ -71,21 +75,15 @@ let btb_train t pc target =
   t.btb_targets.(i) <- target
 
 let ras_push t addr =
-  let n = Array.length t.ras in
-  (* Shift-free circular push: overwrite oldest when full. *)
-  if t.ras_top < n then begin
-    t.ras.(t.ras_top) <- addr;
-    t.ras_top <- t.ras_top + 1
-  end
-  else begin
-    Array.blit t.ras 1 t.ras 0 (n - 1);
-    t.ras.(n - 1) <- addr
-  end
+  t.ras.(t.ras_top) <- addr;
+  t.ras_top <- (t.ras_top + 1) land t.ras_mask;
+  if t.ras_count <= t.ras_mask then t.ras_count <- t.ras_count + 1
 
 let ras_pop t =
-  if t.ras_top = 0 then -1
+  if t.ras_count = 0 then -1
   else begin
-    t.ras_top <- t.ras_top - 1;
+    t.ras_top <- (t.ras_top - 1) land t.ras_mask;
+    t.ras_count <- t.ras_count - 1;
     t.ras.(t.ras_top)
   end
 

@@ -19,9 +19,10 @@ type kind =
   | Indirect   (** jr to a non-return target, jalr *)
   | Return     (** jr ra *)
 
-val create : ?hist_bits:int -> ?btb_entries:int -> ?ras_entries:int -> unit -> t
-(** Defaults: 12 history bits (4K-entry PHT), 2K-entry BTB, 16-entry
-    RAS. *)
+val create : unit -> t
+(** 12 history bits (4K-entry PHT), a 2K-entry BTB and a 16-entry RAS.
+    Each size is a power of two, so every table index is a mask; a
+    call that finds the RAS full drops its oldest entry. *)
 
 val perfect : unit -> t
 (** Oracle predictor: never mispredicts. *)

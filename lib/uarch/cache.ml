@@ -9,6 +9,7 @@ type t = {
   tags : int array;  (* -1 = invalid *)
   stamps : int array;  (* LRU: clock of the last touch *)
   mutable clock : int;
+  mutable last_tag : int;  (* line of the latest access, -1 = none *)
   mutable accesses : int;
   mutable misses : int;
 }
@@ -44,6 +45,7 @@ let create ~size_bytes ~assoc ~line_bytes =
     tags = Array.make (n_sets * assoc) (-1);
     stamps = Array.make (n_sets * assoc) 0;
     clock = 0;
+    last_tag = -1;
     accesses = 0;
     misses = 0;
   }
@@ -63,10 +65,10 @@ let rec victim (tags : int array) (stamps : int array) i last best =
     victim tags stamps (i + 1) last
       (if stamps.(i) < stamps.(best) then i else best)
 
-let access t addr =
-  t.accesses <- t.accesses + 1;
+(* The set walk: a hit re-stamps its way, a miss fills the victim. *)
+let access_set t tag =
+  t.last_tag <- tag;
   t.clock <- t.clock + 1;
-  let tag = addr lsr t.line_shift in
   let base = (tag land t.set_mask) * t.assoc in
   let last = base + t.assoc in
   let w = find_way t.tags tag base last in
@@ -81,6 +83,16 @@ let access t addr =
     t.stamps.(v) <- t.clock;
     `Miss
   end
+
+(* A repeat touch of the line this cache touched last is a hit that
+   needs no set walk: that line already carries the newest stamp in the
+   whole cache, so re-stamping it would change no relative LRU order
+   and no later victim. The fast path therefore leaves the stamp and
+   the clock alone. *)
+let access t addr =
+  t.accesses <- t.accesses + 1;
+  let tag = addr lsr t.line_shift in
+  if tag = t.last_tag then `Hit else access_set t tag
 
 let probe t addr =
   let tag = addr lsr t.line_shift in
@@ -102,5 +114,6 @@ let reset_stats t =
   t.misses <- 0
 
 let invalidate t =
+  t.last_tag <- -1;
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.stamps 0 (Array.length t.stamps) 0

@@ -19,7 +19,13 @@ val create : size_bytes:int -> assoc:int -> line_bytes:int -> t
 val access : t -> int -> [ `Hit | `Miss ]
 (** Touch the line containing the byte address. On a miss the line
     replaces the set's first invalid way, else its first least recently
-    used way. Allocates nothing ("cache probe" in test/test_uarch.ml). *)
+    used way. A repeat touch of the line this cache touched last is
+    answered without walking the set: it is counted as an access and a
+    hit, but neither re-stamps the line nor advances the LRU clock.
+    That line already carries the newest stamp of the whole cache, so
+    no relative LRU order and no later victim changes (property "cache
+    hit/miss sequence matches an LRU model" in test/test_props.ml).
+    Allocates nothing ("cache probe" in test/test_uarch.ml). *)
 
 val probe : t -> int -> bool
 (** Presence check without LRU update; allocates nothing. *)
@@ -36,3 +42,5 @@ val misses : t -> int
 val miss_rate : t -> float
 val reset_stats : t -> unit
 val invalidate : t -> unit
+(** Empty every way; the next access of any line misses, the line
+    touched last included. *)

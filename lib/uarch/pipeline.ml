@@ -1,5 +1,5 @@
 module I = Dise_isa.Insn
-module Op = Dise_isa.Opcode
+module Desc = Dise_isa.Desc
 module Reg = Dise_isa.Reg
 module Machine = Dise_machine.Machine
 module Controller = Dise_core.Controller
@@ -26,13 +26,17 @@ type t = {
   profile : Profile.t option;
   trace_lanes : int;
   reg_ready : int array;
+      (* cycle each register's value is ready, at [Reg.index + 1]: slot
+         0 stands for "no register" and stays 0, so reading a
+         descriptor's absent source needs no test *)
   rob : int array;
       (* ring of retire timestamps, indexed by [seq land rob_mask]: a
          power of two >= rob_size and width, so both look-backs are
          still in it and indexing masks instead of dividing *)
+  issue : int array;
+      (* ring of issue timestamps, indexed like [rob]; a slot not yet
+         written reads 0 *)
   rob_mask : int;
-  issue_ring : int array;  (* last [width] issue timestamps *)
-  mutable issue_head : int;
   mutable serial_stalls : int;
   mutable seq : int;
   mutable fetch_cycle : int;
@@ -58,7 +62,8 @@ let pow2_at_least n =
   go 1
 
 let create ?controller ?trace ?profile (cfg : Config.t) =
-  let trace_lanes = 4 * Int.max 1 cfg.width in
+  if cfg.width < 1 then invalid_arg "Pipeline.create: width must be >= 1";
+  let trace_lanes = 4 * cfg.width in
   let rob_len = pow2_at_least (Int.max cfg.rob_size cfg.width) in
   (match trace with
   | None -> ()
@@ -80,11 +85,10 @@ let create ?controller ?trace ?profile (cfg : Config.t) =
     trace;
     profile;
     trace_lanes;
-    reg_ready = Array.make (Reg.num_arch + Reg.num_dedicated) 0;
+    reg_ready = Array.make (Reg.num_arch + Reg.num_dedicated + 1) 0;
     rob = Array.make rob_len 0;
+    issue = Array.make rob_len 0;
     rob_mask = rob_len - 1;
-    issue_ring = Array.make (Int.max 1 cfg.width) 0;
-    issue_head = 0;
     serial_stalls = 0;
     seq = 0;
     fetch_cycle = 0;
@@ -169,58 +173,69 @@ let serialize_stall t bucket cycles =
         ~args:[ ("cycles", Json.Int cycles) ]
   end
 
-(* [mem_addr] is the effective address ([Machine.Raw.no_mem] when the
-   instruction made no access; loads/stores always set it, so the
-   sentinel is defensively treated as address 0). *)
-let latency_of t insn ~mem_addr =
-  match insn with
-  | I.Rop (Op.Mul, _, _, _) | I.Ropi (Op.Mul, _, _, _) -> t.cfg.mul_latency
-  | I.Mem ((Op.Ldq | Op.Ldbu), _, _, _) -> (
-    t.stats.Stats.dcache_accesses <- t.stats.Stats.dcache_accesses + 1;
-    match t.dcache with
-    | None -> t.cfg.l1_latency
-    | Some dc -> (
-      let addr = if mem_addr = Machine.Raw.no_mem then 0 else mem_addr in
-      match Cache.access dc addr with
-      | `Hit -> t.cfg.l1_latency
-      | `Miss ->
-        t.stats.Stats.dcache_misses <- t.stats.Stats.dcache_misses + 1;
-        t.dmiss <- true;
-        t.cfg.l1_latency + l1_miss_penalty ~prefetched:false t addr))
-  | I.Mem ((Op.Stq | Op.Stb), _, _, _) ->
-    (* Stores retire through a store buffer; charge 1 cycle but track
-       the footprint. *)
-    t.stats.Stats.dcache_accesses <- t.stats.Stats.dcache_accesses + 1;
-    (match t.dcache with
-    | None -> ()
-    | Some dc -> (
-      let addr = if mem_addr = Machine.Raw.no_mem then 0 else mem_addr in
-      match Cache.access dc addr with
-      | `Hit -> ()
-      | `Miss ->
-        t.stats.Stats.dcache_misses <- t.stats.Stats.dcache_misses + 1;
-        ignore (l1_miss_penalty ~prefetched:false t addr)));
+(* One D-cache access, and the L2 behind it on a miss: returns the
+   miss penalty, 0 on a hit. [mem_addr] is the effective address
+   ([Machine.Raw.no_mem] when the instruction made no access; loads
+   and stores always set it, so the sentinel is defensively treated as
+   address 0). Only a load miss marks the instruction for CPI
+   attribution: stores retire through a store buffer. *)
+let dcache_access t ~load mem_addr =
+  t.stats.Stats.dcache_accesses <- t.stats.Stats.dcache_accesses + 1;
+  match t.dcache with
+  | None -> 0
+  | Some dc -> (
+    let addr = if mem_addr = Machine.Raw.no_mem then 0 else mem_addr in
+    match Cache.access dc addr with
+    | `Hit -> 0
+    | `Miss ->
+      t.stats.Stats.dcache_misses <- t.stats.Stats.dcache_misses + 1;
+      if load then t.dmiss <- true;
+      l1_miss_penalty ~prefetched:false t addr)
+
+(* Execution latency from the descriptor's exec class. Stores charge
+   1 cycle but still move the cache footprint. *)
+let[@inline] latency_of t desc ~mem_addr =
+  match Desc.exec desc with
+  | Desc.Alu | Desc.Other -> 1
+  | Desc.Mul -> t.cfg.mul_latency
+  | Desc.Load -> t.cfg.l1_latency + dcache_access t ~load:true mem_addr
+  | Desc.Store ->
+    ignore (dcache_access t ~load:false mem_addr);
     1
-  | _ -> 1
 
-let branch_kind insn =
-  match insn with
-  | I.Br _ -> Some Branch_pred.Cond
-  | I.Jmp _ -> Some Branch_pred.Direct
-  | I.Jr r when Reg.equal r Reg.ra -> Some Branch_pred.Return
-  | I.Jr _ -> Some Branch_pred.Indirect
-  | I.Jal _ | I.Jalr _ -> None  (* handled as calls *)
-  | _ -> None
-
-let is_call = function I.Jal _ | I.Jalr _ -> true | _ -> false
+(* Predict an application-level control transfer and train the
+   predictor on its outcome. *)
+let predict t desc ~pc ~taken ~target =
+  let fallthrough = pc + 4 in
+  match Desc.branch desc with
+  | Desc.Cond ->
+    Branch_pred.on_branch t.bp ~pc ~kind:Branch_pred.Cond ~taken ~target
+      ~fallthrough
+  | Desc.Direct ->
+    Branch_pred.on_branch t.bp ~pc ~kind:Branch_pred.Direct ~taken ~target
+      ~fallthrough
+  | Desc.Indirect ->
+    Branch_pred.on_branch t.bp ~pc ~kind:Branch_pred.Indirect ~taken ~target
+      ~fallthrough
+  | Desc.Return ->
+    Branch_pred.on_branch t.bp ~pc ~kind:Branch_pred.Return ~taken ~target
+      ~fallthrough
+  | Desc.Call ->
+    Branch_pred.on_call t.bp ~pc ~target ~fallthrough ~indirect:false
+  | Desc.Indirect_call ->
+    Branch_pred.on_call t.bp ~pc ~target ~fallthrough ~indirect:true
+  | Desc.No_branch -> `Correct
 
 (* The single consumption path, over the machine's (allocation free)
-   step record. [rsid < 0] means an application instruction;
+   step record. It reads the instruction only through its pre-decoded
+   descriptor [r.desc], never by matching [r.insn].
+   [rsid < 0] means an application instruction;
    [branch < 0] no branch, else bit 0 = taken / bit 1 = dise_internal;
    [mem_addr = Raw.no_mem] no memory access. *)
 let consume_raw t (r : Machine.Raw.t) =
   let cfg = t.cfg in
   let stats = t.stats in
+  let desc = r.Machine.Raw.desc in
   (* The redirect bubble set by a previous instruction is attributed
      (at most once) to the first instruction whose issue is bound by
      the delayed fetch — this one, if any. *)
@@ -259,7 +274,7 @@ let consume_raw t (r : Machine.Raw.t) =
     match t.controller with
     | None -> ()
     | Some c ->
-      let stall = Controller.on_fetch c ~key:(I.key r.Machine.Raw.insn) in
+      let stall = Controller.on_fetch c ~key:(Desc.key desc) in
       if stall > 0 then begin
         stats.Stats.dise_stall_cycles <- stats.Stats.dise_stall_cycles + stall;
         serialize_stall t `Ptrt stall
@@ -311,25 +326,25 @@ let consume_raw t (r : Machine.Raw.t) =
   in
   t.fetch_cycle <- Int.max t.fetch_cycle fetch;
   (* ---- issue / execute ---- *)
-  let insn = r.Machine.Raw.insn in
-  let u1 = I.use1 insn and u2 = I.use2 insn in
+  (* [Desc.use1]/[use2] are a [Reg.index] or -1 and [Desc.t] is
+     private, so [+ 1] is always a slot of [reg_ready]. *)
   let src_ready =
     Int.max
-      (if u1 < 0 then 0 else t.reg_ready.(u1))
-      (if u2 < 0 then 0 else t.reg_ready.(u2))
+      (Array.unsafe_get t.reg_ready (Desc.use1 desc + 1))
+      (Array.unsafe_get t.reg_ready (Desc.use2 desc + 1))
   in
   (* Issue bandwidth: at most [width] instructions may begin execution
-     per cycle; the [width]-th previous issue bounds this one. *)
-  let bandwidth_ready = t.issue_ring.(t.issue_head) + 1 in
-  let fetch_dominant = fetch >= src_ready && fetch >= bandwidth_ready in
+     per cycle; the [width]-th previous issue bounds this one (the
+     first [width] instructions read unwritten slots: 0). *)
+  let bandwidth_ready = t.issue.((t.seq - cfg.width) land t.rob_mask) + 1 in
   let start = Int.max (Int.max fetch src_ready) bandwidth_ready in
-  t.issue_ring.(t.issue_head) <- start;
-  let head = t.issue_head + 1 in
-  t.issue_head <- (if head = Array.length t.issue_ring then 0 else head);
-  let lat = latency_of t insn ~mem_addr:r.Machine.Raw.mem_addr in
-  let complete = start + lat in
-  let d = I.def1 insn in
-  if d >= 0 then t.reg_ready.(d) <- complete;
+  (* Fetch bound the issue: [fetch >= src_ready && fetch >=
+     bandwidth_ready], without the two branches. *)
+  let fetch_dominant = start = fetch in
+  t.issue.(t.seq land t.rob_mask) <- start;
+  let complete = start + latency_of t desc ~mem_addr:r.Machine.Raw.mem_addr in
+  let d = Desc.def1 desc in
+  if d >= 0 then Array.unsafe_set t.reg_ready (d + 1) complete;
   (* ---- control flow ---- *)
   (if r.Machine.Raw.branch >= 0 then begin
      let taken = r.Machine.Raw.branch land 1 <> 0 in
@@ -352,20 +367,7 @@ let consume_raw t (r : Machine.Raw.t) =
          || r.Machine.Raw.offset = r.Machine.Raw.len - 1
        in
        if predicted_normally then begin
-         let fallthrough = r.Machine.Raw.pc + 4 in
-         let outcome =
-           if is_call r.Machine.Raw.insn then
-             Branch_pred.on_call t.bp ~pc:r.Machine.Raw.pc ~target ~fallthrough
-               ~indirect:
-                 (match r.Machine.Raw.insn with I.Jalr _ -> true | _ -> false)
-           else
-             match branch_kind r.Machine.Raw.insn with
-             | Some kind ->
-               Branch_pred.on_branch t.bp ~pc:r.Machine.Raw.pc ~kind ~taken
-                 ~target ~fallthrough
-             | None -> `Correct
-         in
-         match outcome with
+         match predict t desc ~pc:r.Machine.Raw.pc ~taken ~target with
          | `Mispredict ->
            stats.Stats.mispredicts <- stats.Stats.mispredicts + 1;
            redirect t ~cause:redirect_mispredict complete
@@ -380,7 +382,8 @@ let consume_raw t (r : Machine.Raw.t) =
      end
    end);
   (* ---- retire ---- *)
-  let in_order = if t.seq > 0 then t.rob.((t.seq - 1) land t.rob_mask) else 0 in
+  (* In order: not before the previous instruction retired. *)
+  let in_order = t.last_retire in
   let bandwidth =
     if t.seq >= cfg.width then t.rob.((t.seq - cfg.width) land t.rob_mask) + 1
     else 0

@@ -48,10 +48,14 @@ val create :
   ?profile:Dise_telemetry.Profile.t ->
   Config.t ->
   t
+(** Raises [Invalid_argument] when [width < 1] ({!Config.of_json} and
+    the CLI reject such a width first). *)
 
 val consume_raw : t -> Dise_machine.Machine.Raw.t -> unit
 (** Account for one dynamic instruction: reads the machine's mutable
-    record directly. Without sinks it allocates nothing (test
+    record directly, and the instruction only through its pre-decoded
+    descriptor ([Raw.desc], see {!Dise_isa.Desc}); [Raw.insn] is read
+    by the trace sink alone. Without sinks it allocates nothing (test
     "pipeline allocation-free" in test/test_uarch.ml bounds a whole
     {!run} at one minor-heap word per instruction, one-time costs
     included). {!run} drives this via {!Dise_machine.Machine.run_raw};

@@ -355,13 +355,13 @@ let test_engine_most_specific_wins () =
   let sp_load = Insn.Mem (Opcode.Ldq, Reg.sp, 0, r2) in
   let other_load = Insn.Mem (Opcode.Ldq, r1, 0, r2) in
   (match Engine.expand engine ~pc:0x100 sp_load with
-  | Some { Machine.rsid = 1; seq } ->
+  | Some { Machine.rsid = 1; seq; _ } ->
     check int_ "identity expansion" 1 (Array.length seq);
     check bool_ "identity is the trigger" true (Insn.equal seq.(0) sp_load)
   | Some { Machine.rsid; _ } -> Alcotest.failf "wrong production %d" rsid
   | None -> Alcotest.fail "sp load should match identity");
   match Engine.expand engine ~pc:0x104 other_load with
-  | Some { Machine.rsid = 2; seq } -> check int_ "counting expansion" 2 (Array.length seq)
+  | Some { Machine.rsid = 2; seq; _ } -> check int_ "counting expansion" 2 (Array.length seq)
   | _ -> Alcotest.fail "other load should match counting production"
 
 let test_engine_memoizes_by_pc () =
@@ -400,14 +400,14 @@ let test_engine_cache_keyed_by_insn () =
   | _ -> Alcotest.fail "sp load should hit the identity production");
   (* Same PC, different instruction: must not reuse the memo entry. *)
   (match Engine.expand engine ~pc other_load with
-  | Some { Machine.rsid = 2; seq } ->
+  | Some { Machine.rsid = 2; seq; _ } ->
     check int_ "counting expansion, not stale identity" 2 (Array.length seq)
   | Some { Machine.rsid; _ } ->
     Alcotest.failf "stale expansion (rsid %d) returned for new insn" rsid
   | None -> Alcotest.fail "other load should match counting production");
   (* And the original pairing still hits its own entry. *)
   match Engine.expand engine ~pc sp_load with
-  | Some { Machine.rsid = 1; seq } -> check int_ "identity intact" 1 (Array.length seq)
+  | Some { Machine.rsid = 1; seq; _ } -> check int_ "identity intact" 1 (Array.length seq)
   | _ -> Alcotest.fail "identity expansion lost"
 
 let test_engine_unbound_sequence () =

@@ -197,10 +197,9 @@ let test_djmp_semantics () =
     match insn with
     | Insn.Mem (Opcode.Stq, _, _, _) ->
       Some
-        { Machine.rsid = 1;
-          seq =
-            [| Insn.Djmp 2; Insn.Ropi (Opcode.Add, Reg.zero, 9, Reg.r 9);
-               insn |] }
+        (Machine.expansion ~rsid:1
+           [| Insn.Djmp 2; Insn.Ropi (Opcode.Add, Reg.zero, 9, Reg.r 9);
+              insn |])
     | _ -> None
   in
   let img =
@@ -256,7 +255,7 @@ let test_max_steps_exact () =
 let expanding_stores ~seq_of : Machine.expander =
  fun ~pc:_ insn ->
   match insn with
-  | Insn.Mem (Opcode.Stq, _, _, _) -> Some { Machine.rsid = 1; seq = seq_of insn }
+  | Insn.Mem (Opcode.Stq, _, _, _) -> Some (Machine.expansion ~rsid:1 (seq_of insn))
   | _ -> None
 
 let test_expansion_basic () =

@@ -168,11 +168,14 @@ let prop_cache_rehit =
         addrs)
 
 (* A direct model of set-associative LRU: each set is the list of its
-   lines, most recently used first. Returns the hit/miss sequence. *)
-let lru_model ~n_sets ~assoc ~line_bytes addrs =
+   lines, most recently used first. [inval] is the index of the access
+   before which the whole cache is invalidated (-1: never). Returns the
+   hit/miss sequence. *)
+let lru_model ~n_sets ~assoc ~line_bytes ~inval addrs =
   let sets = Array.make n_sets [] in
-  List.map
-    (fun a ->
+  List.mapi
+    (fun k a ->
+      if k = inval then Array.fill sets 0 n_sets [];
       let line = a / line_bytes in
       let s = line mod n_sets in
       let hit = List.mem line sets.(s) in
@@ -183,7 +186,10 @@ let lru_model ~n_sets ~assoc ~line_bytes addrs =
 
 (* Random geometries and address streams; half the streams cycle a
    few more lines than there are ways through two sets, so evictions
-   and LRU order decide most outcomes. *)
+   and LRU order decide most outcomes. A quarter of the touches come in
+   runs of up to five accesses to one line, the pattern the cache's
+   same-line fast path serves, and half the streams invalidate the
+   cache somewhere in the middle. *)
 let cache_stream_gen =
   let open QCheck.Gen in
   let* assoc = oneofl [ 1; 2; 4; 8 ] in
@@ -197,24 +203,44 @@ let cache_stream_gen =
         (int_bound (2 * assoc)) (int_bound 1) (int_bound (line_bytes - 1))
     else int_bound 0xFFFF
   in
-  let+ addrs = list_size (int_range 1 400) addr in
-  (assoc, n_sets, line_bytes, addrs)
+  let same_line_run =
+    map2
+      (fun a offs -> List.map (fun o -> a - (a mod line_bytes) + o) offs)
+      addr
+      (list_size (int_range 2 5) (int_bound (line_bytes - 1)))
+  in
+  let* runs =
+    list_size (int_range 1 200)
+      (frequency [ (3, map (fun a -> [ a ]) addr); (1, same_line_run) ])
+  in
+  let addrs = List.concat runs in
+  let+ inval =
+    frequency [ (1, return (-1)); (1, int_bound (List.length addrs - 1)) ]
+  in
+  (assoc, n_sets, line_bytes, inval, addrs)
 
 let prop_cache_matches_lru_model =
   QCheck.Test.make ~name:"cache hit/miss sequence matches an LRU model"
     ~count:300
     (QCheck.make
-       ~print:(fun (assoc, n_sets, line_bytes, addrs) ->
-         Printf.sprintf "assoc=%d sets=%d line=%d [%s]" assoc n_sets line_bytes
+       ~print:(fun (assoc, n_sets, line_bytes, inval, addrs) ->
+         Printf.sprintf "assoc=%d sets=%d line=%d inval=%d [%s]" assoc n_sets
+           line_bytes inval
            (String.concat ";" (List.map string_of_int addrs)))
        cache_stream_gen)
-    (fun (assoc, n_sets, line_bytes, addrs) ->
+    (fun (assoc, n_sets, line_bytes, inval, addrs) ->
       let c =
         Dise_uarch.Cache.create ~size_bytes:(n_sets * assoc * line_bytes) ~assoc
           ~line_bytes
       in
-      let got = List.map (fun a -> Dise_uarch.Cache.access c a = `Hit) addrs in
-      let want = lru_model ~n_sets ~assoc ~line_bytes addrs in
+      let got =
+        List.mapi
+          (fun k a ->
+            if k = inval then Dise_uarch.Cache.invalidate c;
+            Dise_uarch.Cache.access c a = `Hit)
+          addrs
+      in
+      let want = lru_model ~n_sets ~assoc ~line_bytes ~inval addrs in
       got = want
       && Dise_uarch.Cache.misses c = List.length (List.filter not want))
 
@@ -325,6 +351,90 @@ let prop_pipeline_stats_jit_invariant =
       in
       stats ~jit:false = stats ~jit:true)
 
+(* --- timing descriptors ------------------------------------------------------ *)
+
+(* The definitions each descriptor field is decoded from: the [Insn]
+   functions, and the exec class and branch kind the timing model
+   charges. *)
+let exec_spec : Insn.t -> Desc.exec = function
+  | Insn.Rop (Opcode.Mul, _, _, _) | Insn.Ropi (Opcode.Mul, _, _, _) -> Desc.Mul
+  | i when Insn.reads_memory i -> Desc.Load
+  | i when Insn.writes_memory i -> Desc.Store
+  | i when Insn.cls i = Opcode.C_alu -> Desc.Alu
+  | _ -> Desc.Other
+
+let branch_spec : Insn.t -> Desc.branch = function
+  | Insn.Br _ -> Desc.Cond
+  | Insn.Jmp _ -> Desc.Direct
+  | Insn.Jr r when Reg.equal r Reg.ra -> Desc.Return
+  | Insn.Jr _ -> Desc.Indirect
+  | Insn.Jal _ -> Desc.Call
+  | Insn.Jalr _ -> Desc.Indirect_call
+  | _ -> Desc.No_branch
+
+let desc_agrees i =
+  let d = Desc.of_insn i in
+  Desc.key d = Insn.key i
+  && Desc.use1 d = Insn.use1 i
+  && Desc.use2 d = Insn.use2 i
+  && Desc.def1 d = Insn.def1 i
+  && Desc.exec d = exec_spec i
+  && Desc.branch d = branch_spec i
+
+let prop_desc_fields =
+  QCheck.Test.make ~name:"descriptor fields agree with Insn" ~count:500
+    (Gens.arbitrary_insn ~pc:0x100000) (fun i ->
+      desc_agrees i
+      && desc_agrees (Insn.Jr Reg.ra)
+      && List.for_all
+           (fun k -> desc_agrees (Insn.example_of_key k))
+           (List.init Insn.num_keys Fun.id))
+
+let descs_of seq = Array.map Desc.of_insn seq
+
+(* Every image carries its instructions' descriptors, and every
+   expansion, from the memoizing engine (dense and sparse memo) and
+   from the reference expander alike, carries its sequence's. *)
+let prop_descs_match_insns =
+  QCheck.Test.make ~name:"image and expansion descriptors match their insns"
+    ~count:5
+    (QCheck.make (QCheck.Gen.int_bound 1000))
+    (fun seed ->
+      let profile = { W.Profile.tiny with W.Profile.seed = 7000 + seed } in
+      let gen = W.Codegen.generate ~dyn_target:5_000 profile in
+      let plain = W.Codegen.layout gen in
+      let r =
+        Dise_acf.Compress.compress ~scheme:Dise_acf.Compress.full_dise
+          gen.W.Codegen.program
+      in
+      let image_ok img =
+        Program.Image.raw_descs img = descs_of (Program.Image.raw_insns img)
+      in
+      let expansions_ok img prodset =
+        let expanders =
+          [ Engine.expander (Engine.create ~image:img prodset);
+            Engine.expander (Engine.create prodset);
+            Dise_fuzz.Naive.expander prodset ]
+        in
+        let ok = ref true and n = ref 0 in
+        Program.Image.iter
+          (fun ~addr insn ->
+            List.iter
+              (fun expand ->
+                match expand ~pc:addr insn with
+                | Some e ->
+                  incr n;
+                  ok := !ok && e.Machine.descs = descs_of e.Machine.seq
+                | None -> ())
+              expanders)
+          img;
+        !ok && !n > 0
+      in
+      image_ok plain
+      && image_ok r.Dise_acf.Compress.image
+      && expansions_ok r.Dise_acf.Compress.image r.Dise_acf.Compress.prodset
+      && expansions_ok plain mfi_like_set)
+
 (* --- compression losslessness over random programs -------------------------- *)
 
 let data_digest m =
@@ -393,6 +503,8 @@ let suite =
     t prop_cache_rehit;
     t prop_cache_matches_lru_model;
     t prop_use_def_indices;
+    t prop_desc_fields;
+    t prop_descs_match_insns;
     t prop_machine_matches_reference;
     t prop_machine_deterministic;
     t prop_pipeline_stats_jit_invariant;

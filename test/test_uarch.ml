@@ -54,12 +54,15 @@ let test_cache_probe () =
   check bool_ "probe misses a cold line" false (Cache.probe c 0x40);
   ignore (Cache.access c 0x40);
   check bool_ "probe sees line" true (Cache.probe c 0x40);
-  (* Hits, conflict misses and probes in one 2-way set. *)
+  (* Hits, conflict misses and probes in one 2-way set; the second
+     access of each pair repeats the line and takes the same-line fast
+     path. *)
   let stride = 1024 / 2 in
   let words =
     minor_words_of (fun () ->
         for i = 0 to 999 do
           ignore (Cache.access c (i mod 3 * stride));
+          ignore (Cache.access c ((i mod 3 * stride) + 8));
           ignore (Cache.probe c (i mod 5 * stride))
         done)
   in
@@ -115,12 +118,30 @@ let test_predictor_ras () =
   | `Correct -> ()
   | `Mispredict -> Alcotest.fail "matched return should predict");
   (* return with empty RAS mispredicts *)
-  match
-    Branch_pred.on_branch bp ~pc:0x4050 ~kind:Branch_pred.Return ~taken:true
-      ~target:0x1004 ~fallthrough:0x4054
-  with
+  (match
+     Branch_pred.on_branch bp ~pc:0x4050 ~kind:Branch_pred.Return ~taken:true
+       ~target:0x1004 ~fallthrough:0x4054
+   with
   | `Mispredict -> ()
-  | `Correct -> Alcotest.fail "empty RAS should mispredict"
+  | `Correct -> Alcotest.fail "empty RAS should mispredict");
+  (* A 20-deep call chain overflows the 16-entry RAS: the 16 innermost
+     returns are predicted, the 4 outermost mispredict because their
+     entries were dropped to make room. *)
+  let depth = 20 in
+  for d = 0 to depth - 1 do
+    ignore
+      (Branch_pred.on_call bp ~pc:(0x1000 + (16 * d)) ~target:0x8000
+         ~fallthrough:(0x1004 + (16 * d)) ~indirect:false)
+  done;
+  let outcomes =
+    List.init depth (fun i ->
+        let d = depth - 1 - i in
+        Branch_pred.on_branch bp ~pc:0x8050 ~kind:Branch_pred.Return
+          ~taken:true ~target:(0x1004 + (16 * d)) ~fallthrough:0x8054)
+  in
+  check (Alcotest.list bool_) "16 predicted, then 4 dropped"
+    (List.init depth (fun i -> i < 16))
+    (List.map (fun o -> o = `Correct) outcomes)
 
 let test_predictor_btb () =
   let bp = Branch_pred.create () in
@@ -185,7 +206,10 @@ let test_pipeline_width_scales_independent_code () =
   let narrow = run_with (Config.with_width 1 cfg) src in
   check bool_ "wide is faster" true
     (wide.Stats.cycles * 3 < narrow.Stats.cycles);
-  check bool_ "wide IPC over 2" true (Stats.ipc wide > 2.0)
+  check bool_ "wide IPC over 2" true (Stats.ipc wide > 2.0);
+  match Pipeline.create (Config.with_width 0 cfg) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "width 0 accepted"
 
 let test_pipeline_dependence_serializes () =
   (* A dependent chain cannot exceed 1 IPC regardless of width. *)
