@@ -856,7 +856,7 @@ let exec_cmd =
                 Format.printf "%08x%s %s@." r.Machine.Raw.pc
                   (if r.Machine.Raw.rsid < 0 then "   "
                    else Printf.sprintf ":%-2d" r.Machine.Raw.offset)
-                  (Dise_isa.Insn.to_string r.Machine.Raw.insn)))
+                  (Dise_isa.Insn.to_string (Machine.Raw.insn r))))
      with
      | Machine.Runtime_error msg -> die (Diag.Runtime msg)
      | Dise_core.Engine.Expansion_error msg -> die (Diag.Expansion msg));

@@ -25,7 +25,7 @@ let () =
   let m0 = Machine.create img in
   ignore
     (Machine.run_raw ~max_steps:5_000_000 m0 (fun r ->
-         if !first_store = None && Insn.writes_memory r.Machine.Raw.insn then
+         if !first_store = None && Insn.writes_memory (Machine.Raw.insn r) then
            first_store := Some r.Machine.Raw.mem_addr));
   let watched = Option.value ~default:0x04000000 !first_store in
 

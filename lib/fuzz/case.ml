@@ -91,6 +91,31 @@ let plant_boundaries rng prog =
       | item -> item)
     prog
 
+(* Two register-file edges, planted with the boundary immediates:
+   writes to the zero register (an ALU result and a repeated load —
+   no-ops on a correct machine, while the generator's [li] idiom reads
+   r0, so a write that sticks shows at once), and, with [~jalr],
+   returns through [jalr] ([jr ra] becomes [jalr ra, rN]: the link
+   lands in a scratch register, so a wrong link value perturbs data
+   flow without breaking control flow). The link is a code address and
+   reaches the data segment through scratch stores, so [~jalr] holds
+   only where the expanded image keeps the reference layout. *)
+let plant_register_edges ~jalr rng prog =
+  let scratch () = Reg.r (3 + Rng.int rng 10) in
+  List.concat_map
+    (function
+      | Program.Ins (I.Ropi (_, _, _, rd)) as item
+        when scratch_dest rd && Rng.float rng < 0.1 ->
+        [ item; Program.Ins (I.Rop (Op.Add, rd, rd, Reg.zero)) ]
+      | Program.Ins (I.Mem ((Op.Ldq | Op.Ldbu) as op, base, off, rd)) as item
+        when scratch_dest rd && (not (Reg.equal base rd))
+             && Rng.float rng < 0.1 ->
+        [ item; Program.Ins (I.Mem (op, base, off, Reg.zero)) ]
+      | Program.Ins (I.Jr r) when jalr && Reg.equal r Reg.ra && Rng.bool rng ->
+        [ Program.Ins (I.Jalr (Reg.ra, scratch ())) ]
+      | item -> [ item ])
+    prog
+
 (* --- random transparent productions ------------------------------------- *)
 
 (* Replacement prefixes must be transparent: they may write only
@@ -190,6 +215,10 @@ let build c =
   let program =
     if c.boundary_imms then
       plant_boundaries (Rng.create ((c.seed * 17) + 3)) gen.Codegen.program
+      |> plant_register_edges
+           ~jalr:
+             (match c.mode with Compressed _ -> false | Plain | Mfi _ -> true)
+           (Rng.create ((c.seed * 17) + 5))
     else gen.Codegen.program
   in
   let reference = Program.layout ~base:Codegen.code_base program in

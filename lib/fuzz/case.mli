@@ -29,7 +29,9 @@ type t = {
   idiom_pool : int;
   boundary_imms : bool;
       (** rewrite some scratch-destination ALU immediates to 16-bit
-          boundary values (±32768-adjacent, sign-flip points) *)
+          boundary values (±32768-adjacent, sign-flip points), and
+          plant register-file edges: writes to the zero register and
+          returns through [jalr] that link a scratch register *)
   n_prods : int;        (** [Plain] mode: random productions to generate *)
   mode : mode;
 }

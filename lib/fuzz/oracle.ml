@@ -82,15 +82,32 @@ let encode_roundtrip image =
 let origin_str (r : Machine.Raw.t) =
   if r.rsid < 0 then "app" else Printf.sprintf "R%d[%d/%d]" r.rsid r.offset r.len
 
+(* Every compared field that can differ between two descriptions of
+   the same instruction: two events that disagree never print alike. *)
 let event_str (r : Machine.Raw.t) =
-  Printf.sprintf "pc=0x%x %s (%s)" r.pc (I.to_string r.insn) (origin_str r)
+  Printf.sprintf "pc=0x%x %s (%s)%s%s%s" r.pc
+    (I.to_string (Machine.Raw.insn r))
+    (origin_str r)
+    (if r.mem_addr = Machine.Raw.no_mem then ""
+     else Printf.sprintf " mem=0x%x" r.mem_addr)
+    (if r.branch < 0 then ""
+     else
+       Printf.sprintf " %s->0x%x"
+         (if r.branch land 1 <> 0 then "taken" else "not-taken")
+         r.target)
+    (if r.expansion_start || r.fetched_new_pc then
+       Printf.sprintf " start=%b fetch=%b" r.expansion_start r.fetched_new_pc
+     else "")
 
 (* A branch target is only meaningful when there is a branch. The
-   descriptor is compared too: each side decodes it on its own path
-   (image, memoized expansion, fresh expansion, JIT arena). *)
+   descriptor and the immediate are the whole instruction
+   ([Desc.to_insn]), and each side decodes them on its own path
+   (image, memoized expansion, fresh expansion, JIT arena; the
+   reference interpreter from the fetched instruction, every step). *)
 let event_eq (a : Machine.Raw.t) (b : Machine.Raw.t) =
-  a.pc = b.pc && I.equal a.insn b.insn
+  a.pc = b.pc
   && (a.desc :> int) = (b.desc :> int)
+  && a.imm = b.imm
   && a.rsid = b.rsid && a.offset = b.offset && a.len = b.len
   && a.expansion_start = b.expansion_start
   && a.mem_addr = b.mem_addr && a.branch = b.branch
@@ -99,27 +116,58 @@ let event_eq (a : Machine.Raw.t) (b : Machine.Raw.t) =
 
 let step_budget (c : Case.t) = (c.dyn_target * 50) + 500_000
 
-(* Step the three sides one dynamic instruction at a time, comparing
-   the event streams as they happen — a divergence is reported at the
+(* One lockstep side: a machine, or the reference interpreter. Each
+   keeps one step record, register file and memory for its lifetime. *)
+type side = {
+  name : string;
+  step : unit -> bool;
+  raw : Machine.Raw.t;
+  regs : Regfile.t;
+  memory : Memory.t;
+  exit_code : unit -> int;
+}
+
+let machine_side name m =
+  {
+    name;
+    step = (fun () -> Machine.step m);
+    raw = Machine.raw m;
+    regs = Machine.regs m;
+    memory = Machine.memory m;
+    exit_code = (fun () -> Machine.exit_code m);
+  }
+
+let ref_side name r =
+  {
+    name;
+    step = (fun () -> Ref_machine.step r);
+    raw = Ref_machine.raw r;
+    regs = Ref_machine.regs r;
+    memory = Ref_machine.memory r;
+    exit_code = (fun () -> Ref_machine.exit_code r);
+  }
+
+(* Step the sides one dynamic instruction at a time, comparing the
+   event streams as they happen — a divergence is reported at the
    exact step it first becomes observable, which is what makes the
    shrunk repro readable. *)
-let lockstep ~budget (sides : (string * Machine.t) array) =
+let lockstep ~budget (sides : side array) =
   let n = Array.length sides in
   let stepped = Array.make n false in
-  let raw i = Machine.raw (snd sides.(i)) in
-  let checksum i = Regfile.checksum_arch (Machine.regs (snd sides.(i))) in
+  let raw i = sides.(i).raw in
+  let name i = sides.(i).name in
+  let checksum i = Regfile.checksum_arch sides.(i).regs in
   let rec go steps =
     if steps >= budget then Ok steps (* bounded run: all sides agree so far *)
     else begin
       let bad = ref None in
       for i = 0 to n - 1 do
-        let name, m = sides.(i) in
-        match Machine.step m with
+        match sides.(i).step () with
         | s -> stepped.(i) <- s
         | exception ex ->
           stepped.(i) <- false;
           if !bad = None then
-            bad := Some (name, Printexc.to_string ex)
+            bad := Some (name i, Printexc.to_string ex)
       done;
       match !bad with
       | Some (name, ex) ->
@@ -134,18 +182,13 @@ let lockstep ~budget (sides : (string * Machine.t) array) =
             | true, true when event_eq (raw 0) (raw i) -> cmp (i + 1)
             | true, true ->
               fail "lockstep" "step %d: %s says %s but %s says %s" steps
-                (fst sides.(0)) (event_str (raw 0))
-                (fst sides.(i))
-                (event_str (raw i))
+                (name 0) (event_str (raw 0)) (name i) (event_str (raw i))
             | true, false ->
               fail "lockstep" "step %d: %s halted while %s executes %s" steps
-                (fst sides.(i))
-                (fst sides.(0)) (event_str (raw 0))
+                (name i) (name 0) (event_str (raw 0))
             | false, true ->
               fail "lockstep" "step %d: %s halted while %s executes %s" steps
-                (fst sides.(0))
-                (fst sides.(i))
-                (event_str (raw i))
+                (name 0) (name i) (event_str (raw i))
         in
         match cmp 1 with
         | Error f -> Error f
@@ -155,19 +198,17 @@ let lockstep ~budget (sides : (string * Machine.t) array) =
             let rec final i =
               if i >= n then Ok steps
               else begin
-                let m0 = snd sides.(0) and mi = snd sides.(i) in
-                if Machine.exit_code m0 <> Machine.exit_code mi then
-                  fail "exit" "%s exits %d but %s exits %d" (fst sides.(0))
-                    (Machine.exit_code m0)
-                    (fst sides.(i))
-                    (Machine.exit_code mi)
+                let e0 = sides.(0).exit_code ()
+                and ei = sides.(i).exit_code () in
+                if e0 <> ei then
+                  fail "exit" "%s exits %d but %s exits %d" (name 0) e0
+                    (name i) ei
                 else if
-                  Memory.checksum (Machine.memory m0)
-                  <> Memory.checksum (Machine.memory mi)
+                  Memory.checksum sides.(0).memory
+                  <> Memory.checksum sides.(i).memory
                 then
                   fail "state" "final memory differs between %s and %s"
-                    (fst sides.(0))
-                    (fst sides.(i))
+                    (name 0) (name i)
                 else final (i + 1)
               end
             in
@@ -180,9 +221,7 @@ let lockstep ~budget (sides : (string * Machine.t) array) =
                 fail "state"
                   "architectural registers diverge between %s and %s by \
                    step %d"
-                  (fst sides.(0))
-                  (fst sides.(i))
-                  steps
+                  (name 0) (name i) steps
               else regs (i + 1)
             in
             match regs 1 with Error f -> Error f | Ok () -> go (steps + 1)
@@ -224,13 +263,21 @@ let run_checks ?mutation (b : Case.built) =
     Engine.attach_jit ~threshold:2 eng m;
     m
   in
+  (* Fifth side: the reference interpreter, over the reference
+     expander. The four machines share one executor; this side shares
+     none of it, so a bug there shows up as a divergence. *)
+  let m_ref =
+    Ref_machine.of_machine ~expander:(Naive.expander prodset)
+      (machine (fun ~pc:_ _ -> None))
+  in
   let* steps =
     lockstep ~budget
       [|
-        ("naive", m_naive);
-        ("engine-memo", m_dense);
-        ("engine-hash", m_hash);
-        ("engine-jit", m_jit);
+        machine_side "naive" m_naive;
+        machine_side "engine-memo" m_dense;
+        machine_side "engine-hash" m_hash;
+        machine_side "engine-jit" m_jit;
+        ref_side "reference" m_ref;
       |]
   in
   let expansions = Machine.expansions m_dense in

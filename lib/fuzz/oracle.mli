@@ -5,11 +5,13 @@
     + {b encode roundtrip} (dense images): the laid-out program must
       survive {!Dise_isa.Encode.encode_image_result} and decode back
       to {!Dise_isa.Insn.equal} instructions — nothing silently wraps;
-    + {b lockstep}: three machines execute the same image with the
-      reference {!Naive} expander, the image-aware {!Dise_core.Engine}
-      (dense flat-array memo when the image is dense), and the
-      image-blind engine (hashtable memo) — every event is compared
-      as it retires, architectural register checksums are compared
+    + {b lockstep}: five sides execute the same image — machines with
+      the reference {!Naive} expander, the image-aware
+      {!Dise_core.Engine} (dense flat-array memo when the image is
+      dense), the image-blind engine (hashtable memo) and the engine
+      under the superblock JIT, plus the {!Ref_machine} reference
+      interpreter over {!Naive} — every event is compared as it
+      retires, architectural register checksums are compared
       periodically, and exit codes plus a full memory checksum are
       compared at halt;
     + {b transparency}: {!Dise_harness.Diffexec} kept-stream

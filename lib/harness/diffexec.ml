@@ -50,7 +50,7 @@ let rec next ~max_steps ~keep p =
   else begin
     p.steps <- p.steps + 1;
     let r = Machine.raw p.machine in
-    if keep r then Some r.Raw.insn else next ~max_steps ~keep p
+    if keep r then Some (Raw.insn r) else next ~max_steps ~keep p
   end
 
 let run ?(max_steps = 50_000_000) ?(keep = app_semantics)

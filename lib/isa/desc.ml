@@ -1,7 +1,8 @@
 (* Layout of the packed int, low bits first: the opcode key (6 bits),
    then use1, use2 and def1 each stored plus one so that "none" is 0
-   (6 bits each), then the exec class (3 bits) and the branch kind
-   (3 bits). Every accessor is a shift and a mask. *)
+   (6 bits each), then the exec class (3 bits), the branch kind
+   (3 bits) and the unresolved-target flag (1 bit). Every accessor is
+   a shift and a mask. *)
 
 type t = int
 
@@ -44,6 +45,14 @@ let branch_code : Insn.t -> int = function
   | Insn.Djmp _ | Insn.Codeword _ | Insn.Nop | Insn.Halt ->
     0
 
+let unresolved_bit = 1 lsl 30
+
+let unresolved_code : Insn.t -> int = function
+  | Insn.Br (_, _, Insn.Lab _) | Insn.Jmp (Insn.Lab _) | Insn.Jal (Insn.Lab _)
+    ->
+    unresolved_bit
+  | _ -> 0
+
 let of_insn i =
   Insn.key i
   lor ((Insn.use1 i + 1) lsl 6)
@@ -51,11 +60,29 @@ let of_insn i =
   lor ((Insn.def1 i + 1) lsl 18)
   lor (exec_code i lsl 24)
   lor (branch_code i lsl 27)
+  lor unresolved_code i
+
+let imm_of_insn : Insn.t -> int = function
+  | Insn.Ropi (_, _, v, _) | Insn.Lda (_, v, _) | Insn.Lui (v, _)
+  | Insn.Mem (_, _, v, _) | Insn.Dbr (_, _, v) | Insn.Djmp v ->
+    v
+  | Insn.Br (_, _, Insn.Abs a) | Insn.Jmp (Insn.Abs a) | Insn.Jal (Insn.Abs a)
+    ->
+    a
+  | Insn.Codeword { p1; p2; p3; tag; _ } ->
+    p1 lor (p2 lsl 5) lor (p3 lsl 10) lor (tag lsl 15)
+  | Insn.Br (_, _, Insn.Lab _) | Insn.Jmp (Insn.Lab _) | Insn.Jal (Insn.Lab _)
+  | Insn.Rop _ | Insn.Jr _ | Insn.Jalr _ | Insn.Nop | Insn.Halt ->
+    0
 
 let key d = d land 63
 let use1 d = ((d lsr 6) land 63) - 1
 let use2 d = ((d lsr 12) land 63) - 1
 let def1 d = ((d lsr 18) land 63) - 1
+let use1_slot d = (d lsr 6) land 63
+let use2_slot d = (d lsr 12) land 63
+let def1_slot d = (d lsr 18) land 63
+let unresolved d = d land unresolved_bit <> 0
 
 (* Constant constructors, indexed by their codes above. [t] is private,
    so a stored code is always in range. *)
@@ -66,3 +93,45 @@ let branches =
 
 let exec d = Array.unsafe_get execs ((d lsr 24) land 7)
 let branch d = Array.unsafe_get branches ((d lsr 27) land 7)
+
+(* The inverse of the decoding, for readers off the hot path. Key
+   ranges as in {!Insn.key}. *)
+let rops = Array.of_list Opcode.all_rops
+let mops = Array.of_list Opcode.all_mops
+let bops = Array.of_list Opcode.all_bops
+
+let reg_of_slot s =
+  if s = 0 then Reg.zero
+  else if s <= Reg.num_arch then Reg.r (s - 1)
+  else Reg.d (s - 1 - Reg.num_arch)
+
+let to_insn d imm =
+  if unresolved d then invalid_arg "Desc.to_insn: unresolved label";
+  let k = key d in
+  let s1 = reg_of_slot (use1_slot d)
+  and s2 = reg_of_slot (use2_slot d)
+  and dst = reg_of_slot (def1_slot d) in
+  if k < 14 then Insn.Rop (rops.(k), s1, s2, dst)
+  else if k < 28 then Insn.Ropi (rops.(k - 14), s1, imm, dst)
+  else if k = 28 then Insn.Lda (s1, imm, dst)
+  else if k = 29 then Insn.Lui (imm, dst)
+  else if k < 32 then Insn.Mem (mops.(k - 30), s1, imm, dst)
+  else if k < 34 then Insn.Mem (mops.(k - 30), s1, imm, s2)
+  else if k < 40 then Insn.Br (bops.(k - 34), s1, Insn.Abs imm)
+  else if k = 40 then Insn.Jmp (Insn.Abs imm)
+  else if k = 41 then Insn.Jal (Insn.Abs imm)
+  else if k = 42 then Insn.Jr s1
+  else if k = 43 then Insn.Jalr (s1, dst)
+  else if k < 50 then Insn.Dbr (bops.(k - 44), s1, imm)
+  else if k = 50 then Insn.Djmp imm
+  else if k < 55 then
+    Insn.Codeword
+      {
+        op = k - 51;
+        p1 = imm land 31;
+        p2 = (imm lsr 5) land 31;
+        p3 = (imm lsr 10) land 31;
+        tag = imm lsr 15;
+      }
+  else if k = 55 then Insn.Nop
+  else Insn.Halt

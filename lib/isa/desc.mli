@@ -1,14 +1,17 @@
-(** Timing descriptors: what the timing model needs to know about one
-    static instruction, decoded once and packed into an immediate
-    [int].
+(** Instruction descriptors: what the machine and the timing model need
+    to know about one static instruction, decoded once and packed into
+    an immediate [int].
 
     DISE hardware decodes an instruction once, at fetch, and carries
     the decoded fields down the pipe. The simulator does the same: a
     descriptor is computed once per static instruction (per image for
     application text, {!Program.Image.raw_descs}; per expansion for
-    replacement instructions, [Machine.expansion]), the machine copies
-    it into its step record, and the timing model reads only the
-    descriptor, never the boxed {!Insn.t}.
+    replacement instructions, [Machine.expansion]), together with the
+    instruction's immediate ({!imm_of_insn}). The machine executes
+    from the pair — it dispatches on {!key}, reads and writes
+    registers by slot — and copies both into its step record; the
+    timing model reads only the descriptor. Neither matches the boxed
+    {!Insn.t}.
 
     The {!Insn} functions are the specification: for every
     instruction [i], [key (of_insn i) = Insn.key i], and likewise for
@@ -36,14 +39,36 @@ type branch =
 
 val of_insn : Insn.t -> t
 
+val imm_of_insn : Insn.t -> int
+(** The one int that execution needs beyond the descriptor: the
+    immediate of [Ropi], [lda], [lui] and memory operations (as
+    written, not sign-extended), the absolute target of [Br], [jmp]
+    and [jal], the DISEPC offset of [Dbr] and [djmp], and a codeword's
+    [p1], [p2], [p3] and [tag] packed 5/5/5/11 bits from the low end.
+    0 for everything else, and for a target that is still a label
+    (see {!unresolved}). Stored beside the descriptor:
+    {!Program.Image.raw_imms}, [Machine.expansion]'s [imms]. *)
+
 val key : t -> int
-(** {!Insn.key}. *)
+(** {!Insn.key}: the operation, one of {!Insn.num_keys}. *)
 
 val use1 : t -> int
 val use2 : t -> int
 val def1 : t -> int
 (** {!Insn.use1}, {!Insn.use2}, {!Insn.def1}: a {!Reg.index}, or [-1]
     for none. *)
+
+val use1_slot : t -> int
+val use2_slot : t -> int
+val def1_slot : t -> int
+(** The same operands as register-file slots: [Reg.index r + 1], and
+    0 for none and for the zero register — so [use1_slot d = use1 d +
+    1]. Slot 0 of a register file indexed this way reads 0. *)
+
+val unresolved : t -> bool
+(** True for a [Br], [jmp] or [jal] whose target is still a label.
+    Executing one is a runtime error; {!Program.layout} never leaves
+    one in an image. *)
 
 val exec : t -> exec
 (** Execution class: what decides the instruction's latency. *)
@@ -52,3 +77,10 @@ val branch : t -> branch
 (** How the branch predictor sees the instruction. DISE-internal
     branches ([Dbr]/[Djmp]) are [No_branch]: they never reach the
     predictor. *)
+
+val to_insn : t -> int -> Insn.t
+(** [to_insn (of_insn i) (imm_of_insn i) = i] for every instruction
+    whose targets are resolved (and whose codeword fields are in
+    their encodable ranges): the descriptor and the immediate are the
+    whole instruction. Allocates; for readers off the hot path.
+    Raises [Invalid_argument] when {!unresolved}. *)

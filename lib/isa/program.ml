@@ -13,6 +13,7 @@ module Image = struct
     base : int;
     insns : Insn.t array;
     descs : Desc.t array;  (* [Desc.of_insn] of each of [insns] *)
+    imms : int array;  (* [Desc.imm_of_insn] of each of [insns] *)
     addrs : int array;
     sizes : int array;
     symtab : (string, int) Hashtbl.t;
@@ -58,6 +59,7 @@ module Image = struct
 
   let raw_insns t = t.insns
   let raw_descs t = t.descs
+  let raw_imms t = t.imms
 
   let fetch t addr =
     match index_of_addr t addr with
@@ -105,16 +107,18 @@ let layout ?(base = 0x100000) ?(size_of = default_size) (prog : t) =
       | Some a -> Insn.Abs a
       | None -> fail "undefined label %s" l)
   in
-  (* One pass resolves each instruction and decodes its timing
-     descriptor. *)
+  (* One pass resolves each instruction and decodes its descriptor and
+     immediate. *)
   let n = Array.length triples in
   let insns = Array.make n Insn.Nop in
   let descs = Array.make n (Desc.of_insn Insn.Nop) in
+  let imms = Array.make n 0 in
   Array.iteri
     (fun k (i, _, _) ->
       let i = Insn.map_target resolve i in
       insns.(k) <- i;
-      descs.(k) <- Desc.of_insn i)
+      descs.(k) <- Desc.of_insn i;
+      imms.(k) <- Desc.imm_of_insn i)
     triples;
   let addrs = Array.map (fun (_, a, _) -> a) triples in
   let sizes = Array.map (fun (_, _, s) -> s) triples in
@@ -124,7 +128,18 @@ let layout ?(base = 0x100000) ?(size_of = default_size) (prog : t) =
     text_bytes = 4 * Array.length insns
     && Array.for_all (fun s -> s = 4) sizes
   in
-  { Image.base; insns; descs; addrs; sizes; symtab; by_addr; text_bytes; dense }
+  {
+    Image.base;
+    insns;
+    descs;
+    imms;
+    addrs;
+    sizes;
+    symtab;
+    by_addr;
+    text_bytes;
+    dense;
+  }
 
 let insns prog =
   List.filter_map (function Ins i -> Some i | Label _ -> None) prog

@@ -57,9 +57,16 @@ module Image : sig
       can predecode without an extra copy. *)
 
   val raw_descs : t -> Desc.t array
-  (** The timing descriptor of each instruction, indexed like {!get}
+  (** The descriptor of each instruction, indexed like {!get}
       ([Desc.of_insn (get t i)]), decoded once when the image is laid
       out. Shared, not a copy. *)
+
+  val raw_imms : t -> int array
+  (** The immediate of each instruction, indexed like {!get}
+      ([Desc.imm_of_insn (get t i)]): its immediate operand, its
+      resolved absolute branch or jump target, or its DISE offset.
+      Decoded in the same pass as {!raw_descs}; with it, the whole
+      instruction the machine executes. Shared, not a copy. *)
 
   val fetch : t -> int -> Insn.t option
   (** Instruction at a byte address, if one starts there. *)

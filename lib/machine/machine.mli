@@ -21,21 +21,36 @@
 
     Each {!step} describes the executed dynamic instruction in the
     machine's {!Raw.t} record; {!run_raw} streams that record to a sink,
-    and the trace-driven timing model consumes it. *)
+    and the trace-driven timing model consumes it.
+
+    Execution is decode-once: every instruction runs from its
+    descriptor and immediate ({!Dise_isa.Desc}), decoded when the image
+    is laid out or the expansion is built, never from the boxed
+    instruction. The interpreter and the superblock JIT share one
+    executor, which dispatches on the opcode key and reads and writes
+    the register file by descriptor slot ({!Regfile.slots}). The
+    reference interpreter [Dise_fuzz.Ref_machine] matches the boxed
+    instruction instead and is checked against this one in lockstep. *)
 
 type expansion = private {
   rsid : int;             (** replacement sequence identifier *)
   seq : Dise_isa.Insn.t array;  (** fully instantiated sequence *)
   descs : Dise_isa.Desc.t array;
       (** [Desc.of_insn] of each instruction of [seq], decoded once *)
+  imms : int array;
+      (** [Desc.imm_of_insn] of each instruction of [seq], decoded
+          once: the machine executes the sequence from [descs] and
+          [imms] *)
 }
 (** What an expander returns for a matched trigger. The record is
-    private: only {!expansion} builds one, so [descs] always agrees
-    with [seq]. An expander that memoizes its results (the engine)
-    stores the built expansion and pays for the decoding once. *)
+    private: only {!expansion} builds one, so [descs] and [imms]
+    always agree with [seq]. An expander that memoizes its results
+    (the engine) stores the built expansion and pays for the decoding
+    once. *)
 
 val expansion : rsid:int -> Dise_isa.Insn.t array -> expansion
-(** [expansion ~rsid seq] pairs [seq] with its timing descriptors. *)
+(** [expansion ~rsid seq] pairs [seq] with its descriptors and
+    immediates. *)
 
 type expander = pc:int -> Dise_isa.Insn.t -> expansion option
 
@@ -43,22 +58,28 @@ exception Runtime_error of string
 
 (** One dynamic instruction of the post-expansion stream: a single
     mutable record per machine, overwritten by each executed
-    instruction. Read the fields before the next step. On a dense
-    image with an allocation-free expander (the engine's dense memo),
-    stepping allocates nothing per instruction: what a run allocates
-    is one-time work (memo fills, JIT compiles, newly touched memory
-    pages). Test "pipeline allocation-free" in test/test_uarch.ml
-    bounds a whole [Pipeline.run] at one minor-heap word per
-    instruction. *)
+    instruction. Read the fields before the next step. Every field is
+    an immediate value, so filling the record stores no pointer. On a
+    dense image with an allocation-free expander (the engine's dense
+    memo), stepping allocates nothing per instruction: what a run
+    allocates is one-time work (memo fills, JIT compiles, newly
+    touched memory pages). Test "pipeline allocation-free" in
+    test/test_uarch.ml bounds a whole [Pipeline.run] at one minor-heap
+    word per instruction. *)
 module Raw : sig
   type t = {
     mutable pc : int;
-    mutable insn : Dise_isa.Insn.t;
+        (** application PC: the instruction's own, or the trigger's
+            for a replacement instruction *)
     mutable desc : Dise_isa.Desc.t;
-        (** [Desc.of_insn insn], copied from the image's
-            ({!Dise_isa.Program.Image.raw_descs}) or the expansion's
-            pre-decoded array, never re-decoded: the timing model reads
-            this instead of matching [insn] *)
+        (** the executed instruction's descriptor, copied from the
+            image's ({!Dise_isa.Program.Image.raw_descs}), the
+            expansion's or the JIT arena's pre-decoded array, never
+            re-decoded: the timing model reads this, never the
+            instruction *)
+    mutable imm : int;
+        (** the executed instruction's immediate
+            ({!Dise_isa.Desc.imm_of_insn}), copied like [desc] *)
     mutable rsid : int;
         (** replacement sequence identifier, [-1] for an application
             instruction *)
@@ -85,6 +106,12 @@ module Raw : sig
   val no_mem : int
   (** Sentinel stored in [mem_addr] when the instruction made no memory
       access. *)
+
+  val insn : t -> Dise_isa.Insn.t
+  (** The executed instruction, rebuilt from [desc] and [imm]
+      ({!Dise_isa.Desc.to_insn}); equal to the instruction in the
+      image or the expansion. Allocates: for readers off the hot path
+      (traces, differential checks, tests). *)
 end
 
 type t

@@ -46,27 +46,28 @@ let check_aligned addr =
   if addr land 3 <> 0 then
     raise (Fault (Printf.sprintf "misaligned word access at 0x%x" addr))
 
-let read_u32 t addr =
+(* A word is one load or store: [%caml_bytes_get32] and
+   [%caml_bytes_set32] are the host's native (little-endian, like the
+   memory model) 32-bit access, bounds-checked, and stay unboxed when
+   the [int32] is converted at once. *)
+external get32 : bytes -> int -> int32 = "%caml_bytes_get32"
+external set32 : bytes -> int -> int32 -> unit = "%caml_bytes_set32"
+
+let () = assert (not Sys.big_endian)
+
+let read_s32 t addr =
   let addr = addr land 0xFFFFFFFF in
   check_aligned addr;
-  let p = page t addr and o = addr land page_mask in
   (* A page is a multiple of 4 bytes, so an aligned word never
      straddles pages. *)
-  Char.code (Bytes.get p o)
-  lor (Char.code (Bytes.get p (o + 1)) lsl 8)
-  lor (Char.code (Bytes.get p (o + 2)) lsl 16)
-  lor (Char.code (Bytes.get p (o + 3)) lsl 24)
+  Int32.to_int (get32 (page t addr) (addr land page_mask))
 
-let read_s32 t addr = Dise_isa.Opcode.signed32 (read_u32 t addr)
+let read_u32 t addr = read_s32 t addr land 0xFFFFFFFF
 
 let write_u32 t addr v =
   let addr = addr land 0xFFFFFFFF in
   check_aligned addr;
-  let p = page t addr and o = addr land page_mask in
-  Bytes.set p o (Char.chr (v land 0xFF));
-  Bytes.set p (o + 1) (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set p (o + 2) (Char.chr ((v lsr 16) land 0xFF));
-  Bytes.set p (o + 3) (Char.chr ((v lsr 24) land 0xFF))
+  set32 (page t addr) (addr land page_mask) (Int32.of_int v)
 
 let touched_pages t = Hashtbl.length t.pages
 

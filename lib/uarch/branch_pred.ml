@@ -23,8 +23,6 @@ type t = {
   mutable ras_top : int;     (* next slot to push, in [0, ras length) *)
   mutable ras_count : int;   (* valid entries, capped at the ring length *)
   mutable history : int;
-  mutable lookups : int;
-  mutable mispredicts : int;
 }
 
 let make ~perfect ~hist_bits ~btb_entries ~ras_entries =
@@ -41,8 +39,6 @@ let make ~perfect ~hist_bits ~btb_entries ~ras_entries =
     ras_top = 0;
     ras_count = 0;
     history = 0;
-    lookups = 0;
-    mispredicts = 0;
   }
 
 let create () = make ~perfect:false ~hist_bits ~btb_entries ~ras_entries
@@ -87,45 +83,31 @@ let ras_pop t =
     t.ras.(t.ras_top)
   end
 
-let record t outcome =
-  t.lookups <- t.lookups + 1;
-  (match outcome with
-  | `Mispredict -> t.mispredicts <- t.mispredicts + 1
-  | `Correct -> ());
-  outcome
-
 let on_branch t ~pc ~kind ~taken ~target ~fallthrough =
   ignore fallthrough;
-  if t.perfect then record t `Correct
+  if t.perfect then `Correct
   else
     match kind with
     | Cond ->
       let predicted = predict_dir t pc in
       train_dir t pc taken;
-      record t (if predicted = taken then `Correct else `Mispredict)
-    | Direct -> record t `Correct
+      if predicted = taken then `Correct else `Mispredict
+    | Direct -> `Correct
     | Indirect ->
       let predicted = btb_predict t pc in
       btb_train t pc target;
-      record t (if predicted = target then `Correct else `Mispredict)
+      if predicted = target then `Correct else `Mispredict
     | Return ->
-      record t (if ras_pop t = target then `Correct else `Mispredict)
+      if ras_pop t = target then `Correct else `Mispredict
 
 let on_call t ~pc ~target ~fallthrough ~indirect =
-  if t.perfect then record t `Correct
+  if t.perfect then `Correct
   else begin
     ras_push t fallthrough;
     if indirect then begin
       let predicted = btb_predict t pc in
       btb_train t pc target;
-      record t (if predicted = target then `Correct else `Mispredict)
+      if predicted = target then `Correct else `Mispredict
     end
-    else record t `Correct
+    else `Correct
   end
-
-let lookups t = t.lookups
-let mispredicts t = t.mispredicts
-
-let mispredict_rate t =
-  if t.lookups = 0 then 0.
-  else float_of_int t.mispredicts /. float_of_int t.lookups

@@ -43,7 +43,3 @@ val on_call : t -> pc:int -> target:int -> fallthrough:int -> indirect:bool ->
   [ `Correct | `Mispredict ]
 (** A call: pushes the return address on the RAS; indirect calls also
     consult/train the BTB for their target. *)
-
-val lookups : t -> int
-val mispredicts : t -> int
-val mispredict_rate : t -> float

@@ -228,7 +228,7 @@ let predict t desc ~pc ~taken ~target =
 
 (* The single consumption path, over the machine's (allocation free)
    step record. It reads the instruction only through its pre-decoded
-   descriptor [r.desc], never by matching [r.insn].
+   descriptor [r.desc], never by matching an instruction.
    [rsid < 0] means an application instruction;
    [branch < 0] no branch, else bit 0 = taken / bit 1 = dise_internal;
    [mem_addr = Raw.no_mem] no memory access. *)
@@ -326,12 +326,12 @@ let consume_raw t (r : Machine.Raw.t) =
   in
   t.fetch_cycle <- Int.max t.fetch_cycle fetch;
   (* ---- issue / execute ---- *)
-  (* [Desc.use1]/[use2] are a [Reg.index] or -1 and [Desc.t] is
-     private, so [+ 1] is always a slot of [reg_ready]. *)
+  (* A descriptor slot is always a slot of [reg_ready] ([Desc.t] is
+     private), and an absent source reads slot 0. *)
   let src_ready =
     Int.max
-      (Array.unsafe_get t.reg_ready (Desc.use1 desc + 1))
-      (Array.unsafe_get t.reg_ready (Desc.use2 desc + 1))
+      (Array.unsafe_get t.reg_ready (Desc.use1_slot desc))
+      (Array.unsafe_get t.reg_ready (Desc.use2_slot desc))
   in
   (* Issue bandwidth: at most [width] instructions may begin execution
      per cycle; the [width]-th previous issue bounds this one (the
@@ -343,8 +343,8 @@ let consume_raw t (r : Machine.Raw.t) =
   let fetch_dominant = start = fetch in
   t.issue.(t.seq land t.rob_mask) <- start;
   let complete = start + latency_of t desc ~mem_addr:r.Machine.Raw.mem_addr in
-  let d = Desc.def1 desc in
-  if d >= 0 then Array.unsafe_set t.reg_ready (d + 1) complete;
+  let d = Desc.def1_slot desc in
+  if d > 0 then Array.unsafe_set t.reg_ready d complete;
   (* ---- control flow ---- *)
   (if r.Machine.Raw.branch >= 0 then begin
      let taken = r.Machine.Raw.branch land 1 <> 0 in
@@ -424,7 +424,7 @@ let consume_raw t (r : Machine.Raw.t) =
           ("len", Json.Int r.Machine.Raw.len) ]
     in
     Trace.complete tr
-      ~name:(I.to_string r.Machine.Raw.insn)
+      ~name:(I.to_string (Machine.Raw.insn r))
       ~cat:(if r.Machine.Raw.rsid < 0 then "app" else "rep")
       ~ts:fetch ~dur:(Int.max 1 (retire - fetch))
       ~tid:(1 + (t.seq mod t.trace_lanes))

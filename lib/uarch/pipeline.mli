@@ -54,8 +54,8 @@ val create :
 val consume_raw : t -> Dise_machine.Machine.Raw.t -> unit
 (** Account for one dynamic instruction: reads the machine's mutable
     record directly, and the instruction only through its pre-decoded
-    descriptor ([Raw.desc], see {!Dise_isa.Desc}); [Raw.insn] is read
-    by the trace sink alone. Without sinks it allocates nothing (test
+    descriptor ([Raw.desc], see {!Dise_isa.Desc}); only the trace sink
+    rebuilds the instruction ([Raw.insn]). Without sinks it allocates nothing (test
     "pipeline allocation-free" in test/test_uarch.ml bounds a whole
     {!run} at one minor-heap word per instruction, one-time costs
     included). {!run} drives this via {!Dise_machine.Machine.run_raw};

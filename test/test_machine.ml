@@ -413,7 +413,7 @@ let test_event_stream () =
     check bool_ "e3 does not fetch" false e3.fetched_new_pc;
     check bool_ "e3 has a memory address" true (e3.mem_addr <> no_mem);
     check bool_ "same pc for both replacement events" true (e2.pc = e3.pc);
-    check bool_ "e4 is the halt" true (e4.insn = Insn.Halt)
+    check bool_ "e4 is the halt" true (Machine.Raw.insn e4 = Insn.Halt)
   | _ -> Alcotest.fail "expected exactly four events");
   ()
 
@@ -573,7 +573,7 @@ let test_jit_step_equivalence () =
       let a = Machine.raw interp and b = Machine.raw jit in
       check int_ (Printf.sprintf "event %d: pc" n) a.pc b.pc;
       check bool_ (Printf.sprintf "event %d: insn" n) true
-        (Insn.equal a.insn b.insn);
+        (Insn.equal (Machine.Raw.insn a) (Machine.Raw.insn b));
       check bool_ (Printf.sprintf "event %d: origin" n) true
         (a.rsid = b.rsid && a.offset = b.offset && a.len = b.len);
       check bool_ (Printf.sprintf "event %d: flags" n) true

@@ -253,44 +253,178 @@ let prop_use_def_indices =
       present [ Insn.use1 i; Insn.use2 i ] = List.map Reg.index (Insn.uses i)
       && present [ Insn.def1 i ] = List.map Reg.index (Insn.defs i))
 
-(* --- machine vs. reference ALU semantics ----------------------------------- *)
+(* --- machine vs. the reference interpreter ------------------------------ *)
 
-(* A direct evaluator over an int array, the specification the machine
-   must agree with on straight-line ALU code. *)
-let eval_reference prog =
-  let regs = Array.make 32 0 in
-  let get r = match r with Reg.R 0 -> 0 | Reg.R n -> regs.(n) | _ -> 0 in
-  let set r v =
-    match r with Reg.R 0 -> () | Reg.R n -> regs.(n) <- Opcode.signed32 v | _ -> ()
+(* Random architectural state: register values mix small integers,
+   word-aligned and unaligned addresses into a data window, the text
+   base, and arbitrary 32-bit values; the data window holds random
+   words. *)
+let data_window = 0x10000
+
+type start = { regs : int array; dregs : int array; words : int array }
+
+let start_gen =
+  let open QCheck.Gen in
+  let word =
+    map2
+      (fun lo hi -> Opcode.signed32 (lo lor (hi lsl 30)))
+      (int_bound 0x3FFFFFFF) (int_bound 3)
   in
-  List.iter
-    (fun i ->
-      match i with
-      | Insn.Rop (op, a, b, c) -> set c (Opcode.eval_rop op (get a) (get b))
-      | Insn.Ropi (op, a, v, c) -> set c (Opcode.eval_rop op (get a) v)
-      | Insn.Lui (v, c) -> set c (v lsl 16)
-      | _ -> assert false)
-    prog;
-  regs
+  let value =
+    frequency
+      [
+        (3, int_range (-40) 40);
+        (3, map (fun k -> data_window + (4 * k)) (int_bound 63));
+        (1, map (fun k -> data_window + k) (int_bound 255));
+        (1, return 0x100000);
+        (2, word);
+      ]
+  in
+  map3
+    (fun regs dregs words -> { regs; dregs; words })
+    (array_repeat Reg.num_arch value)
+    (array_repeat Reg.num_dedicated value)
+    (array_repeat 64 word)
 
+(* Instructions from {!Gens.insn_gen}, with memory operations made
+   common and their offsets small, mostly word multiples, so that they
+   land in the data window off an aligned base. *)
+let near_insn_gen =
+  let open QCheck.Gen in
+  let offset =
+    frequency
+      [ (3, map (fun k -> 4 * k) (int_range (-2) 16)); (1, int_range (-8) 64) ]
+  in
+  let mem =
+    map3
+      (fun op (base, data) off -> Insn.Mem (op, base, off, data))
+      (oneofl Opcode.all_mops) (pair Gens.reg_gen Gens.reg_gen) offset
+  in
+  frequency [ (1, mem); (1, Gens.insn_gen ~pc:0x100000) ]
+
+let apply_start s m =
+  Array.iteri (fun n v -> if n > 0 then Machine.set_reg m (Reg.r n) v) s.regs;
+  Array.iteri (fun n v -> Machine.set_dise_reg m n v) s.dregs;
+  Array.iteri
+    (fun k v ->
+      Dise_machine.Memory.write_u32 (Machine.memory m)
+        (data_window + (4 * k))
+        v)
+    s.words
+
+(* A side's step, the state after it, and its description. *)
+type outcome = {
+  result : (bool, string) result;
+  event : Machine.Raw.t;
+  insn : Insn.t option;  (* the executed instruction, when it ran *)
+  state : int list;  (* every register, pc, disepc, memory checksum *)
+}
+
+let all_regs =
+  List.init Reg.num_arch Reg.r @ List.init Reg.num_dedicated Reg.d
+
+let outcome result ~raw ~insn ~regs ~pc ~disepc ~mem =
+  {
+    result;
+    event = { raw with Machine.Raw.pc = raw.Machine.Raw.pc };
+    insn = (match result with Ok true -> Some insn | _ -> None);
+    state =
+      pc :: disepc :: Dise_machine.Memory.checksum mem
+      :: List.map (Regfile.get regs) all_regs;
+  }
+
+let try_step f =
+  match f () with
+  | s -> Ok s
+  | exception ex -> Error (Printexc.to_string ex)
+
+let machine_outcome m =
+  let result = try_step (fun () -> Machine.step m) in
+  let raw = Machine.raw m in
+  outcome result ~raw
+    ~insn:(match result with Ok true -> Machine.Raw.insn raw | _ -> Insn.Nop)
+    ~regs:(Machine.regs m) ~pc:(Machine.pc m) ~disepc:(Machine.disepc m)
+    ~mem:(Machine.memory m)
+
+let ref_outcome r =
+  let result = try_step (fun () -> Dise_fuzz.Ref_machine.step r) in
+  outcome result ~raw:(Dise_fuzz.Ref_machine.raw r)
+    ~insn:(Dise_fuzz.Ref_machine.insn r)
+    ~regs:(Dise_fuzz.Ref_machine.regs r) ~pc:(Dise_fuzz.Ref_machine.pc r)
+    ~disepc:(Dise_fuzz.Ref_machine.disepc r)
+    ~mem:(Dise_fuzz.Ref_machine.memory r)
+
+(* Two outcomes agree on the result (or the error), the state after
+   the step and, when it ran, every field of its description. *)
+let agree a b =
+  a.result = b.result && a.state = b.state && a.insn = b.insn
+  &&
+  match a.result with
+  | Ok true ->
+    let x = a.event and y = b.event in
+    x.pc = y.pc
+    && (x.desc :> int) = (y.desc :> int)
+    && x.imm = y.imm && x.rsid = y.rsid && x.offset = y.offset
+    && x.len = y.len && x.expansion_start = y.expansion_start
+    && x.fetched_new_pc = y.fetched_new_pc && x.mem_addr = y.mem_addr
+    && x.branch = y.branch
+    && (x.branch < 0 || x.target = y.target)
+  | Ok false | Error _ -> true
+
+(* Run [insn] from [s] on the three sides, as the application
+   instruction at [main] or ([in_seq]) in the middle of a replacement
+   sequence [nop; insn; nop] that the [nop] at [main] triggers, and
+   compare every step up to the one that executes [insn]. *)
+let three_sides_agree s ~in_seq insn =
+  let items =
+    [ Program.Label "main"; Program.Ins (if in_seq then Insn.Nop else insn);
+      Program.Ins Insn.Halt ]
+  in
+  let img = Program.layout items in
+  let main = Option.get (Program.Image.symbol img "main") in
+  let expander =
+    if in_seq then begin
+      let e = Machine.expansion ~rsid:7 [| Insn.Nop; insn; Insn.Nop |] in
+      fun ~pc _ -> if pc = main then Some e else None
+    end
+    else fun ~pc:_ _ -> None
+  in
+  let fresh () =
+    let m = Machine.create ~expander img in
+    apply_start s m;
+    m
+  in
+  let interp = fresh () in
+  let jit = fresh () in
+  Machine.enable_jit ~threshold:1 jit;
+  let reference = Dise_fuzz.Ref_machine.of_machine ~expander (fresh ()) in
+  let rec go k =
+    k = 0
+    ||
+    let a = machine_outcome interp in
+    let b = machine_outcome jit in
+    let c = ref_outcome reference in
+    agree a b && agree a c
+    && (match a.result with Ok true -> go (k - 1) | Ok false | Error _ -> true)
+  in
+  go (if in_seq then 2 else 1)
+
+(* Each case: eight generated instructions and the example of every
+   opcode key, each run from the case's random state, as an
+   application instruction and inside a sequence. *)
 let prop_machine_matches_reference =
-  QCheck.Test.make ~name:"machine agrees with reference ALU evaluator"
-    ~count:200 Gens.arbitrary_alu_program (fun prog ->
-      let items =
-        (Dise_isa.Program.Label "main"
-         :: List.map (fun i -> Dise_isa.Program.Ins i) prog)
-        @ [ Dise_isa.Program.Ins Insn.Halt ]
-      in
-      let img = Dise_isa.Program.layout items in
-      let m = Machine.create img in
-      ignore (Machine.run_raw m ignore);
-      let expected = eval_reference prog in
-      let ok = ref true in
-      for n = 1 to 7 do
-        if Regfile.get (Machine.regs m) (Reg.r n) <> expected.(n) then
-          ok := false
-      done;
-      !ok)
+  QCheck.Test.make
+    ~name:"machine and JIT agree with Ref_machine on every instruction"
+    ~count:40
+    (QCheck.make
+       ~print:(fun (l, _) -> String.concat "; " (List.map Insn.to_string l))
+       (QCheck.Gen.pair (QCheck.Gen.list_repeat 8 near_insn_gen) start_gen))
+    (fun (insns, s) ->
+      List.for_all
+        (fun i ->
+          three_sides_agree s ~in_seq:false i
+          && three_sides_agree s ~in_seq:true i)
+        (insns @ List.init Insn.num_keys Insn.example_of_key))
 
 let prop_machine_deterministic =
   QCheck.Test.make ~name:"machine runs are deterministic" ~count:20
@@ -380,21 +514,35 @@ let desc_agrees i =
   && Desc.def1 d = Insn.def1 i
   && Desc.exec d = exec_spec i
   && Desc.branch d = branch_spec i
+  && Desc.use1_slot d = Insn.use1 i + 1
+  && Desc.use2_slot d = Insn.use2 i + 1
+  && Desc.def1_slot d = Insn.def1 i + 1
+  && (not (Desc.unresolved d))
+  && Desc.to_insn d (Desc.imm_of_insn i) = i
+
+(* A label target is marked unresolved; [Program.layout] resolves it. *)
+let unresolved_marked i =
+  match Insn.map_target (fun _ -> Insn.Lab "l") i with
+  | (Insn.Br _ | Insn.Jmp _ | Insn.Jal _) as j ->
+    Desc.unresolved (Desc.of_insn j)
+  | j -> not (Desc.unresolved (Desc.of_insn j))
 
 let prop_desc_fields =
   QCheck.Test.make ~name:"descriptor fields agree with Insn" ~count:500
     (Gens.arbitrary_insn ~pc:0x100000) (fun i ->
-      desc_agrees i
+      desc_agrees i && unresolved_marked i
       && desc_agrees (Insn.Jr Reg.ra)
       && List.for_all
            (fun k -> desc_agrees (Insn.example_of_key k))
            (List.init Insn.num_keys Fun.id))
 
 let descs_of seq = Array.map Desc.of_insn seq
+let imms_of seq = Array.map Desc.imm_of_insn seq
 
-(* Every image carries its instructions' descriptors, and every
-   expansion, from the memoizing engine (dense and sparse memo) and
-   from the reference expander alike, carries its sequence's. *)
+(* Every image carries its instructions' descriptors and immediates,
+   and every expansion, from the memoizing engine (dense and sparse
+   memo) and from the reference expander alike, carries its
+   sequence's. *)
 let prop_descs_match_insns =
   QCheck.Test.make ~name:"image and expansion descriptors match their insns"
     ~count:5
@@ -409,6 +557,7 @@ let prop_descs_match_insns =
       in
       let image_ok img =
         Program.Image.raw_descs img = descs_of (Program.Image.raw_insns img)
+        && Program.Image.raw_imms img = imms_of (Program.Image.raw_insns img)
       in
       let expansions_ok img prodset =
         let expanders =
@@ -424,7 +573,10 @@ let prop_descs_match_insns =
                 match expand ~pc:addr insn with
                 | Some e ->
                   incr n;
-                  ok := !ok && e.Machine.descs = descs_of e.Machine.seq
+                  ok :=
+                    !ok
+                    && e.Machine.descs = descs_of e.Machine.seq
+                    && e.Machine.imms = imms_of e.Machine.seq
                 | None -> ())
               expanders)
           img;

@@ -119,8 +119,8 @@ let test_instruction_mix () =
   ignore
     (Machine.run_raw ~max_steps:2_000_000 m (fun r ->
          incr total;
-         if Insn.reads_memory r.Machine.Raw.insn then incr loads;
-         if Insn.writes_memory r.Machine.Raw.insn then incr stores));
+         if Insn.reads_memory (Machine.Raw.insn r) then incr loads;
+         if Insn.writes_memory (Machine.Raw.insn r) then incr stores));
   let lf = float_of_int !loads /. float_of_int !total in
   let sf = float_of_int !stores /. float_of_int !total in
   (* The paper's fault isolation expands ~30% of instructions
