@@ -673,7 +673,7 @@ let serve_cmd =
            ~docv:"FILE"
            ~doc:"Replay a deterministic chaos schedule against the worker \
                  tier: a JSON file of seeded fault events \
-                 (kill/stall/torn/drop_ping/suspect) fired as the \
+                 (kill/stall/torn/drop_ping) fired as the \
                  submitted-request count passes each event's 'after' \
                  (doc/schema/chaos_schedule.schema.json). The same file \
                  replays identically on every run. See doc/resilience.md.")

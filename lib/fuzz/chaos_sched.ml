@@ -8,7 +8,6 @@ type action =
   | Stall of { shard : int; ms : int }
   | Torn of { shard : int }
   | Drop_ping of { shard : int }
-  | Suspect of { shard : int }
 
 type event = { after : int; action : action }
 
@@ -53,7 +52,6 @@ let event_of_json i j =
       | Some (Json.String "torn") -> Ok { after; action = Torn { shard } }
       | Some (Json.String "drop_ping") ->
         Ok { after; action = Drop_ping { shard } }
-      | Some (Json.String "suspect") -> Ok { after; action = Suspect { shard } }
       | Some (Json.String a) -> err (Printf.sprintf "unknown action %S" a)
       | _ -> err "missing \"action\""))
 
@@ -125,7 +123,6 @@ let event_to_json { after; action } =
   | Stall { shard; ms } -> base "stall" shard [ ("ms", Json.Int ms) ]
   | Torn { shard } -> base "torn" shard []
   | Drop_ping { shard } -> base "drop_ping" shard []
-  | Suspect { shard } -> base "suspect" shard []
 
 let to_json t =
   Json.Obj
@@ -153,8 +150,6 @@ let hook t ~requests =
           acts := Coordinator.Chaos_torn { shard; cut } :: !acts
         | Drop_ping { shard } ->
           acts := Coordinator.Chaos_drop_ping { shard } :: !acts
-        | Suspect { shard } ->
-          acts := Coordinator.Chaos_suspect { shard } :: !acts
       end)
     t.events;
   List.rev !acts

@@ -11,8 +11,7 @@
        {"after": 40, "action": "kill",    "shard": 2, "permanent": true},
        {"after": 10, "action": "stall",   "shard": 1, "ms": 500},
        {"after": 20, "action": "torn",    "shard": 0},
-       {"after": 15, "action": "drop_ping", "shard": 1},
-       {"after": 12, "action": "suspect", "shard": 0}
+       {"after": 15, "action": "drop_ping", "shard": 1}
      ]}
     v}
 
@@ -31,16 +30,15 @@ type action =
   | Stall of { shard : int; ms : int }
   | Torn of { shard : int }
   | Drop_ping of { shard : int }
-  | Suspect of { shard : int }
 
 type event = { after : int; action : action }
 
 type t
 
 val of_json : Dise_telemetry.Json.t -> (t, Dise_isa.Diag.t) result
-(** Decode and validate one schedule document. Unknown actions,
-    negative counts, and missing members are rejected with a parse
-    diagnostic naming the offending event. *)
+(** Decode and validate one schedule document. Unknown actions
+    (retired ones included), negative counts, and missing members are
+    rejected with a parse diagnostic naming the offending event. *)
 
 val of_file : string -> (t, Dise_isa.Diag.t) result
 

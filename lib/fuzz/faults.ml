@@ -336,7 +336,9 @@ let serve_sigint_drain () =
             Unix.kill pid Sys.sigint)
       in
       let summary, lines =
-        serve_raw ~stop ~cfg:(Serve_config.of_flags ~jobs:2 ~queue:4 ()) input
+        serve_raw ~stop
+          ~cfg:Serve_config.(override (default ()) ~jobs:2 ~queue:4 ())
+          input
       in
       Domain.join killer;
       (* The drain contract: no exception, every emitted response line
@@ -387,7 +389,7 @@ let with_chaos spec f =
 let serve_poisoned_job () =
   with_chaos "raise=2" (fun () ->
       expect_stream
-        ~cfg:(Serve_config.of_flags ~jobs:2 ~queue:4 ())
+        ~cfg:Serve_config.(override (default ()) ~jobs:2 ~queue:4 ())
         (String.concat "\n" [ job ~dyn:41_001 1; job ~dyn:41_002 2; job ~dyn:41_003 3 ] ^ "\n")
         [
           (Some (Json.Int 1), None);
@@ -404,7 +406,8 @@ let serve_poisoned_job () =
 let serve_deadline_overrun () =
   with_chaos "sleep=2:3750" (fun () ->
       expect_stream
-        ~cfg:(Serve_config.of_flags ~jobs:2 ~queue:4 ~deadline_ms:750 ())
+        ~cfg:
+          Serve_config.(override (default ()) ~jobs:2 ~queue:4 ~deadline_ms:750 ())
         (String.concat "\n" [ job ~dyn:41_011 1; job ~dyn:41_012 2; job ~dyn:41_013 3 ] ^ "\n")
         [
           (Some (Json.Int 1), None);
@@ -419,14 +422,16 @@ let serve_shedding () =
   let input = String.concat "\n" (List.init 4 (fun i -> job ~dyn:2_000 (i + 1))) ^ "\n" in
   let summary, _ =
     serve_raw
-      ~cfg:(Serve_config.of_flags ~jobs:2 ~queue:4 ~shed_above:2_500 ())
+      ~cfg:
+        Serve_config.(override (default ()) ~jobs:2 ~queue:4 ~shed_above:2_500 ())
       input
   in
   if summary.Server.shed <> 3 then
     Error (Printf.sprintf "%d jobs shed, wanted 3" summary.Server.shed)
   else
     expect_stream
-      ~cfg:(Serve_config.of_flags ~jobs:2 ~queue:4 ~shed_above:2_500 ())
+      ~cfg:
+        Serve_config.(override (default ()) ~jobs:2 ~queue:4 ~shed_above:2_500 ())
       input
       [
         (Some (Json.Int 1), None);
@@ -485,7 +490,7 @@ let serve_sick_cache_degrades () =
       List.iter (fun p -> write_raw p "not a directory") block_paths;
       let buf = Buffer.create 256 in
       let manifest = Dise_telemetry.Manifest.to_buffer buf in
-      let cfg = Serve_config.of_flags ~jobs:2 ~queue:6 () in
+      let cfg = Serve_config.(override (default ()) ~jobs:2 ~queue:6 ()) in
       let in_r, in_w = Unix.pipe ~cloexec:true () in
       let out_r, out_w = Unix.pipe ~cloexec:true () in
       let tier =
@@ -589,7 +594,7 @@ let serve_worker_sigkill_resubmits () =
       let summary, lines =
         with_chaos "sleep=1:1500" (fun () ->
             serve_raw ~on_spawn ~cache_dir:cdir
-              ~cfg:(Serve_config.of_flags ~jobs:1 ~queue:4 ())
+              ~cfg:Serve_config.(override (default ()) ~jobs:1 ~queue:4 ())
               input)
       in
       Domain.join killer;
@@ -629,8 +634,8 @@ let resilience_faults ~seed:_ =
 (* --- chaos faults ------------------------------------------------------- *)
 
 (* One replayable chaos run against a 3-worker tier: lose a heartbeat,
-   gray-stall one worker (hedge), tear a frame mid-stream (torn-tail
-   respawn), then kill a worker permanently (failover). The tier's
+   gray-stall one worker (missed heartbeats), tear a frame mid-stream
+   (torn-tail respawn), then kill a worker permanently (failover). The tier's
    contract under all of it: every request answered exactly once, in
    order, all ok — and the whole run deterministic, so two executions
    of the same schedule produce the same normalized response stream
@@ -688,8 +693,7 @@ let chaos_run ~seed () =
     ^ "\n"
   in
   let cfg =
-    Serve_config.of_flags ~workers:3 ~jobs:1 ~heartbeat_ms:100
-      ~suspect_misses:2 ()
+    Serve_config.(override (default ()) ~workers:3 ~jobs:1 ~heartbeat_ms:100 ())
   in
   let summary, lines = serve_raw ~cfg ~chaos:(Chaos_sched.hook sched) input in
   (* The normalized projection: (id, outcome) in emission order.

@@ -65,8 +65,8 @@ val serve_raw :
 val chaos_faults : seed:int -> report
 (** Scheduled chaos against a live 3-worker tier ([disesim fuzz
     --chaos]): a fixed {!Chaos_sched} schedule drops a heartbeat,
-    gray-stalls one worker past the hedge threshold, tears a frame
-    mid-stream, and permanently kills a shard mid-run — asserting
+    gray-stalls one worker for several heartbeat intervals, tears a
+    frame mid-stream, and permanently kills a shard mid-run — asserting
     every request is still answered exactly once, in order, all ok,
     with zero summary errors; and that two executions of the same
     schedule produce identical normalized response streams. *)

@@ -676,7 +676,7 @@ let compile_block t j start_pc =
   end
 
 (* Retire every superblock: the production set (or a PT/RT entry)
-   changed, so all flattened expansions are suspect. Counts and block
+   changed, so all flattened expansions may be stale. Counts and block
    indices restart cold; hot traces re-earn compilation under the new
    generation. *)
 let jit_reset t j =

@@ -11,16 +11,13 @@ let env_var = "DISESIM_SERVE_WORKER"
 let h_execute = Metrics.Histogram.make "serve_execute_ns"
 
 (* Client-observed latency of every logical request the coordinator
-   completes (enqueue to response, hedges and retries included). The
-   supervision layer hedges against this instrument's p95. *)
+   completes (enqueue to response, respawns and failovers included). *)
 let h_tier = Metrics.Histogram.make "tier_request_ns"
 
 (* Supervision and admission events, counted where they happen. *)
 let timeouts = Metrics.Counter.make "timeouts"
 let shed = Metrics.Counter.make "shed"
 let conn_failures = Metrics.Counter.make "conn_failures"
-let hedges = Metrics.Counter.make "hedges"
-let hedge_wins = Metrics.Counter.make "hedge_wins"
 let failovers = Metrics.Counter.make "failovers"
 let torn_frames = Metrics.Counter.make "torn_frames"
 
@@ -51,8 +48,7 @@ let torn_frames = Metrics.Counter.make "torn_frames"
    interval, so a long legitimate job never looks like a dead worker.
    A frame loop wedged outside any batch (the chaos [stall] op, a
    deadlock) answers nothing — exactly the signal the health machine
-   wants. Long jobs are bounded by [deadline_ms] and latency hedging
-   instead.
+   wants. Long jobs are bounded by [deadline_ms] instead.
 
    [hello] synchronizes the stream: a worker is a re-exec of the host
    executable, and anything linked into that host may write banners to
@@ -228,7 +224,7 @@ let out_write fd os =
 (* --- worker process ----------------------------------------------------- *)
 
 (* The spawn spec a worker finds in [DISESIM_SERVE_WORKER]:
-   {"shard":S,"workers":N,"cache":DIR|null,
+   {"shard":S,"cache":DIR|null,
     "jit":{"enabled":B,"threshold":K}?,"config":SERVE_CONFIG} *)
 
 type wspec = {
@@ -500,22 +496,25 @@ type chaos_action =
   | Chaos_stall of { shard : int; ms : int }
   | Chaos_torn of { shard : int; cut : int }
   | Chaos_drop_ping of { shard : int }
-  | Chaos_suspect of { shard : int }
 
-(* One logical client request. Routing normally gives it a single leg
-   (one [seq] on one worker), but supervision may hedge it (a second
-   leg on the next ring worker) or re-route it (failover). Exactly one
-   client response is ever delivered, whichever leg answers first with
-   a non-error; [lr_done] dedupes the stragglers. *)
+(* Supervision constants. A worker is declared dead after this many
+   consecutive missed heartbeats, and a shard is failed over after
+   this many respawns. *)
+let dead_misses = 20
+let respawn_cap = 100
+
+(* One logical client request. It has exactly one leg at a time: one
+   [seq] in one worker's inflight table. A respawn hands the same
+   [seq] to the replacement process; a failover re-routes the request
+   through the shrunk ring under a fresh [seq]. Removing the leg from
+   its table is what completes the request, so a duplicate answer
+   finds nothing and is dropped. *)
 type lreq = {
   lr_id : Json.t;
   lr_key : string;  (* result-cache key: the routing key *)
   lr_req : Json.t;  (* request document, re-framed per leg *)
   lr_enq : float;
   lr_complete : tag:string -> Json.t -> unit;
-  mutable lr_primary : int;  (* shard of the routed (non-hedge) leg *)
-  mutable lr_legs : (int * int) list;  (* (shard, seq) still outstanding *)
-  mutable lr_done : bool;
 }
 
 type worker = {
@@ -525,7 +524,7 @@ type worker = {
   mutable from_w : Unix.file_descr;
   mutable wout : outstream;
   win : instream;
-  (* seq -> logical request with a leg on this worker; a respawned
+  (* seq -> logical request whose leg is on this worker; a respawned
      worker is handed every entry again (re-framed from the lreq,
      byte-identical to the original frame). *)
   inflight : (int, lreq) Hashtbl.t;
@@ -581,7 +580,6 @@ let worker_spec t shard =
     (Json.Obj
        ([
           ("shard", Json.Int shard);
-          ("workers", Json.Int (Array.length t.workers));
           ( "cache",
             match t.cache_dir with
             | None -> Json.Null
@@ -623,8 +621,7 @@ let spawn_env spec =
 let fresh_health cfg =
   Resilience.Health.create
     ~interval_s:(float_of_int cfg.Serve_config.heartbeat_ms /. 1000.)
-    ~suspect_misses:cfg.Serve_config.suspect_misses
-    ~dead_misses:cfg.Serve_config.dead_misses ()
+    ~dead_misses ()
 
 let spawn_into t w =
   let stdin_r, stdin_w = Unix.pipe ~cloexec:true () in
@@ -661,8 +658,8 @@ let rec reap pid =
 let stop_frame = lazy (frame_string (Json.Obj [ ("op", Json.String "stop") ]))
 
 (* Every leg of a logical request is framed from the lreq, so a
-   respawned (or hedge, or failover) worker receives bytes identical
-   to the original frame apart from [seq]. *)
+   respawned (or failover) worker receives bytes identical to the
+   original frame apart from [seq]. *)
 let job_frame lr ~seq =
   frame_string
     (Json.Obj
@@ -674,31 +671,26 @@ let job_frame lr ~seq =
          ("req", lr.lr_req);
        ])
 
-(* Route by result-cache key: identical requests always reach the
-   same worker, whose memory owns that slice of the keyspace. *)
+(* Give [lr] its leg: route it by result-cache key through the
+   current ring (identical requests always reach the same worker,
+   whose memory owns that slice of the keyspace) under a fresh
+   [seq]. *)
+let route_lreq t lr =
+  let w = t.workers.(Shard.route t.ring lr.lr_key) in
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  Hashtbl.replace w.inflight seq lr;
+  out_push w.wout (job_frame lr ~seq)
+
 let submit t (p : Server.parsed) req ~enq ~complete =
-  match p.Server.req with
-  | Error _ -> invalid_arg "Coordinator.submit: unrunnable job"
-  | Ok _ ->
-    let key = Request.key req in
-    let shard = Shard.route t.ring key in
-    let w = t.workers.(shard) in
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    let lr =
-      {
-        lr_id = p.Server.id;
-        lr_key = key;
-        lr_req = Request.to_json req;
-        lr_enq = enq;
-        lr_complete = complete;
-        lr_primary = shard;
-        lr_legs = [ (shard, seq) ];
-        lr_done = false;
-      }
-    in
-    Hashtbl.replace w.inflight seq lr;
-    out_push w.wout (job_frame lr ~seq)
+  route_lreq t
+    {
+      lr_id = p.Server.id;
+      lr_key = Request.key req;
+      lr_req = Request.to_json req;
+      lr_enq = enq;
+      lr_complete = complete;
+    }
 
 let create ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg =
   let workers_n = max 1 cfg.Serve_config.workers in
@@ -776,16 +768,9 @@ let tally t ~tag ~kind =
     | Some "internal" -> t.s_isolated <- t.s_isolated + 1
     | _ -> ())
 
-(* Deliver the single client response of a logical request (via the
-   worker [w] that answered) and retire every outstanding leg, so
-   stragglers — a hedge sibling, a duplicate after a respawn race —
-   find no table entry and are dropped. *)
+(* Deliver the client response of a logical request whose leg the
+   worker [w] answered (the caller has removed the leg). *)
 let complete_lreq t w lr ~tag ~kind resp =
-  lr.lr_done <- true;
-  List.iter
-    (fun (shard, seq) -> Hashtbl.remove t.workers.(shard).inflight seq)
-    lr.lr_legs;
-  lr.lr_legs <- [];
   w.served <- w.served + 1;
   (match tag with
   | "hit" -> w.hits <- w.hits + 1
@@ -795,42 +780,22 @@ let complete_lreq t w lr ~tag ~kind resp =
   tally t ~tag ~kind;
   lr.lr_complete ~tag resp
 
+(* [w]'s inflight legs in submission order. *)
+let inflight_legs w =
+  Hashtbl.fold (fun seq lr acc -> (seq, lr) :: acc) w.inflight []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
 (* Shutdown straggler path: there is no respawn to hand work to, so
-   every pending request on [w] is answered with an internal error
-   (once — a hedged request aborted on one worker must not be aborted
-   again on the other). *)
-let abort_pending t w =
-  let pending =
-    Hashtbl.fold (fun seq lr acc -> (seq, lr) :: acc) w.inflight []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
+   every pending request on [w] is answered with an internal error. *)
+let abort_pending w =
+  let legs = inflight_legs w in
   Hashtbl.reset w.inflight;
   List.iter
     (fun (_, lr) ->
-      if not lr.lr_done then begin
-        lr.lr_done <- true;
-        List.iter
-          (fun (shard, seq) -> Hashtbl.remove t.workers.(shard).inflight seq)
-          lr.lr_legs;
-        lr.lr_legs <- [];
-        lr.lr_complete ~tag:"error"
-          (Server.error_response lr.lr_id
-             (Diag.Internal "worker exited during shutdown"))
-      end)
-    pending
-
-(* Re-route a legless logical request through the (post-failover)
-   ring. The new leg becomes primary: a response from it is normal
-   failover recovery, not a hedge win. *)
-let resubmit_lreq t lr =
-  let shard = Shard.route t.ring lr.lr_key in
-  let w = t.workers.(shard) in
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  lr.lr_primary <- shard;
-  lr.lr_legs <- [ (shard, seq) ];
-  Hashtbl.replace w.inflight seq lr;
-  out_push w.wout (job_frame lr ~seq)
+      lr.lr_complete ~tag:"error"
+        (Server.error_response lr.lr_id
+           (Diag.Internal "worker exited during shutdown")))
+    legs
 
 (* Terminal failover: [w] is gone for good (heartbeat death or respawn
    cap). Shrink the ring so only the dead worker's keys move, re-route
@@ -843,7 +808,7 @@ let fail_over t w ~reason =
   Resilience.Health.force_dead w.health ~reason;
   let survivors = List.filter (fun s -> s <> w.shard) (Shard.alive t.ring) in
   if survivors = [] then begin
-    abort_pending t w;
+    abort_pending w;
     raise
       (Cache.Diag_error
          (Diag.Internal
@@ -857,21 +822,9 @@ let fail_over t w ~reason =
     w.shard reason (List.length survivors)
     (if List.length survivors = 1 then "" else "s");
   t.ring <- Shard.remove t.ring w.shard;
-  let pending =
-    Hashtbl.fold (fun seq lr acc -> (seq, lr) :: acc) w.inflight []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
+  let legs = inflight_legs w in
   Hashtbl.reset w.inflight;
-  List.iter
-    (fun (seq, lr) ->
-      if not lr.lr_done then begin
-        lr.lr_legs <-
-          List.filter (fun (s, q) -> not (s = w.shard && q = seq)) lr.lr_legs;
-        (* A hedge leg may still be racing on a survivor; only a
-           request with no live leg left needs re-routing. *)
-        if lr.lr_legs = [] then resubmit_lreq t lr
-      end)
-    pending
+  List.iter (fun (_, lr) -> route_lreq t lr) legs
 
 (* Supervision-initiated death of a live process: heartbeat loss means
    the worker may be wedged rather than exited, so it is killed before
@@ -903,10 +856,10 @@ let handle_crash t w reason =
   (try Unix.close w.from_w with Unix.Unix_error _ -> ());
   w.alive <- false;
   reap w.pid;
-  if t.shutting_down then abort_pending t w
+  if t.shutting_down then abort_pending w
   else begin
     w.restarts <- w.restarts + 1;
-    if w.restarts > t.cfg.Serve_config.respawn_cap then
+    if w.restarts > respawn_cap then
       fail_over t w
         ~reason:
           (Printf.sprintf "%s; respawn cap exhausted (%d respawns)" reason
@@ -917,14 +870,9 @@ let handle_crash t w reason =
          respawning@."
         w.shard w.pid reason;
       spawn_into t w;
-      let pending =
-        Hashtbl.fold (fun seq lr acc -> (seq, lr) :: acc) w.inflight []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
       List.iter
-        (fun (seq, lr) ->
-          if not lr.lr_done then out_push w.wout (job_frame lr ~seq))
-        pending
+        (fun (seq, lr) -> out_push w.wout (job_frame lr ~seq))
+        (inflight_legs w)
     end
   end
 
@@ -933,11 +881,9 @@ let dispatch t w doc =
   | Some (Json.String "resp") -> (
     let seq = match Json.member "seq" doc with Some (Json.Int s) -> s | _ -> -1 in
     match Hashtbl.find_opt w.inflight seq with
-    | None -> () (* canceled leg or duplicate after a respawn race *)
+    | None -> () (* a duplicate after a respawn race *)
     | Some lr ->
       Hashtbl.remove w.inflight seq;
-      lr.lr_legs <-
-        List.filter (fun (s, q) -> not (s = w.shard && q = seq)) lr.lr_legs;
       let tag =
         match Json.member "tag" doc with Some (Json.String s) -> s | _ -> "error"
       in
@@ -951,16 +897,7 @@ let dispatch t w doc =
           Server.error_response lr.lr_id
             (Diag.Internal "worker response without body")
       in
-      if lr.lr_done then ()
-      else if tag = "error" && lr.lr_legs <> [] then
-        (* A hedge sibling is still racing; an error here must not beat
-           a success there. If every leg errors, the last one answers
-           the client. *)
-        ()
-      else begin
-        if w.shard <> lr.lr_primary then Metrics.Counter.incr hedge_wins;
-        complete_lreq t w lr ~tag ~kind resp
-      end)
+      complete_lreq t w lr ~tag ~kind resp)
   | Some (Json.String "pong") -> Resilience.Health.pong w.health
   | Some (Json.String "summary") ->
     w.got_summary <- true;
@@ -1026,53 +963,12 @@ let flush_worker t w =
 
 (* --- supervision -------------------------------------------------------- *)
 
-(* Hedge a Suspect worker's outstanding requests: each single-leg
-   request gains a leg on the next worker clockwise on the ring — the
-   worker that would inherit its key if the suspect were removed.
-   First non-error answer wins; {!complete_lreq} dedupes the loser.
-   Idempotent per request (a request is never hedged past two legs),
-   so the supervision tick can call this every pass while the worker
-   stays Suspect. *)
-let hedge_worker t w =
-  Hashtbl.iter
-    (fun _seq lr ->
-      if (not lr.lr_done) && List.length lr.lr_legs = 1 then
-        match Shard.next t.ring lr.lr_key ~avoid:w.shard with
-        | None -> ()
-        | Some shard2 ->
-          let w2 = t.workers.(shard2) in
-          if w2.alive && not w2.dead then begin
-            let seq2 = t.next_seq in
-            t.next_seq <- seq2 + 1;
-            lr.lr_legs <- (shard2, seq2) :: lr.lr_legs;
-            Hashtbl.replace w2.inflight seq2 lr;
-            out_push w2.wout (job_frame lr ~seq:seq2);
-            Metrics.Counter.incr hedges
-          end)
-    w.inflight
-
 (* One supervision pass, run from the event loop between selects:
-   send due heartbeats, flag gray failures (a request outliving
-   [hedge_p95x] times the tier p95 marks its worker Suspect), hedge
-   Suspect workers, and fail Dead ones over. A worker is pinged only
-   once its hello has synced the stream: start-up (exec, module
+   send due heartbeats and fail Dead workers over. A worker is pinged
+   only once its hello has synced the stream: start-up (exec, module
    initialization) is not a missed heartbeat. *)
 let supervise t =
-  let cfg = t.cfg in
-  if (not t.shutting_down) && cfg.Serve_config.heartbeat_ms > 0 then begin
-    (* One tier-latency bound per pass, shared by every worker's
-       gray-failure check; meaningless below a minimal sample. *)
-    let latency_limit =
-      if cfg.Serve_config.hedge_p95x <= 0. then infinity
-      else
-        let snap = Metrics.Histogram.snapshot h_tier in
-        if snap.Metrics.Histogram.count >= 32 then
-          cfg.Serve_config.hedge_p95x
-          *. float_of_int (Metrics.Histogram.quantile snap 0.95)
-          /. 1e9
-        else infinity
-    in
-    let now = Unix.gettimeofday () in
+  if (not t.shutting_down) && t.cfg.Serve_config.heartbeat_ms > 0 then
     Array.iter
       (fun w ->
         if w.alive && not w.dead then begin
@@ -1091,24 +987,11 @@ let supervise t =
             end;
             Resilience.Health.ping_sent h
           end;
-          if latency_limit < infinity then
-            Hashtbl.iter
-              (fun _ lr ->
-                if now -. lr.lr_enq > latency_limit then
-                  Resilience.Health.suspect h
-                    ~reason:"request outlived the hedge latency bound")
-              w.inflight;
-          match Resilience.Health.state h with
-          | Resilience.Health.Healthy -> ()
-          | Resilience.Health.Suspect -> hedge_worker t w
-          | Resilience.Health.Dead ->
-            declare_dead t w
-              ~reason:
-                (Option.value (Resilience.Health.reason h)
-                   ~default:"heartbeat loss")
+          match Resilience.Health.reason h with
+          | None -> ()
+          | Some reason -> declare_dead t w ~reason
         end)
       t.workers
-  end
 
 (* --- chaos -------------------------------------------------------------- *)
 
@@ -1127,8 +1010,7 @@ let apply_chaos t act =
       (* The EOF on its pipe reaches [handle_crash], which respawns
          the shard — or, with the cap pre-exhausted for a permanent
          kill, fails it over. *)
-      if permanent then
-        w.restarts <- max w.restarts t.cfg.Serve_config.respawn_cap;
+      if permanent then w.restarts <- max w.restarts respawn_cap;
       (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ()))
   | Chaos_stall { shard; ms } -> (
     match live shard with
@@ -1149,10 +1031,6 @@ let apply_chaos t act =
     match live shard with
     | None -> ()
     | Some w -> w.drop_pings <- w.drop_pings + 1)
-  | Chaos_suspect { shard } -> (
-    match live shard with
-    | None -> ()
-    | Some w -> Resilience.Health.suspect w.health ~reason:"chaos schedule")
 
 (* Count one client request against the chaos schedule and apply
    whatever faults it releases. Called at the front door, never for
@@ -1561,6 +1439,14 @@ let run ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg front_end =
   in
   Fun.protect ~finally @@ fun () ->
   let t = create ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg in
+  (* The select deadline bounds the supervision tick: a quarter of the
+     heartbeat interval, so every ping leaves on time, and at most
+     0.25 s. *)
+  let tick =
+    match t.cfg.Serve_config.heartbeat_ms with
+    | 0 -> 0.25
+    | hb -> Float.min 0.25 (float_of_int hb /. 4000.)
+  in
   let conns =
     ref
       (match front_end with
@@ -1681,9 +1567,7 @@ let run ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg front_end =
           |> List.filter_map (fun w ->
                  if w.alive && out_pending w.wout then Some w.to_w else None))
       in
-      (* The select deadline bounds the supervision tick, so it must
-         stay well under the heartbeat interval. *)
-      (match Unix.select rs ws [] 0.25 with
+      (match Unix.select rs ws [] tick with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | rready, wready, _ ->
         (match listener with

@@ -21,22 +21,20 @@
       that had stored their result return as cache hits and the rest
       are recomputed.
       Beyond crash-respawn, the coordinator heartbeats every worker
-      ([ping]/[pong] frames, {!Resilience.Health}): a worker that
-      misses [suspect_misses] consecutive heartbeats — or holds a
-      request longer than [hedge_p95x] times the tier's request p95
-      (gray failure) — turns [Suspect] and its in-flight requests are
-      {e hedged} to the next worker on the ring; the first non-error
-      response wins and duplicates are deduped. A worker that misses
-      [dead_misses] heartbeats or exhausts [respawn_cap] is declared
-      [Dead] and {e failed over}: it is removed from the ring (only
-      its keys move, {!Shard.remove}), its in-flight requests are
-      re-routed through the surviving ring, and the tier keeps
-      serving in degraded mode — the merged summary's ["topology"] member
-      records the new shape. Pings start once a worker's hello
-      arrives, and a worker keeps ponging while a batch runs (a
-      helper domain does it once the batch outlives half an
-      interval), so heartbeat death means a wedged frame loop, never
-      a long legitimate job;
+      every [heartbeat_ms] ([ping]/[pong] frames,
+      {!Resilience.Health}). A worker that misses 20 consecutive
+      heartbeats, or whose shard has been respawned 100 times, is
+      declared [Dead] and {e failed over}: it is removed from the
+      ring (only its keys move, {!Shard.remove}), its in-flight
+      requests are re-routed through the surviving ring, and the
+      tier keeps serving in degraded mode — the merged summary's
+      ["topology"] member records the new shape. Every request has
+      exactly one leg (one [seq] on one worker) at a time, so it
+      executes once unless its worker dies under it. Pings start
+      once a worker's hello arrives, and a worker keeps ponging
+      while a batch runs (a helper domain does it once the batch
+      outlives half an interval), so heartbeat death means a wedged
+      frame loop, never a long legitimate job;
     - {e admission} — per-tenant quotas and [dyn_target] load
       shedding against the work in flight tier-wide; rejected jobs
       are answered ["overloaded"] by the coordinator without touching
@@ -74,15 +72,12 @@ val env_var : string
       first [cut] bytes of a frame and dies mid-write, leaving a torn
       tail on the pipe;
     - [Chaos_drop_ping] — lose the shard's next heartbeat in transit
-      (a guaranteed miss);
-    - [Chaos_suspect] — mark the shard [Suspect] directly, hedging
-      its in-flight requests on the next supervision pass. *)
+      (a guaranteed miss). *)
 type chaos_action =
   | Chaos_kill of { shard : int; permanent : bool }
   | Chaos_stall of { shard : int; ms : int }
   | Chaos_torn of { shard : int; cut : int }
   | Chaos_drop_ping of { shard : int }
-  | Chaos_suspect of { shard : int }
 
 val worker_child_main : unit -> unit
 (** Worker dispatch hook: call {e first} in any binary that may spawn

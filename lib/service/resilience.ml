@@ -15,55 +15,44 @@ let heartbeat_misses = Metrics.Counter.make "heartbeat_misses"
 
    Evidence feeding the machine:
    - [ping_sent] / [pong]: each unanswered ping is a miss; [pong]
-     clears the run. [suspect_misses] consecutive misses make the
-     worker Suspect, [dead_misses] make it Dead.
-   - [suspect ~reason]: external gray-failure evidence (a request
-     outliving a multiple of the tier p95) forces Suspect until the
-     next pong.
+     clears the run. [dead_misses] consecutive misses make the worker
+     Dead.
    - [force_dead ~reason]: terminal — the respawn cap, or the
      supervisor's own decision. Dead is absorbing; no pong revives a
      worker the tier has already failed over. *)
 module Health = struct
-  type state = Healthy | Suspect | Dead
+  type state = Healthy | Dead
 
-  let state_name = function
-    | Healthy -> "healthy"
-    | Suspect -> "suspect"
-    | Dead -> "dead"
+  let state_name = function Healthy -> "healthy" | Dead -> "dead"
 
   type t = {
     now : unit -> float;
     interval : float;
-    suspect_misses : int;
     dead_misses : int;
     mutable last_ping : float;  (* when the newest ping left *)
     mutable misses : int;       (* consecutive pings without a pong *)
     mutable awaiting : bool;    (* a ping is outstanding *)
-    mutable suspected : string option;  (* forced-Suspect reason *)
-    mutable dead : string option;       (* forced-Dead reason *)
+    mutable dead : string option;  (* forced-Dead reason *)
   }
 
-  let create ?(now = Unix.gettimeofday) ~interval_s ~suspect_misses
-      ~dead_misses () =
+  let create ?(now = Unix.gettimeofday) ~interval_s ~dead_misses () =
     {
       now;
       interval = Float.max 0.001 interval_s;
-      suspect_misses = max 1 suspect_misses;
       dead_misses = max 2 dead_misses;
       last_ping = neg_infinity;
       misses = 0;
       awaiting = false;
-      suspected = None;
       dead = None;
     }
 
-  (* Time to send the next ping? Also the point where the previous
-     ping, still unanswered after a full interval, becomes a miss. *)
   (* Dead is terminal however it was reached — by decree or by miss
      count. A late pong from a worker already declared dead must not
      resurrect it: the coordinator has by then failed it over. *)
   let is_dead t = t.dead <> None || t.misses >= t.dead_misses
 
+  (* Time to send the next ping? Also the point where the previous
+     ping, still unanswered after a full interval, becomes a miss. *)
   let due t =
     (not (is_dead t)) && t.now () -. t.last_ping >= t.interval
 
@@ -78,35 +67,23 @@ module Health = struct
   let pong t =
     if not (is_dead t) then begin
       t.awaiting <- false;
-      t.misses <- 0;
-      t.suspected <- None
+      t.misses <- 0
     end
-
-  let suspect t ~reason = if t.dead = None then t.suspected <- Some reason
 
   let force_dead t ~reason =
     if t.dead = None then t.dead <- Some reason
 
   let misses t = t.misses
+  let state t = if is_dead t then Dead else Healthy
 
-  let state t =
-    match t.dead with
-    | Some _ -> Dead
-    | None ->
-      if t.misses >= t.dead_misses then Dead
-      else if t.misses >= t.suspect_misses || t.suspected <> None then Suspect
-      else Healthy
-
-  (* Why the worker is not Healthy; [None] when it is. *)
+  (* Why the worker is Dead; [None] while it is Healthy. *)
   let reason t =
     match t.dead with
     | Some r -> Some r
     | None ->
       if t.misses >= t.dead_misses then
         Some (Printf.sprintf "%d consecutive heartbeat misses" t.misses)
-      else if t.misses >= t.suspect_misses then
-        Some (Printf.sprintf "%d heartbeat misses" t.misses)
-      else t.suspected
+      else None
 end
 
 (* --- bounded retry with exponential backoff + jitter -------------------- *)

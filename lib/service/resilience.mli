@@ -18,39 +18,28 @@ exception Deadline_exceeded
     when a job's wall-clock budget is exhausted. Mapped to
     {!Dise_isa.Diag.Timeout} by [Request.run_ext]. *)
 
-(** Per-worker health state machine ([Healthy] / [Suspect] / [Dead])
-    for tier supervision (doc/serve-tier.md, "Supervision and
-    failover").
+(** Per-worker health state machine ([Healthy] / [Dead]) for tier
+    supervision (doc/serve-tier.md, "Supervision and failover").
 
     The coordinator sends a heartbeat ping to every worker each
     [interval_s] and feeds the evidence in: {!ping_sent} when a ping
     leaves (an unanswered predecessor becomes a miss and bumps the
-    [heartbeat_misses] metrics counter), {!pong} when the worker answers
-    (clears the miss run and any forced suspicion). [suspect_misses]
-    consecutive misses make the worker [Suspect] — its in-flight
-    requests are hedged to the next worker on the ring —
-    [dead_misses] make it [Dead]. {!suspect} forces [Suspect] on
-    external gray-failure evidence (a request outliving the
-    configured multiple of the tier p95); {!force_dead} is terminal
-    (respawn cap exhausted, or the supervisor's verdict): [Dead] is
-    absorbing and triggers live failover. The clock is injectable so
-    transitions are testable without sleeping. *)
+    [heartbeat_misses] metrics counter), {!pong} when the worker
+    answers (clears the miss run). [dead_misses] consecutive misses
+    make the worker [Dead]; {!force_dead} is the same verdict on other
+    evidence (respawn cap exhausted). [Dead] is absorbing and triggers
+    live failover. The clock is injectable so transitions are testable
+    without sleeping. *)
 module Health : sig
   type t
-  type state = Healthy | Suspect | Dead
+  type state = Healthy | Dead
 
   val state_name : state -> string
-  (** ["healthy"], ["suspect"], or ["dead"]. *)
+  (** ["healthy"] or ["dead"]. *)
 
   val create :
-    ?now:(unit -> float) ->
-    interval_s:float ->
-    suspect_misses:int ->
-    dead_misses:int ->
-    unit ->
-    t
-  (** [suspect_misses] clamps to >= 1, [dead_misses] to >= 2,
-      [interval_s] to >= 1 ms. *)
+    ?now:(unit -> float) -> interval_s:float -> dead_misses:int -> unit -> t
+  (** [dead_misses] clamps to >= 2, [interval_s] to >= 1 ms. *)
 
   val due : t -> bool
   (** Is it time to send the next ping? Always [false] once Dead. *)
@@ -58,12 +47,10 @@ module Health : sig
   val ping_sent : t -> unit
 
   val pong : t -> unit
-  (** An answered ping clears misses and any latency suspicion. A
-      pong arriving once Dead is ignored: death is terminal however
-      it was reached, so a late answer cannot resurrect a failed-over
-      worker. *)
+  (** An answered ping clears the miss run. A pong arriving once Dead
+      is ignored: death is terminal however it was reached, so a late
+      answer cannot resurrect a failed-over worker. *)
 
-  val suspect : t -> reason:string -> unit
   val force_dead : t -> reason:string -> unit
 
   val misses : t -> int
@@ -72,7 +59,7 @@ module Health : sig
   val state : t -> state
 
   val reason : t -> string option
-  (** Why the worker is not Healthy ([None] when it is). *)
+  (** Why the worker is Dead ([None] while it is Healthy). *)
 end
 
 val with_retries :

@@ -11,7 +11,7 @@
 
     Precedence, lowest to highest: {!default}, a config file
     ({!of_file}), explicit flags ({!override}). The CLI composes all
-    three; library callers usually want {!of_flags}. *)
+    three; library callers write [override (default ()) ...flags ()]. *)
 
 type t = {
   workers : int;
@@ -34,47 +34,16 @@ type t = {
           answered ["overloaded"]. [None] (default): no quota *)
   manifest : string option;  (** JSONL telemetry manifest path *)
   heartbeat_ms : int;
-      (** coordinator-to-worker heartbeat interval; [0] disables
-          supervision pings entirely (default 500) *)
-  suspect_misses : int;
-      (** consecutive missed heartbeats before a worker is [Suspect]
-          and its in-flight requests are hedged (default 3, >= 1) *)
-  dead_misses : int;
-      (** consecutive missed heartbeats before a worker is declared
-          [Dead] and failed over out of the ring (default 20, >= 2) *)
-  hedge_p95x : float;
-      (** gray-failure latency hedge: a request outliving
-          [hedge_p95x] times the tier's request p95 marks its worker
-          [Suspect]; [0] disables latency hedging (default 8.0) *)
-  respawn_cap : int;
-      (** respawns granted to one shard before its worker is declared
-          [Dead] and failed over (default 100; [0] = first crash is
-          terminal) *)
+      (** coordinator-to-worker heartbeat interval, the one
+          supervision setting: a worker that misses 20 consecutive
+          heartbeats is declared dead and failed over (see
+          {!Coordinator}); [0] disables supervision pings entirely
+          (default 500) *)
 }
 
 val default : unit -> t
 (** [jobs] from {!Pool.default_jobs}, [queue = 4 * jobs], everything
     else off / at its documented default. *)
-
-val of_flags :
-  ?workers:int ->
-  ?jobs:int ->
-  ?queue:int ->
-  ?deadline_ms:int ->
-  ?shed_above:int ->
-  ?tenant_quota:int ->
-  ?manifest:string ->
-  ?heartbeat_ms:int ->
-  ?suspect_misses:int ->
-  ?dead_misses:int ->
-  ?hedge_p95x:float ->
-  ?respawn_cap:int ->
-  unit ->
-  t
-(** Build a config from optional flag values — the mechanical
-    migration shim for former [Server.opts] callers. Unset flags take
-    the {!default}; out-of-range values are clamped ([workers]/[jobs]/
-    [queue] >= 1). *)
 
 val override :
   t ->
@@ -86,15 +55,13 @@ val override :
   ?tenant_quota:int ->
   ?manifest:string ->
   ?heartbeat_ms:int ->
-  ?suspect_misses:int ->
-  ?dead_misses:int ->
-  ?hedge_p95x:float ->
-  ?respawn_cap:int ->
   unit ->
   t
 (** [override cfg ...flags] replaces exactly the members a flag was
     given for — how [--config FILE] composes with explicit flags.
-    Giving [?jobs] without [?queue] re-derives [queue = 4 * jobs]. *)
+    Giving [?jobs] without [?queue] re-derives [queue = 4 * jobs];
+    out-of-range values are clamped ([workers]/[jobs]/[queue] >= 1,
+    [heartbeat_ms] >= 0). *)
 
 val to_json : t -> Dise_telemetry.Json.t
 (** Canonical encoding: fixed member order, [None] members omitted.
@@ -104,7 +71,7 @@ val of_json : Dise_telemetry.Json.t -> (t, Dise_isa.Diag.t) result
 (** Total over arbitrary JSON: missing members take their defaults,
     explicit [null] clears an optional member, unknown members are
     {e rejected} (a config file typo must not silently disable a
-    knob). [of_json (to_json c) = Ok c] for any normalized [c]. *)
+    knob, and a retired member is named in the error). [of_json (to_json c) = Ok c] for any normalized [c]. *)
 
 val of_file : string -> (t, Dise_isa.Diag.t) result
 (** Read and decode one JSON config file. *)

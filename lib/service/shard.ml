@@ -48,9 +48,10 @@ let remove t dead =
     invalid_arg "Shard.remove: cannot remove the last worker";
   { points }
 
-(* First point at or after the key's position, wrapping to the start
-   of the ring: binary search for the leftmost point >= h. *)
-let start_index t key =
+(* The owner of the first point at or after the key's position,
+   wrapping to the start of the ring: binary search for the leftmost
+   point >= h. *)
+let route t key =
   let h = position key in
   let n = Array.length t.points in
   let rec search lo hi =
@@ -60,21 +61,4 @@ let start_index t key =
       if fst t.points.(mid) < h then search (mid + 1) hi else search lo mid
   in
   let i = search 0 n in
-  if i = n then 0 else i
-
-let route t key = snd t.points.(start_index t key)
-
-(* The hedge target: the first worker clockwise after the key's
-   position that is not [avoid] — the worker that would inherit the
-   key if [avoid] left the ring, so a hedged request and a failed-over
-   one land on the same shard. [None] on a ring of one worker. *)
-let next t key ~avoid =
-  let n = Array.length t.points in
-  let start = start_index t key in
-  let rec scan steps i =
-    if steps = n then None
-    else
-      let w = snd t.points.(i) in
-      if w <> avoid then Some w else scan (steps + 1) ((i + 1) mod n)
-  in
-  scan 0 start
+  snd t.points.(if i = n then 0 else i)

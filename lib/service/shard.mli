@@ -37,9 +37,3 @@ val remove : t -> int -> t
 val route : t -> string -> int
 (** [route t key] is the shard that owns [key]. Total and pure —
     every string routes somewhere, and equal keys route equally. *)
-
-val next : t -> string -> avoid:int -> int option
-(** [next t key ~avoid] is the hedge target for [key]: the first
-    worker clockwise after [key]'s position that is not [avoid] —
-    exactly the worker that inherits [key] if [avoid] is
-    {!remove}d. [None] when [avoid] is the only worker. *)

@@ -75,8 +75,9 @@ let kind_of r = Json.member "kind" (member "error" r)
 
 let test_serve_config_roundtrip () =
   let cfg =
-    Serve_config.of_flags ~workers:3 ~jobs:2 ~deadline_ms:500 ~shed_above:9_000
-      ~tenant_quota:4 ~heartbeat_ms:250 ()
+    Serve_config.(
+      override (default ()) ~workers:3 ~jobs:2 ~deadline_ms:500 ~shed_above:9_000
+        ~tenant_quota:4 ~heartbeat_ms:250 ())
   in
   check int_ "jobs-only queue default is 4x" 8 cfg.Serve_config.queue;
   let j = Serve_config.to_json cfg in
@@ -97,7 +98,7 @@ let test_serve_config_roundtrip () =
   let over = Serve_config.override cfg ~jobs:5 ~workers:2 () in
   check int_ "override jobs" 5 over.Serve_config.jobs;
   check int_ "a tier has at least one worker" 1
-    (Serve_config.of_flags ~workers:0 ()).Serve_config.workers;
+    Serve_config.(override (default ()) ~workers:0 ()).workers;
   check int_ "override re-derives queue" 20 over.Serve_config.queue;
   check bool_ "untouched members survive override" true
     (over.Serve_config.deadline_ms = Some 500
@@ -110,9 +111,10 @@ let test_serve_config_roundtrip () =
   | Error (Diag.Parse _) -> ()
   | _ -> Alcotest.fail "mistyped member accepted"
 
-(* The crash journal, the cache breaker and the journal-truncating
-   chaos action are gone; a config file or schedule that still names
-   them is rejected, never silently ignored. *)
+(* The crash journal, the cache breaker, hedging and the Suspect state
+   are gone, and the supervision thresholds are constants; a config
+   file or schedule that still names any of them is rejected, never
+   silently ignored. *)
 let test_retired_inputs_rejected () =
   List.iter
     (fun (name, v) ->
@@ -128,31 +130,38 @@ let test_retired_inputs_rejected () =
       ("journal", Json.String "/tmp/j");
       ("breaker", Json.Int 8);
       ("breaker_cooldown_ms", Json.Int 5000);
+      ("suspect_misses", Json.Int 2);
+      ("hedge_p95x", Json.Float 8.0);
+      ("dead_misses", Json.Int 20);
+      ("respawn_cap", Json.Int 100);
     ];
-  let sched =
-    Json.Obj
-      [
-        ("seed", Json.Int 1);
-        ( "events",
-          Json.List
-            [
-              Json.Obj
+  List.iter
+    (fun action ->
+      let sched =
+        Json.Obj
+          [
+            ("seed", Json.Int 1);
+            ( "events",
+              Json.List
                 [
-                  ("after", Json.Int 0);
-                  ("action", Json.String "truncate_journal");
-                  ("shard", Json.Int 0);
-                ];
-            ] );
-      ]
-  in
-  match Chaos_sched.of_json sched with
-  | Error (Diag.Parse { msg; _ }) ->
-    check bool_
-      (Printf.sprintf "the retired action is unknown (got %S)" msg)
-      true
-      (msg = {|event 0: unknown action "truncate_journal"|})
-  | Error d -> Alcotest.fail ("wrong diag: " ^ Diag.to_string d)
-  | Ok _ -> Alcotest.fail "the retired chaos action was accepted"
+                  Json.Obj
+                    [
+                      ("after", Json.Int 0);
+                      ("action", Json.String action);
+                      ("shard", Json.Int 0);
+                    ];
+                ] );
+          ]
+      in
+      match Chaos_sched.of_json sched with
+      | Error (Diag.Parse { msg; _ }) ->
+        check bool_
+          (Printf.sprintf "the retired action %s is unknown (got %S)" action msg)
+          true
+          (msg = Printf.sprintf "event 0: unknown action %S" action)
+      | Error d -> Alcotest.fail ("wrong diag: " ^ Diag.to_string d)
+      | Ok _ -> Alcotest.fail ("the retired chaos action " ^ action ^ " was accepted"))
+    [ "truncate_journal"; "suspect" ]
 
 (* --- the consistent-hash ring -------------------------------------------- *)
 
@@ -266,7 +275,7 @@ let test_tenant_quota_order () =
   in
   let summary, rs =
     Serve_harness.serve
-      ~cfg:(Serve_config.of_flags ~jobs:1 ~queue:8 ~tenant_quota:1 ())
+      ~cfg:Serve_config.(override (default ()) ~jobs:1 ~queue:8 ~tenant_quota:1 ())
       lines
   in
   check int_ "five responses" 5 (List.length rs);
@@ -312,14 +321,12 @@ let test_tenant_quota_order () =
 
 (* Run [lines] through a real worker tier and return
    (summary, responses, manifest records). *)
-let serve_sharded ?on_spawn ?chaos ?heartbeat_ms ?suspect_misses
-    ?dead_misses ?hedge_p95x ~workers lines =
+let serve_sharded ?on_spawn ?chaos ?heartbeat_ms ~workers lines =
   with_temp_dir (fun dir ->
       let mbuf = Buffer.create 4096 in
       let manifest = Manifest.to_buffer mbuf in
       let cfg =
-        Serve_config.of_flags ~workers ~jobs:1 ~queue:16 ?heartbeat_ms
-          ?suspect_misses ?dead_misses ?hedge_p95x ()
+        Serve_config.(override (default ()) ~workers ~jobs:1 ~queue:16 ?heartbeat_ms ())
       in
       let summary, responses =
         Serve_harness.serve ~cfg ?on_spawn ?chaos ~manifest
@@ -434,8 +441,8 @@ let test_coordinator_crash_recovery () =
 
 (* Run the socket front end on a background domain and hand the test
    body a connector; stop and join on the way out. *)
-let with_socket_tier ?(cfg = Serve_config.of_flags ~workers:1 ~jobs:1 ())
-    body =
+let with_socket_tier
+    ?(cfg = Serve_config.(override (default ()) ~workers:1 ~jobs:1 ())) body =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "tier.sock" in
       let stop = Server.Stop.create () in
@@ -491,7 +498,8 @@ let with_socket_tier ?(cfg = Serve_config.of_flags ~workers:1 ~jobs:1 ())
 let test_quota_released_on_conn_failure () =
   with_chaos "sleep=7:2500" (fun () ->
       with_socket_tier
-        ~cfg:(Serve_config.of_flags ~workers:1 ~jobs:1 ~tenant_quota:1 ())
+        ~cfg:
+          Serve_config.(override (default ()) ~workers:1 ~jobs:1 ~tenant_quota:1 ())
         (fun ~connect ~send ~recv_line ->
           let a = connect () in
           (* Shut the receive side down first, then pipeline a
@@ -577,11 +585,7 @@ let test_shard_shrink () =
       let after = Shard.route shrunk k in
       if before = dead then begin
         incr moved;
-        check bool_ (k ^ " moves off the dead worker") true (after <> dead);
-        (* ...and lands exactly where [next ~avoid] predicted: the
-           hedge target IS the failover inheritor *)
-        check bool_ (k ^ " inherited by the hedge target") true
-          (Shard.next ring k ~avoid:dead = Some after)
+        check bool_ (k ^ " moves off the dead worker") true (after <> dead)
       end
       else
         check int_ (k ^ " stays put when its owner survives") before after)
@@ -601,62 +605,9 @@ let test_shard_shrink () =
   let one = Shard.remove (Shard.remove shrunk 0) 1 in
   check bool_ "one survivor owns everything" true
     (List.for_all (fun k -> Shard.route one k = 3) keys);
-  check bool_ "no hedge target on a ring of one" true
-    (Shard.next one "anything" ~avoid:3 = None);
   match Shard.remove one 3 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "removing the last worker must raise"
-
-(* --- gray failure: hedged requests are deduplicated ----------------------- *)
-
-(* Both workers are forced Suspect every tick while one job is stalled
-   by a chaos directive, so the supervision pass hedges the stalled
-   request onto the sibling — and both legs eventually answer. The
-   client contract: every job exactly one response, in order, both
-   envelope dialects. *)
-let test_hedge_dedup () =
-  with_chaos "sleep=3:1200" (fun () ->
-      let hedges0 = counter "hedges" in
-      let chaos ~requests:_ =
-        [
-          Coordinator.Chaos_suspect { shard = 0 };
-          Coordinator.Chaos_suspect { shard = 1 };
-        ]
-      in
-      let lines =
-        [
-          job ~dyn:25_001 1;
-          job ~v:1 ~dyn:25_002 2;
-          job ~dyn:25_003 3;
-          (* the stalled one *)
-          job ~v:1 ~dyn:25_004 4;
-          job ~dyn:25_005 5;
-        ]
-      in
-      let summary, rs, records =
-        serve_sharded ~workers:2 ~heartbeat_ms:100 ~chaos lines
-      in
-      check int_ "five jobs served" 5 summary.Server.served;
-      check int_ "no errors" 0 summary.Server.errors;
-      check int_ "exactly one response per job" 5 (List.length rs);
-      List.iteri
-        (fun i r ->
-          check bool_
-            (Printf.sprintf "response %d ok, in order, v1" (i + 1))
-            true
-            (member "id" r = Json.Int (i + 1)
-            && member "ok" r = Json.Bool true
-            && Json.member "v" r = Some (Json.Int 1)))
-        rs;
-      let hedged = counter "hedges" in
-      check bool_
-        (Printf.sprintf "the stalled request was hedged (%d)"
-           (hedged - hedges0))
-        true
-        (hedged - hedges0 >= 1);
-      assert_valid
-        ~schema:(load_schema "serve_summary.schema.json")
-        (merged_record records))
 
 (* --- live failover: a permanent kill leaves a degraded tier --------------- *)
 
@@ -757,7 +708,8 @@ let outcome r =
    flight and shed the last two. *)
 let test_admission_window_parity () =
   let cfg =
-    Serve_config.of_flags ~workers:1 ~jobs:1 ~queue:1 ~shed_above:50_000 ()
+    Serve_config.(
+      override (default ()) ~workers:1 ~jobs:1 ~queue:1 ~shed_above:50_000 ())
   in
   let lines = List.init 3 (fun i -> job ~dyn:(50_001 + i) (i + 1)) in
   let _, stdio = Serve_harness.serve ~cfg lines in
@@ -786,15 +738,12 @@ let merged_counter record name =
   | None -> Alcotest.fail "merged record lacks counters"
 
 (* A legitimate job that outlives many heartbeat intervals must not
-   get its worker declared dead (nor its sibling, through a hedge):
-   the worker keeps ponging while the batch runs. Latency hedging is
-   switched off: the tier-latency histogram is process-wide and
-   earlier tests have filled it, and this test is about heartbeats. *)
+   miss a heartbeat or get its worker declared dead: the worker keeps
+   ponging while the batch runs. *)
 let test_long_job_keeps_heartbeat () =
   with_chaos "sleep=1:1000" (fun () ->
       let summary, rs, records =
-        serve_sharded ~workers:2 ~heartbeat_ms:50 ~suspect_misses:2
-          ~dead_misses:4 ~hedge_p95x:0.
+        serve_sharded ~workers:2 ~heartbeat_ms:50
           [ job ~dyn:25_301 1; job ~dyn:25_302 2 ]
       in
       check int_ "both jobs served" 2 summary.Server.served;
@@ -804,11 +753,13 @@ let test_long_job_keeps_heartbeat () =
       let record = merged_record records in
       List.iter
         (fun name -> check int_ (name ^ " during the long job") 0 (merged_counter record name))
-        [ "failovers"; "hedges"; "heartbeat_misses" ])
+        [ "failovers"; "heartbeat_misses" ])
 
 (* The keep-alive covers batches only: a frame loop wedged outside
    one (the chaos stall op) still stops answering, so supervision
-   still counts misses and hedges its requests. *)
+   still counts misses. The event loop ticks at a quarter of the
+   50 ms interval, so a 600 ms stall of both workers costs each about
+   eleven misses. *)
 let test_stall_still_detected () =
   let chaos ~requests =
     if requests = 1 then
@@ -819,17 +770,36 @@ let test_stall_still_detected () =
     else []
   in
   let summary, rs, records =
-    serve_sharded ~workers:2 ~heartbeat_ms:50 ~suspect_misses:2 ~dead_misses:4
-      ~chaos
+    serve_sharded ~workers:2 ~heartbeat_ms:50 ~chaos
       (List.init 4 (fun i -> job ~dyn:(25_311 + i) (i + 1)))
   in
   check int_ "all jobs served" 4 summary.Server.served;
   check bool_ "all ok" true (List.for_all (fun r -> member "ok" r = Json.Bool true) rs);
   let record = merged_record records in
   let misses = merged_counter record "heartbeat_misses" in
-  let hedges = merged_counter record "hedges" in
-  check bool_ (Printf.sprintf "stall missed heartbeats (%d)" misses) true (misses >= 1);
-  check bool_ (Printf.sprintf "stalled requests hedged (%d)" hedges) true (hedges >= 1)
+  check bool_ (Printf.sprintf "stall missed heartbeats (%d)" misses) true (misses >= 10)
+
+(* --- one leg per request ------------------------------------------------- *)
+
+(* A healthy tier runs every request exactly once, however long it
+   takes: a job held for 1.5 s behind 64 short ones (eight keys, so
+   most are cache hits and the tier's latency quantiles are small) is
+   not run a second time on the other worker. Each worker records one
+   [request_run_ns] sample per execution, hit or miss. *)
+let test_execute_once () =
+  with_chaos "sleep=65:1500" (fun () ->
+      let summary, rs, records =
+        serve_sharded ~workers:2
+          (List.init 64 (fun i -> job ~dyn:(25_401 + (i mod 8)) (i + 1))
+          @ [ job ~dyn:25_409 65 ])
+      in
+      check int_ "all jobs served" 65 summary.Server.served;
+      check bool_ "all ok" true
+        (List.for_all (fun r -> member "ok" r = Json.Bool true) rs);
+      let metrics = member "metrics" (merged_record records) in
+      match member "count" (member "request_run_ns" (member "histograms" metrics)) with
+      | Json.Int runs -> check int_ "executions" summary.Server.served runs
+      | _ -> Alcotest.fail "request_run_ns has no count")
 
 (* --- scheduled chaos: exactly-once under kill+stall+torn, twice ----------- *)
 
@@ -865,7 +835,6 @@ let suite =
       test_quota_released_on_conn_failure;
     Alcotest.test_case "ring shrink moves only the dead shard" `Quick
       test_shard_shrink;
-    Alcotest.test_case "hedged requests deduplicated" `Quick test_hedge_dedup;
     Alcotest.test_case "live failover serves degraded" `Quick
       test_failover_degraded;
     Alcotest.test_case "torn frame discarded and resubmitted" `Quick
@@ -878,4 +847,6 @@ let suite =
       test_long_job_keeps_heartbeat;
     Alcotest.test_case "stalled frame loop still detected" `Quick
       test_stall_still_detected;
+    Alcotest.test_case "every request executes once on a healthy tier" `Quick
+      test_execute_once;
   ]

@@ -197,7 +197,7 @@ let test_serve_summary_metrics () =
   let manifest = Manifest.to_buffer mbuf in
   let _summary =
     Serve_harness.serve ~manifest
-      ~cfg:(Dise_service.Serve_config.of_flags ~jobs:2 ~queue:2 ())
+      ~cfg:Dise_service.Serve_config.(override (default ()) ~jobs:2 ~queue:2 ())
       [
         {|{"id":1,"bench":"tiny","dyn_target":20000}|};
         {|{"id":2,"bench":"tiny","dyn_target":21000}|};

@@ -167,7 +167,7 @@ let test_serve_mixed_chunk () =
       in
       let summary, rs =
         Serve_harness.serve
-          ~cfg:(Serve_config.of_flags ~jobs:2 ~queue:8 ())
+          ~cfg:Serve_config.(override (default ()) ~jobs:2 ~queue:8 ())
           lines
       in
       check int_ "N+2 responses" 5 (List.length rs);
@@ -209,7 +209,7 @@ let test_serve_truncated_line_number () =
   in
   let _, rs =
     Serve_harness.serve
-      ~cfg:(Serve_config.of_flags ~jobs:1 ~queue:4 ())
+      ~cfg:Serve_config.(override (default ()) ~jobs:1 ~queue:4 ())
       [ job 1; big; job 3 ]
   in
   match rs with
@@ -257,7 +257,8 @@ let test_serve_shed_first_job_admitted () =
      mark bounds queued work, it must not starve legitimate jobs *)
   let summary, rs =
     Serve_harness.serve
-      ~cfg:(Serve_config.of_flags ~jobs:1 ~queue:4 ~shed_above:10_000 ())
+      ~cfg:
+        Serve_config.(override (default ()) ~jobs:1 ~queue:4 ~shed_above:10_000 ())
       [ job ~dyn:22_021 1 ]
   in
   check int_ "nothing shed" 0 summary.Server.shed;
@@ -270,7 +271,7 @@ let test_serve_manifest_record () =
   let manifest = Dise_telemetry.Manifest.to_buffer buf in
   let _ =
     Serve_harness.serve
-      ~cfg:(Serve_config.of_flags ~jobs:1 ~queue:2 ())
+      ~cfg:Serve_config.(override (default ()) ~jobs:1 ~queue:2 ())
       ~manifest [ job 1 ]
   in
   let record = Json.parse (String.trim (Buffer.contents buf)) in
@@ -347,7 +348,8 @@ let test_socket_supervision () =
       let stop = Server.Stop.create () in
       let server =
         Domain.spawn (fun () ->
-            Coordinator.run ~stop (Serve_config.of_flags ~jobs:1 ~queue:2 ())
+            Coordinator.run ~stop
+              Serve_config.(override (default ()) ~jobs:1 ~queue:2 ())
               (Coordinator.Socket path))
       in
       Fun.protect
@@ -391,10 +393,7 @@ let test_socket_supervision () =
 let test_health_states () =
   let open Resilience.Health in
   let t = ref 0.0 in
-  let h =
-    create ~now:(fun () -> !t) ~interval_s:1.0 ~suspect_misses:2
-      ~dead_misses:4 ()
-  in
+  let h = create ~now:(fun () -> !t) ~interval_s:1.0 ~dead_misses:4 () in
   check string_ "fresh worker healthy" "healthy" (state_name (state h));
   check bool_ "no reason while healthy" true (reason h = None);
   check bool_ "first ping due immediately" true (due h);
@@ -411,23 +410,15 @@ let test_health_states () =
   t := 2.7;
   ping_sent h;
   check int_ "one miss" 1 (misses h);
-  check string_ "one miss still healthy" "healthy" (state_name (state h));
   t := 3.8;
   ping_sent h;
   check int_ "two misses" 2 (misses h);
-  check string_ "suspect_misses reached" "suspect" (state_name (state h));
-  check bool_ "suspicion carries a reason" true (reason h <> None);
-  (* a pong heals suspicion *)
-  pong h;
-  check string_ "pong heals suspect" "healthy" (state_name (state h));
-  check bool_ "healed worker has no reason" true (reason h = None);
-  (* explicit suspicion (latency) also heals *)
-  suspect h ~reason:"slow";
-  check string_ "latency suspicion" "suspect" (state_name (state h));
-  check bool_ "latency reason kept" true (reason h = Some "slow");
-  pong h;
-  check string_ "pong heals latency suspicion" "healthy"
+  check string_ "misses below dead_misses stay healthy" "healthy"
     (state_name (state h));
+  check bool_ "healthy worker has no reason" true (reason h = None);
+  (* a pong clears the run *)
+  pong h;
+  check int_ "pong clears the miss run" 0 (misses h);
   (* ride the misses all the way to dead *)
   t := 10.0;
   for _ = 1 to 5 do
@@ -435,32 +426,30 @@ let test_health_states () =
     t := !t +. 1.1
   done;
   check string_ "dead_misses reached" "dead" (state_name (state h));
+  check bool_ "death carries a reason" true (reason h <> None);
   check bool_ "dead is sticky: no more pings" false (due h);
   pong h;
   check string_ "dead ignores a late pong" "dead" (state_name (state h));
   (* force_dead is immediate regardless of history *)
-  let h2 =
-    create ~now:(fun () -> 0.0) ~interval_s:1.0 ~suspect_misses:2
-      ~dead_misses:4 ()
-  in
+  let h2 = create ~now:(fun () -> 0.0) ~interval_s:1.0 ~dead_misses:4 () in
   force_dead h2 ~reason:"respawn cap";
   check string_ "force_dead immediate" "dead" (state_name (state h2));
   check bool_ "force_dead keeps its reason" true
     (reason h2 = Some "respawn cap")
 
 (* The serve counters live in the metrics registry, declared by the
-   modules that bump them; the retired breaker and journal counters
-   are gone. *)
+   modules that bump them; the retired breaker, journal and hedging
+   counters are gone. *)
 let test_counters () =
   let snap = (Metrics.snapshot ()).Metrics.counters in
   let serve_counters =
     [
       "isolated"; "timeouts"; "shed"; "retries"; "store_drops";
       "conn_failures"; "jit_compiles"; "jit_hits"; "jit_invalidations";
-      "hedges"; "hedge_wins"; "heartbeat_misses"; "failovers"; "torn_frames";
+      "heartbeat_misses"; "failovers"; "torn_frames";
     ]
   in
-  check int_ "fourteen serve counters" 14 (List.length serve_counters);
+  check int_ "twelve serve counters" 12 (List.length serve_counters);
   List.iter
     (fun name ->
       check bool_ (name ^ " present") true (List.mem_assoc name snap))
@@ -468,7 +457,10 @@ let test_counters () =
   List.iter
     (fun name ->
       check bool_ (name ^ " retired") false (List.mem_assoc name snap))
-    [ "breaker_trips"; "breaker_probes"; "breaker_closes"; "journal_replayed" ];
+    [
+      "breaker_trips"; "breaker_probes"; "breaker_closes"; "journal_replayed";
+      "hedges"; "hedge_wins";
+    ];
   let shed = Option.get (Metrics.find_counter "shed") in
   let before = Metrics.Counter.get shed in
   Metrics.Counter.incr shed;

@@ -371,7 +371,7 @@ let test_cold_warm_ratio_panel () =
    the one that simulates). *)
 let serve ?cache_dir lines =
   Serve_harness.serve ?cache_dir
-    ~cfg:(Dise_service.Serve_config.of_flags ~jobs:2 ~queue:1 ())
+    ~cfg:Dise_service.Serve_config.(override (default ()) ~jobs:2 ~queue:1 ())
     lines
 
 let member name j = Option.get (Json.member name j)
