@@ -8,7 +8,7 @@
      figures                  regenerate evaluation panels and ablations
      serve                    batch JSONL simulation service (stdin or socket)
      fuzz                     differential fuzzing + fault injection
-     conformance              architectural vectors on all four backends
+     conformance              architectural vectors on all three backends
      cache                    inspect or clear the on-disk result cache
      exec                     assemble and run a user program (+productions)
      safety                   inspect a production-set file
@@ -842,7 +842,9 @@ let exec_cmd =
             (fun f ->
               Format.eprintf "%s: %a@." path Dise_core.Safety.pp_finding f)
             (Dise_core.Safety.check set);
-          Some (Dise_core.Engine.expander (Dise_core.Engine.create set))
+          Some
+            (Dise_core.Engine.expander
+               (Dise_core.Engine.create ~image:img set))
         | Error d -> die d)
     in
     let m = Machine.create ?expander img in
@@ -1067,8 +1069,8 @@ let fuzz_cmd =
 let conformance_cmd =
   let doc =
     "Run the checked-in architectural conformance vectors (test/arch/) on \
-     all four expander backends (naive reference, dense-memo, \
-     hashtable-memo, superblock JIT) and write a per-cell CSV report. \
+     all three expander backends (naive reference, memoizing engine, \
+     superblock JIT) and write a per-cell CSV report. \
      Exits 1 on any signature mismatch. A correctness gate only: \
      performance is measured by perfbench/. See doc/observability.md."
   in

@@ -57,7 +57,7 @@ let () =
   Format.printf "decompression entries: %d; after inlining MFI the RT working set grows %.2fx@."
     (List.length r.A.Compress.entries)
     (A.Acf_compose.rt_entry_growth ~plain:r.A.Compress.prodset ~composed);
-  let engine = Core.Engine.create composed in
+  let engine = Core.Engine.create ~image:r.A.Compress.image composed in
   let m = Machine.create ~expander:(Core.Engine.expander engine) r.A.Compress.image in
   A.Mfi.install m ~data_seg:W.Codegen.data_segment_id
     ~code_seg:W.Codegen.code_segment_id;

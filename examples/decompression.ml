@@ -57,7 +57,9 @@ let () =
   in
   let m0 = Machine.create entry.W.Suite.image in
   ignore (Machine.run_raw ~max_steps:5_000_000 m0 ignore);
-  let engine = Dise_core.Engine.create r.Compress.prodset in
+  let engine =
+    Dise_core.Engine.create ~image:r.Compress.image r.Compress.prodset
+  in
   let m1 =
     Machine.create ~expander:(Dise_core.Engine.expander engine) r.Compress.image
   in

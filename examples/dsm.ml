@@ -41,7 +41,7 @@ let program =
 let run ~absent_block =
   let img = Program.layout program in
   let set = A.Dsm.productions_for img in
-  let engine = Dise_core.Engine.create set in
+  let engine = Dise_core.Engine.create ~image:img set in
   let m = Machine.create ~expander:(Dise_core.Engine.expander engine) img in
   A.Dsm.install m ~shadow_base ~data_base;
   (* The "coherence protocol": all four blocks present, then one pulled

@@ -36,7 +36,7 @@ let () =
   (* The protection is real: corrupt a pointer and watch it trap. *)
   let img = entry.W.Suite.image in
   let set = Mfi.productions_for img in
-  let engine = Dise_core.Engine.create set in
+  let engine = Dise_core.Engine.create ~image:img set in
   let m = Machine.create ~expander:(Dise_core.Engine.expander engine) img in
   (* Install a WRONG segment id so every access faults immediately. *)
   Mfi.install m ~data_seg:3 ~code_seg:0;

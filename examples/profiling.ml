@@ -14,7 +14,7 @@ let () =
   let entry = W.Suite.get ~dyn_target:80_000 (Option.get (W.Profile.find "twolf")) in
   let img = entry.W.Suite.image in
   let set = A.Profiling.productions () in
-  let engine = Dise_core.Engine.create set in
+  let engine = Dise_core.Engine.create ~image:img set in
   let m = Machine.create ~expander:(Dise_core.Engine.expander engine) img in
   let buffer = 0x06000000 in
   A.Profiling.install m ~buffer;

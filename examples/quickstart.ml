@@ -60,7 +60,7 @@ let () =
          |})
   in
   let set = Core.Prodset.resolve_labels (Program.Image.symbol img) set in
-  let engine = Core.Engine.create set in
+  let engine = Core.Engine.create ~image:img set in
   let m = Machine.create ~expander:(Core.Engine.expander engine) img in
   Machine.set_dise_reg m 2 1 (* $dr2 := legal data segment id *);
   ignore (Machine.run_raw m ignore);

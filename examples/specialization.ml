@@ -99,7 +99,7 @@ let run y =
   let img = Program.layout program in
   (* A mutable production set behind the expander: empty until the
      specialization point is reached. *)
-  let engine = ref (Core.Engine.create Core.Prodset.empty) in
+  let engine = ref (Core.Engine.create ~image:img Core.Prodset.empty) in
   let expander ~pc insn = Core.Engine.expand !engine ~pc insn in
   let m = Machine.create ~expander img in
   Dise_machine.Memory.write_u32 (Machine.memory m) 0x04000000 y;
@@ -115,7 +115,7 @@ let run y =
              Dise_machine.Regfile.get (Machine.regs m) (r 9)
            in
            let set, k = specialize observed in
-           engine := Core.Engine.create set;
+           engine := Core.Engine.create ~image:img set;
            kind := k
          end));
   let stats = Pipeline.finish pipeline in

@@ -18,7 +18,7 @@ let () =
   let entry = W.Suite.get ~dyn_target:80_000 W.Profile.tiny in
   let img = entry.W.Suite.image in
   let set = A.Watchpoint.productions_for img in
-  let engine = Dise_core.Engine.create set in
+  let engine = Dise_core.Engine.create ~image:img set in
 
   (* First, find an address the program actually writes. *)
   let first_store = ref None in
@@ -41,7 +41,7 @@ let () =
   let run ~expanded =
     let m =
       if expanded then begin
-        let engine = Dise_core.Engine.create set in
+        let engine = Dise_core.Engine.create ~image:img set in
         let m = Machine.create ~expander:(Dise_core.Engine.expander engine) img in
         A.Watchpoint.disarm m;
         m

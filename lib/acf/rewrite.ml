@@ -7,8 +7,6 @@ type variant =
   | Segment_matching
   | Sandboxing
 
-let inserted_per_check = function Segment_matching -> 4 | Sandboxing -> 3
-
 (* Scavenged registers (reserved by the workload generator). *)
 let r_dseg = Reg.r 23   (* data segment id (matching) or base (sandbox) *)
 let r_scratch = Reg.r 24  (* scratch (matching) or offset mask (sandbox) *)

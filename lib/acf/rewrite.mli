@@ -24,8 +24,6 @@ type variant =
   | Segment_matching
   | Sandboxing
 
-val inserted_per_check : variant -> int
-
 val rewrite :
   ?variant:variant ->
   ?check_jumps:bool ->

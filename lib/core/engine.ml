@@ -6,38 +6,25 @@ exception Expansion_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Expansion_error s)) fmt
 
-(* Expansion memo for a dense image: one slot per static instruction,
-   indexed by (pc - base) / 4, so the per-fetch lookup is a few array
-   reads instead of a hashtable probe. [known] marks computed slots;
-   [slots] stores the shared option, so cache hits allocate nothing.
-   [triggers] remembers the instruction each slot was computed for:
-   PC alone is not a sound key — an image can be re-laid-out (or a
-   direct caller can probe with a different instruction) so that the
-   same address carries a different trigger, and a PC-only memo would
-   return the stale expansion. A hit therefore requires the trigger to
-   match (physical equality first: the machine feeds back the very
-   predecoded instruction, so the structural comparison almost never
-   runs). *)
-type dense = {
-  dense_base : int;
-  known : Bytes.t;
-  triggers : I.t array;
-  slots : Machine.expansion option array;
-}
-
+(* The expansion memo: one slot per static instruction of the image,
+   indexed through [Image.find_index], so the per-fetch lookup is a few
+   array reads. [known] marks computed slots; [slots] stores the shared
+   option, so cache hits allocate nothing. [triggers] remembers the
+   instruction each slot was computed for: PC alone is not a sound key
+   — an image can be re-laid-out (or a direct caller can probe with a
+   different instruction) so that the same address carries a different
+   trigger, and a PC-only memo would return the stale expansion. A hit
+   therefore requires the trigger to match (physical equality first:
+   the machine feeds back the very predecoded instruction, so the
+   structural comparison almost never runs). *)
 type t = {
   mutable prodset : Prodset.t;
   mutable dispatch : Production.t list array;
       (* by opcode key, precedence order *)
-  dense : dense option;
-  cache : (int, I.t * Machine.expansion option) Hashtbl.t;
-      (* Sparse fallback, keyed by PC with the memoized trigger stored
-         alongside the result — the same staleness discipline as the
-         dense memo: a hit requires the stored trigger to match the
-         probe (physical equality first), because a re-laid-out image
-         can put a different instruction at the same address. Keying
-         by the bare int also avoids allocating a (pc, insn) tuple and
-         deep-hashing the instruction on every probe. *)
+  image : Image.t;
+  known : Bytes.t;
+  triggers : I.t array;
+  slots : Machine.expansion option array;
   generation : int ref;
       (* Bumped by [set_prodset] and [invalidate]; machines attached
          via [attach_jit] share this ref and retire their superblocks
@@ -48,25 +35,19 @@ type t = {
 let build_dispatch prodset =
   Array.init I.num_keys (fun key -> Prodset.patterns_for_key prodset key)
 
-let create ?image prodset =
-  let dense =
-    match image with
-    | Some img when Image.is_dense img ->
-      let n = Image.length img in
-      Some
-        {
-          dense_base = Image.base img;
-          known = Bytes.make n '\000';
-          triggers = Array.make n I.Halt;
-          slots = Array.make n None;
-        }
-    | Some _ | None -> None
-  in
+(* No instruction starts in an empty image, so an engine created
+   without an image memoizes nothing. *)
+let no_image = Dise_isa.Program.layout []
+
+let create ?(image = no_image) prodset =
+  let n = Image.length image in
   {
     prodset;
     dispatch = build_dispatch prodset;
-    dense;
-    cache = Hashtbl.create 4096;
+    image;
+    known = Bytes.make n '\000';
+    triggers = Array.make n I.Halt;
+    slots = Array.make n None;
     generation = ref 0;
     performed = 0;
   }
@@ -74,16 +55,9 @@ let create ?image prodset =
 let prodset t = t.prodset
 let generation t = !(t.generation)
 
-let clear_memos t =
-  (match t.dense with
-  | Some d ->
-    Bytes.fill d.known 0 (Bytes.length d.known) '\000';
-    Array.fill d.slots 0 (Array.length d.slots) None
-  | None -> ());
-  Hashtbl.reset t.cache
-
 let invalidate t =
-  clear_memos t;
+  Bytes.fill t.known 0 (Bytes.length t.known) '\000';
+  Array.fill t.slots 0 (Array.length t.slots) None;
   incr t.generation
 
 let set_prodset t prodset =
@@ -115,60 +89,31 @@ let compute t ~pc insn =
       | exception Replacement.Instantiation_error msg ->
         fail "instantiating R%d for trigger at 0x%x: %s" rsid pc msg))
 
-let sparse_lookup t ~pc insn =
-  match Hashtbl.find_opt t.cache pc with
-  | Some (t0, r) when t0 == insn || I.equal t0 insn -> r
-  | Some _ | None ->
-    let r = compute t ~pc insn in
-    Hashtbl.replace t.cache pc (insn, r);
-    r
-
 let expand t ~pc insn =
+  let idx = Image.find_index t.image pc in
   let result =
-    match t.dense with
-    | Some d ->
-      let off = pc - d.dense_base in
-      let idx = off lsr 2 in
-      if off >= 0 && off land 3 = 0 && idx < Array.length d.slots then begin
-        if
-          Bytes.unsafe_get d.known idx = '\001'
-          && (let t0 = Array.unsafe_get d.triggers idx in
-              t0 == insn || I.equal t0 insn)
-        then Array.unsafe_get d.slots idx
-        else begin
-          let r = compute t ~pc insn in
-          d.slots.(idx) <- r;
-          d.triggers.(idx) <- insn;
-          Bytes.set d.known idx '\001';
-          r
-        end
-      end
-      else
-        (* Off-image PC (e.g. a hand-built machine probing the engine
-           directly): fall back to the sparse memo. *)
-        sparse_lookup t ~pc insn
-    | None -> sparse_lookup t ~pc insn
+    if idx < 0 then (* no instruction of the image starts at [pc] *)
+      compute t ~pc insn
+    else if
+      Bytes.unsafe_get t.known idx = '\001'
+      && (let t0 = Array.unsafe_get t.triggers idx in
+          t0 == insn || I.equal t0 insn)
+    then Array.unsafe_get t.slots idx
+    else begin
+      let r = compute t ~pc insn in
+      t.slots.(idx) <- r;
+      t.triggers.(idx) <- insn;
+      Bytes.set t.known idx '\001';
+      r
+    end
   in
   (match result with Some _ -> t.performed <- t.performed + 1 | None -> ());
   result
-
-let expand_result t ~pc insn =
-  match expand t ~pc insn with
-  | r -> Ok r
-  | exception Expansion_error msg -> Error (Dise_isa.Diag.Expansion msg)
 
 let expander t ~pc insn = expand t ~pc insn
 let expansions_performed t = t.performed
 
 let distinct_triggers t =
-  let sparse =
-    Hashtbl.fold
-      (fun _ (_, v) acc -> match v with Some _ -> acc + 1 | None -> acc)
-      t.cache 0
-  in
-  match t.dense with
-  | None -> sparse
-  | Some d ->
-    Array.fold_left
-      (fun acc v -> match v with Some _ -> acc + 1 | None -> acc)
-      sparse d.slots
+  Array.fold_left
+    (fun acc v -> match v with Some _ -> acc + 1 | None -> acc)
+    0 t.slots

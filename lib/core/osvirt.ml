@@ -57,7 +57,9 @@ let rebuild_controller t =
 
 let rebuild_engines t =
   Hashtbl.iter
-    (fun _ p -> p.engine := Engine.create (combined t p.user_acf))
+    (fun _ p ->
+      p.engine :=
+        Engine.create ~image:(Machine.image p.machine) (combined t p.user_acf))
     t.processes
 
 let install_kernel_acf t ~name ?(regs = []) set =
@@ -82,7 +84,7 @@ let spawn t ~name ?acf ?(dise_regs = []) image =
   (match acf with Some set -> inspect ~reserved:t.reserved set | None -> ());
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
-  let engine = ref (Engine.create (combined t acf)) in
+  let engine = ref (Engine.create ~image (combined t acf)) in
   (* Expansions are reported to the controller so PT/RT reload costs of
      context switching are accounted even in functional runs. *)
   let expander ~pc insn =

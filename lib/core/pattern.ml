@@ -31,8 +31,6 @@ let codewords n =
   of_opcode (I.codeword ~op:n ~p1:0 ~p2:0 ~p3:0 ~tag:0)
 
 let with_rs r t = { t with rs = Some r }
-let with_rt r t = { t with rt = Some r }
-let with_rd r t = { t with rd = Some r }
 let with_imm p t = { t with imm = Some p }
 
 let imm_matches pred v =

@@ -44,8 +44,6 @@ val codewords : int -> t
 (** Pattern matching DISE codewords built on reserved opcode [n]. *)
 
 val with_rs : Dise_isa.Reg.t -> t -> t
-val with_rt : Dise_isa.Reg.t -> t -> t
-val with_rd : Dise_isa.Reg.t -> t -> t
 val with_imm : imm_pred -> t -> t
 
 val matches : t -> Dise_isa.Insn.t -> bool

@@ -9,7 +9,6 @@ type t = {
   mutable clock : int;
   mutable accesses : int;
   mutable misses : int;
-  total_active : int;
 }
 
 let create ~capacity prodset =
@@ -26,7 +25,6 @@ let create ~capacity prodset =
     clock = 0;
     accesses = 0;
     misses = 0;
-    total_active = Array.fold_left ( + ) 0 active;
   }
 
 (* Evict the LRU resident opcode group to make room. *)
@@ -76,4 +74,3 @@ let invalidate t =
 let resident_patterns t = t.occupancy
 let accesses t = t.accesses
 let misses t = t.misses
-let active_patterns t = t.total_active

@@ -33,5 +33,3 @@ val invalidate : t -> unit
 val resident_patterns : t -> int
 val accesses : t -> int
 val misses : t -> int
-val active_patterns : t -> int
-(** Total active patterns in the virtual set. *)

@@ -219,30 +219,6 @@ let rinsn_static = function
 
 let is_static t = Array.for_all rinsn_static t
 
-let reg_param = function Rparam _ -> true | Rlit _ | Rrs | Rrt | Rrd -> false
-let imm_param = function
-  | Iparam _ | Iparam2 _ -> true
-  | Ilit _ | Iimm | Ipc -> false
-
-let target_param = function
-  | Trel_param _ | Trel_param2 _ -> true
-  | Tabs _ | Tlab _ -> false
-
-let rinsn_params = function
-  | Trigger | Nop | Halt | Djmp _ -> false
-  | Rop (_, a, b, c) -> reg_param a || reg_param b || reg_param c
-  | Ropi (_, a, v, c) -> reg_param a || imm_param v || reg_param c
-  | Lda (a, v, c) -> reg_param a || imm_param v || reg_param c
-  | Lui (v, c) -> imm_param v || reg_param c
-  | Mem (_, a, v, c) -> reg_param a || imm_param v || reg_param c
-  | Br (_, r, t) -> reg_param r || target_param t
-  | Jmp t | Jal t -> target_param t
-  | Jr r -> reg_param r
-  | Jalr (a, b) -> reg_param a || reg_param b
-  | Dbr (_, r, _) -> reg_param r
-
-let uses_params t = Array.exists rinsn_params t
-
 let of_insn (i : I.t) =
   match i with
   | I.Rop (op, a, b, c) -> Rop (op, Rlit a, Rlit b, Rlit c)

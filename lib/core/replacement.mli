@@ -83,9 +83,6 @@ val is_static : t -> bool
 (** True when no directive depends on the trigger, i.e. the sequence
     instantiates identically for every trigger. *)
 
-val uses_params : t -> bool
-(** True when some directive reads a codeword parameter field. *)
-
 val of_insns : Dise_isa.Insn.t list -> t
 (** Lift concrete instructions into an all-literal specification.
     Raises [Invalid_argument] on codewords (recursive expansion is

@@ -137,6 +137,5 @@ let accesses t = t.accesses
 let misses t = t.misses
 let occupancy t = t.resident
 let capacity_blocks t = t.n_sets * t.assoc
-let is_perfect t = t.perfect
 let miss_rate t =
   if t.accesses = 0 then 0. else float_of_int t.misses /. float_of_int t.accesses

@@ -37,5 +37,4 @@ val occupancy : t -> int
 (** Resident blocks. *)
 
 val capacity_blocks : t -> int
-val is_perfect : t -> bool
 val miss_rate : t -> float

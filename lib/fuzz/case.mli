@@ -9,9 +9,10 @@
 
     The knobs are deliberately adversarial: boundary-value immediates
     exercise the 16-bit encode/sign boundaries, [Compressed] cases
-    produce sparse codeword-heavy images (the hashtable-memo path of
-    the engine), small [idiom_pool]s produce dense repetitive code
-    (many expansions per static instruction, stressing the memos). *)
+    produce codeword-heavy images (with 2-byte codewords under the
+    dedicated schemes), small [idiom_pool]s produce dense repetitive
+    code (many expansions per static instruction, stressing the
+    memo). *)
 
 type mode =
   | Plain  (** random transparent productions over the generated program *)
@@ -38,8 +39,9 @@ type t = {
 
 val generate : Dise_workload.Rng.t -> t
 (** Draw a random case. Mode weights favour [Plain] (the widest
-    production variety) but keep both engine-memo shapes and the MFI
-    productions in steady rotation. *)
+    production variety) but keep both image shapes (4-byte
+    instructions only, and 2-byte codewords) and the MFI productions
+    in steady rotation. *)
 
 val scheme_of : int -> Dise_acf.Compress.scheme
 (** Resolve a [Compressed] scheme index (modulo the Figure 7 list). *)

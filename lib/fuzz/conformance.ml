@@ -35,7 +35,7 @@ type report = {
   passed : int;
 }
 
-let backends = [ "naive"; "engine-memo"; "engine-hash"; "engine-jit" ]
+let backends = [ "naive"; "engine-memo"; "engine-jit" ]
 let default_dir = Filename.concat "test" "arch"
 
 let ( let* ) = Result.bind
@@ -162,8 +162,6 @@ let machine_for ~img ~prodset ~drs backend =
     | Some set -> (
       match backend with
       | "naive" -> Machine.create ~expander:(Naive.expander set) img
-      | "engine-hash" ->
-        Machine.create ~expander:(Engine.expander (Engine.create set)) img
       | "engine-memo" ->
         Machine.create
           ~expander:(Engine.expander (Engine.create ~image:img set))

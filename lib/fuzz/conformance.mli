@@ -4,13 +4,11 @@
     random programs, this module pins down {e known} behaviour: named
     assembly vectors with expected signatures live in [test/arch/]
     (one [manifest.json] plus the [.s]/[.dise] sources it names), and
-    every run executes each vector on all four expander backends —
+    every run executes each vector on all three expander backends —
 
     - [naive] — {!Naive.expander}, the reference semantics;
-    - [engine-memo] — the dense-image memoized {!Dise_core.Engine};
-    - [engine-hash] — the same engine without a dense image
-      (hashtable memoization);
-    - [engine-jit] — the dense engine with the superblock JIT
+    - [engine-memo] — the memoizing {!Dise_core.Engine};
+    - [engine-jit] — the same engine with the superblock JIT
       attached at a compile threshold of 2, so hot vectors exercise
       the compiled path.
 
@@ -50,7 +48,7 @@ type report = {
 }
 
 val backends : string list
-(** [["naive"; "engine-memo"; "engine-hash"; "engine-jit"]]. *)
+(** [["naive"; "engine-memo"; "engine-jit"]]. *)
 
 val default_dir : string
 (** ["test/arch"]. *)

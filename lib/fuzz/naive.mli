@@ -1,11 +1,11 @@
 (** The reference expander: the production-set semantics with nothing
     between it and the specification.
 
-    No compiled dispatch table, no memoization, no dense-image fast
-    path — every fetch goes through {!Dise_core.Prodset.lookup} and a
-    fresh {!Dise_core.Replacement.instantiate}. Slow on purpose: the
+    No compiled dispatch table, no memoization — every fetch goes
+    through {!Dise_core.Prodset.lookup} and a fresh
+    {!Dise_core.Replacement.instantiate}. Slow on purpose: the
     differential fuzzer runs it in lockstep with the optimized
-    {!Dise_core.Engine} variants, so any divergence pins the bug on an
+    {!Dise_core.Engine}, so any divergence pins the bug on an
     optimization rather than on the semantics. *)
 
 val expander : Dise_core.Prodset.t -> Dise_machine.Machine.expander

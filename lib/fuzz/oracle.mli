@@ -2,18 +2,17 @@
 
     One {!check} performs, in order:
 
-    + {b encode roundtrip} (dense images): the laid-out program must
-      survive {!Dise_isa.Encode.encode_image_result} and decode back
-      to {!Dise_isa.Insn.equal} instructions — nothing silently wraps;
-    + {b lockstep}: five sides execute the same image — machines with
-      the reference {!Naive} expander, the image-aware
-      {!Dise_core.Engine} (dense flat-array memo when the image is
-      dense), the image-blind engine (hashtable memo) and the engine
-      under the superblock JIT, plus the {!Ref_machine} reference
-      interpreter over {!Naive} — every event is compared as it
-      retires, architectural register checksums are compared
-      periodically, and exit codes plus a full memory checksum are
-      compared at halt;
+    + {b encode roundtrip} (images of 4-byte instructions only): the
+      laid-out program must survive
+      {!Dise_isa.Encode.encode_image_result} and decode back to
+      {!Dise_isa.Insn.equal} instructions — nothing silently wraps;
+    + {b lockstep}: four sides execute the same image — machines with
+      the reference {!Naive} expander, the memoizing
+      {!Dise_core.Engine} and the engine under the superblock JIT,
+      plus the {!Ref_machine} reference interpreter over {!Naive} —
+      every event is compared as it retires, architectural register
+      checksums are compared periodically, and exit codes plus a full
+      memory checksum are compared at halt;
     + {b transparency}: {!Dise_harness.Diffexec} kept-stream
       equivalence between the expander-free reference image and the
       expanded run (the paper's semantic-transparency claim);

@@ -17,6 +17,9 @@ module Memory = Dise_machine.Memory
 
 type t = {
   image : Image.t;
+  index : (int, int) Hashtbl.t;
+      (* instruction address -> index, built from [Image.addr_of_index]
+         rather than taken from [Image.find_index], which it checks *)
   expander : Machine.expander;
   mem : Memory.t;
   regs : Regfile.t;
@@ -35,8 +38,14 @@ let fail fmt =
 let no_expander ~pc:_ _ = None
 
 let of_machine ?(expander = no_expander) m =
+  let image = Machine.image m in
+  let index = Hashtbl.create (Image.length image) in
+  for i = 0 to Image.length image - 1 do
+    Hashtbl.replace index (Image.addr_of_index image i) i
+  done;
   {
-    image = Machine.image m;
+    image;
+    index;
     expander;
     mem = Machine.memory m;
     regs = Machine.regs m;
@@ -201,7 +210,7 @@ let step t =
       step_in_sequence_core t e ~expansion_start:false;
       true
     | Some _ | None -> (
-      match Image.index_of_addr t.image t.pc with
+      match Hashtbl.find_opt t.index t.pc with
       | None -> fail "PC 0x%x outside text" t.pc
       | Some idx -> (
         let insn = Image.get t.image idx in

@@ -137,11 +137,6 @@ let encode_image_result img =
   | words -> Ok words
   | exception Error msg -> Error (diag msg)
 
-let decode_result ~pc word =
-  match decode ~pc word with
-  | i -> Ok i
-  | exception Error msg -> Error (diag msg)
-
 let encodable i =
   let arch r = Reg.is_arch r in
   let regs_ok =

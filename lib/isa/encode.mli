@@ -36,9 +36,6 @@ val encode_result : pc:int -> Insn.t -> (int, Diag.t) result
     [Error (Diag.Parse _)] (exit-code class "parse"), reported through
     the shared {!Diag} printer. *)
 
-val decode_result : pc:int -> int -> (Insn.t, Diag.t) result
-(** Exception-free {!decode}. *)
-
 val encodable : Insn.t -> bool
 (** True iff {!encode} would succeed (at some pc; offset-range issues
     excepted). *)

@@ -27,10 +27,6 @@ let all_classes =
   [ C_load; C_store; C_branch; C_jump; C_ijump; C_alu; C_dise; C_codeword;
     C_nop; C_sys ]
 
-let rop_is_commutative = function
-  | Add | Mul | And_ | Or_ | Xor | Cmpeq -> true
-  | Sub | Sll | Srl | Sra | Slt | Sltu | Cmplt | Cmple -> false
-
 (* Values are kept as signed 32-bit integers in OCaml ints. *)
 let mask32 v = v land 0xFFFFFFFF
 
@@ -101,4 +97,3 @@ let rop_of_string s = table_inverse rop_to_string all_rops s
 let mop_of_string s = table_inverse mop_to_string all_mops s
 let bop_of_string s = table_inverse bop_to_string all_bops s
 let cls_of_string s = table_inverse cls_to_string all_classes s
-let pp_cls ppf c = Format.pp_print_string ppf (cls_to_string c)

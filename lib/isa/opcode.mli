@@ -39,8 +39,6 @@ val num_reserved : int
 
 val all_classes : cls list
 
-val rop_is_commutative : rop -> bool
-
 val mask32 : int -> int
 (** Truncate to the low 32 bits (an unsigned 32-bit value). *)
 
@@ -65,7 +63,6 @@ val rop_of_string : string -> rop option
 val mop_of_string : string -> mop option
 val bop_of_string : string -> bop option
 val cls_of_string : string -> cls option
-val pp_cls : Format.formatter -> cls -> unit
 
 val all_rops : rop list
 val all_mops : mop list

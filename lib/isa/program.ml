@@ -17,60 +17,40 @@ module Image = struct
     addrs : int array;
     sizes : int array;
     symtab : (string, int) Hashtbl.t;
-    by_addr : (int, int) Hashtbl.t;
+    halfwords : int array;
+        (* one entry per 2-byte offset from [base]: the index of the
+           instruction starting there, or -1. [layout] admits only 2-
+           and 4-byte instructions, so every instruction starts at an
+           even offset and has an entry. *)
     text_bytes : int;
-    dense : bool;
-        (* every instruction is 4 bytes, so index = (addr - base) / 4 *)
   }
 
   let base t = t.base
   let length t = Array.length t.insns
   let text_bytes t = t.text_bytes
-  let is_dense t = t.dense
   let get t i = t.insns.(i)
   let addr_of_index t i = t.addrs.(i)
   let size_of_index t i = t.sizes.(i)
-  let index_of_addr t addr = Hashtbl.find_opt t.by_addr addr
 
-  (* Allocation-free index lookup for the emulator's fetch path: -1
-     when [addr] is not an instruction boundary. Dense images resolve
-     with arithmetic; sparse (variable-size codeword) images binary-
-     search [addrs], which layout builds in increasing order. *)
   let find_index t addr =
-    if t.dense then begin
-      let off = addr - t.base in
-      if off >= 0 && off < t.text_bytes && off land 3 = 0 then off lsr 2
-      else -1
-    end
-    else begin
-      let lo = ref 0 and hi = ref (Array.length t.addrs - 1) and found = ref (-1) in
-      while !lo <= !hi do
-        let mid = (!lo + !hi) lsr 1 in
-        let a = Array.unsafe_get t.addrs mid in
-        if a = addr then begin
-          found := mid;
-          lo := !hi + 1
-        end
-        else if a < addr then lo := mid + 1
-        else hi := mid - 1
-      done;
-      !found
-    end
+    let off = addr - t.base in
+    if off >= 0 && off < t.text_bytes && off land 1 = 0 then
+      Array.unsafe_get t.halfwords (off lsr 1)
+    else -1
 
   let raw_insns t = t.insns
   let raw_descs t = t.descs
   let raw_imms t = t.imms
 
   let fetch t addr =
-    match index_of_addr t addr with
-    | Some i -> Some t.insns.(i)
-    | None -> None
+    let i = find_index t addr in
+    if i < 0 then None else Some t.insns.(i)
 
   let symbol t name = Hashtbl.find_opt t.symtab name
 
   let symbols t =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.symtab []
-    |> List.sort (fun (_, a) (_, b) -> compare a b)
+    |> List.sort (fun (_, a) (_, b) -> Int.compare a b)
 
   let end_addr t = t.base + t.text_bytes
 
@@ -85,7 +65,6 @@ let layout ?(base = 0x100000) ?(size_of = default_size) (prog : t) =
   (* Pass 1: assign addresses. *)
   let addr = ref base in
   let insns = ref [] in
-  let n = ref 0 in
   List.iter
     (fun item ->
       match item with
@@ -94,9 +73,10 @@ let layout ?(base = 0x100000) ?(size_of = default_size) (prog : t) =
         Hashtbl.add symtab l !addr
       | Ins i ->
         let sz = size_of i in
+        if sz <> 2 && sz <> 4 then
+          fail "instruction size %d (instructions are 2 or 4 bytes)" sz;
         insns := (i, !addr, sz) :: !insns;
-        addr := !addr + sz;
-        incr n)
+        addr := !addr + sz)
     prog;
   let text_bytes = !addr - base in
   let triples = Array.of_list (List.rev !insns) in
@@ -122,12 +102,8 @@ let layout ?(base = 0x100000) ?(size_of = default_size) (prog : t) =
     triples;
   let addrs = Array.map (fun (_, a, _) -> a) triples in
   let sizes = Array.map (fun (_, _, s) -> s) triples in
-  let by_addr = Hashtbl.create (Array.length insns * 2) in
-  Array.iteri (fun i a -> Hashtbl.replace by_addr a i) addrs;
-  let dense =
-    text_bytes = 4 * Array.length insns
-    && Array.for_all (fun s -> s = 4) sizes
-  in
+  let halfwords = Array.make (text_bytes / 2) (-1) in
+  Array.iteri (fun i a -> halfwords.((a - base) / 2) <- i) addrs;
   {
     Image.base;
     insns;
@@ -136,9 +112,8 @@ let layout ?(base = 0x100000) ?(size_of = default_size) (prog : t) =
     addrs;
     sizes;
     symtab;
-    by_addr;
+    halfwords;
     text_bytes;
-    dense;
   }
 
 let insns prog =

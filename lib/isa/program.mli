@@ -8,7 +8,9 @@
 
     Layout takes a [size_of] function because compressed images are not
     uniform: the dedicated decompressor modelled in the evaluation uses
-    2-byte codewords, while everything else occupies 4 bytes. *)
+    2-byte codewords, while everything else occupies 4 bytes. Those are
+    the only two sizes, which is what lets {!Image.find_index} resolve
+    any address with one table read. *)
 
 type item =
   | Label of string
@@ -37,19 +39,11 @@ module Image : sig
   val addr_of_index : t -> int -> int
   val size_of_index : t -> int -> int
 
-  val index_of_addr : t -> int -> int option
-  (** Index of the instruction starting at the given byte address. *)
-
-  val is_dense : t -> bool
-  (** True when every instruction occupies 4 bytes, i.e. the index of
-      the instruction at [addr] is [(addr - base) / 4]. Uncompressed
-      images are dense; images with 2-byte codewords are not. *)
-
   val find_index : t -> int -> int
-  (** Allocation-free {!index_of_addr}: the index of the instruction
-      starting at the given byte address, or [-1]. O(1) for dense
-      images, O(log n) (binary search) otherwise. This is the
-      emulator's per-fetch lookup. *)
+  (** The index of the instruction starting at the given byte address,
+      or [-1]: one bounds test and one read of a table with an entry
+      per 2-byte offset of the text, built by {!layout}. Allocation-free;
+      the emulator's per-fetch lookup and the expansion memo's index. *)
 
   val raw_insns : t -> Insn.t array
   (** The underlying instruction array, indexed like {!get}. Shared,
@@ -85,7 +79,8 @@ end
 val layout : ?base:int -> ?size_of:(Insn.t -> int) -> t -> Image.t
 (** Assign addresses starting at [base] (default [0x100000]) using
     [size_of] (default: 4 bytes for everything) and resolve all label
-    targets. Raises {!Layout_error} on undefined or duplicate labels. *)
+    targets. Raises {!Layout_error} on undefined or duplicate labels,
+    and when [size_of] returns a size other than 2 or 4. *)
 
 val insns : t -> Insn.t list
 (** The instructions, without labels. *)

@@ -84,11 +84,9 @@ type jit = {
   threshold : int;
   generation : int ref;  (* owned by the engine; [ref 0] when detached *)
   mutable cur_gen : int;
-  jit_base : int;  (* image base, for the dense slot arithmetic *)
-  slot_block : int array;  (* dense: slot -> block id; -1 unknown, -2 never *)
-  slot_count : int array;
-  sparse_block : (int, int) Hashtbl.t;  (* sparse images: pc -> block id *)
-  sparse_count : (int, int) Hashtbl.t;
+  (* per static instruction, indexed by [Image.find_index] *)
+  slot_block : int array;  (* block id; -1 unknown, -2 never *)
+  slot_count : int array;  (* dispatches so far *)
   (* block table: block id -> arena [start, start+len) *)
   mutable blk_start : int array;
   mutable blk_len : int array;
@@ -129,7 +127,6 @@ type t = {
   insns : I.t array;  (* [Image.raw_insns image], for the expander *)
   descs : Desc.t array;  (* [Image.raw_descs image] *)
   imms : int array;  (* [Image.raw_imms image] *)
-  dense : bool;       (* [Image.is_dense image]: size 4 everywhere *)
   mem : Memory.t;
   regs : Regfile.t;
   rf : int array;  (* [Regfile.slots regs] *)
@@ -171,7 +168,6 @@ let create ?(expander = no_expander) ?(entry = "main") image =
     insns = Image.raw_insns image;
     descs = Image.raw_descs image;
     imms = Image.raw_imms image;
-    dense = Image.is_dense image;
     mem = Memory.create ();
     regs;
     rf = Regfile.slots regs;
@@ -206,18 +202,15 @@ let raw t = t.raw
 
 let enable_jit ?(threshold = default_jit_threshold) ?(generation = ref 0) t =
   let threshold = Int.max 1 threshold in
-  let n = if t.dense then Array.length t.descs else 0 in
+  let n = Array.length t.descs in
   t.jit <-
     Some
       {
         threshold;
         generation;
         cur_gen = !generation;
-        jit_base = Image.base t.image;
-        slot_block = Array.make (Int.max n 1) (-1);
-        slot_count = Array.make (Int.max n 1) 0;
-        sparse_block = Hashtbl.create (if n = 0 then 1024 else 1);
-        sparse_count = Hashtbl.create (if n = 0 then 1024 else 1);
+        slot_block = Array.make n (-1);
+        slot_count = Array.make n 0;
         blk_start = Array.make 16 0;
         blk_len = Array.make 16 0;
         n_blocks = 0;
@@ -236,7 +229,6 @@ let enable_jit ?(threshold = default_jit_threshold) ?(generation = ref 0) t =
         invalidations = 0;
       }
 
-let jit_enabled t = t.jit <> None
 let jit_compiles t = match t.jit with None -> 0 | Some j -> j.compiles
 let jit_hits t = match t.jit with None -> 0 | Some j -> j.hits
 
@@ -483,12 +475,11 @@ let step_core t =
       step_in_sequence_core t e ~expansion_start:false;
       true
     | Some _ | None ->
-      (* Application-level fetch: predecoded text, O(1) for dense
-         images (no per-step hashtable probe). *)
+      (* Application-level fetch: predecoded text. *)
       let idx = Image.find_index t.image t.pc in
       if idx < 0 then fail "PC 0x%x outside text" t.pc
       else begin
-        t.cur_size <- (if t.dense then 4 else Image.size_of_index t.image idx);
+        t.cur_size <- Image.size_of_index t.image idx;
         t.app_fetched <- t.app_fetched + 1;
         match t.expander ~pc:t.pc (Array.unsafe_get t.insns idx) with
         | Some e as cur ->
@@ -572,20 +563,11 @@ let ends_straight_line d =
    rule every hot branch target inside a straight-line run would
    re-flatten the same shared tail — overlapping copies that cost
    quadratic arena space and compile time. Ending a walk at an
-   existing head instead chains blocks through dispatch: one
-   slot/hashtable probe per transition, no duplicated entries. *)
+   existing head instead chains blocks through dispatch: one slot
+   probe per transition, no duplicated entries. *)
 let compiled_head t j pc =
-  if t.dense then begin
-    let off = pc - j.jit_base in
-    let idx = off lsr 2 in
-    off >= 0
-    && off land 3 = 0
-    && idx < Array.length j.slot_block
-    && Array.unsafe_get j.slot_block idx >= 0
-  end
-  else match Hashtbl.find_opt j.sparse_block pc with
-    | Some b -> b >= 0
-    | None -> false
+  let idx = Image.find_index t.image pc in
+  idx >= 0 && Array.unsafe_get j.slot_block idx >= 0
 
 (* Flatten the static code reachable by fall-through from [start_pc]
    into the arena; returns the new block id, or -1 when nothing could
@@ -622,7 +604,7 @@ let compile_block t j start_pc =
        let idx = Image.find_index t.image !pc in
        if idx < 0 then raise Stop_compile;
        let d = t.descs.(idx) in
-       let size = if t.dense then 4 else Image.size_of_index t.image idx in
+       let size = Image.size_of_index t.image idx in
        (match t.expander ~pc:!pc t.insns.(idx) with
        | exception _ -> raise Stop_compile
        | None ->
@@ -685,8 +667,6 @@ let jit_reset t j =
   j.a_used <- 0;
   Array.fill j.slot_block 0 (Array.length j.slot_block) (-1);
   Array.fill j.slot_count 0 (Array.length j.slot_count) 0;
-  Hashtbl.reset j.sparse_block;
-  Hashtbl.reset j.sparse_count;
   j.cur_gen <- !(j.generation);
   t.jit_ix <- 0;
   t.jit_end <- 0
@@ -698,50 +678,26 @@ let jit_reset t j =
    block. *)
 let jit_dispatch t j =
   if !(j.generation) <> j.cur_gen then jit_reset t j;
-  let pc = t.pc in
-  if t.dense then begin
-    let off = pc - j.jit_base in
-    let idx = off lsr 2 in
-    if off >= 0 && off land 3 = 0 && idx < Array.length j.slot_block then begin
-      let b = Array.unsafe_get j.slot_block idx in
-      if b >= 0 then begin
-        j.hits <- j.hits + 1;
-        b
-      end
-      else if b = -2 then -1
-      else begin
-        let c = Array.unsafe_get j.slot_count idx + 1 in
-        Array.unsafe_set j.slot_count idx c;
-        if c < j.threshold then -1
-        else begin
-          let b = compile_block t j pc in
-          j.slot_block.(idx) <- (if b < 0 then -2 else b);
-          b
-        end
-      end
-    end
-    else -1
-  end
-  else
-    match Hashtbl.find_opt j.sparse_block pc with
-    | Some b when b >= 0 ->
+  let idx = Image.find_index t.image t.pc in
+  if idx < 0 then -1
+  else begin
+    let b = Array.unsafe_get j.slot_block idx in
+    if b >= 0 then begin
       j.hits <- j.hits + 1;
       b
-    | Some _ -> -1
-    | None ->
-      let c =
-        (match Hashtbl.find_opt j.sparse_count pc with
-        | Some c -> c
-        | None -> 0)
-        + 1
-      in
-      Hashtbl.replace j.sparse_count pc c;
+    end
+    else if b = -2 then -1
+    else begin
+      let c = Array.unsafe_get j.slot_count idx + 1 in
+      Array.unsafe_set j.slot_count idx c;
       if c < j.threshold then -1
       else begin
-        let b = compile_block t j pc in
-        Hashtbl.replace j.sparse_block pc (if b < 0 then -2 else b);
+        let b = compile_block t j t.pc in
+        j.slot_block.(idx) <- (if b < 0 then -2 else b);
         b
       end
+    end
+  end
 
 (* Execute arena entry [i]; returns the next arena index, or -1 when
    the block was exited (machine state — pc, disepc, cur — is left at

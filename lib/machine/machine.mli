@@ -59,9 +59,9 @@ exception Runtime_error of string
 (** One dynamic instruction of the post-expansion stream: a single
     mutable record per machine, overwritten by each executed
     instruction. Read the fields before the next step. Every field is
-    an immediate value, so filling the record stores no pointer. On a
-    dense image with an allocation-free expander (the engine's dense
-    memo), stepping allocates nothing per instruction: what a run
+    an immediate value, so filling the record stores no pointer. With
+    an allocation-free expander (the engine's memo), stepping
+    allocates nothing per instruction: what a run
     allocates is one-time work (memo fills, JIT compiles, newly
     touched memory pages). Test "pipeline allocation-free" in
     test/test_uarch.ml bounds a whole [Pipeline.run] at one minor-heap
@@ -201,8 +201,6 @@ val enable_jit : ?threshold:int -> ?generation:int ref -> t -> unit
     which is only sound for a fixed production set. The expander must
     be pure and idempotent: compilation replays it ahead of
     execution. *)
-
-val jit_enabled : t -> bool
 
 val jit_compiles : t -> int
 (** Superblocks compiled (0 when the JIT is disabled). *)

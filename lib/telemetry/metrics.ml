@@ -36,16 +36,6 @@ module Counter0 = struct
   let add t n = ignore (Atomic.fetch_and_add t.cell n)
   let get t = Atomic.get t.cell
   let name t = t.name
-  let set_for_test t v = Atomic.set t.cell v
-end
-
-module Gauge0 = struct
-  type t = { name : string; cell : int Atomic.t }
-
-  let unregistered name = { name; cell = Atomic.make 0 }
-  let set t v = Atomic.set t.cell v
-  let get t = Atomic.get t.cell
-  let name t = t.name
 end
 
 module Histogram0 = struct
@@ -218,7 +208,6 @@ end
    plenty; the instruments themselves are lock-free. *)
 type metric =
   | C of Counter0.t
-  | G of Gauge0.t
   | H of Histogram0.t
 
 let registry : (string * metric) list ref = ref []
@@ -249,13 +238,6 @@ let counter_make name =
       let c = Counter0.unregistered name in
       (c, C c))
 
-let gauge_make name =
-  register name
-    (function G g -> Some g | _ -> None)
-    (fun () ->
-      let g = Gauge0.unregistered name in
-      (g, G g))
-
 let histogram_make name =
   register name
     (function H h -> Some h | _ -> None)
@@ -265,7 +247,6 @@ let histogram_make name =
 
 type snapshot = {
   counters : (string * int) list;
-  gauges : (string * int) list;
   histograms : (string * Histogram0.snapshot) list;
 }
 
@@ -277,16 +258,12 @@ let snapshot () =
     List.filter_map
       (function n, C c -> Some (n, Counter0.get c) | _ -> None)
       metrics
-  and gauges =
-    List.filter_map
-      (function n, G g -> Some (n, Gauge0.get g) | _ -> None)
-      metrics
   and histograms =
     List.filter_map
       (function n, H h -> Some (n, Histogram0.snapshot h) | _ -> None)
       metrics
   in
-  { counters; gauges; histograms }
+  { counters; histograms }
 
 let delta ~(since : snapshot) (later : snapshot) =
   let sub tbl (n, v) =
@@ -294,7 +271,6 @@ let delta ~(since : snapshot) (later : snapshot) =
   in
   {
     counters = List.map (sub since.counters) later.counters;
-    gauges = later.gauges;
     histograms =
       List.map
         (fun (n, h) ->
@@ -309,7 +285,6 @@ let to_json (s : snapshot) =
   Json.Obj
     [
       ("counters", ints s.counters);
-      ("gauges", ints s.gauges);
       ( "histograms",
         Json.Obj
           (List.map (fun (n, h) -> (n, Histogram0.to_json h)) s.histograms) );
@@ -332,12 +307,10 @@ let of_json j =
     | Some (Json.Obj hs) -> List.map (fun (n, h) -> (n, Histogram0.of_json h)) hs
     | _ -> []
   in
-  { counters = ints "counters"; gauges = ints "gauges"; histograms }
+  { counters = ints "counters"; histograms }
 
 (* Name-wise union. Counters and histograms are monotone streams, so
-   summing them is exact; for a gauge (a point-in-time reading) the
-   sum is the only aggregate that makes sense for the pool-style
-   gauges we keep, and [a]'s reading wins for names only it has. *)
+   summing them is exact. *)
 let merge (a : snapshot) (b : snapshot) =
   let union add xs ys =
     let extra = List.filter (fun (n, _) -> not (List.mem_assoc n xs)) ys in
@@ -351,7 +324,6 @@ let merge (a : snapshot) (b : snapshot) =
   in
   {
     counters = union ( + ) a.counters b.counters;
-    gauges = union ( + ) a.gauges b.gauges;
     histograms = union Histogram0.merge a.histograms b.histograms;
   }
 
@@ -361,12 +333,6 @@ let find_counter name =
   Mutex.unlock registry_mu;
   match r with Some (C c) -> Some c | _ -> None
 
-let find_histogram name =
-  Mutex.lock registry_mu;
-  let r = List.assoc_opt name !registry in
-  Mutex.unlock registry_mu;
-  match r with Some (H h) -> Some h | _ -> None
-
 let reset_all () =
   Mutex.lock registry_mu;
   let metrics = !registry in
@@ -375,7 +341,6 @@ let reset_all () =
     (fun (_, m) ->
       match m with
       | C c -> Atomic.set c.Counter0.cell 0
-      | G g -> Atomic.set g.Gauge0.cell 0
       | H h ->
         Array.iter (fun cell -> Atomic.set cell 0) h.Histogram0.cells;
         Atomic.set h.Histogram0.count 0;
@@ -386,12 +351,6 @@ module Counter = struct
   include Counter0
 
   let make = counter_make
-end
-
-module Gauge = struct
-  include Gauge0
-
-  let make = gauge_make
 end
 
 module Histogram = struct

@@ -1,11 +1,11 @@
-(** Process-wide metrics registry: counters, gauges, and log-bucketed
-    latency histograms.
+(** Process-wide metrics registry: counters and log-bucketed latency
+    histograms.
 
     Every number the system reports — resilience counters, JIT
     compile/hit counts, serve latencies — lives in this one registry so
     snapshots, deltas, and JSON serialization have a single source of
-    truth. All mutation is domain-safe: counters, gauges, and histogram
-    cells are [Atomic.t]; metric {e creation} is serialized by a mutex.
+    truth. All mutation is domain-safe: counters and histogram cells
+    are [Atomic.t]; metric {e creation} is serialized by a mutex.
 
     Instruments are registered by name; [make] is idempotent (the same
     name returns the same instrument), so modules can declare their
@@ -13,14 +13,14 @@
     Registering the same name as two different kinds raises
     [Invalid_argument].
 
-    {b Cost.} Recording is unconditional: a counter or gauge update is
-    one atomic operation, a histogram observation three atomic adds.
+    {b Cost.} Recording is unconditional: a counter update is one
+    atomic operation, a histogram observation three atomic adds.
     Nothing is allocated on the recording path.
 
-    {b Snapshot semantics.} All instruments are monotone except gauges,
-    so a later snapshot minus an earlier one ({!delta}) is a valid
-    snapshot of the interval between them — this is how [serve_summary]
-    reports per-session numbers from process-lifetime instruments.
+    {b Snapshot semantics.} All instruments are monotone, so a later
+    snapshot minus an earlier one ({!delta}) is a valid snapshot of
+    the interval between them — this is how [serve_summary] reports
+    per-session numbers from process-lifetime instruments.
 
     This module has no dependencies (not even [Unix]); callers supply
     timestamps and convert to nanoseconds (or use
@@ -34,18 +34,6 @@ module Counter : sig
 
   val incr : t -> unit
   val add : t -> int -> unit
-  val get : t -> int
-  val name : t -> string
-
-  val set_for_test : t -> int -> unit
-  (** Test-only: force a value (used by [reset] in tests). *)
-end
-
-module Gauge : sig
-  type t
-
-  val make : string -> t
-  val set : t -> int -> unit
   val get : t -> int
   val name : t -> string
 end
@@ -128,7 +116,6 @@ end
 (** Whole-registry snapshot, in instrument registration order. *)
 type snapshot = {
   counters : (string * int) list;
-  gauges : (string * int) list;
   histograms : (string * Histogram.snapshot) list;
 }
 
@@ -137,11 +124,11 @@ val snapshot : unit -> snapshot
 val delta : since:snapshot -> snapshot -> snapshot
 (** Pairwise {!Histogram.delta} / counter subtraction by name.
     Instruments registered after [since] was taken appear with their
-    full value; gauges always carry their latest value. *)
+    full value. *)
 
 val to_json : snapshot -> Json.t
 (** Serialize against [doc/schema/metrics.schema.json]:
-    [{"counters":{…}, "gauges":{…}, "histograms":{…}}]. *)
+    [{"counters":{…}, "histograms":{…}}]. *)
 
 val of_json : Json.t -> snapshot
 (** Inverse of {!to_json} (tolerant: unrecognized or malformed
@@ -150,13 +137,11 @@ val of_json : Json.t -> snapshot
 
 val merge : snapshot -> snapshot -> snapshot
 (** Name-wise union: counters and histogram buckets are summed (both
-    are monotone streams, so the merge is exact), gauges are summed
-    too (the registry's gauges are pool-style occupancy numbers).
-    Folding per-worker deltas with [merge] yields the tier-wide
-    snapshot the merged [serve_summary] reports. *)
+    are monotone streams, so the merge is exact). Folding per-worker
+    deltas with [merge] yields the tier-wide snapshot the merged
+    [serve_summary] reports. *)
 
 val find_counter : string -> Counter.t option
-val find_histogram : string -> Histogram.t option
 
 val reset_all : unit -> unit
 (** Test-only: zero every instrument in the registry. *)

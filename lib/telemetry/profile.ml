@@ -71,10 +71,6 @@ let top_pcs ?(n = 10) t =
 let total_fetches t =
   Hashtbl.fold (fun _ r acc -> acc + !r) t.by_fetch 0
 
-let fetch_counts t =
-  Hashtbl.fold (fun pc r acc -> (pc, !r) :: acc) t.by_fetch []
-  |> List.sort (fun (pa, _) (pb, _) -> compare pa pb)
-
 let fetch_count t ~pc =
   match Hashtbl.find_opt t.by_fetch pc with Some r -> !r | None -> 0
 

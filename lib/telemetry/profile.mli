@@ -47,11 +47,6 @@ val top_pcs : ?n:int -> t -> (int * int) list
 val total_fetches : t -> int
 (** Sum of per-PC application-fetch counts. *)
 
-val fetch_counts : t -> (int * int) list
-(** Every fetched PC as [(pc, count)], ascending by PC — the
-    deterministic input of the production miner. Empty when the run
-    predates the fetch hook or had no application instructions. *)
-
 val fetch_count : t -> pc:int -> int
 (** Fetch count of one PC (0 when never fetched). *)
 

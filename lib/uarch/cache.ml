@@ -109,10 +109,6 @@ let miss_rate t =
   if t.accesses = 0 then 0.
   else float_of_int t.misses /. float_of_int t.accesses
 
-let reset_stats t =
-  t.accesses <- 0;
-  t.misses <- 0
-
 let invalidate t =
   t.last_tag <- -1;
   Array.fill t.tags 0 (Array.length t.tags) (-1);

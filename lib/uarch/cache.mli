@@ -40,7 +40,6 @@ val size_bytes : t -> int
 val accesses : t -> int
 val misses : t -> int
 val miss_rate : t -> float
-val reset_stats : t -> unit
 val invalidate : t -> unit
 (** Empty every way; the next access of any line misses, the line
     touched last included. *)

@@ -366,15 +366,16 @@ let test_engine_most_specific_wins () =
 
 let test_engine_memoizes_by_pc () =
   let set = resolve_error_at 0x9000 (Lang.parse mfi_source) in
-  let engine = Engine.create set in
   let st = Insn.Mem (Opcode.Stq, r1, 0, r2) in
+  let image = Program.layout ~base:0x100 [ Program.Ins st ] in
+  let engine = Engine.create ~image set in
   let a = Engine.expand engine ~pc:0x100 st in
   let b = Engine.expand engine ~pc:0x100 st in
   check bool_ "same expansion object" true (a == b);
   check int_ "distinct triggers counted once" 1 (Engine.distinct_triggers engine)
 
 let test_engine_cache_keyed_by_insn () =
-  (* Regression: the sparse memo once keyed by PC alone, so a second
+  (* Regression: the memo once keyed by PC alone, so a second
      instruction at the same PC (re-laid-out codeword image, or a
      hand-driven probe) got the first instruction's expansion. *)
   let sp_loads = Pattern.with_rs Reg.sp Pattern.loads in
@@ -391,10 +392,11 @@ let test_engine_cache_keyed_by_insn () =
                            Replacement.Ilit 1, Replacement.Rlit (Reg.d 0));
          Replacement.Trigger |]
   in
-  let engine = Engine.create set in
   let sp_load = Insn.Mem (Opcode.Ldq, Reg.sp, 0, r2) in
   let other_load = Insn.Mem (Opcode.Ldq, r1, 0, r2) in
   let pc = 0x100 in
+  let image = Program.layout ~base:pc [ Program.Ins sp_load ] in
+  let engine = Engine.create ~image set in
   (match Engine.expand engine ~pc sp_load with
   | Some { Machine.rsid = 1; _ } -> ()
   | _ -> Alcotest.fail "sp load should hit the identity production");

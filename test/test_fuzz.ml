@@ -1,6 +1,6 @@
 (* Tests for the differential fuzzing + fault-injection subsystem, and
    regression tests for the latent bugs it was built to catch: branch
-   and codeword encoding at the 16-bit boundaries, dense-memo
+   and codeword encoding at the 16-bit boundaries, expansion-memo
    staleness across re-laid-out images, cache corrupt-entry recovery
    under contention, and serve-stream resilience to bad lines. *)
 
@@ -65,10 +65,10 @@ let test_codeword_field_validation () =
   check bool_ "max-field codeword round-trips" true
     (Insn.equal max (Encode.decode ~pc:0 (Encode.encode ~pc:0 max)))
 
-(* --- dense-memo staleness over re-laid-out codeword images ------------ *)
+(* --- memo staleness over re-laid-out codeword images -------------------- *)
 
 (* One From_tag production over codewords, with a distinct sequence per
-   tag: a dense memo that keys on pc alone (the fixed staleness bug)
+   tag: a memo that keys on pc alone (the fixed staleness bug)
    would serve tag 1's sequence when a re-laid-out image puts tag 2 at
    the same address. *)
 let tagged_prodset tags =
@@ -98,54 +98,65 @@ let test_dense_memo_relayout () =
       (List.init slots (fun _ ->
            Program.Ins (Insn.codeword ~op:0 ~p1:0 ~p2:0 ~p3:0 ~tag)))
   in
-  let dense = Engine.expander (Engine.create ~image:(image_of 1) ps) in
-  let hash = Engine.expander (Engine.create ps) in
+  let memo = Engine.expander (Engine.create ~image:(image_of 1) ps) in
+  let imageless = Engine.expander (Engine.create ps) in
   let naive = F.Naive.expander ps in
   let rng = Rng.create 77 in
-  (* prime the dense memo on tag 1, then "re-lay-out": present other
-     tags (and re-present tag 1) at the same addresses, in random
-     order, and demand agreement with the unmemoized sides *)
+  (* prime the memo on tag 1, then "re-lay-out": present other tags
+     (and re-present tag 1) at the same addresses, in random order,
+     and demand agreement with the unmemoized sides *)
   for round = 0 to 40 do
     let tag = if round = 0 then 1 else Rng.pick rng [| 1; 2; 3 |] in
     let ix = Rng.int rng slots in
     let pc = 0x100000 + (4 * ix) in
     let insn = Insn.codeword ~op:0 ~p1:0 ~p2:0 ~p3:0 ~tag in
-    let d = dense ~pc insn and h = hash ~pc insn and n = naive ~pc insn in
-    if not (exp_eq d n) then
-      Alcotest.failf "round %d: dense memo stale for tag %d at 0x%x" round tag
-        pc;
-    if not (exp_eq h n) then
-      Alcotest.failf "round %d: hashtable memo wrong for tag %d at 0x%x" round
-        tag pc;
+    let m = memo ~pc insn and i = imageless ~pc insn and n = naive ~pc insn in
+    if not (exp_eq m n) then
+      Alcotest.failf "round %d: memo stale for tag %d at 0x%x" round tag pc;
+    if not (exp_eq i n) then
+      Alcotest.failf "round %d: image-less engine wrong for tag %d at 0x%x"
+        round tag pc;
     (match n with
     | Some e -> check int_ "rsid is the tag" tag e.Machine.rsid
     | None -> Alcotest.fail "codeword production did not match")
-  done
+  done;
+  let insn = Insn.codeword ~op:0 ~p1:0 ~p2:0 ~p3:0 ~tag:2 in
+  let a = memo ~pc:0x100000 insn in
+  let b = memo ~pc:0x100000 insn in
+  check bool_ "re-hit shares the memoized expansion" true (a == b)
 
-(* The sparse twin of the test above, aimed at the hashtable memo on
-   its own (no image, so every probe takes the fallback path): it is
-   keyed by bare PC with the trigger stored alongside, and a hit must
-   notice a changed trigger — the same staleness discipline as the
-   dense memo — while still sharing the memoized expansion on a true
-   re-hit. *)
+(* The compressed twin of the test above: 2-byte codewords, so the
+   memo's slots sit at halfword strides and are found through the
+   image's halfword table. Probes also land past the end of the image,
+   where no slot exists and the expansion is computed afresh. A hit
+   must notice a changed trigger while still sharing the memoized
+   expansion on a true re-hit. *)
 let test_sparse_memo_relayout () =
   let tags = [ 1; 2; 3 ] in
   let ps = tagged_prodset tags in
-  let sparse = Engine.expander (Engine.create ps) in
+  let slots = 8 in
+  let image =
+    Program.layout ~base:0x100000 ~size_of:(fun _ -> 2)
+      (List.init slots (fun _ ->
+           Program.Ins (Insn.codeword ~op:0 ~p1:0 ~p2:0 ~p3:0 ~tag:1)))
+  in
+  let sparse = Engine.expander (Engine.create ~image ps) in
   let naive = F.Naive.expander ps in
   let rng = Rng.create 99 in
   for round = 0 to 60 do
     let tag = if round = 0 then 1 else Rng.pick rng [| 1; 2; 3 |] in
-    let pc = 0x100000 + (4 * Rng.int rng 8) in
+    (* offsets 0..2*slots-1 halfwords: the first half are image slots,
+       the rest lie past the end of the image *)
+    let pc = 0x100000 + (2 * Rng.int rng (2 * slots)) in
     let insn = Insn.codeword ~op:0 ~p1:0 ~p2:0 ~p3:0 ~tag in
     let s = sparse ~pc insn and n = naive ~pc insn in
     if not (exp_eq s n) then
-      Alcotest.failf "round %d: sparse memo stale for tag %d at 0x%x" round
-        tag pc
+      Alcotest.failf "round %d: compressed-image memo stale for tag %d at 0x%x"
+        round tag pc
   done;
   let insn = Insn.codeword ~op:0 ~p1:0 ~p2:0 ~p3:0 ~tag:2 in
-  let a = sparse ~pc:0x100000 insn in
-  let b = sparse ~pc:0x100000 insn in
+  let a = sparse ~pc:0x100002 insn in
+  let b = sparse ~pc:0x100002 insn in
   check bool_ "re-hit shares the memoized expansion" true (a == b)
 
 (* --- fault-injection matrices ----------------------------------------- *)

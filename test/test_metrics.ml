@@ -286,7 +286,7 @@ let test_conformance_quick () =
     vectors;
   let report = Conformance.run_suite ~dir:"arch" vectors in
   let total = List.length report.Conformance.cells in
-  check int_ "4 backends per vector" (4 * List.length vectors) total;
+  check int_ "3 backends per vector" (3 * List.length vectors) total;
   List.iter
     (fun c ->
       if not c.Conformance.pass then

@@ -244,6 +244,54 @@ let prop_cache_matches_lru_model =
       got = want
       && Dise_uarch.Cache.misses c = List.length (List.filter not want))
 
+(* --- layout ------------------------------------------------------------ *)
+
+(* A random mix of 2- and 4-byte instructions at a random base:
+   [find_index] finds each instruction at its own address and nothing
+   anywhere else, [fetch] agrees with it, and a size other than 2 or 4
+   is refused. Instruction [k] is the codeword with tag [k], so
+   [size_of] can give each instruction its drawn size. *)
+let prop_find_index_exact =
+  QCheck.Test.make ~name:"find_index hits exactly the instruction starts"
+    ~count:200
+    QCheck.(
+      triple (int_bound 0x200000)
+        (list_of_size Gen.(int_bound 60) bool)
+        (int_bound 59))
+    (fun (base, wide, bad) ->
+      let sizes = Array.of_list (List.map (fun w -> if w then 4 else 2) wide) in
+      let n = Array.length sizes in
+      let tag_of = function Insn.Codeword { tag; _ } -> tag | _ -> -1 in
+      let prog =
+        List.init n (fun tag ->
+            Program.Ins (Insn.codeword ~op:0 ~p1:0 ~p2:0 ~p3:0 ~tag))
+      in
+      let img =
+        Program.layout ~base ~size_of:(fun i -> sizes.(tag_of i)) prog
+      in
+      let module Im = Program.Image in
+      let is_start = Hashtbl.create n in
+      let ok = ref (Im.length img = n) in
+      for i = 0 to n - 1 do
+        Hashtbl.replace is_start (Im.addr_of_index img i) ();
+        ok := !ok && Im.find_index img (Im.addr_of_index img i) = i
+      done;
+      for addr = base - 2 to Im.end_addr img + 2 do
+        let i = Im.find_index img addr in
+        ok :=
+          !ok
+          && (Hashtbl.mem is_start addr || i = -1)
+          && Im.fetch img addr = (if i < 0 then None else Some (Im.get img i))
+      done;
+      !ok
+      && (n = 0
+         ||
+         let bad = bad mod n in
+         let size_of i = if tag_of i = bad then 3 else sizes.(tag_of i) in
+         match Program.layout ~base ~size_of prog with
+         | exception Program.Layout_error _ -> true
+         | _ -> false))
+
 (* --- closure-free use/def indices ----------------------------------------- *)
 
 let prop_use_def_indices =
@@ -540,8 +588,8 @@ let descs_of seq = Array.map Desc.of_insn seq
 let imms_of seq = Array.map Desc.imm_of_insn seq
 
 (* Every image carries its instructions' descriptors and immediates,
-   and every expansion, from the memoizing engine (dense and sparse
-   memo) and from the reference expander alike, carries its
+   and every expansion, from the engine (memoizing over the image, and
+   image-less) and from the reference expander alike, carries its
    sequence's. *)
 let prop_descs_match_insns =
   QCheck.Test.make ~name:"image and expansion descriptors match their insns"
@@ -654,6 +702,7 @@ let suite =
     t prop_rt_bounded_and_rehit;
     t prop_cache_rehit;
     t prop_cache_matches_lru_model;
+    t prop_find_index_exact;
     t prop_use_def_indices;
     t prop_desc_fields;
     t prop_descs_match_insns;
