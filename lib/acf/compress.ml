@@ -835,14 +835,16 @@ and finalize ~scheme ~prog ~segs (chosen : chosen array) =
     | I.Codeword _ -> scheme.codeword_bytes
     | _ -> 4
   in
-  (* Fixpoint: lay out, check branch-offset parameters, un-compress
+  (* Fixpoint: place, check branch-offset parameters, un-compress
      violating instances. Codeword sizes are fixed, so the zero-offset
-     layout of the final round is the final layout: it returns that
-     image and every codeword's address in it. *)
+     addresses of the final round are the final layout's: it returns
+     every codeword's address and the label lookup. *)
   let zero_offsets ~inst:_ ~pos:_ _ = 0 in
   let rec fixpoint () =
     let prog' = rebuild ~offset_of:zero_offsets in
-    let img = Program.layout ~base:code_base ~size_of prog' in
+    let insn_addrs, symbol =
+      Program.addresses ~base:code_base ~size_of prog'
+    in
     (* Instances map 1:1 to codewords in rebuild order, so walking the
        blocks against the decision table while counting emitted
        instructions gives each codeword's image index. *)
@@ -862,7 +864,7 @@ and finalize ~scheme ~prog ~segs (chosen : chosen array) =
           while !pos < n do
             match starts.(blk).(!pos) with
             | Some (c, inst) ->
-              let addr = Program.Image.addr_of_index img !idx in
+              let addr = insn_addrs.(!idx) in
               addrs.(blk).(!pos) <- addr;
               List.iter
                 (fun p ->
@@ -874,7 +876,7 @@ and finalize ~scheme ~prog ~segs (chosen : chosen array) =
                       let target =
                         match t with
                         | I.Abs a -> Some a
-                        | I.Lab l -> Program.Image.symbol img l
+                        | I.Lab l -> symbol l
                       in
                       match target with
                       | Some ta ->
@@ -892,7 +894,7 @@ and finalize ~scheme ~prog ~segs (chosen : chosen array) =
               incr pos
           done)
       segs;
-    if !violations = [] then (addrs, img)
+    if !violations = [] then (addrs, symbol)
     else begin
       (* Un-compress the violating instances and re-lay-out; each round
          removes at least one instance, so this terminates. *)
@@ -900,8 +902,9 @@ and finalize ~scheme ~prog ~segs (chosen : chosen array) =
       fixpoint ()
     end
   in
-  (* Final pass with real offsets, against the fixpoint's layout. *)
-  let addr_tbl, layout_img = fixpoint () in
+  (* Final pass with real offsets, against the fixpoint's addresses:
+     the one layout. *)
+  let addr_tbl, symbol = fixpoint () in
   let offset_of ~inst ~pos:_ t =
     let addr = addr_tbl.(inst.blk).(inst.start) in
     assert (addr >= 0);
@@ -909,7 +912,7 @@ and finalize ~scheme ~prog ~segs (chosen : chosen array) =
       match t with
       | I.Abs a -> a
       | I.Lab l -> (
-        match Program.Image.symbol layout_img l with
+        match symbol l with
         | Some a -> a
         | None -> invalid_arg ("Compress: unknown label " ^ l))
     in

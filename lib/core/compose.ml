@@ -119,7 +119,7 @@ let match3_pattern (po : Pattern.t) (pi : Pattern.t) =
       | Some k' -> if k = k' then Yes else No
       | None -> (
         match pi.opclass with
-        | Some c -> if I.cls_of_key k = c then Unknown else No
+        | Some c -> if Dise_isa.Desc.cls_of_key k = c then Unknown else No
         | None -> Unknown))
   in
   let class_ok =
@@ -130,7 +130,7 @@ let match3_pattern (po : Pattern.t) (pi : Pattern.t) =
       | Some c' -> if c = c' then Yes else No
       | None -> (
         match pi.opcode_key with
-        | Some k -> if I.cls_of_key k = c then Yes else No
+        | Some k -> if Dise_isa.Desc.cls_of_key k = c then Yes else No
         | None -> Unknown))
   in
   let reg_ok want got =

@@ -1,81 +1,12 @@
 module I = Dise_isa.Insn
 module Op = Dise_isa.Opcode
 module Reg = Dise_isa.Reg
+module Asm = Dise_isa.Asm
 module R = Replacement
 
-exception Parse_error of int * string
+exception Parse_error = Asm.Parse_error
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error (0, s))) fmt
-
-let strip_comment line =
-  let cut idx = String.sub line 0 idx in
-  match String.index_opt line ';' with
-  | Some i -> cut i
-  | None -> (
-    let rec find i =
-      if i + 1 >= String.length line then None
-      else if line.[i] = '/' && line.[i + 1] = '/' then Some i
-      else find (i + 1)
-    in
-    match find 0 with Some i -> cut i | None -> line)
-
-let split_operands s =
-  String.split_on_char ',' s |> List.map String.trim
-  |> List.filter (fun x -> x <> "")
-
-let parse_number s =
-  match int_of_string_opt s with Some v -> v | None -> fail "bad number %S" s
-
-(* --- pattern conditions ------------------------------------------- *)
-
-(* Map a mnemonic to an opcode dispatch key via an example instruction.
-   Immediate ALU forms use an "i" suffix to disambiguate from the
-   register form. *)
-let key_of_mnemonic m =
-  let r0 = Reg.zero in
-  let example =
-    match Op.rop_of_string m with
-    | Some op -> Some (I.Rop (op, r0, r0, r0))
-    | None -> (
-      let n = String.length m in
-      let base = if n > 1 then String.sub m 0 (n - 1) else m in
-      match (if n > 1 && m.[n - 1] = 'i' then Op.rop_of_string base else None)
-      with
-      | Some op -> Some (I.Ropi (op, r0, 0, r0))
-      | None -> (
-        match Op.mop_of_string m with
-        | Some op -> Some (I.Mem (op, r0, 0, r0))
-        | None -> (
-          match Op.bop_of_string m with
-          | Some op -> Some (I.Br (op, r0, I.Abs 0))
-          | None -> (
-            match m with
-            | "lda" -> Some (I.Lda (r0, 0, r0))
-            | "lui" -> Some (I.Lui (0, r0))
-            | "jmp" -> Some (I.Jmp (I.Abs 0))
-            | "jal" -> Some (I.Jal (I.Abs 0))
-            | "jr" -> Some (I.Jr r0)
-            | "jalr" -> Some (I.Jalr (r0, r0))
-            | "djmp" -> Some (I.Djmp 0)
-            | "nop" -> Some I.Nop
-            | "halt" -> Some I.Halt
-            | _ when String.length m > 1 && m.[0] = 'd'
-                     && Op.bop_of_string (String.sub m 1 (String.length m - 1))
-                        <> None -> (
-              match Op.bop_of_string (String.sub m 1 (String.length m - 1)) with
-              | Some op -> Some (I.Dbr (op, r0, 0))
-              | None -> None)
-            | _ ->
-              if String.length m = 3 && String.sub m 0 2 = "cw" then
-                let n = Char.code m.[2] - Char.code '0' in
-                if n >= 0 && n < Op.num_reserved then
-                  Some (I.codeword ~op:n ~p1:0 ~p2:0 ~p3:0 ~tag:0)
-                else None
-              else None))))
-  in
-  match example with
-  | Some i -> I.key i
-  | None -> fail "unknown mnemonic %S in T.OP condition" m
 
 let split_on_substring sep s =
   let seplen = String.length sep in
@@ -90,6 +21,11 @@ let split_on_substring sep s =
     | None -> List.rev (String.sub s start (String.length s - start) :: acc)
   in
   go 0 []
+
+(* --- pattern conditions ------------------------------------------- *)
+
+let reg s =
+  match Reg.of_string s with Some r -> r | None -> fail "bad register %S" s
 
 let parse_condition pat cond =
   let cond = String.trim cond in
@@ -115,21 +51,15 @@ let parse_condition pat cond =
     match Op.cls_of_string cls with
     | Some c -> { pat with Pattern.opclass = Some c }
     | None -> fail "unknown opcode class %S" cls)
-  | "T.OP", `Eq, m -> { pat with Pattern.opcode_key = Some (key_of_mnemonic m) }
-  | "T.RS", `Eq, r -> (
-    match Reg.of_string r with
-    | Some r -> { pat with Pattern.rs = Some r }
-    | None -> fail "bad register %S" r)
-  | "T.RT", `Eq, r -> (
-    match Reg.of_string r with
-    | Some r -> { pat with Pattern.rt = Some r }
-    | None -> fail "bad register %S" r)
-  | "T.RD", `Eq, r -> (
-    match Reg.of_string r with
-    | Some r -> { pat with Pattern.rd = Some r }
-    | None -> fail "bad register %S" r)
+  | "T.OP", `Eq, m -> (
+    match Dise_isa.Desc.key_of_mnemonic m with
+    | Some k -> { pat with Pattern.opcode_key = Some k }
+    | None -> fail "unknown mnemonic %S in T.OP condition" m)
+  | "T.RS", `Eq, r -> { pat with Pattern.rs = Some (reg r) }
+  | "T.RT", `Eq, r -> { pat with Pattern.rt = Some (reg r) }
+  | "T.RD", `Eq, r -> { pat with Pattern.rd = Some (reg r) }
   | "T.IMM", `Eq, v ->
-    { pat with Pattern.imm = Some (Pattern.Imm_eq (parse_number v)) }
+    { pat with Pattern.imm = Some (Pattern.Imm_eq (Asm.number v)) }
   | "T.IMM", `Lt, "0" -> { pat with Pattern.imm = Some Pattern.Imm_neg }
   | "T.IMM", `Ge, "0" -> { pat with Pattern.imm = Some Pattern.Imm_nonneg }
   | lhs, _, _ -> fail "unsupported condition on %S" lhs
@@ -138,131 +68,59 @@ let parse_pattern s =
   let conds = split_on_substring "&&" s in
   List.fold_left parse_condition Pattern.any conds
 
-(* --- replacement operands ------------------------------------------ *)
+(* --- replacement instructions: Asm's forms, directive operands ------ *)
 
-let parse_rreg s =
-  match s with
+let rreg = function
   | "T.RS" -> R.Rrs
   | "T.RT" -> R.Rrt
   | "T.RD" -> R.Rrd
   | "T.P1" -> R.Rparam 1
   | "T.P2" -> R.Rparam 2
   | "T.P3" -> R.Rparam 3
-  | _ -> (
+  | s -> (
     match Reg.of_string s with
     | Some r -> R.Rlit r
     | None -> fail "bad register operand %S" s)
 
-let parse_rimm s =
-  if String.length s = 0 || s.[0] <> '#' then
-    fail "expected #immediate, got %S" s
-  else
-    match String.sub s 1 (String.length s - 1) with
-    | "T.IMM" -> R.Iimm
-    | "T.PC" -> R.Ipc
-    | "T.P1" -> R.Iparam 1
-    | "T.P2" -> R.Iparam 2
-    | "T.P3" -> R.Iparam 3
-    | "T.P1P2" -> R.Iparam2 1
-    | "T.P2P3" -> R.Iparam2 2
-    | v -> R.Ilit (parse_number v)
+(* An immediate after its '#'. *)
+let rimm = function
+  | "T.IMM" -> R.Iimm
+  | "T.PC" -> R.Ipc
+  | "T.P1" -> R.Iparam 1
+  | "T.P2" -> R.Iparam 2
+  | "T.P3" -> R.Iparam 3
+  | "T.P1P2" -> R.Iparam2 1
+  | "T.P2P3" -> R.Iparam2 2
+  | v -> R.Ilit (Asm.number v)
 
-let is_ident_char c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-  || c = '_' || c = '.'
-
-let parse_rtarget s =
-  match s with
+let rtarget = function
   | "T.PC+T.P1" -> R.Trel_param 1
   | "T.PC+T.P2" -> R.Trel_param 2
   | "T.PC+T.P3" -> R.Trel_param 3
   | "T.PC+T.P1P2" -> R.Trel_param2 1
   | "T.PC+T.P2P3" -> R.Trel_param2 2
-  | _ ->
-    if String.length s > 1 && s.[0] = '0' && (s.[1] = 'x' || s.[1] = 'X') then
-      R.Tabs (parse_number s)
-    else if String.length s > 0 && String.for_all is_ident_char s then
-      R.Tlab s
-    else fail "bad target %S" s
-
-(* "imm(reg)" where imm may itself be a #-less literal or directive *)
-let parse_rmem_operand s =
-  match String.index_opt s '(' with
-  | None -> fail "expected imm(reg), got %S" s
-  | Some i ->
-    if s.[String.length s - 1] <> ')' then fail "expected imm(reg), got %S" s
-    else
-      let imm_str = String.trim (String.sub s 0 i) in
-      let reg_str = String.trim (String.sub s (i + 1) (String.length s - i - 2)) in
-      let imm =
-        if imm_str = "" then R.Ilit 0
-        else if imm_str.[0] = '#' then parse_rimm imm_str
-        else parse_rimm ("#" ^ imm_str)
-      in
-      (imm, parse_rreg reg_str)
-
-let parse_disepc s =
-  if String.length s > 1 && s.[0] = '@' then
-    parse_number (String.sub s 1 (String.length s - 1))
-  else fail "expected @disepc, got %S" s
+  | s -> ( match Asm.target s with I.Abs a -> R.Tabs a | I.Lab l -> R.Tlab l)
 
 let parse_rinsn line =
-  let line = String.trim line in
-  if line = "T.INSN" then R.Trigger
+  if String.trim line = "T.INSN" then R.Trigger
   else
-    let mnemonic, rest =
-      match String.index_opt line ' ' with
-      | None -> (line, "")
-      | Some i ->
-        (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
-    in
-    let mnemonic = String.lowercase_ascii mnemonic in
-    let ops = split_operands rest in
-    let is_reg_operand s =
-      String.length s > 0 && s.[0] <> '#'
-      && not (String.contains s '(')
-    in
-    match Op.rop_of_string mnemonic with
-    | Some op -> (
-      match ops with
-      | [ a; b; c ] ->
-        let rs = parse_rreg a and rd = parse_rreg c in
-        if is_reg_operand b then R.Rop (op, rs, parse_rreg b, rd)
-        else R.Ropi (op, rs, parse_rimm b, rd)
-      | _ -> fail "%s expects 3 operands" mnemonic)
-    | None -> (
-      match Op.mop_of_string mnemonic with
-      | Some op -> (
-        match ops with
-        | [ data; memop ] ->
-          let off, base = parse_rmem_operand memop in
-          R.Mem (op, base, off, parse_rreg data)
-        | _ -> fail "%s expects 2 operands" mnemonic)
-      | None -> (
-        match Op.bop_of_string mnemonic with
-        | Some op -> (
-          match ops with
-          | [ r; t ] -> R.Br (op, parse_rreg r, parse_rtarget t)
-          | _ -> fail "%s expects 2 operands" mnemonic)
-        | None -> (
-          match mnemonic, ops with
-          | "lda", [ rd; memop ] ->
-            let off, base = parse_rmem_operand memop in
-            R.Lda (base, off, parse_rreg rd)
-          | "lui", [ imm; rd ] -> R.Lui (parse_rimm imm, parse_rreg rd)
-          | "jmp", [ t ] -> R.Jmp (parse_rtarget t)
-          | "jal", [ t ] -> R.Jal (parse_rtarget t)
-          | "jr", [ r ] -> R.Jr (parse_rreg r)
-          | "jalr", [ rs; rd ] -> R.Jalr (parse_rreg rs, parse_rreg rd)
-          | "djmp", [ t ] -> R.Djmp (parse_disepc t)
-          | "nop", [] -> R.Nop
-          | "halt", [] -> R.Halt
-          | _ when String.length mnemonic > 1 && mnemonic.[0] = 'd' -> (
-            let inner = String.sub mnemonic 1 (String.length mnemonic - 1) in
-            match Op.bop_of_string inner, ops with
-            | Some op, [ r; t ] -> R.Dbr (op, parse_rreg r, parse_disepc t)
-            | _, _ -> fail "unknown mnemonic %S" mnemonic)
-          | _ -> fail "unknown replacement mnemonic %S" mnemonic)))
+    match Asm.form line with
+    | Asm.Rop (op, a, b, c) -> R.Rop (op, rreg a, rreg b, rreg c)
+    | Asm.Ropi (op, a, v, c) -> R.Ropi (op, rreg a, rimm v, rreg c)
+    | Asm.Lda (m, rd) -> R.Lda (rreg m.base, rimm m.off, rreg rd)
+    | Asm.Lui (v, rd) -> R.Lui (rimm v, rreg rd)
+    | Asm.Mem (op, m, data) -> R.Mem (op, rreg m.base, rimm m.off, rreg data)
+    | Asm.Br (op, r, t) -> R.Br (op, rreg r, rtarget t)
+    | Asm.Jmp t -> R.Jmp (rtarget t)
+    | Asm.Jal t -> R.Jal (rtarget t)
+    | Asm.Jr r -> R.Jr (rreg r)
+    | Asm.Jalr (a, b) -> R.Jalr (rreg a, rreg b)
+    | Asm.Dbr (op, r, off) -> R.Dbr (op, rreg r, off)
+    | Asm.Djmp off -> R.Djmp off
+    | Asm.Codeword _ ->
+      fail "codeword in a replacement sequence (expansion is not recursive)"
+    | Asm.Nop -> R.Nop
+    | Asm.Halt -> R.Halt
 
 (* --- whole-source parsing ------------------------------------------ *)
 
@@ -271,22 +129,24 @@ type header =
   | Hseq of int * string      (* sequence id, trailing first insn or "" *)
   | Hnone of string           (* continuation line *)
 
+(* "R<n>" names sequence n. *)
+let seq_id s =
+  if String.length s > 1 && s.[0] = 'R' then
+    int_of_string_opt (String.sub s 1 (String.length s - 1))
+  else None
+
 let classify line =
   match String.index_opt line ':' with
   | None -> Hnone line
   | Some i ->
     let name = String.trim (String.sub line 0 i) in
     let rest = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
-    if name = "" || not (String.for_all is_ident_char name) then Hnone line
+    if not (Asm.is_ident name) then Hnone line
     else if
       (* A production header has "->" in its body. *)
       List.length (split_on_substring "->" rest) = 2
     then Hprod (name, rest)
-    else if String.length name > 1 && name.[0] = 'R' then
-      match int_of_string_opt (String.sub name 1 (String.length name - 1)) with
-      | Some id -> Hseq (id, rest)
-      | None -> Hnone line
-    else Hnone line
+    else match seq_id name with Some id -> Hseq (id, rest) | None -> Hnone line
 
 let parse source =
   let lines = String.split_on_char '\n' source in
@@ -301,7 +161,7 @@ let parse source =
     | None -> ()
   in
   let handle lineno raw =
-    let line = String.trim (strip_comment raw) in
+    let line = String.trim (Asm.strip_comment raw) in
     if line = "" then ()
     else
       match classify line with
@@ -313,13 +173,10 @@ let parse source =
           let rhs = String.trim rhs in
           let rsid =
             if rhs = "TAG" then Production.From_tag
-            else if String.length rhs > 1 && rhs.[0] = 'R' then
-              match
-                int_of_string_opt (String.sub rhs 1 (String.length rhs - 1))
-              with
+            else
+              match seq_id rhs with
               | Some id -> Production.Direct id
               | None -> fail "bad sequence name %S" rhs
-            else fail "bad sequence name %S" rhs
           in
           prodset :=
             Prodset.add_production !prodset (Production.make ~name pattern rsid))
@@ -342,28 +199,21 @@ let parse source =
   flush ();
   !prodset
 
-let production_to_string p = Format.asprintf "%a" Production.pp p
-
-let sequence_to_string (id, seq) =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf (Printf.sprintf "R%d:" id);
-  Array.iteri
-    (fun i r ->
-      Buffer.add_string buf (if i = 0 then " " else "\n    ");
-      Buffer.add_string buf (Format.asprintf "%a" R.pp_rinsn r))
-    seq;
-  Buffer.contents buf
-
 let to_string set =
   let b = Buffer.create 512 in
   List.iter
     (fun p ->
-      Buffer.add_string b (production_to_string p);
+      Buffer.add_string b (Format.asprintf "%a" Production.pp p);
       Buffer.add_char b '\n')
     (Prodset.productions set);
   List.iter
-    (fun sq ->
-      Buffer.add_string b (sequence_to_string sq);
+    (fun (id, seq) ->
+      Buffer.add_string b (Printf.sprintf "R%d:" id);
+      Array.iteri
+        (fun i r ->
+          Buffer.add_string b (if i = 0 then " " else "\n    ");
+          Buffer.add_string b (Format.asprintf "%a" R.pp_rinsn r))
+        seq;
       Buffer.add_char b '\n')
     (Prodset.sequences set);
   Buffer.contents b

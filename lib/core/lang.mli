@@ -15,13 +15,16 @@
     v}
 
     Pattern conditions (combined with [&&]): [T.OPCLASS == <class>],
-    [T.OP == <mnemonic>] (immediate ALU forms take an [i] suffix:
-    [addi], [srli], ...; codewords are [cw0]..[cw3]), [T.RS == <reg>],
+    [T.OP == <mnemonic>] (a {!Dise_isa.Desc.mnemonic_of_key}, in any
+    case: immediate ALU forms take an [i] suffix, [addi], [srli], ...;
+    codewords are [cw0]..[cw3]), [T.RS == <reg>],
     [T.RT ==], [T.RD ==], [T.IMM == <n>], [T.IMM < 0], [T.IMM >= 0].
     A production's right-hand side is a sequence name [R<n>] or [TAG]
     (aware ACFs: the sequence id comes from the codeword tag).
 
-    Replacement operands may be literals ([r4], [$dr1], [#26]),
+    Replacement instructions are read with {!Dise_isa.Asm}'s grammar
+    (comments, case-insensitive mnemonics, operand counts, labels as
+    identifiers); only their operands differ. They may be literals ([r4], [$dr1], [#26]),
     trigger fields ([T.RS], [T.RT], [T.RD], [#T.IMM], [#T.PC]),
     codeword parameters ([T.P1].. as registers, [#T.P1], [#T.P1P2] as
     immediates), or [T.INSN] for the whole trigger. Branch targets may
@@ -29,7 +32,8 @@
     [T.PC+T.P1] / [T.PC+T.P1P2] parameterized offsets. *)
 
 exception Parse_error of int * string
-(** 1-based line number and message. *)
+(** 1-based line number and message; the same exception as
+    {!Dise_isa.Asm.Parse_error}. *)
 
 val parse : string -> Prodset.t
 (** Parse a production-set source. Sequence names [R<n>] bind sequence
@@ -43,10 +47,9 @@ val parse_result :
     {!Dise_isa.Diag} printer and exit codes. *)
 
 val parse_rinsn : string -> Replacement.rinsn
-(** Parse a single replacement instruction. *)
-
-val production_to_string : Production.t -> string
-val sequence_to_string : int * Replacement.t -> string
+(** Parse a single replacement instruction: [T.INSN], or an
+    instruction in {!Dise_isa.Asm}'s grammar ({!Dise_isa.Asm.form})
+    whose operands may be the directives above. *)
 
 val to_string : Prodset.t -> string
 (** Render a production set back to (re-parseable) source. *)

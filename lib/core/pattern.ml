@@ -1,6 +1,7 @@
 module I = Dise_isa.Insn
 module Op = Dise_isa.Opcode
 module Reg = Dise_isa.Reg
+module Desc = Dise_isa.Desc
 
 type imm_pred =
   | Imm_eq of int
@@ -74,8 +75,8 @@ let all_keys =
 let dispatch_keys t =
   match t.opcode_key, t.opclass with
   | Some k, None -> [ k ]
-  | Some k, Some c -> if List.mem k (I.keys_of_class c) then [ k ] else []
-  | None, Some c -> I.keys_of_class c
+  | Some k, Some c -> if Desc.cls_of_key k = c then [ k ] else []
+  | None, Some c -> Desc.keys_of_class c
   | None, None -> all_keys
 
 let subsumes_key t k = List.mem k (dispatch_keys t)
@@ -86,7 +87,7 @@ let pp ppf t =
   let parts = ref [] in
   let add fmt = Printf.ksprintf (fun s -> parts := s :: !parts) fmt in
   (match t.opcode_key with
-  | Some k -> add "T.OP==%s" (I.mnemonic_of_key k)
+  | Some k -> add "T.OP==%s" (Desc.mnemonic_of_key k)
   | None -> ());
   (match t.opclass with
   | Some c -> add "T.OPCLASS==%s" (Op.cls_to_string c)

@@ -83,6 +83,7 @@ val is_static : t -> bool
 (** True when no directive depends on the trigger, i.e. the sequence
     instantiates identically for every trigger. *)
 
+val of_insn : Dise_isa.Insn.t -> rinsn
 val of_insns : Dise_isa.Insn.t list -> t
 (** Lift concrete instructions into an all-literal specification.
     Raises [Invalid_argument] on codewords (recursive expansion is

@@ -101,7 +101,7 @@ let field_coverage pattern field =
   let have =
     List.filter
       (fun k ->
-        let ex = I.example_of_key k in
+        let ex = Dise_isa.Desc.example_of_key k in
         match field with
         | `Rs -> I.rs ex <> None
         | `Rt -> I.rt ex <> None
@@ -117,7 +117,7 @@ let field_coverage pattern field =
 let codeword_coverage pattern =
   let keys = Pattern.dispatch_keys pattern in
   let cw =
-    List.filter (fun k -> I.cls_of_key k = Op.C_codeword) keys
+    List.filter (fun k -> Dise_isa.Desc.cls_of_key k = Op.C_codeword) keys
   in
   match List.length cw, List.length keys with
   | 0, _ -> `None

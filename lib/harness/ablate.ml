@@ -15,7 +15,12 @@ module F = Figures
 
 (* Every ablation cell is an independent closure, so the panels share
    {!Figures.series}/{!Figures.figure} and evaluate on the same worker
-   pool as the paper's own figures. *)
+   pool as the paper's own figures. Most cells run one {!Request.t}
+   ([run] below). [ablate-decode] and [ablate-ctx] cannot: DISE decode
+   bandwidth and context switches are not request fields, so
+   [run_acf] and [run_with_switches] build engines, machines and
+   pipelines directly. Their 48 quick cells bypass the result cache,
+   and a warm [figures] rerun simulates them again. *)
 let series = F.series
 
 (* The cell's request at the panel's workload length, run on the entry

@@ -2,168 +2,175 @@ exception Parse_error of int * string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error (0, s))) fmt
 
+(* --- the lexer ---------------------------------------------------------- *)
+
 let strip_comment line =
-  let cut_at idx = String.sub line 0 idx in
-  let semi = String.index_opt line ';' in
-  let slash =
-    let rec find i =
-      if i + 1 >= String.length line then None
-      else if line.[i] = '/' && line.[i + 1] = '/' then Some i
-      else find (i + 1)
-    in
-    find 0
+  let n = String.length line in
+  let rec cut i =
+    if i = n then line
+    else if line.[i] = ';' || (line.[i] = '/' && i + 1 < n && line.[i + 1] = '/')
+    then String.sub line 0 i
+    else cut (i + 1)
   in
-  match semi, slash with
-  | Some a, Some b -> cut_at (min a b)
-  | Some a, None | None, Some a -> cut_at a
-  | None, None -> line
+  cut 0
 
-let is_ident_char c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-  || c = '_' || c = '$' || c = '.'
+let is_digit c = c >= '0' && c <= '9'
 
-(* Split an operand string on commas at depth zero (no nesting in this
-   syntax, so a plain split suffices), trimming whitespace. *)
-let split_operands s =
-  String.split_on_char ',' s
-  |> List.map String.trim
-  |> List.filter (fun x -> x <> "")
+let is_ident s =
+  let ident_char c =
+    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || is_digit c || c = '_'
+    || c = '$' || c = '.'
+  in
+  s <> "" && (not (is_digit s.[0])) && String.for_all ident_char s
 
-let parse_number s =
+let number s =
   match int_of_string_opt s with Some v -> v | None -> fail "bad number %S" s
 
-let parse_reg s =
-  match Reg.of_string s with
-  | Some r -> r
-  | None -> fail "bad register %S" s
+(* [s] after its leading [c], which must be there. *)
+let after c what s =
+  if String.length s > 1 && s.[0] = c then String.sub s 1 (String.length s - 1)
+  else fail "expected %s, got %S" what s
 
-let parse_imm s =
-  if String.length s > 0 && s.[0] = '#' then
-    parse_number (String.sub s 1 (String.length s - 1))
-  else fail "expected #immediate, got %S" s
+let target s =
+  if is_ident s then Insn.Lab s
+  else
+    match int_of_string_opt s with
+    | Some a -> Insn.Abs a
+    | None -> fail "bad target %S" s
 
-let parse_target s =
-  if String.length s > 1 && s.[0] = '0' && (s.[1] = 'x' || s.[1] = 'X') then
-    Insn.Abs (parse_number s)
-  else if String.length s > 0 && is_ident_char s.[0] then Insn.Lab s
-  else fail "bad target %S" s
+type mem = { off : string; base : string }
 
-(* "imm(reg)" *)
-let parse_mem_operand s =
+(* "imm(reg)"; the offset may carry a '#' and defaults to 0. *)
+let mem s =
+  let n = String.length s in
   match String.index_opt s '(' with
-  | None -> fail "expected imm(reg), got %S" s
-  | Some i ->
-    if String.length s = 0 || s.[String.length s - 1] <> ')' then
-      fail "expected imm(reg), got %S" s
-    else
-      let imm_str = String.trim (String.sub s 0 i) in
-      let reg_str = String.sub s (i + 1) (String.length s - i - 2) in
-      let imm = if imm_str = "" then 0 else parse_number imm_str in
-      (imm, parse_reg (String.trim reg_str))
+  | Some i when s.[n - 1] = ')' ->
+    let off = String.trim (String.sub s 0 i) in
+    let off =
+      if off = "" then "0"
+      else if off.[0] = '#' then after '#' "#immediate" off
+      else off
+    in
+    { off; base = String.trim (String.sub s (i + 1) (n - i - 2)) }
+  | _ -> fail "expected imm(reg), got %S" s
 
-let parse_disepc s =
-  if String.length s > 1 && s.[0] = '@' then
-    parse_number (String.sub s 1 (String.length s - 1))
-  else fail "expected @disepc, got %S" s
+(* --- instruction forms -------------------------------------------------- *)
 
-let parse_insn_fields mnemonic operands =
-  let ops = split_operands operands in
-  let arity n =
-    if List.length ops <> n then
-      fail "%s expects %d operands, got %d" mnemonic n (List.length ops)
+type form =
+  | Rop of Opcode.rop * string * string * string
+  | Ropi of Opcode.rop * string * string * string
+  | Lda of mem * string
+  | Lui of string * string
+  | Mem of Opcode.mop * mem * string
+  | Br of Opcode.bop * string * string
+  | Jmp of string
+  | Jal of string
+  | Jr of string
+  | Jalr of string * string
+  | Dbr of Opcode.bop * string * int
+  | Djmp of int
+  | Codeword of Insn.t
+  | Nop
+  | Halt
+
+(* The parameter and tag fields are range-checked here, so a bad one
+   is a parse error naming the field rather than the smart
+   constructor's [Invalid_argument]. *)
+let codeword m op o =
+  let field name bits s =
+    let v = number s in
+    if v < 0 || v lsr bits <> 0 then
+      fail "%s: %s %d out of %d-bit range" m name v bits;
+    v
   in
-  match Opcode.rop_of_string mnemonic with
-  | Some op -> (
+  let tag =
+    if String.starts_with ~prefix:"tag=" o.(3) then
+      String.sub o.(3) 4 (String.length o.(3) - 4)
+    else o.(3)
+  in
+  Insn.codeword ~op ~p1:(field "p1" 5 o.(0)) ~p2:(field "p2" 5 o.(1))
+    ~p3:(field "p3" 5 o.(2)) ~tag:(field "tag" 11 tag)
+
+let form line =
+  let line = String.trim (String.map (fun c -> if c = '\t' then ' ' else c) line) in
+  let m, rest =
+    match String.index_opt line ' ' with
+    | None -> (line, "")
+    | Some i -> (String.sub line 0 i, String.sub line i (String.length line - i))
+  in
+  let m = String.lowercase_ascii m in
+  let o =
+    if String.trim rest = "" then [||]
+    else Array.of_list (List.map String.trim (String.split_on_char ',' rest))
+  in
+  let arity n =
+    if Array.length o <> n then
+      fail "%s expects %d operands, got %d" m n (Array.length o)
+  in
+  let imm s = after '#' "#immediate" s in
+  let disepc s = number (after '@' "@disepc" s) in
+  (* The key table names every opcode; its immediate ALU names
+     ([addi], ...) are for patterns only: the '#' operand picks the
+     immediate form. *)
+  match Option.map Desc.example_of_key (Desc.key_of_mnemonic m) with
+  | Some (Insn.Rop (op, _, _, _)) ->
     arity 3;
-    match ops with
-    | [ a; b; c ] ->
-      let rs = parse_reg a and rd = parse_reg c in
-      if String.length b > 0 && b.[0] = '#' then
-        Insn.Ropi (op, rs, parse_imm b, rd)
-      else Insn.Rop (op, rs, parse_reg b, rd)
-    | _ -> assert false)
-  | None -> (
-    match Opcode.mop_of_string mnemonic with
-    | Some op -> (
-      arity 2;
-      match ops with
-      | [ data; memop ] ->
-        let off, base = parse_mem_operand memop in
-        Insn.Mem (op, base, off, parse_reg data)
-      | _ -> assert false)
-    | None -> (
-      match Opcode.bop_of_string mnemonic with
-      | Some op -> (
-        arity 2;
-        match ops with
-        | [ r; t ] -> Insn.Br (op, parse_reg r, parse_target t)
-        | _ -> assert false)
-      | None -> (
-        match mnemonic, ops with
-        | "lda", [ rd; memop ] ->
-          let off, base = parse_mem_operand memop in
-          Insn.Lda (base, off, parse_reg rd)
-        | "lui", [ imm; rd ] -> Insn.Lui (parse_imm imm, parse_reg rd)
-        | "jmp", [ t ] -> Insn.Jmp (parse_target t)
-        | "jal", [ t ] -> Insn.Jal (parse_target t)
-        | "jr", [ r ] -> Insn.Jr (parse_reg r)
-        | "jalr", [ rs; rd ] -> Insn.Jalr (parse_reg rs, parse_reg rd)
-        | "djmp", [ t ] -> Insn.Djmp (parse_disepc t)
-        | "nop", [] -> Insn.Nop
-        | "halt", [] -> Insn.Halt
-        | _ when String.length mnemonic > 1 && mnemonic.[0] = 'd' -> (
-          let inner = String.sub mnemonic 1 (String.length mnemonic - 1) in
-          match Opcode.bop_of_string inner, ops with
-          | Some op, [ r; t ] -> Insn.Dbr (op, parse_reg r, parse_disepc t)
-          | Some _, _ -> fail "%s expects 2 operands" mnemonic
-          | None, _ -> fail "unknown mnemonic %S" mnemonic)
-        | _ when String.length mnemonic = 3 && String.sub mnemonic 0 2 = "cw"
-          -> (
-          let opnum = Char.code mnemonic.[2] - Char.code '0' in
-          match ops with
-          | [ p1; p2; p3; tagfield ] ->
-            let tag =
-              match String.index_opt tagfield '=' with
-              | Some i ->
-                parse_number
-                  (String.sub tagfield (i + 1)
-                     (String.length tagfield - i - 1))
-              | None -> parse_number tagfield
-            in
-            Insn.codeword ~op:opnum ~p1:(parse_number p1)
-              ~p2:(parse_number p2) ~p3:(parse_number p3) ~tag
-          | _ -> fail "%s expects p1, p2, p3, tag" mnemonic)
-        | _ -> fail "unknown mnemonic %S" mnemonic)))
+    if String.starts_with ~prefix:"#" o.(1) then Ropi (op, o.(0), imm o.(1), o.(2))
+    else Rop (op, o.(0), o.(1), o.(2))
+  | Some (Insn.Lda _) -> arity 2; Lda (mem o.(1), o.(0))
+  | Some (Insn.Lui _) -> arity 2; Lui (imm o.(0), o.(1))
+  | Some (Insn.Mem (op, _, _, _)) -> arity 2; Mem (op, mem o.(1), o.(0))
+  | Some (Insn.Br (op, _, _)) -> arity 2; Br (op, o.(0), o.(1))
+  | Some (Insn.Jmp _) -> arity 1; Jmp o.(0)
+  | Some (Insn.Jal _) -> arity 1; Jal o.(0)
+  | Some (Insn.Jr _) -> arity 1; Jr o.(0)
+  | Some (Insn.Jalr _) -> arity 2; Jalr (o.(0), o.(1))
+  | Some (Insn.Dbr (op, _, _)) -> arity 2; Dbr (op, o.(0), disepc o.(1))
+  | Some (Insn.Djmp _) -> arity 1; Djmp (disepc o.(0))
+  | Some (Insn.Codeword { op; _ }) -> arity 4; Codeword (codeword m op o)
+  | Some Insn.Nop -> arity 0; Nop
+  | Some Insn.Halt -> arity 0; Halt
+  | Some (Insn.Ropi _) | None ->
+    if String.starts_with ~prefix:"cw" m then
+      fail "%s: no such codeword opcode (cw0..cw%d)" m (Opcode.num_reserved - 1)
+    else fail "unknown mnemonic %S" m
+
+(* --- programs ----------------------------------------------------------- *)
+
+let reg s =
+  match Reg.of_string s with Some r -> r | None -> fail "bad register %S" s
+
+let insn_of_form = function
+  | Rop (op, a, b, c) -> Insn.Rop (op, reg a, reg b, reg c)
+  | Ropi (op, a, v, c) -> Insn.Ropi (op, reg a, number v, reg c)
+  | Lda (m, rd) -> Insn.Lda (reg m.base, number m.off, reg rd)
+  | Lui (v, rd) -> Insn.Lui (number v, reg rd)
+  | Mem (op, m, data) -> Insn.Mem (op, reg m.base, number m.off, reg data)
+  | Br (op, r, t) -> Insn.Br (op, reg r, target t)
+  | Jmp t -> Insn.Jmp (target t)
+  | Jal t -> Insn.Jal (target t)
+  | Jr r -> Insn.Jr (reg r)
+  | Jalr (a, b) -> Insn.Jalr (reg a, reg b)
+  | Dbr (op, r, off) -> Insn.Dbr (op, reg r, off)
+  | Djmp off -> Insn.Djmp off
+  | Codeword i -> i
+  | Nop -> Insn.Nop
+  | Halt -> Insn.Halt
 
 let parse_line line =
   let line = String.trim (strip_comment line) in
   if line = "" then None
   else if line.[String.length line - 1] = ':' then
     let l = String.trim (String.sub line 0 (String.length line - 1)) in
-    if l = "" || not (String.for_all is_ident_char l) then
-      fail "bad label %S" l
-    else Some (Program.Label l)
-  else
-    let mnemonic, rest =
-      match String.index_opt line ' ' with
-      | None -> (line, "")
-      | Some i ->
-        ( String.sub line 0 i,
-          String.sub line (i + 1) (String.length line - i - 1) )
-    in
-    Some (Program.Ins (parse_insn_fields (String.lowercase_ascii mnemonic) rest))
+    if is_ident l then Some (Program.Label l) else fail "bad label %S" l
+  else Some (Program.Ins (insn_of_form (form line)))
 
 let parse source =
-  let lines = String.split_on_char '\n' source in
-  List.concat
-    (List.mapi
-       (fun idx line ->
-         match parse_line line with
-         | Some item -> [ item ]
-         | None -> []
-         | exception Parse_error (0, msg) ->
-           raise (Parse_error (idx + 1, msg)))
-       lines)
+  String.split_on_char '\n' source
+  |> List.mapi (fun idx line ->
+         try parse_line line
+         with Parse_error (0, msg) -> raise (Parse_error (idx + 1, msg)))
+  |> List.filter_map Fun.id
 
 let parse_result ?(source = "<asm>") text =
   match parse text with
@@ -173,6 +180,6 @@ let parse_result ?(source = "<asm>") text =
 
 let parse_insn s =
   match parse_line s with
-  | Some (Program.Ins i) -> [ i ] |> List.hd
+  | Some (Program.Ins i) -> i
   | Some (Program.Label _) -> fail "expected instruction, got label"
   | None -> fail "expected instruction, got blank line"

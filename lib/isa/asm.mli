@@ -1,4 +1,4 @@
-(** Text assembler.
+(** Text assembler, and the one instruction grammar.
 
     Parses the surface syntax used throughout the paper's figures:
 
@@ -14,13 +14,60 @@
       halt
     v}
 
-    Comments start with [;] or [//]. Numbers may be decimal or [0x]
-    hexadecimal. Branch/jump targets are labels or absolute [0x]
-    addresses. DISE-internal branches write a DISEPC target as [@n]
-    ([dbne r1, @3]); codewords as [cw0 1, 2, 3, tag=17]. *)
+    Comments start at the first [;] or [//]. Mnemonics are the ones
+    {!Insn.pp} prints, in any case ({!Desc.key_of_mnemonic}), and
+    every form checks its operand count ("[lda expects 2 operands, got
+    1]"). Numbers may be decimal or [0x] hexadecimal. Labels are
+    identifiers (letters, digits, [_], [$], [.]; no leading digit);
+    branch and jump targets are labels or absolute addresses.
+    DISE-internal branches write a DISEPC target as [@n]
+    ([dbne r1, @3]); codewords as [cw0 1, 2, 3, tag=17], each field
+    range-checked.
+
+    The production language ({!Dise_core.Lang}) reads replacement
+    instructions through {!form} too; only its operand parsers differ
+    (directives such as [T.RS], [#T.IMM], [T.PC+T.P1]). *)
 
 exception Parse_error of int * string
 (** Line number (1-based) and message. *)
+
+val strip_comment : string -> string
+(** The line up to its first [;] or [//]. *)
+
+val is_ident : string -> bool
+(** A label name, as above. *)
+
+val number : string -> int
+(** Raises {!Parse_error}, as do {!target} and {!form}. *)
+
+val target : string -> Insn.target
+(** A label (an identifier) or an absolute address (a number). *)
+
+type mem = { off : string; base : string }
+(** [off(base)]; the offset without its optional [#], ["0"] if empty. *)
+
+(** One instruction, its opcode and operand count checked, its operands
+    as trimmed strings in {!Insn.t}'s order. Immediates come without
+    their [#]. *)
+type form =
+  | Rop of Opcode.rop * string * string * string  (** rs, rt, rd *)
+  | Ropi of Opcode.rop * string * string * string  (** rs, imm, rd *)
+  | Lda of mem * string
+  | Lui of string * string
+  | Mem of Opcode.mop * mem * string
+  | Br of Opcode.bop * string * string
+  | Jmp of string
+  | Jal of string
+  | Jr of string
+  | Jalr of string * string
+  | Dbr of Opcode.bop * string * int
+  | Djmp of int
+  | Codeword of Insn.t
+  | Nop
+  | Halt
+
+val form : string -> form
+(** One comment-free instruction. *)
 
 val parse_line : string -> Program.item option
 (** Parse one line; [None] for blank/comment-only lines. Raises

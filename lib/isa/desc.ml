@@ -135,3 +135,50 @@ let to_insn d imm =
       }
   else if k = 55 then Insn.Nop
   else Insn.Halt
+
+(* --- the opcode-key table ----------------------------------------------- *)
+
+(* Every per-key fact is read off one representative instruction per
+   key, [to_insn] of the bare key (zero registers, immediate 0), and
+   tabulated once here. *)
+let examples = Array.init Insn.num_keys (fun k -> to_insn k 0)
+let example_of_key k = examples.(k)
+
+(* A key's mnemonic is the first word {!Insn.pp} prints for it, so the
+   assembler reads exactly what the printer writes. The immediate ALU
+   forms print like the register forms; they take an [i] suffix so that
+   every key has a name of its own. *)
+let mnemonics =
+  Array.map
+    (fun i ->
+      let m = List.hd (String.split_on_char ' ' (Insn.to_string i)) in
+      match i with Insn.Ropi _ -> m ^ "i" | _ -> m)
+    examples
+
+let mnemonic_of_key k = mnemonics.(k)
+
+let key_of_mnemonic m =
+  let m = String.lowercase_ascii m in
+  let rec find k =
+    if k = Insn.num_keys then None
+    else if String.equal mnemonics.(k) m then Some k
+    else find (k + 1)
+  in
+  find 0
+
+let classes = Array.map Insn.cls examples
+let cls_of_key k = classes.(k)
+
+let cls_index : Opcode.cls -> int = function
+  | C_load -> 0 | C_store -> 1 | C_branch -> 2 | C_jump -> 3 | C_ijump -> 4
+  | C_alu -> 5 | C_dise -> 6 | C_codeword -> 7 | C_nop -> 8 | C_sys -> 9
+
+let class_keys =
+  let t = Array.make (List.length Opcode.all_classes) [] in
+  for k = Insn.num_keys - 1 downto 0 do
+    let c = cls_index classes.(k) in
+    t.(c) <- k :: t.(c)
+  done;
+  t
+
+let keys_of_class c = class_keys.(cls_index c)

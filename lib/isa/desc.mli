@@ -84,3 +84,25 @@ val to_insn : t -> int -> Insn.t
     their encodable ranges): the descriptor and the immediate are the
     whole instruction. Allocates; for readers off the hot path.
     Raises [Invalid_argument] when {!unresolved}. *)
+
+(** {1 The opcode-key table}
+
+    Derived from {!to_insn}, the one inverse of {!Insn.key}, once at
+    initialisation; each lookup is an array read. The [_of_key]
+    functions raise [Invalid_argument] outside [0, Insn.num_keys). *)
+
+val example_of_key : int -> Insn.t
+(** [to_insn] of the bare key: zero registers, immediate 0. *)
+
+val mnemonic_of_key : int -> string
+(** The first word {!Insn.pp} prints (["add"], ["dbeq"], ["cw0"]);
+    immediate ALU forms add an [i] (["addi"]) so that every key has a
+    name of its own. *)
+
+val key_of_mnemonic : string -> int option
+(** The inverse of {!mnemonic_of_key}, ignoring case. *)
+
+val cls_of_key : int -> Opcode.cls
+
+val keys_of_class : Opcode.cls -> int list
+(** Ascending; the classes partition the keys. *)

@@ -186,71 +186,6 @@ let key = function
 
 let num_keys = 57
 
-let range a b =
-  let rec go i acc = if i < a then acc else go (i - 1) (i :: acc) in
-  go b []
-
-let keys_of_class = function
-  | Opcode.C_alu -> range 0 29
-  | Opcode.C_load -> [ 30; 31 ]
-  | Opcode.C_store -> [ 32; 33 ]
-  | Opcode.C_branch -> range 34 39
-  | Opcode.C_jump -> [ 40; 41 ]
-  | Opcode.C_ijump -> [ 42; 43 ]
-  | Opcode.C_dise -> range 44 50
-  | Opcode.C_codeword -> range 51 54
-  | Opcode.C_nop -> [ 55 ]
-  | Opcode.C_sys -> [ 56 ]
-
-let cls_of_key k =
-  if k < 0 || k >= num_keys then invalid_arg "Insn.cls_of_key";
-  match List.find_opt (fun c -> List.mem k (keys_of_class c)) Opcode.all_classes with
-  | Some c -> c
-  | None -> assert false
-
-let example_of_key k =
-  if k < 0 || k >= num_keys then invalid_arg "Insn.example_of_key";
-  let r0 = Reg.zero in
-  if k < 14 then Rop (List.nth Opcode.all_rops k, r0, r0, r0)
-  else if k < 28 then Ropi (List.nth Opcode.all_rops (k - 14), r0, 0, r0)
-  else
-    match k with
-    | 28 -> Lda (r0, 0, r0)
-    | 29 -> Lui (0, r0)
-    | 30 | 31 | 32 | 33 -> Mem (List.nth Opcode.all_mops (k - 30), r0, 0, r0)
-    | 34 | 35 | 36 | 37 | 38 | 39 ->
-      Br (List.nth Opcode.all_bops (k - 34), r0, Abs 0)
-    | 40 -> Jmp (Abs 0)
-    | 41 -> Jal (Abs 0)
-    | 42 -> Jr r0
-    | 43 -> Jalr (r0, r0)
-    | 44 | 45 | 46 | 47 | 48 | 49 ->
-      Dbr (List.nth Opcode.all_bops (k - 44), r0, 0)
-    | 50 -> Djmp 0
-    | 51 | 52 | 53 | 54 ->
-      Codeword { op = k - 51; p1 = 0; p2 = 0; p3 = 0; tag = 0 }
-    | 55 -> Nop
-    | 56 -> Halt
-    | _ -> assert false
-
-let mnemonic_of_key k =
-  match example_of_key k with
-  | Rop (op, _, _, _) -> Opcode.rop_to_string op
-  | Ropi (op, _, _, _) -> Opcode.rop_to_string op ^ "i"
-  | Lda _ -> "lda"
-  | Lui _ -> "lui"
-  | Mem (op, _, _, _) -> Opcode.mop_to_string op
-  | Br (op, _, _) -> Opcode.bop_to_string op
-  | Jmp _ -> "jmp"
-  | Jal _ -> "jal"
-  | Jr _ -> "jr"
-  | Jalr _ -> "jalr"
-  | Dbr (op, _, _) -> "d" ^ Opcode.bop_to_string op
-  | Djmp _ -> "djmp"
-  | Codeword { op; _ } -> Printf.sprintf "cw%d" op
-  | Nop -> "nop"
-  | Halt -> "halt"
-
 let map_target f = function
   | Br (op, r, t) -> Br (op, r, f t)
   | Jmp t -> Jmp (f t)

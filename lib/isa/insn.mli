@@ -84,26 +84,10 @@ val codeword : op:int -> p1:int -> p2:int -> p3:int -> tag:int -> t
 val key : t -> int
 (** A small dense dispatch key identifying the opcode (not the
     operands); used to index pattern-dispatch tables. All keys are in
-    [0, num_keys). *)
+    [0, num_keys). {!Desc.to_insn} inverts it, and {!Desc} derives the
+    per-key table (mnemonics, classes) from that inverse. *)
 
 val num_keys : int
-
-val keys_of_class : Opcode.cls -> int list
-(** All dispatch keys whose instructions belong to the given class. *)
-
-val cls_of_key : int -> Opcode.cls
-(** Inverse of the key/class relation. Raises [Invalid_argument] for
-    an out-of-range key. *)
-
-val example_of_key : int -> t
-(** A representative instruction with the given dispatch key (operands
-    are placeholders); used by static analyses that need per-opcode
-    field-shape information. *)
-
-val mnemonic_of_key : int -> string
-(** Assembly mnemonic for a dispatch key: register-form ALU ops print
-    bare (["add"]), immediate forms with an [i] suffix (["addi"]),
-    codewords as ["cw0"].."cw3", DISE branches with a [d] prefix. *)
 
 val map_target : (target -> target) -> t -> t
 (** Rewrite the control-transfer target, if any. *)

@@ -90,10 +90,5 @@ let all_rops =
 let all_mops = [ Ldq; Ldbu; Stq; Stb ]
 let all_bops = [ Beq; Bne; Blt; Bge; Ble; Bgt ]
 
-let table_inverse to_string all s =
-  List.find_opt (fun x -> String.equal (to_string x) s) all
-
-let rop_of_string s = table_inverse rop_to_string all_rops s
-let mop_of_string s = table_inverse mop_to_string all_mops s
-let bop_of_string s = table_inverse bop_to_string all_bops s
-let cls_of_string s = table_inverse cls_to_string all_classes s
+let cls_of_string s =
+  List.find_opt (fun c -> String.equal (cls_to_string c) s) all_classes

@@ -59,9 +59,6 @@ val rop_to_string : rop -> string
 val mop_to_string : mop -> string
 val bop_to_string : bop -> string
 val cls_to_string : cls -> string
-val rop_of_string : string -> rop option
-val mop_of_string : string -> mop option
-val bop_of_string : string -> bop option
 val cls_of_string : string -> cls option
 
 val all_rops : rop list

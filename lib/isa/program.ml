@@ -60,9 +60,10 @@ end
 
 let default_size _ = 4
 
-let layout ?(base = 0x100000) ?(size_of = default_size) (prog : t) =
+(* Pass 1 of [layout]: each instruction with its address and size, in
+   order, the label table and the text size. *)
+let place ~base ~size_of (prog : t) =
   let symtab = Hashtbl.create 64 in
-  (* Pass 1: assign addresses. *)
   let addr = ref base in
   let insns = ref [] in
   List.iter
@@ -78,8 +79,14 @@ let layout ?(base = 0x100000) ?(size_of = default_size) (prog : t) =
         insns := (i, !addr, sz) :: !insns;
         addr := !addr + sz)
     prog;
-  let text_bytes = !addr - base in
-  let triples = Array.of_list (List.rev !insns) in
+  (Array.of_list (List.rev !insns), symtab, !addr - base)
+
+let addresses ~base ~size_of prog =
+  let triples, symtab, _ = place ~base ~size_of prog in
+  (Array.map (fun (_, a, _) -> a) triples, Hashtbl.find_opt symtab)
+
+let layout ?(base = 0x100000) ?(size_of = default_size) prog =
+  let triples, symtab, text_bytes = place ~base ~size_of prog in
   let resolve = function
     | Insn.Abs a -> Insn.Abs a
     | Insn.Lab l -> (

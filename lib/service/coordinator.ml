@@ -288,7 +288,7 @@ let decode_job doc =
   {
     j_seq;
     j_enq;
-    j_parsed = { Server.id; version = Server.protocol_version; tenant = None; req };
+    j_parsed = { Server.id; tenant = None; req };
   }
 
 (* [metrics0] is snapshotted by the caller before the first frame, so

@@ -14,6 +14,7 @@ module Compress = Dise_acf.Compress
 module Json = Dise_telemetry.Json
 module Metrics = Dise_telemetry.Metrics
 module Diag = Dise_isa.Diag
+module Program = Dise_isa.Program
 
 (* Process-wide counters for the serve summary: cache stores given up
    on, and the JIT activity of every run (per-run values live in the
@@ -373,9 +374,8 @@ let of_json j =
    requesters for the same key block on the condition instead of
    duplicating the work, and every caller shares the one
    physically-identical value, exactly as the serial path would
-   produce. Nested memoized computations (compression of a rewritten
-   binary memoizes the rewrite) are safe: the dependency order is
-   acyclic, so a waiter never blocks its own claimant. *)
+   produce. No memoized computation claims another key, so a waiter
+   never blocks its own claimant. *)
 let cache_mutex = Mutex.create ()
 let cache_cond = Condition.create ()
 
@@ -428,7 +428,10 @@ let memoize table key compute =
    baseline runs are deterministic, so sharing the Stats.t record
    cannot change any figure value. *)
 let baseline_memo : (string, Stats.t slot) Hashtbl.t = Hashtbl.create 64
-let rewritten_memo : (string * int, Dise_isa.Program.t slot) Hashtbl.t =
+(* The image of a workload's segment-matching rewrite: the image, not
+   the program, because simulation runs it and compression, the other
+   reader of the rewritten program, is memoized itself. *)
+let rewritten_memo : (string * int, Program.Image.t slot) Hashtbl.t =
   Hashtbl.create 16
 
 (* Keyed by what the compressor reads: the workload (bench,
@@ -574,11 +577,27 @@ let derive_entry t =
   | Some p -> Suite.get ~dyn_target:t.dyn_target p
   | None -> invalid_arg ("unknown benchmark " ^ t.bench)
 
-let rewritten_program (entry : Suite.entry) =
+(* A caller-supplied entry stands in for [derive_entry t], so it must
+   be the same workload. *)
+let check_entry t (e : Suite.entry) =
+  let name = e.Suite.profile.Profile.name in
+  if not (String.equal name t.bench && e.Suite.dyn_target = t.dyn_target) then
+    invalid_arg
+      (Printf.sprintf
+         "Request: entry %s at dyn_target %d does not match the request's \
+          %s at dyn_target %d"
+         name e.Suite.dyn_target t.bench t.dyn_target);
+  e
+
+let rewrite variant (entry : Suite.entry) =
+  Rewrite.rewrite ~variant ~data_seg:Codegen.data_segment_id
+    ~code_seg:Codegen.code_segment_id entry.Suite.gen.Codegen.program
+
+let rewritten_image (entry : Suite.entry) =
   let key = (entry.Suite.profile.Profile.name, entry.Suite.dyn_target) in
   memoize rewritten_memo key (fun () ->
-      Rewrite.rewrite ~data_seg:Codegen.data_segment_id
-        ~code_seg:Codegen.code_segment_id entry.Suite.gen.Codegen.program)
+      Program.layout ~base:Codegen.code_base
+        (rewrite Rewrite.Segment_matching entry))
 
 let compress_result ~scheme ?(rewritten = false) (entry : Suite.entry) =
   let key =
@@ -589,7 +608,7 @@ let compress_result ~scheme ?(rewritten = false) (entry : Suite.entry) =
   in
   memoize compress_memo key (fun () ->
       let prog =
-        if rewritten then rewritten_program entry
+        if rewritten then rewrite Rewrite.Segment_matching entry
         else entry.Suite.gen.Codegen.program
       in
       Compress.compress ~scheme prog)
@@ -609,14 +628,11 @@ let simulate ?trace ?profile ?poll t (entry : Suite.entry) =
     check_clean "mfi_dise" m;
     stats
   | Mfi_rewrite variant ->
-    let prog =
+    let image =
       match variant with
-      | Rewrite.Segment_matching -> rewritten_program entry
-      | v ->
-        Rewrite.rewrite ~variant:v ~data_seg:Codegen.data_segment_id
-          ~code_seg:Codegen.code_segment_id entry.Suite.gen.Codegen.program
+      | Rewrite.Segment_matching -> rewritten_image entry
+      | v -> Program.layout ~base:Codegen.code_base (rewrite v entry)
     in
-    let image = Dise_isa.Program.layout ~base:Codegen.code_base prog in
     let m = plain_machine t image in
     let stats = run_machine t ?trace ?profile ?poll m in
     check_clean "mfi_rewrite" m;
@@ -663,6 +679,7 @@ let poll_of_deadline = function
         if Unix.gettimeofday () > d then raise Resilience.Deadline_exceeded)
 
 let run_cached ?entry ?deadline t =
+  let entry = Option.map (check_entry t) entry in
   let canon = canonical t in
   let k = Cache.key canon in
   let fresh = ref false in
@@ -692,7 +709,9 @@ let run ?entry ?trace ?profile t =
     (* Sinks need the event stream replayed, which cached statistics
        cannot provide: run outside every cache and leave them alone
        (a traced run's stats are identical to an untraced one's). *)
-    let entry = match entry with Some e -> e | None -> derive_entry t in
+    let entry =
+      match entry with Some e -> check_entry t e | None -> derive_entry t
+    in
     simulate ?trace ?profile t entry
 
 (* Exactly the exceptions the simulation stack raises on purpose.

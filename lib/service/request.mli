@@ -5,8 +5,14 @@
     canonical JSON encoding. That one value is what the whole stack
     agrees on:
 
-    - {!run} is the single driver behind every experiment (every
-      figure and ablation cell is one [t]);
+    - {!run} is the driver behind the experiments: every figure cell
+      and most ablation cells are one [t]. The exceptions are the 48
+      quick cells of [ablate-decode] and [ablate-ctx]
+      ({!Dise_harness.Ablate}), which build their engines, machines
+      and pipelines directly because their knobs (DISE decode
+      bandwidth, context-switch intervals) are not request fields; they
+      bypass the result cache, so a warm [figures] rerun simulates
+      them again;
     - {!canonical}/{!key} derive the content address under which the
       run's statistics persist in the on-disk {!Cache};
     - the JSONL protocol of [disesim serve] ships {!to_json} values
@@ -130,12 +136,14 @@ val run :
   Dise_uarch.Stats.t
 (** Execute the request (through the caches, unless a sink is
     attached — see above). [?entry] supplies an already-generated
-    workload that MUST equal [Suite.get ~dyn_target (find bench)]
+    workload, which must be [Suite.get ~dyn_target (find bench)]
     (the harness passes the entry it already holds; omitting it
     derives — and on a cache hit skips even generating — the
-    workload). Raises like the simulator does ([Failure] on a trapped
-    workload, [Invalid_argument] on an unknown benchmark, ...);
-    {!run_ext} is the exception-free variant. *)
+    workload); an entry whose profile name or [dyn_target] differs
+    from the request's raises [Invalid_argument] naming both. Raises
+    like the simulator does ([Failure] on a trapped workload,
+    [Invalid_argument] on an unknown benchmark, ...); {!run_ext} is
+    the exception-free variant. *)
 
 val run_ext :
   ?entry:Dise_workload.Suite.entry ->
@@ -145,7 +153,7 @@ val run_ext :
 (** Like {!run} (sink-free), returning [stats, cache_hit]. The flag
     is true when the result was served without running the simulator
     (in-memory memo or disk). Failures map onto {!Dise_isa.Diag}:
-    unknown benchmark → [Invalid], trapped workload / machine fault →
+    unknown benchmark or mismatched [?entry] → [Invalid], trapped workload / machine fault →
     [Runtime], engine fault → [Expansion], deadline overrun →
     [Timeout]. A disk-cache store that still fails after bounded
     retries is {e not} an error: the result is returned uncached, the
@@ -229,9 +237,9 @@ val cache_counters : unit -> int * int
 
 val clear_memory : unit -> unit
 (** Drop the in-memory memo tables (baseline stats, compression
-    results, rewritten programs). Mutex-protected and safe to call
-    concurrently with worker domains; clearing mid-figure only costs
-    recomputation, never correctness. *)
+    results, rewritten images). Mutex-protected and
+    safe to call concurrently with worker domains; clearing mid-figure
+    only costs recomputation, never correctness. *)
 
 val clear_disk : unit -> int
 (** Wipe the installed disk cache (0 when none is installed). Call it

@@ -39,12 +39,9 @@ type summary = {
 
 (* One input line, after the sequential parse step. Parse failures
    keep their slot ([req = Error _]) so responses stay in input
-   order. [version] is the wire-envelope version the line spoke (0 =
-   unversioned legacy, 1 = current); [tenant] feeds admission
-   quotas. *)
+   order. [tenant] feeds admission quotas. *)
 type parsed = {
   id : Json.t;
-  version : int;
   tenant : string option;
   req : (Request.t, Diag.t) result;
 }
@@ -54,10 +51,9 @@ type parsed = {
    unexpected exception — must stay confined to that line's response
    slot; only I/O errors on the stream itself may escape. *)
 let parse_job ~lineno line =
-  let bad ?(id = Json.Null) ?(version = 0) ?tenant msg =
+  let bad ?(id = Json.Null) ?tenant msg =
     {
       id;
-      version;
       tenant;
       req = Error (Diag.Parse { source = "serve"; line = lineno; msg });
     }
@@ -74,8 +70,7 @@ let parse_job ~lineno line =
            "unsupported protocol version %s (this server speaks v%d; \
             unversioned lines are accepted as v0)"
            (Json.to_string v) protocol_version)
-    | v_member -> (
-      let version = if v_member = None then 0 else protocol_version in
+    | _ -> (
       match Json.member "tenant" doc with
       | Some (Json.String _ | Json.Null) | None -> (
         let tenant =
@@ -84,12 +79,11 @@ let parse_job ~lineno line =
           | _ -> None
         in
         match Request.of_json doc with
-        | Ok req -> { id; version; tenant; req = Ok req }
-        | Error d -> { id; version; tenant; req = Error d }
+        | Ok req -> { id; tenant; req = Ok req }
+        | Error d -> { id; tenant; req = Error d }
         | exception e ->
-          bad ~id ~version ?tenant
-            ("malformed request: " ^ Printexc.to_string e))
-      | Some _ -> bad ~id ~version "tenant must be a string"))
+          bad ~id ?tenant ("malformed request: " ^ Printexc.to_string e))
+      | Some _ -> bad ~id "tenant must be a string"))
 
 let error_response id d =
   Json.Obj
@@ -163,7 +157,6 @@ let max_line_bytes = 1 lsl 20
 let oversized_line ~lineno =
   {
     id = Json.Null;
-    version = 0;
     tenant = None;
     req =
       Error

@@ -77,7 +77,6 @@ val max_line_bytes : int
 
 type parsed = {
   id : Dise_telemetry.Json.t;  (** the envelope ["id"]; [Null] if absent *)
-  version : int;  (** envelope dialect spoken: [0] (legacy) or [1] *)
   tenant : string option;  (** the envelope ["tenant"], when a string *)
   req : (Request.t, Dise_isa.Diag.t) result;
 }

@@ -204,17 +204,27 @@ let test_shard_routing () =
 (* --- the versioned wire envelope ----------------------------------------- *)
 
 let test_envelope_versions () =
+  (* Both dialects are answered in v1. *)
+  let answer p =
+    fst
+      (Server.run_parsed ~chaos:Chaos.none ~deadline_ms:None
+         ~enqueued_at:(Unix.gettimeofday ()) p)
+  in
   let p =
     Server.parse_job ~lineno:1 {|{"id":1,"bench":"tiny","dyn_target":23000}|}
   in
-  check int_ "unversioned line is dialect v0" 0 p.Server.version;
   check bool_ "v0 line decodes" true (Result.is_ok p.Server.req);
+  check bool_ "unversioned line answered in v1" true
+    (Json.member "v" (answer p) = Some (Json.Int 1));
   let p =
     Server.parse_job ~lineno:1
       {|{"v":1,"id":1,"bench":"tiny","dyn_target":23000}|}
   in
-  check int_ "v:1 line is dialect v1" 1 p.Server.version;
   check bool_ "v1 line decodes" true (Result.is_ok p.Server.req);
+  let r = answer p in
+  check bool_ "v:1 line answered in v1" true
+    (Json.member "v" r = Some (Json.Int 1));
+  check bool_ "v:1 line served" true (member "ok" r = Json.Bool true);
   check bool_ "tenant defaults to anonymous" true (p.Server.tenant = None);
   let p =
     Server.parse_job ~lineno:1

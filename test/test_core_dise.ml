@@ -297,7 +297,7 @@ let test_lang_opcode_pattern_roundtrip () =
     let set =
       Prodset.add Prodset.empty
         (Production.make ~name:"P1"
-           (Pattern.of_opcode (Insn.example_of_key k))
+           (Pattern.of_opcode (Desc.example_of_key k))
            (Production.Direct 1))
         Replacement.identity
     in
@@ -308,12 +308,82 @@ let test_lang_opcode_pattern_roundtrip () =
       | [ p ] ->
         if p.Production.pattern.Pattern.opcode_key <> Some k then
           Alcotest.failf "key %d (%s) did not round-trip" k
-            (Insn.mnemonic_of_key k)
+            (Desc.mnemonic_of_key k)
       | _ -> Alcotest.failf "key %d: wrong production count" k)
     | exception Lang.Parse_error (_, msg) ->
       Alcotest.failf "key %d (%s) failed to re-parse: %s" k
-        (Insn.mnemonic_of_key k) msg
+        (Desc.mnemonic_of_key k) msg
+  done;
+  (* Mnemonics are case-insensitive, in conditions too. *)
+  for k = 0 to Insn.num_keys - 1 do
+    let m = String.uppercase_ascii (Desc.mnemonic_of_key k) in
+    match Lang.parse (Printf.sprintf "P1: T.OP == %s -> R1\nR1: T.INSN" m) with
+    | set -> (
+      match (Prodset.productions set : Production.t list) with
+      | [ p ] when p.Production.pattern.Pattern.opcode_key = Some k -> ()
+      | _ -> Alcotest.failf "T.OP == %s did not name key %d" m k)
+    | exception Lang.Parse_error (_, msg) ->
+      Alcotest.failf "T.OP == %s rejected: %s" m msg
   done
+
+(* The assembler and the production language read one instruction
+   grammar. Each case below is one where the two front ends used to
+   disagree, or where a malformed instruction escaped as something
+   other than a parse error. *)
+let test_one_grammar () =
+  let asm_error s =
+    match Asm.parse_insn s with
+    | exception Asm.Parse_error (_, msg) -> msg
+    | _ -> Alcotest.failf "assembler accepted %S" s
+  in
+  let lang_error s =
+    match Lang.parse_rinsn s with
+    | exception Lang.Parse_error (_, msg) -> msg
+    | _ -> Alcotest.failf "production language accepted %S" s
+  in
+  let same_error s expected =
+    check Alcotest.string ("asm: " ^ s) expected (asm_error s);
+    check Alcotest.string ("lang: " ^ s) expected (lang_error s)
+  in
+  (* Bad codeword fields are parse errors, not Invalid_argument. *)
+  List.iter
+    (fun (src, line) ->
+      match Asm.parse_result src with
+      | Error (Diag.Parse { line = l; _ }) -> check int_ src line l
+      | Error _ | Ok _ -> Alcotest.failf "%S: expected a parse error" src)
+    [ ("nop\ncw9 1, 2, 3, tag=4", 2); ("cw0 99, 2, 3, tag=4", 1) ];
+  (* Comments run from the first ';' or '//', in a .dise as in a .s. *)
+  let set =
+    Lang.parse
+      "P1: T.OPCLASS == store -> R1\n\
+       R1: lda $dr0, T.IMM(T.RS) // note ; more\n\
+      \    T.INSN ; done // really"
+  in
+  check int_ "commented sequence parsed" 2
+    (match Prodset.sequences set with [ (_, seq) ] -> Array.length seq | _ -> 0);
+  check bool_ "same comment in a .s" true
+    (Asm.parse "lda r1, 8(r2) // note ; more" <> []);
+  (* Mnemonics are case-insensitive everywhere. *)
+  check bool_ "T.OP == ADD" true
+    ((List.hd (Prodset.productions (Lang.parse "P1: T.OP == ADD -> R1\nR1: T.INSN")))
+       .Production.pattern.Pattern.opcode_key
+    = Some (Insn.key (Insn.Rop (Opcode.Add, r1, r1, r1))));
+  check bool_ "ADD in a .s" true
+    (Asm.parse_insn "ADD r1, r2, r3" = Insn.Rop (Opcode.Add, r1, r2, r3));
+  check bool_ "ADD in a sequence" true
+    (Lang.parse_rinsn "ADD $dr0, #T.IMM, $dr1"
+    = Replacement.Ropi
+        (Opcode.Add, Replacement.Rlit (Reg.d 0), Replacement.Iimm,
+         Replacement.Rlit (Reg.d 1)));
+  (* Every form checks its operand count, with one message. *)
+  same_error "lda r1" "lda expects 2 operands, got 1";
+  same_error "jmp a, b" "jmp expects 1 operands, got 2";
+  check Alcotest.string "dbeq" "dbeq expects 2 operands, got 3"
+    (lang_error "dbeq $dr0, @3, x");
+  (* Labels are identifiers in both front ends. *)
+  same_error "jmp foo-bar" "bad target \"foo-bar\"";
+  check bool_ "label target" true
+    (Asm.parse_insn "jmp .L_1$" = Insn.Jmp (Insn.Lab ".L_1$"))
 
 let test_mfi_catches_bad_store () =
   let m, engine = mfi_machine ~legal:false in
@@ -735,6 +805,7 @@ let suite =
     ("lang errors", `Quick, test_lang_errors);
     ("lang roundtrip", `Quick, test_lang_roundtrip);
     ("lang opcode pattern roundtrip", `Quick, test_lang_opcode_pattern_roundtrip);
+    ("asm and lang share one grammar", `Quick, test_one_grammar);
     ("MFI catches bad store", `Quick, test_mfi_catches_bad_store);
     ("MFI traps when segment mismatched", `Quick, test_mfi_passes_when_legal);
     ("most specific pattern wins", `Quick, test_engine_most_specific_wins);

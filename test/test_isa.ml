@@ -6,6 +6,11 @@ open Dise_isa
 let check = Alcotest.check
 let bool_ = Alcotest.bool
 let int_ = Alcotest.int
+
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
 let string_ = Alcotest.string
 
 (* --- registers ------------------------------------------------------ *)
@@ -115,15 +120,15 @@ let test_key_class_consistency () =
   (* Every key belongs to exactly one class, and cls_of_key agrees with
      keys_of_class. *)
   for k = 0 to Insn.num_keys - 1 do
-    let c = Insn.cls_of_key k in
-    if not (List.mem k (Insn.keys_of_class c)) then
+    let c = Desc.cls_of_key k in
+    if not (List.mem k (Desc.keys_of_class c)) then
       Alcotest.failf "key %d not in its own class %s" k
         (Opcode.cls_to_string c);
-    check int_ "key inverts example_of_key" k (Insn.key (Insn.example_of_key k))
+    check int_ "key inverts example_of_key" k (Insn.key (Desc.example_of_key k))
   done;
   let total =
     List.fold_left
-      (fun acc c -> acc + List.length (Insn.keys_of_class c))
+      (fun acc c -> acc + List.length (Desc.keys_of_class c))
       0 Opcode.all_classes
   in
   check int_ "classes partition the key space" Insn.num_keys total
@@ -249,12 +254,24 @@ let prop_asm_roundtrip =
   QCheck.Test.make ~name:"print/parse round-trip" ~count:500 arbitrary_insn
     (fun i ->
       (* Codewords print with a tag= suffix the assembler accepts;
-         everything else prints in plain assembly. *)
+         everything else prints in plain assembly, which the production
+         language reads as the all-literal replacement instruction. *)
       let s = Insn.to_string i in
+      let module R = Dise_core.Replacement in
       match Asm.parse_insn s with
-      | i' -> Insn.equal i i'
       | exception Asm.Parse_error (_, msg) ->
-        QCheck.Test.fail_reportf "parse of %S failed: %s" s msg)
+        QCheck.Test.fail_reportf "parse of %S failed: %s" s msg
+      | i' -> (
+        Insn.equal i i'
+        &&
+        match i with
+        | Insn.Codeword _ -> true
+        | _ -> (
+          match Dise_core.Lang.parse_rinsn s with
+          | r -> r = R.of_insn i
+          | exception Asm.Parse_error (_, msg) ->
+            QCheck.Test.fail_reportf "replacement parse of %S failed: %s" s
+              msg)))
 
 (* --- assembler ------------------------------------------------------ *)
 
@@ -294,6 +311,28 @@ let test_asm_errors () =
   bad "beq r99, foo";
   bad "lda r1, 8(r2";
   bad "1bad: nop"
+
+let test_asm_codeword_fields () =
+  (* Every field is range-checked as a parse error naming the line and
+     the field, never the smart constructor's Invalid_argument. *)
+  let error_at line field text =
+    match Asm.parse_result text with
+    | Error (Diag.Parse { line = l; msg; _ }) ->
+      check int_ ("line of " ^ field) line l;
+      if not (contains msg field) then
+        Alcotest.failf "message %S does not name %s" msg field
+    | Error d -> Alcotest.failf "not a parse error: %s" (Diag.to_string d)
+    | Ok _ -> Alcotest.failf "accepted a bad %s" field
+  in
+  error_at 2 "opcode" "nop\ncw9 1, 2, 3, tag=4\n";
+  error_at 1 "p1" "cw0 99, 2, 3, tag=4";
+  error_at 1 "p2" "cw1 1, 32, 3, tag=4";
+  error_at 1 "p3" "cw2 1, 2, -1, tag=4";
+  error_at 3 "tag" "nop\nnop\ncw3 1, 2, 3, tag=2048";
+  error_at 1 "cw0 expects 4 operands, got 3" "cw0 1, 2, 3";
+  check bool_ "in-range fields parse" true
+    (Asm.parse_insn "CW3 31, 0, 31, tag=2047"
+    = Insn.codeword ~op:3 ~p1:31 ~p2:0 ~p3:31 ~tag:2047)
 
 let test_asm_line_numbers () =
   match Asm.parse "nop\nnop\nbogus r1\n" with
@@ -394,11 +433,6 @@ let test_disasm () =
   let p = Asm.parse "main:\n  jal f\n  halt\nf:\n  jr ra\n" in
   let img = Program.layout ~base:0x400 p in
   let text = Format.asprintf "%a" Disasm.pp_image img in
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
   check bool_ "labels rendered" true (contains text "main:");
   check bool_ "call target symbolic" true (contains text "jal f");
   check string_ "insn_at" "jal f" (Disasm.insn_at img 0x400)
@@ -422,6 +456,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_asm_roundtrip;
     ("asm basic", `Quick, test_asm_basic);
     ("asm errors", `Quick, test_asm_errors);
+    ("asm codeword fields", `Quick, test_asm_codeword_fields);
     ("asm line numbers", `Quick, test_asm_line_numbers);
     ("layout resolves labels", `Quick, test_layout_resolves_labels);
     ("layout variable sizes", `Quick, test_layout_variable_sizes);

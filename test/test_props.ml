@@ -472,7 +472,7 @@ let prop_machine_matches_reference =
         (fun i ->
           three_sides_agree s ~in_seq:false i
           && three_sides_agree s ~in_seq:true i)
-        (insns @ List.init Insn.num_keys Insn.example_of_key))
+        (insns @ List.init Insn.num_keys Desc.example_of_key))
 
 let prop_machine_deterministic =
   QCheck.Test.make ~name:"machine runs are deterministic" ~count:20
@@ -581,7 +581,7 @@ let prop_desc_fields =
       desc_agrees i && unresolved_marked i
       && desc_agrees (Insn.Jr Reg.ra)
       && List.for_all
-           (fun k -> desc_agrees (Insn.example_of_key k))
+           (fun k -> desc_agrees (Desc.example_of_key k))
            (List.init Insn.num_keys Fun.id))
 
 let descs_of seq = Array.map Desc.of_insn seq

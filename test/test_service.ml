@@ -20,6 +20,11 @@ let bool_ = Alcotest.bool
 let int_ = Alcotest.int
 let string_ = Alcotest.string
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 (* --- temp-dir scaffolding ----------------------------------------------- *)
 
 let tmp_counter = ref 0
@@ -167,11 +172,6 @@ let test_out_of_range_rejected () =
   (match Request.of_json valid with
   | Ok _ -> ()
   | Error d -> Alcotest.failf "valid probe base rejected: %s" (Diag.to_string d));
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   List.iter
     (fun (edits, field) ->
       let j = List.fold_left (fun j (path, v) -> set path v j) valid edits in
@@ -576,6 +576,31 @@ let test_memo_keys_dyn_target () =
     (List.combine requests shared)
     fresh
 
+(* A supplied entry stands in for the workload the request names: a
+   different one is invalid input naming both, with or without sinks,
+   before anything runs. *)
+let test_entry_must_match () =
+  let entry = W.Suite.get ~dyn_target:20_000 W.Profile.tiny in
+  let mismatch req names =
+    (match Request.run_ext ~entry req with
+    | Error (Diag.Invalid msg) ->
+      List.iter
+        (fun n ->
+          check bool_ (Printf.sprintf "%S names %s" msg n) true (contains msg n))
+        names
+    | _ -> Alcotest.failf "run_ext accepted %s" (Request.canonical req));
+    List.iter
+      (fun profile ->
+        match Request.run ~entry ?profile req with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.failf "run accepted %s" (Request.canonical req))
+      [ None; Some (Dise_telemetry.Profile.create ()) ]
+  in
+  mismatch (Request.v ~dyn_target:21_000 "tiny") [ "20000"; "21000" ];
+  mismatch (Request.v ~dyn_target:20_000 "gzip") [ "tiny"; "gzip" ];
+  check bool_ "the matching entry runs" true
+    (Result.is_ok (Request.run_ext ~entry (Request.v ~dyn_target:20_000 "tiny")))
+
 let suite =
   [
     t prop_roundtrip;
@@ -595,5 +620,6 @@ let suite =
      test_serve_prodset_swap_chunks);
     ("jit knob distinct cache keys", `Quick, test_jit_knob_distinct_keys);
     ("memos keyed on dyn_target", `Quick, test_memo_keys_dyn_target);
+    ("run checks its entry", `Quick, test_entry_must_match);
     ("per-cell stats golden", `Quick, test_stats_golden);
   ]
