@@ -153,8 +153,15 @@ let bench_arg =
          ~doc:"Workload profile name.")
 
 let dyn_arg =
-  Arg.(value & opt int 300_000 & info [ "dyn" ] ~docv:"N"
-         ~doc:"Approximate dynamic instructions per run.")
+  let check dyn =
+    match S.Request.check_dyn_target dyn with
+    | Ok () -> dyn
+    | Error msg -> die (Diag.Invalid ("--dyn: " ^ msg))
+  in
+  Term.(
+    const check
+    $ Arg.(value & opt int 300_000 & info [ "dyn" ] ~docv:"N"
+             ~doc:"Approximate dynamic instructions per run."))
 
 let icache_arg =
   Arg.(value & opt (some int) (Some 32) & info [ "icache" ] ~docv:"KB"
@@ -230,6 +237,20 @@ let run_cmd =
   let run bench dyn icache width (acf_name, acf) rt rt_assoc stats_json
       trace_path cpi cache_dir no_cache no_jit jit_threshold =
     if width < 1 then die (Diag.Invalid "--width must be >= 1");
+    Option.iter
+      (fun entries ->
+        match
+          Dise_core.Rt.check_geometry ~entries ~assoc:rt_assoc
+            ~entries_per_block:
+              Controller.default_config.Controller.rt_entries_per_block
+        with
+        | Ok () -> ()
+        | Error msg ->
+          die
+            (Diag.Invalid
+               (Printf.sprintf "--rt %d --rt-assoc %d: %s" entries rt_assoc
+                  msg)))
+      rt;
     let machine = machine_of icache width in
     setup_cache cache_dir no_cache;
     setup_jit no_jit jit_threshold;
@@ -433,8 +454,10 @@ let synthesize_cmd =
      scoring each on the timing model through the result cache on the \
      domain pool. Capacity is a hard constraint: candidates that \
      overflow the controller's PT or RT are rejected unsimulated. The \
-     search is deterministic for a given $(b,--seed), and the journal in \
-     $(b,--out) makes an interrupted run resumable. See doc/synthesize.md."
+     search is deterministic for a given $(b,--seed), and the result \
+     cache is its only persistent memo: a rerun over the same \
+     $(b,--cache) answers every candidate's timing run from it. See \
+     doc/synthesize.md."
   in
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N"
@@ -453,8 +476,8 @@ let synthesize_cmd =
   in
   let out_arg =
     Arg.(value & opt string "synth-out" & info [ "out" ] ~docv:"DIR"
-           ~doc:"Output directory (default synth-out): dictionary.json plus \
-                 the journal.jsonl resume memo.")
+           ~doc:"Output directory (default synth-out); the search writes \
+                 dictionary.json there.")
   in
   let run bench dyn scheme seed budget jobs out cache_dir no_cache no_jit
       jit_threshold =
@@ -463,7 +486,6 @@ let synthesize_cmd =
     output_dir out;
     let cfg =
       Sy.Search.v ~dyn_target:dyn ~scheme ~rng_seed:seed ~budget ~jobs
-        ~journal:(Filename.concat out "journal.jsonl")
         ~progress:(fun m -> Format.eprintf "disesim synthesize: %s@." m)
         bench
     in
@@ -481,6 +503,9 @@ let synthesize_cmd =
                    groups)@."
       r.Sy.Search.outcome.Sy.Score.fitness r.Sy.Search.evaluations
       r.Sy.Search.candidates;
+    Format.printf "  simulated:     %d candidate timing runs (cache hits and \
+                   unfit candidates excluded)@."
+      r.Sy.Search.simulated;
     Format.printf "  footprint:     %d PT patterns, %d RT entries (fits: %b)@."
       r.Sy.Search.footprint.Dise_core.Prodset.pt_patterns
       r.Sy.Search.footprint.Dise_core.Prodset.rt_entries
@@ -817,35 +842,24 @@ let exec_cmd =
                (Printf.sprintf "--dr %d: dedicated registers are 0..%d" n
                   (Dise_isa.Reg.num_dedicated - 1))))
       drs;
-    let program =
-      match Dise_isa.Asm.parse_result ~source:asm_path (read_file asm_path) with
-      | Ok p -> p
+    let img, set =
+      match
+        Dise_core.Lang.load ~program:(asm_path, read_file asm_path)
+          ~productions:(Option.map (fun p -> (p, read_file p)) prods_path)
+      with
+      | Ok loaded -> loaded
       | Error d -> die d
     in
-    let img = Dise_isa.Program.layout program in
     let expander =
-      match prods_path with
-      | None -> None
-      | Some path -> (
-        match Dise_core.Lang.parse_result ~source:path (read_file path) with
-        | Ok set ->
-          let set =
-            match
-              Dise_core.Prodset.resolve_labels
-                (Dise_isa.Program.Image.symbol img) set
-            with
-            | set -> set
-            | exception Dise_core.Replacement.Instantiation_error msg ->
-              die (Diag.Invalid (path ^ ": " ^ msg))
-          in
+      Option.map
+        (fun set ->
           List.iter
             (fun f ->
-              Format.eprintf "%s: %a@." path Dise_core.Safety.pp_finding f)
+              Format.eprintf "%s: %a@." (Option.get prods_path)
+                Dise_core.Safety.pp_finding f)
             (Dise_core.Safety.check set);
-          Some
-            (Dise_core.Engine.expander
-               (Dise_core.Engine.create ~image:img set))
-        | Error d -> die d)
+          Dise_core.Engine.expander (Dise_core.Engine.create ~image:img set))
+        set
     in
     let m = Machine.create ?expander img in
     List.iter (fun (n, v) -> Machine.set_dise_reg m n v) drs;

@@ -1050,8 +1050,8 @@ let windows c =
 
 (* Resolve a seed back to its group: recompute the normalized key from
    the program text at the seed's position. A seed that no longer
-   names a legal window (out of bounds, stale journal against a
-   different program) resolves to nothing and is skipped. *)
+   names a legal window (out of bounds, or a seed list recorded against
+   a different program) resolves to nothing and is skipped. *)
 let group_at c (s : seed) =
   if s.s_blk < 0 || s.s_blk >= Array.length c.c_blocks then None
   else

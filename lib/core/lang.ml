@@ -64,9 +64,10 @@ let parse_condition pat cond =
   | "T.IMM", `Ge, "0" -> { pat with Pattern.imm = Some Pattern.Imm_nonneg }
   | lhs, _, _ -> fail "unsupported condition on %S" lhs
 
+(* [T.ANY] is the match-all pattern {!Pattern.pp} prints. *)
 let parse_pattern s =
-  let conds = split_on_substring "&&" s in
-  List.fold_left parse_condition Pattern.any conds
+  if String.trim s = "T.ANY" then Pattern.any
+  else List.fold_left parse_condition Pattern.any (split_on_substring "&&" s)
 
 (* --- replacement instructions: Asm's forms, directive operands ------ *)
 
@@ -170,7 +171,15 @@ let parse source =
         match split_on_substring "->" body with
         | [ lhs; rhs ] -> (
           let pattern = parse_pattern lhs in
-          let rhs = String.trim rhs in
+          let rhs, priority =
+            match String.split_on_char ' ' rhs |> List.filter (( <> ) "") with
+            | [ rhs ] -> (rhs, 0)
+            | [ rhs; "priority"; n ] -> (
+              match int_of_string_opt n with
+              | Some n -> (rhs, n)
+              | None -> fail "bad priority %S" n)
+            | _ -> fail "bad right-hand side %S" (String.trim rhs)
+          in
           let rsid =
             if rhs = "TAG" then Production.From_tag
             else
@@ -179,7 +188,8 @@ let parse source =
               | None -> fail "bad sequence name %S" rhs
           in
           prodset :=
-            Prodset.add_production !prodset (Production.make ~name pattern rsid))
+            Prodset.add_production !prodset
+              (Production.make ~name ~priority pattern rsid))
         | _ -> fail "bad production line %d" lineno)
       | Hseq (id, first) ->
         flush ();
@@ -223,3 +233,20 @@ let parse_result ?(source = "<productions>") text =
   | set -> Ok set
   | exception Parse_error (line, msg) ->
     Error (Dise_isa.Diag.Parse { source; line; msg })
+
+let load ~program:(asm_source, asm_text) ~productions =
+  let ( let* ) = Result.bind in
+  let guard source f =
+    try Ok (f ()) with
+    | Dise_isa.Program.Layout_error msg | Replacement.Instantiation_error msg ->
+      Error (Dise_isa.Diag.Parse { source; line = 0; msg })
+  in
+  let* prog = Asm.parse_result ~source:asm_source asm_text in
+  let* img = guard asm_source (fun () -> Dise_isa.Program.layout prog) in
+  match productions with
+  | None -> Ok (img, None)
+  | Some (source, text) ->
+    let* set = parse_result ~source text in
+    let symbol = Dise_isa.Program.Image.symbol img in
+    let* set = guard source (fun () -> Prodset.resolve_labels symbol set) in
+    Ok (img, Some set)

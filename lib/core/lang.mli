@@ -19,8 +19,11 @@
     case: immediate ALU forms take an [i] suffix, [addi], [srli], ...;
     codewords are [cw0]..[cw3]), [T.RS == <reg>],
     [T.RT ==], [T.RD ==], [T.IMM == <n>], [T.IMM < 0], [T.IMM >= 0].
+    [T.ANY] alone is the pattern that matches every instruction.
     A production's right-hand side is a sequence name [R<n>] or [TAG]
-    (aware ACFs: the sequence id comes from the codeword tag).
+    (aware ACFs: the sequence id comes from the codeword tag),
+    optionally followed by [priority <n>] (default 0; composition
+    raises it to layer one set above another).
 
     Replacement instructions are read with {!Dise_isa.Asm}'s grammar
     (comments, case-insensitive mnemonics, operand counts, labels as
@@ -52,4 +55,18 @@ val parse_rinsn : string -> Replacement.rinsn
     whose operands may be the directives above. *)
 
 val to_string : Prodset.t -> string
-(** Render a production set back to (re-parseable) source. *)
+(** Render a production set as source that {!parse} reads back to the
+    same productions (name, pattern, priority, right-hand side) and
+    sequences. An unnamed production prints as [P]. *)
+
+val load :
+  program:string * string ->
+  productions:(string * string) option ->
+  (Dise_isa.Program.Image.t * Prodset.t option, Dise_isa.Diag.t) result
+(** Load a program and the production set it runs under, each given
+    as [(source, text)]: assemble and lay out the program, then parse
+    the productions and resolve their labels against the program's
+    symbols. Every failure is a [Diag.Parse] naming its file: an
+    assembly or DSL syntax error (with its line), an undefined or
+    duplicate program label, or a replacement label the program does
+    not define. *)

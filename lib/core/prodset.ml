@@ -90,9 +90,3 @@ let fits ?entries_per_block ~pt_entries ~rt_entries t =
   let epb = match entries_per_block with Some e -> max 1 e | None -> 1 in
   let f = footprint ~entries_per_block:epb t in
   f.pt_patterns <= pt_entries && f.rt_blocks * epb <= rt_entries
-
-let pp ppf t =
-  List.iter (fun p -> Format.fprintf ppf "%a@." Production.pp p) t.prods;
-  IntMap.iter
-    (fun id seq -> Format.fprintf ppf "R%d:@.%a@." id Replacement.pp seq)
-    t.seqs

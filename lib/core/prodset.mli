@@ -78,5 +78,3 @@ val footprint : ?entries_per_block:int -> t -> footprint
 val fits : ?entries_per_block:int -> pt_entries:int -> rt_entries:int -> t -> bool
 (** Whole-set residency: every pattern fits the PT and every sequence
     block fits the RT at once. *)
-
-val pp : Format.formatter -> t -> unit

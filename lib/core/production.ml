@@ -34,8 +34,9 @@ let pp ppf t =
   let rsid =
     match t.rsid with
     | Direct id -> Printf.sprintf "R%d" id
-    | From_tag -> "R[T.TAG]"
+    | From_tag -> "TAG"
   in
   Format.fprintf ppf "%s: %a -> %s"
     (if t.name = "" then "P" else t.name)
-    Pattern.pp t.pattern rsid
+    Pattern.pp t.pattern rsid;
+  if t.priority <> 0 then Format.fprintf ppf " priority %d" t.priority

@@ -33,3 +33,7 @@ val compare_precedence : t -> t -> int
     then higher specificity, then name (for determinism). *)
 
 val pp : Format.formatter -> t -> unit
+(** The production-language line {!Lang.parse} reads:
+    [name: conditions -> R<n>] (or [-> TAG]), with a [priority <n>]
+    suffix when the priority is not 0. An unnamed production prints as
+    [P]. *)

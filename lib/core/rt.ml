@@ -26,11 +26,17 @@ let max_precomputed_len = 256
 let precompute_blocks epb =
   Array.init (max_precomputed_len + 1) (fun len -> (len + epb - 1) / epb)
 
-let create ?(entries_per_block = 1) ~entries ~assoc () =
+let check_geometry ~entries ~assoc ~entries_per_block =
   if entries <= 0 || assoc <= 0 || entries_per_block <= 0 then
-    invalid_arg "Rt.create: non-positive parameter";
-  if entries mod (assoc * entries_per_block) <> 0 then
-    invalid_arg "Rt.create: entries not divisible by assoc * block";
+    Error "entries, assoc and entries_per_block must be positive"
+  else if entries mod (assoc * entries_per_block) <> 0 then
+    Error "entries not divisible by assoc * entries_per_block"
+  else Ok ()
+
+let create ?(entries_per_block = 1) ~entries ~assoc () =
+  (match check_geometry ~entries ~assoc ~entries_per_block with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Rt.create: " ^ msg));
   let n_sets = entries / (assoc * entries_per_block) in
   {
     perfect = false;

@@ -17,9 +17,16 @@
 
 type t
 
+val check_geometry :
+  entries:int -> assoc:int -> entries_per_block:int -> (unit, string) result
+(** [Ok ()] when all three are positive and [entries] is a multiple of
+    [assoc * entries_per_block]; otherwise [Error] names the rule
+    broken, for the caller to prefix with the field or option it came
+    from (as {!Dise_uarch.Cache.check_geometry}). *)
+
 val create : ?entries_per_block:int -> entries:int -> assoc:int -> unit -> t
-(** [entries] must be a positive multiple of [assoc * entries_per_block].
-    Default [entries_per_block] is 1. *)
+(** Default [entries_per_block] is 1. Raises [Invalid_argument] when
+    {!check_geometry} rejects the geometry. *)
 
 val perfect : unit -> t
 (** An RT that never misses. *)

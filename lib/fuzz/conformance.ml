@@ -1,13 +1,10 @@
 module Json = Dise_telemetry.Json
 module Diag = Dise_isa.Diag
-module Asm = Dise_isa.Asm
-module Program = Dise_isa.Program
 module Machine = Dise_machine.Machine
 module Regfile = Dise_machine.Regfile
 module Memory = Dise_machine.Memory
 module Engine = Dise_core.Engine
 module Lang = Dise_core.Lang
-module Prodset = Dise_core.Prodset
 
 type vector = {
   name : string;
@@ -138,20 +135,17 @@ let save_manifest ~dir vectors =
 (* --- running one vector -------------------------------------------------- *)
 
 let parse_sources ~dir v =
-  let path = Filename.concat dir v.program in
-  let* text = read_file path in
-  let* program = Asm.parse_result ~source:path text in
-  let img = Program.layout program in
-  let* prodset =
+  let source file =
+    let path = Filename.concat dir file in
+    Result.map (fun text -> (path, text)) (read_file path)
+  in
+  let* program = source v.program in
+  let* productions =
     match v.productions with
     | None -> Ok None
-    | Some file ->
-      let path = Filename.concat dir file in
-      let* text = read_file path in
-      let* set = Lang.parse_result ~source:path text in
-      Ok (Some (Prodset.resolve_labels (Program.Image.symbol img) set))
+    | Some file -> Result.map Option.some (source file)
   in
-  Ok (img, prodset)
+  Lang.load ~program ~productions
 
 (* Fresh machine per (vector, backend) cell: backends must not share
    expander state, and a vector must not see another's memory. *)

@@ -60,8 +60,10 @@ val load_suite : dir:string -> (vector list, Dise_isa.Diag.t) result
 val run_vector : dir:string -> vector -> cell list
 (** Run one vector on every backend (fresh machines; the naive run
     first, its signature becoming the optimized backends' [expected]
-    when it succeeds). Source-level failures (unparseable program or
-    production set) yield one failing cell per backend. *)
+    when it succeeds). Source-level failures (an unreadable file, or
+    anything {!Dise_core.Lang.load} rejects: a syntax error, an
+    undefined or duplicate label) yield one failing cell per backend
+    carrying the message. *)
 
 val run_suite : dir:string -> vector list -> report
 (** Run every vector on every backend. *)

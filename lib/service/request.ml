@@ -193,6 +193,10 @@ let ranged_field ctx j name ~expect ok =
     parse_error
       (Printf.sprintf "%s.%s: %d out of range (expected %s)" ctx name v expect)
 
+let check_dyn_target v =
+  if v >= 1 then Ok ()
+  else Error (Printf.sprintf "%d out of range (expected >= 1)" v)
+
 let bool_field ctx j name =
   match Json.member name j with
   | Some (Json.Bool v) -> Ok v
@@ -250,6 +254,13 @@ let controller_of_json j =
   let* miss_penalty = penalty "miss_penalty" in
   let* compose_penalty = penalty "compose_penalty" in
   let* composing = bool_field "controller" j "composing" in
+  let* () =
+    if rt_perfect then Ok ()
+    else
+      lift "controller.rt_entries"
+        (Dise_core.Rt.check_geometry ~entries:rt_entries ~assoc:rt_assoc
+           ~entries_per_block:rt_entries_per_block)
+  in
   Ok
     {
       Controller.pt_entries;
@@ -332,9 +343,8 @@ let of_json j =
       | Some _ -> Ok ()
       | None -> Error (Diag.Invalid (Printf.sprintf "unknown benchmark %S" bench))
     in
-    let* dyn_target =
-      ranged_field "request" j "dyn_target" ~expect:">= 1" (fun v -> v >= 1)
-    in
+    let* dyn_target = int_field "request" j "dyn_target" in
+    let* () = lift "request.dyn_target" (check_dyn_target dyn_target) in
     let* machine =
       match Json.member "machine" j with
       | Some m -> lift "machine" (Config.of_json m)

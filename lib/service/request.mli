@@ -113,10 +113,17 @@ val of_json : Dise_telemetry.Json.t -> (t, Dise_isa.Diag.t) result
     ["jit"] member takes the {!set_default_jit} default. Integers
     must lie in their documented ranges — a scheme's as in
     {!Dise_acf.Compress.scheme}, [max_len >= min_len]; a controller's
-    [pt_entries >= 1] and penalties [>= 0]; a machine's as in
+    [pt_entries >= 1], penalties [>= 0] and, unless [rt_perfect], an
+    RT geometry {!Dise_core.Rt.check_geometry} accepts (reported as
+    [controller.rt_entries]); a machine's as in
     {!Dise_uarch.Config.of_json} — and a value outside one is a
     [Diag.Parse] naming the field. Errors are
     [Diag.Parse]/[Diag.Invalid] (exit-code class "parse"). *)
+
+val check_dyn_target : int -> (unit, string) result
+(** The decoder's range check on [dyn_target] (at least 1), for front
+    ends that take the value from elsewhere to prefix with their own
+    option name. *)
 
 val canonical : t -> string
 (** The compact printing of {!to_json} — the string whose salted hash

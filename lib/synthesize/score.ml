@@ -15,8 +15,17 @@ type outcome = {
   fresh : bool;
 }
 
-let fitness ~rel_budget ~slow_penalty ~ratio ~rel =
+let controller = Controller.default_config
+let rel_budget = 1.05
+let slow_penalty = 4.0
+
+let fitness ~ratio ~rel =
   (1.0 -. ratio) -. (slow_penalty *. Float.max 0.0 (rel -. rel_budget))
+
+let fits (r : Compress.result) =
+  Prodset.fits ~entries_per_block:controller.Controller.rt_entries_per_block
+    ~pt_entries:controller.Controller.pt_entries
+    ~rt_entries:controller.Controller.rt_entries r.Compress.prodset
 
 type t = {
   jobs : int;
@@ -24,38 +33,25 @@ type t = {
   entry : Dise_workload.Suite.entry;
   scheme : Compress.scheme;
   corpus : Compress.corpus;
-  controller : Controller.config;
   baseline_cycles : int;
-  rel_budget : float;
-  slow_penalty : float;
 }
 
-let create ~jobs ~base ~entry ~scheme ~corpus ~controller ~baseline_cycles
-    ~rel_budget ~slow_penalty =
-  {
-    jobs;
-    base;
-    entry;
-    scheme;
-    corpus;
-    controller;
-    baseline_cycles;
-    rel_budget;
-    slow_penalty;
-  }
+let create ~jobs ~base ~entry ~scheme ~corpus ~baseline_cycles =
+  { jobs; base; entry; scheme; corpus; baseline_cycles }
 
-let seeds_key seeds =
-  Json.to_string
-    (Json.List
-       (List.map
-          (fun (s : Compress.seed) ->
-            Json.List
-              [
-                Json.Int s.Compress.s_blk;
-                Json.Int s.Compress.s_start;
-                Json.Int s.Compress.s_len;
-              ])
-          seeds))
+let seeds_json seeds =
+  Json.List
+    (List.map
+       (fun (s : Compress.seed) ->
+         Json.List
+           [
+             Json.Int s.Compress.s_blk;
+             Json.Int s.Compress.s_start;
+             Json.Int s.Compress.s_len;
+           ])
+       seeds)
+
+let seeds_key seeds = Json.to_string (seeds_json seeds)
 
 (* One candidate: the static half (ratio + capacity), then, if it fits,
    the timing half through the result-cached Request path.
@@ -64,15 +60,9 @@ let seeds_key seeds =
 let eval t seeds () =
   let r = Compress.compress_seeded t.corpus ~seeds in
   let ratio = Compress.total_ratio r in
-  let fits =
-    Prodset.fits
-      ~entries_per_block:t.controller.Controller.rt_entries_per_block
-      ~pt_entries:t.controller.Controller.pt_entries
-      ~rt_entries:t.controller.Controller.rt_entries r.Compress.prodset
-  in
-  if not fits then
+  if not (fits r) then
     { fits = false; ratio; rel = Float.nan; fitness = Float.neg_infinity;
-      fresh = true }
+      fresh = false }
   else
     let req =
       { t.base with Request.acf = Request.Synth { scheme = t.scheme; seeds } }
@@ -82,15 +72,8 @@ let eval t seeds () =
       let rel =
         float_of_int stats.Stats.cycles /. float_of_int t.baseline_cycles
       in
-      {
-        fits = true;
-        ratio;
-        rel;
-        fitness =
-          fitness ~rel_budget:t.rel_budget ~slow_penalty:t.slow_penalty ~ratio
-            ~rel;
-        fresh = not cache_hit;
-      }
+      { fits = true; ratio; rel; fitness = fitness ~ratio ~rel;
+        fresh = not cache_hit }
     | Error d -> failwith ("synthesize: candidate run failed: " ^ Diag.to_string d)
 
 let score_batch t (seedss : Compress.seed list array) =

@@ -3,8 +3,7 @@
 
     Every candidate is measured twice. The {e static} half
     ({!Dise_acf.Compress.compress_seeded}) yields the total
-    compression ratio and — via {!Dise_core.Prodset.footprint} against
-    the controller's PT/RT geometry — the hard capacity verdict; it
+    compression ratio and the hard capacity verdict ({!fits}); it
     comes first. The {e timing} half runs the candidate on the timing
     model through the result-cached {!Dise_service.Request} API (acf
     [Synth]); unfit candidates are never simulated. Candidates are
@@ -17,15 +16,26 @@ type outcome = {
   ratio : float;  (** (text + dict) / original text *)
   rel : float;  (** cycles / baseline cycles; [nan] when unfit *)
   fitness : float;  (** [neg_infinity] when unfit *)
-  fresh : bool;  (** measured by a simulator run this call (not from
-                     the request disk cache or the journal) *)
+  fresh : bool;
+      (** the timing run simulated in this call: false when it came
+          from the result cache, and for an unfit candidate, which is
+          never simulated *)
 }
 
-val fitness :
-  rel_budget:float -> slow_penalty:float -> ratio:float -> rel:float -> float
-(** [(1 - ratio) - slow_penalty * max 0 (rel - rel_budget)]: the
-    fraction of the binary eliminated, minus a linear penalty once
-    decompression overhead exceeds the slowdown budget. *)
+val controller : Dise_core.Controller.config
+(** The paper's default controller
+    ({!Dise_core.Controller.default_config}): both the capacity
+    constraint and the decompression-overhead model the timing runs
+    use. *)
+
+val fitness : ratio:float -> rel:float -> float
+(** [(1 - ratio) - 4 * max 0 (rel - 1.05)]: the fraction of the binary
+    eliminated, minus a linear penalty (slope 4) once decompression
+    overhead exceeds a 5% slowdown budget. *)
+
+val fits : Dise_acf.Compress.result -> bool
+(** Whole-set residency of the result's production set in
+    {!controller}'s PT and RT ({!Dise_core.Prodset.fits}). *)
 
 type t
 
@@ -35,10 +45,7 @@ val create :
   entry:Dise_workload.Suite.entry ->
   scheme:Dise_acf.Compress.scheme ->
   corpus:Dise_acf.Compress.corpus ->
-  controller:Dise_core.Controller.config ->
   baseline_cycles:int ->
-  rel_budget:float ->
-  slow_penalty:float ->
   t
 (** [jobs] is the pool width of {!score_batch}. [base] is the request
     template (bench, dyn_target, machine, controller, jit knobs);
@@ -51,6 +58,8 @@ val score_batch : t -> Dise_acf.Compress.seed list array -> outcome array
     order). Raises [Failure] on a candidate whose compressed image
     faults — a bug, not a bad candidate. *)
 
+val seeds_json : Dise_acf.Compress.seed list -> Dise_telemetry.Json.t
+(** The seed list as [[blk, start, len]] triples. *)
+
 val seeds_key : Dise_acf.Compress.seed list -> string
-(** Canonical journal/memo key: the compact JSON of the seed list as
-    [[blk, start, len]] triples. *)
+(** Canonical in-run memo key: the compact {!seeds_json}. *)

@@ -13,44 +13,22 @@ type config = {
   bench : string;
   dyn_target : int;
   scheme : Compress.scheme;
-  controller : Controller.config;
   rng_seed : int;
   budget : int;
-  batch : int;
-  max_seeds : int;
-  patience : int;
-  rel_budget : float;
-  slow_penalty : float;
   jobs : int;
-  journal : string option;
   progress : string -> unit;
 }
 
-let v ?(dyn_target = 300_000) ?(scheme = Compress.full_dise)
-    ?(controller = Controller.default_config) ?(rng_seed = 1) ?(budget = 192)
-    ?batch ?(max_seeds = 1024) ?(patience = 4) ?(rel_budget = 1.05)
-    ?(slow_penalty = 4.0) ?(jobs = Pool.default_jobs ()) ?journal
-    ?(progress = fun _ -> ()) bench =
-  (* Fixed default width: the proposal stream must not depend on the
-     worker count, so --jobs (like figures --jobs) never changes the
-     result, only the wall clock. *)
-  let batch = match batch with Some b -> max 1 b | None -> 8 in
-  {
-    bench;
-    dyn_target;
-    scheme;
-    controller;
-    rng_seed;
-    budget;
-    batch;
-    max_seeds;
-    patience;
-    rel_budget;
-    slow_penalty;
-    jobs;
-    journal;
-    progress;
-  }
+(* Proposals scored per iteration: a constant, never the worker count,
+   so --jobs (like figures --jobs) changes only the wall clock. *)
+let batch = 8
+let max_seeds = 1024
+let patience = 4
+
+let v ?(dyn_target = 300_000) ?(scheme = Compress.full_dise) ?(rng_seed = 1)
+    ?(budget = 192) ?(jobs = Pool.default_jobs ()) ?(progress = fun _ -> ())
+    bench =
+  { bench; dyn_target; scheme; rng_seed; budget; jobs; progress }
 
 type result = {
   seeds : Compress.seed list;
@@ -59,63 +37,24 @@ type result = {
   footprint : Prodset.footprint;
   baseline_cycles : int;
   evaluations : int;
-  inherited : int;
+  simulated : int;
   candidates : int;
 }
 
-(* Journal <-> outcome. Fitness is recomputed from the journaled
-   measurements so a resume with different penalty knobs re-ranks
-   rather than trusting stale scores. *)
-let measure_of_outcome (o : Score.outcome) =
-  { Journal.m_fits = o.Score.fits; m_ratio = o.Score.ratio; m_rel = o.Score.rel }
-
-let outcome_of_measure cfg (m : Journal.measure) =
-  if not m.Journal.m_fits then
-    {
-      Score.fits = false;
-      ratio = m.Journal.m_ratio;
-      rel = Float.nan;
-      fitness = Float.neg_infinity;
-      fresh = false;
-    }
-  else
-    {
-      Score.fits = true;
-      ratio = m.Journal.m_ratio;
-      rel = m.Journal.m_rel;
-      fitness =
-        Score.fitness ~rel_budget:cfg.rel_budget ~slow_penalty:cfg.slow_penalty
-          ~ratio:m.Journal.m_ratio ~rel:m.Journal.m_rel;
-      fresh = false;
-    }
-
-(* Score a batch through the journal memo: known candidates answer
-   instantly, distinct unknowns are scored once. *)
-let score_all cfg scorer journal (proposals : Compress.seed list array) =
+(* Score a batch through the in-run memo: known candidates answer
+   from it, distinct unknowns are scored once. *)
+let score_all scorer memo (proposals : Compress.seed list array) =
   let keys = Array.map Score.seeds_key proposals in
-  let pending = Hashtbl.create 16 in
+  let unknown = ref [] in
   Array.iteri
     (fun i key ->
-      if Journal.find journal ~key = None && not (Hashtbl.mem pending key) then
-        Hashtbl.add pending key i)
+      if not (Hashtbl.mem memo key || List.mem_assoc key !unknown) then
+        unknown := (key, proposals.(i)) :: !unknown)
     keys;
-  let fresh_idx =
-    Hashtbl.fold (fun _ i acc -> i :: acc) pending [] |> List.sort compare
-  in
-  let fresh =
-    Score.score_batch scorer
-      (Array.of_list (List.map (fun i -> proposals.(i)) fresh_idx))
-  in
-  List.iteri
-    (fun k i ->
-      Journal.record journal ~key:keys.(i) (measure_of_outcome fresh.(k)))
-    fresh_idx;
-  Array.map
-    (fun key ->
-      match Journal.find journal ~key with
-      | Some m -> outcome_of_measure cfg m
-      | None -> assert false)
-    keys
+  let unknown = List.rev !unknown in
+  let outs = Score.score_batch scorer (Array.of_list (List.map snd unknown)) in
+  List.iteri (fun k (key, _) -> Hashtbl.add memo key outs.(k)) unknown;
+  Array.map (Hashtbl.find memo) keys
 
 (* Weighted sampling over the mined pool (prefix sums + binary
    search); all randomness flows through the one [Random.State]. *)
@@ -138,7 +77,7 @@ let sampler (cands : Miner.candidate array) =
     in
     cands.(bisect 0 (n - 1))
 
-let propose cfg (cands : Miner.candidate array) sample st current =
+let propose (cands : Miner.candidate array) sample st current =
   let n_cur = List.length current in
   let in_current s = List.mem s current in
   let add cur =
@@ -161,7 +100,7 @@ let propose cfg (cands : Miner.candidate array) sample st current =
   in
   if Array.length cands = 0 then current
   else if n_cur = 0 then add current
-  else if n_cur >= cfg.max_seeds then
+  else if n_cur >= max_seeds then
     if Random.State.int st 2 = 0 then drop current else add (drop current)
   else
     match Random.State.int st 4 with
@@ -177,7 +116,8 @@ let run cfg =
   in
   let entry = Suite.get ~dyn_target:cfg.dyn_target wprofile in
   let base =
-    Request.v ~dyn_target:cfg.dyn_target ~controller:cfg.controller cfg.bench
+    Request.v ~dyn_target:cfg.dyn_target ~controller:Score.controller
+      cfg.bench
   in
   cfg.progress "measuring baseline";
   let baseline_cycles =
@@ -195,22 +135,18 @@ let run cfg =
     Miner.mine ~scheme:cfg.scheme ~corpus ~image:entry.Suite.image
       ~profile:tprofile
   in
-  let journal = Journal.load ?path:cfg.journal () in
-  let inherited = Journal.size journal in
-  cfg.progress
-    (Printf.sprintf "%d candidate groups, %d journal entries inherited"
-       (Array.length cands) inherited);
+  cfg.progress (Printf.sprintf "%d candidate groups" (Array.length cands));
   let scorer =
     Score.create ~jobs:cfg.jobs ~base ~entry ~scheme:cfg.scheme ~corpus
-      ~controller:cfg.controller ~baseline_cycles ~rel_budget:cfg.rel_budget
-      ~slow_penalty:cfg.slow_penalty
+      ~baseline_cycles
   in
+  let memo = Hashtbl.create 256 in
   let st = Random.State.make [| cfg.rng_seed |] in
   let sample = sampler cands in
   let evals = ref 0 in
   let score_counted proposals =
     evals := !evals + Array.length proposals;
-    score_all cfg scorer journal proposals
+    score_all scorer memo proposals
   in
   (* Profile-guided warm start: the longest weight-ordered candidate
      prefix that fits the PT/RT. Hill climbing grows a dictionary one
@@ -221,18 +157,14 @@ let run cfg =
      prefix length, so the cut is a binary search over cheap static
      compressions; no simulations are spent here. *)
   let fits_static seeds =
-    let r = Compress.compress_seeded corpus ~seeds in
-    Prodset.fits
-      ~entries_per_block:cfg.controller.Controller.rt_entries_per_block
-      ~pt_entries:cfg.controller.Controller.pt_entries
-      ~rt_entries:cfg.controller.Controller.rt_entries r.Compress.prodset
+    Score.fits (Compress.compress_seeded corpus ~seeds)
   in
   let warm_start =
     let seeds_of n =
       Array.to_list (Array.sub cands 0 n)
       |> List.map (fun c -> c.Miner.window.Compress.w_seed)
     in
-    let n_max = min (Array.length cands) cfg.max_seeds in
+    let n_max = min (Array.length cands) max_seeds in
     if n_max = 0 then []
     else if fits_static (seeds_of n_max) then seeds_of n_max
     else begin
@@ -252,12 +184,12 @@ let run cfg =
   let current_out = ref (score_counted [| warm_start |]).(0) in
   let stale = ref 0 in
   let iter = ref 0 in
-  while !evals < cfg.budget && !stale < cfg.patience && Array.length cands > 0
+  while !evals < cfg.budget && !stale < patience && Array.length cands > 0
   do
     incr iter;
-    let width = min cfg.batch (cfg.budget - !evals) in
+    let width = min batch (cfg.budget - !evals) in
     let proposals =
-      Array.init width (fun _ -> propose cfg cands sample st !current)
+      Array.init width (fun _ -> propose cands sample st !current)
     in
     let outs = score_counted proposals in
     let best = ref (-1) in
@@ -282,11 +214,10 @@ let run cfg =
          !current_out.Score.fitness !current_out.Score.ratio
          !current_out.Score.rel)
   done;
-  Journal.close journal;
   let compress = Compress.compress_seeded corpus ~seeds:!current in
   let footprint =
     Prodset.footprint
-      ~entries_per_block:cfg.controller.Controller.rt_entries_per_block
+      ~entries_per_block:Score.controller.Controller.rt_entries_per_block
       compress.Compress.prodset
   in
   {
@@ -296,17 +227,12 @@ let run cfg =
     footprint;
     baseline_cycles;
     evaluations = !evals;
-    inherited;
+    simulated =
+      Hashtbl.fold
+        (fun _ (o : Score.outcome) n -> if o.Score.fresh then n + 1 else n)
+        memo 0;
     candidates = Array.length cands;
   }
-
-let seed_triple (s : Compress.seed) =
-  Json.List
-    [
-      Json.Int s.Compress.s_blk;
-      Json.Int s.Compress.s_start;
-      Json.Int s.Compress.s_len;
-    ]
 
 let dictionary_json cfg r =
   Json.Obj
@@ -323,7 +249,7 @@ let dictionary_json cfg r =
             ("evaluations", Json.Int r.evaluations);
             ("candidates", Json.Int r.candidates);
           ] );
-      ("seeds", Json.List (List.map seed_triple r.seeds));
+      ("seeds", Score.seeds_json r.seeds);
       ("entries", Json.Int (List.length r.compress.Compress.entries));
       ("fitness", Json.Float r.outcome.Score.fitness);
       ("total_ratio", Json.Float r.outcome.Score.ratio);

@@ -9,62 +9,55 @@
     entries capacity allows) — then climb: each iteration proposes a
     batch of single-move mutations of the current dictionary (add a
     heat-weighted unused window / drop a seed / swap), scores the
-    batch ({!Score}, through the journal memo first), and accepts the
-    best proposal iff it improves fitness. The climb stops when the
-    evaluation budget is spent or [patience] consecutive iterations
-    fail to improve.
+    batch ({!Score}, through an in-run memo keyed by the seed list, so
+    a repeated proposal is scored once), and accepts the best proposal
+    iff it improves fitness. The climb stops when the evaluation budget
+    is spent or 4 consecutive iterations fail to improve.
 
     {b Determinism.} Given the same configuration the search is a
     pure function of [rng_seed]: proposals come from one
     [Random.State], candidate order is fixed by the miner, batch
     results arrive in submission order, and nothing downstream of a
-    measurement depends on where the measurement came from (fresh
-    run, request disk cache, or journal). Two runs with the same seed
-    therefore write byte-identical dictionaries — and a resumed run
-    replays through its journal to the same place. *)
+    measurement depends on where the measurement came from (a fresh
+    simulation or the result cache). Two runs with the same seed
+    therefore write byte-identical dictionaries.
+
+    {b Resume.} The result cache is the search's only persistent memo:
+    every fit candidate runs as a [Synth] request cached under a key
+    that names the bench, dynamic length, scheme, controller and JIT
+    settings as well as the seed list. A rerun over the same cache
+    replays the same proposal stream, and every candidate timing run
+    it reaches is a cache hit; only the static half (one compression
+    per proposal) and the fetch profile are recomputed. With no disk
+    cache nothing persists. *)
 
 type config = {
   bench : string;
   dyn_target : int;
   scheme : Dise_acf.Compress.scheme;
-  controller : Dise_core.Controller.config;
-      (** PT/RT geometry: both the hard capacity constraint and the
-          decompression-overhead model the timing runs use *)
   rng_seed : int;
   budget : int;  (** maximum candidate evaluations *)
-  batch : int;  (** proposals scored per iteration *)
-  max_seeds : int;  (** dictionary size cap (search tractability) *)
-  patience : int;  (** improvement-free iterations before stopping *)
-  rel_budget : float;  (** tolerated execution-time ratio *)
-  slow_penalty : float;  (** fitness slope past the budget *)
   jobs : int;  (** worker domains scoring each batch *)
-  journal : string option;  (** JSONL memo path ([None]: in-memory) *)
   progress : string -> unit;
 }
+(** Constants, not configuration: 8 proposals per iteration (never
+    the worker count, so [jobs] never changes the result), a cap of
+    1024 seeds (it binds: a gzip search at 120K dynamic instructions
+    sits at the cap from its warm start on), and a stop after 4
+    improvement-free iterations. *)
 
 val v :
   ?dyn_target:int ->
   ?scheme:Dise_acf.Compress.scheme ->
-  ?controller:Dise_core.Controller.config ->
   ?rng_seed:int ->
   ?budget:int ->
-  ?batch:int ->
-  ?max_seeds:int ->
-  ?patience:int ->
-  ?rel_budget:float ->
-  ?slow_penalty:float ->
   ?jobs:int ->
-  ?journal:string ->
   ?progress:(string -> unit) ->
   string ->
   config
 (** [v bench] with the production defaults: 300K dynamic target,
-    [full_dise] scheme, the paper's default controller, seed 1,
-    budget 192, batch 8 (a constant, never the worker count — the
-    proposal stream must not depend on [--jobs]), 1024 max seeds
-    (capacity, not the cap, is the effective bound), patience 4, 5%
-    slowdown budget with penalty slope 4, [Pool.default_jobs ()]
-    scoring domains, no journal, silent progress. *)
+    [full_dise] scheme, seed 1, budget 192, [Pool.default_jobs ()]
+    scoring domains, silent progress. *)
 
 type result = {
   seeds : Dise_acf.Compress.seed list;  (** the winning dictionary *)
@@ -73,7 +66,10 @@ type result = {
   footprint : Dise_core.Prodset.footprint;
   baseline_cycles : int;
   evaluations : int;  (** proposals scored (deterministic) *)
-  inherited : int;  (** journal entries loaded at start (resume depth) *)
+  simulated : int;
+      (** distinct candidates whose timing run simulated rather than
+          hit the result cache ({!Score.outcome.fresh}); 0 on a rerun
+          over a cache that holds the first run *)
   candidates : int;  (** mined pool size *)
 }
 

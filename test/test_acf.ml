@@ -636,6 +636,71 @@ let test_composition_grows_rt_working_set () =
   in
   check bool_ "composition inflates sequences" true (growth > 1.05)
 
+(* --- the production language prints what it reads ------------------- *)
+
+module Lang = Dise_core.Lang
+module Production = Dise_core.Production
+
+(* [Lang.parse (Lang.to_string s)] must keep every production (name,
+   pattern, priority, right-hand side) and every sequence of every set
+   the system builds. *)
+let check_reparses label set =
+  let prods s =
+    List.sort compare
+      (List.map
+         (fun p ->
+           ( p.Production.name,
+             p.Production.pattern,
+             p.Production.priority,
+             p.Production.rsid ))
+         (Prodset.productions s))
+  in
+  match Lang.parse (Lang.to_string set) with
+  | set' ->
+    if prods set' <> prods set then Alcotest.failf "%s: productions differ" label;
+    if Prodset.sequences set' <> Prodset.sequences set then
+      Alcotest.failf "%s: sequences differ" label
+  | exception Lang.Parse_error (line, msg) ->
+    Alcotest.failf "%s: line %d: %s" label line msg
+
+let test_lang_roundtrips_every_set () =
+  let error = 0x9000 in
+  List.iter
+    (fun (label, set) -> check_reparses label set)
+    [
+      ("mfi dise3", Mfi.productions ~variant:Mfi.Dise3 ~error ());
+      ("mfi dise4", Mfi.productions ~variant:Mfi.Dise4 ~check_jumps:true ~error ());
+      ("sandbox", Mfi.sandbox_productions ());
+      ("tracing", Tracing.productions ());
+      ("profiling", Profiling.productions ());
+      ("path profiling", Path_profiling.productions ());
+      ("dsm", Dsm.productions ~handler:error ());
+      ("watchpoint", Watchpoint.productions ~handler:error ());
+    ];
+  let quick = Dise_harness.Figures.quick_opts in
+  List.iter
+    (fun bench ->
+      let e =
+        W.Suite.get ~dyn_target:quick.Dise_harness.Figures.dyn_target
+          (Option.get (W.Profile.find bench))
+      in
+      List.iter
+        (fun scheme ->
+          let r = Compress.compress ~scheme e.W.Suite.gen.W.Codegen.program in
+          let label = bench ^ "/" ^ scheme.Compress.name in
+          check_reparses label r.Compress.prodset;
+          if scheme == Compress.full_dise then
+            check_reparses (label ^ " composed") (Acf_compose.for_compressed r))
+        Compress.fig7_schemes)
+    quick.Dise_harness.Figures.benchmarks;
+  let rng = W.Rng.create 1 in
+  for i = 1 to 20 do
+    let case = { (Dise_fuzz.Case.generate rng) with mode = Dise_fuzz.Case.Plain } in
+    check_reparses
+      (Printf.sprintf "fuzz plain %d" i)
+      (Dise_fuzz.Case.build case).Dise_fuzz.Case.prodset
+  done
+
 let suite =
   [
     ("MFI passes legal", `Quick, test_mfi_passes_legal);
@@ -675,4 +740,5 @@ let suite =
     ("composed catches bad store", `Quick, test_composed_catches_bad_store);
     ("composition grows RT working set", `Quick,
      test_composition_grows_rt_working_set);
+    ("lang round-trips every set", `Quick, test_lang_roundtrips_every_set);
   ]

@@ -303,16 +303,8 @@ let test_conformance_quick () =
   check bool_ "csv has header + rows" true
     (List.length (String.split_on_char '\n' csv) > total)
 
-(* The gate itself: a copy of the suite whose manifest records a wrong
-   signature for one vector must fail exactly that vector's cells on
-   every backend, and nothing else. *)
-let test_conformance_flags_wrong_signature () =
-  let vectors = load_suite "arch" in
-  let victim =
-    match List.find_opt (fun v -> v.Conformance.productions <> None) vectors with
-    | Some v -> v.Conformance.name
-    | None -> Alcotest.fail "suite has no vector with productions"
-  in
+(* A scratch suite directory, removed afterwards. *)
+let with_suite_dir f =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -323,12 +315,31 @@ let test_conformance_flags_wrong_signature () =
     Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
     Unix.rmdir dir
   in
-  Fun.protect ~finally:rm_dir (fun () ->
+  Fun.protect ~finally:rm_dir (fun () -> f dir)
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let write_file dir name text =
+  let oc = open_out_bin (Filename.concat dir name) in
+  output_string oc text;
+  close_out oc
+
+(* The gate itself: a copy of the suite whose manifest records a wrong
+   signature for one vector must fail exactly that vector's cells on
+   every backend, and nothing else. *)
+let test_conformance_flags_wrong_signature () =
+  let vectors = load_suite "arch" in
+  let victim =
+    match List.find_opt (fun v -> v.Conformance.productions <> None) vectors with
+    | Some v -> v.Conformance.name
+    | None -> Alcotest.fail "suite has no vector with productions"
+  in
+  with_suite_dir (fun dir ->
       Array.iter
-        (fun n ->
-          let oc = open_out_bin (Filename.concat dir n) in
-          output_string oc (read_file (Filename.concat "arch" n));
-          close_out oc)
+        (fun n -> write_file dir n (read_file (Filename.concat "arch" n)))
         (Sys.readdir "arch");
       Conformance.save_manifest ~dir
         (List.map
@@ -349,6 +360,48 @@ let test_conformance_flags_wrong_signature () =
         (List.length report.Conformance.cells - List.length Conformance.backends)
         report.Conformance.passed)
 
+(* A vector whose sources do not load — a program label that is never
+   defined, a replacement label the program lacks — fails its own
+   cells with the loader's message, and the rest of the suite runs. *)
+let test_conformance_bad_sources () =
+  with_suite_dir (fun dir ->
+      write_file dir "ok.s" "main:\n  stq r1, 0(r1)\n  halt\n";
+      write_file dir "undef.s" "main:\n  jmp nowhere\n  halt\n";
+      write_file dir "badlabel.dise"
+        "P1: T.OPCLASS == store -> R1\nR1: bne $dr1, nowhere\n    T.INSN\n";
+      let vector name program productions =
+        {
+          Conformance.name;
+          program;
+          productions;
+          drs = [];
+          max_steps = 1000;
+          signature = "";
+        }
+      in
+      let report =
+        Conformance.run_suite ~dir
+          [
+            vector "undefined_label" "undef.s" None;
+            vector "unknown_rlabel" "ok.s" (Some "badlabel.dise");
+            vector "ok" "ok.s" None;
+          ]
+      in
+      List.iter
+        (fun c ->
+          let name =
+            Printf.sprintf "%s/%s" c.Conformance.vector c.Conformance.backend
+          in
+          check bool_ name (c.Conformance.vector = "ok") c.Conformance.pass;
+          if c.Conformance.vector <> "ok" then
+            match c.Conformance.error with
+            | Some e ->
+              check bool_ (name ^ " names the label") true
+                (contains e "nowhere")
+            | None -> Alcotest.failf "%s: no error" name)
+        report.Conformance.cells;
+      check int_ "every cell reported" 9 (List.length report.Conformance.cells))
+
 let suite =
   [
     Alcotest.test_case "bucket layout" `Quick test_bucket_layout;
@@ -366,4 +419,6 @@ let suite =
       test_conformance_quick;
     Alcotest.test_case "conformance flags a wrong signature" `Quick
       test_conformance_flags_wrong_signature;
+    Alcotest.test_case "conformance fails unloadable vectors" `Quick
+      test_conformance_bad_sources;
   ]

@@ -194,11 +194,30 @@ let test_out_of_range_rejected () =
         ],
         "machine.width" );
       ([ ([ "controller"; "pt_entries" ], Json.Int 0) ], "controller.pt_entries");
+      ([ ([ "controller"; "rt_entries" ], Json.Int 3) ], "controller.rt_entries");
+      ([ ([ "controller"; "rt_assoc" ], Json.Int 0) ], "controller.rt_entries");
+      ( [ ([ "controller"; "rt_entries_per_block" ], Json.Int (-1)) ],
+        "controller.rt_entries" );
       ( [ ([ "machine"; "icache"; "size_bytes" ], Json.Int 100) ],
         "machine.icache" );
       ([ ([ "machine"; "dcache"; "assoc" ], Json.Int 0) ], "machine.dcache");
       ([ ([ "machine"; "l2"; "line_bytes" ], Json.Int 48) ], "machine.l2");
-    ]
+      ([ ([ "dyn_target" ], Json.Int 0) ], "request.dyn_target");
+    ];
+  (* A perfect RT has no geometry to check: any entry counts decode. *)
+  let perfect =
+    List.fold_left
+      (fun j (path, v) -> set path v j)
+      valid
+      [
+        ([ "controller"; "rt_perfect" ], Json.Bool true);
+        ([ "controller"; "rt_entries" ], Json.Int 3);
+        ([ "controller"; "rt_assoc" ], Json.Int 0);
+      ]
+  in
+  match Request.of_json perfect with
+  | Ok _ -> ()
+  | Error d -> Alcotest.failf "perfect RT rejected: %s" (Diag.to_string d)
 
 (* --- cache-key stability -------------------------------------------------- *)
 

@@ -1,7 +1,8 @@
 (* Tests for profile-guided production synthesis: the seeded
    compression API, PT/RT capacity accounting, the fetch-histogram
    mining path, the Synth request variant (round-trip + distinct cache
-   keys), the run journal, and end-to-end search determinism. *)
+   keys), end-to-end search determinism, and resuming a search over
+   the result cache. *)
 
 module Compress = Dise_acf.Compress
 module Prodset = Dise_core.Prodset
@@ -211,39 +212,10 @@ let test_synth_json_malformed () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "2-int seed should be rejected"
 
-(* --- journal ----------------------------------------------------------- *)
-
-let test_journal_roundtrip () =
-  let path = Filename.temp_file "synth-journal" ".jsonl" in
-  let j = Sy.Journal.load ~path () in
-  Sy.Journal.record j ~key:"[[1,2,3]]"
-    { Sy.Journal.m_fits = true; m_ratio = 0.875; m_rel = 1.01 };
-  Sy.Journal.record j ~key:"[[4,5,6]]"
-    { Sy.Journal.m_fits = false; m_ratio = 0.5; m_rel = Float.nan };
-  Sy.Journal.close j;
-  (* A truncated crash tail must not poison the reload. *)
-  let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "{\"seeds\":\"[[7";
-  close_out oc;
-  let j2 = Sy.Journal.load ~path () in
-  check int_ "two entries survive" 2 (Sy.Journal.size j2);
-  (match Sy.Journal.find j2 ~key:"[[1,2,3]]" with
-  | Some m ->
-    check bool_ "fits" true m.Sy.Journal.m_fits;
-    check (Alcotest.float 1e-9) "ratio" 0.875 m.Sy.Journal.m_ratio;
-    check (Alcotest.float 1e-9) "rel" 1.01 m.Sy.Journal.m_rel
-  | None -> Alcotest.fail "entry lost");
-  (match Sy.Journal.find j2 ~key:"[[4,5,6]]" with
-  | Some m -> check bool_ "unfit persists" false m.Sy.Journal.m_fits
-  | None -> Alcotest.fail "unfit entry lost");
-  Sy.Journal.close j2;
-  Sys.remove path
-
 (* --- end-to-end search ------------------------------------------------- *)
 
-let search_cfg ?journal () =
-  Sy.Search.v ~dyn_target:4_000 ~rng_seed:7 ~budget:12 ~batch:4 ~patience:2
-    ~jobs:1 ?journal "tiny"
+let search_cfg () =
+  Sy.Search.v ~dyn_target:4_000 ~rng_seed:7 ~budget:12 ~jobs:1 "tiny"
 
 let test_search_deterministic () =
   let doc cfg = Json.to_string (Sy.Search.dictionary_json cfg (Sy.Search.run cfg)) in
@@ -265,21 +237,22 @@ let test_search_deterministic () =
     | _ -> Alcotest.fail "footprint members missing")
   | None -> Alcotest.fail "footprint missing"
 
-let test_search_resumes_via_journal () =
-  let path = Filename.temp_file "synth-resume" ".jsonl" in
-  Sys.remove path;
-  let r1 = Sy.Search.run (search_cfg ~journal:path ()) in
-  let inherited_first = r1.Sy.Search.inherited in
-  let r2 = Sy.Search.run (search_cfg ~journal:path ()) in
-  check int_ "fresh run inherits nothing" 0 inherited_first;
-  check bool_ "rerun replays from the journal" true
-    (r2.Sy.Search.inherited > 0);
-  check bool_ "same dictionary either way" true
-    (Sy.Score.seeds_key r1.Sy.Search.seeds
-    = Sy.Score.seeds_key r2.Sy.Search.seeds);
-  check int_ "same evaluation count" r1.Sy.Search.evaluations
-    r2.Sy.Search.evaluations;
-  Sys.remove path
+(* The result cache is the search's only persistent memo: a rerun
+   over the same cache replays the proposal stream, and every timing
+   run it reaches is a hit. *)
+let test_search_resumes_via_cache () =
+  Test_service.with_temp_dir (fun dir ->
+      Test_service.with_disk_cache dir (fun () ->
+          let r1 = Sy.Search.run (search_cfg ()) in
+          Request.clear_memory ();
+          let r2 = Sy.Search.run (search_cfg ()) in
+          check bool_ "first run simulates" true (r1.Sy.Search.simulated > 0);
+          check int_ "rerun simulates nothing" 0 r2.Sy.Search.simulated;
+          check bool_ "same dictionary either way" true
+            (Sy.Score.seeds_key r1.Sy.Search.seeds
+            = Sy.Score.seeds_key r2.Sy.Search.seeds);
+          check int_ "same evaluation count" r1.Sy.Search.evaluations
+            r2.Sy.Search.evaluations))
 
 let suite =
   [
@@ -292,8 +265,7 @@ let suite =
     Alcotest.test_case "miner heat" `Quick test_miner_heat;
     Alcotest.test_case "synth json round-trip" `Quick test_synth_json_roundtrip;
     Alcotest.test_case "synth json malformed" `Quick test_synth_json_malformed;
-    Alcotest.test_case "journal round-trip" `Quick test_journal_roundtrip;
     Alcotest.test_case "search deterministic" `Quick test_search_deterministic;
-    Alcotest.test_case "search resumes via journal" `Quick
-      test_search_resumes_via_journal;
+    Alcotest.test_case "search resumes via result cache" `Quick
+      test_search_resumes_via_cache;
   ]
