@@ -324,12 +324,12 @@ let test_branch_compression_only_full_dise () =
 
 (* Every dictionary the quick figure suite builds, pinned byte for byte:
    the six Figure 7 schemes and the parameter-budget and length-cap
-   ablations (defined here exactly as [Ablate] defines them), on two
-   quick-suite benchmarks and four seeds of the tiny profile, plus the
-   two dictionaries built over the rewritten (MFI) binary, and a digest
-   of one corpus's candidate windows. The expected text is
-   golden/compress.txt; a mismatch writes compress.actual
-   ([Golden_file.check]). *)
+   ablations (defined here exactly as [Ablate] defines them), on the
+   four quick-suite benchmarks and four seeds of the tiny profile; the
+   dedicated and DISE dictionaries of each benchmark's rewritten (MFI)
+   binary; and digests of the candidate windows of three corpora. The
+   expected text is golden/compress.txt; a mismatch writes
+   compress.actual ([Golden_file.check]). *)
 let pin_schemes =
   let params k =
     { Compress.plus_8byte_de with
@@ -345,8 +345,7 @@ let pin_schemes =
   @ List.map params [ 0; 1; 2; 3 ]
   @ List.map max_len [ 2; 4; 8; 16 ]
 
-let pin_line label (scheme : Compress.scheme) prog =
-  let r = Compress.compress ~scheme prog in
+let pin_line label (scheme : Compress.scheme) (r : Compress.result) =
   let b = Buffer.create 65536 in
   let ppf = Format.formatter_of_buffer b in
   Format.fprintf ppf "%a@." Program.pp r.Compress.program;
@@ -361,6 +360,25 @@ let pin_line label (scheme : Compress.scheme) prog =
     r.Compress.codewords
     (List.length r.Compress.entries)
     (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* One line per scheme. The output does not depend on a scheme's name,
+   so schemes that differ only in it (p0 is +8byteDE; p3 and len8 are
+   DISE) are compressed once. *)
+let pin_lines label schemes prog =
+  let done_ = Hashtbl.create 16 in
+  List.map
+    (fun (s : Compress.scheme) ->
+      let key = { s with Compress.name = "" } in
+      let r =
+        match Hashtbl.find_opt done_ key with
+        | Some r -> r
+        | None ->
+          let r = Compress.compress ~scheme:s prog in
+          Hashtbl.add done_ key r;
+          r
+      in
+      pin_line label s r)
+    schemes
 
 let windows_line label (scheme : Compress.scheme) prog =
   let ws = Compress.windows (Compress.corpus ~scheme prog) in
@@ -379,31 +397,56 @@ let windows_line label (scheme : Compress.scheme) prog =
     (List.length ws)
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+let quick_bench name =
+  let p = Option.get (W.Profile.find name) in
+  (name, (W.Suite.get ~dyn_target:120_000 p).W.Suite.gen.W.Codegen.program)
+
 let compress_pin_lines () =
-  let bench name =
-    let p = Option.get (W.Profile.find name) in
-    (name, (W.Suite.get ~dyn_target:120_000 p).W.Suite.gen.W.Codegen.program)
-  in
   let tiny seed =
     ( Printf.sprintf "tiny/s%d" seed,
       (W.Codegen.generate ~dyn_target:30_000 { W.Profile.tiny with W.Profile.seed })
         .W.Codegen.program )
   in
-  let progs = [ bench "mcf"; bench "bzip2"; tiny 1; tiny 2; tiny 3; tiny 4 ] in
-  let mcf_rw =
-    Rewrite.rewrite ~data_seg:W.Codegen.data_segment_id
-      ~code_seg:W.Codegen.code_segment_id (List.assoc "mcf" progs)
-  in
-  List.concat_map
-    (fun (label, prog) -> List.map (fun s -> pin_line label s prog) pin_schemes)
-    progs
-  @ List.map (fun s -> pin_line "mcf/rewritten" s mcf_rw)
+  let quick = List.map quick_bench [ "mcf"; "bzip2"; "gzip"; "parser" ] in
+  let progs = quick @ [ tiny 1; tiny 2; tiny 3; tiny 4 ] in
+  let rewritten (label, prog) =
+    pin_lines (label ^ "/rewritten")
       [ Compress.dedicated; Compress.full_dise ]
-  @ [ windows_line "tiny/s1" Compress.full_dise (List.assoc "tiny/s1" progs) ]
+      (Rewrite.rewrite ~data_seg:W.Codegen.data_segment_id
+         ~code_seg:W.Codegen.code_segment_id prog)
+  in
+  List.concat_map (fun (label, prog) -> pin_lines label pin_schemes prog) progs
+  @ List.concat_map rewritten quick
+  @ [ windows_line "tiny/s1" Compress.full_dise (List.assoc "tiny/s1" progs);
+      windows_line "mcf" Compress.dedicated (List.assoc "mcf" progs);
+      windows_line "mcf" Compress.full_dise (List.assoc "mcf" progs) ]
 
 let test_compress_golden_pin () =
   Golden_file.check ~golden:"golden/compress.txt" ~actual:"compress.actual"
     ~what:"compressor output" (compress_pin_lines ())
+
+(* [Compress] keeps nothing between calls: two domains compressing at
+   once, one in reverse scheme order, print the sequential run's lines.
+   A scratch buffer or cache kept at module level would break this. *)
+let test_compress_reentrant () =
+  let progs = List.map quick_bench [ "mcf"; "gzip" ] in
+  let run schemes () =
+    List.concat_map
+      (fun (label, prog) ->
+        List.map
+          (fun s -> pin_line label s (Compress.compress ~scheme:s prog))
+          schemes)
+      progs
+  in
+  let sequential =
+    List.concat_map (fun (label, prog) -> pin_lines label pin_schemes prog) progs
+  in
+  let forward = Domain.spawn (run pin_schemes) in
+  let reversed = Domain.spawn (run (List.rev pin_schemes)) in
+  let lines = Alcotest.(list string) in
+  let sorted = List.sort String.compare in
+  check lines "forward order" sequential (Domain.join forward);
+  check lines "reverse order" (sorted sequential) (sorted (Domain.join reversed))
 
 let test_incompressible_program () =
   (* A program with no repeated sequences: compression must degrade
@@ -731,6 +774,7 @@ let suite =
     ("dsm block granularity", `Quick, test_dsm_block_granularity);
     ("incompressible program", `Quick, test_incompressible_program);
     ("compressor golden pin", `Quick, test_compress_golden_pin);
+    ("compressor re-entrant", `Quick, test_compress_reentrant);
     ("tracing", `Quick, test_tracing);
     ("profiling", `Quick, test_profiling);
     ("path profiling", `Quick, test_path_profiling);
