@@ -128,26 +128,6 @@ let split_blocks (prog : Program.t) : seg list =
   flush ();
   List.rev !segs
 
-(* --- candidate groups -------------------------------------------------- *)
-
-type inst = {
-  blk : int;
-  start : int;
-  fields : fval array array;
-      (* per instruction of block [blk], shared by all its instances:
-         the instance's field vector is [fields.(start .. start+len-1)] *)
-  cls : int;  (* equal for two instances of one group iff their vectors are *)
-}
-
-let field inst ii fi = inst.fields.(inst.start + ii).(fi)
-
-type group = {
-  id : int;  (* creation order, 0-based *)
-  len : int;
-  repr : I.t array;
-  mutable insts : inst list;  (* newest first *)
-}
-
 let normalize scheme insn =
   let f = fields_of insn in
   let f' =
@@ -220,6 +200,308 @@ module Heap = struct
     end
 end
 
+(* --- candidate enumeration ----------------------------------------------- *)
+
+(* A trie over small-int symbols, kept in one flat int array: an
+   open-addressing (linear probing) table of edges keyed by
+   (node, symbol), each key beside its child. The root is node 0.
+   [create ~nodes] sizes the table for about that many nodes; it
+   doubles whenever it is half full. *)
+module Trie = struct
+  type t = {
+    mutable slots : int array;
+        (* [2 i]: edge [i]'s key, [node * syms + symbol], or -1 when
+           free; [2 i + 1]: its child *)
+    mutable mask : int;
+    syms : int;
+    mutable nodes : int;
+  }
+
+  let create ~nodes ~syms =
+    let rec up c = if c >= 2 * nodes then c else up (2 * c) in
+    let cap = up 16 in
+    { slots = Array.make (2 * cap) (-1); mask = cap - 1; syms; nodes = 1 }
+
+  (* The edge that holds [key], or the free one where it belongs. *)
+  let rec probe slots mask key i =
+    let k = slots.(2 * i) in
+    if k = key || k < 0 then i else probe slots mask key ((i + 1) land mask)
+
+  let slot t key =
+    let h = key * 0x9E3779B97F4A7C1 in
+    probe t.slots t.mask key ((h lxor (h lsr 29)) land t.mask)
+
+  let grow t =
+    let old = t.slots in
+    t.slots <- Array.make (2 * Array.length old) (-1);
+    t.mask <- (2 * t.mask) + 1;
+    for i = 0 to (Array.length old / 2) - 1 do
+      let key = old.(2 * i) in
+      if key >= 0 then begin
+        let j = slot t key in
+        t.slots.(2 * j) <- key;
+        t.slots.((2 * j) + 1) <- old.((2 * i) + 1)
+      end
+    done
+
+  (* The child of [node] along [sym], added when new. *)
+  let child t node sym =
+    let key = (node * t.syms) + sym in
+    let i = slot t key in
+    if t.slots.(2 * i) = key then t.slots.((2 * i) + 1)
+    else begin
+      let c = t.nodes in
+      t.nodes <- c + 1;
+      t.slots.(2 * i) <- key;
+      t.slots.((2 * i) + 1) <- c;
+      if 4 * t.nodes > Array.length t.slots then grow t;
+      c
+    end
+end
+
+(* The most a group of [n] free instances of [len] instructions can
+   save: every instance covered by one entry. A group whose best case
+   is not positive can never be queued. *)
+let best_case scheme ~len n =
+  (n * ((4 * len) - scheme.codeword_bytes)) - (scheme.dict_entry_bytes * len)
+
+(* [x]'s id in [tbl], the next free one when [x] is new. *)
+let intern tbl x =
+  match Hashtbl.find_opt tbl x with
+  | Some id -> id
+  | None ->
+    let id = Hashtbl.length tbl in
+    Hashtbl.add tbl x id;
+    id
+
+(* The keys of an [intern] table, by id. *)
+let interned tbl =
+  let keys = Array.make (Hashtbl.length tbl) I.Nop in
+  Hashtbl.iter (fun x id -> keys.(id) <- x) tbl;
+  keys
+
+(* The candidates of one (scheme, program) pair. Instructions are
+   numbered in program order, labels excluded: the [p]-th is position
+   [p]. A window is a run of legal positions inside one basic block, at
+   most [max_len] long; windows are numbered by start position, then by
+   length. A group is every window with one normalized text, that is
+   one node of a trie over normalized instructions; its instances are
+   the windows at least [min_len] long, and its classes partition them
+   by field vector. *)
+type enum = {
+  segs : seg list;
+  blocks : I.t array array;
+  block_base : int array;  (* block -> position of its first instruction *)
+  insns : I.t array;  (* position -> instruction *)
+  raw : int array;
+      (* position -> id of the distinct instruction, or -1 where it may
+         not appear in a candidate *)
+  fields : fval array array;  (* id -> fields *)
+  ints : int array;
+      (* [3 * id + k] -> field [k] of [id] as an int, equal iff the
+         fields are: the register, the immediate, or an interned target *)
+  sym : int array;  (* position -> normalized id, or -1 *)
+  norm : I.t array;  (* normalized id -> normalized instruction *)
+  first_win : int array;  (* position -> its first window; [n] -> window count *)
+  win_node : int array;  (* window -> trie node *)
+  group_of : int array;  (* trie node -> group, or -1 *)
+  n_texts : int;  (* trie nodes with an instance *)
+  g_len : int array;
+  g_off : int array;  (* group -> its first instance; [n_groups] -> count *)
+  g_classes : int array;
+  i_pos : int array;  (* instance -> start position, ascending per group *)
+  i_cls : int array;
+      (* instance -> class, numbered per group from 0 in first-occurrence
+         order *)
+}
+
+(* Candidate enumeration, shared by the greedy compressor and the
+   seeded (search-driven) one. Each distinct legal instruction is
+   interned once, with its fields as ints, and the windows that start
+   at one position are walked as one path of a {!Trie} over normalized
+   ids, so growing a window by an instruction costs one int-keyed probe;
+   with parameters, a second trie over the unnormalized ids names each
+   window's class in the same walk. Groups are numbered in
+   first-occurrence order: all of them when [all] (a seeded search may
+   name any window), else those whose best case is positive, the only
+   ones the greedy selection looks at. *)
+let enumerate ~all scheme prog =
+  let segs = split_blocks prog in
+  let blocks =
+    List.filter_map (function Blk a -> Some a | Lbl _ -> None) segs
+    |> Array.of_list
+  in
+  let insns = Array.concat (Array.to_list blocks) in
+  let n = Array.length insns in
+  let block_base = Array.make (Array.length blocks) 0 in
+  for b = 1 to Array.length blocks - 1 do
+    block_base.(b) <- block_base.(b - 1) + Array.length blocks.(b - 1)
+  done;
+  let ids = Hashtbl.create 1024 in
+  let raw =
+    Array.map (fun i -> if legal scheme i then intern ids i else -1) insns
+  in
+  let distinct = interned ids in
+  let fields = Array.map fields_of distinct in
+  let ints = Array.make (3 * Array.length distinct) 0 in
+  let targets = Hashtbl.create 64 in
+  Array.iteri
+    (fun id f ->
+      Array.iteri
+        (fun k v ->
+          ints.((3 * id) + k) <-
+            (match v with
+            | Vreg x | Vimm x -> x
+            | Vtarget t -> intern targets t))
+        f)
+    fields;
+  let params = scheme.max_params > 0 in
+  (* Without parameters normalizing changes nothing. *)
+  let sym, norm =
+    if not params then (raw, distinct)
+    else begin
+      let nids = Hashtbl.create 1024 in
+      let of_raw = Array.map (fun i -> intern nids (normalize scheme i)) distinct in
+      (Array.map (fun r -> if r < 0 then -1 else of_raw.(r)) raw, interned nids)
+    end
+  in
+  let n_windows = ref 0 in
+  Array.iteri
+    (fun b blk ->
+      let run = ref 0 in
+      for p = block_base.(b) + Array.length blk - 1 downto block_base.(b) do
+        run := if sym.(p) < 0 then 0 else !run + 1;
+        n_windows := !n_windows + Int.min scheme.max_len !run
+      done)
+    blocks;
+  let n_windows = !n_windows in
+  let first_win = Array.make (n + 1) 0 in
+  let win_node = Array.make n_windows 0 in
+  let win_cls = if params then Array.make n_windows 0 else win_node in
+  let count = Array.make (n_windows + 1) 0 in
+  let trie = Trie.create ~nodes:(n_windows / 2) ~syms:(Array.length norm) in
+  let raw_trie =
+    Trie.create ~nodes:(if params then n_windows / 2 else 0)
+      ~syms:(Array.length distinct)
+  in
+  let w = ref 0 in
+  Array.iteri
+    (fun b blk ->
+      let stop = block_base.(b) + Array.length blk in
+      for start = block_base.(b) to stop - 1 do
+        first_win.(start) <- !w;
+        let last = Int.min stop (start + scheme.max_len) in
+        let node = ref 0 and cls = ref 0 and p = ref start in
+        while !p < last && sym.(!p) >= 0 do
+          node := Trie.child trie !node sym.(!p);
+          win_node.(!w) <- !node;
+          if params then begin
+            cls := Trie.child raw_trie !cls raw.(!p);
+            win_cls.(!w) <- !cls
+          end;
+          if !p - start + 1 >= scheme.min_len then
+            count.(!node) <- count.(!node) + 1;
+          incr w;
+          incr p
+        done
+      done)
+    blocks;
+  first_win.(n) <- n_windows;
+  (* [iter_instances f] calls [f p len w] on every window at least
+     [min_len] long, in window order. *)
+  let iter_instances f =
+    for p = 0 to n - 1 do
+      for w = first_win.(p) + scheme.min_len - 1 to first_win.(p + 1) - 1 do
+        f p (w - first_win.(p) + 1) w
+      done
+    done
+  in
+  let group_of = Array.make (n_windows + 1) (-1) in
+  let found = ref [] and n_groups = ref 0 in
+  iter_instances (fun _ len w ->
+      let node = win_node.(w) in
+      if group_of.(node) < 0 && (all || best_case scheme ~len count.(node) > 0)
+      then begin
+        group_of.(node) <- !n_groups;
+        found := (len, count.(node)) :: !found;
+        incr n_groups
+      end);
+  let found = Array.of_list (List.rev !found) in
+  let g_len = Array.map fst found in
+  let g_off = Array.make (!n_groups + 1) 0 in
+  Array.iteri (fun g (_, size) -> g_off.(g + 1) <- g_off.(g) + size) found;
+  let next = Array.sub g_off 0 !n_groups in
+  let i_pos = Array.make g_off.(!n_groups) 0 in
+  let i_cls = Array.make g_off.(!n_groups) 0 in
+  let g_classes = Array.make !n_groups (if params then 0 else 1) in
+  let cls_id = if params then Array.make raw_trie.Trie.nodes (-1) else [||] in
+  iter_instances (fun p _ w ->
+      let g = group_of.(win_node.(w)) in
+      if g >= 0 then begin
+        let k = next.(g) in
+        next.(g) <- k + 1;
+        i_pos.(k) <- p;
+        if params then begin
+          let c = win_cls.(w) in
+          if cls_id.(c) < 0 then begin
+            cls_id.(c) <- g_classes.(g);
+            g_classes.(g) <- g_classes.(g) + 1
+          end;
+          i_cls.(k) <- cls_id.(c)
+        end
+      end);
+  {
+    segs;
+    blocks;
+    block_base;
+    insns;
+    raw;
+    fields;
+    ints;
+    sym;
+    norm;
+    first_win;
+    win_node;
+    group_of;
+    n_texts = Array.fold_left (fun k c -> if c > 0 then k + 1 else k) 0 count;
+    g_len;
+    g_off;
+    g_classes;
+    i_pos;
+    i_cls;
+  }
+
+(* The bucket count of a [Hashtbl.create initial] table ([initial] a
+   power of two, at least 16) after [n] distinct keys were added: it
+   doubles whenever it holds more than twice as many keys as buckets. *)
+let buckets_after ~initial n =
+  let rec up b = if n <= 2 * b then b else up (2 * b) in
+  up initial
+
+(* The order the greedy heap is seeded in, which breaks ties in
+   benefit: that of iterating a [Hashtbl.create 4096] of the groups
+   keyed by (normalized text, length), filled in group order. It is
+   created with the bucket count it would have grown to holding every
+   text with an instance, and iterates buckets in ascending order,
+   newest group first within a bucket. *)
+let seeding_order e =
+  let mask = buckets_after ~initial:4096 e.n_texts - 1 in
+  let bucket =
+    Array.mapi
+      (fun g len ->
+        let p = e.i_pos.(e.g_off.(g)) in
+        let key = List.init len (fun k -> e.norm.(e.sym.(p + k))) in
+        Hashtbl.hash (key, len) land mask)
+      e.g_len
+  in
+  let order = Array.init (Array.length e.g_len) Fun.id in
+  Array.sort
+    (fun a b ->
+      if bucket.(a) <> bucket.(b) then Int.compare bucket.(a) bucket.(b)
+      else Int.compare b a)
+    order;
+  order
+
 (* --- template construction --------------------------------------------- *)
 
 type pkind = [ `Reg | `Imm5 | `Imm10 | `Off10 ]
@@ -231,180 +513,151 @@ type param = {
 }
 
 type template = {
-  base : fval array array;
-  params : param list;  (* fields assigned, sorted *)
-  covered : inst list;
+  base : int;  (* start position of an instance of the base class *)
+  params : param list;  (* by position *)
+  classes : int list;  (* the classes covered *)
   benefit : float;
 }
-
-let fval_equal a b =
-  match a, b with
-  | Vreg x, Vreg y | Vimm x, Vimm y -> x = y
-  | Vtarget (I.Abs x), Vtarget (I.Abs y) -> x = y
-  | Vtarget (I.Lab x), Vtarget (I.Lab y) -> String.equal x y
-  | _ -> false
 
 let fits5 v = v >= -16 && v <= 15
 let fits10 v = v >= -512 && v <= 511
 
 let param_cost = function `Reg | `Imm5 -> 1 | `Imm10 | `Off10 -> 2
 
-(* The bucket count of a [Hashtbl.create initial] table ([initial] a
-   power of two, at least 16) after [n] distinct keys were added: it
-   doubles whenever it holds more than twice as many keys as buckets. *)
-let buckets_after ~initial n =
-  let rec up b = if n <= 2 * b then b else up (2 * b) in
-  up initial
+(* The parameter set after covering a vector that differs from the base
+   at [diff], as (insn index * 3 + field index, kind) pairs; [None] when
+   it would take more than [budget] codeword fields. A position that is
+   a parameter already keeps its kind, widened to [`Imm10] when either
+   asks for it. *)
+let add_params ~budget params diff =
+  let merged =
+    List.fold_left
+      (fun ps (pos, k) ->
+        match List.assoc_opt pos ps with
+        | None -> (pos, k) :: ps
+        | Some `Imm5 when k = `Imm10 -> (pos, k) :: List.remove_assoc pos ps
+        | Some _ -> ps)
+      params diff
+  in
+  let cost = List.fold_left (fun c (_, k) -> c + param_cost k) 0 merged in
+  if cost <= budget then Some merged else None
 
-(* Build the best template for a group from its live instances. *)
-let build_template scheme (g : group) (live : inst list) : template option =
-  if live = [] then None
-  else begin
-    (* Distinct field vectors, each with its instances newest first.
-       Which vector becomes the base, and the order the rest are tried
-       in, decide the template, and instance counts tie often. The
-       order is the one the fold of a [Hashtbl.create 64] from vector
-       to instances, filled in [live] order, yields: buckets
-       descending, first occurrence ascending within a bucket; then
-       stably sorted by instance count, descending. Grouping by int
-       class hashes each distinct vector once, not every instance. *)
-    let arr = Array.of_list live in
-    let n = Array.length arr in
-    let order = Array.init n Fun.id in
-    Array.stable_sort (fun a b -> Int.compare arr.(a).cls arr.(b).cls) order;
-    let classes = ref [] in
-    let i = ref 0 in
-    while !i < n do
-      let first = order.(!i) in
-      let insts = ref [] and count = ref 0 in
-      while !i < n && arr.(order.(!i)).cls = arr.(first).cls do
-        insts := arr.(order.(!i)) :: !insts;
-        incr count;
-        incr i
-      done;
-      classes := (!count, first, !insts) :: !classes
-    done;
-    let mask = buckets_after ~initial:64 (List.length !classes) - 1 in
-    let distinct =
-      List.map
-        (fun (count, first, insts) ->
-          let vec = Array.sub arr.(first).fields arr.(first).start g.len in
-          (count, Hashtbl.hash vec land mask, first, (vec, insts)))
-        !classes
-      |> List.sort (fun (c1, b1, f1, _) (c2, b2, f2, _) ->
-             if c1 <> c2 then Int.compare c2 c1
-             else if b1 <> b2 then Int.compare b2 b1
-             else Int.compare f1 f2)
-      |> List.map (fun (_, _, _, d) -> d)
+(* Build the best template for group [g] from the instances [live]
+   selects (by instance index), or [None] when it selects none.
+
+   The group's live classes are ranked by instance count, descending;
+   ties go to the order a [Hashtbl.create 64] from field vector to
+   instances, filled newest instance first, would be folded in: bucket
+   descending, then the class with the newer newest instance. The first
+   class is the base. Each other class, in rank order, is covered when
+   the parameters that its differences from the base need, merged with
+   those taken so far, fit the codeword's fields; a class that cannot
+   fit even alone is dropped before ranking, since it is never covered
+   whatever its rank, and the bucket (a polymorphic hash of the field
+   vector) is computed only for classes that tie on count. *)
+let build_template scheme e g ~live =
+  let len = e.g_len.(g) in
+  let nc = e.g_classes.(g) in
+  let count = Array.make nc 0 and newest = Array.make nc 0 in
+  for k = e.g_off.(g) to e.g_off.(g + 1) - 1 do
+    if live k then begin
+      let c = e.i_cls.(k) in
+      count.(c) <- count.(c) + 1;
+      newest.(c) <- k
+    end
+  done;
+  let saved_per = (4 * len) - scheme.codeword_bytes in
+  let template base params classes n =
+    let next = ref 1 in
+    let params =
+      List.sort (fun (a, _) (b, _) -> Int.compare a b) params
+      |> List.map (fun (pos, kind) ->
+             let field = !next in
+             next := !next + param_cost kind;
+             { pos = (pos / 3, pos mod 3); kind; field })
     in
-    match distinct with
-    | [] -> None
-    | (base_vec, base_insts) :: rest ->
-      (* Greedily grow coverage under the parameter-slot budget. *)
-      let params : ((int * int) * pkind) list ref = ref [] in
-      let covered = ref base_insts in
-      let try_add (vec, insts) =
-        (* positions where this vector differs from the base *)
-        let diffs = ref [] in
-        Array.iteri
-          (fun ii fields ->
-            Array.iteri
-              (fun fi v ->
-                if not (fval_equal v base_vec.(ii).(fi)) then
-                  diffs := ((ii, fi), v) :: !diffs)
-              fields)
-          vec;
-        let ok = ref (scheme.max_params > 0) in
-        (* Merge the new positions into the param set, computing kinds
-           from the union of covered values. *)
-        let new_params = ref !params in
-        List.iter
-          (fun ((ii, fi), _) ->
-            if not (List.exists (fun ((a, b), _) -> a = ii && b = fi) !new_params)
-            then begin
-              if rigid_field g.repr.(ii) fi then ok := false
-              else
-                let kind =
-                  match base_vec.(ii).(fi) with
-                  | Vreg _ -> Some `Reg
-                  | Vimm _ -> Some `Imm5 (* width refined below *)
-                  | Vtarget _ ->
-                    if scheme.compress_branches then Some `Off10 else None
-                in
-                match kind with
-                | Some k -> new_params := ((ii, fi), k) :: !new_params
-                | None -> ok := false
-            end)
-          !diffs;
-        if !ok then begin
-          (* Refine immediate widths to the widest over all covered
-             vectors and this one. A position that is not a parameter
-             yet holds the base's value in every covered vector, and a
-             parameter's kind already records the widest covered one. *)
-          let width = function
-            | Vimm x -> if fits5 x then 1 else if fits10 x then 2 else 3
-            | Vreg _ | Vtarget _ -> 1
-          in
-          new_params :=
-            List.map
-              (fun ((ii, fi), k) ->
-                match k with
-                | `Reg | `Off10 -> ((ii, fi), k)
-                | `Imm5 | `Imm10 ->
-                  let widest =
-                    max
-                      (if k = `Imm10 then 2 else 1)
-                      (max (width base_vec.(ii).(fi)) (width vec.(ii).(fi)))
-                  in
-                  ( (ii, fi),
-                    if widest = 1 then `Imm5
-                    else if widest = 2 then `Imm10
-                    else `Off10 (* placeholder; rejected below *) ))
-              !new_params;
-          let too_wide =
-            List.exists
-              (fun ((ii, fi), k) ->
-                match k, base_vec.(ii).(fi) with
-                | `Off10, Vimm _ -> true (* immediate too wide for 10 bits *)
-                | _ -> false)
-              !new_params
-          in
-          let cost =
-            List.fold_left (fun acc (_, k) -> acc + param_cost k) 0 !new_params
-          in
-          if (not too_wide) && cost <= scheme.max_params then begin
-            params := !new_params;
-            covered := insts @ !covered
-          end
-        end
+    Some
+      {
+        base = e.i_pos.(newest.(base));
+        params;
+        classes;
+        benefit =
+          float_of_int (n * saved_per)
+          -. float_of_int (scheme.dict_entry_bytes * len);
+      }
+  in
+  let live_classes = List.filter (fun c -> count.(c) > 0) (List.init nc Fun.id) in
+  match live_classes with
+  | [] -> None
+  | [ c ] -> template c [] [ c ] count.(c)
+  | c0 :: _ ->
+    let mask = buckets_after ~initial:64 (List.length live_classes) - 1 in
+    let buckets = Array.make nc (-1) in
+    let bucket c =
+      if buckets.(c) < 0 then begin
+        let p = e.i_pos.(newest.(c)) in
+        let vec = Array.init len (fun ii -> e.fields.(e.raw.(p + ii))) in
+        buckets.(c) <- Hashtbl.hash vec land mask
+      end;
+      buckets.(c)
+    in
+    let before c d =
+      if count.(c) <> count.(d) then count.(c) > count.(d)
+      else if bucket c <> bucket d then bucket c > bucket d
+      else newest.(c) > newest.(d)
+    in
+    let base =
+      List.fold_left (fun b c -> if before c b then c else b) c0 live_classes
+    in
+    let bp = e.i_pos.(newest.(base)) in
+    (* The parameters class [c] needs on its own, or [None]. Targets
+       differ only in branches (jump and call targets are rigid, so
+       normalized alike), and those are candidates only when
+       [compress_branches]. *)
+    let diff c =
+      let cp = e.i_pos.(newest.(c)) in
+      let rec go ii fi diff cost =
+        if cost > scheme.max_params then None
+        else if ii = len then Some diff
+        else
+          let rb = e.raw.(bp + ii) and rc = e.raw.(cp + ii) in
+          if rb = rc || fi = Array.length e.fields.(rb) then go (ii + 1) 0 diff cost
+          else
+            let b = e.ints.((3 * rb) + fi) and v = e.ints.((3 * rc) + fi) in
+            if b = v then go ii (fi + 1) diff cost
+            else
+              let kind =
+                match e.fields.(rb).(fi) with
+                | Vreg _ -> Some `Reg
+                | Vimm _ ->
+                  if fits5 b && fits5 v then Some `Imm5
+                  else if fits10 b && fits10 v then Some `Imm10
+                  else None
+                | Vtarget _ -> Some `Off10
+              in
+              match kind with
+              | None -> None
+              | Some k ->
+                go ii (fi + 1) (((3 * ii) + fi, k) :: diff) (cost + param_cost k)
       in
-      List.iter try_add rest;
-      (* Branch targets must be parameterized whenever covered vectors
-         disagree; when they agree the branch target stays literal
-         (replacement targets are absolute, hence position-independent).
-         That is already what the diff logic produced. *)
-      let n_covered = List.length !covered in
-      let saved_per = (4 * g.len) - scheme.codeword_bytes in
-      let benefit =
-        float_of_int (n_covered * saved_per)
-        -. float_of_int (scheme.dict_entry_bytes * g.len)
-      in
-      (* Assign codeword parameter fields in position order. *)
-      let sorted =
-        List.sort (fun (p1, _) (p2, _) -> compare p1 p2) !params
-      in
-      let next = ref 1 in
-      let with_fields =
-        List.map
-          (fun (pos, kind) ->
-            let field = !next in
-            next := !next + param_cost kind;
-            { pos; kind; field })
-          sorted
-      in
-      Some
-        { base = base_vec; params = with_fields; covered = !covered; benefit }
-  end
+      go 0 0 [] 0
+    in
+    let rest =
+      List.filter_map
+        (fun c -> if c = base then None else Option.map (fun d -> (c, d)) (diff c))
+        live_classes
+      |> List.sort (fun (c, _) (d, _) -> if before c d then -1 else 1)
+    in
+    let params, classes, n =
+      List.fold_left
+        (fun ((params, classes, n) as acc) (c, d) ->
+          match add_params ~budget:scheme.max_params params d with
+          | Some params -> (params, c :: classes, n + count.(c))
+          | None -> acc)
+        ([], [ base ], count.(base))
+        rest
+    in
+    template base params classes n
 
 (* --- selection --------------------------------------------------------- *)
 
@@ -412,28 +665,51 @@ type chosen = {
   tag : int;
   repr : I.t array;
   tpl : template;
-  mutable active : inst list;
+  active : int list;  (* start positions of its codewords *)
 }
 
-let inst_free consumed inst len =
-  let c = consumed.(inst.blk) in
-  let rec go k = k >= len || ((not c.(inst.start + k)) && go (k + 1)) in
-  go 0
+(* [consumed]: one byte per position, non-zero once a codeword covers
+   it. *)
+let rec is_free consumed p len =
+  len = 0 || (Bytes.get consumed p = '\000' && is_free consumed (p + 1) (len - 1))
 
-let mark_consumed consumed inst len =
-  let c = consumed.(inst.blk) in
-  for k = 0 to len - 1 do
-    c.(inst.start + k) <- true
-  done
+(* The free instances of [g] in the classes [t] covers, as start
+   positions. *)
+let covered_sites e consumed g t =
+  let len = e.g_len.(g) in
+  let covered = Array.make e.g_classes.(g) false in
+  List.iter (fun c -> covered.(c) <- true) t.classes;
+  let sites = ref [] in
+  for k = e.g_off.(g + 1) - 1 downto e.g_off.(g) do
+    let p = e.i_pos.(k) in
+    if covered.(e.i_cls.(k)) && is_free consumed p len then sites := p :: !sites
+  done;
+  !sites
+
+(* Choose [t] for [g] as entry [tag] when it still covers a free
+   instance, consuming them. *)
+let take e consumed g t ~tag =
+  let len = e.g_len.(g) in
+  match covered_sites e consumed g t with
+  | [] -> None
+  | active ->
+    List.iter (fun p -> Bytes.fill consumed p len '\001') active;
+    Some
+      {
+        tag;
+        repr = Array.sub e.insns e.i_pos.(e.g_off.(g)) len;
+        tpl = t;
+        active;
+      }
 
 (* --- template -> replacement spec -------------------------------------- *)
 
-let spec_of_template (repr : I.t array) (tpl : template) : R.t =
+let spec_of_template e (repr : I.t array) (tpl : template) : R.t =
   let param_at pos = List.find_opt (fun p -> p.pos = pos) tpl.params in
   Array.of_list
     (List.mapi
        (fun ii insn ->
-         let vec = tpl.base.(ii) in
+         let vec = e.fields.(e.raw.(tpl.base + ii)) in
          let reg fi =
            match param_at (ii, fi) with
            | Some { kind = `Reg; field; _ } -> R.Rparam field
@@ -479,25 +755,28 @@ let spec_of_template (repr : I.t array) (tpl : template) : R.t =
          | I.Dbr _ | I.Djmp _ | I.Codeword _ -> assert false)
        (Array.to_list repr))
 
-(* Parameter field values for one instance (target params resolved
-   later); returns the three codeword fields. *)
-let codeword_fields tpl inst ~offset_of =
+(* Field [fi] of instruction [ii] of the window at position [p]. *)
+let field e p ii fi = e.fields.(e.raw.(p + ii)).(fi)
+
+(* Parameter field values for the codeword at position [p] (target
+   params resolved by [offset_of]); returns the three codeword
+   fields. *)
+let codeword_fields e tpl p ~offset_of =
   let fields = Array.make 4 0 in  (* 1-based *)
   List.iter
-    (fun p ->
-      let ii, fi = p.pos in
-      match p.kind, field inst ii fi with
-      | `Reg, Vreg n -> fields.(p.field) <- n
-      | `Imm5, Vimm v -> fields.(p.field) <- R.to_field5 v
+    (fun prm ->
+      let ii, fi = prm.pos in
+      match prm.kind, field e p ii fi with
+      | `Reg, Vreg n -> fields.(prm.field) <- n
+      | `Imm5, Vimm v -> fields.(prm.field) <- R.to_field5 v
       | `Imm10, Vimm v ->
         let hi, lo = R.to_fields10 v in
-        fields.(p.field) <- hi;
-        fields.(p.field + 1) <- lo
+        fields.(prm.field) <- hi;
+        fields.(prm.field + 1) <- lo
       | `Off10, Vtarget t ->
-        let off = offset_of ~inst ~pos:p.pos t in
-        let hi, lo = R.to_fields10 off in
-        fields.(p.field) <- hi;
-        fields.(p.field + 1) <- lo
+        let hi, lo = R.to_fields10 (offset_of p t) in
+        fields.(prm.field) <- hi;
+        fields.(prm.field + 1) <- lo
       | _ -> assert false)
     tpl.params;
   (fields.(1), fields.(2), fields.(3))
@@ -524,222 +803,42 @@ type result = {
 
 let code_base = 0x00100000
 
-(* A trie over small-int symbols, kept in flat int arrays: an
-   open-addressing (linear probing) table of edges keyed by
-   (node, symbol). The root is node 0; [create ~nodes] sizes the table
-   for that many more nodes at a load factor of at most 1/2. *)
-module Trie = struct
-  type t = {
-    keys : int array;  (* [node * syms + symbol], or -1 when free *)
-    kids : int array;
-    mask : int;
-    syms : int;
-    mutable nodes : int;
-  }
-
-  let create ~nodes ~syms =
-    let rec up c = if c >= 2 * (nodes + 1) then c else up (2 * c) in
-    let cap = up 16 in
-    {
-      keys = Array.make cap (-1);
-      kids = Array.make cap 0;
-      mask = cap - 1;
-      syms;
-      nodes = 1;
-    }
-
-  (* The child of [node] along [sym], added when new. *)
-  let child t node sym =
-    let key = (node * t.syms) + sym in
-    let rec probe i =
-      let k = t.keys.(i) in
-      if k = key then t.kids.(i)
-      else if k < 0 then begin
-        let c = t.nodes in
-        t.nodes <- c + 1;
-        t.keys.(i) <- key;
-        t.kids.(i) <- c;
-        c
-      end
-      else probe ((i + 1) land t.mask)
-    in
-    let h = key * 0x9E3779B97F4A7C1 in
-    probe ((h lxor (h lsr 29)) land t.mask)
-end
-
-(* The most a group of [n] free instances of [len] instructions can
-   save: every instance covered by one entry. A group whose best case
-   is not positive can never be queued. *)
-let best_case scheme ~len n =
-  (n * ((4 * len) - scheme.codeword_bytes)) - (scheme.dict_entry_bytes * len)
-
-(* Candidate enumeration, shared by the greedy compressor and the
-   seeded (search-driven) one: split into basic blocks and bucket
-   every legal window into a group keyed by its normalized text.
-
-   Each legal instruction is interned to an int, and the windows that
-   start at one position are walked as one path of a {!Trie} over those
-   ids, so growing a window by an instruction costs one int-keyed
-   probe. A trie node is one distinct normalized text, hence one
-   group. A first walk counts each group's windows; a second builds
-   the groups, all of them when [all] (a seeded search may name any
-   window), else only those whose best case is positive: the greedy
-   selection never looks at the others. Each window also gets a class:
-   two windows of one group share it iff their field vectors are
-   equal. With parameters, a second trie over the unnormalized
-   instructions names the classes.
-
-   [groups] gets a group once, when its first window is met, and is
-   created with the bucket count that a [Hashtbl.create 4096] holding
-   every group would have grown to. It therefore iterates its groups
-   in the order such a table, filled window by window, iterates them,
-   which is the order the greedy heap is seeded in: ties in benefit
-   are broken by it. *)
-let enumerate ~all scheme prog =
-  let segs = split_blocks prog in
-  let blocks =
-    List.filter_map (function Blk a -> Some a | Lbl _ -> None) segs
-    |> Array.of_list
-  in
-  let norms =
-    Array.map
-      (Array.map (fun i -> if legal scheme i then normalize scheme i else I.Nop))
-      blocks
-  in
-  (* [fst (intern rows)].(b).(k): an int standing for [rows.(b).(k)],
-     equal for equal instructions, or -1 where block [b]'s instruction
-     [k] may not appear in a candidate; [snd]: how many ints. *)
-  let intern rows =
-    let ids : (I.t, int) Hashtbl.t = Hashtbl.create 1024 in
-    let row bi =
-      Array.mapi (fun k i ->
-          if not (legal scheme blocks.(bi).(k)) then -1
-          else
-            match Hashtbl.find_opt ids i with
-            | Some id -> id
-            | None ->
-              let id = Hashtbl.length ids in
-              Hashtbl.add ids i id;
-              id)
-    in
-    let rows = Array.mapi row rows in
-    (rows, Hashtbl.length ids)
-  in
-  let ids, n_ids = intern norms in
-  let n_windows = ref 0 in
-  Array.iter
-    (fun row ->
-      let run = ref 0 in
-      for k = Array.length row - 1 downto 0 do
-        run := if row.(k) < 0 then 0 else !run + 1;
-        n_windows := !n_windows + min scheme.max_len !run
-      done)
-    ids;
-  let n_windows = !n_windows in
-  (* [walk trie ids f] calls [f blk start len node] on every legal
-     window, in program order, then by length. *)
-  let walk trie ids f =
-    Array.iteri
-      (fun bi row ->
-        let n = Array.length row in
-        for start = 0 to n - 1 do
-          let maxl = min scheme.max_len (n - start) in
-          let node = ref 0 and len = ref 1 in
-          (* positions are vetted incrementally as the window grows *)
-          while !len <= maxl && row.(start + !len - 1) >= 0 do
-            node := Trie.child trie !node row.(start + !len - 1);
-            f bi start !len !node;
-            incr len
-          done
-        done)
-      ids
-  in
-  let trie = Trie.create ~nodes:n_windows ~syms:n_ids in
-  (* [cls.(w)]: the class of the [w]-th window walked. Without
-     parameters a group's windows are identical, text and fields
-     alike, so the normalized trie already names the class. *)
-  let count = Array.make (n_windows + 1) 0 in
-  let cls = Array.make n_windows 0 in
-  let w = ref 0 in
-  walk trie ids (fun _ _ len node ->
-      if len >= scheme.min_len then count.(node) <- count.(node) + 1;
-      cls.(!w) <- node;
-      incr w);
-  if scheme.max_params > 0 then begin
-    let raw_ids, n_raw = intern blocks in
-    let w = ref 0 in
-    let raw_trie = Trie.create ~nodes:n_windows ~syms:n_raw in
-    walk raw_trie raw_ids (fun _ _ _ node ->
-        cls.(!w) <- node;
-        incr w)
-  end;
-  let n_groups =
-    Array.fold_left (fun n c -> if c > 0 then n + 1 else n) 0 count
-  in
-  let fvecs =
-    Array.map
-      (Array.map (fun i -> if legal scheme i then fields_of i else [||]))
-      blocks
-  in
-  let no_group = { id = -1; len = 0; repr = [||]; insts = [] } in
-  let node_group = Array.make (n_windows + 1) no_group in
-  let groups : (I.t list * int, group) Hashtbl.t =
-    Hashtbl.create (buckets_after ~initial:4096 n_groups)
-  in
-  let w = ref 0 in
-  walk trie ids (fun bi start len node ->
-      let c = cls.(!w) in
-      incr w;
-      let kept = all || best_case scheme ~len count.(node) > 0 in
-      if len >= scheme.min_len && kept then begin
-        let inst = { blk = bi; start; fields = fvecs.(bi); cls = c } in
-        let g = node_group.(node) in
-        if g != no_group then g.insts <- inst :: g.insts
-        else begin
-          let g =
-            {
-              id = Hashtbl.length groups;
-              len;
-              repr = Array.sub blocks.(bi) start len;
-              insts = [ inst ];
-            }
-          in
-          node_group.(node) <- g;
-          (* keyed by normalized text: flexible fields zeroed *)
-          let key = Array.to_list (Array.sub norms.(bi) start len) in
-          Hashtbl.add groups (key, len) g
-        end
-      end);
-  (segs, blocks, groups)
-
 let rec compress ~scheme prog =
-  let segs, blocks, groups = enumerate ~all:false scheme prog in
+  let e = enumerate ~all:false scheme prog in
   (* Lazy greedy selection. *)
-  let consumed = Array.map (fun arr -> Array.make (Array.length arr) false) blocks in
+  let consumed = Bytes.make (Array.length e.insns) '\000' in
   let heap = Heap.create () in
   (* A group's template is rebuilt only when its live-instance count
      moves: live sets only shrink, so an unchanged count is an
      unchanged set, and the template built from it is the same. *)
-  let n_groups = Hashtbl.length groups in
+  let n_groups = Array.length e.g_len in
   let built_live = Array.make n_groups (-1) in
   let built = Array.make n_groups None in
-  let current_template (g : group) =
-    let free i = inst_free consumed i g.len in
-    let n = List.fold_left (fun n i -> if free i then n + 1 else n) 0 g.insts in
-    if n <> built_live.(g.id) then begin
-      built_live.(g.id) <- n;
-      built.(g.id) <-
-        (if best_case scheme ~len:g.len n <= 0 then None
-         else build_template scheme g (List.filter free g.insts))
+  let current_template g =
+    let len = e.g_len.(g) in
+    let free k = is_free consumed e.i_pos.(k) len in
+    let n = ref 0 in
+    for k = e.g_off.(g) to e.g_off.(g + 1) - 1 do
+      if free k then incr n
+    done;
+    if !n <> built_live.(g) then begin
+      built_live.(g) <- !n;
+      built.(g) <-
+        (if best_case scheme ~len !n <= 0 then None
+         else build_template scheme e g ~live:free)
     end;
-    built.(g.id)
+    built.(g)
   in
-  Hashtbl.iter
-    (fun _ g ->
-      match current_template g with
+  (* Nothing is consumed yet, so every instance is live, and every
+     group's best case is positive. *)
+  Array.iter
+    (fun g ->
+      built_live.(g) <- e.g_off.(g + 1) - e.g_off.(g);
+      built.(g) <- build_template scheme e g ~live:(fun _ -> true);
+      match built.(g) with
       | Some t when t.benefit > 0. -> Heap.push heap t.benefit g
       | Some _ | None -> ())
-    groups;
+    (seeding_order e);
   let chosen = ref [] in
   let n_chosen = ref 0 in
   let rec select () =
@@ -747,7 +846,7 @@ let rec compress ~scheme prog =
     else
       match Heap.pop heap with
       | None -> ()
-      | Some (stale, g) -> (
+      | Some (_, g) -> (
         match current_template g with
         | None -> select ()
         | Some t ->
@@ -758,156 +857,89 @@ let rec compress ~scheme prog =
             in
             if t.benefit +. 1e-9 < next_best then begin
               (* Stale priority: reinsert with the fresh value. *)
-              ignore stale;
               Heap.push heap t.benefit g;
               select ()
             end
             else begin
-              let active =
-                List.filter (fun i -> inst_free consumed i g.len) t.covered
-              in
-              if active <> [] then begin
-                List.iter (fun i -> mark_consumed consumed i g.len) active;
-                chosen :=
-                  { tag = !n_chosen; repr = g.repr; tpl = t; active }
-                  :: !chosen;
+              (match take e consumed g t ~tag:!n_chosen with
+              | None -> ()
+              | Some c ->
+                chosen := c :: !chosen;
                 incr n_chosen;
                 (* The group may still have uncovered distinct
                    instances; requeue it. *)
                 (match current_template g with
                 | Some t' when t'.benefit > 0. -> Heap.push heap t'.benefit g
-                | Some _ | None -> ())
-              end;
+                | Some _ | None -> ()));
               select ()
             end)
   in
   select ();
-  finalize ~scheme ~prog ~segs (Array.of_list (List.rev !chosen))
+  finalize e ~scheme ~prog (Array.of_list (List.rev !chosen))
 
-and finalize ~scheme ~prog ~segs (chosen : chosen array) =
-  (* [starts.(blk).(start)]: the chosen entry and instance that a
-     codeword planted there stands for. *)
-  let per_block x =
-    Array.of_list
-      (List.filter_map
-         (function Blk a -> Some (Array.make (Array.length a) x) | Lbl _ -> None)
-         segs)
-  in
-  let starts = per_block None in
+and finalize e ~scheme ~prog (chosen : chosen array) =
+  (* [at.(p)]: the tag of the entry whose codeword is planted at
+     position [p], or -1. *)
+  let at = Array.make (Array.length e.insns) (-1) in
   Array.iter
-    (fun c ->
-      List.iter (fun i -> starts.(i.blk).(i.start) <- Some (c, i)) c.active)
+    (fun (c : chosen) -> List.iter (fun p -> at.(p) <- c.tag) c.active)
     chosen;
-  let entry_len c = Array.length c.repr in
-  (* Rebuild the program from blocks + decisions. [offset_of] supplies
-     branch-offset parameter values (0 in probe passes). *)
-  let rebuild ~offset_of =
-    let bi = ref (-1) in
-    let items =
-      List.concat_map
-        (fun seg ->
-          match seg with
-          | Lbl l -> [ Program.Label l ]
-          | Blk arr ->
-            incr bi;
-            let blk = !bi in
-            let out = ref [] in
-            let pos = ref 0 in
-            let n = Array.length arr in
-            while !pos < n do
-              (match starts.(blk).(!pos) with
-              | Some (c, inst) ->
-                let p1, p2, p3 = codeword_fields c.tpl inst ~offset_of in
-                out :=
-                  Program.Ins (I.codeword ~op:0 ~p1 ~p2 ~p3 ~tag:c.tag)
-                  :: !out;
-                pos := !pos + entry_len c
-              | None ->
-                out := Program.Ins arr.(!pos) :: !out;
-                incr pos)
-            done;
-            List.rev !out)
-        segs
-    in
-    items
-  in
-  let size_of = function
-    | I.Codeword _ -> scheme.codeword_bytes
-    | _ -> 4
-  in
+  let entry_len tag = Array.length chosen.(tag).repr in
   (* Fixpoint: place, check branch-offset parameters, un-compress
-     violating instances. Codeword sizes are fixed, so the zero-offset
-     addresses of the final round are the final layout's: it returns
-     every codeword's address and the label lookup. *)
-  let zero_offsets ~inst:_ ~pos:_ _ = 0 in
+     violating instances. Codeword sizes are fixed, so the addresses of
+     the final round are the final layout's: it returns every emitted
+     codeword's address and the label lookup. *)
   let rec fixpoint () =
-    let prog' = rebuild ~offset_of:zero_offsets in
-    let insn_addrs, symbol =
-      Program.addresses ~base:code_base ~size_of prog'
-    in
-    (* Instances map 1:1 to codewords in rebuild order, so walking the
-       blocks against the decision table while counting emitted
-       instructions gives each codeword's image index. *)
-    let addrs = per_block (-1) in
-    let violations = ref [] in
-    let bi = ref (-1) in
-    let idx = ref 0 in
+    let addrs = Array.make (Array.length e.insns) (-1) in
+    let symtab = Hashtbl.create 64 in
+    let addr = ref code_base and p = ref 0 in
     List.iter
-      (fun seg ->
-        match seg with
-        | Lbl _ -> ()
+      (function
+        | Lbl l -> Hashtbl.replace symtab l !addr
         | Blk arr ->
-          incr bi;
-          let blk = !bi in
-          let pos = ref 0 in
-          let n = Array.length arr in
-          while !pos < n do
-            match starts.(blk).(!pos) with
-            | Some (c, inst) ->
-              let addr = insn_addrs.(!idx) in
-              addrs.(blk).(!pos) <- addr;
-              List.iter
-                (fun p ->
-                  match p.kind with
-                  | `Off10 -> (
-                    let ii, fi = p.pos in
-                    match field inst ii fi with
-                    | Vtarget t -> (
-                      let target =
-                        match t with
-                        | I.Abs a -> Some a
-                        | I.Lab l -> symbol l
-                      in
-                      match target with
-                      | Some ta ->
-                        let off = (ta - addr) / 4 in
-                        if not (fits10 off && (ta - addr) mod 4 = 0) then
-                          violations := (blk, inst.start) :: !violations
-                      | None -> violations := (blk, inst.start) :: !violations)
-                    | _ -> ())
-                  | _ -> ())
-                c.tpl.params;
-              incr idx;
-              pos := !pos + entry_len c
-            | None ->
-              incr idx;
-              incr pos
+          let stop = !p + Array.length arr in
+          while !p < stop do
+            let tag = at.(!p) in
+            if tag >= 0 then begin
+              addrs.(!p) <- !addr;
+              addr := !addr + scheme.codeword_bytes;
+              p := !p + entry_len tag
+            end
+            else begin
+              addr := !addr + 4;
+              incr p
+            end
           done)
-      segs;
+      e.segs;
+    let symbol = Hashtbl.find_opt symtab in
+    let fits p prm =
+      match prm.kind, field e p (fst prm.pos) (snd prm.pos) with
+      | `Off10, Vtarget t -> (
+        let target = match t with I.Abs a -> Some a | I.Lab l -> symbol l in
+        match target with
+        | Some ta ->
+          let d = ta - addrs.(p) in
+          fits10 (d / 4) && d mod 4 = 0
+        | None -> false)
+      | _ -> true
+    in
+    let violations = ref [] in
+    Array.iteri
+      (fun p addr ->
+        if addr >= 0 && not (List.for_all (fits p) chosen.(at.(p)).tpl.params)
+        then violations := p :: !violations)
+      addrs;
     if !violations = [] then (addrs, symbol)
     else begin
       (* Un-compress the violating instances and re-lay-out; each round
          removes at least one instance, so this terminates. *)
-      List.iter (fun (blk, start) -> starts.(blk).(start) <- None) !violations;
+      List.iter (fun p -> at.(p) <- -1) !violations;
       fixpoint ()
     end
   in
-  (* Final pass with real offsets, against the fixpoint's addresses:
-     the one layout. *)
-  let addr_tbl, symbol = fixpoint () in
-  let offset_of ~inst ~pos:_ t =
-    let addr = addr_tbl.(inst.blk).(inst.start) in
-    assert (addr >= 0);
+  let addrs, symbol = fixpoint () in
+  let offset_of p t =
+    assert (addrs.(p) >= 0);
     let target =
       match t with
       | I.Abs a -> a
@@ -916,17 +948,42 @@ and finalize ~scheme ~prog ~segs (chosen : chosen array) =
         | Some a -> a
         | None -> invalid_arg ("Compress: unknown label " ^ l))
     in
-    (target - addr) / 4
+    (target - addrs.(p)) / 4
   in
-  let final_prog = rebuild ~offset_of in
+  (* The program from blocks + decisions, codewords with their final
+     branch offsets. *)
+  let final_prog =
+    let p = ref 0 in
+    List.concat_map
+      (fun seg ->
+        match seg with
+        | Lbl l -> [ Program.Label l ]
+        | Blk arr ->
+          let stop = !p + Array.length arr in
+          let out = ref [] in
+          while !p < stop do
+            let tag = at.(!p) in
+            if tag >= 0 then begin
+              let p1, p2, p3 = codeword_fields e chosen.(tag).tpl !p ~offset_of in
+              out := Program.Ins (I.codeword ~op:0 ~p1 ~p2 ~p3 ~tag) :: !out;
+              p := !p + entry_len tag
+            end
+            else begin
+              out := Program.Ins e.insns.(!p) :: !out;
+              incr p
+            end
+          done;
+          List.rev !out)
+      e.segs
+  in
+  let size_of = function
+    | I.Codeword _ -> scheme.codeword_bytes
+    | _ -> 4
+  in
   let image = Program.layout ~base:code_base ~size_of final_prog in
   (* Surviving uses per entry. *)
   let uses = Array.make (Array.length chosen) 0 in
-  Array.iter
-    (Array.iter (function
-      | Some ((c : chosen), _) -> uses.(c.tag) <- uses.(c.tag) + 1
-      | None -> ()))
-    starts;
+  Array.iter (fun tag -> if tag >= 0 then uses.(tag) <- uses.(tag) + 1) at;
   let entries =
     Array.to_list chosen
     |> List.filter_map (fun (c : chosen) ->
@@ -935,7 +992,7 @@ and finalize ~scheme ~prog ~segs (chosen : chosen array) =
              Some
                {
                  tag = c.tag;
-                 spec = spec_of_template c.repr c.tpl;
+                 spec = spec_of_template e c.repr c.tpl;
                  len = Array.length c.repr;
                  param_fields =
                    List.fold_left
@@ -995,29 +1052,11 @@ type seed = { s_blk : int; s_start : int; s_len : int }
 type corpus = {
   c_scheme : scheme;
   c_prog : Program.t;
-  c_segs : seg list;
-  c_blocks : I.t array array;
-  c_groups : (I.t list * int, group) Hashtbl.t;
-  c_index : int array;  (* block -> global instruction index of its head *)
+  c_enum : enum;
 }
 
 let corpus ~scheme prog =
-  let segs, blocks, groups = enumerate ~all:true scheme prog in
-  let c_index = Array.make (max 1 (Array.length blocks)) 0 in
-  let acc = ref 0 in
-  Array.iteri
-    (fun i arr ->
-      c_index.(i) <- !acc;
-      acc := !acc + Array.length arr)
-    blocks;
-  {
-    c_scheme = scheme;
-    c_prog = prog;
-    c_segs = segs;
-    c_blocks = blocks;
-    c_groups = groups;
-    c_index;
-  }
+  { c_scheme = scheme; c_prog = prog; c_enum = enumerate ~all:true scheme prog }
 
 type window = {
   w_seed : seed;
@@ -1027,58 +1066,56 @@ type window = {
 }
 
 let windows c =
-  Hashtbl.fold
-    (fun (_, len) g acc ->
+  let e = c.c_enum in
+  let blk_of = Array.make (Array.length e.insns) 0 in
+  Array.iteri
+    (fun b blk -> Array.fill blk_of e.block_base.(b) (Array.length blk) b)
+    e.blocks;
+  List.init (Array.length e.g_len) (fun g ->
       let sites =
-        List.map
-          (fun i -> (i.blk, i.start, c.c_index.(i.blk) + i.start))
-          g.insts
-        |> List.sort compare
+        List.init
+          (e.g_off.(g + 1) - e.g_off.(g))
+          (fun j ->
+            let p = e.i_pos.(e.g_off.(g) + j) in
+            (blk_of.(p), p - e.block_base.(blk_of.(p)), p))
       in
-      match sites with
-      | [] -> acc
-      | (blk, start, _) :: _ ->
-        {
-          w_seed = { s_blk = blk; s_start = start; s_len = len };
-          w_len = len;
-          w_count = List.length sites;
-          w_sites = sites;
-        }
-        :: acc)
-    c.c_groups []
-  |> List.sort (fun a b -> compare a.w_seed b.w_seed)
+      let blk, start, _ = List.hd sites in
+      {
+        w_seed = { s_blk = blk; s_start = start; s_len = e.g_len.(g) };
+        w_len = e.g_len.(g);
+        w_count = List.length sites;
+        w_sites = sites;
+      })
+  |> List.sort (fun a b ->
+         let a = a.w_seed and b = b.w_seed in
+         if a.s_blk <> b.s_blk then Int.compare a.s_blk b.s_blk
+         else if a.s_start <> b.s_start then Int.compare a.s_start b.s_start
+         else Int.compare a.s_len b.s_len)
 
-(* Resolve a seed back to its group: recompute the normalized key from
-   the program text at the seed's position. A seed that no longer
-   names a legal window (out of bounds, or a seed list recorded against
-   a different program) resolves to nothing and is skipped. *)
+(* Resolve a seed to its group: the group of the window at the seed's
+   position in this program. A seed that names no legal window (out of
+   bounds, or a seed list recorded against a different program)
+   resolves to nothing and is skipped. *)
 let group_at c (s : seed) =
-  if s.s_blk < 0 || s.s_blk >= Array.length c.c_blocks then None
+  let e = c.c_enum in
+  if s.s_blk < 0 || s.s_blk >= Array.length e.blocks then None
   else
-    let arr = c.c_blocks.(s.s_blk) in
+    let p = e.block_base.(s.s_blk) + s.s_start in
     if
-      s.s_len < max 1 c.c_scheme.min_len
-      || s.s_len > c.c_scheme.max_len
+      s.s_len < Int.max 1 c.c_scheme.min_len
       || s.s_start < 0
-      || s.s_start + s.s_len > Array.length arr
-      || not
-           (Array.for_all (legal c.c_scheme)
-              (Array.sub arr s.s_start s.s_len))
+      || s.s_start + s.s_len > Array.length e.blocks.(s.s_blk)
+      (* fewer windows start at [p] than [s_len]: one is illegal, or it
+         is longer than [max_len] *)
+      || s.s_len > e.first_win.(p + 1) - e.first_win.(p)
     then None
     else
-      let key =
-        ( Array.to_list
-            (Array.init s.s_len (fun k ->
-                 normalize c.c_scheme arr.(s.s_start + k))),
-          s.s_len )
-      in
-      Hashtbl.find_opt c.c_groups key
+      let g = e.group_of.(e.win_node.(e.first_win.(p) + s.s_len - 1)) in
+      if g < 0 then None else Some g
 
 let compress_seeded c ~seeds =
-  let scheme = c.c_scheme in
-  let consumed =
-    Array.map (fun arr -> Array.make (Array.length arr) false) c.c_blocks
-  in
+  let scheme = c.c_scheme and e = c.c_enum in
+  let consumed = Bytes.make (Array.length e.insns) '\000' in
   let chosen = ref [] in
   let n = ref 0 in
   (* Seeds are honored in list order: earlier seeds consume windows
@@ -1090,18 +1127,14 @@ let compress_seeded c ~seeds =
         match group_at c s with
         | None -> ()
         | Some g -> (
-          let live = List.filter (fun i -> inst_free consumed i g.len) g.insts in
-          match build_template scheme g live with
+          let live k = is_free consumed e.i_pos.(k) e.g_len.(g) in
+          match build_template scheme e g ~live with
           | None -> ()
-          | Some t ->
-            let active =
-              List.filter (fun i -> inst_free consumed i g.len) t.covered
-            in
-            if active <> [] then begin
-              List.iter (fun i -> mark_consumed consumed i g.len) active;
-              chosen := { tag = !n; repr = g.repr; tpl = t; active } :: !chosen;
-              incr n
-            end))
+          | Some t -> (
+            match take e consumed g t ~tag:!n with
+            | None -> ()
+            | Some ch ->
+              chosen := ch :: !chosen;
+              incr n)))
     seeds;
-  finalize ~scheme ~prog:c.c_prog ~segs:c.c_segs
-    (Array.of_list (List.rev !chosen))
+  finalize e ~scheme ~prog:c.c_prog (Array.of_list (List.rev !chosen))

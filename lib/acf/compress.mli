@@ -83,13 +83,18 @@ val compress : scheme:scheme -> Dise_isa.Program.t -> result
     and execution reproduces the original program's behaviour.
 
     {b Cost.} Every legal window up to [max_len] inside a basic block
-    is a candidate. Each normalized instruction is interned to an int
-    once, and the windows that start at one position are walked as one
-    path of a trie over those ints, kept in flat arrays: one int-keyed
-    probe per window, no per-window key. Only groups whose best case
-    (every instance covered) saves bytes are materialized for the
-    greedy selection, and a group's template is rebuilt only when its
-    number of free instances changes.
+    is a candidate. Each distinct instruction is interned to an int
+    once, its fields with it, and the windows that start at one
+    position are walked as one path of a trie over those ints, kept in
+    a flat int array: one int-keyed probe per window and, with
+    parameters, one more naming its class (its field vector), the
+    result stored per window in flat int arrays. Only groups whose best
+    case (every instance covered) saves bytes are kept for the greedy
+    selection. A group's first template is built from its per-class
+    instance counts; classes that cannot be covered even alone are
+    dropped before ranking, and the rest are compared as interned ints.
+    A template is rebuilt only when the group's number of free
+    instances changes.
 
     {b Determinism.} The result is a function of [scheme] without its
     [name] and of the program. Benefits are integer byte counts, so
@@ -99,9 +104,14 @@ val compress : scheme:scheme -> Dise_isa.Program.t -> result
     and filled in first-occurrence order; a template's base is its
     most frequent field vector, ties going to the order of a
     [Hashtbl.create 64] of vectors filled in instance order. These
-    orders are part of the output: test/test_acf.ml pins every
-    dictionary of the quick figure suite byte for byte
-    (test/golden/compress.txt). *)
+    orders are part of the output: test/test_acf.ml pins, byte for
+    byte (test/golden/compress.txt), every dictionary and compressed
+    program of the quick figure suite (the four quick benchmarks under
+    the Figure 7 schemes and the parameter and length ablations, and
+    their rewritten binaries under [dedicated] and [full_dise]), the
+    same schemes on four tiny programs, and the candidate windows of
+    three corpora. A second test compresses on two domains at once and
+    checks the same lines: no state outlives a call. *)
 
 val compression_ratio : result -> float
 (** [text_bytes / orig_text_bytes] (dictionary excluded). *)

@@ -81,10 +81,6 @@ let place ~base ~size_of (prog : t) =
     prog;
   (Array.of_list (List.rev !insns), symtab, !addr - base)
 
-let addresses ~base ~size_of prog =
-  let triples, symtab, _ = place ~base ~size_of prog in
-  (Array.map (fun (_, a, _) -> a) triples, Hashtbl.find_opt symtab)
-
 let layout ?(base = 0x100000) ?(size_of = default_size) prog =
   let triples, symtab, text_bytes = place ~base ~size_of prog in
   let resolve = function

@@ -82,15 +82,6 @@ val layout : ?base:int -> ?size_of:(Insn.t -> int) -> t -> Image.t
     targets. Raises {!Layout_error} on undefined or duplicate labels,
     and when [size_of] returns a size other than 2 or 4. *)
 
-val addresses :
-  base:int -> size_of:(Insn.t -> int) -> t -> int array * (string -> int option)
-(** The first pass of {!layout} alone: the address of each instruction,
-    in order ({!Image.addr_of_index}), and of each label
-    ({!Image.symbol}). Duplicate labels and bad sizes raise as in
-    {!layout}; targets are not resolved, so an undefined label is not
-    an error here. For a caller that places a program repeatedly
-    before laying it out once (the compressor's fixpoint). *)
-
 val insns : t -> Insn.t list
 (** The instructions, without labels. *)
 
