@@ -44,4 +44,3 @@ val occupancy : t -> int
 (** Resident blocks. *)
 
 val capacity_blocks : t -> int
-val miss_rate : t -> float

@@ -105,10 +105,6 @@ let size_bytes t = t.size_bytes
 let accesses t = t.accesses
 let misses t = t.misses
 
-let miss_rate t =
-  if t.accesses = 0 then 0.
-  else float_of_int t.misses /. float_of_int t.accesses
-
 let invalidate t =
   t.last_tag <- -1;
   Array.fill t.tags 0 (Array.length t.tags) (-1);

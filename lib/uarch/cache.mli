@@ -39,7 +39,6 @@ val line_of : t -> int -> int
 val size_bytes : t -> int
 val accesses : t -> int
 val misses : t -> int
-val miss_rate : t -> float
 val invalidate : t -> unit
 (** Empty every way; the next access of any line misses, the line
     touched last included. *)
