@@ -706,11 +706,66 @@ let check_reparses label set =
   | exception Lang.Parse_error (line, msg) ->
     Alcotest.failf "%s: line %d: %s" label line msg
 
+(* One sequence holding every replacement form: every rop, mop and bop,
+   and each operand position over literal, trigger-field and parameter
+   operands (the first operand over all of its values, the others
+   rotating through theirs). *)
+let every_rinsn_set () =
+  let module R = Dise_core.Replacement in
+  let regs =
+    [| R.Rlit (Reg.r 0); R.Rlit (Reg.r 31); R.Rlit (Reg.d 0);
+       R.Rlit (Reg.d 15); R.Rrs; R.Rrt; R.Rrd; R.Rparam 1; R.Rparam 2;
+       R.Rparam 3 |]
+  in
+  let imms =
+    [| R.Ilit 0; R.Ilit (-5); R.Ilit 32767; R.Ilit (-32768); R.Iimm; R.Ipc;
+       R.Iparam 1; R.Iparam 2; R.Iparam 3; R.Iparam2 1; R.Iparam2 2 |]
+  in
+  let targets =
+    [| R.Tabs 0; R.Tabs 0x1000; R.Tlab "error"; R.Tlab "done";
+       R.Trel_param 1; R.Trel_param 2; R.Trel_param 3; R.Trel_param2 1;
+       R.Trel_param2 2 |]
+  in
+  let n = ref 0 in
+  let pick a =
+    incr n;
+    a.(!n mod Array.length a)
+  in
+  let each a f = Array.to_list a |> List.concat_map f in
+  let seq =
+    List.concat
+      [
+        [ R.Trigger; R.Nop; R.Halt; R.Djmp 0; R.Djmp 7 ];
+        List.concat_map
+          (fun op ->
+            each regs (fun a ->
+                each regs (fun c -> [ R.Rop (op, a, pick regs, c) ])
+                @ each imms (fun v -> [ R.Ropi (op, a, v, pick regs) ])))
+          Opcode.all_rops;
+        each regs (fun a ->
+            each imms (fun v ->
+                R.Lui (v, a)
+                :: List.map
+                     (fun op -> R.Mem (op, a, v, pick regs))
+                     Opcode.all_mops
+                @ [ R.Lda (a, v, pick regs) ]));
+        List.concat_map
+          (fun op ->
+            each regs (fun r ->
+                R.Dbr (op, r, 3) :: each targets (fun t -> [ R.Br (op, r, t) ])))
+          Opcode.all_bops;
+        each targets (fun t -> [ R.Jmp t; R.Jal t ]);
+        each regs (fun a -> R.Jr a :: each regs (fun b -> [ R.Jalr (a, b) ]));
+      ]
+  in
+  Prodset.define_sequence Prodset.empty 1 (Array.of_list seq)
+
 let test_lang_roundtrips_every_set () =
   let error = 0x9000 in
   List.iter
     (fun (label, set) -> check_reparses label set)
     [
+      ("every replacement form", every_rinsn_set ());
       ("mfi dise3", Mfi.productions ~variant:Mfi.Dise3 ~error ());
       ("mfi dise4", Mfi.productions ~variant:Mfi.Dise4 ~check_jumps:true ~error ());
       ("sandbox", Mfi.sandbox_productions ());
