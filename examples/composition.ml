@@ -70,7 +70,9 @@ let () =
     List.find_opt
       (fun (_, seq) ->
         Array.exists
-          (function Core.Replacement.Br _ -> true | _ -> false)
+          (function
+            | Core.Replacement.Insn (Dise_isa.Insn.Br _) -> true
+            | _ -> false)
           seq
         && Core.Replacement.length seq > 4)
       (Core.Prodset.sequences composed)

@@ -69,21 +69,21 @@ let specialize y =
   let scratch = Rlit (Reg.d 4) and scratch2 = Rlit (Reg.d 5) in
   let seq, kind =
     match log2_exact y with
-    | Some k -> ([| Ropi (Opcode.Sll, src, Ilit k, dst) |],
+    | Some k -> ([| Insn (Insn.Ropi (Opcode.Sll, src, Ilit k, dst)) |],
                  Printf.sprintf "single shift (y = 2^%d)" k)
     | None -> (
       match two_powers y with
       | Some (j, k) ->
         ([|
-           Ropi (Opcode.Sll, src, Ilit j, scratch);
-           Ropi (Opcode.Sll, src, Ilit k, scratch2);
-           Rop (Opcode.Add, scratch, scratch2, dst);
+           Insn (Insn.Ropi (Opcode.Sll, src, Ilit j, scratch));
+           Insn (Insn.Ropi (Opcode.Sll, src, Ilit k, scratch2));
+           Insn (Insn.Rop (Opcode.Add, scratch, scratch2, dst));
          |],
          Printf.sprintf "two shifts and an add (y = 2^%d + 2^%d)" j k)
       | None ->
         ([|
-           Ropi (Opcode.Add, Rlit Reg.zero, Ilit y, scratch);
-           Rop (Opcode.Mul, src, scratch, dst);
+           Insn (Insn.Ropi (Opcode.Add, Rlit Reg.zero, Ilit y, scratch));
+           Insn (Insn.Rop (Opcode.Mul, src, scratch, dst));
          |],
          "generic multiply (no specialization)"))
   in

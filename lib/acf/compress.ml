@@ -47,51 +47,10 @@ type fval =
   | Vimm of int
   | Vtarget of I.target
 
-(* Canonical field vectors per instruction constructor. Only
-   architectural-register, candidate-legal instructions reach these. *)
+(* Only architectural-register, candidate-legal instructions reach the
+   field walks. *)
 let reg_num r =
   match r with Reg.R n -> n | Reg.D _ -> invalid_arg "Compress: dedicated reg"
-
-let fields_of (i : I.t) : fval array =
-  match i with
-  | I.Rop (_, a, b, c) -> [| Vreg (reg_num a); Vreg (reg_num b); Vreg (reg_num c) |]
-  | I.Ropi (_, a, v, c) -> [| Vreg (reg_num a); Vimm v; Vreg (reg_num c) |]
-  | I.Lda (a, v, c) -> [| Vreg (reg_num a); Vimm v; Vreg (reg_num c) |]
-  | I.Lui (v, c) -> [| Vimm v; Vreg (reg_num c) |]
-  | I.Mem (_, a, v, c) -> [| Vreg (reg_num a); Vimm v; Vreg (reg_num c) |]
-  | I.Br (_, r, t) -> [| Vreg (reg_num r); Vtarget t |]
-  | I.Jmp t | I.Jal t -> [| Vtarget t |]
-  | I.Jr r -> [| Vreg (reg_num r) |]
-  | I.Jalr (a, b) -> [| Vreg (reg_num a); Vreg (reg_num b) |]
-  | I.Nop | I.Halt -> [||]
-  | I.Dbr _ | I.Djmp _ | I.Codeword _ ->
-    invalid_arg "Compress.fields_of: illegal candidate instruction"
-
-let rebuild (i : I.t) (f : fval array) : I.t =
-  let reg k = match f.(k) with Vreg n -> Reg.r n | _ -> assert false in
-  let imm k = match f.(k) with Vimm v -> v | _ -> assert false in
-  let tgt k = match f.(k) with Vtarget t -> t | _ -> assert false in
-  match i with
-  | I.Rop (op, _, _, _) -> I.Rop (op, reg 0, reg 1, reg 2)
-  | I.Ropi (op, _, _, _) -> I.Ropi (op, reg 0, imm 1, reg 2)
-  | I.Lda _ -> I.Lda (reg 0, imm 1, reg 2)
-  | I.Lui _ -> I.Lui (imm 0, reg 1)
-  | I.Mem (op, _, _, _) -> I.Mem (op, reg 0, imm 1, reg 2)
-  | I.Br (op, _, _) -> I.Br (op, reg 0, tgt 1)
-  | I.Jmp _ -> I.Jmp (tgt 0)
-  | I.Jal _ -> I.Jal (tgt 0)
-  | I.Jr _ -> I.Jr (reg 0)
-  | I.Jalr _ -> I.Jalr (reg 0, reg 1)
-  | I.Nop -> I.Nop
-  | I.Halt -> I.Halt
-  | I.Dbr _ | I.Djmp _ | I.Codeword _ -> assert false
-
-(* A field is "rigid" when it can never be parameterized: direct
-   jump/call targets (26 bits do not fit a parameter). *)
-let rigid_field insn k =
-  match insn with
-  | I.Jmp _ | I.Jal _ -> k = 0
-  | _ -> false
 
 (* May this instruction appear in a candidate at all? *)
 let legal scheme insn =
@@ -128,20 +87,15 @@ let split_blocks (prog : Program.t) : seg list =
   flush ();
   List.rev !segs
 
-let normalize scheme insn =
-  let f = fields_of insn in
-  let f' =
-    Array.mapi
-      (fun k v ->
-        if scheme.max_params = 0 || rigid_field insn k then v
-        else
-          match v with
-          | Vreg _ -> Vreg 0
-          | Vimm _ -> Vimm 0
-          | Vtarget _ -> Vtarget (I.Abs 0))
-      f
-  in
-  rebuild insn f'
+(* Every field zeroed, but for a direct jump's or call's target, which
+   is "rigid": it can never be parameterized (26 bits do not fit a
+   parameter). *)
+let normalize insn =
+  match insn with
+  | I.Jmp _ | I.Jal _ -> insn
+  | _ ->
+    I.map ~reg:(fun _ -> Reg.zero) ~imm:(fun _ -> 0) ~target:(fun _ -> I.Abs 0)
+      ~cw:Fun.id insn
 
 (* --- max-heap for lazy greedy ----------------------------------------- *)
 
@@ -342,7 +296,16 @@ let enumerate ~all scheme prog =
     Array.map (fun i -> if legal scheme i then intern ids i else -1) insns
   in
   let distinct = interned ids in
-  let fields = Array.map fields_of distinct in
+  let fields =
+    Array.map
+      (fun i ->
+        I.fold [] i
+          ~reg:(fun l r -> Vreg (reg_num r) :: l)
+          ~imm:(fun l v -> Vimm v :: l)
+          ~target:(fun l t -> Vtarget t :: l)
+        |> List.rev |> Array.of_list)
+      distinct
+  in
   let ints = Array.make (3 * Array.length distinct) 0 in
   let targets = Hashtbl.create 64 in
   Array.iteri
@@ -361,7 +324,7 @@ let enumerate ~all scheme prog =
     if not params then (raw, distinct)
     else begin
       let nids = Hashtbl.create 1024 in
-      let of_raw = Array.map (fun i -> intern nids (normalize scheme i)) distinct in
+      let of_raw = Array.map (fun i -> intern nids (normalize i)) distinct in
       (Array.map (fun r -> if r < 0 then -1 else of_raw.(r)) raw, interned nids)
     end
   in
@@ -704,56 +667,35 @@ let take e consumed g t ~tag =
 
 (* --- template -> replacement spec -------------------------------------- *)
 
-let spec_of_template e (repr : I.t array) (tpl : template) : R.t =
-  let param_at pos = List.find_opt (fun p -> p.pos = pos) tpl.params in
-  Array.of_list
-    (List.mapi
-       (fun ii insn ->
-         let vec = e.fields.(e.raw.(tpl.base + ii)) in
-         let reg fi =
-           match param_at (ii, fi) with
-           | Some { kind = `Reg; field; _ } -> R.Rparam field
-           | Some _ -> assert false
-           | None -> (
-             match vec.(fi) with
-             | Vreg n -> R.Rlit (Reg.r n)
-             | Vimm _ | Vtarget _ -> assert false)
-         in
-         let imm fi =
-           match param_at (ii, fi) with
-           | Some { kind = `Imm5; field; _ } -> R.Iparam field
-           | Some { kind = `Imm10; field; _ } -> R.Iparam2 field
-           | Some _ -> assert false
-           | None -> (
-             match vec.(fi) with
-             | Vimm v -> R.Ilit v
-             | Vreg _ | Vtarget _ -> assert false)
-         in
-         let tgt fi =
-           match param_at (ii, fi) with
-           | Some { kind = `Off10; field; _ } -> R.Trel_param2 field
-           | Some _ -> assert false
-           | None -> (
-             match vec.(fi) with
-             | Vtarget (I.Abs a) -> R.Tabs a
-             | Vtarget (I.Lab l) -> R.Tlab l
-             | Vreg _ | Vimm _ -> assert false)
-         in
-         match insn with
-         | I.Rop (op, _, _, _) -> R.Rop (op, reg 0, reg 1, reg 2)
-         | I.Ropi (op, _, _, _) -> R.Ropi (op, reg 0, imm 1, reg 2)
-         | I.Lda _ -> R.Lda (reg 0, imm 1, reg 2)
-         | I.Lui _ -> R.Lui (imm 0, reg 1)
-         | I.Mem (op, _, _, _) -> R.Mem (op, reg 0, imm 1, reg 2)
-         | I.Br (op, _, _) -> R.Br (op, reg 0, tgt 1)
-         | I.Jmp _ -> R.Jmp (tgt 0)
-         | I.Jal _ -> R.Jal (tgt 0)
-         | I.Jr _ -> R.Jr (reg 0)
-         | I.Jalr _ -> R.Jalr (reg 0, reg 1)
-         | I.Nop -> R.Nop
-         | I.Halt -> R.Halt
-         | I.Dbr _ | I.Djmp _ | I.Codeword _ -> assert false)
-       (Array.to_list repr))
+let spec_of_template e ~len (tpl : template) : R.t =
+  Array.init len (fun ii ->
+      let p = tpl.base + ii in
+      (* [I.map] visits the fields from the right. *)
+      let fi = ref (Array.length e.fields.(e.raw.(p))) in
+      let param () =
+        decr fi;
+        List.find_opt (fun prm -> prm.pos = (ii, !fi)) tpl.params
+      in
+      R.Insn
+        (I.map e.insns.(p)
+           ~reg:(fun r ->
+             match param () with
+             | Some { kind = `Reg; field; _ } -> R.Rparam field
+             | Some _ -> assert false
+             | None -> R.Rlit r)
+           ~imm:(fun v ->
+             match param () with
+             | Some { kind = `Imm5; field; _ } -> R.Iparam field
+             | Some { kind = `Imm10; field; _ } -> R.Iparam2 field
+             | Some _ -> assert false
+             | None -> R.Ilit v)
+           ~target:(fun t ->
+             match param (), t with
+             | Some { kind = `Off10; field; _ }, _ -> R.Trel_param2 field
+             | Some _, _ -> assert false
+             | None, I.Abs a -> R.Tabs a
+             | None, I.Lab l -> R.Tlab l)
+           ~cw:(fun _ -> assert false)))
 
 (* Field [fi] of instruction [ii] of the window at position [p]. *)
 let field e p ii fi = e.fields.(e.raw.(p + ii)).(fi)
@@ -992,7 +934,7 @@ and finalize e ~scheme ~prog (chosen : chosen array) =
              Some
                {
                  tag = c.tag;
-                 spec = spec_of_template e c.repr c.tpl;
+                 spec = spec_of_template e ~len:(Array.length c.repr) c.tpl;
                  len = Array.length c.repr;
                  param_fields =
                    List.fold_left

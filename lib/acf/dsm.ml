@@ -1,6 +1,7 @@
 module R = Dise_core.Replacement
 module Machine = Dise_machine.Machine
 module Memory = Dise_machine.Memory
+module I = Dise_isa.Insn
 module Reg = Dise_isa.Reg
 module Op = Dise_isa.Opcode
 
@@ -18,11 +19,11 @@ let check_seq ~handler =
   let scratch = R.Rlit (Reg.d 4) in
   let table = R.Rlit (Reg.d 8) in
   [|
-    R.Lda (R.Rrs, R.Iimm, scratch);
-    R.Ropi (Op.Srl, scratch, R.Ilit block_shift, scratch);
-    R.Rop (Op.Add, table, scratch, scratch);
-    R.Mem (Op.Ldbu, scratch, R.Ilit 0, scratch);
-    R.Br (Op.Beq, scratch, R.Tabs handler);
+    R.Insn (I.Lda (R.Rrs, R.Iimm, scratch));
+    R.Insn (I.Ropi (Op.Srl, scratch, R.Ilit block_shift, scratch));
+    R.Insn (I.Rop (Op.Add, table, scratch, scratch));
+    R.Insn (I.Mem (Op.Ldbu, scratch, R.Ilit 0, scratch));
+    R.Insn (I.Br (Op.Beq, scratch, R.Tabs handler));
     R.Trigger;
   |]
 

@@ -2,6 +2,7 @@ module R = Dise_core.Replacement
 module Pattern = Dise_core.Pattern
 module Production = Dise_core.Production
 module Prodset = Dise_core.Prodset
+module I = Dise_isa.Insn
 module Reg = Dise_isa.Reg
 module Op = Dise_isa.Opcode
 
@@ -19,8 +20,8 @@ let check_seq variant ~error ~seg_reg =
   let seg = R.Rlit (Reg.d seg_reg) in
   let tail =
     [
-      R.Rop (Op.Xor, scratch1, seg, scratch1);
-      R.Br (Op.Bne, scratch1, R.Tabs error);
+      R.Insn (I.Rop (Op.Xor, scratch1, seg, scratch1));
+      R.Insn (I.Br (Op.Bne, scratch1, R.Tabs error));
       R.Trigger;
     ]
   in
@@ -28,14 +29,15 @@ let check_seq variant ~error ~seg_reg =
   | Dise3 ->
     (* No defensive copy: replacement sequences cannot be jumped into,
        so checking T.RS directly is safe. *)
-    Array.of_list (R.Ropi (Op.Srl, R.Rrs, R.Ilit 26, scratch1) :: tail)
+    Array.of_list
+      (R.Insn (I.Ropi (Op.Srl, R.Rrs, R.Ilit 26, scratch1)) :: tail)
   | Dise4 ->
     (* The software formulation's sequence: copy the address register
        first so a malicious jump past the copy would still check the
        copied value. *)
     Array.of_list
-      (R.Lda (R.Rrs, R.Ilit 0, scratch0)
-      :: R.Ropi (Op.Srl, scratch0, R.Ilit 26, scratch1)
+      (R.Insn (I.Lda (R.Rrs, R.Ilit 0, scratch0))
+      :: R.Insn (I.Ropi (Op.Srl, scratch0, R.Ilit 26, scratch1))
       :: tail)
 
 let productions ?(variant = Dise3) ?(check_jumps = false) ~error () =
@@ -82,10 +84,10 @@ let sandbox_seq (mop : Op.mop) =
   let mask = R.Rlit (Reg.d 4) in
   let segbase = R.Rlit (Reg.d 5) in
   [|
-    R.Lda (R.Rrs, R.Iimm, addr);          (* full effective address *)
-    R.Rop (Op.And_, addr, mask, addr);    (* strip segment bits *)
-    R.Rop (Op.Or_, addr, segbase, addr);  (* force the legal segment *)
-    R.Mem (mop, addr, R.Ilit 0, R.Rrt);   (* the access, rebuilt *)
+    R.Insn (I.Lda (R.Rrs, R.Iimm, addr));  (* full effective address *)
+    R.Insn (I.Rop (Op.And_, addr, mask, addr));  (* strip segment bits *)
+    R.Insn (I.Rop (Op.Or_, addr, segbase, addr));  (* force the legal segment *)
+    R.Insn (I.Mem (mop, addr, R.Ilit 0, R.Rrt));  (* the access, rebuilt *)
   |]
 
 let mop_index (op : Op.mop) =

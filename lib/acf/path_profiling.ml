@@ -21,26 +21,26 @@ let buf = R.Rlit (Reg.d 6)
 let branch_seq (bop : Op.bop) : R.t =
   [|
     (* lossy truncation: restart the tag when the history fills *)
-    R.Ropi (Op.Srl, hist, R.Ilit history_bits, scratch);
-    R.Dbr (Op.Beq, scratch, 3);
-    R.Ropi (Op.Add, R.Rlit Reg.zero, R.Ilit 1, hist);
+    R.Insn (I.Ropi (Op.Srl, hist, R.Ilit history_bits, scratch));
+    R.Insn (I.Dbr (Op.Beq, scratch, 3));
+    R.Insn (I.Ropi (Op.Add, R.Rlit Reg.zero, R.Ilit 1, hist));
     (* append the outcome bit, decided by the trigger's own condition *)
-    R.Dbr (bop, R.Rrs, 6);
-    R.Ropi (Op.Sll, hist, R.Ilit 1, hist);
-    R.Djmp 8;
-    R.Ropi (Op.Sll, hist, R.Ilit 1, hist);
-    R.Lda (hist, R.Ilit 1, hist);
+    R.Insn (I.Dbr (bop, R.Rrs, 6));
+    R.Insn (I.Ropi (Op.Sll, hist, R.Ilit 1, hist));
+    R.Insn (I.Djmp 8);
+    R.Insn (I.Ropi (Op.Sll, hist, R.Ilit 1, hist));
+    R.Insn (I.Lda (hist, R.Ilit 1, hist));
     R.Trigger;
   |]
 
 (* Path endpoint (function return): record (PC, history), reset. *)
 let endpoint_seq : R.t =
   [|
-    R.Ropi (Op.Add, R.Rlit Reg.zero, R.Ipc, scratch);
-    R.Mem (Op.Stq, buf, R.Ilit 0, scratch);
-    R.Mem (Op.Stq, buf, R.Ilit 4, hist);
-    R.Lda (buf, R.Ilit 8, buf);
-    R.Ropi (Op.Add, R.Rlit Reg.zero, R.Ilit 1, hist);
+    R.Insn (I.Ropi (Op.Add, R.Rlit Reg.zero, R.Ipc, scratch));
+    R.Insn (I.Mem (Op.Stq, buf, R.Ilit 0, scratch));
+    R.Insn (I.Mem (Op.Stq, buf, R.Ilit 4, hist));
+    R.Insn (I.Lda (buf, R.Ilit 8, buf));
+    R.Insn (I.Ropi (Op.Add, R.Rlit Reg.zero, R.Ilit 1, hist));
     R.Trigger;
   |]
 

@@ -1,5 +1,6 @@
 module R = Dise_core.Replacement
 module Machine = Dise_machine.Machine
+module I = Dise_isa.Insn
 module Reg = Dise_isa.Reg
 module Op = Dise_isa.Opcode
 
@@ -10,9 +11,9 @@ let rsid = 4130
    because the RT holds them in internal form. *)
 let sequence =
   [|
-    R.Ropi (Op.Add, R.Rlit Reg.zero, R.Ipc, R.Rlit (Reg.d 4));
-    R.Mem (Op.Stq, R.Rlit (Reg.d 6), R.Ilit 0, R.Rlit (Reg.d 4));
-    R.Lda (R.Rlit (Reg.d 6), R.Ilit 4, R.Rlit (Reg.d 6));
+    R.Insn (I.Ropi (Op.Add, R.Rlit Reg.zero, R.Ipc, R.Rlit (Reg.d 4)));
+    R.Insn (I.Mem (Op.Stq, R.Rlit (Reg.d 6), R.Ilit 0, R.Rlit (Reg.d 4)));
+    R.Insn (I.Lda (R.Rlit (Reg.d 6), R.Ilit 4, R.Rlit (Reg.d 6)));
     R.Trigger;
   |]
 

@@ -1,5 +1,6 @@
 module R = Dise_core.Replacement
 module Machine = Dise_machine.Machine
+module I = Dise_isa.Insn
 module Reg = Dise_isa.Reg
 module Op = Dise_isa.Opcode
 
@@ -7,9 +8,9 @@ let rsid = 4128
 
 let sequence =
   [|
-    R.Lda (R.Rrs, R.Iimm, R.Rlit (Reg.d 4));
-    R.Mem (Op.Stq, R.Rlit (Reg.d 5), R.Ilit 0, R.Rlit (Reg.d 4));
-    R.Lda (R.Rlit (Reg.d 5), R.Ilit 4, R.Rlit (Reg.d 5));
+    R.Insn (I.Lda (R.Rrs, R.Iimm, R.Rlit (Reg.d 4)));
+    R.Insn (I.Mem (Op.Stq, R.Rlit (Reg.d 5), R.Ilit 0, R.Rlit (Reg.d 4)));
+    R.Insn (I.Lda (R.Rlit (Reg.d 5), R.Ilit 4, R.Rlit (Reg.d 5)));
     R.Trigger;
   |]
 

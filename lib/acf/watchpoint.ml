@@ -1,5 +1,6 @@
 module R = Dise_core.Replacement
 module Machine = Dise_machine.Machine
+module I = Dise_isa.Insn
 module Reg = Dise_isa.Reg
 module Op = Dise_isa.Opcode
 
@@ -7,9 +8,9 @@ let rsid = 4132
 
 let sequence ~handler =
   [|
-    R.Lda (R.Rrs, R.Iimm, R.Rlit (Reg.d 4));
-    R.Rop (Op.Xor, R.Rlit (Reg.d 4), R.Rlit (Reg.d 7), R.Rlit (Reg.d 4));
-    R.Br (Op.Beq, R.Rlit (Reg.d 4), R.Tabs handler);
+    R.Insn (I.Lda (R.Rrs, R.Iimm, R.Rlit (Reg.d 4)));
+    R.Insn (I.Rop (Op.Xor, R.Rlit (Reg.d 4), R.Rlit (Reg.d 7), R.Rlit (Reg.d 4)));
+    R.Insn (I.Br (Op.Beq, R.Rlit (Reg.d 4), R.Tabs handler));
     R.Trigger;
   |]
 

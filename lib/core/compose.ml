@@ -1,5 +1,4 @@
 module I = Dise_isa.Insn
-module Op = Dise_isa.Opcode
 module Reg = Dise_isa.Reg
 module R = Replacement
 
@@ -15,58 +14,14 @@ let tri_and a b =
   | Unknown, _ | _, Unknown -> Unknown
   | Yes, Yes -> Yes
 
-(* A concrete representative of a template, valid only for opcode/class
-   inspection (operands are placeholders). *)
-let skeleton : R.rinsn -> I.t option =
-  let r0 = Reg.zero in
-  function
-  | R.Trigger -> None
-  | R.Rop (op, _, _, _) -> Some (I.Rop (op, r0, r0, r0))
-  | R.Ropi (op, _, _, _) -> Some (I.Ropi (op, r0, 0, r0))
-  | R.Lda _ -> Some (I.Lda (r0, 0, r0))
-  | R.Lui _ -> Some (I.Lui (0, r0))
-  | R.Mem (op, _, _, _) -> Some (I.Mem (op, r0, 0, r0))
-  | R.Br (op, _, _) -> Some (I.Br (op, r0, I.Abs 0))
-  | R.Jmp _ -> Some (I.Jmp (I.Abs 0))
-  | R.Jal _ -> Some (I.Jal (I.Abs 0))
-  | R.Jr _ -> Some (I.Jr r0)
-  | R.Jalr _ -> Some (I.Jalr (r0, r0))
-  | R.Dbr (op, _, _) -> Some (I.Dbr (op, r0, 0))
-  | R.Djmp _ -> Some (I.Djmp 0)
-  | R.Nop -> Some I.Nop
-  | R.Halt -> Some I.Halt
-
-(* Template analogues of Insn.rs/rt/rd/imm. For a [Trigger] element the
-   composite trigger IS the inner trigger, so the trigger-field
-   directives pass through unchanged. *)
-let t_rs : R.rinsn -> R.rreg option = function
-  | R.Trigger -> Some R.Rrs
-  | R.Rop (_, a, _, _) | R.Ropi (_, a, _, _) | R.Lda (a, _, _)
-  | R.Mem (_, a, _, _) | R.Br (_, a, _) | R.Jr a | R.Jalr (a, _)
-  | R.Dbr (_, a, _) ->
-    Some a
-  | R.Lui _ | R.Jmp _ | R.Jal _ | R.Djmp _ | R.Nop | R.Halt -> None
-
-let t_rt : R.rinsn -> R.rreg option = function
-  | R.Trigger -> Some R.Rrt
-  | R.Rop (_, _, b, _) | R.Mem (_, _, _, b) -> Some b
-  | _ -> None
-
-let t_rd : R.rinsn -> R.rreg option = function
-  | R.Trigger -> Some R.Rrd
-  | R.Rop (_, _, _, c) | R.Ropi (_, _, _, c) | R.Lda (_, _, c)
-  | R.Lui (_, c) | R.Jalr (_, c) ->
-    Some c
-  | R.Mem ((Op.Ldq | Op.Ldbu), _, _, d) -> Some d
-  | R.Jal _ -> Some (R.Rlit Reg.ra)
-  | _ -> None
-
-let t_imm : R.rinsn -> R.rimm option = function
-  | R.Trigger -> Some R.Iimm
-  | R.Ropi (_, _, v, _) | R.Lda (_, v, _) | R.Lui (v, _)
-  | R.Mem (_, _, v, _) ->
-    Some v
-  | _ -> None
+(* A branch template's T.IMM is its target, as a concrete branch's is
+   ({!Dise_isa.Insn.imm}); a label or a parameter offset is not known
+   statically. *)
+let branch_imm x = function
+  | R.Tabs a -> Some (R.Ilit a)
+  | R.Tlab _ | R.Trel_param _ | R.Trel_param2 _ ->
+    fail "cannot statically decide T.IMM of template [%s]"
+      (Format.asprintf "%a" R.pp_rinsn x)
 
 let tri_reg want got =
   match want with
@@ -77,36 +32,29 @@ let tri_reg want got =
     | Some (R.Rlit g) -> if Reg.equal w g then Yes else No
     | Some (R.Rrs | R.Rrt | R.Rrd | R.Rparam _) -> Unknown)
 
-let tri_imm want got =
-  match want with
-  | None -> Yes
-  | Some pred -> (
-    match got with
-    | None -> No
-    | Some (R.Ilit v) -> if Pattern.imm_matches pred v then Yes else No
-    | Some (R.Iimm | R.Ipc | R.Iparam _ | R.Iparam2 _) -> Unknown)
+let tri_imm pred got =
+  match got with
+  | None -> No
+  | Some (R.Ilit v) -> if Pattern.imm_matches pred v then Yes else No
+  | Some (R.Iimm | R.Ipc | R.Iparam _ | R.Iparam2 _) -> Unknown
 
-(* Does pattern [p] match the concrete instructions this template can
-   instantiate to? *)
-let match3_template (p : Pattern.t) (x : R.rinsn) =
-  match skeleton x with
-  | None -> assert false (* Trigger handled by match3_pattern *)
-  | Some skel ->
-    let opcode_ok =
-      match p.opcode_key with
-      | None -> Yes
-      | Some k -> if I.key skel = k then Yes else No
-    in
-    let class_ok =
-      match p.opclass with
-      | None -> Yes
-      | Some c -> if I.cls skel = c then Yes else No
-    in
-    tri_and opcode_ok
-      (tri_and class_ok
-         (tri_and (tri_reg p.rs (t_rs x))
-            (tri_and (tri_reg p.rt (t_rt x))
-               (tri_and (tri_reg p.rd (t_rd x)) (tri_imm p.imm (t_imm x))))))
+(* Does pattern [p] match the concrete instructions template [x], the
+   form [i], can instantiate to? Its immediate is read last, and only
+   when the rest does not already rule the match out. *)
+let match3_template (p : Pattern.t) x i =
+  let known want got =
+    match want with None -> Yes | Some w -> if w = got then Yes else No
+  in
+  let rest =
+    tri_and (known p.opcode_key (I.key i))
+      (tri_and (known p.opclass (I.cls i))
+         (tri_and (tri_reg p.rs (I.rs i))
+            (tri_and (tri_reg p.rt (I.rt i))
+               (tri_reg p.rd (I.rd ~link:(R.Rlit Reg.ra) i)))))
+  in
+  match p.imm, rest with
+  | None, _ | _, No -> rest
+  | Some pred, _ -> tri_and rest (tri_imm pred (I.imm ~target:(branch_imm x) i))
 
 (* Does the outer pattern [po] match triggers described by the inner
    pattern [pi]? *)
@@ -177,7 +125,7 @@ let decide ~outer ?trigger_pattern (x : R.rinsn) =
       match trigger_pattern with
       | Some pi -> match3_pattern p.Production.pattern pi
       | None -> Unknown)
-    | _ -> match3_template p.Production.pattern x
+    | R.Insn i -> match3_template p.Production.pattern x i
   in
   let rec scan = function
     | [] -> None
@@ -203,65 +151,53 @@ let outer_sequence_of outer p =
   | Production.From_tag ->
     fail "cannot statically inline a tag-indexed (aware) outer production"
 
+(* [x] with its DISE-internal control target mapped by [f]. *)
+let relocate f x =
+  match x with
+  | R.Insn (I.Dbr (op, r, t)) -> R.Insn (I.Dbr (op, r, f t))
+  | R.Insn (I.Djmp t) -> R.Insn (I.Djmp (f t))
+  | R.Trigger | R.Insn _ -> x
+
 (* Substitute the outer sequence's trigger-directives with template
    [x]'s field specifications; [base] offsets the outer sequence's
-   internal control, [remap] relocates [x]'s own internal control. *)
+   internal control, [remap] relocates [x]'s own internal control. For
+   a [Trigger] element the composite trigger IS the inner trigger, so
+   the trigger-field directives pass through unchanged. *)
 let subst_outer ~outer_seq ~x ~base ~remap =
-  let sub_reg = function
-    | R.Rlit r -> R.Rlit r
-    | R.Rrs -> (
-      match t_rs x with
-      | Some f -> f
-      | None -> fail "T.RS directive: template has no rs field")
-    | R.Rrt -> (
-      match t_rt x with
-      | Some f -> f
-      | None -> fail "T.RT directive: template has no rt field")
-    | R.Rrd -> (
-      match t_rd x with
-      | Some f -> f
-      | None -> fail "T.RD directive: template has no rd field")
-    | R.Rparam _ ->
-      fail "outer production reads codeword parameters; cannot inline"
-  in
-  let sub_imm = function
-    | R.Ilit v -> R.Ilit v
-    | R.Iimm -> (
-      match t_imm x with
-      | Some f -> f
-      | None -> fail "T.IMM directive: template has no immediate field")
-    | R.Ipc -> R.Ipc
-    | R.Iparam _ | R.Iparam2 _ ->
-      fail "outer production reads codeword parameters; cannot inline"
-  in
-  let sub_target = function
-    | (R.Tabs _ | R.Tlab _) as t -> t
-    | R.Trel_param _ | R.Trel_param2 _ ->
-      fail "outer production reads codeword parameters; cannot inline"
-  in
-  let remap_x () =
+  let field directive ~trigger get what =
     match x with
-    | R.Dbr (op, r, t) -> R.Dbr (op, r, remap t)
-    | R.Djmp t -> R.Djmp (remap t)
-    | other -> other
+    | R.Trigger -> trigger
+    | R.Insn i -> (
+      match get i with
+      | Some f -> f
+      | None -> fail "%s directive: template has no %s field" directive what)
+  in
+  let params () =
+    fail "outer production reads codeword parameters; cannot inline"
+  in
+  let reg = function
+    | R.Rlit r -> R.Rlit r
+    | R.Rrs -> field "T.RS" ~trigger:R.Rrs I.rs "rs"
+    | R.Rrt -> field "T.RT" ~trigger:R.Rrt I.rt "rt"
+    | R.Rrd -> field "T.RD" ~trigger:R.Rrd (I.rd ~link:(R.Rlit Reg.ra)) "rd"
+    | R.Rparam _ -> params ()
+  in
+  let imm = function
+    | R.Ilit v -> R.Ilit v
+    | R.Iimm ->
+      field "T.IMM" ~trigger:R.Iimm (I.imm ~target:(branch_imm x)) "immediate"
+    | R.Ipc -> R.Ipc
+    | R.Iparam _ | R.Iparam2 _ -> params ()
+  in
+  let target = function
+    | (R.Tabs _ | R.Tlab _) as t -> t
+    | R.Trel_param _ | R.Trel_param2 _ -> params ()
   in
   Array.map
     (function
-      | R.Trigger -> remap_x ()
-      | R.Rop (op, a, b, c) -> R.Rop (op, sub_reg a, sub_reg b, sub_reg c)
-      | R.Ropi (op, a, v, c) -> R.Ropi (op, sub_reg a, sub_imm v, sub_reg c)
-      | R.Lda (a, v, c) -> R.Lda (sub_reg a, sub_imm v, sub_reg c)
-      | R.Lui (v, c) -> R.Lui (sub_imm v, sub_reg c)
-      | R.Mem (op, a, v, c) -> R.Mem (op, sub_reg a, sub_imm v, sub_reg c)
-      | R.Br (op, r, t) -> R.Br (op, sub_reg r, sub_target t)
-      | R.Jmp t -> R.Jmp (sub_target t)
-      | R.Jal t -> R.Jal (sub_target t)
-      | R.Jr r -> R.Jr (sub_reg r)
-      | R.Jalr (a, b) -> R.Jalr (sub_reg a, sub_reg b)
-      | R.Dbr (op, r, off) -> R.Dbr (op, sub_reg r, base + off)
-      | R.Djmp off -> R.Djmp (base + off)
-      | R.Nop -> R.Nop
-      | R.Halt -> R.Halt)
+      | R.Trigger -> relocate remap x
+      | R.Insn i ->
+        relocate (( + ) base) (R.Insn (I.map ~reg ~imm ~target ~cw:Fun.id i)))
     outer_seq
 
 let inline_seq ~outer ?trigger_pattern (seq : R.t) : R.t =
@@ -295,11 +231,7 @@ let inline_seq ~outer ?trigger_pattern (seq : R.t) : R.t =
         match decisions.(j) with
         | Some outer_seq ->
           subst_outer ~outer_seq ~x ~base:positions.(j) ~remap
-        | None -> (
-          match x with
-          | R.Dbr (op, r, t) -> [| R.Dbr (op, r, remap t) |]
-          | R.Djmp t -> [| R.Djmp (remap t) |]
-          | other -> [| other |]))
+        | None -> [| relocate remap x |])
       seq
   in
   Array.concat (Array.to_list blocks)
@@ -455,21 +387,13 @@ let merge_sequences (a : R.t) (b : R.t) : R.t =
   let prefix = Array.sub a 0 (n - 1) in
   Array.iter
     (function
-      | R.Dbr (_, _, t) | R.Djmp t ->
+      | R.Insn (I.Dbr (_, _, t) | I.Djmp t) ->
         if t >= n - 1 then
           fail "merge: first sequence's internal control reaches its trigger"
       | _ -> ())
     prefix;
   let shift = n - 1 in
-  let b' =
-    Array.map
-      (function
-        | R.Dbr (op, r, t) -> R.Dbr (op, r, t + shift)
-        | R.Djmp t -> R.Djmp (t + shift)
-        | other -> other)
-      b
-  in
-  Array.append prefix b'
+  Array.append prefix (Array.map (relocate (( + ) shift)) b)
 
 let shift_direct_rsids off set =
   List.iter

@@ -13,7 +13,11 @@
     replacement-sequence {e template}. Templates with parameterized
     fields make some decisions impossible; such ambiguity raises
     {!Composition_error} rather than silently guessing (the paper's
-    composition is likewise an offline software step that may fail). *)
+    composition is likewise an offline software step that may fail).
+    A template reads its fields with {!Dise_isa.Insn}'s accessors, as a
+    fetched instruction does, so a branch template's [T.IMM] is its
+    target: an absolute target is that immediate, and a label or a
+    parameter-relative target is undecidable. *)
 
 exception Composition_error of string
 

@@ -105,23 +105,11 @@ let rtarget = function
 let parse_rinsn line =
   if String.trim line = "T.INSN" then R.Trigger
   else
-    match Asm.form line with
-    | Asm.Rop (op, a, b, c) -> R.Rop (op, rreg a, rreg b, rreg c)
-    | Asm.Ropi (op, a, v, c) -> R.Ropi (op, rreg a, rimm v, rreg c)
-    | Asm.Lda (m, rd) -> R.Lda (rreg m.base, rimm m.off, rreg rd)
-    | Asm.Lui (v, rd) -> R.Lui (rimm v, rreg rd)
-    | Asm.Mem (op, m, data) -> R.Mem (op, rreg m.base, rimm m.off, rreg data)
-    | Asm.Br (op, r, t) -> R.Br (op, rreg r, rtarget t)
-    | Asm.Jmp t -> R.Jmp (rtarget t)
-    | Asm.Jal t -> R.Jal (rtarget t)
-    | Asm.Jr r -> R.Jr (rreg r)
-    | Asm.Jalr (a, b) -> R.Jalr (rreg a, rreg b)
-    | Asm.Dbr (op, r, off) -> R.Dbr (op, rreg r, off)
-    | Asm.Djmp off -> R.Djmp off
-    | Asm.Codeword _ ->
-      fail "codeword in a replacement sequence (expansion is not recursive)"
-    | Asm.Nop -> R.Nop
-    | Asm.Halt -> R.Halt
+    R.Insn
+      (I.map ~reg:rreg ~imm:rimm ~target:rtarget
+         ~cw:(fun _ ->
+           fail "codeword in a replacement sequence (expansion is not recursive)")
+         (Asm.form line))
 
 (* --- whole-source parsing ------------------------------------------ *)
 

@@ -50,12 +50,14 @@ let matches t insn =
   && (match t.opclass with None -> true | Some c -> I.cls insn = c)
   && field_matches t.rs (I.rs insn)
   && field_matches t.rt (I.rt insn)
-  && field_matches t.rd (I.rd insn)
+  && field_matches t.rd (I.rd ~link:Reg.ra insn)
   &&
   match t.imm with
   | None -> true
   | Some pred -> (
-    match I.imm insn with Some v -> imm_matches pred v | None -> false)
+    match I.imm ~target:I.resolved insn with
+    | Some v -> imm_matches pred v
+    | None -> false)
 
 let specificity t =
   (match t.opcode_key with Some _ -> 6 | None -> 0)

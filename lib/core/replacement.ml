@@ -1,5 +1,4 @@
 module I = Dise_isa.Insn
-module Op = Dise_isa.Opcode
 module Reg = Dise_isa.Reg
 
 type rreg =
@@ -22,20 +21,7 @@ type rtarget =
 
 type rinsn =
   | Trigger
-  | Rop of Op.rop * rreg * rreg * rreg
-  | Ropi of Op.rop * rreg * rimm * rreg
-  | Lda of rreg * rimm * rreg
-  | Lui of rimm * rreg
-  | Mem of Op.mop * rreg * rimm * rreg
-  | Br of Op.bop * rreg * rtarget
-  | Jmp of rtarget
-  | Jal of rtarget
-  | Jr of rreg
-  | Jalr of rreg * rreg
-  | Dbr of Op.bop * rreg * int
-  | Djmp of int
-  | Nop
-  | Halt
+  | Insn of (rreg, rimm, rtarget, I.never) I.form
 
 type t = rinsn array
 
@@ -81,7 +67,7 @@ let inst_reg trigger = function
     | Some r -> r
     | None -> fail "T.RT: trigger has no rt field")
   | Rrd -> (
-    match I.rd trigger with
+    match I.rd ~link:Reg.ra trigger with
     | Some r -> r
     | None -> fail "T.RD: trigger has no rd field")
   | Rparam i -> Reg.r (param_of_trigger trigger i)
@@ -89,7 +75,7 @@ let inst_reg trigger = function
 let inst_imm trigger pc = function
   | Ilit v -> v
   | Iimm -> (
-    match I.imm trigger with
+    match I.imm ~target:I.resolved trigger with
     | Some v -> v
     | None -> fail "T.IMM: trigger has no immediate field")
   | Ipc -> pc
@@ -108,140 +94,71 @@ let inst_target trigger pc = function
         * signed10 (param_of_trigger trigger i)
             (param_of_trigger trigger (i + 1)))
 
-let inst_rinsn trigger pc spec =
-  let reg = inst_reg trigger in
-  let imm = inst_imm trigger pc in
-  let tgt = inst_target trigger pc in
-  match spec with
-  | Trigger -> trigger
-  | Rop (op, a, b, c) -> I.Rop (op, reg a, reg b, reg c)
-  | Ropi (op, a, v, c) -> I.Ropi (op, reg a, imm v, reg c)
-  | Lda (base, off, rd) -> I.Lda (reg base, imm off, reg rd)
-  | Lui (v, rd) -> I.Lui (imm v, reg rd)
-  | Mem (op, base, off, data) -> I.Mem (op, reg base, imm off, reg data)
-  | Br (op, r, t) -> I.Br (op, reg r, tgt t)
-  | Jmp t -> I.Jmp (tgt t)
-  | Jal t -> I.Jal (tgt t)
-  | Jr r -> I.Jr (reg r)
-  | Jalr (r, d) -> I.Jalr (reg r, reg d)
-  | Dbr (op, r, off) -> I.Dbr (op, reg r, off)
-  | Djmp off -> I.Djmp off
-  | Nop -> I.Nop
-  | Halt -> I.Halt
-
 let instantiate t ~trigger ~pc =
-  Array.map (inst_rinsn trigger pc) t
+  let reg = inst_reg trigger
+  and imm = inst_imm trigger pc
+  and target = inst_target trigger pc in
+  Array.map
+    (function
+      | Trigger -> trigger
+      | Insn i -> I.map ~reg ~imm ~target ~cw:(function (_ : I.never) -> .) i)
+    t
 
-let resolve_labels lookup t =
-  let tgt = function
+(* [f] over every instruction but the trigger. *)
+let map_insns f = Array.map (function Trigger -> Trigger | Insn i -> Insn (f i))
+
+let resolve_labels lookup =
+  let target = function
     | Tlab l -> (
       match lookup l with
       | Some a -> Tabs a
       | None -> fail "unknown label %s in replacement sequence" l)
     | other -> other
   in
-  Array.map
-    (function
-      | Br (op, r, t) -> Br (op, r, tgt t)
-      | Jmp t -> Jmp (tgt t)
-      | Jal t -> Jal (tgt t)
-      | other -> other)
-    t
+  map_insns (I.map ~reg:Fun.id ~imm:Fun.id ~target ~cw:Fun.id)
 
-let reg_dedicated acc = function
-  | Rlit (Reg.D n) -> n :: acc
-  | Rlit (Reg.R _) | Rrs | Rrt | Rrd | Rparam _ -> acc
-
-let rinsn_regs = function
-  | Trigger | Djmp _ | Nop | Halt | Lui _ | Jmp _ | Jal _ -> []
-  | Rop (_, a, b, c) -> [ a; b; c ]
-  | Ropi (_, a, _, c) -> [ a; c ]
-  | Lda (a, _, c) -> [ a; c ]
-  | Mem (_, a, _, c) -> [ a; c ]
-  | Br (_, r, _) | Jr r | Dbr (_, r, _) -> [ r ]
-  | Jalr (a, b) -> [ a; b ]
-
-let rinsn_regs_full i =
-  match i with
-  | Lui (_, rd) -> [ rd ]
-  | _ -> rinsn_regs i
+let skip acc _ = acc
 
 let dedicated_used t =
+  let reg acc = function
+    | Rlit (Reg.D n) -> n :: acc
+    | Rlit (Reg.R _) | Rrs | Rrt | Rrd | Rparam _ -> acc
+  in
   Array.fold_left
-    (fun acc i -> List.fold_left reg_dedicated acc (rinsn_regs_full i))
+    (fun acc -> function
+      | Trigger -> acc
+      | Insn i -> I.fold ~reg ~imm:skip ~target:skip acc i)
     [] t
   |> List.sort_uniq compare
 
-let rename_dedicated f t =
-  let reg = function
-    | Rlit (Reg.D n) -> Rlit (Reg.d (f n))
-    | other -> other
+let rename_dedicated f =
+  let reg = function Rlit (Reg.D n) -> Rlit (Reg.d (f n)) | other -> other in
+  map_insns (I.map ~reg ~imm:Fun.id ~target:Fun.id ~cw:Fun.id)
+
+let is_static t =
+  let reg ok = function Rlit _ -> ok | Rrs | Rrt | Rrd | Rparam _ -> false in
+  let imm ok = function
+    | Ilit _ -> ok
+    | Iimm | Ipc | Iparam _ | Iparam2 _ -> false
   in
-  Array.map
-    (function
-      | Trigger -> Trigger
-      | Rop (op, a, b, c) -> Rop (op, reg a, reg b, reg c)
-      | Ropi (op, a, v, c) -> Ropi (op, reg a, v, reg c)
-      | Lda (a, v, c) -> Lda (reg a, v, reg c)
-      | Lui (v, c) -> Lui (v, reg c)
-      | Mem (op, a, v, c) -> Mem (op, reg a, v, reg c)
-      | Br (op, r, tg) -> Br (op, reg r, tg)
-      | Jmp tg -> Jmp tg
-      | Jal tg -> Jal tg
-      | Jr r -> Jr (reg r)
-      | Jalr (a, b) -> Jalr (reg a, reg b)
-      | Dbr (op, r, off) -> Dbr (op, reg r, off)
-      | Djmp off -> Djmp off
-      | Nop -> Nop
-      | Halt -> Halt)
+  let target ok = function
+    | Tabs _ | Tlab _ -> ok
+    | Trel_param _ | Trel_param2 _ -> false
+  in
+  Array.for_all
+    (function Trigger -> false | Insn i -> I.fold ~reg ~imm ~target true i)
     t
 
-let reg_static = function Rlit _ -> true | Rrs | Rrt | Rrd | Rparam _ -> false
-let imm_static = function Ilit _ -> true | Iimm | Ipc | Iparam _ | Iparam2 _ -> false
-
-let target_static = function
-  | Tabs _ | Tlab _ -> true
-  | Trel_param _ | Trel_param2 _ -> false
-
-let rinsn_static = function
-  | Trigger -> false
-  | Rop (_, a, b, c) -> reg_static a && reg_static b && reg_static c
-  | Ropi (_, a, v, c) -> reg_static a && imm_static v && reg_static c
-  | Lda (a, v, c) -> reg_static a && imm_static v && reg_static c
-  | Lui (v, c) -> imm_static v && reg_static c
-  | Mem (_, a, v, c) -> reg_static a && imm_static v && reg_static c
-  | Br (_, r, t) -> reg_static r && target_static t
-  | Jmp t | Jal t -> target_static t
-  | Jr r -> reg_static r
-  | Jalr (a, b) -> reg_static a && reg_static b
-  | Dbr (_, r, _) -> reg_static r
-  | Djmp _ | Nop | Halt -> true
-
-let is_static t = Array.for_all rinsn_static t
-
-let of_insn (i : I.t) =
-  match i with
-  | I.Rop (op, a, b, c) -> Rop (op, Rlit a, Rlit b, Rlit c)
-  | I.Ropi (op, a, v, c) -> Ropi (op, Rlit a, Ilit v, Rlit c)
-  | I.Lda (a, v, c) -> Lda (Rlit a, Ilit v, Rlit c)
-  | I.Lui (v, c) -> Lui (Ilit v, Rlit c)
-  | I.Mem (op, a, v, c) -> Mem (op, Rlit a, Ilit v, Rlit c)
-  | I.Br (op, r, I.Abs a) -> Br (op, Rlit r, Tabs a)
-  | I.Br (op, r, I.Lab l) -> Br (op, Rlit r, Tlab l)
-  | I.Jmp (I.Abs a) -> Jmp (Tabs a)
-  | I.Jmp (I.Lab l) -> Jmp (Tlab l)
-  | I.Jal (I.Abs a) -> Jal (Tabs a)
-  | I.Jal (I.Lab l) -> Jal (Tlab l)
-  | I.Jr r -> Jr (Rlit r)
-  | I.Jalr (a, b) -> Jalr (Rlit a, Rlit b)
-  | I.Dbr (op, r, off) -> Dbr (op, Rlit r, off)
-  | I.Djmp off -> Djmp off
-  | I.Codeword _ ->
+let of_insns insns =
+  let target = function I.Abs a -> Tabs a | I.Lab l -> Tlab l in
+  let cw _ =
     invalid_arg "Replacement.of_insns: codeword in replacement sequence"
-  | I.Nop -> Nop
-  | I.Halt -> Halt
-
-let of_insns insns = Array.of_list (List.map of_insn insns)
+  in
+  Array.of_list
+    (List.map
+       (fun i ->
+         Insn (I.map ~reg:(fun r -> Rlit r) ~imm:(fun v -> Ilit v) ~target ~cw i))
+       insns)
 
 let identity = [| Trigger |]
 let length = Array.length
@@ -267,28 +184,12 @@ let pp_rtarget ppf = function
   | Trel_param i -> Format.fprintf ppf "T.PC+T.P%d" i
   | Trel_param2 i -> Format.fprintf ppf "T.PC+T.P%dP%d" i (i + 1)
 
-let pp_rinsn ppf i =
-  let pr fmt = Format.fprintf ppf fmt in
-  match i with
-  | Trigger -> pr "T.INSN"
-  | Rop (op, a, b, c) ->
-    pr "%s %a, %a, %a" (Op.rop_to_string op) pp_rreg a pp_rreg b pp_rreg c
-  | Ropi (op, a, v, c) ->
-    pr "%s %a, %a, %a" (Op.rop_to_string op) pp_rreg a pp_rimm v pp_rreg c
-  | Lda (base, off, rd) -> pr "lda %a, %a(%a)" pp_rreg rd pp_rimm off pp_rreg base
-  | Lui (v, rd) -> pr "lui %a, %a" pp_rimm v pp_rreg rd
-  | Mem (op, base, off, data) ->
-    pr "%s %a, %a(%a)" (Op.mop_to_string op) pp_rreg data pp_rimm off pp_rreg
-      base
-  | Br (op, r, t) -> pr "%s %a, %a" (Op.bop_to_string op) pp_rreg r pp_rtarget t
-  | Jmp t -> pr "jmp %a" pp_rtarget t
-  | Jal t -> pr "jal %a" pp_rtarget t
-  | Jr r -> pr "jr %a" pp_rreg r
-  | Jalr (a, b) -> pr "jalr %a, %a" pp_rreg a pp_rreg b
-  | Dbr (op, r, off) -> pr "d%s %a, @%d" (Op.bop_to_string op) pp_rreg r off
-  | Djmp off -> pr "djmp @%d" off
-  | Nop -> pr "nop"
-  | Halt -> pr "halt"
+let pp_rinsn ppf = function
+  | Trigger -> Format.pp_print_string ppf "T.INSN"
+  | Insn i ->
+    I.pp_form ~reg:pp_rreg ~imm:pp_rimm ~off:pp_rimm ~target:pp_rtarget
+      ~cw:(fun _ -> function (_ : I.never) -> .)
+      ppf i
 
 let pp ppf t =
   Array.iteri

@@ -1,6 +1,8 @@
 (** Replacement sequence specifications and their instantiation.
 
-    Each field of a replacement instruction carries a {e directive}:
+    A replacement instruction is {!Dise_isa.Insn.form}, the one
+    declaration of the instruction forms, with directive operands, or
+    [Trigger]. Each field carries a {e directive}:
     it is either a literal (including DISE dedicated registers) or is
     instantiated from the trigger — its register fields ([T.RS],
     [T.RT], [T.RD]), its immediate ([T.IMM]), its PC ([T.PC]), or, for
@@ -33,21 +35,9 @@ type rtarget =
   | Trel_param2 of int  (** trigger PC + 4 * signed10(params i,i+1) *)
 
 type rinsn =
-  | Trigger
-  | Rop of Dise_isa.Opcode.rop * rreg * rreg * rreg
-  | Ropi of Dise_isa.Opcode.rop * rreg * rimm * rreg
-  | Lda of rreg * rimm * rreg
-  | Lui of rimm * rreg
-  | Mem of Dise_isa.Opcode.mop * rreg * rimm * rreg
-  | Br of Dise_isa.Opcode.bop * rreg * rtarget
-  | Jmp of rtarget
-  | Jal of rtarget
-  | Jr of rreg
-  | Jalr of rreg * rreg
-  | Dbr of Dise_isa.Opcode.bop * rreg * int  (** absolute DISEPC target *)
-  | Djmp of int
-  | Nop
-  | Halt
+  | Trigger  (** [T.INSN] *)
+  | Insn of (rreg, rimm, rtarget, Dise_isa.Insn.never) Dise_isa.Insn.form
+      (** an instruction form with directive operands; no codeword *)
 
 type t = rinsn array
 
@@ -78,12 +68,12 @@ val dedicated_used : t -> int list
 (** Dedicated register numbers mentioned anywhere in the sequence. *)
 
 val rename_dedicated : (int -> int) -> t -> t
+(** Renumber every dedicated register the sequence names. *)
 
 val is_static : t -> bool
 (** True when no directive depends on the trigger, i.e. the sequence
     instantiates identically for every trigger. *)
 
-val of_insn : Dise_isa.Insn.t -> rinsn
 val of_insns : Dise_isa.Insn.t list -> t
 (** Lift concrete instructions into an all-literal specification.
     Raises [Invalid_argument] on codewords (recursive expansion is

@@ -31,66 +31,49 @@ let directive_uses (seq : R.t) =
     { u_rs = false; u_rt = false; u_rd = false; u_imm = false;
       u_params = false; u_trigger = false }
   in
-  let reg = function
+  let reg () = function
     | R.Rrs -> u.u_rs <- true
     | R.Rrt -> u.u_rt <- true
     | R.Rrd -> u.u_rd <- true
     | R.Rparam _ -> u.u_params <- true
     | R.Rlit _ -> ()
   in
-  let imm = function
+  let imm () = function
     | R.Iimm -> u.u_imm <- true
     | R.Iparam _ | R.Iparam2 _ -> u.u_params <- true
     | R.Ilit _ | R.Ipc -> ()
   in
-  let tgt = function
+  let target () = function
     | R.Trel_param _ | R.Trel_param2 _ -> u.u_params <- true
     | R.Tabs _ | R.Tlab _ -> ()
   in
   Array.iter
     (function
       | R.Trigger -> u.u_trigger <- true
-      | R.Rop (_, a, b, c) -> reg a; reg b; reg c
-      | R.Ropi (_, a, v, c) -> reg a; imm v; reg c
-      | R.Lda (a, v, c) -> reg a; imm v; reg c
-      | R.Lui (v, c) -> imm v; reg c
-      | R.Mem (_, a, v, c) -> reg a; imm v; reg c
-      | R.Br (_, r, t) -> reg r; tgt t
-      | R.Jmp t | R.Jal t -> tgt t
-      | R.Jr r -> reg r
-      | R.Jalr (a, b) -> reg a; reg b
-      | R.Dbr (_, r, _) -> reg r
-      | R.Djmp _ | R.Nop | R.Halt -> ())
+      | R.Insn i -> I.fold ~reg ~imm ~target () i)
     seq;
   u
 
 (* Dedicated registers a sequence writes. *)
 let dedicated_written (seq : R.t) =
-  let dest = function
-    | R.Rlit (Reg.D n) -> [ n ]
-    | _ -> []
-  in
   Array.fold_left
     (fun acc ri ->
-      let ds =
-        match ri with
-        | R.Rop (_, _, _, c) | R.Ropi (_, _, _, c) | R.Lda (_, _, c)
-        | R.Lui (_, c) | R.Jalr (_, c) ->
-          dest c
-        | R.Mem ((Op.Ldq | Op.Ldbu), _, _, c) -> dest c
-        | _ -> []
-      in
-      ds @ acc)
+      match ri with
+      | R.Insn i -> (
+        match I.rd ~link:(R.Rlit Reg.ra) i with
+        | Some (R.Rlit (Reg.D n)) -> n :: acc
+        | Some _ | None -> acc)
+      | R.Trigger -> acc)
     [] seq
   |> List.sort_uniq compare
 
-let has_halt (seq : R.t) = Array.exists (fun ri -> ri = R.Halt) seq
+let has_halt (seq : R.t) = Array.exists (fun ri -> ri = R.Insn I.Halt) seq
 
 let bad_internal_control (seq : R.t) =
   let len = Array.length seq in
   Array.exists
     (function
-      | R.Dbr (_, _, t) | R.Djmp t -> t < 0 || t > len
+      | R.Insn (I.Dbr (_, _, t) | I.Djmp t) -> t < 0 || t > len
       | _ -> false)
     seq
 
@@ -105,8 +88,8 @@ let field_coverage pattern field =
         match field with
         | `Rs -> I.rs ex <> None
         | `Rt -> I.rt ex <> None
-        | `Rd -> I.rd ex <> None
-        | `Imm -> I.imm ex <> None)
+        | `Rd -> I.rd ~link:Reg.ra ex <> None
+        | `Imm -> I.imm ~target:I.resolved ex <> None)
       keys
   in
   match List.length have, List.length keys with

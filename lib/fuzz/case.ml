@@ -135,21 +135,23 @@ let safe_prefix_insn rng ~has_rs ~has_imm =
       [
         [
           (fun () ->
-            Replacement.Ropi
-              (Rng.pick rng alu, dr0, Ilit (Rng.range rng (-8) 8), dr0));
-          (fun () -> Replacement.Rop (Rng.pick rng alu, dr0, dr1, dr1));
-          (fun () -> Replacement.Lui (Ilit (Rng.int rng 1024), dr0));
-          (fun () -> Replacement.Nop);
+            Replacement.Insn
+              (I.Ropi (Rng.pick rng alu, dr0, Ilit (Rng.range rng (-8) 8), dr0)));
+          (fun () ->
+            Replacement.Insn (I.Rop (Rng.pick rng alu, dr0, dr1, dr1)));
+          (fun () ->
+            Replacement.Insn (I.Lui (Ilit (Rng.int rng 1024), dr0)));
+          (fun () -> Replacement.Insn I.Nop);
         ];
         (if has_rs then
-           [ (fun () -> Replacement.Ropi (Op.Add, Rrs, Ilit 0, dr0)) ]
+           [ (fun () -> Replacement.Insn (I.Ropi (Op.Add, Rrs, Ilit 0, dr0))) ]
          else []);
         (if has_imm then
-           [ (fun () -> Replacement.Ropi (Op.Add, dr0, Iimm, dr0)) ]
+           [ (fun () -> Replacement.Insn (I.Ropi (Op.Add, dr0, Iimm, dr0))) ]
          else []);
         (if has_rs && has_imm then
            (* the application's own effective address, byte-read *)
-           [ (fun () -> Replacement.Mem (Op.Ldbu, Rrs, Iimm, dr1)) ]
+           [ (fun () -> Replacement.Insn (I.Mem (Op.Ldbu, Rrs, Iimm, dr1))) ]
          else []);
       ]
   in
@@ -175,8 +177,8 @@ let random_production rng i =
   let body =
     if k > 0 && Rng.float rng < 0.3 then
       (* skip straight to the trigger slot when $dr0 says so *)
-      Replacement.Dbr
-        (Rng.pick rng [| Op.Beq; Op.Bne; Op.Bge; Op.Blt |], dr0, k + 1)
+      Replacement.Insn
+        (I.Dbr (Rng.pick rng [| Op.Beq; Op.Bne; Op.Bge; Op.Blt |], dr0, k + 1))
       :: body
     else body
   in

@@ -26,7 +26,8 @@ let app_semantics (r : Raw.t) = r.Raw.rsid < 0 || r.Raw.offset = r.Raw.len - 1
 
 (* Branch targets are layout-dependent; compare instructions with
    targets erased. *)
-let normalize insn = I.map_target (fun _ -> I.Abs 0) insn
+let normalize insn =
+  I.map ~reg:Fun.id ~imm:Fun.id ~target:(fun _ -> I.Abs 0) ~cw:Fun.id insn
 
 type pump = {
   machine : Machine.t;

@@ -38,9 +38,8 @@ let target s =
     | Some a -> Insn.Abs a
     | None -> fail "bad target %S" s
 
-type mem = { off : string; base : string }
-
-(* "imm(reg)"; the offset may carry a '#' and defaults to 0. *)
+(* "imm(reg)" as (reg, imm); the offset may carry a '#' and defaults
+   to 0. *)
 let mem s =
   let n = String.length s in
   match String.index_opt s '(' with
@@ -51,31 +50,13 @@ let mem s =
       else if off.[0] = '#' then after '#' "#immediate" off
       else off
     in
-    { off; base = String.trim (String.sub s (i + 1) (n - i - 2)) }
+    (String.trim (String.sub s (i + 1) (n - i - 2)), off)
   | _ -> fail "expected imm(reg), got %S" s
 
 (* --- instruction forms -------------------------------------------------- *)
 
-type form =
-  | Rop of Opcode.rop * string * string * string
-  | Ropi of Opcode.rop * string * string * string
-  | Lda of mem * string
-  | Lui of string * string
-  | Mem of Opcode.mop * mem * string
-  | Br of Opcode.bop * string * string
-  | Jmp of string
-  | Jal of string
-  | Jr of string
-  | Jalr of string * string
-  | Dbr of Opcode.bop * string * int
-  | Djmp of int
-  | Codeword of Insn.t
-  | Nop
-  | Halt
-
 (* The parameter and tag fields are range-checked here, so a bad one
-   is a parse error naming the field rather than the smart
-   constructor's [Invalid_argument]. *)
+   is a parse error naming the field. *)
 let codeword m op o =
   let field name bits s =
     let v = number s in
@@ -88,8 +69,14 @@ let codeword m op o =
       String.sub o.(3) 4 (String.length o.(3) - 4)
     else o.(3)
   in
-  Insn.codeword ~op ~p1:(field "p1" 5 o.(0)) ~p2:(field "p2" 5 o.(1))
-    ~p3:(field "p3" 5 o.(2)) ~tag:(field "tag" 11 tag)
+  Insn.Codeword
+    {
+      op;
+      p1 = field "p1" 5 o.(0);
+      p2 = field "p2" 5 o.(1);
+      p3 = field "p3" 5 o.(2);
+      tag = field "tag" 11 tag;
+    }
 
 let form line =
   let line = String.trim (String.map (fun c -> if c = '\t' then ' ' else c) line) in
@@ -115,21 +102,28 @@ let form line =
   match Option.map Desc.example_of_key (Desc.key_of_mnemonic m) with
   | Some (Insn.Rop (op, _, _, _)) ->
     arity 3;
-    if String.starts_with ~prefix:"#" o.(1) then Ropi (op, o.(0), imm o.(1), o.(2))
-    else Rop (op, o.(0), o.(1), o.(2))
-  | Some (Insn.Lda _) -> arity 2; Lda (mem o.(1), o.(0))
-  | Some (Insn.Lui _) -> arity 2; Lui (imm o.(0), o.(1))
-  | Some (Insn.Mem (op, _, _, _)) -> arity 2; Mem (op, mem o.(1), o.(0))
-  | Some (Insn.Br (op, _, _)) -> arity 2; Br (op, o.(0), o.(1))
-  | Some (Insn.Jmp _) -> arity 1; Jmp o.(0)
-  | Some (Insn.Jal _) -> arity 1; Jal o.(0)
-  | Some (Insn.Jr _) -> arity 1; Jr o.(0)
-  | Some (Insn.Jalr _) -> arity 2; Jalr (o.(0), o.(1))
-  | Some (Insn.Dbr (op, _, _)) -> arity 2; Dbr (op, o.(0), disepc o.(1))
-  | Some (Insn.Djmp _) -> arity 1; Djmp (disepc o.(0))
-  | Some (Insn.Codeword { op; _ }) -> arity 4; Codeword (codeword m op o)
-  | Some Insn.Nop -> arity 0; Nop
-  | Some Insn.Halt -> arity 0; Halt
+    if String.starts_with ~prefix:"#" o.(1) then
+      Insn.Ropi (op, o.(0), imm o.(1), o.(2))
+    else Insn.Rop (op, o.(0), o.(1), o.(2))
+  | Some (Insn.Lda _) ->
+    arity 2;
+    let base, off = mem o.(1) in
+    Insn.Lda (base, off, o.(0))
+  | Some (Insn.Lui _) -> arity 2; Insn.Lui (imm o.(0), o.(1))
+  | Some (Insn.Mem (op, _, _, _)) ->
+    arity 2;
+    let base, off = mem o.(1) in
+    Insn.Mem (op, base, off, o.(0))
+  | Some (Insn.Br (op, _, _)) -> arity 2; Insn.Br (op, o.(0), o.(1))
+  | Some (Insn.Jmp _) -> arity 1; Insn.Jmp o.(0)
+  | Some (Insn.Jal _) -> arity 1; Insn.Jal o.(0)
+  | Some (Insn.Jr _) -> arity 1; Insn.Jr o.(0)
+  | Some (Insn.Jalr _) -> arity 2; Insn.Jalr (o.(0), o.(1))
+  | Some (Insn.Dbr (op, _, _)) -> arity 2; Insn.Dbr (op, o.(0), disepc o.(1))
+  | Some (Insn.Djmp _) -> arity 1; Insn.Djmp (disepc o.(0))
+  | Some (Insn.Codeword { op; _ }) -> arity 4; codeword m op o
+  | Some Insn.Nop -> arity 0; Insn.Nop
+  | Some Insn.Halt -> arity 0; Insn.Halt
   | Some (Insn.Ropi _) | None ->
     if String.starts_with ~prefix:"cw" m then
       fail "%s: no such codeword opcode (cw0..cw%d)" m (Opcode.num_reserved - 1)
@@ -140,30 +134,16 @@ let form line =
 let reg s =
   match Reg.of_string s with Some r -> r | None -> fail "bad register %S" s
 
-let insn_of_form = function
-  | Rop (op, a, b, c) -> Insn.Rop (op, reg a, reg b, reg c)
-  | Ropi (op, a, v, c) -> Insn.Ropi (op, reg a, number v, reg c)
-  | Lda (m, rd) -> Insn.Lda (reg m.base, number m.off, reg rd)
-  | Lui (v, rd) -> Insn.Lui (number v, reg rd)
-  | Mem (op, m, data) -> Insn.Mem (op, reg m.base, number m.off, reg data)
-  | Br (op, r, t) -> Insn.Br (op, reg r, target t)
-  | Jmp t -> Insn.Jmp (target t)
-  | Jal t -> Insn.Jal (target t)
-  | Jr r -> Insn.Jr (reg r)
-  | Jalr (a, b) -> Insn.Jalr (reg a, reg b)
-  | Dbr (op, r, off) -> Insn.Dbr (op, reg r, off)
-  | Djmp off -> Insn.Djmp off
-  | Codeword i -> i
-  | Nop -> Insn.Nop
-  | Halt -> Insn.Halt
-
 let parse_line line =
   let line = String.trim (strip_comment line) in
   if line = "" then None
   else if line.[String.length line - 1] = ':' then
     let l = String.trim (String.sub line 0 (String.length line - 1)) in
     if is_ident l then Some (Program.Label l) else fail "bad label %S" l
-  else Some (Program.Ins (insn_of_form (form line)))
+  else
+    Some
+      (Program.Ins
+         (Insn.map ~reg ~imm:number ~target ~cw:Fun.id (form line)))
 
 let parse source =
   String.split_on_char '\n' source

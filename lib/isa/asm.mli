@@ -24,9 +24,11 @@
     ([dbne r1, @3]); codewords as [cw0 1, 2, 3, tag=17], each field
     range-checked.
 
-    The production language ({!Dise_core.Lang}) reads replacement
-    instructions through {!form} too; only its operand parsers differ
-    (directives such as [T.RS], [#T.IMM], [T.PC+T.P1]). *)
+    {!form} reads a line into {!Insn.form} with string operands, and
+    the assembler maps those to registers, numbers and targets with
+    {!Insn.map}. The production language ({!Dise_core.Lang}) reads
+    replacement instructions through {!form} too and maps the same
+    strings to directives ([T.RS], [#T.IMM], [T.PC+T.P1]). *)
 
 exception Parse_error of int * string
 (** Line number (1-based) and message. *)
@@ -43,31 +45,12 @@ val number : string -> int
 val target : string -> Insn.target
 (** A label (an identifier) or an absolute address (a number). *)
 
-type mem = { off : string; base : string }
-(** [off(base)]; the offset without its optional [#], ["0"] if empty. *)
-
-(** One instruction, its opcode and operand count checked, its operands
-    as trimmed strings in {!Insn.t}'s order. Immediates come without
-    their [#]. *)
-type form =
-  | Rop of Opcode.rop * string * string * string  (** rs, rt, rd *)
-  | Ropi of Opcode.rop * string * string * string  (** rs, imm, rd *)
-  | Lda of mem * string
-  | Lui of string * string
-  | Mem of Opcode.mop * mem * string
-  | Br of Opcode.bop * string * string
-  | Jmp of string
-  | Jal of string
-  | Jr of string
-  | Jalr of string * string
-  | Dbr of Opcode.bop * string * int
-  | Djmp of int
-  | Codeword of Insn.t
-  | Nop
-  | Halt
-
-val form : string -> form
-(** One comment-free instruction. *)
+val form : string -> (string, string, string, int) Insn.form
+(** One comment-free instruction, its opcode and operand count checked,
+    its operands as trimmed strings in {!Insn.form}'s order (a memory
+    operand [off(base)] gives the base and then the offset, ["0"] if
+    empty). Immediates come without their [#]; a codeword's fields are
+    numbers, range-checked. *)
 
 val parse_line : string -> Program.item option
 (** Parse one line; [None] for blank/comment-only lines. Raises

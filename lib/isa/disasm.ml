@@ -14,7 +14,8 @@ let render labels insn =
       | None -> t)
     | Insn.Lab _ as t -> t
   in
-  Insn.to_string (Insn.map_target symbolic insn)
+  Insn.to_string
+    (Insn.map ~reg:Fun.id ~imm:Fun.id ~target:symbolic ~cw:Fun.id insn)
 
 let pp_range ppf img ~lo ~hi =
   let labels = label_map img in

@@ -2,22 +2,26 @@ type target =
   | Abs of int
   | Lab of string
 
-type t =
-  | Rop of Opcode.rop * Reg.t * Reg.t * Reg.t
-  | Ropi of Opcode.rop * Reg.t * int * Reg.t
-  | Lda of Reg.t * int * Reg.t
-  | Lui of int * Reg.t
-  | Mem of Opcode.mop * Reg.t * int * Reg.t
-  | Br of Opcode.bop * Reg.t * target
-  | Jmp of target
-  | Jal of target
-  | Jr of Reg.t
-  | Jalr of Reg.t * Reg.t
-  | Dbr of Opcode.bop * Reg.t * int
+type ('r, 'i, 't, 'c) form =
+  | Rop of Opcode.rop * 'r * 'r * 'r
+  | Ropi of Opcode.rop * 'r * 'i * 'r
+  | Lda of 'r * 'i * 'r
+  | Lui of 'i * 'r
+  | Mem of Opcode.mop * 'r * 'i * 'r
+  | Br of Opcode.bop * 'r * 't
+  | Jmp of 't
+  | Jal of 't
+  | Jr of 'r
+  | Jalr of 'r * 'r
+  | Dbr of Opcode.bop * 'r * int
   | Djmp of int
-  | Codeword of { op : int; p1 : int; p2 : int; p3 : int; tag : int }
+  | Codeword of { op : int; p1 : 'c; p2 : 'c; p3 : 'c; tag : 'c }
   | Nop
   | Halt
+
+type t = (Reg.t, int, target, int) form
+
+type never = |
 
 let cls = function
   | Rop _ | Ropi _ | Lda _ | Lui _ -> Opcode.C_alu
@@ -44,22 +48,24 @@ let rt = function
   | Djmp _ | Codeword _ | Nop | Halt ->
     None
 
-let rd = function
+let rd ~link = function
   | Rop (_, _, _, rd) | Ropi (_, _, _, rd) | Lda (_, _, rd) | Lui (_, rd)
   | Jalr (_, rd) ->
     Some rd
   | Mem ((Ldq | Ldbu), _, _, rt) -> Some rt
   | Mem ((Stq | Stb), _, _, _) -> None
   | Br _ | Jmp _ | Jr _ | Dbr _ | Djmp _ | Codeword _ | Nop | Halt -> None
-  | Jal _ -> Some Reg.ra
+  | Jal _ -> Some link
 
-let imm = function
+let imm ~target = function
   | Ropi (_, _, i, _) | Lda (_, i, _) | Lui (i, _) | Mem (_, _, i, _) ->
     Some i
-  | Br (_, _, Abs a) -> Some a
-  | Rop _ | Br (_, _, Lab _) | Jmp _ | Jal _ | Jr _ | Jalr _ | Dbr _
-  | Djmp _ | Codeword _ | Nop | Halt ->
+  | Br (_, _, t) -> target t
+  | Rop _ | Jmp _ | Jal _ | Jr _ | Jalr _ | Dbr _ | Djmp _ | Codeword _ | Nop
+  | Halt ->
     None
+
+let resolved = function Abs a -> Some a | Lab _ -> None
 
 let branch_target = function
   | Br (_, _, t) | Jmp t | Jal t -> Some t
@@ -186,23 +192,58 @@ let key = function
 
 let num_keys = 57
 
-let map_target f = function
-  | Br (op, r, t) -> Br (op, r, f t)
-  | Jmp t -> Jmp (f t)
-  | Jal t -> Jal (f t)
-  | i -> i
+(* Right to left, made explicit: OCaml builds a constructor's arguments
+   in that order, and the assembler and the production language have
+   always reported the rightmost of several bad operands. *)
+let map ~reg ~imm ~target ~cw = function
+  | Rop (op, a, b, c) ->
+    let c = reg c in
+    let b = reg b in
+    Rop (op, reg a, b, c)
+  | Ropi (op, a, v, c) ->
+    let c = reg c in
+    let v = imm v in
+    Ropi (op, reg a, v, c)
+  | Lda (a, v, c) ->
+    let c = reg c in
+    let v = imm v in
+    Lda (reg a, v, c)
+  | Lui (v, c) ->
+    let c = reg c in
+    Lui (imm v, c)
+  | Mem (op, a, v, c) ->
+    let c = reg c in
+    let v = imm v in
+    Mem (op, reg a, v, c)
+  | Br (op, r, t) ->
+    let t = target t in
+    Br (op, reg r, t)
+  | Jmp t -> Jmp (target t)
+  | Jal t -> Jal (target t)
+  | Jr r -> Jr (reg r)
+  | Jalr (a, b) ->
+    let b = reg b in
+    Jalr (reg a, b)
+  | Dbr (op, r, off) -> Dbr (op, reg r, off)
+  | Djmp off -> Djmp off
+  | Codeword { op; p1; p2; p3; tag } ->
+    let tag = cw tag in
+    let p3 = cw p3 in
+    let p2 = cw p2 in
+    Codeword { op; p1 = cw p1; p2; p3; tag }
+  | Nop -> Nop
+  | Halt -> Halt
 
-let map_regs f = function
-  | Rop (op, a, b, c) -> Rop (op, f a, f b, f c)
-  | Ropi (op, a, v, c) -> Ropi (op, f a, v, f c)
-  | Lda (a, v, c) -> Lda (f a, v, f c)
-  | Lui (v, c) -> Lui (v, f c)
-  | Mem (op, a, v, c) -> Mem (op, f a, v, f c)
-  | Br (op, r, t) -> Br (op, f r, t)
-  | Jr r -> Jr (f r)
-  | Jalr (a, b) -> Jalr (f a, f b)
-  | Dbr (op, r, off) -> Dbr (op, f r, off)
-  | (Jmp _ | Jal _ | Djmp _ | Codeword _ | Nop | Halt) as i -> i
+let fold ~reg ~imm ~target acc = function
+  | Rop (_, a, b, c) -> reg (reg (reg acc a) b) c
+  | Ropi (_, a, v, c) | Lda (a, v, c) | Mem (_, a, v, c) ->
+    reg (imm (reg acc a) v) c
+  | Lui (v, c) -> reg (imm acc v) c
+  | Br (_, r, t) -> target (reg acc r) t
+  | Jmp t | Jal t -> target acc t
+  | Jr r | Dbr (_, r, _) -> reg acc r
+  | Jalr (a, b) -> reg (reg acc a) b
+  | Djmp _ | Codeword _ | Nop | Halt -> acc
 
 let equal (a : t) (b : t) = a = b
 
@@ -210,29 +251,32 @@ let pp_target ppf = function
   | Abs a -> Format.fprintf ppf "0x%x" a
   | Lab l -> Format.pp_print_string ppf l
 
-let pp ppf i =
+let pp_form ~reg ~imm ~off ~target ~cw ppf i =
   let pr fmt = Format.fprintf ppf fmt in
-  let reg = Reg.pp in
   match i with
   | Rop (op, a, b, c) ->
     pr "%s %a, %a, %a" (Opcode.rop_to_string op) reg a reg b reg c
   | Ropi (op, a, v, c) ->
-    pr "%s %a, #%d, %a" (Opcode.rop_to_string op) reg a v reg c
-  | Lda (base, off, dst) -> pr "lda %a, %d(%a)" reg dst off reg base
-  | Lui (v, dst) -> pr "lui #%d, %a" v reg dst
-  | Mem (op, base, off, data) ->
-    pr "%s %a, %d(%a)" (Opcode.mop_to_string op) reg data off reg base
-  | Br (op, r, t) ->
-    pr "%s %a, %a" (Opcode.bop_to_string op) reg r pp_target t
-  | Jmp t -> pr "jmp %a" pp_target t
-  | Jal t -> pr "jal %a" pp_target t
+    pr "%s %a, %a, %a" (Opcode.rop_to_string op) reg a imm v reg c
+  | Lda (base, v, dst) -> pr "lda %a, %a(%a)" reg dst off v reg base
+  | Lui (v, dst) -> pr "lui %a, %a" imm v reg dst
+  | Mem (op, base, v, data) ->
+    pr "%s %a, %a(%a)" (Opcode.mop_to_string op) reg data off v reg base
+  | Br (op, r, t) -> pr "%s %a, %a" (Opcode.bop_to_string op) reg r target t
+  | Jmp t -> pr "jmp %a" target t
+  | Jal t -> pr "jal %a" target t
   | Jr r -> pr "jr %a" reg r
   | Jalr (r, d) -> pr "jalr %a, %a" reg r reg d
-  | Dbr (op, r, off) -> pr "d%s %a, @%d" (Opcode.bop_to_string op) reg r off
-  | Djmp off -> pr "djmp @%d" off
+  | Dbr (op, r, o) -> pr "d%s %a, @%d" (Opcode.bop_to_string op) reg r o
+  | Djmp o -> pr "djmp @%d" o
   | Codeword { op; p1; p2; p3; tag } ->
-    pr "cw%d %d, %d, %d, tag=%d" op p1 p2 p3 tag
+    pr "cw%d %a, %a, %a, tag=%a" op cw p1 cw p2 cw p3 cw tag
   | Nop -> pr "nop"
   | Halt -> pr "halt"
+
+let pp ppf i =
+  pp_form ~reg:Reg.pp
+    ~imm:(fun ppf -> Format.fprintf ppf "#%d")
+    ~off:Format.pp_print_int ~target:pp_target ~cw:Format.pp_print_int ppf i
 
 let to_string i = Format.asprintf "%a" pp i

@@ -18,41 +18,59 @@ type target =
   | Abs of int     (** absolute byte address *)
   | Lab of string  (** symbolic; resolved at layout *)
 
-type t =
-  | Rop of Opcode.rop * Reg.t * Reg.t * Reg.t  (** op rs, rt, rd *)
-  | Ropi of Opcode.rop * Reg.t * int * Reg.t   (** op rs, #imm16, rd *)
-  | Lda of Reg.t * int * Reg.t                 (** lda rd, imm16(rs): rd := rs+imm *)
-  | Lui of int * Reg.t                         (** lui #imm16, rd: rd := imm<<16 *)
-  | Mem of Opcode.mop * Reg.t * int * Reg.t    (** ldq/stq rt, imm16(rs) *)
-  | Br of Opcode.bop * Reg.t * target          (** bne rs, target *)
-  | Jmp of target
-  | Jal of target                              (** link in ra *)
-  | Jr of Reg.t
-  | Jalr of Reg.t * Reg.t                      (** jalr rs, rd: rd := link *)
-  | Dbr of Opcode.bop * Reg.t * int            (** DISEPC-relative, in instructions *)
-  | Djmp of int                                (** absolute DISEPC *)
-  | Codeword of { op : int; p1 : int; p2 : int; p3 : int; tag : int }
+(** The instruction forms, declared once. The operand types are
+    parameters: registers ['r], immediates ['i], branch targets ['t]
+    and a codeword's parameter and tag fields ['c]. {!t} is the
+    concrete instance; {!Asm.form} reads operands as strings, and a
+    replacement instruction ([Dise_core.Replacement]) carries
+    directives, with ['c] = {!never} so that no codeword can appear in
+    a replacement sequence. *)
+type ('r, 'i, 't, 'c) form =
+  | Rop of Opcode.rop * 'r * 'r * 'r  (** op rs, rt, rd *)
+  | Ropi of Opcode.rop * 'r * 'i * 'r  (** op rs, #imm16, rd *)
+  | Lda of 'r * 'i * 'r                (** lda rd, imm16(rs): rd := rs+imm *)
+  | Lui of 'i * 'r                     (** lui #imm16, rd: rd := imm<<16 *)
+  | Mem of Opcode.mop * 'r * 'i * 'r   (** ldq/stq rt, imm16(rs) *)
+  | Br of Opcode.bop * 'r * 't         (** bne rs, target *)
+  | Jmp of 't
+  | Jal of 't                          (** link in ra *)
+  | Jr of 'r
+  | Jalr of 'r * 'r                    (** jalr rs, rd: rd := link *)
+  | Dbr of Opcode.bop * 'r * int       (** DISEPC-relative, in instructions *)
+  | Djmp of int                        (** absolute DISEPC *)
+  | Codeword of { op : int; p1 : 'c; p2 : 'c; p3 : 'c; tag : 'c }
+      (** reserved opcode [op]; three parameter fields and a tag *)
   | Nop
   | Halt
 
-val cls : t -> Opcode.cls
+type t = (Reg.t, int, target, int) form
+
+type never = |
+(** The empty type. *)
+
+val cls : _ form -> Opcode.cls
 (** Opcode class, the coarse category DISE patterns may match on. *)
 
-val rs : t -> Reg.t option
+val rs : ('r, _, _, _) form -> 'r option
 (** First source register field (base register for memory ops). *)
 
-val rt : t -> Reg.t option
+val rt : ('r, _, _, _) form -> 'r option
 (** Second register field: second ALU source, or the data register of a
     load/store (the destination for loads). *)
 
-val rd : t -> Reg.t option
-(** Destination register field, when the instruction writes one. *)
+val rd : link:'r -> ('r, _, _, _) form -> 'r option
+(** Destination register field, when the instruction writes one;
+    [link] for [Jal], which writes the return address register. *)
 
-val imm : t -> int option
-(** Immediate field, if present. For [Br] with a resolved target this
-    is [None]; use {!branch_target}. *)
+val imm : target:('t -> 'i option) -> ('r, 'i, 't, _) form -> 'i option
+(** Immediate field, if present. A [Br]'s immediate is its target, read
+    by [target]: for {!t}, {!resolved} gives a resolved branch its
+    absolute target, as patterns and [#T.IMM] see it. *)
 
-val branch_target : t -> target option
+val resolved : target -> int option
+(** [Some a] for [Abs a], [None] for a label. *)
+
+val branch_target : (_, _, 't, _) form -> 't option
 (** Target of a direct control transfer ([Br]/[Jmp]/[Jal]). *)
 
 val defs : t -> Reg.t list
@@ -81,7 +99,7 @@ val codeword : op:int -> p1:int -> p2:int -> p3:int -> tag:int -> t
 (** Smart constructor; range-checks each field ([op] < 4 reserved
     opcodes, params 5 bits, tag 11 bits). *)
 
-val key : t -> int
+val key : _ form -> int
 (** A small dense dispatch key identifying the opcode (not the
     operands); used to index pattern-dispatch tables. All keys are in
     [0, num_keys). {!Desc.to_insn} inverts it, and {!Desc} derives the
@@ -89,12 +107,45 @@ val key : t -> int
 
 val num_keys : int
 
-val map_target : (target -> target) -> t -> t
-(** Rewrite the control-transfer target, if any. *)
+val map :
+  reg:('r -> 'r2) ->
+  imm:('i -> 'i2) ->
+  target:('t -> 't2) ->
+  cw:('c -> 'c2) ->
+  ('r, 'i, 't, 'c) form ->
+  ('r2, 'i2, 't2, 'c2) form
+(** The same form with every operand mapped: registers by [reg],
+    immediates by [imm], targets by [target], and a codeword's
+    parameter and tag fields by [cw]. The functions run on the
+    operands from right to left, so a function that raises reports the
+    rightmost operand it rejects. *)
 
-val map_regs : (Reg.t -> Reg.t) -> t -> t
-(** Rewrite every register field. *)
+val fold :
+  reg:('a -> 'r -> 'a) ->
+  imm:('a -> 'i -> 'a) ->
+  target:('a -> 't -> 'a) ->
+  'a ->
+  ('r, 'i, 't, _) form ->
+  'a
+(** Fold over the operands from left to right, in the order the
+    constructors list them; operand [k] is field [k] of the
+    instruction. A codeword's fields are not operands. *)
 
 val equal : t -> t -> bool
+val pp_form :
+  reg:(Format.formatter -> 'r -> unit) ->
+  imm:(Format.formatter -> 'i -> unit) ->
+  off:(Format.formatter -> 'i -> unit) ->
+  target:(Format.formatter -> 't -> unit) ->
+  cw:(Format.formatter -> 'c -> unit) ->
+  Format.formatter ->
+  ('r, 'i, 't, 'c) form ->
+  unit
+(** The assembler's layout of a form: its mnemonic, then its operands
+    in {!Asm}'s order, an immediate printed by [imm] and a memory
+    offset ([off(base)]) by [off]. *)
+
 val pp : Format.formatter -> t -> unit
+(** [pp_form] with an immediate as [#n] and an offset as [n]. *)
+
 val to_string : t -> string

@@ -98,7 +98,7 @@ let layout ?(base = 0x100000) ?(size_of = default_size) prog =
   let imms = Array.make n 0 in
   Array.iteri
     (fun k (i, _, _) ->
-      let i = Insn.map_target resolve i in
+      let i = Insn.map ~reg:Fun.id ~imm:Fun.id ~target:resolve ~cw:Fun.id i in
       insns.(k) <- i;
       descs.(k) <- Desc.of_insn i;
       imms.(k) <- Desc.imm_of_insn i)

@@ -184,7 +184,7 @@ let rename_insns rng insns =
       !used
   in
   let f r = match List.assoc_opt r map with Some r' -> r' | None -> r in
-  List.map (I.map_regs f) insns
+  List.map (I.map ~reg:f ~imm:Fun.id ~target:Fun.id ~cw:Fun.id) insns
 
 let jitter_insns rng insns =
   let delta = Rng.pick rng [| 0; 4 |] in

@@ -307,7 +307,9 @@ let test_branch_compression_only_full_dise () =
     List.exists
       (fun en ->
         Array.exists
-          (function Dise_core.Replacement.Br _ -> true | _ -> false)
+          (function
+            | Dise_core.Replacement.Insn (Insn.Br _) -> true
+            | _ -> false)
           en.Compress.spec)
       r.Compress.entries
   in
@@ -732,32 +734,35 @@ let every_rinsn_set () =
     a.(!n mod Array.length a)
   in
   let each a f = Array.to_list a |> List.concat_map f in
-  let seq =
+  let forms =
     List.concat
       [
-        [ R.Trigger; R.Nop; R.Halt; R.Djmp 0; R.Djmp 7 ];
+        [ Insn.Nop; Insn.Halt; Insn.Djmp 0; Insn.Djmp 7 ];
         List.concat_map
           (fun op ->
             each regs (fun a ->
-                each regs (fun c -> [ R.Rop (op, a, pick regs, c) ])
-                @ each imms (fun v -> [ R.Ropi (op, a, v, pick regs) ])))
+                each regs (fun c -> [ Insn.Rop (op, a, pick regs, c) ])
+                @ each imms (fun v -> [ Insn.Ropi (op, a, v, pick regs) ])))
           Opcode.all_rops;
         each regs (fun a ->
             each imms (fun v ->
-                R.Lui (v, a)
+                Insn.Lui (v, a)
                 :: List.map
-                     (fun op -> R.Mem (op, a, v, pick regs))
+                     (fun op -> Insn.Mem (op, a, v, pick regs))
                      Opcode.all_mops
-                @ [ R.Lda (a, v, pick regs) ]));
+                @ [ Insn.Lda (a, v, pick regs) ]));
         List.concat_map
           (fun op ->
             each regs (fun r ->
-                R.Dbr (op, r, 3) :: each targets (fun t -> [ R.Br (op, r, t) ])))
+                Insn.Dbr (op, r, 3)
+                :: each targets (fun t -> [ Insn.Br (op, r, t) ])))
           Opcode.all_bops;
-        each targets (fun t -> [ R.Jmp t; R.Jal t ]);
-        each regs (fun a -> R.Jr a :: each regs (fun b -> [ R.Jalr (a, b) ]));
+        each targets (fun t -> [ Insn.Jmp t; Insn.Jal t ]);
+        each regs (fun a ->
+            Insn.Jr a :: each regs (fun b -> [ Insn.Jalr (a, b) ]));
       ]
   in
+  let seq = R.Trigger :: List.map (fun i -> R.Insn i) forms in
   Prodset.define_sequence Prodset.empty 1 (Array.of_list seq)
 
 let test_lang_roundtrips_every_set () =

@@ -77,12 +77,15 @@ let test_instantiate_mfi_sequence () =
   (* Figure 1's R1 over a store trigger. *)
   let seq =
     [|
-      Replacement.Ropi (Opcode.Srl, Replacement.Rrs, Replacement.Ilit 26,
-                        Replacement.Rlit (Reg.d 1));
-      Replacement.Rop (Opcode.Xor, Replacement.Rlit (Reg.d 1),
-                       Replacement.Rlit (Reg.d 2), Replacement.Rlit (Reg.d 1));
-      Replacement.Br (Opcode.Bne, Replacement.Rlit (Reg.d 1),
-                      Replacement.Tabs 0x9000);
+      Replacement.Insn
+        (Insn.Ropi (Opcode.Srl, Replacement.Rrs, Replacement.Ilit 26,
+                    Replacement.Rlit (Reg.d 1)));
+      Replacement.Insn
+        (Insn.Rop (Opcode.Xor, Replacement.Rlit (Reg.d 1),
+                   Replacement.Rlit (Reg.d 2), Replacement.Rlit (Reg.d 1)));
+      Replacement.Insn
+        (Insn.Br (Opcode.Bne, Replacement.Rlit (Reg.d 1),
+                  Replacement.Tabs 0x9000));
       Replacement.Trigger;
     |]
   in
@@ -98,8 +101,9 @@ let test_instantiate_mfi_sequence () =
 let test_instantiate_params () =
   let seq =
     [|
-      Replacement.Lda (Replacement.Rparam 1, Replacement.Iparam 2,
-                       Replacement.Rparam 1);
+      Replacement.Insn
+        (Insn.Lda (Replacement.Rparam 1, Replacement.Iparam 2,
+                   Replacement.Rparam 1));
     |]
   in
   let trigger = Insn.codeword ~op:0 ~p1:9 ~p2:24 ~p3:0 ~tag:7 in
@@ -120,7 +124,10 @@ let test_instantiate_params () =
 
 let test_instantiate_branch_param_offset () =
   let seq =
-    [| Replacement.Br (Opcode.Bne, Replacement.Rparam 1, Replacement.Trel_param2 2) |]
+    [|
+      Replacement.Insn
+        (Insn.Br (Opcode.Bne, Replacement.Rparam 1, Replacement.Trel_param2 2));
+    |]
   in
   let hi, lo = Replacement.to_fields10 (-25) in
   let trigger = Insn.codeword ~op:0 ~p1:5 ~p2:hi ~p3:lo ~tag:0 in
@@ -372,9 +379,10 @@ let test_one_grammar () =
     (Asm.parse_insn "ADD r1, r2, r3" = Insn.Rop (Opcode.Add, r1, r2, r3));
   check bool_ "ADD in a sequence" true
     (Lang.parse_rinsn "ADD $dr0, #T.IMM, $dr1"
-    = Replacement.Ropi
-        (Opcode.Add, Replacement.Rlit (Reg.d 0), Replacement.Iimm,
-         Replacement.Rlit (Reg.d 1)));
+    = Replacement.Insn
+        (Insn.Ropi
+           (Opcode.Add, Replacement.Rlit (Reg.d 0), Replacement.Iimm,
+            Replacement.Rlit (Reg.d 1))));
   (* Every form checks its operand count, with one message. *)
   same_error "lda r1" "lda expects 2 operands, got 1";
   same_error "jmp a, b" "jmp expects 1 operands, got 2";
@@ -417,8 +425,9 @@ let test_engine_most_specific_wins () =
            Replacement.identity)
     |> fun s ->
     Prodset.add s (Production.make ~name:"count" Pattern.loads (Production.Direct 2))
-      [| Replacement.Ropi (Opcode.Add, Replacement.Rlit (Reg.d 0),
-                           Replacement.Ilit 1, Replacement.Rlit (Reg.d 0));
+      [| Replacement.Insn
+           (Insn.Ropi (Opcode.Add, Replacement.Rlit (Reg.d 0),
+                       Replacement.Ilit 1, Replacement.Rlit (Reg.d 0)));
          Replacement.Trigger |]
   in
   let engine = Engine.create set in
@@ -458,8 +467,9 @@ let test_engine_cache_keyed_by_insn () =
     |> fun s ->
     Prodset.add s
       (Production.make ~name:"count" Pattern.loads (Production.Direct 2))
-      [| Replacement.Ropi (Opcode.Add, Replacement.Rlit (Reg.d 0),
-                           Replacement.Ilit 1, Replacement.Rlit (Reg.d 0));
+      [| Replacement.Insn
+           (Insn.Ropi (Opcode.Add, Replacement.Rlit (Reg.d 0),
+                       Replacement.Ilit 1, Replacement.Rlit (Reg.d 0)));
          Replacement.Trigger |]
   in
   let sp_load = Insn.Mem (Opcode.Ldq, Reg.sp, 0, r2) in
@@ -722,12 +732,12 @@ let test_merge_sequences () =
   (* The merged sequence must end with: srl/xor/bne/T.INSN. *)
   check bool_ "MFI check precedes trigger" true
     (match merged.(Replacement.length merged - 2) with
-    | Replacement.Br (Opcode.Bne, _, _) -> true
+    | Replacement.Insn (Insn.Br (Opcode.Bne, _, _)) -> true
     | _ -> false)
 
 let test_merge_errors () =
-  let no_trigger = [| Replacement.Nop |] in
-  let with_trigger = [| Replacement.Nop; Replacement.Trigger |] in
+  let no_trigger = [| Replacement.Insn Insn.Nop |] in
+  let with_trigger = [| Replacement.Insn Insn.Nop; Replacement.Trigger |] in
   (match Compose.merge_sequences no_trigger with_trigger with
   | exception Compose.Composition_error _ -> ()
   | _ -> Alcotest.fail "first sequence must end with trigger");
@@ -763,8 +773,8 @@ let test_compose_dedicated_renaming () =
   (* The inner lda must now use a register other than $dr1 (which the
      inlined MFI check still legitimately uses further down). *)
   match seq.(0) with
-  | Replacement.Lda (Replacement.Rlit (Reg.D n), _, Replacement.Rlit (Reg.D n'))
-    ->
+  | Replacement.Insn
+      (Insn.Lda (Replacement.Rlit (Reg.D n), _, Replacement.Rlit (Reg.D n'))) ->
     check int_ "same register on both sides" n n';
     check bool_ "renamed away from $dr1" true (n <> 1)
   | _ -> Alcotest.fail "expected the renamed inner lda first"
@@ -775,11 +785,14 @@ let test_inline_ambiguity_detected () =
   let outer =
     Prodset.add Prodset.empty
       (Production.make (Pattern.with_rs Reg.sp Pattern.stores) (Production.Direct 1))
-      [| Replacement.Nop; Replacement.Trigger |]
+      [| Replacement.Insn Insn.Nop; Replacement.Trigger |]
   in
   let template =
-    [| Replacement.Mem (Opcode.Stq, Replacement.Rparam 1, Replacement.Ilit 0,
-                        Replacement.Rparam 2) |]
+    [|
+      Replacement.Insn
+        (Insn.Mem (Opcode.Stq, Replacement.Rparam 1, Replacement.Ilit 0,
+                   Replacement.Rparam 2));
+    |]
   in
   match Compose.inline_seq ~outer template with
   | exception Compose.Composition_error _ -> ()

@@ -73,7 +73,9 @@ let test_codeword_field_validation () =
    the same address. *)
 let tagged_prodset tags =
   let dr0 = Replacement.Rlit (Reg.d 0) in
-  let seq t = [| Replacement.Ropi (Opcode.Add, dr0, Replacement.Ilit t, dr0) |] in
+  let seq t =
+    [| Replacement.Insn (Insn.Ropi (Opcode.Add, dr0, Replacement.Ilit t, dr0)) |]
+  in
   let ps =
     Prodset.add_production Prodset.empty
       (Production.make ~name:"cw" (Pattern.codewords 0) Production.From_tag)

@@ -92,13 +92,13 @@ let test_insn_fields () =
   let add = Insn.Rop (Opcode.Add, r1, r2, r3) in
   check bool_ "add rs" true (Insn.rs add = Some r1);
   check bool_ "add rt" true (Insn.rt add = Some r2);
-  check bool_ "add rd" true (Insn.rd add = Some r3);
+  check bool_ "add rd" true (Insn.rd ~link:Reg.ra add = Some r3);
   let ld = Insn.Mem (Opcode.Ldq, r1, 8, r2) in
   check bool_ "load rs is base" true (Insn.rs ld = Some r1);
-  check bool_ "load rd is data" true (Insn.rd ld = Some r2);
-  check bool_ "load imm" true (Insn.imm ld = Some 8);
+  check bool_ "load rd is data" true (Insn.rd ~link:Reg.ra ld = Some r2);
+  check bool_ "load imm" true (Insn.imm ~target:Insn.resolved ld = Some 8);
   let st = Insn.Mem (Opcode.Stq, r1, -4, r2) in
-  check bool_ "store has no rd" true (Insn.rd st = None);
+  check bool_ "store has no rd" true (Insn.rd ~link:Reg.ra st = None);
   check bool_ "store rt is data" true (Insn.rt st = Some r2);
   check bool_ "jal defines ra" true (Insn.defs (Insn.Jal (Insn.Abs 0)) = [ Reg.ra ]);
   check bool_ "store uses base and data" true
@@ -268,7 +268,7 @@ let prop_asm_roundtrip =
         | Insn.Codeword _ -> true
         | _ -> (
           match Dise_core.Lang.parse_rinsn s with
-          | r -> r = R.of_insn i
+          | r -> [| r |] = R.of_insns [ i ]
           | exception Asm.Parse_error (_, msg) ->
             QCheck.Test.fail_reportf "replacement parse of %S failed: %s" s
               msg)))

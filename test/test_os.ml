@@ -113,7 +113,7 @@ let test_safety_internal_control_range () =
   let set =
     Prodset.add Prodset.empty
       (Production.make Pattern.loads (Production.Direct 1))
-      [| Replacement.Djmp 5; Replacement.Trigger |]
+      [| Replacement.Insn (Insn.Djmp 5); Replacement.Trigger |]
   in
   check bool_ "DISE jump out of sequence rejected" true
     (has_error (Safety.check set))
@@ -164,8 +164,9 @@ let mfi_set img =
 let counting_acf rsid =
   Prodset.add Prodset.empty
     (Production.make ~name:"count" Pattern.stores (Production.Direct rsid))
-    [| Replacement.Lda (Replacement.Rlit (Reg.d 5), Replacement.Ilit 1,
-                        Replacement.Rlit (Reg.d 5));
+    [| Replacement.Insn
+         (Insn.Lda (Replacement.Rlit (Reg.d 5), Replacement.Ilit 1,
+                    Replacement.Rlit (Reg.d 5)));
        Replacement.Trigger |]
 
 let test_osvirt_runs_two_processes () =

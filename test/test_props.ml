@@ -570,7 +570,9 @@ let desc_agrees i =
 
 (* A label target is marked unresolved; [Program.layout] resolves it. *)
 let unresolved_marked i =
-  match Insn.map_target (fun _ -> Insn.Lab "l") i with
+  match
+    Insn.map ~reg:Fun.id ~imm:Fun.id ~target:(fun _ -> Insn.Lab "l") ~cw:Fun.id i
+  with
   | (Insn.Br _ | Insn.Jmp _ | Insn.Jal _) as j ->
     Desc.unresolved (Desc.of_insn j)
   | j -> not (Desc.unresolved (Desc.of_insn j))
