@@ -798,6 +798,44 @@ let test_inline_ambiguity_detected () =
   | exception Compose.Composition_error _ -> ()
   | _ -> Alcotest.fail "ambiguous match should be an error"
 
+(* A branch's T.IMM is its absolute target for patterns and for
+   [#T.IMM]; composition must read a branch template the same way, or
+   the composed set is not outer(inner(stream)). *)
+let branch_imm_outer =
+  "P1: T.OPCLASS == branch && T.IMM >= 0 -> R1\nR1: nop\n    T.INSN\n"
+
+let nest_over_branch target =
+  Compose.nest ~outer:(Lang.parse branch_imm_outer)
+    ~inner:
+      (Lang.parse
+         (Printf.sprintf
+            "P2: T.OPCLASS == load -> R2\nR2: bne r1, %s\n    T.INSN\n" target))
+
+let test_compose_branch_imm_absolute () =
+  let outer = Lang.parse branch_imm_outer in
+  let bne = Insn.Br (Opcode.Bne, r1, Insn.Abs 0x1000) in
+  check bool_ "the outer pattern matches the concrete branch" true
+    (Pattern.matches
+       (List.hd (Prodset.productions outer)).Production.pattern bne);
+  let r2 = Prodset.sequence (nest_over_branch "0x1000") 2 in
+  check bool_ "the outer sequence wraps the inner branch" true
+    (r2
+    = Some
+        [|
+          Replacement.Insn Insn.Nop;
+          Replacement.Insn
+            (Insn.Br (Opcode.Bne, Replacement.Rlit r1, Replacement.Tabs 0x1000));
+          Replacement.Trigger;
+        |])
+
+let test_compose_branch_imm_undecidable () =
+  List.iter
+    (fun target ->
+      match nest_over_branch target with
+      | exception Compose.Composition_error _ -> ()
+      | _ -> Alcotest.failf "T.IMM of a branch to %s was decided" target)
+    [ "somewhere"; "T.PC+T.P1"; "T.PC+T.P2P3" ]
+
 let suite =
   [
     ("pattern class match", `Quick, test_pattern_class_match);
@@ -843,4 +881,8 @@ let suite =
     ("compose rsid collision", `Quick, test_compose_rsid_collision);
     ("compose dedicated renaming", `Quick, test_compose_dedicated_renaming);
     ("inline ambiguity detected", `Quick, test_inline_ambiguity_detected);
+    ("compose branch T.IMM is its target", `Quick,
+     test_compose_branch_imm_absolute);
+    ("compose branch T.IMM undecidable", `Quick,
+     test_compose_branch_imm_undecidable);
   ]
