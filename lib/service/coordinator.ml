@@ -839,7 +839,7 @@ let declare_dead t w ~reason =
   reap w.pid;
   fail_over t w ~reason
 
-(* A worker died (EOF / write failure) or poisoned its frame stream
+(* A worker died (its output pipe reached EOF) or poisoned its frame stream
    with work outstanding. Reap it, spawn a replacement on the same
    shard, and resubmit every inflight leg. A resubmitted job that had
    already stored its result before the crash comes back as a cache
@@ -955,11 +955,23 @@ let pump_worker t w =
       end
     end)
 
+(* A failed write means the worker is dead or dying, but the frames it
+   wrote before it died may still sit in its output pipe. Kill it, then
+   read that pipe as [pump_worker] does, blocking, up to the EOF that
+   comes once the process is gone: answered requests complete instead
+   of running again, a torn tail is counted, and the EOF crash-handles
+   the worker. *)
 let flush_worker t w =
   if w.alive && out_pending w.wout then
     match out_write w.to_w w.wout with
     | () -> ()
-    | exception Unix.Unix_error (_, _, _) -> handle_crash t w "write failed"
+    | exception Unix.Unix_error (_, _, _) ->
+      (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+      Unix.clear_nonblock w.from_w;
+      let pid = w.pid in
+      while w.alive && w.pid = pid do
+        pump_worker t w
+      done
 
 (* --- supervision -------------------------------------------------------- *)
 

@@ -702,6 +702,73 @@ let test_torn_frame_resubmit () =
   check bool_ "the tear was counted" true
     (counter "torn_frames" - torn0 >= 1)
 
+(* The same tear, with the coordinator writing to the dead worker before
+   it reads the worker's pipe. A stall holds the tear back while the
+   chaos hook feeds the one shard a third job and then blocks until the
+   worker has torn its frame and died, so the write of that job is the
+   coordinator's first contact with the dead worker. The bytes the
+   worker wrote must still be read: the tear counted, every job
+   answered. *)
+let test_torn_frame_write_first () =
+  let torn0 = counter "torn_frames" in
+  let input_r, input_w = Unix.pipe ~cloexec:true () in
+  let send l = ignore (Unix.write_substring input_w l 0 (String.length l)) in
+  let chaos ~requests =
+    match requests with
+    | 2 ->
+      send (job ~dyn:25_303 3 ^ "\n");
+      Unix.close input_w;
+      [
+        Coordinator.Chaos_stall { shard = 0; ms = 500 };
+        Coordinator.Chaos_torn { shard = 0; cut = 2 };
+      ]
+    | 3 ->
+      Unix.sleepf 1.5;
+      []
+    | _ -> []
+  in
+  send (job ~dyn:25_301 1 ^ "\n" ^ job ~dyn:25_302 2 ^ "\n");
+  let summary, rs =
+    with_temp_dir (fun dir ->
+        let out = Filename.concat dir "out.jsonl" in
+        let ofd =
+          Unix.openfile out [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644
+        in
+        let cfg =
+          Serve_config.(
+            override (default ()) ~workers:1 ~jobs:1 ~queue:16 ~heartbeat_ms:0 ())
+        in
+        let summary =
+          Fun.protect
+            ~finally:(fun () ->
+              Unix.close input_r;
+              Unix.close ofd)
+            (fun () ->
+              Coordinator.run ~chaos ~cache_dir:(Filename.concat dir "cache")
+                cfg
+                (Coordinator.Stdio { input = input_r; output = ofd }))
+        in
+        let ic = open_in out in
+        let lines =
+          Fun.protect
+            ~finally:(fun () -> close_in_noerr ic)
+            (fun () -> In_channel.input_all ic)
+          |> String.split_on_char '\n'
+          |> List.filter (fun l -> l <> "")
+        in
+        (summary, List.map Json.parse lines))
+  in
+  check int_ "all jobs served across the tear" 3 summary.Server.served;
+  check int_ "no errors from the torn stream" 0 summary.Server.errors;
+  List.iteri
+    (fun i r ->
+      check bool_
+        (Printf.sprintf "response %d ok and in order" (i + 1))
+        true
+        (member "id" r = Json.Int (i + 1) && member "ok" r = Json.Bool true))
+    rs;
+  check bool_ "the tear was counted" true (counter "torn_frames" - torn0 >= 1)
+
 (* --- one front end: stdio and socket admit alike ------------------------- *)
 
 let outcome r =
@@ -849,6 +916,8 @@ let suite =
       test_failover_degraded;
     Alcotest.test_case "torn frame discarded and resubmitted" `Quick
       test_torn_frame_resubmit;
+    Alcotest.test_case "torn frame read after a failed write" `Quick
+      test_torn_frame_write_first;
     Alcotest.test_case "scheduled chaos exactly-once" `Quick
       test_scheduled_chaos;
     Alcotest.test_case "stdio and socket admit alike" `Quick
