@@ -90,6 +90,3 @@ let checksum_range t ~lo ~hi =
     t.pages 0
 
 let checksum t = checksum_range t ~lo:0 ~hi:max_int
-
-let iter_pages f t =
-  Hashtbl.iter (fun key p -> f (key lsl page_bits) p) t.pages

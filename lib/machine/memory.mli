@@ -34,6 +34,3 @@ val checksum_range : t -> lo:int -> hi:int -> int
     equivalence checks skip regions that legitimately hold code
     addresses (e.g. return addresses spilled on the stack), which
     differ between layouts of the same program. *)
-
-val iter_pages : (int -> bytes -> unit) -> t -> unit
-(** [iter_pages f m] applies [f base_addr page] to each touched page. *)
