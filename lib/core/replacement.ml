@@ -117,13 +117,12 @@ let resolve_labels lookup =
   in
   map_insns (I.map ~reg:Fun.id ~imm:Fun.id ~target ~cw:Fun.id)
 
-let skip acc _ = acc
-
 let dedicated_used t =
   let reg acc = function
     | Rlit (Reg.D n) -> n :: acc
     | Rlit (Reg.R _) | Rrs | Rrt | Rrd | Rparam _ -> acc
   in
+  let skip acc _ = acc in
   Array.fold_left
     (fun acc -> function
       | Trigger -> acc
