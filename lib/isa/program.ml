@@ -90,6 +90,14 @@ let layout ?(base = 0x100000) ?(size_of = default_size) prog =
       | Some a -> Insn.Abs a
       | None -> fail "undefined label %s" l)
   in
+  (* Only a label changes: every other instruction is shared with
+     [prog], not copied into the image. *)
+  let resolve_insn i =
+    match Insn.branch_target i with
+    | Some (Insn.Lab _) ->
+      Insn.map ~reg:Fun.id ~imm:Fun.id ~target:resolve ~cw:Fun.id i
+    | Some (Insn.Abs _) | None -> i
+  in
   (* One pass resolves each instruction and decodes its descriptor and
      immediate. *)
   let n = Array.length triples in
@@ -98,7 +106,7 @@ let layout ?(base = 0x100000) ?(size_of = default_size) prog =
   let imms = Array.make n 0 in
   Array.iteri
     (fun k (i, _, _) ->
-      let i = Insn.map ~reg:Fun.id ~imm:Fun.id ~target:resolve ~cw:Fun.id i in
+      let i = resolve_insn i in
       insns.(k) <- i;
       descs.(k) <- Desc.of_insn i;
       imms.(k) <- Desc.imm_of_insn i)
