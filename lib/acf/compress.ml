@@ -297,14 +297,15 @@ let enumerate ~all scheme prog =
   in
   let distinct = interned ids in
   let fields =
-    Array.map
-      (fun i ->
-        I.fold [] i
-          ~reg:(fun l r -> Vreg (reg_num r) :: l)
-          ~imm:(fun l v -> Vimm v :: l)
-          ~target:(fun l t -> Vtarget t :: l)
-        |> List.rev |> Array.of_list)
-      distinct
+    let buf = Array.make 3 (Vimm 0) in
+    let put k v =
+      buf.(k) <- v;
+      k + 1
+    in
+    let reg k r = put k (Vreg (reg_num r))
+    and imm k v = put k (Vimm v)
+    and target k t = put k (Vtarget t) in
+    Array.map (fun i -> Array.sub buf 0 (I.fold ~reg ~imm ~target 0 i)) distinct
   in
   let ints = Array.make (3 * Array.length distinct) 0 in
   let targets = Hashtbl.create 64 in

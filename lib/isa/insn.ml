@@ -192,9 +192,10 @@ let key = function
 
 let num_keys = 57
 
-(* Right to left, made explicit: OCaml builds a constructor's arguments
-   in that order, and the assembler and the production language have
-   always reported the rightmost of several bad operands. *)
+(* Right to left, in explicit lets: OCaml leaves a constructor's
+   argument order unspecified, and callers depend on this one. A parse
+   with several bad operands reports the rightmost, and the compressor
+   numbers fields counting down. *)
 let map ~reg ~imm ~target ~cw = function
   | Rop (op, a, b, c) ->
     let c = reg c in

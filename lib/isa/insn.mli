@@ -117,8 +117,8 @@ val map :
 (** The same form with every operand mapped: registers by [reg],
     immediates by [imm], targets by [target], and a codeword's
     parameter and tag fields by [cw]. The functions run on the
-    operands from right to left, so a function that raises reports the
-    rightmost operand it rejects. *)
+    operands from right to left in the form's order, so a function
+    that raises reports the rightmost operand it rejects. *)
 
 val fold :
   reg:('a -> 'r -> 'a) ->
@@ -132,6 +132,7 @@ val fold :
     instruction. A codeword's fields are not operands. *)
 
 val equal : t -> t -> bool
+
 val pp_form :
   reg:(Format.formatter -> 'r -> unit) ->
   imm:(Format.formatter -> 'i -> unit) ->
