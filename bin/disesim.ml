@@ -696,12 +696,14 @@ let serve_cmd =
   let chaos_schedule_arg =
     Arg.(value & opt (some string) None & info [ "chaos-schedule" ]
            ~docv:"FILE"
-           ~doc:"Replay a deterministic chaos schedule against the worker \
-                 tier: a JSON file of seeded fault events \
-                 (kill/stall/torn/drop_ping) fired as the \
-                 submitted-request count passes each event's 'after' \
-                 (doc/schema/chaos_schedule.schema.json). The same file \
-                 replays identically on every run. See doc/resilience.md.")
+           ~doc:"Replay a deterministic chaos schedule against the tier: \
+                 a JSON file of seeded fault events fired as the \
+                 admitted-request count passes each event's 'after' \
+                 (doc/schema/chaos_schedule.schema.json). Worker actions \
+                 (kill/stall/torn/drop_ping) hit a shard; job actions \
+                 (raise/sleep) hit the request whose admission fires \
+                 them. The same file replays identically on every run. \
+                 See doc/resilience.md.")
   in
   let run config workers jobs queue socket deadline_ms shed_above
       tenant_quota manifest_path chaos_schedule cache_dir no_cache no_jit
@@ -748,9 +750,9 @@ let serve_cmd =
       match chaos_schedule with
       | None -> None
       | Some file -> (
-        match Fz.Chaos_sched.of_file file with
+        match S.Chaos.of_file file with
         | Error d -> die d
-        | Ok sched -> Some (Fz.Chaos_sched.hook sched))
+        | Ok sched -> Some (S.Chaos.fire sched))
     in
     let front_end =
       match socket with
@@ -975,14 +977,15 @@ let disasm_cmd =
   Cmd.v (Cmd.info "disasm" ~doc)
     Term.(const run $ bench_arg $ dyn_arg $ count_arg)
 
-(* --- fuzz: differential fuzzing + fault injection ----------------------- *)
+(* --- fuzz: differential fuzzing ------------------------------------------ *)
 
 let fuzz_cmd =
   let doc =
-    "Differential fuzzing and fault injection. Random programs and \
-     production sets are executed in lockstep by a naive reference \
-     expander, both engine memoization strategies, and the full \
-     pipeline; any divergence in architectural state, kept-stream \
+    "Differential fuzzing. Random programs and production sets are \
+     executed in lockstep by four sides: the naive reference expander, \
+     the memoizing engine, the engine under the superblock JIT and the \
+     reference interpreter; the full pipeline's stats invariants are \
+     checked too. Any divergence in architectural state, kept-stream \
      events, or stats invariants is shrunk to a minimal case and \
      written as a replayable artifact. See doc/fuzzing.md."
   in
@@ -1010,25 +1013,9 @@ let fuzz_cmd =
            ~doc:"Re-execute a repro artifact (directory or case.json) and \
                  report whether the recorded verdict reproduces.")
   in
-  let faults_arg =
-    Arg.(value & flag & info [ "faults" ]
-           ~doc:"Run the fault-injection matrix instead of differential \
-                 fuzzing: corrupt cache entries (including a multi-domain \
-                 hammer), malformed/oversized/partial JSONL serve lines, \
-                 and a mid-batch SIGINT drain.")
-  in
-  let chaos_arg =
-    Arg.(value & flag & info [ "chaos" ]
-           ~doc:"Run the scheduled-chaos checks instead of differential \
-                 fuzzing: a fixed fault schedule (heartbeat loss, \
-                 gray-failure stall, torn frame, permanent shard kill) \
-                 against a live 3-worker tier, asserting exactly-once \
-                 in-order responses and a deterministic replay. See \
-                 doc/resilience.md.")
-  in
   let log msg = Format.eprintf "disesim fuzz: %s@." msg in
   let module F = Dise_fuzz in
-  let run iterations seed out self_test replay faults chaos =
+  let run iterations seed out self_test replay =
     guarded @@ fun () ->
     match replay with
     | Some path -> (
@@ -1039,17 +1026,7 @@ let fuzz_cmd =
         Format.printf "replay: verdict did NOT reproduce@.";
         exit 1)
     | None ->
-      if chaos then begin
-        let report = F.Faults.chaos_faults ~seed in
-        Format.printf "%a@." F.Faults.pp_report report;
-        if report.F.Faults.failures <> [] then exit 1
-      end
-      else if faults then begin
-        let report = F.Faults.run_all ~seed in
-        Format.printf "%a@." F.Faults.pp_report report;
-        if report.F.Faults.failures <> [] then exit 1
-      end
-      else if self_test then begin
+      if self_test then begin
         match F.Driver.self_test ~out ~log ~seed () with
         | Ok f ->
           Format.printf
@@ -1076,7 +1053,7 @@ let fuzz_cmd =
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(const run $ iterations_arg $ seed_arg $ out_arg $ self_test_arg
-          $ replay_arg $ faults_arg $ chaos_arg)
+          $ replay_arg)
 
 (* --- conformance: the versioned architectural suite ---------------------- *)
 

@@ -348,9 +348,9 @@ let nest ~outer ~inner =
             with
             | Some (_, existing) -> existing
             | None ->
+              (* a sequence's first inlining keeps its id *)
               let fresh =
-                if !variants = [] && R.equal inl seq then id
-                else if !variants = [] then id
+                if !variants = [] then id
                 else begin
                   incr next_id;
                   !next_id - 1

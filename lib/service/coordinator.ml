@@ -28,7 +28,8 @@ let torn_frames = Metrics.Counter.make "torn_frames"
    to find boundaries) and safe against partial reads on nonblocking
    descriptors.
 
-     C -> W   {"op":"job","seq":N,"enq":T,"id":ID,"req":REQUEST}
+     C -> W   {"op":"job","seq":N,"enq":T,"id":ID,"req":REQUEST,
+               "sleep_ms":M?,"raise":true?}  (scheduled job faults)
               {"op":"ping","t":N}
               {"op":"stop"}
               {"op":"stall","ms":M}        (chaos: sleep M ms)
@@ -266,7 +267,32 @@ let wspec_of_json doc =
 let tag_name = function `Hit -> "hit" | `Fresh -> "fresh" | `Error _ -> "error"
 
 (* One decoded job frame, ready for [Server.run_parsed]. *)
-type wjob = { j_seq : int; j_enq : float; j_parsed : Server.parsed }
+type wjob = {
+  j_seq : int;
+  j_enq : float;
+  j_parsed : Server.parsed;
+  j_faults : Chaos.action list;
+}
+
+(* A job's scheduled chaos rides in every frame of its legs as
+   ["sleep_ms"] and ["raise"] members, in schedule order. *)
+let fault_members acts =
+  List.filter_map
+    (function
+      | Chaos.Sleep { ms } -> Some ("sleep_ms", Json.Int ms)
+      | Chaos.Raise -> Some ("raise", Json.Bool true)
+      | Chaos.Kill _ | Chaos.Stall _ | Chaos.Torn _ | Chaos.Drop_ping _ -> None)
+    acts
+
+let faults_of_frame = function
+  | Json.Obj members ->
+    List.filter_map
+      (function
+        | "sleep_ms", Json.Int ms -> Some (Chaos.Sleep { ms })
+        | "raise", Json.Bool true -> Some Chaos.Raise
+        | _ -> None)
+      members
+  | _ -> []
 
 let decode_job doc =
   let id = Option.value (Json.member "id" doc) ~default:Json.Null in
@@ -289,13 +315,13 @@ let decode_job doc =
     j_seq;
     j_enq;
     j_parsed = { Server.id; tenant = None; req };
+    j_faults = faults_of_frame doc;
   }
 
 (* [metrics0] is snapshotted by the caller before the first frame, so
    the summary frame carries exactly this worker's session. *)
 let worker_serve spec ~metrics0 =
   let cfg = spec.w_cfg in
-  let chaos = Resilience.Chaos.of_env () in
   (* Two writers share stdout (the frame loop and the ponger), so
      every frame is written whole under one lock. *)
   let out_lock = Mutex.create () in
@@ -311,8 +337,9 @@ let worker_serve spec ~metrics0 =
         ~probe:(fun _i ~domain:_ dur -> Metrics.Histogram.observe_s h_execute dur)
         (Array.map
            (fun wj () ->
-             Server.run_parsed ~chaos ~deadline_ms:cfg.Serve_config.deadline_ms
-               ~enqueued_at:wj.j_enq wj.j_parsed)
+             Server.run_parsed ~faults:wj.j_faults
+               ~deadline_ms:cfg.Serve_config.deadline_ms ~enqueued_at:wj.j_enq
+               wj.j_parsed)
            batch)
     in
     Array.iteri
@@ -488,15 +515,6 @@ let worker_child_main () =
 
 (* --- coordinator -------------------------------------------------------- *)
 
-(* One fault from a chaos schedule, applied between client requests.
-   The deterministic schedule machinery (JSON file, seeding) lives in
-   [Dise_fuzz.Chaos_sched]; the coordinator only executes actions. *)
-type chaos_action =
-  | Chaos_kill of { shard : int; permanent : bool }
-  | Chaos_stall of { shard : int; ms : int }
-  | Chaos_torn of { shard : int; cut : int }
-  | Chaos_drop_ping of { shard : int }
-
 (* Supervision constants. A worker is declared dead after this many
    consecutive missed heartbeats, and a shard is failed over after
    this many respawns. *)
@@ -513,6 +531,7 @@ type lreq = {
   lr_id : Json.t;
   lr_key : string;  (* result-cache key: the routing key *)
   lr_req : Json.t;  (* request document, re-framed per leg *)
+  lr_faults : (string * Json.t) list;  (* scheduled job chaos, per leg *)
   lr_enq : float;
   lr_complete : tag:string -> Json.t -> unit;
 }
@@ -551,7 +570,7 @@ type t = {
   stop : Server.Stop.t;
   manifest : Manifest.t option;
   on_spawn : (shard:int -> pid:int -> unit) option;
-  chaos : (requests:int -> chaos_action list) option;
+  chaos : (requests:int -> Chaos.action list) option;
   mutable chaos_requests : int;
   mutable ping_n : int;
   metrics0 : Metrics.snapshot;
@@ -659,17 +678,18 @@ let stop_frame = lazy (frame_string (Json.Obj [ ("op", Json.String "stop") ]))
 
 (* Every leg of a logical request is framed from the lreq, so a
    respawned (or failover) worker receives bytes identical to the
-   original frame apart from [seq]. *)
+   original frame apart from [seq] — its scheduled faults included. *)
 let job_frame lr ~seq =
   frame_string
     (Json.Obj
-       [
-         ("op", Json.String "job");
-         ("seq", Json.Int seq);
-         ("enq", Json.Float lr.lr_enq);
-         ("id", lr.lr_id);
-         ("req", lr.lr_req);
-       ])
+       ([
+          ("op", Json.String "job");
+          ("seq", Json.Int seq);
+          ("enq", Json.Float lr.lr_enq);
+          ("id", lr.lr_id);
+          ("req", lr.lr_req);
+        ]
+       @ lr.lr_faults))
 
 (* Give [lr] its leg: route it by result-cache key through the
    current ring (identical requests always reach the same worker,
@@ -682,12 +702,13 @@ let route_lreq t lr =
   Hashtbl.replace w.inflight seq lr;
   out_push w.wout (job_frame lr ~seq)
 
-let submit t (p : Server.parsed) req ~enq ~complete =
+let submit t (p : Server.parsed) req ~faults ~enq ~complete =
   route_lreq t
     {
       lr_id = p.Server.id;
       lr_key = Request.key req;
       lr_req = Request.to_json req;
+      lr_faults = fault_members faults;
       lr_enq = enq;
       lr_complete = complete;
     }
@@ -1015,7 +1036,7 @@ let apply_chaos t act =
     else None
   in
   match act with
-  | Chaos_kill { shard; permanent } -> (
+  | Chaos.Kill { shard; permanent } -> (
     match live shard with
     | None -> ()
     | Some w ->
@@ -1024,14 +1045,14 @@ let apply_chaos t act =
          kill, fails it over. *)
       if permanent then w.restarts <- max w.restarts respawn_cap;
       (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ()))
-  | Chaos_stall { shard; ms } -> (
+  | Chaos.Stall { shard; ms } -> (
     match live shard with
     | None -> ()
     | Some w ->
       out_push w.wout
         (frame_string
            (Json.Obj [ ("op", Json.String "stall"); ("ms", Json.Int ms) ])))
-  | Chaos_torn { shard; cut } -> (
+  | Chaos.Torn { shard; cut } -> (
     match live shard with
     | None -> ()
     | Some w ->
@@ -1039,21 +1060,22 @@ let apply_chaos t act =
         (frame_string
            (Json.Obj
               [ ("op", Json.String "chaos_torn"); ("cut", Json.Int cut) ])))
-  | Chaos_drop_ping { shard } -> (
+  | Chaos.Drop_ping { shard } -> (
     match live shard with
     | None -> ()
     | Some w -> w.drop_pings <- w.drop_pings + 1)
+  | Chaos.Raise | Chaos.Sleep _ -> ()  (* job faults travel in the frame *)
 
-(* Count one client request against the chaos schedule and apply
-   whatever faults it releases. Called at the front door, never for
+(* Count one admitted client request against the chaos schedule and
+   return the faults it releases. Called at the front door, never for
    internal resubmissions — "kill worker 2 after 40 requests" means
    client requests. *)
 let chaos_tick t =
   match t.chaos with
-  | None -> ()
+  | None -> []
   | Some f ->
     t.chaos_requests <- t.chaos_requests + 1;
-    List.iter (apply_chaos t) (f ~requests:t.chaos_requests)
+    f ~requests:t.chaos_requests
 
 (* --- merged summary ----------------------------------------------------- *)
 
@@ -1337,12 +1359,17 @@ let handle_parsed t c slot (p : Server.parsed) =
     | Error d -> direct d
     | Ok release ->
       Hashtbl.replace c.releases slot release;
-      submit t p req ~enq:(Unix.gettimeofday ()) ~complete:(fun ~tag resp ->
+      (* The schedule ticks before the request is framed: its job
+         faults ride in this request's frame, and the worker faults go
+         out behind it. *)
+      let acts = chaos_tick t in
+      submit t p req ~faults:acts ~enq:(Unix.gettimeofday ())
+        ~complete:(fun ~tag resp ->
           Hashtbl.remove c.releases slot;
           release ();
           conn_tally c ~tag;
           finish_slot c slot resp);
-      chaos_tick t)
+      List.iter (apply_chaos t) acts)
 
 (* Split freshly read bytes into lines, honoring the 1 MiB line bound:
    an over-long line is discarded up to its newline and costs one

@@ -57,28 +57,6 @@ val env_var : string
 (** ["DISESIM_SERVE_WORKER"] — presence in the environment makes
     {!worker_child_main} take over the process as a worker. *)
 
-(** One fault from a chaos schedule, applied between client requests
-    (the [?chaos] hook below). The deterministic schedule file and its
-    seeded execution live in [Dise_fuzz.Chaos_sched]; the coordinator
-    only executes actions:
-
-    - [Chaos_kill] — SIGKILL the shard's process; [permanent] first
-      exhausts its respawn cap, so the crash triggers failover instead
-      of a respawn;
-    - [Chaos_stall] — queue a [stall] frame: the worker wedges its
-      frame loop for [ms] milliseconds (a gray failure: alive, not
-      progressing, not ponging);
-    - [Chaos_torn] — queue a [chaos_torn] frame: the worker emits the
-      first [cut] bytes of a frame and dies mid-write, leaving a torn
-      tail on the pipe;
-    - [Chaos_drop_ping] — lose the shard's next heartbeat in transit
-      (a guaranteed miss). *)
-type chaos_action =
-  | Chaos_kill of { shard : int; permanent : bool }
-  | Chaos_stall of { shard : int; ms : int }
-  | Chaos_torn of { shard : int; cut : int }
-  | Chaos_drop_ping of { shard : int }
-
 val worker_child_main : unit -> unit
 (** Worker dispatch hook: call {e first} in any binary that may spawn
     workers (the CLI and the test runner do). Returns immediately in
@@ -112,7 +90,7 @@ val run :
   ?stop:Server.Stop.t ->
   ?manifest:Dise_telemetry.Manifest.t ->
   ?on_spawn:(shard:int -> pid:int -> unit) ->
-  ?chaos:(requests:int -> chaos_action list) ->
+  ?chaos:(requests:int -> Chaos.action list) ->
   ?cache_dir:string ->
   ?jit:bool * int ->
   Serve_config.t ->
@@ -135,9 +113,10 @@ val run :
     [cache_dir]/[jit] configure the workers' result cache and JIT
     ([None] cache = caching off); [on_spawn] observes every (re)spawn
     — the fault-injection tests use it to aim SIGKILL. [chaos] is
-    consulted once per admitted client request with the running
-    request count and returns the faults to apply at that point —
-    [Dise_fuzz.Chaos_sched.hook] is the schedule-file-driven
-    implementation. Raises [Cache.Diag_error] when the socket cannot
+    consulted once per admitted client request, before the request is
+    framed, with the running request count, and returns the faults to
+    apply at that point: job actions ride in that request's frame
+    (every leg of it), worker actions go out behind it.
+    {!Chaos.fire} is the schedule-file-driven implementation. Raises [Cache.Diag_error] when the socket cannot
     be claimed, or when the last worker is gone for good (the tier is
     torn down first). SIGPIPE is ignored while the tier runs. *)

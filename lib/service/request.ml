@@ -8,6 +8,7 @@ module Stats = Dise_uarch.Stats
 module Suite = Dise_workload.Suite
 module Profile = Dise_workload.Profile
 module Codegen = Dise_workload.Codegen
+module Memo = Dise_workload.Memo
 module Mfi = Dise_acf.Mfi
 module Rewrite = Dise_acf.Rewrite
 module Compress = Dise_acf.Compress
@@ -377,87 +378,34 @@ let of_json j =
 
 (* --- cross-cell memo tables --------------------------------------------- *)
 
-(* Shared by worker domains when cells run in parallel (see {!Pool});
-   a mutex guards every table access. A key is claimed as [Pending]
-   before its (expensive — the compressor, or a full baseline
-   simulation) computation runs outside the lock; concurrent
-   requesters for the same key block on the condition instead of
-   duplicating the work, and every caller shares the one
-   physically-identical value, exactly as the serial path would
-   produce. No memoized computation claims another key, so a waiter
-   never blocks its own claimant. *)
-let cache_mutex = Mutex.create ()
-let cache_cond = Condition.create ()
+(* Each memo is single-flight across the worker domains of {!Pool}: an
+   expensive computation — the compressor, or a full baseline
+   simulation — runs once per key, and every caller shares its value,
+   exactly as the serial path would produce.
 
-type 'v slot = Pending | Ready of 'v
-
-let with_cache_lock f =
-  Mutex.lock cache_mutex;
-  match f () with
-  | v ->
-    Mutex.unlock cache_mutex;
-    v
-  | exception e ->
-    Mutex.unlock cache_mutex;
-    raise e
-
-let memoize table key compute =
-  Mutex.lock cache_mutex;
-  let rec claim () =
-    match Hashtbl.find_opt table key with
-    | Some (Ready v) ->
-      Mutex.unlock cache_mutex;
-      `Hit v
-    | Some Pending ->
-      Condition.wait cache_cond cache_mutex;
-      claim ()
-    | None ->
-      Hashtbl.replace table key Pending;
-      Mutex.unlock cache_mutex;
-      `Compute
-  in
-  match claim () with
-  | `Hit v -> v
-  | `Compute -> (
-    match compute () with
-    | v ->
-      with_cache_lock (fun () ->
-          Hashtbl.replace table key (Ready v);
-          Condition.broadcast cache_cond);
-      v
-    | exception e ->
-      (* Drop the claim so a later caller can retry. *)
-      with_cache_lock (fun () ->
-          Hashtbl.remove table key;
-          Condition.broadcast cache_cond);
-      raise e)
-
-(* Many figure cells normalize against the same ACF-free run (every
+   Many figure cells normalize against the same ACF-free run (every
    series of a panel divides by the same per-benchmark baseline), so
    baseline statistics are memoized in memory by canonical request;
    baseline runs are deterministic, so sharing the Stats.t record
    cannot change any figure value. *)
-let baseline_memo : (string, Stats.t slot) Hashtbl.t = Hashtbl.create 64
+let baseline_memo : (string, Stats.t) Memo.t = Memo.create 64
 (* The image of a workload's segment-matching rewrite: the image, not
    the program, because simulation runs it and compression, the other
    reader of the rewritten program, is memoized itself. *)
-let rewritten_memo : (string * int, Program.Image.t slot) Hashtbl.t =
-  Hashtbl.create 16
+let rewritten_memo : (string * int, Program.Image.t) Memo.t = Memo.create 16
 
 (* Keyed by what the compressor reads: the workload (bench,
    dyn_target), whether it is the rewritten binary, and the scheme's
    fields with its name blanked. The ablation schemes [p0], [p3] and
    [len8] are [+8byteDE], [DISE] and [DISE] under other names, and
    share their dictionaries. *)
-let compress_memo :
-    (string * int * bool * Compress.scheme, Compress.result slot) Hashtbl.t =
-  Hashtbl.create 64
+let compress_memo : (string * int * bool * Compress.scheme, Compress.result) Memo.t =
+  Memo.create 64
 
 let clear_memory () =
-  with_cache_lock (fun () ->
-      Hashtbl.reset baseline_memo;
-      Hashtbl.reset rewritten_memo;
-      Hashtbl.reset compress_memo)
+  Memo.clear baseline_memo;
+  Memo.clear rewritten_memo;
+  Memo.clear compress_memo
 
 (* --- disk cache wiring -------------------------------------------------- *)
 
@@ -605,7 +553,7 @@ let rewrite variant (entry : Suite.entry) =
 
 let rewritten_image (entry : Suite.entry) =
   let key = (entry.Suite.profile.Profile.name, entry.Suite.dyn_target) in
-  memoize rewritten_memo key (fun () ->
+  Memo.find_or_compute rewritten_memo key (fun () ->
       Program.layout ~base:Codegen.code_base
         (rewrite Rewrite.Segment_matching entry))
 
@@ -616,7 +564,7 @@ let compress_result ~scheme ?(rewritten = false) (entry : Suite.entry) =
       rewritten,
       { scheme with Compress.name = "" } )
   in
-  memoize compress_memo key (fun () ->
+  Memo.find_or_compute compress_memo key (fun () ->
       let prog =
         if rewritten then rewrite Rewrite.Segment_matching entry
         else entry.Suite.gen.Codegen.program
@@ -707,7 +655,7 @@ let run_cached ?entry ?deadline t =
   in
   let stats =
     match t.acf with
-    | Baseline -> memoize baseline_memo canon compute
+    | Baseline -> Memo.find_or_compute baseline_memo canon compute
     | _ -> compute ()
   in
   (stats, not !fresh)

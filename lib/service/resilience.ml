@@ -1,4 +1,3 @@
-module Json = Dise_telemetry.Json
 module Metrics = Dise_telemetry.Metrics
 
 exception Deadline_exceeded
@@ -107,56 +106,3 @@ let with_retries ?(attempts = 3) ?(base_delay_s = 0.002)
       go (n + 1)
   in
   go 1
-
-(* --- chaos: fault-injection directives ---------------------------------- *)
-
-module Chaos = struct
-  exception Injected of string
-
-  type directive = Raise | Sleep of float
-  type t = (int * directive) list
-
-  let none = []
-
-  (* "raise=ID,sleep=ID:MS" — malformed fragments are ignored (chaos
-     instrumentation must never take the server down by itself). *)
-  let parse spec =
-    String.split_on_char ',' spec
-    |> List.filter_map (fun frag ->
-           match String.index_opt frag '=' with
-           | None -> None
-           | Some i -> (
-             let key = String.sub frag 0 i in
-             let v = String.sub frag (i + 1) (String.length frag - i - 1) in
-             match key with
-             | "raise" ->
-               Option.map (fun id -> (id, Raise)) (int_of_string_opt v)
-             | "sleep" -> (
-               match String.index_opt v ':' with
-               | None -> None
-               | Some j -> (
-                 let id = String.sub v 0 j in
-                 let ms = String.sub v (j + 1) (String.length v - j - 1) in
-                 match (int_of_string_opt id, int_of_string_opt ms) with
-                 | Some id, Some ms when ms >= 0 ->
-                   Some (id, Sleep (float_of_int ms /. 1000.))
-                 | _ -> None))
-             | _ -> None))
-
-  let env_var = "DISESIM_SERVE_CHAOS"
-
-  let of_env () =
-    match Sys.getenv_opt env_var with
-    | None | Some "" -> none
-    | Some spec -> parse spec
-
-  let apply t ~id =
-    match id with
-    | Json.Int id -> (
-      match List.assoc_opt id t with
-      | None -> ()
-      | Some Raise ->
-        raise (Injected (Printf.sprintf "chaos: injected fault for job %d" id))
-      | Some (Sleep s) -> Unix.sleepf s)
-    | _ -> ()
-end

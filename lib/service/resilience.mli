@@ -6,9 +6,9 @@
     low-level — no dependency on {!Request} or {!Server} — so every
     layer of the serve path can use it: per-job isolation and
     deadlines ({!Deadline_exceeded}), bounded retry with jitter
-    ({!with_retries}), worker health supervision ({!Health}), and
-    fault-injection directives for chaos testing ({!Chaos}). See
-    doc/resilience.md for the full semantics.
+    ({!with_retries}) and worker health supervision ({!Health}). Fault
+    injection is {!Chaos}'s. See doc/resilience.md for the full
+    semantics.
 
     All state here is safe to touch from concurrent worker domains. *)
 
@@ -76,24 +76,3 @@ val with_retries :
     between tries. Non-transient exceptions and the last failure
     propagate unchanged. Each retry bumps the [retries] metrics
     counter. *)
-
-(** Fault-injection directives, read from the [DISESIM_SERVE_CHAOS]
-    environment variable by the serve loop. Syntax:
-    ["raise=ID"] (the job whose integer [id] is ID raises
-    {!Chaos.Injected} before executing — it must surface as one
-    in-order [internal] response) and ["sleep=ID:MS"] (the job stalls
-    MS milliseconds first — the way chaos tests overrun a deadline
-    without simulating a huge workload), comma-separated. Malformed
-    fragments are ignored. Test/CI instrumentation only; with the
-    variable unset the cost is one [getenv] per stream. *)
-module Chaos : sig
-  exception Injected of string
-
-  type t
-
-  val none : t
-  val env_var : string
-  val of_env : unit -> t
-  val parse : string -> t
-  val apply : t -> id:Dise_telemetry.Json.t -> unit
-end

@@ -111,12 +111,12 @@ let ok_response id req ~cache_hit ~wall_s stats =
       ("stats", Stats.to_json stats);
     ]
 
-(* The per-job budget starts when a worker picks the job up, and the
-   chaos stall (if any) burns it — that is exactly how the fault
-   matrix forces a deterministic timeout without simulating a huge
-   workload. A chaos [raise] escapes to the pool on purpose: it
-   exercises the [internal] isolation path. *)
-let run_parsed ~chaos ~deadline_ms ~enqueued_at p =
+(* The per-job budget starts when a worker picks the job up, and a
+   scheduled [sleep] burns it — that is how a chaos test forces a
+   deterministic timeout without simulating a huge workload. A
+   scheduled [raise] escapes to the pool on purpose: it exercises the
+   [internal] isolation path. *)
+let run_parsed ?(faults = []) ~deadline_ms ~enqueued_at p =
   match p.req with
   | Error d -> (error_response p.id d, `Error (Diag.category d))
   | Ok req -> (
@@ -129,7 +129,7 @@ let run_parsed ~chaos ~deadline_ms ~enqueued_at p =
     let deadline =
       Option.map (fun ms -> t0 +. (float_of_int ms /. 1000.)) deadline_ms
     in
-    Resilience.Chaos.apply chaos ~id:p.id;
+    List.iter Chaos.inject faults;
     match Request.run_ext ?deadline req with
     | Ok (stats, cache_hit) ->
       let wall_s = Unix.gettimeofday () -. t0 in

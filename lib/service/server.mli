@@ -113,7 +113,7 @@ val error_response : Dise_telemetry.Json.t -> Dise_isa.Diag.t -> Dise_telemetry.
 (** [error_response id diag]: the v1 error response object. *)
 
 val run_parsed :
-  chaos:Resilience.Chaos.t ->
+  ?faults:Chaos.action list ->
   deadline_ms:int option ->
   enqueued_at:float ->
   parsed ->
@@ -121,6 +121,8 @@ val run_parsed :
 (** Execute one parsed job and build its response, observing the
     queue-wait and end-to-end latency histograms. The tag classifies
     the outcome ([`Error] carries the {!Dise_isa.Diag.category}).
-    Chaos injection may raise: callers run this under
+    [faults] are the job's scheduled chaos actions, applied
+    ({!Chaos.inject}) after the deadline starts and before the job
+    runs. A scheduled [raise] escapes: callers run this under
     {!Pool.run_outcomes} and answer isolated exceptions with kind
     ["internal"]. *)

@@ -16,9 +16,7 @@ module Server = Dise_service.Server
 module Serve_config = Dise_service.Serve_config
 module Shard = Dise_service.Shard
 module Coordinator = Dise_service.Coordinator
-module Resilience = Dise_service.Resilience
-module Chaos = Resilience.Chaos
-module Chaos_sched = Dise_fuzz.Chaos_sched
+module Chaos = Dise_service.Chaos
 
 let check = Alcotest.check
 let bool_ = Alcotest.bool
@@ -45,10 +43,6 @@ let with_temp_dir f =
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists dir then rm dir)
     (fun () -> f dir)
-
-let with_chaos spec f =
-  Unix.putenv Chaos.env_var spec;
-  Fun.protect ~finally:(fun () -> Unix.putenv Chaos.env_var "") f
 
 let load_schema name =
   let path = Filename.concat "../doc/schema" name in
@@ -153,7 +147,7 @@ let test_retired_inputs_rejected () =
                 ] );
           ]
       in
-      match Chaos_sched.of_json sched with
+      match Chaos.of_json sched with
       | Error (Diag.Parse { msg; _ }) ->
         check bool_
           (Printf.sprintf "the retired action %s is unknown (got %S)" action msg)
@@ -207,8 +201,7 @@ let test_envelope_versions () =
   (* Both dialects are answered in v1. *)
   let answer p =
     fst
-      (Server.run_parsed ~chaos:Chaos.none ~deadline_ms:None
-         ~enqueued_at:(Unix.gettimeofday ()) p)
+      (Server.run_parsed ~deadline_ms:None ~enqueued_at:(Unix.gettimeofday ()) p)
   in
   let p =
     Server.parse_job ~lineno:1 {|{"id":1,"bench":"tiny","dyn_target":23000}|}
@@ -397,69 +390,71 @@ let test_coordinator_crash_recovery () =
      worker mid-batch: the coordinator must respawn them and hand the
      replacements their in-flight frames again, and every job must
      still get its answer in order. *)
-  with_chaos "sleep=1:1500" (fun () ->
-      let initial = ref [] in
-      let spawns = ref 0 in
-      let m = Mutex.create () in
-      let on_spawn ~shard:_ ~pid =
+  let initial = ref [] in
+  let spawns = ref 0 in
+  let m = Mutex.create () in
+  let on_spawn ~shard:_ ~pid =
+    Mutex.lock m;
+    incr spawns;
+    if !spawns <= 2 then initial := pid :: !initial;
+    Mutex.unlock m
+  in
+  let killer =
+    Domain.spawn (fun () ->
+        Unix.sleepf 0.4;
         Mutex.lock m;
-        incr spawns;
-        if !spawns <= 2 then initial := pid :: !initial;
-        Mutex.unlock m
-      in
-      let killer =
-        Domain.spawn (fun () ->
-            Unix.sleepf 0.4;
-            Mutex.lock m;
-            let victims = !initial in
-            Mutex.unlock m;
-            List.iter
-              (fun pid ->
-                try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-              victims)
-      in
-      let lines = List.init 6 (fun i -> job ~dyn:(24_101 + i) (i + 1)) in
-      let summary, rs, records = serve_sharded ~on_spawn ~workers:2 lines in
-      Domain.join killer;
-      check int_ "all jobs answered despite the kill" 6 summary.Server.served;
-      check int_ "no errors surfaced" 0 summary.Server.errors;
-      List.iteri
-        (fun i r ->
-          check bool_
-            (Printf.sprintf "response %d ok and in order" (i + 1))
-            true
-            (member "id" r = Json.Int (i + 1) && member "ok" r = Json.Bool true))
-        rs;
-      let record = merged_record records in
-      assert_valid ~schema:(load_schema "serve_summary.schema.json") record;
-      match Json.member "workers" record with
-      | Some (Json.List ws) ->
-        let restarts =
-          List.fold_left
-            (fun acc w ->
-              match Json.member "restarts" w with
-              | Some (Json.Int n) -> acc + n
-              | _ -> acc)
-            0 ws
-        in
-        check bool_
-          (Printf.sprintf "the tier restarted workers (%d)" restarts)
-          true (restarts >= 1)
-      | _ -> Alcotest.fail "merged record lacks a workers array")
+        let victims = !initial in
+        Mutex.unlock m;
+        List.iter
+          (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+          victims)
+  in
+  let lines = List.init 6 (fun i -> job ~dyn:(24_101 + i) (i + 1)) in
+  let summary, rs, records =
+    serve_sharded ~on_spawn ~workers:2
+      ~chaos:(Serve_harness.schedule {|[{"after": 1, "action": "sleep", "ms": 1500}]|})
+      lines
+  in
+  Domain.join killer;
+  check int_ "all jobs answered despite the kill" 6 summary.Server.served;
+  check int_ "no errors surfaced" 0 summary.Server.errors;
+  List.iteri
+    (fun i r ->
+      check bool_
+        (Printf.sprintf "response %d ok and in order" (i + 1))
+        true
+        (member "id" r = Json.Int (i + 1) && member "ok" r = Json.Bool true))
+    rs;
+  let record = merged_record records in
+  assert_valid ~schema:(load_schema "serve_summary.schema.json") record;
+  match Json.member "workers" record with
+  | Some (Json.List ws) ->
+    let restarts =
+      List.fold_left
+        (fun acc w ->
+          match Json.member "restarts" w with
+          | Some (Json.Int n) -> acc + n
+          | _ -> acc)
+        0 ws
+    in
+    check bool_
+      (Printf.sprintf "the tier restarted workers (%d)" restarts)
+      true (restarts >= 1)
+  | _ -> Alcotest.fail "merged record lacks a workers array"
 
 (* --- socket-mode harness ------------------------------------------------- *)
 
 (* Run the socket front end on a background domain and hand the test
    body a connector; stop and join on the way out. *)
-let with_socket_tier
+let with_socket_tier ?chaos
     ?(cfg = Serve_config.(override (default ()) ~workers:1 ~jobs:1 ())) body =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "tier.sock" in
       let stop = Server.Stop.create () in
       let tier =
         Domain.spawn (fun () ->
-            Coordinator.run ~stop ~cache_dir:(Filename.concat dir "cache") cfg
-              (Coordinator.Socket path))
+            Coordinator.run ~stop ?chaos ~cache_dir:(Filename.concat dir "cache")
+              cfg (Coordinator.Socket path))
       in
       let rec wait_sock n =
         if n = 0 then Alcotest.fail "socket never appeared";
@@ -506,36 +501,38 @@ let with_socket_tier
    [fail_conn] path with job 7 still holding acme's only quota slot.
    Pre-fix, client B's same-tenant job is answered [overloaded]. *)
 let test_quota_released_on_conn_failure () =
-  with_chaos "sleep=7:2500" (fun () ->
-      with_socket_tier
-        ~cfg:
-          Serve_config.(override (default ()) ~workers:1 ~jobs:1 ~tenant_quota:1 ())
-        (fun ~connect ~send ~recv_line ->
-          let a = connect () in
-          (* Shut the receive side down first, then pipeline a
-             parse-error line ahead of the slow job. The parse error
-             is answered immediately (it is slot 0, so the in-order
-             emitter flushes it without waiting on a worker), the
-             write raises EPIPE against the shut-down reader, and the
-             connection takes the hard-failure path while job 7 still
-             holds acme's quota inside its worker. *)
-          Unix.shutdown a Unix.SHUTDOWN_RECEIVE;
-          send a ("{\n" ^ job ~v:1 ~tenant:"acme" ~dyn:23_500 7);
-          Unix.sleepf 0.5;
-          Unix.close a;
-          let b = connect () in
-          send b (job ~v:1 ~tenant:"acme" ~dyn:23_501 8);
-          (match recv_line b with
-          | Some l ->
-            let r = Json.parse l in
-            check bool_
-              (Printf.sprintf
-                 "same-tenant job admitted after the hard disconnect (got %s)"
-                 l)
-              true
-              (member "ok" r = Json.Bool true)
-          | None -> Alcotest.fail "no response to job 8");
-          Unix.close b))
+  (* The parse-error line is never admitted, so job 7 is the first
+     admitted request. *)
+  with_socket_tier
+    ~chaos:(Serve_harness.schedule {|[{"after": 1, "action": "sleep", "ms": 2500}]|})
+    ~cfg:
+      Serve_config.(override (default ()) ~workers:1 ~jobs:1 ~tenant_quota:1 ())
+    (fun ~connect ~send ~recv_line ->
+      let a = connect () in
+      (* Shut the receive side down first, then pipeline a
+         parse-error line ahead of the slow job. The parse error
+         is answered immediately (it is slot 0, so the in-order
+         emitter flushes it without waiting on a worker), the
+         write raises EPIPE against the shut-down reader, and the
+         connection takes the hard-failure path while job 7 still
+         holds acme's quota inside its worker. *)
+      Unix.shutdown a Unix.SHUTDOWN_RECEIVE;
+      send a ("{\n" ^ job ~v:1 ~tenant:"acme" ~dyn:23_500 7);
+      Unix.sleepf 0.5;
+      Unix.close a;
+      let b = connect () in
+      send b (job ~v:1 ~tenant:"acme" ~dyn:23_501 8);
+      (match recv_line b with
+      | Some l ->
+        let r = Json.parse l in
+        check bool_
+          (Printf.sprintf
+             "same-tenant job admitted after the hard disconnect (got %s)"
+             l)
+          true
+          (member "ok" r = Json.Bool true)
+      | None -> Alcotest.fail "no response to job 8");
+      Unix.close b)
 
 (* --- write_all on a nonblocking descriptor -------------------------------- *)
 
@@ -623,20 +620,10 @@ let test_shard_shrink () =
 
 let test_failover_degraded () =
   let failovers0 = counter "failovers" in
-  let killed = ref None in
-  let m = Mutex.create () in
   (* kill shard 1 for good once the stream is flowing *)
-  let chaos ~requests =
-    Mutex.lock m;
-    let acts =
-      if requests >= 3 && !killed = None then begin
-        killed := Some 1;
-        [ Coordinator.Chaos_kill { shard = 1; permanent = true } ]
-      end
-      else []
-    in
-    Mutex.unlock m;
-    acts
+  let chaos =
+    Serve_harness.schedule
+      {|[{"after": 3, "action": "kill", "shard": 1, "permanent": true}]|}
   in
   let lines = List.init 10 (fun i -> job ~dyn:(25_101 + i) (i + 1)) in
   let summary, rs, records =
@@ -673,20 +660,9 @@ let test_failover_degraded () =
 
 let test_torn_frame_resubmit () =
   let torn0 = counter "torn_frames" in
-  let tore = ref false in
-  let m = Mutex.create () in
   let chaos ~requests =
-    Mutex.lock m;
-    let acts =
-      if requests >= 2 && not !tore then begin
-        tore := true;
-        (* cut = 2: the worker dies two bytes into a frame header *)
-        [ Coordinator.Chaos_torn { shard = 0; cut = 2 } ]
-      end
-      else []
-    in
-    Mutex.unlock m;
-    acts
+    (* cut = 2: the worker dies two bytes into a frame header *)
+    if requests = 2 then [ Chaos.Torn { shard = 0; cut = 2 } ] else []
   in
   let lines = List.init 6 (fun i -> job ~dyn:(25_201 + i) (i + 1)) in
   let summary, rs, _ = serve_sharded ~workers:2 ~chaos lines in
@@ -718,10 +694,7 @@ let test_torn_frame_write_first () =
     | 2 ->
       send (job ~dyn:25_303 3 ^ "\n");
       Unix.close input_w;
-      [
-        Coordinator.Chaos_stall { shard = 0; ms = 500 };
-        Coordinator.Chaos_torn { shard = 0; cut = 2 };
-      ]
+      [ Chaos.Stall { shard = 0; ms = 500 }; Chaos.Torn { shard = 0; cut = 2 } ]
     | 3 ->
       Unix.sleepf 1.5;
       []
@@ -818,19 +791,19 @@ let merged_counter record name =
    miss a heartbeat or get its worker declared dead: the worker keeps
    ponging while the batch runs. *)
 let test_long_job_keeps_heartbeat () =
-  with_chaos "sleep=1:1000" (fun () ->
-      let summary, rs, records =
-        serve_sharded ~workers:2 ~heartbeat_ms:50
-          [ job ~dyn:25_301 1; job ~dyn:25_302 2 ]
-      in
-      check int_ "both jobs served" 2 summary.Server.served;
-      check bool_ "both ok, in order" true
-        (List.map (fun r -> (member "id" r, member "ok" r)) rs
-        = [ (Json.Int 1, Json.Bool true); (Json.Int 2, Json.Bool true) ]);
-      let record = merged_record records in
-      List.iter
-        (fun name -> check int_ (name ^ " during the long job") 0 (merged_counter record name))
-        [ "failovers"; "heartbeat_misses" ])
+  let summary, rs, records =
+    serve_sharded ~workers:2 ~heartbeat_ms:50
+      ~chaos:(Serve_harness.schedule {|[{"after": 1, "action": "sleep", "ms": 1000}]|})
+      [ job ~dyn:25_301 1; job ~dyn:25_302 2 ]
+  in
+  check int_ "both jobs served" 2 summary.Server.served;
+  check bool_ "both ok, in order" true
+    (List.map (fun r -> (member "id" r, member "ok" r)) rs
+    = [ (Json.Int 1, Json.Bool true); (Json.Int 2, Json.Bool true) ]);
+  let record = merged_record records in
+  List.iter
+    (fun name -> check int_ (name ^ " during the long job") 0 (merged_counter record name))
+    [ "failovers"; "heartbeat_misses" ]
 
 (* The keep-alive covers batches only: a frame loop wedged outside
    one (the chaos stall op) still stops answering, so supervision
@@ -840,10 +813,7 @@ let test_long_job_keeps_heartbeat () =
 let test_stall_still_detected () =
   let chaos ~requests =
     if requests = 1 then
-      [
-        Coordinator.Chaos_stall { shard = 0; ms = 600 };
-        Coordinator.Chaos_stall { shard = 1; ms = 600 };
-      ]
+      [ Chaos.Stall { shard = 0; ms = 600 }; Chaos.Stall { shard = 1; ms = 600 } ]
     else []
   in
   let summary, rs, records =
@@ -864,32 +834,54 @@ let test_stall_still_detected () =
    not run a second time on the other worker. Each worker records one
    [request_run_ns] sample per execution, hit or miss. *)
 let test_execute_once () =
-  with_chaos "sleep=65:1500" (fun () ->
-      let summary, rs, records =
-        serve_sharded ~workers:2
-          (List.init 64 (fun i -> job ~dyn:(25_401 + (i mod 8)) (i + 1))
-          @ [ job ~dyn:25_409 65 ])
-      in
-      check int_ "all jobs served" 65 summary.Server.served;
-      check bool_ "all ok" true
-        (List.for_all (fun r -> member "ok" r = Json.Bool true) rs);
-      let metrics = member "metrics" (merged_record records) in
-      match member "count" (member "request_run_ns" (member "histograms" metrics)) with
-      | Json.Int runs -> check int_ "executions" summary.Server.served runs
-      | _ -> Alcotest.fail "request_run_ns has no count")
+  let summary, rs, records =
+    serve_sharded ~workers:2
+      ~chaos:(Serve_harness.schedule {|[{"after": 65, "action": "sleep", "ms": 1500}]|})
+      (List.init 64 (fun i -> job ~dyn:(25_401 + (i mod 8)) (i + 1))
+      @ [ job ~dyn:25_409 65 ])
+  in
+  check int_ "all jobs served" 65 summary.Server.served;
+  check bool_ "all ok" true
+    (List.for_all (fun r -> member "ok" r = Json.Bool true) rs);
+  let metrics = member "metrics" (merged_record records) in
+  match member "count" (member "request_run_ns" (member "histograms" metrics)) with
+  | Json.Int runs -> check int_ "executions" summary.Server.served runs
+  | _ -> Alcotest.fail "request_run_ns has no count"
 
 (* --- scheduled chaos: exactly-once under kill+stall+torn, twice ----------- *)
 
-(* The full deterministic chaos matrix lives in lib/fuzz (and runs as
-   [disesim fuzz --chaos] in CI); this drives it from the tier-1 suite
-   so a regression in exactly-once delivery or replay determinism
-   fails the default test run. *)
+(* One replayable chaos run against a 3-worker tier: lose a heartbeat,
+   gray-stall one worker (missed heartbeats), tear a frame mid-stream
+   (torn-tail respawn), then kill a worker permanently (failover). The
+   tier's contract under all of it: every request answered exactly
+   once, in order, all ok, with no summary errors. Run twice: two
+   exactly-once runs of one schedule are also one deterministic
+   replay, since their (id, outcome) streams must both equal the
+   input's. *)
 let test_scheduled_chaos () =
-  let report = Dise_fuzz.Faults.chaos_faults ~seed:5 in
-  check bool_
-    (Format.asprintf "%a" Dise_fuzz.Faults.pp_report report)
-    true
-    (report.Dise_fuzz.Faults.failures = [])
+  let n = 60 in
+  (* distinct dyn targets: distinct cache keys, so jobs spread across
+     the ring instead of collapsing onto one shard *)
+  let lines = List.init n (fun i -> job ~dyn:(50_000 + i) (i + 1)) in
+  let cfg = Serve_config.(override (default ()) ~workers:3 ~jobs:1 ~heartbeat_ms:100 ()) in
+  for run = 1 to 2 do
+    let summary, rs =
+      Serve_harness.serve ~cfg
+        ~chaos:
+          (Serve_harness.schedule ~seed:5
+             {|[{"after": 2,  "action": "drop_ping", "shard": 1},
+                {"after": 10, "action": "stall", "shard": 1, "ms": 500},
+                {"after": 20, "action": "torn",  "shard": 2},
+                {"after": 40, "action": "kill",  "shard": 0, "permanent": true}]|})
+        lines
+    in
+    check (Alcotest.list Alcotest.string)
+      (Printf.sprintf "run %d: each request ok once, in order" run)
+      (List.init n (fun i -> Printf.sprintf "%d ok" (i + 1)))
+      (Serve_harness.outcomes rs);
+    check int_ (Printf.sprintf "run %d: summary served" run) n summary.Server.served;
+    check int_ (Printf.sprintf "run %d: summary errors" run) 0 summary.Server.errors
+  done
 
 let suite =
   [

@@ -1,9 +1,7 @@
-(* Tests for the fault-tolerant serve layer: retry, chaos directives,
-   per-job isolation, deadlines, admission shedding, heartbeat health,
-   the serve counters, and the supervised socket loop. The
-   whole-system chaos matrix (SIGKILL resubmission, a sick cache under
-   load) lives in lib/fuzz/faults.ml; these are the deterministic
-   unit and protocol tests. *)
+(* Tests for the fault-tolerant serve layer: retry, chaos schedules,
+   per-job isolation, deadlines, admission shedding, a sick result
+   cache, worker SIGKILL and respawn, heartbeat health, the serve
+   counters, and the supervised socket loop. *)
 
 module Json = Dise_telemetry.Json
 module Metrics = Dise_telemetry.Metrics
@@ -15,7 +13,8 @@ module Coordinator = Dise_service.Coordinator
 module Serve_config = Dise_service.Serve_config
 module Pool = Dise_service.Pool
 module Resilience = Dise_service.Resilience
-module Chaos = Resilience.Chaos
+module Chaos = Dise_service.Chaos
+module Json_schema = Dise_telemetry.Json_schema
 
 let check = Alcotest.check
 let bool_ = Alcotest.bool
@@ -43,10 +42,6 @@ let with_temp_dir f =
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists dir then rm dir)
     (fun () -> f dir)
-
-let with_chaos spec f =
-  Unix.putenv Chaos.env_var spec;
-  Fun.protect ~finally:(fun () -> Unix.putenv Chaos.env_var "") f
 
 (* --- bounded retry ------------------------------------------------------- *)
 
@@ -92,25 +87,90 @@ let test_retries () =
    with Flaky -> ());
   check int_ "exhaustion after [attempts] tries" 3 !calls
 
-(* --- chaos directives ---------------------------------------------------- *)
+(* --- chaos schedules ------------------------------------------------------ *)
 
-let test_chaos_parse () =
-  let t = Chaos.parse "raise=2,sleep=3:50,bogus,raise=x,sleep=4,sleep=5:-1" in
-  (* only raise=2 and sleep=3:50 are well-formed *)
-  (try
-     Chaos.apply t ~id:(Json.Int 2);
-     Alcotest.fail "raise directive did not raise"
-   with Chaos.Injected _ -> ());
-  Chaos.apply t ~id:(Json.Int 1);
-  Chaos.apply t ~id:(Json.Int 4);
-  Chaos.apply t ~id:(Json.Int 5);
-  Chaos.apply t ~id:(Json.String "2");
-  (* sleep=3:50 stalls ~50ms *)
+let load_schema name =
+  Json.parse (Serve_harness.read_file (Filename.concat "../doc/schema" name))
+
+let assert_valid ~schema doc =
+  match Json_schema.validate ~schema doc with
+  | [] -> ()
+  | errs ->
+    Alcotest.failf "document fails schema: %a"
+      (Format.pp_print_list Json_schema.pp_error)
+      errs
+
+(* The schedule files the CI smokes write, as they write them. *)
+let ci_schedules =
+  [
+    (* resilience smoke *)
+    {|{"record": "chaos_schedule", "seed": 1, "events": [
+        {"after": 2, "action": "raise"},
+        {"after": 3, "action": "sleep", "ms": 2000}]}|};
+    {|{"record": "chaos_schedule", "seed": 1, "events": [
+        {"after": 1, "action": "kill", "shard": 0, "permanent": true}]}|};
+    (* serve-tier smoke *)
+    {|{"record": "chaos_schedule", "seed": 1, "events": [
+        {"after": 1, "action": "sleep", "ms": 3000}]}|};
+    (* chaos smoke *)
+    {|{"record": "chaos_schedule", "seed": 11, "events": [
+        {"after": 5,  "action": "stall", "shard": 0, "ms": 400},
+        {"after": 10, "action": "torn",  "shard": 2},
+        {"after": 20, "action": "kill",  "shard": 1, "permanent": true}]}|};
+  ]
+
+let test_chaos_schedule_parsing () =
+  let schema = load_schema "chaos_schedule.schema.json" in
+  List.iter
+    (fun text ->
+      let doc = Json.parse text in
+      assert_valid ~schema doc;
+      match Chaos.of_json doc with
+      | Ok _ -> ()
+      | Error d -> Alcotest.fail ("CI schedule rejected: " ^ Diag.to_string d))
+    ci_schedules;
+  (* job actions fire once each, at their admission count, in file
+     order *)
+  let fire =
+    Serve_harness.schedule
+      {|[{"after": 2, "action": "raise"},
+         {"after": 1, "action": "sleep", "ms": 50},
+         {"after": 2, "action": "sleep", "ms": 7}]|}
+  in
+  check bool_ "nothing before the first admission" true (fire ~requests:0 = []);
+  check bool_ "the sleep at 1" true (fire ~requests:1 = [ Chaos.Sleep { ms = 50 } ]);
+  check bool_ "both actions at 2, in file order" true
+    (fire ~requests:2 = [ Chaos.Raise; Chaos.Sleep { ms = 7 } ]);
+  check bool_ "each event fires once" true (fire ~requests:3 = []);
+  (match Chaos.inject Chaos.Raise with
+  | () -> Alcotest.fail "raise did not raise"
+  | exception Chaos.Injected -> ());
   let t0 = Unix.gettimeofday () in
-  Chaos.apply t ~id:(Json.Int 3);
-  check bool_ "sleep directive stalls" true (Unix.gettimeofday () -. t0 >= 0.04);
-  let none = Chaos.parse "" in
-  Chaos.apply none ~id:(Json.Int 2)
+  Chaos.inject (Chaos.Sleep { ms = 50 });
+  check bool_ "sleep stalls" true (Unix.gettimeofday () -. t0 >= 0.04);
+  (* a worker action is the coordinator's: nothing happens in a job *)
+  Chaos.inject (Chaos.Kill { shard = 0; permanent = true });
+  List.iter
+    (fun (event, want) ->
+      match Chaos.of_json (Json.parse (Printf.sprintf {|{"events": [%s]}|} event)) with
+      | Error (Diag.Parse { msg; _ }) -> check string_ event want msg
+      | Error d -> Alcotest.fail ("wrong diag: " ^ Diag.to_string d)
+      | Ok _ -> Alcotest.fail (event ^ " accepted"))
+    [
+      ( {|{"after": 1, "action": "raise", "shard": 0}|},
+        {|event 0: job action "raise" takes no "shard"|} );
+      ( {|{"after": 1, "action": "sleep", "ms": 5, "shard": 1}|},
+        {|event 0: job action "sleep" takes no "shard"|} );
+      ({|{"after": 1, "action": "sleep"}|}, {|event 0: "sleep" needs a positive integer "ms"|});
+      ( {|{"after": 1, "action": "sleep", "ms": 0}|},
+        {|event 0: "sleep" needs a positive integer "ms"|} );
+      ({|{"after": 1, "action": "kill"}|}, {|event 0: missing or non-integer "shard"|});
+      ( {|{"after": 1, "action": "kill", "shard": 0, "permanant": true}|},
+        {|event 0: unknown member "permanant"|} );
+    ];
+  match Chaos.of_json (Json.parse {|{"sede": 3, "events": []}|}) with
+  | Error (Diag.Parse { msg; _ }) -> check string_ "top-level typo" {|unknown member "sede"|} msg
+  | _ -> Alcotest.fail "a misspelled seed was accepted"
 
 (* --- per-task isolation in the pool -------------------------------------- *)
 
@@ -140,68 +200,53 @@ let test_pool_outcomes () =
 let member name j = Option.get (Json.member name j)
 let kind_of r = Json.member "kind" (member "error" r)
 
-let load_schema () =
-  Json.parse
-    (let ic = open_in "../doc/schema/serve_response.schema.json" in
-     Fun.protect
-       ~finally:(fun () -> close_in_noerr ic)
-       (fun () -> really_input_string ic (in_channel_length ic)))
-
 let job ?(dyn = 22_000) id =
   Printf.sprintf {|{"id":%d,"bench":"tiny","dyn_target":%d}|} id dyn
 
-(* The acceptance chunk: one poisoned job, one oversized line, N good
-   jobs -> exactly N+2 responses, in order, with kinds internal /
-   parse / ok, every one schema-valid, and the server survives to
-   serve the whole stream. *)
+(* The acceptance chunk: one poisoned job (a scheduled [raise]), one
+   oversized line, N good jobs -> exactly N+2 responses, in order,
+   with kinds internal / parse / ok, every one schema-valid, and the
+   server survives to serve the whole stream. The raise costs only
+   its own slot: its batch-mates answer ok. *)
 let test_serve_mixed_chunk () =
-  with_chaos "raise=2" (fun () ->
-      let big =
-        {|{"id":3,"bench":"tiny","pad":"|}
-        ^ String.make (Server.max_line_bytes + 32) 'x'
-        ^ {|"}|}
-      in
-      let lines =
-        [ job ~dyn:22_001 1; job ~dyn:22_002 2; big; job ~dyn:22_003 4;
-          job ~dyn:22_004 5 ]
-      in
-      let summary, rs =
-        Serve_harness.serve
-          ~cfg:Serve_config.(override (default ()) ~jobs:2 ~queue:8 ())
-          lines
-      in
-      check int_ "N+2 responses" 5 (List.length rs);
-      check int_ "summary served" 5 summary.Server.served;
-      check int_ "summary errors" 2 summary.Server.errors;
-      check int_ "summary isolated" 1 summary.Server.isolated;
-      (match rs with
-      | [ r1; r2; r3; r4; r5 ] ->
-        check bool_ "good jobs ok, in order" true
-          (member "ok" r1 = Json.Bool true
-          && member "id" r1 = Json.Int 1
-          && member "ok" r4 = Json.Bool true
-          && member "id" r4 = Json.Int 4
-          && member "ok" r5 = Json.Bool true
-          && member "id" r5 = Json.Int 5);
-        check bool_ "poisoned job answered internal, id echoed" true
-          (member "ok" r2 = Json.Bool false
-          && member "id" r2 = Json.Int 2
-          && kind_of r2 = Some (Json.String "internal"));
-        check bool_ "oversized line answered parse" true
-          (member "ok" r3 = Json.Bool false
-          && kind_of r3 = Some (Json.String "parse"))
-      | _ -> Alcotest.fail "wrong response count");
-      let schema = load_schema () in
-      List.iter
-        (fun r ->
-          match Dise_telemetry.Json_schema.validate ~schema r with
-          | [] -> ()
-          | errs ->
-            Alcotest.fail
-              (Format.asprintf "response fails schema: %a"
-                 (Format.pp_print_list Dise_telemetry.Json_schema.pp_error)
-                 errs))
-        rs)
+  let big =
+    {|{"id":3,"bench":"tiny","pad":"|}
+    ^ String.make (Server.max_line_bytes + 32) 'x'
+    ^ {|"}|}
+  in
+  let lines =
+    [ job ~dyn:22_001 1; job ~dyn:22_002 2; big; job ~dyn:22_003 4;
+      job ~dyn:22_004 5 ]
+  in
+  let summary, rs =
+    Serve_harness.serve
+      ~cfg:Serve_config.(override (default ()) ~jobs:2 ~queue:8 ())
+      ~chaos:(Serve_harness.schedule {|[{"after": 2, "action": "raise"}]|})
+      lines
+  in
+  check int_ "N+2 responses" 5 (List.length rs);
+  check int_ "summary served" 5 summary.Server.served;
+  check int_ "summary errors" 2 summary.Server.errors;
+  check int_ "summary isolated" 1 summary.Server.isolated;
+  (match rs with
+  | [ r1; r2; r3; r4; r5 ] ->
+    check bool_ "good jobs ok, in order" true
+      (member "ok" r1 = Json.Bool true
+      && member "id" r1 = Json.Int 1
+      && member "ok" r4 = Json.Bool true
+      && member "id" r4 = Json.Int 4
+      && member "ok" r5 = Json.Bool true
+      && member "id" r5 = Json.Int 5);
+    check bool_ "poisoned job answered internal, id echoed" true
+      (member "ok" r2 = Json.Bool false
+      && member "id" r2 = Json.Int 2
+      && kind_of r2 = Some (Json.String "internal"));
+    check bool_ "oversized line answered parse" true
+      (member "ok" r3 = Json.Bool false
+      && kind_of r3 = Some (Json.String "parse"))
+  | _ -> Alcotest.fail "wrong response count");
+  let schema = load_schema "serve_response.schema.json" in
+  List.iter (assert_valid ~schema) rs
 
 let test_serve_truncated_line_number () =
   let big =
@@ -285,6 +330,204 @@ let test_serve_manifest_record () =
       (List.mem_assoc "isolated" counters
       && List.mem_assoc "store_drops" counters)
   | _ -> Alcotest.fail "no counters object"
+
+(* A job whose scheduled sleep overruns its wall-clock budget is
+   answered [timeout], in order, without losing its slot or its
+   batch-mates. The budget is over 5x a batch-mate's cold run in a
+   fresh worker (46-138 ms measured, workload generation included) and
+   the sleep 5x the budget, so the check holds on a loaded machine
+   too. *)
+let test_serve_deadline_overrun () =
+  let _, rs =
+    Serve_harness.serve
+      ~cfg:Serve_config.(override (default ()) ~jobs:2 ~queue:4 ~deadline_ms:750 ())
+      ~chaos:(Serve_harness.schedule {|[{"after": 2, "action": "sleep", "ms": 3750}]|})
+      [ job ~dyn:41_011 1; job ~dyn:41_012 2; job ~dyn:41_013 3 ]
+  in
+  check (Alcotest.list string_) "outcomes" [ "1 ok"; "2 timeout"; "3 ok" ]
+    (Serve_harness.outcomes rs)
+
+(* With the high-water mark below the chunk's cumulative work, the
+   first job is admitted and the rest are answered [overloaded]
+   without executing. *)
+let test_serve_shedding () =
+  let summary, rs =
+    Serve_harness.serve
+      ~cfg:Serve_config.(override (default ()) ~jobs:2 ~queue:4 ~shed_above:2_500 ())
+      (List.init 4 (fun i -> job ~dyn:2_000 (i + 1)))
+  in
+  check int_ "three jobs shed" 3 summary.Server.shed;
+  check (Alcotest.list string_) "outcomes"
+    [ "1 ok"; "2 overloaded"; "3 overloaded"; "4 overloaded" ]
+    (Serve_harness.outcomes rs)
+
+(* Read [n] newline-terminated lines from [fd], giving up after
+   [timeout_s] without progress; [None] on timeout or EOF. *)
+let read_lines fd n ~timeout_s =
+  let buf = Buffer.create 1024 in
+  let chunk = Bytes.create 4096 in
+  let rec go () =
+    let lines = String.split_on_char '\n' (Buffer.contents buf) in
+    if List.length lines > n then Some (List.filteri (fun i _ -> i < n) lines)
+    else
+      match Unix.select [ fd ] [] [] timeout_s with
+      | [], _, _ -> None
+      | _ -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> None
+        | k ->
+          Buffer.add_subbytes buf chunk 0 k;
+          go ())
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+  in
+  go ()
+
+(* A sick result cache must not fail jobs. A regular file planted
+   where the cache wants each request's two-hex-char fan-out
+   directory makes every store fail (works for root too, unlike a
+   chmod). One tier serves the whole check over pipes: six jobs while
+   the cache is sick must all answer ok, each dropping its store
+   after the bounded retries (the merged [store_drops] counter); then
+   the cache is healed and a seventh job's result must land in it. *)
+let test_sick_cache_degrades () =
+  with_temp_dir (fun dir ->
+      let cdir = Filename.concat dir "cache" in
+      let c = Cache.create ~dir:cdir in
+      let key_of d = Request.key (Request.v ~dyn_target:d "tiny") in
+      let dyns = List.init 6 (fun i -> 41_021 + i) in
+      let healed_dyn = 41_031 in
+      let blocks =
+        List.sort_uniq compare
+          (List.map (fun d -> Filename.dirname (Cache.path c ~key:(key_of d))) dyns)
+      in
+      List.iter (fun p -> Serve_harness.write_file p "not a directory") blocks;
+      let buf = Buffer.create 256 in
+      let manifest = Dise_telemetry.Manifest.to_buffer buf in
+      let cfg = Serve_config.(override (default ()) ~jobs:2 ~queue:6 ()) in
+      let in_r, in_w = Unix.pipe ~cloexec:true () in
+      let out_r, out_w = Unix.pipe ~cloexec:true () in
+      let tier =
+        Domain.spawn (fun () ->
+            Fun.protect
+              ~finally:(fun () ->
+                Unix.close in_r;
+                Unix.close out_w)
+              (fun () ->
+                Coordinator.run ~manifest ~cache_dir:cdir cfg
+                  (Coordinator.Stdio { input = in_r; output = out_w })))
+      in
+      let answers lines =
+        Option.map (fun ls -> Serve_harness.outcomes (List.map Json.parse ls)) lines
+      in
+      let sick, healed =
+        Fun.protect
+          ~finally:(fun () -> Unix.close in_w)
+          (fun () ->
+            Coordinator.write_all in_w
+              (String.concat "" (List.mapi (fun i d -> job ~dyn:d (i + 1) ^ "\n") dyns))
+              0;
+            let sick = answers (read_lines out_r (List.length dyns) ~timeout_s:60.) in
+            List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) blocks;
+            Coordinator.write_all in_w (job ~dyn:healed_dyn 7 ^ "\n") 0;
+            (sick, answers (read_lines out_r 1 ~timeout_s:60.)))
+      in
+      let summary = Domain.join tier in
+      Unix.close out_r;
+      check
+        Alcotest.(option (list string_))
+        "every job ok while the cache was sick"
+        (Some (List.mapi (fun i _ -> Printf.sprintf "%d ok" (i + 1)) dyns))
+        sick;
+      check Alcotest.(option (list string_)) "the job after healing ok" (Some [ "7 ok" ])
+        healed;
+      check int_ "no errors" 0 summary.Server.errors;
+      let record =
+        List.find
+          (fun r -> Json.member "record" r = Some (Json.String "serve_summary"))
+          (String.split_on_char '\n' (Buffer.contents buf)
+          |> List.filter (fun l -> l <> "")
+          |> List.map Json.parse)
+      in
+      (match Option.bind (Json.member "counters" record) (Json.member "store_drops") with
+      | Some (Json.Int drops) ->
+        check bool_
+          (Printf.sprintf "%d stores dropped, one per sick job at least" drops)
+          true
+          (drops >= List.length dyns)
+      | _ -> Alcotest.fail "serve_summary counters carry no store_drops");
+      check bool_ "the healed cache stored the next result" true
+        (Cache.find c ~key:(key_of healed_dyn) <> None))
+
+(* Serve [lines] on one worker and SIGKILL it 0.4 s after it spawns,
+   while [chaos] holds its batch open with a sleep. The coordinator
+   respawns the shard and hands the replacement every in-flight frame
+   again. Returns the spawn count, the summary and the responses. *)
+let serve_killing_the_worker ~chaos ?cache_dir lines =
+  let first = Atomic.make (-1) in
+  let spawns = Atomic.make 0 in
+  let on_spawn ~shard:_ ~pid =
+    if Atomic.fetch_and_add spawns 1 = 0 then Atomic.set first pid
+  in
+  let killer =
+    Domain.spawn (fun () ->
+        let deadline = Unix.gettimeofday () +. 10. in
+        while Atomic.get first < 0 && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.005
+        done;
+        Unix.sleepf 0.4;
+        (* never kill (-1): that would signal every process *)
+        let pid = Atomic.get first in
+        if pid > 0 then try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+  in
+  let summary, rs =
+    Serve_harness.serve ~on_spawn ~chaos ?cache_dir
+      ~cfg:Serve_config.(override (default ()) ~jobs:1 ~queue:4 ())
+      lines
+  in
+  Domain.join killer;
+  (Atomic.get spawns, summary, rs)
+
+(* Every in-flight job survives the kill: each answers ok exactly
+   once, in order, and its result is in the cache afterwards. *)
+let test_worker_sigkill_resubmits () =
+  with_temp_dir (fun dir ->
+      let cache_dir = Filename.concat dir "cache" in
+      let dyns = [ 41_041; 41_042; 41_043 ] in
+      let spawns, summary, rs =
+        serve_killing_the_worker ~cache_dir
+          ~chaos:(Serve_harness.schedule {|[{"after": 1, "action": "sleep", "ms": 1500}]|})
+          (List.mapi (fun i d -> job ~dyn:d (i + 1)) dyns)
+      in
+      check bool_ "the worker was respawned" true (spawns >= 2);
+      check (Alcotest.list string_) "each job ok once, in order"
+        [ "1 ok"; "2 ok"; "3 ok" ] (Serve_harness.outcomes rs);
+      check int_ "summary served" 3 summary.Server.served;
+      let c = Cache.create ~dir:cache_dir in
+      List.iter
+        (fun d ->
+          check bool_
+            (Printf.sprintf "dyn %d resubmitted and cached" d)
+            true
+            (Cache.find c ~key:(Request.key (Request.v ~dyn_target:d "tiny")) <> None))
+        dyns)
+
+(* A job fault travels in the job's frame, so it is applied again on
+   every leg: the respawned worker raises job 2 once more, and the
+   client sees exactly one [internal] answer for it, in order. *)
+let test_scheduled_raise_survives_respawn () =
+  let spawns, summary, rs =
+    serve_killing_the_worker
+      ~chaos:
+        (Serve_harness.schedule
+           {|[{"after": 1, "action": "sleep", "ms": 1500},
+              {"after": 2, "action": "raise"}]|})
+      [ job ~dyn:41_051 1; job ~dyn:41_052 2; job ~dyn:41_053 3 ]
+  in
+  check bool_ "the worker was respawned" true (spawns >= 2);
+  check (Alcotest.list string_) "outcomes" [ "1 ok"; "2 internal"; "3 ok" ]
+    (Serve_harness.outcomes rs);
+  check int_ "summary served" 3 summary.Server.served;
+  check int_ "one isolated job" 1 summary.Server.isolated
 
 (* --- the socket loop ----------------------------------------------------- *)
 
@@ -470,7 +713,7 @@ let test_counters () =
 let suite =
   [
     Alcotest.test_case "bounded retry with backoff" `Quick test_retries;
-    Alcotest.test_case "chaos directive parsing" `Quick test_chaos_parse;
+    Alcotest.test_case "chaos schedule parsing" `Quick test_chaos_schedule_parsing;
     Alcotest.test_case "pool outcome isolation" `Quick test_pool_outcomes;
     Alcotest.test_case "serve mixed fault chunk" `Quick test_serve_mixed_chunk;
     Alcotest.test_case "serve truncated line number" `Quick
@@ -480,6 +723,13 @@ let suite =
       test_serve_shed_first_job_admitted;
     Alcotest.test_case "serve manifest record" `Quick
       test_serve_manifest_record;
+    Alcotest.test_case "serve deadline overrun" `Quick test_serve_deadline_overrun;
+    Alcotest.test_case "serve load shedding" `Quick test_serve_shedding;
+    Alcotest.test_case "sick cache degrades to ok" `Quick test_sick_cache_degrades;
+    Alcotest.test_case "worker SIGKILL resubmits in-flight jobs" `Quick
+      test_worker_sigkill_resubmits;
+    Alcotest.test_case "scheduled raise survives a respawn" `Quick
+      test_scheduled_raise_survives_respawn;
     Alcotest.test_case "socket supervision" `Quick test_socket_supervision;
     Alcotest.test_case "heartbeat health states" `Quick test_health_states;
     Alcotest.test_case "resilience counters" `Quick test_counters;

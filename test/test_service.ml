@@ -1,6 +1,8 @@
 (* Tests for the service layer: serializable requests, the
-   content-addressed disk cache, the single run path, and the JSONL
-   batch server. *)
+   content-addressed disk cache (corruption, invalidation and a
+   multi-domain hammer included), the single run path, and the JSONL
+   batch server (malformed, cut-off and interrupted streams
+   included). *)
 
 module W = Dise_workload
 module A = Dise_acf
@@ -263,6 +265,91 @@ let test_store_find_corrupt () =
       check bool_ "stale-salt entry is a miss" true (Cache.find c ~key:k = None);
       check int_ "clear reports removals" 0 (Cache.clear c))
 
+(* Every corruption an entry can suffer is retired by the next find,
+   and recovery is idempotent: the entry never reads back wrong, a
+   second find misses, and a store+find round trip works again. *)
+let probe_request = Json.Obj [ ("probe", Json.Bool true) ]
+let probe_payload = Json.Obj [ ("v", Json.Int 42) ]
+
+let test_cache_corrupt_recovery () =
+  with_temp_dir (fun dir ->
+      let c = Cache.create ~dir in
+      let k = Cache.key "fuzz-probe" in
+      Cache.store c ~key:k ~request:probe_request ~payload:probe_payload;
+      check bool_ "fresh entry reads back" true
+        (Cache.find c ~key:k = Some probe_payload);
+      let valid = Serve_harness.read_file (Cache.path c ~key:k) in
+      List.iter
+        (fun (name, bytes) ->
+          write_file (Cache.path c ~key:k) bytes;
+          let found = Cache.find c ~key:k in
+          check bool_ (name ^ ": no wrong payload") true
+            (found = None || found = Some probe_payload || name = "first-byte-flip");
+          check bool_ (name ^ ": entry retired") true (Cache.find c ~key:k = None);
+          Cache.store c ~key:k ~request:probe_request ~payload:probe_payload;
+          check bool_ (name ^ ": stores again") true
+            (Cache.find c ~key:k = Some probe_payload))
+        [
+          ("truncated", String.sub valid 0 (String.length valid / 2));
+          ("empty", "");
+          ("garbage", "{\"salt\": not json at all");
+          ("first-byte-flip", "X" ^ String.sub valid 1 (String.length valid - 1));
+          ( "stale-salt",
+            {|{"salt":"bogus","key":"k","request":{},"payload":{}}|} ^ "\n" );
+        ])
+
+let test_cache_invalidate_idempotent () =
+  with_temp_dir (fun dir ->
+      let c = Cache.create ~dir in
+      let k = Cache.key "fuzz-invalidate" in
+      Cache.store c ~key:k ~request:probe_request ~payload:probe_payload;
+      Cache.invalidate c ~key:k;
+      (* twice: the second is a no-op *)
+      Cache.invalidate c ~key:k;
+      check bool_ "entry gone" true (Cache.find c ~key:k = None);
+      Cache.store c ~key:k ~request:probe_request ~payload:probe_payload;
+      check bool_ "stores again after invalidate" true
+        (Cache.find c ~key:k = Some probe_payload))
+
+(* Four domains hammer one key with find/store/invalidate while
+   garbage is planted underneath them: no call raises, and every find
+   returns a miss or the valid payload. *)
+let test_cache_hammer () =
+  with_temp_dir (fun dir ->
+      let c = Cache.create ~dir in
+      let k = Cache.key "fuzz-hammer" in
+      Cache.store c ~key:k ~request:probe_request ~payload:probe_payload;
+      let worker d =
+        Domain.spawn (fun () ->
+            let rng = W.Rng.create (11 + (d * 1_000_003)) in
+            let bad = ref None in
+            for i = 1 to 250 do
+              match
+                match W.Rng.int rng 4 with
+                | 0 -> Cache.store c ~key:k ~request:probe_request ~payload:probe_payload
+                | 1 -> write_file (Cache.path c ~key:k) "{garbage"
+                | 2 -> Cache.invalidate c ~key:k
+                | _ -> (
+                  match Cache.find c ~key:k with
+                  | Some p when p <> probe_payload -> failwith "wrong payload observed"
+                  | _ -> ())
+              with
+              | () -> ()
+              | exception ex ->
+                if !bad = None then
+                  bad :=
+                    Some
+                      (Printf.sprintf "domain %d iteration %d: %s" d i
+                         (Printexc.to_string ex))
+            done;
+            !bad)
+      in
+      check (Alcotest.list string_) "no domain failed" []
+        (List.filter_map Domain.join (List.init 4 worker));
+      Cache.store c ~key:k ~request:probe_request ~payload:probe_payload;
+      check bool_ "cache usable after the hammer" true
+        (Cache.find c ~key:k = Some probe_payload))
+
 let test_run_recovers_from_corruption () =
   with_temp_dir (fun dir ->
       with_disk_cache dir (fun () ->
@@ -448,6 +535,78 @@ let test_serve_stream () =
               errs)
         rs)
 
+(* --- the serve front end under bad input ---------------------------------- *)
+
+let probe_job id = Printf.sprintf {|{"id":%d,"bench":"tiny","dyn_target":2000}|} id
+
+(* A malformed line costs exactly its own slot, and the job after it
+   is still served in order (the stream does not desync). *)
+let test_serve_malformed_line () =
+  let _, rs = Serve_harness.serve [ probe_job 1; "{this is not json"; probe_job 3 ] in
+  check (Alcotest.list string_) "outcomes" [ "1 ok"; "null parse"; "3 ok" ]
+    (Serve_harness.outcomes rs)
+
+(* A final line without its newline is still a line: complete JSON is
+   a normal job, a cut-off job still gets its (parse error) answer. *)
+let serve_unterminated last =
+  let _, lines = Serve_harness.serve_raw (probe_job 1 ^ "\n" ^ last) in
+  Serve_harness.outcomes (List.map Json.parse lines)
+
+let test_serve_partial_final_line () =
+  check (Alcotest.list string_) "complete final line served" [ "1 ok"; "2 ok" ]
+    (serve_unterminated (probe_job 2))
+
+let test_serve_truncated_final_line () =
+  check (Alcotest.list string_) "cut-off final line answered"
+    [ "1 ok"; "null parse" ]
+    (serve_unterminated {|{"id":2,"bench":"ti|})
+
+(* A real SIGINT mid-stream, through the same handler wiring [disesim
+   serve] installs: the tier finishes its admitted work, writes only
+   whole response lines, in order, and returns. The signal may land
+   after the last chunk on a fast machine, so served <= jobs is the
+   strongest count claim available. *)
+let test_serve_sigint_drain () =
+  let jobs = 40 in
+  let input =
+    String.concat ""
+      (List.init jobs (fun i ->
+           Printf.sprintf {|{"id":%d,"bench":"tiny","dyn_target":%d}|} (i + 1)
+             (30_000 + i)
+           ^ "\n"))
+  in
+  let stop = Server.Stop.create () in
+  let prev =
+    Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> Server.Stop.signal stop))
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.set_signal Sys.sigint prev)
+    (fun () ->
+      let pid = Unix.getpid () in
+      let killer =
+        Domain.spawn (fun () ->
+            Unix.sleepf 0.02;
+            Unix.kill pid Sys.sigint)
+      in
+      let summary, lines =
+        Serve_harness.serve_raw ~stop
+          ~cfg:Dise_service.Serve_config.(override (default ()) ~jobs:2 ~queue:4 ())
+          input
+      in
+      Domain.join killer;
+      check int_ "one whole line per response served" summary.Server.served
+        (List.length lines);
+      check bool_ "no more responses than jobs" true (summary.Server.served <= jobs);
+      List.iteri
+        (fun i line ->
+          let r = Json.parse line in
+          check bool_
+            (Printf.sprintf "response %d in order and answered" (i + 1))
+            true
+            (Json.member "id" r = Some (Json.Int (i + 1))
+            && Json.member "ok" r <> None))
+        lines)
+
 (* Production-set swap between serve batches: with queue = 1 every
    request is its own batch, and the stream alternates production
    sets (MFI dise3 / baseline / dise4 / dise3 again). Each request
@@ -628,6 +787,9 @@ let suite =
     ("of_json rejections", `Quick, test_of_json_rejects);
     ("out-of-range request fields rejected", `Quick, test_out_of_range_rejected);
     ("cache store/find/corrupt", `Quick, test_store_find_corrupt);
+    ("cache corrupt-entry recovery", `Quick, test_cache_corrupt_recovery);
+    ("cache invalidate idempotent", `Quick, test_cache_invalidate_idempotent);
+    ("cache multi-domain hammer", `Quick, test_cache_hammer);
     ("run recovers from corruption", `Quick, test_run_recovers_from_corruption);
     ("counters and clear_cache", `Quick, test_counters_and_clear);
     ("sick cache store is dropped", `Quick, test_sick_cache_store_dropped);
@@ -635,6 +797,11 @@ let suite =
     ("cold vs warm CSV identical", `Quick, test_cold_warm_csv_identical);
     ("cold vs warm ratio panel", `Quick, test_cold_warm_ratio_panel);
     ("serve JSONL stream", `Quick, test_serve_stream);
+    ("serve malformed line", `Quick, test_serve_malformed_line);
+    ("serve partial final line (valid)", `Quick, test_serve_partial_final_line);
+    ("serve partial final line (truncated)", `Quick,
+     test_serve_truncated_final_line);
+    ("serve SIGINT drain", `Quick, test_serve_sigint_drain);
     ("serve prodset swap between chunks", `Quick,
      test_serve_prodset_swap_chunks);
     ("jit knob distinct cache keys", `Quick, test_jit_knob_distinct_keys);

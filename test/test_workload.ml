@@ -1,7 +1,7 @@
 (* Tests for the synthetic workload generator: determinism, validity
    (programs assemble, run, and halt cleanly), memory safety (all
-   accesses inside the data segment), and profile knobs having the
-   intended large-scale effects. *)
+   accesses inside the data segment), profile knobs having the
+   intended large-scale effects, and the single-flight memo. *)
 
 open Dise_isa
 open Dise_workload
@@ -136,6 +136,27 @@ let test_suite_cache () =
   let c = Suite.get ~dyn_target:30_000 Profile.tiny in
   check bool_ "different target regenerates" true (a != c)
 
+(* Single flight: four domains asking for one key share one
+   computation, and a computation that raises leaves no claim behind. *)
+let test_memo_single_flight () =
+  let m = Memo.create 4 in
+  let runs = Atomic.make 0 in
+  let compute () =
+    Atomic.incr runs;
+    Unix.sleepf 0.02;
+    ref 7
+  in
+  let got =
+    List.map Domain.join
+      (List.init 4 (fun _ -> Domain.spawn (fun () -> Memo.find_or_compute m "k" compute)))
+  in
+  check int_ "one computation" 1 (Atomic.get runs);
+  check bool_ "one shared value" true (List.for_all (fun v -> v == List.hd got) got);
+  (match Memo.find_or_compute m "bad" (fun () -> failwith "boom") with
+  | _ -> Alcotest.fail "the failure was swallowed"
+  | exception Failure _ -> ());
+  check int_ "a failed claim is dropped" 8 !(Memo.find_or_compute m "bad" (fun () -> ref 8))
+
 let suite =
   [
     ("rng determinism", `Quick, test_rng_determinism);
@@ -149,4 +170,5 @@ let suite =
     ("static sizes track profile", `Quick, test_static_sizes_track_profile);
     ("instruction mix", `Quick, test_instruction_mix);
     ("suite cache", `Quick, test_suite_cache);
+    ("memo single flight", `Quick, test_memo_single_flight);
   ]
