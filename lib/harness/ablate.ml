@@ -16,11 +16,12 @@ module F = Figures
 (* Every ablation cell is an independent closure, so the panels share
    {!Figures.series}/{!Figures.figure} and evaluate on the same worker
    pool as the paper's own figures. Most cells run one {!Request.t}
-   ([run] below). [ablate-decode] and [ablate-ctx] cannot: DISE decode
-   bandwidth and context switches are not request fields, so
-   [run_acf] and [run_with_switches] build engines, machines and
-   pipelines directly. Their 48 quick cells bypass the result cache,
-   and a warm [figures] rerun simulates them again. *)
+   ([run] below). [ablate-decode] and [ablate-ctx]'s switching series
+   cannot: the tracing and profiling ACFs and context switches are not
+   request fields, so [run_acf] and [run_with_switches] build engines,
+   machines and pipelines directly. Their 44 quick cells bypass the
+   result cache and the stream tapes, and a warm [figures] rerun
+   simulates them again. *)
 let series = F.series
 
 (* The cell's request at the panel's workload length, run on the entry
@@ -158,24 +159,31 @@ let context_switch opts =
       (Machine.run_raw ~max_steps:50_000_000 m (fun r ->
            Pipeline.consume_raw pipeline r;
            incr count;
-           match interval with
-           | Some n when !count mod n = 0 -> Controller.context_switch controller
-           | _ -> ()));
+           if !count mod interval = 0 then Controller.context_switch controller));
     Pipeline.finish pipeline
   in
+  let relative e stats =
+    let base = run opts e in
+    float_of_int stats.Stats.cycles /. float_of_int base.Stats.cycles
+  in
+  (* Without switches the cell is a plain request (fig7-rt's 2K 2-way
+     cell), so it is cached and replayed like any other. *)
+  let decompress =
+    Request.Decompress
+      { scheme = Compress.full_dise; mfi = `None; rewritten = false }
+  in
   let mk label interval =
-    series opts label (fun e ->
-        let base = run opts e in
-        let stats = run_with_switches e interval in
-        float_of_int stats.Stats.cycles /. float_of_int base.Stats.cycles)
+    series opts label (fun e -> relative e (run_with_switches e interval))
   in
   F.figure opts ~id:"ablate-ctx"
     ~title:"Ablation: context-switch frequency (decompression, 2K RT)"
     ~ylabel:"execution time relative to uncompressed"
     [
-      mk "no switches" None;
-      mk "every 50K" (Some 50_000);
-      mk "every 10K" (Some 10_000);
+      series opts "no switches" (fun e ->
+          relative e
+            (run ~controller:Controller.default_config ~acf:decompress opts e));
+      mk "every 50K" 50_000;
+      mk "every 10K" 10_000;
     ]
 
 let all =

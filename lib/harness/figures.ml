@@ -124,34 +124,58 @@ let report_progress opts label bench =
 
 (* Flatten the deferred series of one figure into a task array, run it
    on the pool, and reassemble values in submission order — the figure
-   is bit-identical whatever [opts.jobs] is. With a manifest attached,
-   a pool probe records one JSONL line per cell (wall-clock and the
-   worker domain that ran it). *)
+   is bit-identical whatever [opts.jobs] is. The tasks run
+   benchmark-major (every series of one benchmark, then the next
+   benchmark): a panel sweeps timing-only parameters, so a benchmark's
+   cells share a few streams, and running them together lets
+   {!Request}'s tapes, which hold four streams, replay them. With a
+   manifest attached, a pool probe records one JSONL line per cell
+   (wall-clock and the worker domain that ran it). *)
 let figure opts ~id ~title ~ylabel dss =
   let cells =
     List.concat_map
-      (fun d -> List.map (fun (bench, th) -> (d.d_label, bench, th)) d.d_cells)
+      (fun d ->
+        List.mapi (fun j (bench, th) -> (j, (d.d_label, bench, th))) d.d_cells)
       dss
   in
-  let cell_arr = Array.of_list cells in
-  (* Per-cell disk-cache (hits, misses) deltas. The Request counters
-     are domain-local and the pool probe runs on the same worker that
-     ran the task, after it — so snapshotting around the task and
-     reading the delta from the probe is race-free. *)
+  let cell_arr = Array.of_list (List.map snd cells) in
+  (* [order.(k)] is the cell the [k]-th task runs: a stable sort of the
+     series-major cells by their benchmark's position. *)
+  let order =
+    List.mapi (fun i (j, _) -> (j, i)) cells
+    |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd |> Array.of_list
+  in
+  (* Per-cell disk-cache (hits, misses) and tape deltas. The Request
+     counters are domain-local and the pool probe runs on the same
+     worker that ran the task, after it — so snapshotting around the
+     task and reading the delta from the probe is race-free. *)
   let cache_deltas = Array.make (Array.length cell_arr) (0, 0) in
+  let tape_deltas = Array.make (Array.length cell_arr) (0, 0, 0) in
   let tasks =
-    Array.mapi
-      (fun i (label, bench, th) () ->
+    Array.map
+      (fun i () ->
+        let label, bench, th = cell_arr.(i) in
         report_progress opts label bench;
         match opts.manifest with
         | None -> th ()
         | Some _ ->
           let h0, m0 = Request.cache_counters () in
+          let r0, p0, a0 = Request.tape_counters () in
           let r = th () in
           let h1, m1 = Request.cache_counters () in
+          let r1, p1, a1 = Request.tape_counters () in
           cache_deltas.(i) <- (h1 - h0, m1 - m0);
+          tape_deltas.(i) <- (r1 - r0, p1 - p0, a1 - a0);
           r)
-      cell_arr
+      order
+  in
+  let tape_fields (records, replays, abandoned) =
+    [
+      ("tape_records", Json.Int records);
+      ("tape_replays", Json.Int replays);
+      ("tape_abandoned", Json.Int abandoned);
+    ]
   in
   let busy = ref 0. in
   let busy_mutex = Mutex.create () in
@@ -163,26 +187,30 @@ let figure opts ~id ~title ~ylabel dss =
     | None -> None
     | Some m ->
       Some
-        (fun i ~domain seconds ->
+        (fun k ~domain seconds ->
           Mutex.lock busy_mutex;
           busy := !busy +. seconds;
           Mutex.unlock busy_mutex;
+          let i = order.(k) in
           let label, bench, _ = cell_arr.(i) in
           let hits, misses = cache_deltas.(i) in
           Manifest.emit m
-            [
-              ("kind", Json.String "cell");
-              ("figure", Json.String id);
-              ("series", Json.String label);
-              ("bench", Json.String bench);
-              ("index", Json.Int i);
-              ("domain", Json.Int domain);
-              ("wall_s", Json.Float seconds);
-              ("cache_hits", Json.Int hits);
-              ("cache_misses", Json.Int misses);
-            ])
+            ([
+               ("kind", Json.String "cell");
+               ("figure", Json.String id);
+               ("series", Json.String label);
+               ("bench", Json.String bench);
+               ("index", Json.Int i);
+               ("domain", Json.Int domain);
+               ("wall_s", Json.Float seconds);
+               ("cache_hits", Json.Int hits);
+               ("cache_misses", Json.Int misses);
+             ]
+            @ tape_fields tape_deltas.(i)))
   in
-  let values = Pool.run ~jobs:opts.jobs ?probe tasks in
+  let ran = Pool.run ~jobs:opts.jobs ?probe tasks in
+  let values = Array.make (Array.length cell_arr) (0., None) in
+  Array.iteri (fun k v -> values.(order.(k)) <- v) ran;
   (match opts.manifest with
   | None -> ()
   | Some m ->
@@ -190,21 +218,29 @@ let figure opts ~id ~title ~ylabel dss =
     let jobs = max 1 opts.jobs in
     let hits = Array.fold_left (fun a (h, _) -> a + h) 0 cache_deltas in
     let misses = Array.fold_left (fun a (_, m) -> a + m) 0 cache_deltas in
+    let tapes =
+      Array.fold_left
+        (fun (r, p, a) (r', p', a') -> (r + r', p + p', a + a'))
+        (0, 0, 0) tape_deltas
+    in
     Manifest.emit m
-      [
-        ("kind", Json.String "figure");
-        ("figure", Json.String id);
-        ("cells", Json.Int (Array.length cell_arr));
-        ("jobs", Json.Int jobs);
-        ("cache_hits", Json.Int hits);
-        ("cache_misses", Json.Int misses);
-        ("wall_s", Json.Float wall);
-        ("busy_s", Json.Float !busy);
-        ( "utilization",
-          Json.Float
-            (if wall > 0. then !busy /. (float_of_int jobs *. wall) else 1.)
-        );
-      ]);
+      ([
+         ("kind", Json.String "figure");
+         ("figure", Json.String id);
+         ("cells", Json.Int (Array.length cell_arr));
+         ("jobs", Json.Int jobs);
+         ("cache_hits", Json.Int hits);
+         ("cache_misses", Json.Int misses);
+       ]
+      @ tape_fields tapes
+      @ [
+          ("wall_s", Json.Float wall);
+          ("busy_s", Json.Float !busy);
+          ( "utilization",
+            Json.Float
+              (if wall > 0. then !busy /. (float_of_int jobs *. wall) else 1.)
+          );
+        ]));
   let i = ref 0 in
   let take () =
     let v = values.(!i) in

@@ -84,8 +84,23 @@ let use2_slot d = (d lsr 12) land 63
 let def1_slot d = (d lsr 18) land 63
 let unresolved d = d land unresolved_bit <> 0
 
-(* Constant constructors, indexed by their codes above. [t] is private,
-   so a stored code is always in range. *)
+let max_slot = Reg.num_arch + Reg.num_dedicated
+
+let of_packed d =
+  if
+    d lsr 31 <> 0
+    || key d >= Insn.num_keys
+    || use1_slot d > max_slot
+    || use2_slot d > max_slot
+    || def1_slot d > max_slot
+    || (d lsr 24) land 7 > 4
+    || (d lsr 27) land 7 > 6
+  then invalid_arg "Desc.of_packed: not a descriptor"
+  else d
+
+(* Constant constructors, indexed by their codes above. [t] is private
+   and {!of_packed} checks the codes, so a stored code is always in
+   range. *)
 let execs = [| Alu; Mul; Load; Store; Other |]
 
 let branches =

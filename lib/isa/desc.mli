@@ -39,6 +39,15 @@ type branch =
 
 val of_insn : Insn.t -> t
 
+val of_packed : int -> t
+(** The inverse of [(d :> int)] for storage that keeps descriptors as
+    plain ints (a replay tape, [Dise_machine.Tape]):
+    [of_packed (d :> int) = d]. Raises [Invalid_argument] on an int
+    whose fields are out of range — a key past {!Insn.num_keys}, a
+    register slot past the register file, an exec or branch code no
+    constructor has — so no int it accepts makes an accessor read out
+    of bounds. *)
+
 val imm_of_insn : Insn.t -> int
 (** The one int that execution needs beyond the descriptor: the
     immediate of [Ropi], [lda], [lui] and memory operations (as

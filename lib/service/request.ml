@@ -1,4 +1,5 @@
 module Machine = Dise_machine.Machine
+module Tape = Dise_machine.Tape
 module Engine = Dise_core.Engine
 module Prodset = Dise_core.Prodset
 module Controller = Dise_core.Controller
@@ -18,12 +19,16 @@ module Diag = Dise_isa.Diag
 module Program = Dise_isa.Program
 
 (* Process-wide counters for the serve summary: cache stores given up
-   on, and the JIT activity of every run (per-run values live in the
-   stats themselves). *)
+   on, the JIT activity of every live run (per-run values live in the
+   stats themselves; a replay's are the recording's, counted once),
+   and the stream tapes recorded, replayed and abandoned. *)
 let store_drops = Metrics.Counter.make "store_drops"
 let jit_compiles = Metrics.Counter.make "jit_compiles"
 let jit_hits = Metrics.Counter.make "jit_hits"
 let jit_invalidations = Metrics.Counter.make "jit_invalidations"
+let tape_records = Metrics.Counter.make "tape_records"
+let tape_replays = Metrics.Counter.make "tape_replays"
+let tape_abandoned = Metrics.Counter.make "tape_abandoned"
 
 type mfi_compose = [ `None | `Composed ]
 
@@ -168,6 +173,26 @@ let to_json t =
 
 let canonical t = Json.to_string (to_json t)
 let key t = Cache.key (canonical t)
+
+let blank_name (s : Compress.scheme) = { s with Compress.name = "" }
+
+(* What the post-DISE stream depends on: the canonical request without
+   the timing-only [machine] and [controller], and with the scheme's
+   name blanked, as [compress_memo] blanks it. [jit] stays: the stream
+   is the same either way, but the JIT counters in the stats are not. *)
+let functional_key t =
+  let acf =
+    match t.acf with
+    | Decompress d -> Decompress { d with scheme = blank_name d.scheme }
+    | Synth s -> Synth { s with scheme = blank_name s.scheme }
+    | (Baseline | Mfi_dise _ | Mfi_rewrite _) as a -> a
+  in
+  match to_json { t with acf } with
+  | Json.Obj kvs ->
+    Json.to_string
+      (Json.Obj
+         (List.filter (fun (k, _) -> k <> "machine" && k <> "controller") kvs))
+  | j -> Json.to_string j
 
 (* --- decoding ----------------------------------------------------------- *)
 
@@ -402,10 +427,114 @@ let rewritten_memo : (string * int, Program.Image.t) Memo.t = Memo.create 16
 let compress_memo : (string * int * bool * Compress.scheme, Compress.result) Memo.t =
   Memo.create 64
 
+(* --- stream tapes ----------------------------------------------------- *)
+
+(* A figure sweeps timing-only parameters, so many of its requests
+   share one post-DISE stream (one functional key). The second request
+   of a stream since [clear_memory] records it on a tape; later ones
+   replay the tape into a fresh pipeline and run no machine, engine or
+   production-set build. At most [max_tapes] tapes are held, the least
+   recently used evicted; a recording reuses the evicted tape's
+   arrays unless a replay still reads them. [seen] holds the keys
+   requested so far, so a stream requested once (a [simulate] round,
+   a synthesis candidate) records nothing. Tapes live in memory only.
+   [tapes_mutex] guards every field; replays run outside it, counted
+   in [readers]. A stream another domain is recording ([recording])
+   waits for that recording instead of making its own, so parallel
+   cells of one stream replay as serial ones do; after [clear_memory]
+   two domains may still record one stream at once, and the later
+   store wins. *)
+type held = {
+  fkey : string;
+  tape : Tape.t;
+  prodset : Prodset.t option;  (* what the recording run's controller watched *)
+  mutable used : int;  (* LRU stamp *)
+  mutable readers : int;  (* replays in flight *)
+}
+
+let max_tapes = 4
+let tapes_mutex = Mutex.create ()
+let recorded = Condition.create ()  (* a recording ended *)
+let held : held list ref = ref []
+let seen : (string, unit) Hashtbl.t = Hashtbl.create 64
+let recording : (string, unit) Hashtbl.t = Hashtbl.create 8
+let tape_clock = ref 0
+
+let with_tapes f =
+  Mutex.lock tapes_mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock tapes_mutex) f
+
+type tape_plan = Play of held | Record of Tape.t | Live
+
+let lru hs =
+  List.fold_left (fun a h -> if h.used < a.used then h else a) (List.hd hs) hs
+
+let plan_tape fkey =
+  with_tapes (fun () ->
+      let rec plan () =
+        incr tape_clock;
+        match List.find_opt (fun h -> String.equal h.fkey fkey) !held with
+        | Some h ->
+          h.used <- !tape_clock;
+          h.readers <- h.readers + 1;
+          Play h
+        | None when not (Hashtbl.mem seen fkey) ->
+          Hashtbl.replace seen fkey ();
+          Live
+        | None when Hashtbl.mem recording fkey ->
+          Condition.wait recorded tapes_mutex;
+          plan ()
+        | None ->
+          Hashtbl.replace recording fkey ();
+          if List.length !held < max_tapes then Record (Tape.create ())
+          else begin
+            let old = lru !held in
+            held := List.filter (fun h -> h != old) !held;
+            Record (if old.readers = 0 then old.tape else Tape.create ())
+          end
+      in
+      plan ())
+
+let unpin h = with_tapes (fun () -> h.readers <- h.readers - 1)
+
+(* The end of a recording of [fkey], stored or not. *)
+let recorded_end fkey =
+  with_tapes (fun () ->
+      Hashtbl.remove recording fkey;
+      Condition.broadcast recorded)
+
+(* A tape leaving the table: its chunks go back to the pool unless a
+   replay still reads them (then the GC takes them). *)
+let drop h = if h.readers = 0 then Tape.release h.tape
+
+let store_tape fkey tape prodset =
+  with_tapes (fun () ->
+      incr tape_clock;
+      let same, others =
+        List.partition (fun h -> String.equal h.fkey fkey) !held
+      in
+      List.iter drop same;
+      let others =
+        if List.length others < max_tapes then others
+        else
+          let old = lru others in
+          drop old;
+          List.filter (fun h -> h != old) others
+      in
+      held := { fkey; tape; prodset; used = !tape_clock; readers = 0 } :: others)
+
+let tapes_held () = with_tapes (fun () -> List.length !held)
+
 let clear_memory () =
   Memo.clear baseline_memo;
   Memo.clear rewritten_memo;
-  Memo.clear compress_memo
+  Memo.clear compress_memo;
+  with_tapes (fun () ->
+      List.iter drop !held;
+      held := [];
+      Hashtbl.reset seen;
+      Hashtbl.reset recording;
+      Condition.broadcast recorded)
 
 (* --- disk cache wiring -------------------------------------------------- *)
 
@@ -426,6 +555,18 @@ let note_miss () = incr (snd (Domain.DLS.get counters_key))
 let cache_counters () =
   let h, m = Domain.DLS.get counters_key in
   (!h, !m)
+
+(* Domain-local like the cache counters: (records, replays, abandoned). *)
+let tape_counters_key : (int ref * int ref * int ref) Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> (ref 0, ref 0, ref 0))
+
+let tape_counters () =
+  let r, p, a = Domain.DLS.get tape_counters_key in
+  (!r, !p, !a)
+
+let note_tape counter pick =
+  Metrics.Counter.incr counter;
+  incr (pick (Domain.DLS.get tape_counters_key))
 
 (* Lookups route through the envelope checks of {!Cache.find}; a
    payload that decodes wrong despite a valid envelope (a schema
@@ -489,15 +630,15 @@ let disk_store ~key:k ~request payload =
 
 let max_steps = 100_000_000
 
-let run_machine t ?prodset ?trace ?profile ?poll m =
-  let controller =
-    match (t.controller, prodset) with
-    | Some cfg, Some ps -> Some (Controller.create cfg ps)
-    | Some cfg, None -> Some (Controller.create cfg Prodset.empty)
-    | None, _ -> None
-  in
+let controller_for t prodset =
+  Option.map
+    (fun cfg -> Controller.create cfg (Option.value prodset ~default:Prodset.empty))
+    t.controller
+
+let run_machine t ?prodset ?trace ?profile ?poll ?record m =
   let stats =
-    Pipeline.run ~max_steps ?controller ?trace ?profile ?poll t.machine m
+    Pipeline.run ~max_steps ?controller:(controller_for t prodset) ?trace
+      ?profile ?poll ?record t.machine m
   in
   if stats.Stats.jit_compiles <> 0 then
     Metrics.Counter.add jit_compiles stats.Stats.jit_compiles;
@@ -562,7 +703,7 @@ let compress_result ~scheme ?(rewritten = false) (entry : Suite.entry) =
     ( entry.Suite.profile.Profile.name,
       entry.Suite.dyn_target,
       rewritten,
-      { scheme with Compress.name = "" } )
+      blank_name scheme )
   in
   Memo.find_or_compute compress_memo key (fun () ->
       let prog =
@@ -571,30 +712,24 @@ let compress_result ~scheme ?(rewritten = false) (entry : Suite.entry) =
       in
       Compress.compress ~scheme prog)
 
-let simulate ?trace ?profile ?poll t (entry : Suite.entry) =
+(* The functional side of a request: the machine that executes its
+   stream, the production set its controller watches ([None]: the
+   empty set) and the name its trap check reports. *)
+let functional t (entry : Suite.entry) =
   match t.acf with
-  | Baseline ->
-    let m = plain_machine t entry.Suite.image in
-    let stats = run_machine t ?trace ?profile ?poll m in
-    check_clean "baseline" m;
-    stats
+  | Baseline -> ("baseline", plain_machine t entry.Suite.image, None)
   | Mfi_dise variant ->
     let prodset = Mfi.productions_for ~variant entry.Suite.image in
     let m = with_engine t entry.Suite.image prodset in
     install_mfi m;
-    let stats = run_machine t ~prodset ?trace ?profile ?poll m in
-    check_clean "mfi_dise" m;
-    stats
+    ("mfi_dise", m, Some prodset)
   | Mfi_rewrite variant ->
     let image =
       match variant with
       | Rewrite.Segment_matching -> rewritten_image entry
       | v -> Program.layout ~base:Codegen.code_base (rewrite v entry)
     in
-    let m = plain_machine t image in
-    let stats = run_machine t ?trace ?profile ?poll m in
-    check_clean "mfi_rewrite" m;
-    stats
+    ("mfi_rewrite", plain_machine t image, None)
   | Decompress { scheme; mfi; rewritten } ->
     let result = compress_result ~scheme ~rewritten entry in
     let prodset =
@@ -604,9 +739,7 @@ let simulate ?trace ?profile ?poll t (entry : Suite.entry) =
     in
     let m = with_engine t result.Compress.image prodset in
     (match mfi with `Composed -> install_mfi m | `None -> ());
-    let stats = run_machine t ~prodset ?trace ?profile ?poll m in
-    check_clean "decompress" m;
-    stats
+    ("decompress", m, Some prodset)
   | Synth { scheme; seeds } ->
     (* Candidate dictionaries are transient (the search scores
        hundreds), so unlike [Decompress] the full result is not
@@ -614,12 +747,52 @@ let simulate ?trace ?profile ?poll t (entry : Suite.entry) =
        disk cache under the seed-bearing canonical key. *)
     let corpus = Compress.corpus ~scheme entry.Suite.gen.Codegen.program in
     let result = Compress.compress_seeded corpus ~seeds in
-    let m = with_engine t result.Compress.image result.Compress.prodset in
-    let stats =
-      run_machine t ~prodset:result.Compress.prodset ?trace ?profile ?poll m
-    in
-    check_clean "synth" m;
-    stats
+    ( "synth",
+      with_engine t result.Compress.image result.Compress.prodset,
+      Some result.Compress.prodset )
+
+(* A live run; returns the production set too, which a recorded tape
+   keeps for the controllers of its replays. *)
+let simulate ?trace ?profile ?poll ?record t entry =
+  let name, m, prodset = functional t entry in
+  let stats = run_machine t ?prodset ?trace ?profile ?poll ?record m in
+  check_clean name m;
+  (stats, prodset)
+
+(* A fresh result for a request whose stream may be on a tape: a
+   replay when one is held, else a live run that records the stream
+   when this is its second request. Only a run that returned (halted
+   cleanly, within its step and time budgets) with a whole recording
+   stores its tape. [entry] is forced only for a live run. *)
+let run_stream ?poll t ~entry =
+  let fkey = functional_key t in
+  match plan_tape fkey with
+  | Play h ->
+    Fun.protect
+      ~finally:(fun () -> unpin h)
+      (fun () ->
+        let stats =
+          Pipeline.replay ?controller:(controller_for t h.prodset) ?poll
+            t.machine h.tape
+        in
+        note_tape tape_replays (fun (_, p, _) -> p);
+        stats)
+  | Live -> fst (simulate ?poll t (entry ()))
+  | Record tape ->
+    let stored = ref false in
+    Fun.protect
+      ~finally:(fun () ->
+        if not !stored then Tape.release tape;
+        recorded_end fkey)
+      (fun () ->
+        let stats, prodset = simulate ?poll ~record:tape t (entry ()) in
+        if Tape.complete tape then begin
+          store_tape fkey tape prodset;
+          stored := true;
+          note_tape tape_records (fun (r, _, _) -> r)
+        end
+        else note_tape tape_abandoned (fun (_, _, a) -> a);
+        stats)
 
 (* --- the one run path --------------------------------------------------- *)
 
@@ -647,8 +820,8 @@ let run_cached ?entry ?deadline t =
     | Some stats -> stats
     | None ->
       fresh := true;
-      let entry = match entry with Some e -> e | None -> derive_entry t in
-      let stats = simulate ?poll t entry in
+      let entry () = match entry with Some e -> e | None -> derive_entry t in
+      let stats = run_stream ?poll t ~entry in
       disk_store ~key:k ~request:(Json.parse canon)
         (Stats.to_json stats);
       stats
@@ -670,7 +843,7 @@ let run ?entry ?trace ?profile t =
     let entry =
       match entry with Some e -> check_entry t e | None -> derive_entry t
     in
-    simulate ?trace ?profile t entry
+    fst (simulate ?trace ?profile t entry)
 
 (* Exactly the exceptions the simulation stack raises on purpose.
    Anything else — a chaos injection, a plain bug, Out_of_memory — is

@@ -6,13 +6,13 @@
     agrees on:
 
     - {!run} is the driver behind the experiments: every figure cell
-      and most ablation cells are one [t]. The exceptions are the 48
-      quick cells of [ablate-decode] and [ablate-ctx]
-      ({!Dise_harness.Ablate}), which build their engines, machines
-      and pipelines directly because their knobs (DISE decode
-      bandwidth, context-switch intervals) are not request fields; they
-      bypass the result cache, so a warm [figures] rerun simulates
-      them again;
+      and most ablation cells are one [t]. The exceptions are the 44
+      quick cells of [ablate-decode] and of [ablate-ctx]'s switching
+      series ({!Dise_harness.Ablate}), which build their engines,
+      machines and pipelines directly because their knobs (the
+      tracing and profiling ACFs, context-switch intervals) are not
+      request fields; they bypass the result cache and the stream
+      tapes, so a warm [figures] rerun simulates them again;
     - {!canonical}/{!key} derive the content address under which the
       run's statistics persist in the on-disk {!Cache};
     - the JSONL protocol of [disesim serve] ships {!to_json} values
@@ -21,16 +21,30 @@
     {b Caching.} [run] consults, in order: an in-memory memo
     (baseline runs only — many figure cells normalize against the
     same baseline), the configured disk cache ({!set_disk_cache}),
-    and finally the simulator; fresh results are persisted. All three
-    layers return statistics identical to a fresh simulation — every
-    persisted field is an integer, so the round-trip is exact.
+    a stream tape, and finally the simulator; fresh results are
+    persisted. A {e tape} ({!Dise_machine.Tape}) is the recorded
+    post-DISE stream of one {e functional key}: the request without
+    its timing-only [machine] and [controller] (and with its scheme's
+    name blanked). The stream's second request since {!clear_memory}
+    records it; later requests of that stream replay it into a fresh
+    timing model under their own machine and controller, running no
+    functional machine, engine or production-set build. At most four
+    tapes are held, least recently used evicted; a recording past
+    {!Dise_machine.Tape.max_length} instructions is abandoned, and
+    only a run that halted cleanly stores its tape. Tapes live in
+    memory only: they are never persisted, and a replay is a
+    simulation ([cache_hit] false) whose result is stored to disk
+    like any other. All four layers return statistics identical to
+    a fresh simulation — every persisted field is an integer, so the
+    round-trip is exact, and a replay feeds the timing model the
+    records the machine would.
 
     {b Telemetry sinks bypass every cache.} This is the single place
     the rule lives: sinks ([?trace]/[?profile]) consume the expansion {e event
     stream}, which cached statistics cannot replay, and closures make
     unusable hash keys — so a sink-carrying [run] simulates
-    unconditionally and leaves every memo and the disk cache
-    untouched. Statistics are unaffected: a traced run's counters are
+    unconditionally and live, and leaves every memo, the tapes and
+    the disk cache untouched. Statistics are unaffected: a traced run's counters are
     identical to an untraced one's. *)
 
 type mfi_compose = [ `None | `Composed ]
@@ -242,9 +256,23 @@ val cache_counters : unit -> int * int
     on the worker that ran it) is race-free; the harness records the
     deltas in run manifests. Zero when no disk cache is installed. *)
 
+val tape_counters : unit -> int * int * int
+(** This domain's cumulative tape counts [(records, replays,
+    abandoned)]: tapes recorded and stored, results computed by
+    replaying a tape, and recordings not stored (past
+    {!Dise_machine.Tape.max_length}, or a field the tape cannot hold).
+    Domain-local like {!cache_counters}; the harness records per-cell
+    deltas in run manifests. The process-wide totals are the
+    [tape_records], [tape_replays] and [tape_abandoned]
+    {!Dise_telemetry.Metrics} counters. *)
+
+val tapes_held : unit -> int
+(** Tapes the table holds now (at most four). *)
+
 val clear_memory : unit -> unit
 (** Drop the in-memory memo tables (baseline stats, compression
-    results, rewritten images). Mutex-protected and
+    results, rewritten images), the stream tapes and the set of
+    streams requested so far. Mutex-protected and
     safe to call concurrently with worker domains; clearing mid-figure
     only costs recomputation, never correctness. *)
 

@@ -2,6 +2,7 @@ module I = Dise_isa.Insn
 module Desc = Dise_isa.Desc
 module Reg = Dise_isa.Reg
 module Machine = Dise_machine.Machine
+module Tape = Dise_machine.Tape
 module Controller = Dise_core.Controller
 module Cpi_stack = Dise_telemetry.Cpi_stack
 module Trace = Dise_telemetry.Trace
@@ -454,13 +455,42 @@ let finish t =
   end;
   t.stats
 
-let run ?max_steps ?controller ?trace ?profile ?poll cfg machine =
+(* Where a run's stream comes from: a live machine, optionally
+   recording its stream on a tape, or a tape recorded earlier. *)
+type source =
+  | Live of Machine.t * Tape.t option
+  | Replay of Tape.t
+
+(* The one driver behind [run] and [replay]. The stream allocates
+   nothing per dynamic instruction; deadline polling happens in the
+   machine loop or the tape loop every 2048 instructions. The JIT
+   counters are the machine's, or the recording machine's. *)
+let drive ?max_steps ?controller ?trace ?profile ?poll cfg source =
   let p = create ?controller ?trace ?profile cfg in
-  (* The raw stream allocates nothing per dynamic instruction;
-     deadline polling happens in the machine loop every 2048 steps. *)
-  ignore (Machine.run_raw ?max_steps ?poll machine (fun r -> consume_raw p r));
+  (match source with
+  | Live (machine, None) ->
+    ignore (Machine.run_raw ?max_steps ?poll machine (fun r -> consume_raw p r))
+  | Live (machine, Some tape) ->
+    Tape.start tape;
+    ignore
+      (Machine.run_raw ?max_steps ?poll machine (fun r ->
+           Tape.record tape r;
+           consume_raw p r));
+    Tape.finish tape machine
+  | Replay tape -> ignore (Tape.replay ?poll tape (fun r -> consume_raw p r)));
   let stats = finish p in
-  stats.Stats.jit_compiles <- Machine.jit_compiles machine;
-  stats.Stats.jit_hits <- Machine.jit_hits machine;
-  stats.Stats.jit_invalidations <- Machine.jit_invalidations machine;
+  (match source with
+  | Live (machine, _) ->
+    stats.Stats.jit_compiles <- Machine.jit_compiles machine;
+    stats.Stats.jit_hits <- Machine.jit_hits machine;
+    stats.Stats.jit_invalidations <- Machine.jit_invalidations machine
+  | Replay tape ->
+    stats.Stats.jit_compiles <- Tape.jit_compiles tape;
+    stats.Stats.jit_hits <- Tape.jit_hits tape;
+    stats.Stats.jit_invalidations <- Tape.jit_invalidations tape);
   stats
+
+let run ?max_steps ?controller ?trace ?profile ?poll ?record cfg machine =
+  drive ?max_steps ?controller ?trace ?profile ?poll cfg (Live (machine, record))
+
+let replay ?controller ?poll cfg tape = drive ?controller ?poll cfg (Replay tape)

@@ -74,6 +74,7 @@ val run :
   ?trace:Dise_telemetry.Trace.t ->
   ?profile:Dise_telemetry.Profile.t ->
   ?poll:(unit -> unit) ->
+  ?record:Dise_machine.Tape.t ->
   Config.t ->
   Dise_machine.Machine.t ->
   Stats.t
@@ -85,4 +86,23 @@ val run :
     (the service layer raises [Resilience.Deadline_exceeded] from it
     to enforce per-job wall-clock budgets — OCaml domains cannot be
     cancelled from outside, so long simulations must poll). Without
-    [poll] the event loop is unchanged. *)
+    [poll] the event loop is unchanged.
+
+    [record] also records the stream on the tape
+    ({!Dise_machine.Tape.start} … {!Dise_machine.Tape.finish}); the
+    statistics are the same either way, and the tape is
+    {!Dise_machine.Tape.complete} only if its recording was not
+    abandoned and the run returned. *)
+
+val replay :
+  ?controller:Dise_core.Controller.t ->
+  ?poll:(unit -> unit) ->
+  Config.t ->
+  Dise_machine.Tape.t ->
+  Stats.t
+(** Feed a complete tape through a fresh pipeline: the statistics
+    {!run} computes for the recorded stream under [Config.t] and
+    [controller], JIT counters included (the recording machine's).
+    No machine, engine or expander runs. [poll] as in {!run}. The
+    one driver behind both is the same, so the two differ only in
+    where [consume_raw]'s records come from. *)

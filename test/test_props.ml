@@ -567,6 +567,7 @@ let desc_agrees i =
   && Desc.def1_slot d = Insn.def1 i + 1
   && (not (Desc.unresolved d))
   && Desc.to_insn d (Desc.imm_of_insn i) = i
+  && Desc.of_packed (d :> int) = d
 
 (* A label target is marked unresolved; [Program.layout] resolves it. *)
 let unresolved_marked i =
@@ -577,10 +578,21 @@ let unresolved_marked i =
     Desc.unresolved (Desc.of_insn j)
   | j -> not (Desc.unresolved (Desc.of_insn j))
 
+(* An int with a field out of range is no descriptor: past 31 bits, a
+   key past [num_keys], a register slot past the register file, an
+   exec or branch code no constructor has. *)
+let packed_out_of_range =
+  List.for_all
+    (fun v ->
+      match Desc.of_packed v with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+    [ 1 lsl 31; 63; 63 lsl 6; 63 lsl 12; 63 lsl 18; 7 lsl 24; 7 lsl 27 ]
+
 let prop_desc_fields =
   QCheck.Test.make ~name:"descriptor fields agree with Insn" ~count:500
     (Gens.arbitrary_insn ~pc:0x100000) (fun i ->
-      desc_agrees i && unresolved_marked i
+      desc_agrees i && unresolved_marked i && packed_out_of_range
       && desc_agrees (Insn.Jr Reg.ra)
       && List.for_all
            (fun k -> desc_agrees (Desc.example_of_key k))

@@ -689,10 +689,11 @@ let test_counters () =
     [
       "isolated"; "timeouts"; "shed"; "retries"; "store_drops";
       "conn_failures"; "jit_compiles"; "jit_hits"; "jit_invalidations";
+      "tape_records"; "tape_replays"; "tape_abandoned";
       "heartbeat_misses"; "failovers"; "torn_frames";
     ]
   in
-  check int_ "twelve serve counters" 12 (List.length serve_counters);
+  check int_ "fifteen serve counters" 15 (List.length serve_counters);
   List.iter
     (fun name ->
       check bool_ (name ^ " present") true (List.mem_assoc name snap))

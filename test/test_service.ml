@@ -779,6 +779,225 @@ let test_entry_must_match () =
   check bool_ "the matching entry runs" true
     (Result.is_ok (Request.run_ext ~entry (Request.v ~dyn_target:20_000 "tiny")))
 
+(* --- stream tapes ------------------------------------------------------- *)
+
+let stats_string s = Json.to_string (Stats.to_json s)
+
+(* A run with a sink bypasses every cache and the tapes: the live
+   reference for a request's statistics. *)
+let live_stats r = Request.run ~profile:(Dise_telemetry.Profile.create ()) r
+
+let tape_delta f =
+  let r0, p0, a0 = Request.tape_counters () in
+  let v = f () in
+  let r1, p1, a1 = Request.tape_counters () in
+  (v, (r1 - r0, p1 - p0, a1 - a0))
+
+let ok_stats r =
+  match Request.run_ext r with
+  | Ok (s, _) -> s
+  | Error d -> Alcotest.failf "%s: %s" (Request.canonical r) (Diag.to_string d)
+
+let tape_machines =
+  [
+    Config.default;
+    Config.with_width 2 Config.default;
+    Config.with_icache_kb (Some 8) Config.default;
+    Config.with_icache_kb None Config.default;
+    Config.with_dise_decode Config.Stall_per_expansion Config.default;
+    Config.with_dise_decode Config.Extra_stage Config.default;
+  ]
+
+let tape_controllers =
+  [
+    None;
+    Some Controller.default_config;
+    Some { Controller.default_config with Controller.rt_entries = 512; rt_assoc = 1 };
+    Some
+      { Controller.default_config with
+        Controller.rt_entries = 512;
+        composing = true;
+        pt_entries = 4 };
+  ]
+
+(* Every request ACF kind: baseline, both DISE MFI variants, the
+   rewrite, plain, composed and rewritten-dedicated decompression, and
+   a two-seed synthesized dictionary. *)
+let tape_kinds bench dyn_target =
+  let dec ?(mfi = `None) ?(rewritten = false) scheme =
+    Request.Decompress { scheme; mfi; rewritten }
+  in
+  let seeds =
+    let e = W.Suite.get ~dyn_target (Option.get (W.Profile.find bench)) in
+    let c =
+      A.Compress.corpus ~scheme:A.Compress.full_dise
+        e.W.Suite.gen.W.Codegen.program
+    in
+    List.map (fun w -> w.A.Compress.w_seed)
+      (List.filteri (fun i _ -> i < 2) (A.Compress.windows c))
+  in
+  [
+    ("baseline", Request.Baseline);
+    ("mfi dise3", Request.Mfi_dise A.Mfi.Dise3);
+    ("mfi dise4", Request.Mfi_dise A.Mfi.Dise4);
+    ("rewrite", Request.Mfi_rewrite A.Rewrite.Segment_matching);
+    ("decompress", dec A.Compress.full_dise);
+    ("composed", dec ~mfi:`Composed A.Compress.full_dise);
+    ("rewritten dedicated", dec ~rewritten:true A.Compress.dedicated);
+    ("synth", Request.Synth { scheme = A.Compress.full_dise; seeds });
+  ]
+
+(* Replay is invisible: three distinct machine x controller
+   configurations of one stream run in a row through [run_ext] — a
+   live run, a recording, a replay — and each result equals the same
+   request run live. *)
+let prop_replay_invisible =
+  let gen =
+    let open QCheck.Gen in
+    let configs =
+      List.concat_map
+        (fun m -> List.map (fun c -> (m, c)) tape_controllers)
+        tape_machines
+    in
+    triple (oneofl [ "tiny"; "mcf" ]) (int_range 8_000 16_000)
+      (map (List.filteri (fun i _ -> i < 3)) (shuffle_l configs))
+  in
+  let print (bench, dyn, cfgs) =
+    Printf.sprintf "%s@%d: %s" bench dyn
+      (String.concat " | "
+         (List.map
+            (fun (m, c) ->
+              Json.to_string (Config.to_json m)
+              ^ match c with None -> " free" | Some _ -> " ctl")
+            cfgs))
+  in
+  QCheck.Test.make ~name:"tape replay is invisible" ~count:4
+    (QCheck.make ~print gen) (fun (bench, dyn_target, cfgs) ->
+      List.for_all
+        (fun (label, acf) ->
+          Request.clear_memory ();
+          let (), (records, replays, _) =
+            tape_delta (fun () ->
+                List.iteri
+                  (fun i (machine, controller) ->
+                    let r =
+                      { (Request.v ~dyn_target ~acf bench) with
+                        Request.machine;
+                        controller }
+                    in
+                    let got = stats_string (ok_stats r) in
+                    if got <> stats_string (live_stats r) then
+                      QCheck.Test.fail_reportf "%s, run %d: %s differs from live"
+                        label (i + 1) got)
+                  cfgs)
+          in
+          if records <> 1 || replays <> 1 then
+            QCheck.Test.fail_reportf "%s: %d records, %d replays (want 1, 1)"
+              label records replays;
+          true)
+        (tape_kinds bench dyn_target))
+
+let mfi_request ?(machine = Config.default) dyn_target =
+  { (Request.v ~dyn_target ~acf:(Request.Mfi_dise A.Mfi.Dise3) "tiny") with
+    Request.machine }
+
+let test_tapes_cleared () =
+  Request.clear_memory ();
+  let r = mfi_request 14_001 in
+  let _, once = tape_delta (fun () -> ok_stats r) in
+  check bool_ "a stream requested once records nothing" true (once = (0, 0, 0));
+  check int_ "no tape held" 0 (Request.tapes_held ());
+  let _, twice = tape_delta (fun () -> ok_stats r) in
+  check bool_ "the second request records" true (twice = (1, 0, 0));
+  let _, thrice = tape_delta (fun () -> ok_stats r) in
+  check bool_ "the third replays" true (thrice = (0, 1, 0));
+  Request.clear_memory ();
+  check int_ "clear_memory drops the tapes" 0 (Request.tapes_held ());
+  let _, after = tape_delta (fun () -> ok_stats r) in
+  check bool_ "and the seen set: the next request runs live" true
+    (after = (0, 0, 0));
+  Request.clear_memory ()
+
+let test_tapes_bounded () =
+  Request.clear_memory ();
+  List.iter
+    (fun dyn ->
+      let r = mfi_request dyn in
+      ignore (ok_stats r);
+      ignore (ok_stats r);
+      check bool_
+        (Printf.sprintf "at most four tapes (%d held)" (Request.tapes_held ()))
+        true
+        (Request.tapes_held () <= 4))
+    [ 10_001; 10_002; 10_003; 10_004; 10_005; 10_006 ];
+  check int_ "the table is full" 4 (Request.tapes_held ());
+  (* The oldest streams were evicted: requesting one records again. *)
+  let _, d = tape_delta (fun () -> ok_stats (mfi_request 10_001)) in
+  check bool_ "an evicted stream records again" true (d = (1, 0, 0));
+  let _, d = tape_delta (fun () -> ok_stats (mfi_request 10_006)) in
+  check bool_ "a held stream replays" true (d = (0, 1, 0));
+  Request.clear_memory ()
+
+(* tiny at 1.2M dynamic instructions passes the tape's cap. *)
+let test_tape_cap () =
+  Request.clear_memory ();
+  let r = mfi_request 1_200_000 in
+  let live = stats_string (live_stats r) in
+  check bool_ "the stream passes the cap" true
+    ((live_stats r).Stats.retired > Dise_machine.Tape.max_length);
+  ignore (ok_stats r);
+  let s, d = tape_delta (fun () -> ok_stats r) in
+  check bool_ "the recording is abandoned" true (d = (0, 0, 1));
+  check string_ "and the run's stats do not change" live (stats_string s);
+  check int_ "nothing stored" 0 (Request.tapes_held ());
+  Request.clear_memory ()
+
+(* A workload that traps (exit code 5) fails every request and stores
+   no tape, though its recording ran to the halt. *)
+let test_trapped_no_tape () =
+  Request.clear_memory ();
+  let e = W.Suite.get ~dyn_target:10_000 W.Profile.tiny in
+  let entry =
+    { e with
+      W.Suite.image =
+        Dise_isa.Program.layout ~base:W.Codegen.code_base
+          (Dise_isa.Asm.parse "main:\n lda r2, 5(r0)\n halt\n") }
+  in
+  let r machine = { (Request.v ~dyn_target:10_000 "tiny") with Request.machine } in
+  let _, d =
+    tape_delta (fun () ->
+        List.iter
+          (fun machine ->
+            match Request.run_ext ~entry (r machine) with
+            | Error (Diag.Runtime _) -> ()
+            | Error d -> Alcotest.fail ("wrong diag: " ^ Diag.to_string d)
+            | Ok _ -> Alcotest.fail "a trapped workload answered ok")
+          (List.filteri (fun i _ -> i < 3) tape_machines))
+  in
+  check bool_ "no tape recorded or replayed" true (d = (0, 0, 0));
+  check int_ "none held" 0 (Request.tapes_held ());
+  Request.clear_memory ()
+
+let test_replay_deadline () =
+  Request.clear_memory ();
+  let r machine = { (Request.v ~dyn_target:400_000 "tiny") with Request.machine } in
+  ignore (ok_stats (r Config.default));
+  ignore (ok_stats (r (Config.with_width 2 Config.default)));
+  check int_ "the stream is on a tape" 1 (Request.tapes_held ());
+  let result, d =
+    tape_delta (fun () ->
+        Request.run_ext
+          ~deadline:(Unix.gettimeofday () +. 0.002)
+          (r (Config.with_icache_kb (Some 8) Config.default)))
+  in
+  (match result with
+  | Error (Diag.Timeout msg) ->
+    check bool_ ("the replay timed out: " ^ msg) true (contains msg "exceeded")
+  | Error d -> Alcotest.fail ("wrong diag: " ^ Diag.to_string d)
+  | Ok _ -> Alcotest.fail "replay finished inside 2ms");
+  check bool_ "no live run or recording instead" true (d = (0, 0, 0));
+  Request.clear_memory ()
+
 let suite =
   [
     t prop_roundtrip;
@@ -808,4 +1027,10 @@ let suite =
     ("memos keyed on dyn_target", `Quick, test_memo_keys_dyn_target);
     ("run checks its entry", `Quick, test_entry_must_match);
     ("per-cell stats golden", `Quick, test_stats_golden);
+    t prop_replay_invisible;
+    ("tapes: clear_memory and the seen set", `Quick, test_tapes_cleared);
+    ("tapes: at most four held", `Quick, test_tapes_bounded);
+    ("tapes: recording past the cap abandoned", `Quick, test_tape_cap);
+    ("tapes: trapped workload stores none", `Quick, test_trapped_no_tape);
+    ("tapes: deadline during a replay", `Quick, test_replay_deadline);
   ]

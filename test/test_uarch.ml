@@ -394,45 +394,61 @@ let test_pipeline_controller_rt_misses_cost () =
    cell. *)
 let test_pipeline_allocation_free () =
   let gzip = Option.get (Workload.Profile.find "gzip") in
-  let entry = Workload.Suite.get ~dyn_target:1_100_000 gzip in
-  let per_insn name ?controller m =
+  let per_insn ?(min_retired = 1_000_000) name run =
     let stats = ref None in
-    let words =
-      minor_words_of (fun () ->
-          stats := Some (Pipeline.run ?controller Config.default m))
-    in
+    let words = minor_words_of (fun () -> stats := Some (run ())) in
     let retired = (Option.get !stats).Stats.retired in
     check bool_
-      (Printf.sprintf "%s runs %d >= 1M instructions" name retired)
-      true (retired >= 1_000_000);
+      (Printf.sprintf "%s runs %d >= %d instructions" name retired min_retired)
+      true (retired >= min_retired);
     let w = words /. float_of_int retired in
     check bool_
       (Printf.sprintf "%s: %.2f minor words per instruction <= 1" name w)
       true (w <= 1.)
   in
+  let entry = Workload.Suite.get ~dyn_target:1_100_000 gzip in
   let baseline = Machine.create entry.Workload.Suite.image in
   Machine.enable_jit baseline;
-  per_insn "baseline" baseline;
+  per_insn "baseline" (fun () -> Pipeline.run Config.default baseline);
   (* Decompression composed with MFI, under the default PT/RT
      controller: expansion, the engine memo and the controller are all
      on the path. *)
-  let result =
-    Dise_acf.Compress.compress ~scheme:Dise_acf.Compress.full_dise
-      entry.Workload.Suite.gen.Workload.Codegen.program
+  let composed (entry : Workload.Suite.entry) =
+    let result =
+      Dise_acf.Compress.compress ~scheme:Dise_acf.Compress.full_dise
+        entry.Workload.Suite.gen.Workload.Codegen.program
+    in
+    let prodset = Dise_acf.Acf_compose.for_compressed result in
+    let image = result.Dise_acf.Compress.image in
+    let engine = Dise_core.Engine.create ~image prodset in
+    let m = Machine.create ~expander:(Dise_core.Engine.expander engine) image in
+    Dise_core.Engine.attach_jit engine m;
+    Dise_acf.Mfi.install m ~data_seg:Workload.Codegen.data_segment_id
+      ~code_seg:Workload.Codegen.code_segment_id;
+    let controller () =
+      Controller.create
+        { Controller.default_config with composing = true }
+        prodset
+    in
+    (m, controller)
   in
-  let prodset = Dise_acf.Acf_compose.for_compressed result in
-  let image = result.Dise_acf.Compress.image in
-  let engine = Dise_core.Engine.create ~image prodset in
-  let m = Machine.create ~expander:(Dise_core.Engine.expander engine) image in
-  Dise_core.Engine.attach_jit engine m;
-  Dise_acf.Mfi.install m ~data_seg:Workload.Codegen.data_segment_id
-    ~code_seg:Workload.Codegen.code_segment_id;
-  let controller =
-    Controller.create
-      { Controller.default_config with composing = true }
-      prodset
-  in
-  per_insn "composed decompression" ~controller m
+  let m, controller = composed entry in
+  per_insn "composed decompression" (fun () ->
+      Pipeline.run ~controller:(controller ()) Config.default m);
+  (* The same cell replayed from a tape into a fresh pipeline, at a
+     length a tape holds ([Tape.max_length]). A replay has no memo to
+     fill and no block to compile, so half a million instructions
+     amortize its one-time costs. *)
+  let m, controller = composed (Workload.Suite.get ~dyn_target:500_000 gzip) in
+  let tape = Dise_machine.Tape.create () in
+  let live = Pipeline.run ~controller:(controller ()) ~record:tape Config.default m in
+  check bool_ "the stream is on the tape" true (Dise_machine.Tape.complete tape);
+  let replayed = ref live in
+  per_insn ~min_retired:500_000 "replayed composed decompression" (fun () ->
+      replayed := Pipeline.replay ~controller:(controller ()) Config.default tape;
+      !replayed);
+  check bool_ "the replay reproduces the recording run" true
+    (Stats.to_json !replayed = Stats.to_json live)
 
 let test_pipeline_workload_end_to_end () =
   let entry = Workload.Suite.get ~dyn_target:50_000 Workload.Profile.tiny in
