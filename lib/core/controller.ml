@@ -8,6 +8,7 @@ type config = {
   miss_penalty : int;
   compose_penalty : int;
   composing : bool;
+  context_switch_every : int;
 }
 
 let default_config =
@@ -21,6 +22,7 @@ let default_config =
     miss_penalty = 30;
     compose_penalty = 150;
     composing = false;
+    context_switch_every = 0;
   }
 
 let perfect_config =

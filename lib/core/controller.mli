@@ -25,11 +25,14 @@ type config = {
   miss_penalty : int;     (** simple PT/RT miss stall, 30 *)
   compose_penalty : int;  (** composing RT miss stall, 150 *)
   composing : bool;       (** RT fills run the composition routine *)
+  context_switch_every : int;
+      (** {!context_switch} after every this many instructions the
+          timing model consumes, replacement ones included; 0: never. *)
 }
 
 val default_config : config
 (** The paper's default: 32-entry PT, 2K-entry 2-way RT, 30/150 cycle
-    stalls, no composition. *)
+    stalls, no composition, no context switches. *)
 
 val perfect_config : config
 (** Perfect PT and RT: DISE is free. *)

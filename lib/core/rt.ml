@@ -26,11 +26,13 @@ let max_precomputed_len = 256
 let precompute_blocks epb =
   Array.init (max_precomputed_len + 1) (fun len -> (len + epb - 1) / epb)
 
+(* One factor at a time: a product of request values could overflow. *)
 let check_geometry ~entries ~assoc ~entries_per_block =
   if entries <= 0 || assoc <= 0 || entries_per_block <= 0 then
     Error "entries, assoc and entries_per_block must be positive"
-  else if entries mod (assoc * entries_per_block) <> 0 then
-    Error "entries not divisible by assoc * entries_per_block"
+  else if entries > 1 lsl 20 then Error "more than 2^20 entries"
+  else if entries mod entries_per_block <> 0 || entries / entries_per_block mod assoc <> 0
+  then Error "entries not divisible by assoc * entries_per_block"
   else Ok ()
 
 let create ?(entries_per_block = 1) ~entries ~assoc () =

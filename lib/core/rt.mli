@@ -19,8 +19,8 @@ type t
 
 val check_geometry :
   entries:int -> assoc:int -> entries_per_block:int -> (unit, string) result
-(** [Ok ()] when all three are positive and [entries] is a multiple of
-    [assoc * entries_per_block]; otherwise [Error] names the rule
+(** [Ok ()] when all three are positive and [entries], at most
+    2{^20}, is a multiple of [assoc * entries_per_block]; otherwise [Error] names the rule
     broken, for the caller to prefix with the field or option it came
     from (as {!Dise_uarch.Cache.check_geometry}). *)
 

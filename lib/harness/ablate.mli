@@ -27,9 +27,9 @@ val rt_block : Figures.opts -> Figures.figure
 
 val context_switch : Figures.opts -> Figures.figure
 (** Context-switch frequency (none / every 50K / every 10K dynamic
-    instructions) for decompression on a 2K RT: the cost of demand-
-    reloading the RT after each switch, the OS-virtualization overhead
-    of Section 2.3. *)
+    instructions, replacement instructions counted) for decompression
+    on a 2K RT: the cost of demand-reloading the RT after each switch,
+    the OS-virtualization overhead of Section 2.3. *)
 
 val all : (string * (Figures.opts -> Figures.figure)) list
 val by_id : string -> (Figures.opts -> Figures.figure) option

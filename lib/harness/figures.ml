@@ -54,18 +54,18 @@ let entries opts =
     opts.benchmarks
 
 (* One cell's run: a machine (default: the paper's), a controller
-   ([None]: DISE is free) and an ACF at [opts.dyn_target], named as a
-   Request and run on the entry the cell already holds, so a cache miss
-   does not regenerate the workload. *)
-let run ?(machine = Config.default) ?controller opts acf (e : Suite.entry) =
+   ([None]: DISE is free), an ACF and its observers at
+   [opts.dyn_target], named as a Request and run on the entry the cell
+   already holds, so a cache miss does not regenerate the workload. *)
+let run ?(machine = Config.default) ?controller ?observe opts acf (e : Suite.entry) =
   Request.run ~entry:e
-    (Request.v ~dyn_target:opts.dyn_target ~machine ?controller ~acf
+    (Request.v ~dyn_target:opts.dyn_target ~machine ?controller ~acf ?observe
        e.Suite.profile.Profile.name)
 
 (* A timing cell's value and statistics: [acf]'s run relative to the
    ACF-free run on [norm] (default: the paper's machine). *)
-let rel ?machine ?controller ?(norm = Config.default) opts acf e =
-  let st = run ?machine ?controller opts acf e in
+let rel ?machine ?controller ?observe ?(norm = Config.default) opts acf e =
+  let st = run ?machine ?controller ?observe opts acf e in
   let baseline = run ~machine:norm opts Request.Baseline e in
   (Request.relative st ~baseline, st)
 

@@ -63,6 +63,14 @@ val series_stats :
 (** Like {!series}, but the cell also yields the statistics of the run
     behind the figure value, surfaced through {!figure}'s [stacks]. *)
 
+val rel :
+  ?machine:Dise_uarch.Config.t -> ?controller:Dise_core.Controller.config ->
+  ?observe:Dise_service.Request.observer list -> ?norm:Dise_uarch.Config.t ->
+  opts -> Dise_service.Request.acf -> Dise_workload.Suite.entry ->
+  float * Dise_uarch.Stats.t
+(** A timing cell: [acf]'s request relative to the [Baseline] request
+    on [norm] (default: the paper's machine), and its statistics. *)
+
 val figure :
   opts ->
   id:string ->

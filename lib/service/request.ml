@@ -43,12 +43,15 @@ type acf =
     }
   | Synth of { scheme : Compress.scheme; seeds : Compress.seed list }
 
+type observer = Trace | Profile
+
 type t = {
   bench : string;
   dyn_target : int;
   machine : Config.t;
   controller : Controller.config option;
   acf : acf;
+  observe : observer list;
   jit : bool;
   jit_threshold : int;
 }
@@ -62,11 +65,14 @@ let default_jit = ref (true, Machine.default_jit_threshold)
 let set_default_jit ~enabled ~threshold = default_jit := (enabled, max 1 threshold)
 
 let v ?dyn_target:(dyn_target = 300_000) ?(machine = Config.default) ?controller
-    ?(acf = Baseline) ?jit ?jit_threshold bench =
+    ?(acf = Baseline) ?(observe = []) ?jit ?jit_threshold bench =
   let d_enabled, d_threshold = !default_jit in
   let jit = Option.value jit ~default:d_enabled in
   let jit_threshold = Option.value jit_threshold ~default:d_threshold in
-  { bench; dyn_target; machine; controller; acf; jit; jit_threshold }
+  { bench; dyn_target; machine; controller; acf; observe; jit; jit_threshold }
+
+(* Canonical order, once each: neither key nor production set sees order. *)
+let observers os = List.filter (fun o -> List.mem o os) [ Trace; Profile ]
 
 (* --- canonical JSON encoding ------------------------------------------- *)
 
@@ -93,7 +99,7 @@ let scheme_to_json (s : Compress.scheme) =
 
 let controller_to_json (c : Controller.config) =
   Json.Obj
-    [
+    ([
       ("pt_entries", Json.Int c.Controller.pt_entries);
       ("pt_perfect", Json.Bool c.Controller.pt_perfect);
       ("rt_entries", Json.Int c.Controller.rt_entries);
@@ -104,36 +110,38 @@ let controller_to_json (c : Controller.config) =
       ("compose_penalty", Json.Int c.Controller.compose_penalty);
       ("composing", Json.Bool c.Controller.composing);
     ]
+    (* Left out at its default, so switch-free controllers keep their keys. *)
+    @ if c.Controller.context_switch_every = 0 then []
+      else [ ("context_switch_every", Json.Int c.Controller.context_switch_every) ])
 
-let acf_to_json = function
-  | Baseline -> Json.Obj [ ("kind", Json.String "baseline") ]
-  | Mfi_dise variant ->
-    Json.Obj
+let kind_name = function
+  | Baseline -> "baseline"
+  | Mfi_dise _ -> "mfi_dise"
+  | Mfi_rewrite _ -> "mfi_rewrite"
+  | Decompress _ -> "decompress"
+  | Synth _ -> "synth"
+
+let observer_json o = Json.String (match o with Trace -> "trace" | Profile -> "profile")
+
+let acf_to_json a =
+  Json.Obj
+    (("kind", Json.String (kind_name a))
+    ::
+    (match a with
+    | Baseline -> []
+    | Mfi_dise variant -> [ ("variant", Json.String (mfi_variant_name variant)) ]
+    | Mfi_rewrite variant -> [ ("variant", Json.String (rw_variant_name variant)) ]
+    | Decompress { scheme; mfi; rewritten } ->
       [
-        ("kind", Json.String "mfi_dise");
-        ("variant", Json.String (mfi_variant_name variant));
-      ]
-  | Mfi_rewrite variant ->
-    Json.Obj
-      [
-        ("kind", Json.String "mfi_rewrite");
-        ("variant", Json.String (rw_variant_name variant));
-      ]
-  | Decompress { scheme; mfi; rewritten } ->
-    Json.Obj
-      [
-        ("kind", Json.String "decompress");
         ("scheme", scheme_to_json scheme);
         ("mfi", Json.String (compose_name mfi));
         ("rewritten", Json.Bool rewritten);
       ]
-  | Synth { scheme; seeds } ->
-    (* The seed list is part of the canonical form, so every candidate
-       dictionary the synthesis search scores caches under its own
-       key — and never collides with a greedy "decompress" run. *)
-    Json.Obj
+    | Synth { scheme; seeds } ->
+      (* The seed list is part of the canonical form, so every candidate
+         dictionary the synthesis search scores caches under its own
+         key — and never collides with a greedy "decompress" run. *)
       [
-        ("kind", Json.String "synth");
         ("scheme", scheme_to_json scheme);
         ( "seeds",
           Json.List
@@ -146,11 +154,11 @@ let acf_to_json = function
                      Json.Int s.Compress.s_len;
                    ])
                seeds) );
-      ]
+      ]))
 
 let to_json t =
   Json.Obj
-    [
+    ([
       ("bench", Json.String t.bench);
       ("dyn_target", Json.Int t.dyn_target);
       ("machine", Config.to_json t.machine);
@@ -170,6 +178,9 @@ let to_json t =
             ("threshold", Json.Int t.jit_threshold);
           ] );
     ]
+    (* Left out when empty, so unobserved requests keep their keys. *)
+    @ if t.observe = [] then []
+      else [ ("observe", Json.List (List.map observer_json (observers t.observe))) ])
 
 let canonical t = Json.to_string (to_json t)
 let key t = Cache.key (canonical t)
@@ -274,12 +285,16 @@ let controller_of_json j =
   let* rt_assoc = int_field "controller" j "rt_assoc" in
   let* rt_entries_per_block = int_field "controller" j "rt_entries_per_block" in
   let* rt_perfect = bool_field "controller" j "rt_perfect" in
-  let penalty name =
+  let non_negative name =
     ranged_field "controller" j name ~expect:">= 0" (fun v -> v >= 0)
   in
-  let* miss_penalty = penalty "miss_penalty" in
-  let* compose_penalty = penalty "compose_penalty" in
+  let* miss_penalty = non_negative "miss_penalty" in
+  let* compose_penalty = non_negative "compose_penalty" in
   let* composing = bool_field "controller" j "composing" in
+  let* context_switch_every =
+    if Option.is_none (Json.member "context_switch_every" j) then Ok 0
+    else non_negative "context_switch_every"
+  in
   let* () =
     if rt_perfect then Ok ()
     else
@@ -298,6 +313,7 @@ let controller_of_json j =
       miss_penalty;
       compose_penalty;
       composing;
+      context_switch_every;
     }
 
 let acf_of_json j =
@@ -360,6 +376,15 @@ let acf_of_json j =
     Ok (Synth { scheme; seeds })
   | k -> parse_error (Printf.sprintf "acf.kind: unknown %S" k)
 
+(* Which ACFs observers may join: tracing matches stores, as MFI's
+   checks do, and a production set keeps one match per instruction. *)
+let check_observe acf observe =
+  match (acf, observe) with
+  | _, [] | Baseline, _ | Mfi_dise _, [ Profile ] -> Ok ()
+  | Mfi_dise _, _ -> Error "\"trace\" and acf kind \"mfi_dise\" both match stores"
+  | (Mfi_rewrite _ | Decompress _ | Synth _), _ ->
+    Error (Printf.sprintf "acf kind %S takes no observers" (kind_name acf))
+
 let of_json j =
   match j with
   | Json.Obj _ ->
@@ -388,6 +413,19 @@ let of_json j =
       | Some a -> acf_of_json a
       | None -> Ok Baseline
     in
+    let* observe =
+      match Json.member "observe" j with
+      | None -> Ok []
+      | Some (Json.List items) ->
+        let named o = List.mem (observer_json o) items in
+        let os = List.filter named [ Trace; Profile ] in
+        if List.length os < List.length (List.sort_uniq compare items) then
+          parse_error "request.observe: expected \"trace\" or \"profile\" names"
+        else
+          let* () = lift "request.observe" (check_observe acf os) in
+          Ok os
+      | Some _ -> parse_error "request.observe: expected array"
+    in
     let* jit, jit_threshold =
       match Json.member "jit" j with
       | None -> Ok !default_jit
@@ -398,7 +436,7 @@ let of_json j =
         in
         Ok (enabled, threshold)
     in
-    Ok { bench; dyn_target; machine; controller; acf; jit; jit_threshold }
+    Ok { bench; dyn_target; machine; controller; acf; observe; jit; jit_threshold }
   | _ -> parse_error "request: expected object"
 
 (* --- cross-cell memo tables --------------------------------------------- *)
@@ -712,17 +750,39 @@ let compress_result ~scheme ?(rewritten = false) (entry : Suite.entry) =
       in
       Compress.compress ~scheme prog)
 
+(* [prodset] plus the observers' productions, on a machine whose trace
+   and profile buffers sit where the decode ablation places them. *)
+let with_observers t image prodset =
+  let add s = function
+    | Trace -> Prodset.union s (Dise_acf.Tracing.productions ())
+    | Profile -> Prodset.union s (Dise_acf.Profiling.productions ())
+  in
+  let prodset = List.fold_left add prodset (observers t.observe) in
+  let m = with_engine t image prodset in
+  if t.observe <> [] then begin
+    Dise_acf.Tracing.install m ~buffer:0x06000000;
+    Dise_acf.Profiling.install m ~buffer:0x06800000
+  end;
+  (m, Some prodset)
+
 (* The functional side of a request: the machine that executes its
    stream, the production set its controller watches ([None]: the
    empty set) and the name its trap check reports. *)
 let functional t (entry : Suite.entry) =
+  check_observe t.acf (observers t.observe)
+  |> Result.iter_error (fun msg -> invalid_arg ("request.observe: " ^ msg));
   match t.acf with
-  | Baseline -> ("baseline", plain_machine t entry.Suite.image, None)
+  | Baseline when t.observe = [] -> ("baseline", plain_machine t entry.Suite.image, None)
+  | Baseline ->
+    let m, prodset = with_observers t entry.Suite.image Prodset.empty in
+    ("baseline", m, prodset)
   | Mfi_dise variant ->
-    let prodset = Mfi.productions_for ~variant entry.Suite.image in
-    let m = with_engine t entry.Suite.image prodset in
+    let m, prodset =
+      with_observers t entry.Suite.image
+        (Mfi.productions_for ~variant entry.Suite.image)
+    in
     install_mfi m;
-    ("mfi_dise", m, Some prodset)
+    ("mfi_dise", m, prodset)
   | Mfi_rewrite variant ->
     let image =
       match variant with

@@ -5,14 +5,8 @@
     canonical JSON encoding. That one value is what the whole stack
     agrees on:
 
-    - {!run} is the driver behind the experiments: every figure cell
-      and most ablation cells are one [t]. The exceptions are the 44
-      quick cells of [ablate-decode] and of [ablate-ctx]'s switching
-      series ({!Dise_harness.Ablate}), which build their engines,
-      machines and pipelines directly because their knobs (the
-      tracing and profiling ACFs, context-switch intervals) are not
-      request fields; they bypass the result cache and the stream
-      tapes, so a warm [figures] rerun simulates them again;
+    - {!run} is the driver behind the experiments: every figure and
+      ablation cell is one [t];
     - {!canonical}/{!key} derive the content address under which the
       run's statistics persist in the on-disk {!Cache};
     - the JSONL protocol of [disesim serve] ships {!to_json} values
@@ -74,6 +68,11 @@ type acf =
               [[blk, start, len]] triples — see doc/synthesize.md). *)
     }
 
+(** Transparent ACFs that log each store's address ({!Dise_acf.Tracing},
+    [$dr5 = 0x06000000]) or conditional branch's PC
+    ({!Dise_acf.Profiling}, [$dr6 = 0x06800000]). *)
+type observer = Trace | Profile
+
 type t = {
   bench : string;
       (** Workload reference: a {!Dise_workload.Profile} name.
@@ -84,6 +83,11 @@ type t = {
   controller : Dise_core.Controller.config option;
       (** [None]: DISE is free (no PT/RT modelling). *)
   acf : acf;
+  observe : observer list;
+      (** Joins the ACF's productions: any over [Baseline], [Profile]
+          over [Mfi_dise], none otherwise ([Invalid_argument]). Order and
+          repeats do not matter; omitted from the canonical form when
+          empty. *)
   jit : bool;
       (** Run the functional machine through the superblock JIT (see
           doc/jit.md). Purely a performance knob — statistics are
@@ -98,13 +102,14 @@ val v :
   ?machine:Dise_uarch.Config.t ->
   ?controller:Dise_core.Controller.config ->
   ?acf:acf ->
+  ?observe:observer list ->
   ?jit:bool ->
   ?jit_threshold:int ->
   string ->
   t
 (** [v bench] with the paper's defaults: 300K dynamic instructions,
-    default machine, free DISE, [Baseline], and the process-wide JIT
-    default ({!set_default_jit}) for [jit]/[jit_threshold]. *)
+    default machine, free DISE, [Baseline] unobserved, and the
+    process-wide JIT default ({!set_default_jit}) for [jit]/[jit_threshold]. *)
 
 val set_default_jit : enabled:bool -> threshold:int -> unit
 (** Process-wide default applied by {!v} and by {!of_json} when the

@@ -18,15 +18,17 @@ let log2 n =
   let rec go acc v = if v <= 1 then acc else go (acc + 1) (v lsr 1) in
   go 0 n
 
+(* One factor at a time: a product of request values could overflow. *)
 let check_geometry ~size_bytes ~assoc ~line_bytes =
   if size_bytes <= 0 || assoc <= 0 || line_bytes <= 0 then
     Error "size_bytes, assoc and line_bytes must be positive"
   else if line_bytes land (line_bytes - 1) <> 0 then
     Error "line size must be a power of two"
-  else if size_bytes mod (assoc * line_bytes) <> 0 then
-    Error "size not divisible by assoc * line"
+  else if size_bytes / line_bytes > 1 lsl 20 then Error "more than 2^20 lines"
+  else if size_bytes mod line_bytes <> 0 || size_bytes / line_bytes mod assoc <> 0
+  then Error "size not divisible by assoc * line"
   else
-    let n_sets = size_bytes / (assoc * line_bytes) in
+    let n_sets = size_bytes / line_bytes / assoc in
     if n_sets land (n_sets - 1) <> 0 then
       Error "set count must be a power of two"
     else Ok ()

@@ -7,10 +7,11 @@ type t
 val check_geometry :
   size_bytes:int -> assoc:int -> line_bytes:int -> (unit, string) result
 (** [Ok ()] when sizes are positive, [size_bytes] is divisible by
-    [assoc * line_bytes], and both the line size and the resulting set
-    count are powers of two (so indexing is mask-and-shift on the hot
-    path); otherwise [Error] names the first rule broken, for the
-    caller to prefix with the field or option it came from. *)
+    [assoc * line_bytes] into at most 2{^20} lines, and both the line
+    size and the resulting set count are powers of two (so indexing is
+    mask-and-shift on the hot path); otherwise [Error] names the first
+    rule broken, for the caller to prefix with the field or option it
+    came from. *)
 
 val create : size_bytes:int -> assoc:int -> line_bytes:int -> t
 (** Raises [Invalid_argument] when {!check_geometry} rejects the

@@ -92,13 +92,13 @@ let of_json j =
     | Some _ -> Error (Printf.sprintf "machine.%s: expected integer" name)
     | None -> Error (Printf.sprintf "machine.%s: missing" name)
   in
-  let at_least lo name =
+  let at_least ?(hi = max_int) lo name =
     let* v = int_field name in
-    if v >= lo then Ok v
+    if v >= lo && v <= hi then Ok v
     else
       Error
-        (Printf.sprintf "machine.%s: %d out of range (expected >= %d)" name v
-           lo)
+        (Printf.sprintf "machine.%s: %d out of range (expected >= %d%s)" name v
+           lo (if hi = max_int then "" else Printf.sprintf " and <= %d" hi))
   in
   let cache_field name =
     match Json.member name j with
@@ -121,9 +121,10 @@ let of_json j =
     | Some _ -> Error (Printf.sprintf "machine.%s: expected object or null" name)
     | None -> Error (Printf.sprintf "machine.%s: missing" name)
   in
-  let* width = at_least 1 "width" in
+  (* The pipeline's rings hold [max rob_size width] slots. *)
+  let* width = at_least ~hi:(1 lsl 20) 1 "width" in
   let* depth = at_least 1 "depth" in
-  let* rob_size = at_least 1 "rob_size" in
+  let* rob_size = at_least ~hi:(1 lsl 20) 1 "rob_size" in
   let* icache = cache_field "icache" in
   let* dcache = cache_field "dcache" in
   let* l2 = cache_field "l2" in

@@ -55,8 +55,9 @@ val to_json : t -> Dise_telemetry.Json.t
 
 val of_json : Dise_telemetry.Json.t -> (t, string) result
 (** Inverse of {!to_json}; member order is free on input, every field
-    required. [width], [depth] and [rob_size] must be >= 1, the
-    latencies >= 0 and each cache a geometry {!Cache.check_geometry}
-    accepts; an error names the offending field. *)
+    required. [width], [depth] and [rob_size] must be >= 1, [width]
+    and [rob_size] at most 2{^20}, the latencies >= 0 and each cache a
+    geometry {!Cache.check_geometry} accepts; an error names the
+    offending field. *)
 
 val pp : Format.formatter -> t -> unit

@@ -463,21 +463,31 @@ type source =
 
 (* The one driver behind [run] and [replay]. The stream allocates
    nothing per dynamic instruction; deadline polling happens in the
-   machine loop or the tape loop every 2048 instructions. The JIT
-   counters are the machine's, or the recording machine's. *)
+   machine loop or the tape loop every 2048 instructions. The sink is
+   picked once, with a context switch if the controller sets an
+   interval. The JIT counters are the machine's, or the recording's. *)
 let drive ?max_steps ?controller ?trace ?profile ?poll cfg source =
   let p = create ?controller ?trace ?profile cfg in
+  let consume =
+    match controller with
+    | Some c when (Controller.config c).Controller.context_switch_every > 0 ->
+      let every = (Controller.config c).Controller.context_switch_every and n = ref 0 in
+      fun r ->
+        consume_raw p r;
+        incr n;
+        if !n = every then (n := 0; Controller.context_switch c)
+    | _ -> fun r -> consume_raw p r
+  in
   (match source with
-  | Live (machine, None) ->
-    ignore (Machine.run_raw ?max_steps ?poll machine (fun r -> consume_raw p r))
+  | Live (machine, None) -> ignore (Machine.run_raw ?max_steps ?poll machine consume)
   | Live (machine, Some tape) ->
     Tape.start tape;
     ignore
       (Machine.run_raw ?max_steps ?poll machine (fun r ->
            Tape.record tape r;
-           consume_raw p r));
+           consume r));
     Tape.finish tape machine
-  | Replay tape -> ignore (Tape.replay ?poll tape (fun r -> consume_raw p r)));
+  | Replay tape -> ignore (Tape.replay ?poll tape consume));
   let stats = finish p in
   (match source with
   | Live (machine, _) ->

@@ -59,8 +59,8 @@ val consume_raw : t -> Dise_machine.Machine.Raw.t -> unit
     "pipeline allocation-free" in test/test_uarch.ml bounds a whole
     {!run} at one minor-heap word per instruction, one-time costs
     included). {!run} drives this via {!Dise_machine.Machine.run_raw};
-    callers that interleave their own work (context switches, tracing)
-    call it from their own [run_raw] sink. *)
+    callers that interleave their own work call it from their own
+    [run_raw] sink. *)
 
 val finish : t -> Stats.t
 (** Close the run and return the populated statistics (cycle count =
@@ -79,7 +79,9 @@ val run :
   Dise_machine.Machine.t ->
   Stats.t
 (** Convenience driver: step the machine to completion, feeding every
-    event through a fresh pipeline.
+    event through a fresh pipeline. A [controller] whose config sets
+    [context_switch_every] is context-switched after every that many
+    events, replacement instructions included.
 
     [poll] is a cooperative cancellation hook: when given, it is
     called once every ~2048 events and may abort the run by raising
@@ -103,6 +105,6 @@ val replay :
 (** Feed a complete tape through a fresh pipeline: the statistics
     {!run} computes for the recorded stream under [Config.t] and
     [controller], JIT counters included (the recording machine's).
-    No machine, engine or expander runs. [poll] as in {!run}. The
-    one driver behind both is the same, so the two differ only in
-    where [consume_raw]'s records come from. *)
+    No machine, engine or expander runs. [poll] and context switches
+    as in {!run}. The one driver behind both is the same, so the two
+    differ only in where [consume_raw]'s records come from. *)

@@ -83,34 +83,53 @@ let gen_request =
       [
         return None;
         map
-          (fun (e, assoc) ->
+          (fun (e, (assoc, every)) ->
             Some
               { Controller.default_config with
                 Controller.rt_entries = e;
                 rt_assoc = assoc;
-                composing = assoc = 1 })
-          (pair (oneofl [ 512; 2048 ]) (oneofl [ 1; 2 ]));
+                composing = assoc = 1;
+                context_switch_every = every })
+          (pair (oneofl [ 512; 2048 ])
+             (pair (oneofl [ 1; 2 ]) (oneofl [ 0; 1; 50_000 ])));
       ]
   in
+  let seed =
+    map
+      (fun (b, (st, l)) -> { A.Compress.s_blk = b; s_start = st; s_len = l })
+      (pair (int_bound 200) (pair (int_bound 50) (int_range 2 8)))
+  in
+  (* An ACF with the observers it may carry, in canonical order. *)
   let acf =
     oneof
       [
-        return Request.Baseline;
-        map (fun v -> Request.Mfi_dise v) (oneofl [ A.Mfi.Dise3; A.Mfi.Dise4 ]);
         map
-          (fun v -> Request.Mfi_rewrite v)
+          (fun os -> (Request.Baseline, os))
+          (oneofl
+             [ []; [ Request.Trace ]; [ Request.Profile ];
+               [ Request.Trace; Request.Profile ] ]);
+        map
+          (fun (v, os) -> (Request.Mfi_dise v, os))
+          (pair (oneofl [ A.Mfi.Dise3; A.Mfi.Dise4 ])
+             (oneofl [ []; [ Request.Profile ] ]));
+        map
+          (fun v -> (Request.Mfi_rewrite v, []))
           (oneofl [ A.Rewrite.Segment_matching; A.Rewrite.Sandboxing ]);
         map
           (fun (scheme, (mfi, rewritten)) ->
-            Request.Decompress { scheme; mfi; rewritten })
+            (Request.Decompress { scheme; mfi; rewritten }, []))
           (pair
              (oneofl A.Compress.fig7_schemes)
              (pair (oneofl [ `None; `Composed ]) bool));
+        map
+          (fun (scheme, seeds) -> (Request.Synth { scheme; seeds }, []))
+          (pair (oneofl A.Compress.fig7_schemes) (list_size (int_bound 3) seed));
       ]
   in
   map
-    (fun (bench, (dyn_target, (machine, (controller, (acf, (jit, jit_threshold)))))) ->
-      { Request.bench; dyn_target; machine; controller; acf; jit; jit_threshold })
+    (fun (bench, (dyn_target, (machine, (controller, ((acf, observe), (jit, threshold)))))) ->
+      { Request.bench; dyn_target; machine; controller; acf; observe; jit;
+        jit_threshold = threshold })
     (pair bench
        (pair (int_range 1_000 500_000)
           (pair machine
@@ -144,6 +163,38 @@ let test_of_json_rejects () =
   check string_ "missing dyn_target" "parse" (bad {|{"bench":"tiny"}|});
   check string_ "bad acf kind" "parse"
     (bad {|{"bench":"tiny","dyn_target":1000,"acf":{"kind":"wat"}}|});
+  (* Observers join only the ACFs a production set can share with
+     them: tracing and MFI both match stores. *)
+  let observed acf observe =
+    Request.to_json (Request.v ~dyn_target:1_000 ~acf ~observe "tiny")
+  in
+  List.iter
+    (fun (label, acf, observe, names) ->
+      match Request.of_json (observed acf observe) with
+      | Error (Diag.Parse { msg; _ }) ->
+        List.iter
+          (fun n ->
+            check bool_ (Printf.sprintf "%s: %S names %s" label msg n) true
+              (contains msg n))
+          ("request.observe" :: names)
+      | Error d -> Alcotest.failf "%s: not a parse error: %s" label (Diag.to_string d)
+      | Ok _ -> Alcotest.failf "%s: accepted" label)
+    [
+      ( "trace over MFI", Request.Mfi_dise A.Mfi.Dise3, [ Request.Trace ],
+        [ "trace"; "mfi_dise" ] );
+      ( "profile over decompression",
+        Request.Decompress
+          { scheme = A.Compress.full_dise; mfi = `None; rewritten = false },
+        [ Request.Profile ], [ "decompress" ] );
+      ( "trace over synthesis",
+        Request.Synth { scheme = A.Compress.full_dise; seeds = [] },
+        [ Request.Trace ], [ "synth" ] );
+      ( "profile over rewriting",
+        Request.Mfi_rewrite A.Rewrite.Segment_matching,
+        [ Request.Profile ], [ "mfi_rewrite" ] );
+    ];
+  check string_ "unknown observer" "parse"
+    (bad {|{"bench":"tiny","dyn_target":1000,"observe":["watch"]}|});
   (* Unknown members (e.g. the serve protocol's "id") are ignored. *)
   match Request.of_json (Json.parse {|{"bench":"tiny","dyn_target":1000,"id":7}|}) with
   | Ok r -> check string_ "bench decoded" "tiny" r.Request.bench
@@ -165,7 +216,8 @@ let test_out_of_range_rejected () =
   in
   let valid =
     Request.to_json
-      (Request.v ~dyn_target:5_000 ~controller:Controller.default_config
+      (Request.v ~dyn_target:5_000
+         ~controller:{ Controller.default_config with context_switch_every = 1_000 }
          ~acf:
            (Request.Decompress
               { scheme = A.Compress.full_dise; mfi = `None; rewritten = false })
@@ -205,6 +257,22 @@ let test_out_of_range_rejected () =
       ([ ([ "machine"; "dcache"; "assoc" ], Json.Int 0) ], "machine.dcache");
       ([ ([ "machine"; "l2"; "line_bytes" ], Json.Int 48) ], "machine.l2");
       ([ ([ "dyn_target" ], Json.Int 0) ], "request.dyn_target");
+      ( [ ([ "controller"; "context_switch_every" ], Json.Int (-1)) ],
+        "controller.context_switch_every" );
+      (* Upper bounds: each array the timing model allocates from a
+         request stays within 2^20 words. *)
+      ([ ([ "machine"; "width" ], Json.Int (1 lsl 30)) ], "machine.width");
+      ([ ([ "machine"; "rob_size" ], Json.Int (1 lsl 30)) ], "machine.rob_size");
+      ( [ ([ "machine"; "icache"; "size_bytes" ], Json.Int (1 lsl 40)) ],
+        "machine.icache" );
+      ( [ ([ "controller"; "rt_entries" ], Json.Int (1 lsl 30)) ],
+        "controller.rt_entries" );
+      (* assoc * entries_per_block wraps to 0 in 63 bits. *)
+      ( [
+          ([ "controller"; "rt_assoc" ], Json.Int (1 lsl 61));
+          ([ "controller"; "rt_entries_per_block" ], Json.Int 4);
+        ],
+        "controller.rt_entries" );
     ];
   (* A perfect RT has no geometry to check: any entry counts decode. *)
   let perfect =
@@ -230,6 +298,53 @@ let test_key_golden () =
   let r = Request.v ~dyn_target:20_000 "tiny" in
   check string_ "cache key is stable" "e911a59c4145b05613ec1a29fe491860"
     (Request.key r);
+  (* A member left out at its default must stay out of the canonical
+     text, or every controller-bearing key moves. *)
+  let decompress controller =
+    Request.v ~dyn_target:20_000 ~controller
+      ~acf:
+        (Request.Decompress
+           { scheme = A.Compress.full_dise; mfi = `None; rewritten = false })
+      "tiny"
+  in
+  check string_ "decompress key under the default controller is stable"
+    "395e990d8a15d602b9db60355730d145"
+    (Request.key (decompress Controller.default_config));
+  let switching =
+    decompress { Controller.default_config with context_switch_every = 10_000 }
+  in
+  check bool_ "a switch interval moves the key" true
+    (Request.key switching <> Request.key (decompress Controller.default_config));
+  let decoded_key text =
+    match Request.of_json (Json.parse text) with
+    | Ok r -> Request.key r
+    | Error d -> Alcotest.failf "%s: %s" text (Diag.to_string d)
+  in
+  let with_interval member =
+    match Request.to_json (decompress Controller.default_config) with
+    | Json.Obj kvs ->
+      Json.to_string
+        (Json.Obj
+           (List.map
+              (fun (k, v) ->
+                match (k, v) with
+                | "controller", Json.Obj c -> (k, Json.Obj (c @ member))
+                | _ -> (k, v))
+              kvs))
+    | _ -> assert false
+  in
+  check string_ "an absent interval and an interval of 0 share a key"
+    (decoded_key (with_interval []))
+    (decoded_key (with_interval [ ("context_switch_every", Json.Int 0) ]));
+  let observed observe = Request.v ~dyn_target:20_000 ~observe "tiny" in
+  check string_ "observers in either order share a key"
+    (Request.key (observed [ Request.Trace; Request.Profile ]))
+    (Request.key (observed [ Request.Profile; Request.Trace ]));
+  check string_ "so do their decodings"
+    (decoded_key {|{"bench":"tiny","dyn_target":20000,"observe":["trace","profile"]}|})
+    (decoded_key {|{"bench":"tiny","dyn_target":20000,"observe":["profile","trace"]}|});
+  check bool_ "an observer moves the key" true
+    (Request.key (observed [ Request.Trace ]) <> Request.key r);
   check bool_ "canonical starts with bench member" true
     (String.length (Request.canonical r) > 16
     && String.sub (Request.canonical r) 0 16 = {|{"bench":"tiny",|});
@@ -818,11 +933,13 @@ let tape_controllers =
         Controller.rt_entries = 512;
         composing = true;
         pt_entries = 4 };
+    Some { Controller.default_config with Controller.context_switch_every = 3_000 };
   ]
 
 (* Every request ACF kind: baseline, both DISE MFI variants, the
-   rewrite, plain, composed and rewritten-dedicated decompression, and
-   a two-seed synthesized dictionary. *)
+   rewrite, plain, composed and rewritten-dedicated decompression, a
+   two-seed synthesized dictionary, and a baseline both observers
+   watch. *)
 let tape_kinds bench dyn_target =
   let dec ?(mfi = `None) ?(rewritten = false) scheme =
     Request.Decompress { scheme; mfi; rewritten }
@@ -836,16 +953,19 @@ let tape_kinds bench dyn_target =
     List.map (fun w -> w.A.Compress.w_seed)
       (List.filteri (fun i _ -> i < 2) (A.Compress.windows c))
   in
-  [
-    ("baseline", Request.Baseline);
-    ("mfi dise3", Request.Mfi_dise A.Mfi.Dise3);
-    ("mfi dise4", Request.Mfi_dise A.Mfi.Dise4);
-    ("rewrite", Request.Mfi_rewrite A.Rewrite.Segment_matching);
-    ("decompress", dec A.Compress.full_dise);
-    ("composed", dec ~mfi:`Composed A.Compress.full_dise);
-    ("rewritten dedicated", dec ~rewritten:true A.Compress.dedicated);
-    ("synth", Request.Synth { scheme = A.Compress.full_dise; seeds });
-  ]
+  List.map
+    (fun (label, acf) -> (label, acf, []))
+    [
+      ("baseline", Request.Baseline);
+      ("mfi dise3", Request.Mfi_dise A.Mfi.Dise3);
+      ("mfi dise4", Request.Mfi_dise A.Mfi.Dise4);
+      ("rewrite", Request.Mfi_rewrite A.Rewrite.Segment_matching);
+      ("decompress", dec A.Compress.full_dise);
+      ("composed", dec ~mfi:`Composed A.Compress.full_dise);
+      ("rewritten dedicated", dec ~rewritten:true A.Compress.dedicated);
+      ("synth", Request.Synth { scheme = A.Compress.full_dise; seeds });
+    ]
+  @ [ ("observed baseline", Request.Baseline, [ Request.Trace; Request.Profile ]) ]
 
 (* Replay is invisible: three distinct machine x controller
    configurations of one stream run in a row through [run_ext] — a
@@ -874,14 +994,14 @@ let prop_replay_invisible =
   QCheck.Test.make ~name:"tape replay is invisible" ~count:4
     (QCheck.make ~print gen) (fun (bench, dyn_target, cfgs) ->
       List.for_all
-        (fun (label, acf) ->
+        (fun (label, acf, observe) ->
           Request.clear_memory ();
           let (), (records, replays, _) =
             tape_delta (fun () ->
                 List.iteri
                   (fun i (machine, controller) ->
                     let r =
-                      { (Request.v ~dyn_target ~acf bench) with
+                      { (Request.v ~dyn_target ~acf ~observe bench) with
                         Request.machine;
                         controller }
                     in
@@ -896,6 +1016,98 @@ let prop_replay_invisible =
               label records replays;
           true)
         (tape_kinds bench dyn_target))
+
+(* Ablate's engine and pipeline drivers before its cells became
+   requests, kept as the reference for the requests that replaced
+   them: observer productions on a JIT-free engine with every buffer
+   installed, and decompression whose controller is switched after
+   every [interval] consumed instructions. *)
+let ref_run_acf (e : W.Suite.entry) build_set dise_decode =
+  let image = e.W.Suite.image in
+  let engine = Dise_core.Engine.create ~image (build_set image) in
+  let m =
+    Dise_machine.Machine.create ~expander:(Dise_core.Engine.expander engine) image
+  in
+  A.Mfi.install m ~data_seg:W.Codegen.data_segment_id ~code_seg:W.Codegen.code_segment_id;
+  A.Tracing.install m ~buffer:0x06000000;
+  A.Profiling.install m ~buffer:0x06800000;
+  Dise_uarch.Pipeline.run (Config.with_dise_decode dise_decode Config.default) m
+
+let ref_run_with_switches (e : W.Suite.entry) interval =
+  let result = Request.compress_result ~scheme:A.Compress.full_dise e in
+  let prodset = result.A.Compress.prodset in
+  let engine = Dise_core.Engine.create ~image:result.A.Compress.image prodset in
+  let m =
+    Dise_machine.Machine.create ~expander:(Dise_core.Engine.expander engine)
+      result.A.Compress.image
+  in
+  let controller = Controller.create Controller.default_config prodset in
+  let pipeline = Dise_uarch.Pipeline.create ~controller Config.default in
+  let count = ref 0 in
+  ignore
+    (Dise_machine.Machine.run_raw ~max_steps:50_000_000 m (fun r ->
+         Dise_uarch.Pipeline.consume_raw pipeline r;
+         incr count;
+         if !count mod interval = 0 then Controller.context_switch controller));
+  Dise_uarch.Pipeline.finish pipeline
+
+let sans_jit (s : Stats.t) =
+  stats_string { s with Stats.jit_compiles = 0; jit_hits = 0; jit_invalidations = 0 }
+
+(* Each group of requests shares one stream, so it runs live, records,
+   then replays; every run must equal its reference. *)
+let test_reference_drivers () =
+  let dyn_target = 20_000 in
+  let e = W.Suite.get ~dyn_target W.Profile.tiny in
+  let check_runs label runs =
+    Request.clear_memory ();
+    let (), (records, replays, _) =
+      tape_delta (fun () ->
+          List.iteri
+            (fun i (r, reference) ->
+              check string_
+                (Printf.sprintf "%s, run %d" label (i + 1))
+                (sans_jit reference) (sans_jit (ok_stats r)))
+            runs)
+    in
+    check bool_ (label ^ ": a live run, a recording, then replays") true
+      (records = 1 && replays = List.length runs - 2)
+  in
+  List.iter
+    (fun (label, acf, observe, build_set) ->
+      check_runs label
+        (List.map
+           (fun d ->
+             ( { (Request.v ~dyn_target ~acf ~observe "tiny") with
+                 Request.machine = Config.with_dise_decode d Config.default },
+               ref_run_acf e build_set d ))
+           [ Config.Free; Config.Stall_per_expansion; Config.Extra_stage ]))
+    [
+      ("trace", Request.Baseline, [ Request.Trace ], fun _ -> A.Tracing.productions ());
+      ( "mfi+prof", Request.Mfi_dise A.Mfi.Dise3, [ Request.Profile ],
+        fun img ->
+          Dise_core.Prodset.union (A.Mfi.productions_for img)
+            (A.Profiling.productions ()) );
+    ];
+  let switching every =
+    Request.v ~dyn_target
+      ~controller:{ Controller.default_config with context_switch_every = every }
+      ~acf:
+        (Request.Decompress
+           { scheme = A.Compress.full_dise; mfi = `None; rewritten = false })
+      "tiny"
+  in
+  let no_switch = sans_jit (live_stats (switching 0)) in
+  List.iter
+    (fun every ->
+      check bool_ (Printf.sprintf "switching every %d moves the stats" every) true
+        (sans_jit (ref_run_with_switches e every) <> no_switch))
+    [ 1_000; 3_000 ];
+  check_runs "switches"
+    (List.map
+       (fun every -> (switching every, ref_run_with_switches e every))
+       [ 1_000; 3_000; 1_000; 3_000 ]);
+  Request.clear_memory ()
 
 let mfi_request ?(machine = Config.default) dyn_target =
   { (Request.v ~dyn_target ~acf:(Request.Mfi_dise A.Mfi.Dise3) "tiny") with
@@ -1028,6 +1240,7 @@ let suite =
     ("run checks its entry", `Quick, test_entry_must_match);
     ("per-cell stats golden", `Quick, test_stats_golden);
     t prop_replay_invisible;
+    ("ablation requests match the drivers they replaced", `Quick, test_reference_drivers);
     ("tapes: clear_memory and the seen set", `Quick, test_tapes_cleared);
     ("tapes: at most four held", `Quick, test_tapes_bounded);
     ("tapes: recording past the cap abandoned", `Quick, test_tape_cap);
