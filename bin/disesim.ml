@@ -236,7 +236,9 @@ let run_cmd =
   let doc = "Simulate one workload under one ACF and machine configuration." in
   let run bench dyn icache width (acf_name, acf) rt rt_assoc stats_json
       trace_path cpi cache_dir no_cache no_jit jit_threshold =
-    if width < 1 then die (Diag.Invalid "--width must be >= 1");
+    Result.iter_error
+      (fun msg -> die (Diag.Invalid ("--width: " ^ msg)))
+      (Config.check_width width);
     Option.iter
       (fun entries ->
         match

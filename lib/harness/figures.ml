@@ -128,9 +128,9 @@ let report_progress opts label bench =
    benchmark-major (every series of one benchmark, then the next
    benchmark): a panel sweeps timing-only parameters, so a benchmark's
    cells share a few streams, and running them together lets
-   {!Request}'s tapes, which hold four streams, replay them. With a
-   manifest attached, a pool probe records one JSONL line per cell
-   (wall-clock and the worker domain that ran it). *)
+   {!Request}'s tapes, which hold at least four streams, replay them.
+   With a manifest attached, a pool probe records one JSONL line per
+   cell (wall-clock and the worker domain that ran it). *)
 let figure opts ~id ~title ~ylabel dss =
   let cells =
     List.concat_map

@@ -170,6 +170,7 @@ let finish t m =
   t.jit_invalidations <- Machine.jit_invalidations m
 
 let complete t = t.finished && not t.abandoned
+let footprint t = List.length t.chunks * chunk_len
 let jit_compiles t = t.jit_compiles
 let jit_hits t = t.jit_hits
 let jit_invalidations t = t.jit_invalidations

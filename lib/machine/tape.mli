@@ -52,6 +52,11 @@ val finish : t -> Machine.t -> unit
 val complete : t -> bool
 (** Finished and not abandoned: the whole stream is on the tape. *)
 
+val footprint : t -> int
+(** Instructions of storage the tape holds: its length rounded up to
+    whole 16K-instruction chunks, so even a short tape weighs one
+    chunk (384 KiB). At most {!max_length}. *)
+
 val jit_compiles : t -> int
 val jit_hits : t -> int
 val jit_invalidations : t -> int

@@ -529,7 +529,7 @@ let respawn_cap = 100
    finds nothing and is dropped. *)
 type lreq = {
   lr_id : Json.t;
-  lr_key : string;  (* result-cache key: the routing key *)
+  lr_key : string;  (* functional key: the routing key *)
   lr_req : Json.t;  (* request document, re-framed per leg *)
   lr_faults : (string * Json.t) list;  (* scheduled job chaos, per leg *)
   lr_enq : float;
@@ -691,10 +691,10 @@ let job_frame lr ~seq =
         ]
        @ lr.lr_faults))
 
-(* Give [lr] its leg: route it by result-cache key through the
-   current ring (identical requests always reach the same worker,
-   whose memory owns that slice of the keyspace) under a fresh
-   [seq]. *)
+(* Give [lr] its leg: route it by functional key through the current
+   ring under a fresh [seq]. Every machine and controller variant of a
+   stream reaches the worker that holds its tape, and identical
+   requests reach the same worker, whose result cache owns them. *)
 let route_lreq t lr =
   let w = t.workers.(Shard.route t.ring lr.lr_key) in
   let seq = t.next_seq in
@@ -706,7 +706,7 @@ let submit t (p : Server.parsed) req ~faults ~enq ~complete =
   route_lreq t
     {
       lr_id = p.Server.id;
-      lr_key = Request.key req;
+      lr_key = Request.functional_key req;
       lr_req = Request.to_json req;
       lr_faults = fault_members faults;
       lr_enq = enq;

@@ -3,14 +3,15 @@
     [disesim serve] runs this coordinator: [--workers N] (default 1)
     worker {e processes} (re-executions of the current binary, dispatched
     through {!worker_child_main} via the {!env_var} spawn
-    environment), each owning one shard of the content-addressed
-    result keyspace. The coordinator is a pure front end — it parses,
-    admits, routes, and reorders, but never simulates:
+    environment), each owning one shard of the request streams and
+    so of their results. The coordinator is a pure front end — it
+    parses, admits, routes, and reorders, but never simulates:
 
-    - {e sharding} — jobs route by {!Request.key} over a
-      consistent-hash ring ({!Shard}), so identical requests always
-      reach the same worker and each worker's in-memory state is
-      authoritative for its slice;
+    - {e sharding} — jobs route by {!Request.functional_key} over a
+      consistent-hash ring ({!Shard}), so every machine and controller
+      variant of one stream reaches the worker holding its tape, and
+      identical requests always reach the same worker, whose result
+      cache is authoritative for them;
     - {e transport} — length-prefixed JSON frames over each worker's
       stdin/stdout pipes; responses carry the coordinator-global
       sequence number, so the front end can reorder per-stream while

@@ -21,7 +21,8 @@ module Program = Dise_isa.Program
 (* Process-wide counters for the serve summary: cache stores given up
    on, the JIT activity of every live run (per-run values live in the
    stats themselves; a replay's are the recording's, counted once),
-   and the stream tapes recorded, replayed and abandoned. *)
+   and the stream tapes recorded, replayed, abandoned and evicted
+   before their first replay. *)
 let store_drops = Metrics.Counter.make "store_drops"
 let jit_compiles = Metrics.Counter.make "jit_compiles"
 let jit_hits = Metrics.Counter.make "jit_hits"
@@ -29,6 +30,7 @@ let jit_invalidations = Metrics.Counter.make "jit_invalidations"
 let tape_records = Metrics.Counter.make "tape_records"
 let tape_replays = Metrics.Counter.make "tape_replays"
 let tape_abandoned = Metrics.Counter.make "tape_abandoned"
+let tape_evicted_unreplayed = Metrics.Counter.make "tape_evicted_unreplayed"
 
 type mfi_compose = [ `None | `Composed ]
 
@@ -471,26 +473,31 @@ let compress_memo : (string * int * bool * Compress.scheme, Compress.result) Mem
    share one post-DISE stream (one functional key). The second request
    of a stream since [clear_memory] records it on a tape; later ones
    replay the tape into a fresh pipeline and run no machine, engine or
-   production-set build. At most [max_tapes] tapes are held, the least
-   recently used evicted; a recording reuses the evicted tape's
-   arrays unless a replay still reads them. [seen] holds the keys
-   requested so far, so a stream requested once (a [simulate] round,
-   a synthesis candidate) records nothing. Tapes live in memory only.
-   [tapes_mutex] guards every field; replays run outside it, counted
-   in [readers]. A stream another domain is recording ([recording])
-   waits for that recording instead of making its own, so parallel
-   cells of one stream replay as serial ones do; after [clear_memory]
-   two domains may still record one stream at once, and the later
-   store wins. *)
+   production-set build. Storing a finished recording evicts the least
+   recently used tapes while the table holds more than [floor_tapes]
+   tapes and more than [Tape.max_length] instructions of storage
+   (24 MiB): four long streams always fit, and so do as many short
+   ones as the budget holds (a serve worker's streams of ~40K
+   instructions each). A recording that starts evicts nothing, so one
+   that is abandoned or fails costs the table no tape. [seen] holds
+   the keys requested so far, so a stream requested once (a
+   [simulate] round, a synthesis candidate) records nothing. Tapes
+   live in memory only. [tapes_mutex] guards every field; replays run
+   outside it, counted in [readers]. A stream another domain is
+   recording ([recording]) waits for that recording instead of making
+   its own, so parallel cells of one stream replay as serial ones do;
+   after [clear_memory] two domains may still record one stream at
+   once, and the later store wins. *)
 type held = {
   fkey : string;
   tape : Tape.t;
   prodset : Prodset.t option;  (* what the recording run's controller watched *)
   mutable used : int;  (* LRU stamp *)
   mutable readers : int;  (* replays in flight *)
+  mutable replayed : bool;
 }
 
-let max_tapes = 4
+let floor_tapes = 4
 let tapes_mutex = Mutex.create ()
 let recorded = Condition.create ()  (* a recording ended *)
 let held : held list ref = ref []
@@ -504,9 +511,6 @@ let with_tapes f =
 
 type tape_plan = Play of held | Record of Tape.t | Live
 
-let lru hs =
-  List.fold_left (fun a h -> if h.used < a.used then h else a) (List.hd hs) hs
-
 let plan_tape fkey =
   with_tapes (fun () ->
       let rec plan () =
@@ -515,6 +519,7 @@ let plan_tape fkey =
         | Some h ->
           h.used <- !tape_clock;
           h.readers <- h.readers + 1;
+          h.replayed <- true;
           Play h
         | None when not (Hashtbl.mem seen fkey) ->
           Hashtbl.replace seen fkey ();
@@ -524,12 +529,7 @@ let plan_tape fkey =
           plan ()
         | None ->
           Hashtbl.replace recording fkey ();
-          if List.length !held < max_tapes then Record (Tape.create ())
-          else begin
-            let old = lru !held in
-            held := List.filter (fun h -> h != old) !held;
-            Record (if old.readers = 0 then old.tape else Tape.create ())
-          end
+          Record (Tape.create ())
       in
       plan ())
 
@@ -545,6 +545,8 @@ let recorded_end fkey =
    replay still reads them (then the GC takes them). *)
 let drop h = if h.readers = 0 then Tape.release h.tape
 
+let footprint hs = List.fold_left (fun n h -> n + Tape.footprint h.tape) 0 hs
+
 let store_tape fkey tape prodset =
   with_tapes (fun () ->
       incr tape_clock;
@@ -552,16 +554,24 @@ let store_tape fkey tape prodset =
         List.partition (fun h -> String.equal h.fkey fkey) !held
       in
       List.iter drop same;
-      let others =
-        if List.length others < max_tapes then others
-        else
-          let old = lru others in
-          drop old;
-          List.filter (fun h -> h != old) others
+      let stored =
+        { fkey; tape; prodset; used = !tape_clock; readers = 0; replayed = false }
       in
-      held := { fkey; tape; prodset; used = !tape_clock; readers = 0 } :: others)
+      (* Least recently used first; the stored tape is the newest. *)
+      let rec evict count size = function
+        | h :: rest when count > floor_tapes && size > Tape.max_length ->
+          let size = size - Tape.footprint h.tape in
+          drop h;
+          if not h.replayed then Metrics.Counter.incr tape_evicted_unreplayed;
+          evict (count - 1) size rest
+        | hs -> hs
+      in
+      let hs = List.sort (fun a b -> Int.compare a.used b.used) (stored :: others) in
+      held := evict (List.length hs) (footprint hs) hs)
 
 let tapes_held () = with_tapes (fun () -> List.length !held)
+
+let tapes_footprint () = with_tapes (fun () -> footprint !held)
 
 let clear_memory () =
   Memo.clear baseline_memo;

@@ -22,16 +22,20 @@
     name blanked). The stream's second request since {!clear_memory}
     records it; later requests of that stream replay it into a fresh
     timing model under their own machine and controller, running no
-    functional machine, engine or production-set build. At most four
-    tapes are held, least recently used evicted; a recording past
-    {!Dise_machine.Tape.max_length} instructions is abandoned, and
-    only a run that halted cleanly stores its tape. Tapes live in
-    memory only: they are never persisted, and a replay is a
-    simulation ([cache_hit] false) whose result is stored to disk
-    like any other. All four layers return statistics identical to
-    a fresh simulation — every persisted field is an integer, so the
-    round-trip is exact, and a replay feeds the timing model the
-    records the machine would.
+    functional machine, engine or production-set build. Storing a
+    tape evicts the least recently used ones while the table holds
+    more than four tapes {e and} more than
+    {!Dise_machine.Tape.max_length} instructions of storage
+    ({!Dise_machine.Tape.footprint}, 24 MiB): four long streams always
+    fit, and many short ones do. A recording that starts evicts
+    nothing. A recording past {!Dise_machine.Tape.max_length}
+    instructions is abandoned, and only a run that halted cleanly
+    stores its tape. Tapes live in memory only: they are never
+    persisted, and a replay is a simulation ([cache_hit] false) whose
+    result is stored to disk like any other. All four layers return
+    statistics identical to a fresh simulation — every persisted
+    field is an integer, so the round-trip is exact, and a replay
+    feeds the timing model the records the machine would.
 
     {b Telemetry sinks bypass every cache.} This is the single place
     the rule lives: sinks ([?trace]/[?profile]) consume the expansion {e event
@@ -152,6 +156,14 @@ val canonical : t -> string
 val key : t -> string
 (** [Cache.key (canonical t)]. *)
 
+val functional_key : t -> string
+(** What the post-DISE stream depends on: the canonical form without
+    the timing-only [machine] and [controller], and with the scheme's
+    name blanked. Requests with one functional key share one stream
+    tape; the serve tier routes by it ({!Coordinator}), so every
+    machine and controller variant of a stream meets one worker, and
+    so do identical requests. *)
+
 (** {1 Running} *)
 
 val run :
@@ -269,10 +281,17 @@ val tape_counters : unit -> int * int * int
     Domain-local like {!cache_counters}; the harness records per-cell
     deltas in run manifests. The process-wide totals are the
     [tape_records], [tape_replays] and [tape_abandoned]
-    {!Dise_telemetry.Metrics} counters. *)
+    {!Dise_telemetry.Metrics} counters; a fourth,
+    [tape_evicted_unreplayed], counts stored tapes evicted before
+    their first replay. *)
 
 val tapes_held : unit -> int
-(** Tapes the table holds now (at most four). *)
+(** Tapes the table holds now. *)
+
+val tapes_footprint : unit -> int
+(** The instructions of storage ({!Dise_machine.Tape.footprint}) the
+    held tapes take; at most {!Dise_machine.Tape.max_length} whenever
+    more than four are held. *)
 
 val clear_memory : unit -> unit
 (** Drop the in-memory memo tables (baseline stats, compression

@@ -1,4 +1,4 @@
-(* Consistent-hash ring over the result-cache keyspace.
+(* Consistent-hash ring over the request keyspace.
 
    Each worker owns [vnodes] points on a circle of md5 hashes; a key
    routes to the owner of the first point at or clockwise-after the

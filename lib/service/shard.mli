@@ -1,9 +1,10 @@
-(** Consistent-hash routing of result-cache keys to worker shards.
+(** Consistent-hash routing of request keys to worker shards.
 
-    The coordinator routes every job by its {!Request.key} — the
-    content-addressed result-cache key — so identical requests always
-    land on the same worker, making each worker's in-memory state
-    authoritative for its slice of the keyspace.
+    The coordinator routes every job by its {!Request.functional_key}
+    — the request without its timing-only machine and controller — so
+    all variants of one stream land on the worker holding its tape,
+    and identical requests always land on the same worker, making its
+    result cache authoritative for them.
     Consistent hashing (a ring of md5 points, {!default_vnodes}
     virtual nodes per worker) keeps shard sizes balanced and keyspace
     movement minimal when the worker count changes: growing from [N]

@@ -50,6 +50,19 @@ let with_icache_kb size t =
 let with_width w t = { t with width = w }
 let with_dise_decode d t = { t with dise_decode = d }
 
+(* The pipeline's rings hold [max rob_size width] slots; [rob_size]
+   shares the bound. *)
+let max_width = 1 lsl 20
+
+let in_range ?(hi = max_int) lo v =
+  if v >= lo && v <= hi then Ok ()
+  else
+    Error
+      (Printf.sprintf "%d out of range (expected >= %d%s)" v lo
+         (if hi = max_int then "" else Printf.sprintf " and <= %d" hi))
+
+let check_width = in_range ~hi:max_width 1
+
 module Json = Dise_telemetry.Json
 
 let cache_to_json = function
@@ -92,14 +105,13 @@ let of_json j =
     | Some _ -> Error (Printf.sprintf "machine.%s: expected integer" name)
     | None -> Error (Printf.sprintf "machine.%s: missing" name)
   in
-  let at_least ?(hi = max_int) lo name =
+  let ranged name check =
     let* v = int_field name in
-    if v >= lo && v <= hi then Ok v
-    else
-      Error
-        (Printf.sprintf "machine.%s: %d out of range (expected >= %d%s)" name v
-           lo (if hi = max_int then "" else Printf.sprintf " and <= %d" hi))
+    match check v with
+    | Ok () -> Ok v
+    | Error msg -> Error (Printf.sprintf "machine.%s: %s" name msg)
   in
+  let at_least lo name = ranged name (in_range lo) in
   let cache_field name =
     match Json.member name j with
     | Some Json.Null -> Ok None
@@ -121,10 +133,9 @@ let of_json j =
     | Some _ -> Error (Printf.sprintf "machine.%s: expected object or null" name)
     | None -> Error (Printf.sprintf "machine.%s: missing" name)
   in
-  (* The pipeline's rings hold [max rob_size width] slots. *)
-  let* width = at_least ~hi:(1 lsl 20) 1 "width" in
+  let* width = ranged "width" check_width in
   let* depth = at_least 1 "depth" in
-  let* rob_size = at_least ~hi:(1 lsl 20) 1 "rob_size" in
+  let* rob_size = ranged "rob_size" (in_range ~hi:max_width 1) in
   let* icache = cache_field "icache" in
   let* dcache = cache_field "dcache" in
   let* l2 = cache_field "l2" in

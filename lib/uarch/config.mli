@@ -45,6 +45,12 @@ val with_icache_kb : int option -> t -> t
 val with_width : int -> t -> t
 val with_dise_decode : dise_decode -> t -> t
 
+val check_width : int -> (unit, string) result
+(** [width]'s range check, 1 to 2{^20}, the one {!of_json} applies:
+    the pipeline's rings hold [max rob_size width] slots. For front
+    ends that take the value from elsewhere to prefix with their own
+    option name. *)
+
 val to_json : t -> Dise_telemetry.Json.t
 (** Canonical JSON encoding: fixed member order, caches as nested
     objects ([null] = perfect), [dise_decode] as
@@ -56,8 +62,8 @@ val to_json : t -> Dise_telemetry.Json.t
 val of_json : Dise_telemetry.Json.t -> (t, string) result
 (** Inverse of {!to_json}; member order is free on input, every field
     required. [width], [depth] and [rob_size] must be >= 1, [width]
-    and [rob_size] at most 2{^20}, the latencies >= 0 and each cache a
-    geometry {!Cache.check_geometry} accepts; an error names the
-    offending field. *)
+    and [rob_size] at most 2{^20} ({!check_width}), the latencies >= 0
+    and each cache a geometry {!Cache.check_geometry} accepts; an
+    error names the offending field. *)
 
 val pp : Format.formatter -> t -> unit

@@ -193,7 +193,51 @@ let test_shard_routing () =
   check bool_
     (Printf.sprintf "a minority of keys moved (%d/1000)" !moved)
     true
-    (!moved > 0 && !moved < 500)
+    (!moved > 0 && !moved < 500);
+  (* The coordinator's routing key is the functional key: every
+     machine and controller variant of a stream shares it (so they
+     meet the worker holding the stream's tape), while their
+     result-cache keys differ; another length or ACF is another
+     stream. *)
+  let base = Request.v ~dyn_target:26_001 "tiny" in
+  let variants =
+    [
+      { base with Request.machine = Dise_uarch.Config.with_width 8 base.Request.machine };
+      { base with Request.controller = Some Dise_core.Controller.default_config };
+    ]
+  in
+  List.iter
+    (fun r ->
+      check bool_ "a variant shares the functional key" true
+        (Request.functional_key r = Request.functional_key base);
+      check bool_ "but not the result-cache key" true
+        (Request.key r <> Request.key base))
+    variants;
+  List.iter
+    (fun r ->
+      check bool_ "another stream has another functional key" true
+        (Request.functional_key r <> Request.functional_key base))
+    [
+      Request.v ~dyn_target:26_002 "tiny";
+      Request.v ~dyn_target:26_001 ~acf:(Request.Mfi_dise Dise_acf.Mfi.Dise3) "tiny";
+    ]
+
+(* The shard a serve line routes to on a fresh ring of [workers]. *)
+let shard_of ~workers line =
+  match Request.of_json (Json.parse line) with
+  | Ok r -> Shard.route (Shard.ring ~workers ()) (Request.functional_key r)
+  | Error d -> Alcotest.fail (Diag.to_string d)
+
+(* A fault aimed at [shard] once [after] requests are admitted tests
+   something only if the shard has work: some line from the [after]th
+   on routes to it. *)
+let check_aim ~workers ~after ~shard lines =
+  check bool_
+    (Printf.sprintf "shard %d gets a request from request %d on" shard after)
+    true
+    (List.exists
+       (fun l -> shard_of ~workers l = shard)
+       (List.filteri (fun i _ -> i + 1 >= after) lines))
 
 (* --- the versioned wire envelope ----------------------------------------- *)
 
@@ -324,16 +368,16 @@ let test_tenant_quota_order () =
 
 (* Run [lines] through a real worker tier and return
    (summary, responses, manifest records). *)
-let serve_sharded ?on_spawn ?chaos ?heartbeat_ms ~workers lines =
+let serve_sharded ?on_spawn ?chaos ?heartbeat_ms ?(cache = true) ~workers lines =
   with_temp_dir (fun dir ->
       let mbuf = Buffer.create 4096 in
       let manifest = Manifest.to_buffer mbuf in
       let cfg =
         Serve_config.(override (default ()) ~workers ~jobs:1 ~queue:16 ?heartbeat_ms ())
       in
+      let cache_dir = if cache then Some (Filename.concat dir "cache") else None in
       let summary, responses =
-        Serve_harness.serve ~cfg ?on_spawn ?chaos ~manifest
-          ~cache_dir:(Filename.concat dir "cache") lines
+        Serve_harness.serve ~cfg ?on_spawn ?chaos ~manifest ?cache_dir lines
       in
       let records =
         String.split_on_char '\n' (Buffer.contents mbuf)
@@ -385,6 +429,48 @@ let test_coordinator_end_to_end () =
       (List.for_all (fun w -> served_by w > 0) ws)
   | _ -> Alcotest.fail "merged record lacks a workers array"
 
+let merged_counter record name =
+  match Json.member "counters" record with
+  | Some c -> (
+    match Json.member name c with Some (Json.Int n) -> n | _ -> -1)
+  | None -> Alcotest.fail "merged record lacks counters"
+
+(* Two streams (tiny at two lengths) in four machine widths each,
+   interleaved, through two workers and no result cache. Routing by
+   functional key sends every variant of a stream to one worker, so
+   each stream runs live once, records once and replays twice. *)
+let test_stream_meets_its_tape () =
+  let line id r =
+    match Request.to_json r with
+    | Json.Obj kvs -> Json.to_string (Json.Obj (("id", Json.Int id) :: kvs))
+    | _ -> assert false
+  in
+  let lines =
+    List.concat_map
+      (fun width ->
+        List.map
+          (fun dyn_target ->
+            { (Request.v ~dyn_target "tiny") with
+              Request.machine =
+                Dise_uarch.Config.with_width width Dise_uarch.Config.default })
+          [ 26_101; 26_102 ])
+      [ 1; 2; 4; 8 ]
+    |> List.mapi (fun i r -> line (i + 1) r)
+  in
+  let summary, rs, records = serve_sharded ~cache:false ~workers:2 lines in
+  check int_ "all jobs served" 8 summary.Server.served;
+  List.iteri
+    (fun i r ->
+      check bool_
+        (Printf.sprintf "response %d ok and in order" (i + 1))
+        true
+        (member "id" r = Json.Int (i + 1) && member "ok" r = Json.Bool true))
+    rs;
+  let record = merged_record records in
+  List.iter
+    (fun (name, want) -> check int_ name want (merged_counter record name))
+    [ ("tape_records", 2); ("tape_replays", 4); ("tape_evicted_unreplayed", 0) ]
+
 let test_coordinator_crash_recovery () =
   (* Stall job 1 in its worker, then SIGKILL every initially-spawned
      worker mid-batch: the coordinator must respawn them and hand the
@@ -410,6 +496,7 @@ let test_coordinator_crash_recovery () =
           victims)
   in
   let lines = List.init 6 (fun i -> job ~dyn:(24_101 + i) (i + 1)) in
+  List.iter (fun shard -> check_aim ~workers:2 ~after:1 ~shard lines) [ 0; 1 ];
   let summary, rs, records =
     serve_sharded ~on_spawn ~workers:2
       ~chaos:(Serve_harness.schedule {|[{"after": 1, "action": "sleep", "ms": 1500}]|})
@@ -626,6 +713,7 @@ let test_failover_degraded () =
       {|[{"after": 3, "action": "kill", "shard": 1, "permanent": true}]|}
   in
   let lines = List.init 10 (fun i -> job ~dyn:(25_101 + i) (i + 1)) in
+  check_aim ~workers:3 ~after:3 ~shard:1 lines;
   let summary, rs, records =
     serve_sharded ~workers:3 ~heartbeat_ms:100 ~chaos lines
   in
@@ -665,6 +753,7 @@ let test_torn_frame_resubmit () =
     if requests = 2 then [ Chaos.Torn { shard = 0; cut = 2 } ] else []
   in
   let lines = List.init 6 (fun i -> job ~dyn:(25_201 + i) (i + 1)) in
+  check_aim ~workers:2 ~after:2 ~shard:0 lines;
   let summary, rs, _ = serve_sharded ~workers:2 ~chaos lines in
   check int_ "all jobs served across the tear" 6 summary.Server.served;
   check int_ "no errors from the torn stream" 0 summary.Server.errors;
@@ -781,12 +870,6 @@ let test_admission_window_parity () =
   check bool_ "stdin: all three admitted" true (List.map outcome stdio = want);
   check bool_ "socket: all three admitted" true (List.map outcome socket = want)
 
-let merged_counter record name =
-  match Json.member "counters" record with
-  | Some c -> (
-    match Json.member name c with Some (Json.Int n) -> n | _ -> -1)
-  | None -> Alcotest.fail "merged record lacks counters"
-
 (* A legitimate job that outlives many heartbeat intervals must not
    miss a heartbeat or get its worker declared dead: the worker keeps
    ponging while the batch runs. *)
@@ -860,9 +943,12 @@ let test_execute_once () =
    input's. *)
 let test_scheduled_chaos () =
   let n = 60 in
-  (* distinct dyn targets: distinct cache keys, so jobs spread across
-     the ring instead of collapsing onto one shard *)
+  (* distinct dyn targets: distinct streams, so jobs spread across the
+     ring instead of collapsing onto one shard *)
   let lines = List.init n (fun i -> job ~dyn:(50_000 + i) (i + 1)) in
+  List.iter
+    (fun (after, shard) -> check_aim ~workers:3 ~after ~shard lines)
+    [ (2, 1); (10, 1); (20, 2); (40, 0) ];
   let cfg = Serve_config.(override (default ()) ~workers:3 ~jobs:1 ~heartbeat_ms:100 ()) in
   for run = 1 to 2 do
     let summary, rs =
@@ -896,6 +982,8 @@ let suite =
       test_tenant_quota_order;
     Alcotest.test_case "sharded tier end to end" `Quick
       test_coordinator_end_to_end;
+    Alcotest.test_case "a stream's variants meet one worker" `Quick
+      test_stream_meets_its_tape;
     Alcotest.test_case "worker crash recovery" `Quick
       test_coordinator_crash_recovery;
     Alcotest.test_case "write_all vs nonblocking full pipe" `Quick

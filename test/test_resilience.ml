@@ -690,10 +690,11 @@ let test_counters () =
       "isolated"; "timeouts"; "shed"; "retries"; "store_drops";
       "conn_failures"; "jit_compiles"; "jit_hits"; "jit_invalidations";
       "tape_records"; "tape_replays"; "tape_abandoned";
-      "heartbeat_misses"; "failovers"; "torn_frames";
+      "tape_evicted_unreplayed"; "heartbeat_misses"; "failovers";
+      "torn_frames";
     ]
   in
-  check int_ "fifteen serve counters" 15 (List.length serve_counters);
+  check int_ "sixteen serve counters" 16 (List.length serve_counters);
   List.iter
     (fun name ->
       check bool_ (name ^ " present") true (List.mem_assoc name snap))

@@ -1130,24 +1130,65 @@ let test_tapes_cleared () =
     (after = (0, 0, 0));
   Request.clear_memory ()
 
+let evicted_unreplayed () =
+  Dise_telemetry.Metrics.Counter.get
+    (Option.get (Dise_telemetry.Metrics.find_counter "tape_evicted_unreplayed"))
+
+(* Request [dyn]'s stream twice, so it runs live and then records, and
+   check the table's bound: more than four tapes only within the
+   instruction budget. *)
+let record_stream dyn =
+  let r = mfi_request dyn in
+  ignore (ok_stats r);
+  ignore (ok_stats r);
+  let n = Request.tapes_held () and f = Request.tapes_footprint () in
+  check bool_
+    (Printf.sprintf "after %d: %d tapes, %d instructions held" dyn n f)
+    true
+    (n <= 4 || f <= Dise_machine.Tape.max_length)
+
+let replays dyn =
+  let _, d = tape_delta (fun () -> ok_stats (mfi_request dyn)) in
+  check bool_ (Printf.sprintf "%d replays" dyn) true (d = (0, 1, 0))
+
+(* tiny's MFI stream at 250K is 448K instructions: five of them pass
+   the budget, so the table keeps four. Six at 10K and one at 250K fit
+   it together, and all seven stay. *)
 let test_tapes_bounded () =
   Request.clear_memory ();
-  List.iter
-    (fun dyn ->
-      let r = mfi_request dyn in
-      ignore (ok_stats r);
-      ignore (ok_stats r);
-      check bool_
-        (Printf.sprintf "at most four tapes (%d held)" (Request.tapes_held ()))
-        true
-        (Request.tapes_held () <= 4))
-    [ 10_001; 10_002; 10_003; 10_004; 10_005; 10_006 ];
-  check int_ "the table is full" 4 (Request.tapes_held ());
-  (* The oldest streams were evicted: requesting one records again. *)
-  let _, d = tape_delta (fun () -> ok_stats (mfi_request 10_001)) in
+  check bool_ "five long streams pass the budget" true
+    (5 * (live_stats (mfi_request 250_001)).Stats.retired
+    > Dise_machine.Tape.max_length);
+  let evicted0 = evicted_unreplayed () in
+  List.iter record_stream [ 250_001; 250_002; 250_003; 250_004; 250_005; 250_006 ];
+  check int_ "four long tapes held" 4 (Request.tapes_held ());
+  check int_ "the two oldest evicted before any replay" 2
+    (evicted_unreplayed () - evicted0);
+  let _, d = tape_delta (fun () -> ok_stats (mfi_request 250_001)) in
   check bool_ "an evicted stream records again" true (d = (1, 0, 0));
-  let _, d = tape_delta (fun () -> ok_stats (mfi_request 10_006)) in
-  check bool_ "a held stream replays" true (d = (0, 1, 0));
+  replays 250_006;
+  Request.clear_memory ();
+  let short = [ 10_001; 10_002; 10_003; 10_004; 10_005; 10_006 ] in
+  List.iter record_stream short;
+  check int_ "six short tapes held" 6 (Request.tapes_held ());
+  record_stream 250_001;
+  check int_ "and a long one beside them" 7 (Request.tapes_held ());
+  List.iter replays (250_001 :: short);
+  Request.clear_memory ()
+
+(* A recording that is abandoned (past the cap) must not cost the
+   table a tape: nothing is evicted until a recording is stored. *)
+let test_abandoned_evicts_nothing () =
+  Request.clear_memory ();
+  let held = [ 10_011; 10_012; 10_013; 10_014 ] in
+  List.iter record_stream held;
+  check int_ "four tapes held" 4 (Request.tapes_held ());
+  let r = mfi_request 1_200_000 in
+  ignore (ok_stats r);
+  let _, d = tape_delta (fun () -> ok_stats r) in
+  check bool_ "the recording is abandoned" true (d = (0, 0, 1));
+  check int_ "all four still held" 4 (Request.tapes_held ());
+  List.iter replays held;
   Request.clear_memory ()
 
 (* tiny at 1.2M dynamic instructions passes the tape's cap. *)
@@ -1242,7 +1283,9 @@ let suite =
     t prop_replay_invisible;
     ("ablation requests match the drivers they replaced", `Quick, test_reference_drivers);
     ("tapes: clear_memory and the seen set", `Quick, test_tapes_cleared);
-    ("tapes: at most four held", `Quick, test_tapes_bounded);
+    ("tapes: four held, or the instruction budget", `Quick, test_tapes_bounded);
+    ("tapes: an abandoned recording evicts nothing", `Quick,
+     test_abandoned_evicts_nothing);
     ("tapes: recording past the cap abandoned", `Quick, test_tape_cap);
     ("tapes: trapped workload stores none", `Quick, test_trapped_no_tape);
     ("tapes: deadline during a replay", `Quick, test_replay_deadline);
