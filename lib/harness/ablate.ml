@@ -6,10 +6,10 @@ module F = Figures
 
 let series = F.series
 
-(* A timing series through the paper panels' helper, without the
+(* A timing series through the paper panels' builder, without the
    statistics: ablation values feed no CPI stack. *)
 let timing ?machine ?controller ?observe opts label acf =
-  series opts label (fun e -> fst (F.rel ?machine ?controller ?observe opts acf e))
+  F.timing ?machine ?controller ?observe ~stack:false opts label acf
 
 let decompress =
   Request.Decompress { scheme = Compress.full_dise; mfi = `None; rewritten = false }

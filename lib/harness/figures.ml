@@ -54,20 +54,13 @@ let entries opts =
     opts.benchmarks
 
 (* One cell's run: a machine (default: the paper's), a controller
-   ([None]: DISE is free), an ACF and its observers at
-   [opts.dyn_target], named as a Request and run on the entry the cell
-   already holds, so a cache miss does not regenerate the workload. *)
-let run ?(machine = Config.default) ?controller ?observe opts acf (e : Suite.entry) =
+   ([None]: DISE is free) and an ACF at [opts.dyn_target], named as a
+   Request and run on the entry the cell already holds, so a cache miss
+   does not regenerate the workload. *)
+let run ?(machine = Config.default) ?controller opts acf (e : Suite.entry) =
   Request.run ~entry:e
-    (Request.v ~dyn_target:opts.dyn_target ~machine ?controller ~acf ?observe
+    (Request.v ~dyn_target:opts.dyn_target ~machine ?controller ~acf
        e.Suite.profile.Profile.name)
-
-(* A timing cell's value and statistics: [acf]'s run relative to the
-   ACF-free run on [norm] (default: the paper's machine). *)
-let rel ?machine ?controller ?observe ?(norm = Config.default) opts acf e =
-  let st = run ?machine ?controller ?observe opts acf e in
-  let baseline = run ~machine:norm opts Request.Baseline e in
-  (Request.relative st ~baseline, st)
 
 let dise3 = Request.Mfi_dise Mfi.Dise3
 let rewrite = Request.Mfi_rewrite Rewrite.Segment_matching
@@ -75,38 +68,53 @@ let rewrite = Request.Mfi_rewrite Rewrite.Segment_matching
 let decompress ?(mfi = `None) ?(rewritten = false) scheme =
   Request.Decompress { scheme; mfi; rewritten }
 
-(* A deferred series: one closure per (series × benchmark) cell. Cells
-   are independent — each builds its own machine/engine/controller —
-   so a figure can evaluate them on the worker pool. Each cell yields
+(* A deferred series: one cell per benchmark. Cells are independent —
+   each builds its own machine/engine/controller — so a figure can
+   evaluate them on the worker pool. A cell names the requests it will
+   run, so the figure can plan its tapes before any runs, and yields
    its figure value plus, for timing cells, the full statistics of the
    measured run (used for CPI-stack report columns). *)
-type dseries = {
-  d_label : string;
-  d_cells : (string * (unit -> float * Stats.t option)) list;
+type cell = {
+  bench : string;
+  requests : Request.t list;
+  eval : unit -> float * Stats.t option;
 }
 
-let series opts label f =
-  {
-    d_label = label;
-    d_cells =
-      List.map
-        (fun (e : Suite.entry) ->
-          (e.Suite.profile.Profile.name, fun () -> (f e, None)))
-        (entries opts);
-  }
+type dseries = {
+  d_label : string;
+  d_cells : cell list;
+}
 
-let series_stats opts label f =
-  {
-    d_label = label;
-    d_cells =
-      List.map
-        (fun (e : Suite.entry) ->
-          ( e.Suite.profile.Profile.name,
-            fun () ->
-              let v, st = f e in
-              (v, Some st) ))
-        (entries opts);
-  }
+let per_bench opts label f = { d_label = label; d_cells = List.map f (entries opts) }
+
+let series opts label f =
+  per_bench opts label (fun (e : Suite.entry) ->
+      {
+        bench = e.Suite.profile.Profile.name;
+        requests = [];
+        eval = (fun () -> (f e, None));
+      })
+
+(* A timing cell is two requests: [acf]'s, and the ACF-free one on
+   [norm] (default: the paper's machine) that its value is relative
+   to. *)
+let timing ?(machine = Config.default) ?controller ?observe ?(norm = Config.default)
+    ?(stack = true) opts label acf =
+  per_bench opts label (fun (e : Suite.entry) ->
+      let bench = e.Suite.profile.Profile.name in
+      let measured =
+        Request.v ~dyn_target:opts.dyn_target ~machine ?controller ~acf ?observe bench
+      in
+      let norm = Request.v ~dyn_target:opts.dyn_target ~machine:norm bench in
+      {
+        bench;
+        requests = [ measured; norm ];
+        eval =
+          (fun () ->
+            let st = Request.run ~entry:e measured in
+            let baseline = Request.run ~entry:e norm in
+            (Request.relative st ~baseline, if stack then Some st else None));
+      })
 
 (* Progress callbacks may fire from worker domains; serialize them so
    concurrent reporting does not interleave mid-line. *)
@@ -122,20 +130,37 @@ let report_progress opts label bench =
     Mutex.unlock progress_mutex
   end
 
+let tape_fields (c : Request.tape_counts) =
+  [
+    ("tape_live", Json.Int c.live);
+    ("tape_records", Json.Int c.records);
+    ("tape_replays", Json.Int c.replays);
+    ("tape_abandoned", Json.Int c.abandoned);
+  ]
+
+let tape_zip op (a : Request.tape_counts) (b : Request.tape_counts) =
+  {
+    Request.live = op a.live b.live;
+    records = op a.records b.records;
+    replays = op a.replays b.replays;
+    abandoned = op a.abandoned b.abandoned;
+  }
+
+let no_tapes = { Request.live = 0; records = 0; replays = 0; abandoned = 0 }
+
 (* Flatten the deferred series of one figure into a task array, run it
-   on the pool, and reassemble values in submission order — the figure
-   is bit-identical whatever [opts.jobs] is. The tasks run
-   benchmark-major (every series of one benchmark, then the next
-   benchmark): a panel sweeps timing-only parameters, so a benchmark's
-   cells share a few streams, and running them together lets
-   {!Request}'s tapes, which hold at least four streams, replay them.
-   With a manifest attached, a pool probe records one JSONL line per
-   cell (wall-clock and the worker domain that ran it). *)
+   on the pool under the plan of every request its cells name, and
+   reassemble values in submission order — the figure is bit-identical
+   whatever [opts.jobs] is. The tasks run benchmark-major (every series
+   of one benchmark, then the next benchmark): a panel sweeps
+   timing-only parameters, so a benchmark's cells share a few streams,
+   and running them together lets {!Request}'s tapes replay them while
+   they are held. With a manifest attached, a pool probe records one
+   JSONL line per cell (wall-clock and the worker domain that ran it). *)
 let figure opts ~id ~title ~ylabel dss =
   let cells =
     List.concat_map
-      (fun d ->
-        List.mapi (fun j (bench, th) -> (j, (d.d_label, bench, th))) d.d_cells)
+      (fun d -> List.mapi (fun j c -> (j, (d.d_label, c))) d.d_cells)
       dss
   in
   let cell_arr = Array.of_list (List.map snd cells) in
@@ -151,31 +176,23 @@ let figure opts ~id ~title ~ylabel dss =
      worker that ran the task, after it — so snapshotting around the
      task and reading the delta from the probe is race-free. *)
   let cache_deltas = Array.make (Array.length cell_arr) (0, 0) in
-  let tape_deltas = Array.make (Array.length cell_arr) (0, 0, 0) in
+  let tape_deltas = Array.make (Array.length cell_arr) no_tapes in
   let tasks =
     Array.map
       (fun i () ->
-        let label, bench, th = cell_arr.(i) in
-        report_progress opts label bench;
+        let label, c = cell_arr.(i) in
+        report_progress opts label c.bench;
         match opts.manifest with
-        | None -> th ()
+        | None -> c.eval ()
         | Some _ ->
           let h0, m0 = Request.cache_counters () in
-          let r0, p0, a0 = Request.tape_counters () in
-          let r = th () in
+          let t0 = Request.tape_counters () in
+          let r = c.eval () in
           let h1, m1 = Request.cache_counters () in
-          let r1, p1, a1 = Request.tape_counters () in
           cache_deltas.(i) <- (h1 - h0, m1 - m0);
-          tape_deltas.(i) <- (r1 - r0, p1 - p0, a1 - a0);
+          tape_deltas.(i) <- tape_zip ( - ) (Request.tape_counters ()) t0;
           r)
       order
-  in
-  let tape_fields (records, replays, abandoned) =
-    [
-      ("tape_records", Json.Int records);
-      ("tape_replays", Json.Int replays);
-      ("tape_abandoned", Json.Int abandoned);
-    ]
   in
   let busy = ref 0. in
   let busy_mutex = Mutex.create () in
@@ -192,14 +209,14 @@ let figure opts ~id ~title ~ylabel dss =
           busy := !busy +. seconds;
           Mutex.unlock busy_mutex;
           let i = order.(k) in
-          let label, bench, _ = cell_arr.(i) in
+          let label, c = cell_arr.(i) in
           let hits, misses = cache_deltas.(i) in
           Manifest.emit m
             ([
                ("kind", Json.String "cell");
                ("figure", Json.String id);
                ("series", Json.String label);
-               ("bench", Json.String bench);
+               ("bench", Json.String c.bench);
                ("index", Json.Int i);
                ("domain", Json.Int domain);
                ("wall_s", Json.Float seconds);
@@ -208,7 +225,8 @@ let figure opts ~id ~title ~ylabel dss =
              ]
             @ tape_fields tape_deltas.(i)))
   in
-  let ran = Pool.run ~jobs:opts.jobs ?probe tasks in
+  let requests = List.concat_map (fun (_, (_, c)) -> c.requests) cells in
+  let ran = Request.with_plan requests (fun () -> Pool.run ~jobs:opts.jobs ?probe tasks) in
   let values = Array.make (Array.length cell_arr) (0., None) in
   Array.iteri (fun k v -> values.(order.(k)) <- v) ran;
   (match opts.manifest with
@@ -218,11 +236,7 @@ let figure opts ~id ~title ~ylabel dss =
     let jobs = max 1 opts.jobs in
     let hits = Array.fold_left (fun a (h, _) -> a + h) 0 cache_deltas in
     let misses = Array.fold_left (fun a (_, m) -> a + m) 0 cache_deltas in
-    let tapes =
-      Array.fold_left
-        (fun (r, p, a) (r', p', a') -> (r + r', p + p', a + a'))
-        (0, 0, 0) tape_deltas
-    in
+    let tapes = Array.fold_left (tape_zip ( + )) no_tapes tape_deltas in
     Manifest.emit m
       ([
          ("kind", Json.String "figure");
@@ -252,15 +266,15 @@ let figure opts ~id ~title ~ylabel dss =
       (fun d ->
         { label = d.d_label;
           values =
-            List.map (fun (bench, _) -> (bench, fst (take ()))) d.d_cells })
+            List.map (fun c -> (c.bench, fst (take ()))) d.d_cells })
       dss
   in
   let stacks =
     List.concat
       (List.mapi
-         (fun i (label, bench, _) ->
+         (fun i (label, c) ->
            match snd values.(i) with
-           | Some st -> [ (label, bench, st) ]
+           | Some st -> [ (label, c.bench, st) ]
            | None -> [])
          (Array.to_list cell_arr))
   in
@@ -274,13 +288,11 @@ let fig6_top opts =
     ~title:"Figure 6 (top): memory fault isolation, 4-wide, 32KB I$"
     ~ylabel:"execution time relative to no-MFI"
     [
-      series_stats opts "rewrite" (rel opts rewrite);
-      series_stats opts "DISE4" (rel opts (Request.Mfi_dise Mfi.Dise4));
-      series_stats opts "#stall"
-        (rel ~machine:(decode Config.Stall_per_expansion) opts dise3);
-      series_stats opts "+pipe"
-        (rel ~machine:(decode Config.Extra_stage) opts dise3);
-      series_stats opts "DISE3" (rel opts dise3);
+      timing opts "rewrite" rewrite;
+      timing opts "DISE4" (Request.Mfi_dise Mfi.Dise4);
+      timing ~machine:(decode Config.Stall_per_expansion) opts "#stall" dise3;
+      timing ~machine:(decode Config.Extra_stage) opts "+pipe" dise3;
+      timing opts "DISE3" dise3;
     ]
 
 let cache_points = [ (Some 8, "8K"); (Some 32, "32K"); (Some 128, "128K"); (None, "inf") ]
@@ -289,10 +301,8 @@ let fig6_cache opts =
   let mk (size, tag) =
     let machine = Config.with_icache_kb size Config.default in
     [
-      series_stats opts (Printf.sprintf "DISE3@%s" tag)
-        (rel ~machine ~norm:machine opts dise3);
-      series_stats opts (Printf.sprintf "rewrite@%s" tag)
-        (rel ~machine ~norm:machine opts rewrite);
+      timing ~machine ~norm:machine opts (Printf.sprintf "DISE3@%s" tag) dise3;
+      timing ~machine ~norm:machine opts (Printf.sprintf "rewrite@%s" tag) rewrite;
     ]
   in
   figure opts ~id:"fig6-cache"
@@ -304,10 +314,8 @@ let fig6_width opts =
   let mk w =
     let machine = Config.with_width w Config.default in
     [
-      series_stats opts (Printf.sprintf "DISE3@%dw" w)
-        (rel ~machine ~norm:machine opts dise3);
-      series_stats opts (Printf.sprintf "rewrite@%dw" w)
-        (rel ~machine ~norm:machine opts rewrite);
+      timing ~machine ~norm:machine opts (Printf.sprintf "DISE3@%dw" w) dise3;
+      timing ~machine ~norm:machine opts (Printf.sprintf "rewrite@%dw" w) rewrite;
     ]
   in
   figure opts ~id:"fig6-width"
@@ -342,10 +350,9 @@ let fig7_perf opts =
   let mk (size, tag) =
     let machine = Config.with_icache_kb size Config.default in
     [
-      series_stats opts (Printf.sprintf "uncomp@%s" tag)
-        (rel ~machine opts Request.Baseline);
-      series_stats opts (Printf.sprintf "DISE@%s" tag)
-        (rel ~machine opts (decompress Compress.full_dise));
+      timing ~machine opts (Printf.sprintf "uncomp@%s" tag) Request.Baseline;
+      timing ~machine opts (Printf.sprintf "DISE@%s" tag)
+        (decompress Compress.full_dise);
     ]
   in
   figure opts ~id:"fig7-perf"
@@ -366,16 +373,15 @@ let fig7_rt opts =
     let controller =
       { Controller.default_config with rt_entries = entries_; rt_assoc = assoc }
     in
-    series_stats opts (Printf.sprintf "RT %s" tag)
-      (rel ~controller opts (decompress Compress.full_dise))
+    timing ~controller opts (Printf.sprintf "RT %s" tag)
+      (decompress Compress.full_dise)
   in
   figure opts ~id:"fig7-rt"
     ~title:"Figure 7 (bottom): decompression vs RT configuration, 32KB I$"
     ~ylabel:"execution time relative to uncompressed, 32KB I$"
     (List.map mk rt_configs
      @ [
-         series_stats opts "RT perfect"
-           (rel opts (decompress Compress.full_dise));
+         timing opts "RT perfect" (decompress Compress.full_dise);
        ])
 
 (* --- Figure 8: composing decompression and fault isolation ------------ *)
@@ -384,12 +390,12 @@ let fig8_combo opts =
   let mk (size, tag) =
     let machine = Config.with_icache_kb size Config.default in
     [
-      series_stats opts (Printf.sprintf "rw+dedic@%s" tag)
-        (rel ~machine opts (decompress ~rewritten:true Compress.dedicated));
-      series_stats opts (Printf.sprintf "rw+DISE@%s" tag)
-        (rel ~machine opts (decompress ~rewritten:true Compress.full_dise));
-      series_stats opts (Printf.sprintf "DISE+DISE@%s" tag)
-        (rel ~machine opts (decompress ~mfi:`Composed Compress.full_dise));
+      timing ~machine opts (Printf.sprintf "rw+dedic@%s" tag)
+        (decompress ~rewritten:true Compress.dedicated);
+      timing ~machine opts (Printf.sprintf "rw+DISE@%s" tag)
+        (decompress ~rewritten:true Compress.full_dise);
+      timing ~machine opts (Printf.sprintf "DISE+DISE@%s" tag)
+        (decompress ~mfi:`Composed Compress.full_dise);
     ]
   in
   figure opts ~id:"fig8-combo"
@@ -408,8 +414,8 @@ let fig8_rt opts =
         compose_penalty = latency;
       }
     in
-    series_stats opts (Printf.sprintf "%s miss=%d" tag latency)
-      (rel ~controller opts (decompress ~mfi:`Composed Compress.full_dise))
+    timing ~controller opts (Printf.sprintf "%s miss=%d" tag latency)
+      (decompress ~mfi:`Composed Compress.full_dise)
   in
   figure opts ~id:"fig8-rt"
     ~title:

@@ -4,9 +4,10 @@
     suite and returns a {!figure}: one labelled series per bar/line of
     the paper's panel, one value per benchmark. Values are normalized
     execution times or size ratios exactly as in the paper (noted per
-    driver). Every cell is one {!Dise_service.Request.t} run through
-    {!Dise_service.Request.run}, so cells share its memos and result
-    cache. *)
+    driver). Every simulation is a {!Dise_service.Request.t} run
+    through {!Dise_service.Request.run}, so cells share its memos and
+    result cache; a timing cell ({!timing}) names its requests as
+    data, so each figure plans its stream tapes before it runs. *)
 
 type series = {
   label : string;
@@ -46,30 +47,33 @@ val quick_opts : opts
 (** Four representative benchmarks at 120K dynamic instructions. *)
 
 type dseries
-(** A deferred series: one independent closure per benchmark cell,
-    evaluated through {!Dise_service.Pool} when the enclosing figure
-    is built. Shared with {!Ablate} so every panel parallelizes the
-    same way. *)
+(** A deferred series: one independent cell per benchmark, evaluated
+    through {!Dise_service.Pool} when the enclosing figure is built.
+    A cell names the requests it will run, so the figure can plan the
+    stream tapes of all its cells before any runs. Shared with
+    {!Ablate} so every panel parallelizes the same way. *)
 
 val series :
   opts -> string -> (Dise_workload.Suite.entry -> float) -> dseries
-(** [series opts label f] defers [f] over [opts.benchmarks]. *)
+(** [series opts label f] defers [f] over [opts.benchmarks]; its cells
+    name no request (the size panels, which run the compressor only). *)
 
-val series_stats :
+val timing :
+  ?machine:Dise_uarch.Config.t ->
+  ?controller:Dise_core.Controller.config ->
+  ?observe:Dise_service.Request.observer list ->
+  ?norm:Dise_uarch.Config.t ->
+  ?stack:bool ->
   opts ->
   string ->
-  (Dise_workload.Suite.entry -> float * Dise_uarch.Stats.t) ->
+  Dise_service.Request.acf ->
   dseries
-(** Like {!series}, but the cell also yields the statistics of the run
-    behind the figure value, surfaced through {!figure}'s [stacks]. *)
-
-val rel :
-  ?machine:Dise_uarch.Config.t -> ?controller:Dise_core.Controller.config ->
-  ?observe:Dise_service.Request.observer list -> ?norm:Dise_uarch.Config.t ->
-  opts -> Dise_service.Request.acf -> Dise_workload.Suite.entry ->
-  float * Dise_uarch.Stats.t
-(** A timing cell: [acf]'s request relative to the [Baseline] request
-    on [norm] (default: the paper's machine), and its statistics. *)
+(** [timing opts label acf]: per benchmark, the request of [acf] on
+    [machine] (default: the paper's) under [controller] ([None]: DISE
+    is free) with [observe]'s observers, relative to the [Baseline]
+    request on [norm] (default: the paper's machine). Both requests
+    are the cell's plan share. With [stack] (default) the measured
+    run's statistics surface through {!figure}'s [stacks]. *)
 
 val figure :
   opts ->
@@ -79,8 +83,9 @@ val figure :
   dseries list ->
   figure
 (** Evaluate every cell of the deferred series on the pool
-    ([opts.jobs] workers) and assemble the figure in submission
-    order. *)
+    ([opts.jobs] workers), under the plan of every request the cells
+    name ({!Dise_service.Request.with_plan}), and assemble the figure
+    in submission order. *)
 
 val fig6_top : opts -> figure
 (** MFI execution time normalized to the MFI-free run: rewriting,

@@ -444,20 +444,23 @@ let of_json j =
 (* --- cross-cell memo tables --------------------------------------------- *)
 
 (* Each memo is single-flight across the worker domains of {!Pool}: an
-   expensive computation — the compressor, or a full baseline
-   simulation — runs once per key, and every caller shares its value,
-   exactly as the serial path would produce.
+   expensive computation — the compressor, or a simulation — runs once
+   per key, and every caller shares its value, exactly as the serial
+   path would produce. Each is bounded ({!Memo}): the caps sit above a
+   full figure pass's working set, so no figure pass loses a value, and
+   a long-running serve worker keeps bounded tables.
 
-   Many figure cells normalize against the same ACF-free run (every
-   series of a panel divides by the same per-benchmark baseline), so
-   baseline statistics are memoized in memory by canonical request;
-   baseline runs are deterministic, so sharing the Stats.t record
-   cannot change any figure value. *)
-let baseline_memo : (string, Stats.t) Memo.t = Memo.create 64
+   Every result is memoized in memory by its cache key: a figure pass
+   asks for many requests more than once (every series of a panel
+   divides by the same per-benchmark baseline, and panels share cells),
+   and a serve worker answers a repeated request from memory. Results
+   are deterministic, so sharing the Stats.t record cannot change any
+   figure value. *)
+let result_memo : (string, Stats.t) Memo.t = Memo.create ~capacity:4_096
 (* The image of a workload's segment-matching rewrite: the image, not
    the program, because simulation runs it and compression, the other
    reader of the rewritten program, is memoized itself. *)
-let rewritten_memo : (string * int, Program.Image.t) Memo.t = Memo.create 16
+let rewritten_memo : (string * int, Program.Image.t) Memo.t = Memo.create ~capacity:64
 
 (* Keyed by what the compressor reads: the workload (bench,
    dyn_target), whether it is the rewritten binary, and the scheme's
@@ -465,24 +468,34 @@ let rewritten_memo : (string * int, Program.Image.t) Memo.t = Memo.create 16
    [len8] are [+8byteDE], [DISE] and [DISE] under other names, and
    share their dictionaries. *)
 let compress_memo : (string * int * bool * Compress.scheme, Compress.result) Memo.t =
-  Memo.create 64
+  Memo.create ~capacity:256
 
 (* --- stream tapes ----------------------------------------------------- *)
 
 (* A figure sweeps timing-only parameters, so many of its requests
-   share one post-DISE stream (one functional key). The second request
-   of a stream since [clear_memory] records it on a tape; later ones
-   replay the tape into a fresh pipeline and run no machine, engine or
-   production-set build. Storing a finished recording evicts the least
-   recently used tapes while the table holds more than [floor_tapes]
-   tapes and more than [Tape.max_length] instructions of storage
-   (24 MiB): four long streams always fit, and so do as many short
-   ones as the budget holds (a serve worker's streams of ~40K
-   instructions each). A recording that starts evicts nothing, so one
-   that is abandoned or fails costs the table no tape. [seen] holds
-   the keys requested so far, so a stream requested once (a
-   [simulate] round, a synthesis candidate) records nothing. Tapes
-   live in memory only. [tapes_mutex] guards every field; replays run
+   share one post-DISE stream (one functional key). A stream that will
+   be requested again records on a tape; later requests replay the tape
+   into a fresh pipeline and run no machine, engine or production-set
+   build.
+
+   Which streams will be requested again: inside a plan ([with_plan]),
+   the plan says. It counts, per functional key, the planned requests
+   still to compute; each computed request of the stream uses one up,
+   and a simulation records if and only if its stream has one left.
+   Outside a plan (serve, [run], synthesis), a stream records on its
+   second request since [clear_memory]: [seen] holds the keys requested
+   so far (at most [seen_capacity], then it empties), so a stream
+   requested once records nothing.
+
+   Storing a finished recording evicts tapes while the table holds more
+   than [floor_tapes] tapes and more than [Tape.max_length] instructions
+   of storage (24 MiB): four long streams always fit, and so do as many
+   short ones as the budget holds (a serve worker's streams of ~40K
+   instructions each). The victims are the tapes whose streams have no
+   planned request left, least recently used first, and then the
+   others by LRU. A recording that starts evicts nothing, so one that
+   is abandoned or fails costs the table no tape. Tapes live in memory
+   only. [tapes_mutex] guards every field and the plan; replays run
    outside it, counted in [readers]. A stream another domain is
    recording ([recording]) waits for that recording instead of making
    its own, so parallel cells of one stream replay as serial ones do;
@@ -498,6 +511,7 @@ type held = {
 }
 
 let floor_tapes = 4
+let seen_capacity = 4_096
 let tapes_mutex = Mutex.create ()
 let recorded = Condition.create ()  (* a recording ended *)
 let held : held list ref = ref []
@@ -505,33 +519,61 @@ let seen : (string, unit) Hashtbl.t = Hashtbl.create 64
 let recording : (string, unit) Hashtbl.t = Hashtbl.create 8
 let tape_clock = ref 0
 
+(* The running plan's planned requests still to compute, per
+   functional key. *)
+let plan : (string, int ref) Hashtbl.t option ref = ref None
+
 let with_tapes f =
   Mutex.lock tapes_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock tapes_mutex) f
 
-type tape_plan = Play of held | Record of Tape.t | Live
+let planned fkey = Option.bind !plan (fun p -> Hashtbl.find_opt p fkey)
 
-let plan_tape fkey =
+(* One request of [fkey] is computed: [Some n] when the plan covers the
+   stream, [n] its planned requests still to come, [None] when not. *)
+let use_planned fkey =
+  Option.map
+    (fun left ->
+      left := max 0 (!left - 1);
+      !left)
+    (planned fkey)
+
+let planned_left fkey = match planned fkey with Some left -> !left | None -> 0
+
+let note_seen fkey =
+  if Hashtbl.length seen >= seen_capacity then Hashtbl.reset seen;
+  Hashtbl.replace seen fkey ()
+
+type tape_use = Play of held | Record of Tape.t | Live
+
+let use_tape fkey =
   with_tapes (fun () ->
-      let rec plan () =
+      let rec decide () =
         incr tape_clock;
         match List.find_opt (fun h -> String.equal h.fkey fkey) !held with
         | Some h ->
+          ignore (use_planned fkey);
           h.used <- !tape_clock;
           h.readers <- h.readers + 1;
           h.replayed <- true;
           Play h
-        | None when not (Hashtbl.mem seen fkey) ->
-          Hashtbl.replace seen fkey ();
-          Live
         | None when Hashtbl.mem recording fkey ->
           Condition.wait recorded tapes_mutex;
-          plan ()
+          decide ()
         | None ->
-          Hashtbl.replace recording fkey ();
-          Record (Tape.create ())
+          let again =
+            match use_planned fkey with
+            | Some left -> left > 0
+            | None -> Hashtbl.mem seen fkey
+          in
+          note_seen fkey;
+          if again then begin
+            Hashtbl.replace recording fkey ();
+            Record (Tape.create ())
+          end
+          else Live
       in
-      plan ())
+      decide ())
 
 let unpin h = with_tapes (fun () -> h.readers <- h.readers - 1)
 
@@ -557,7 +599,9 @@ let store_tape fkey tape prodset =
       let stored =
         { fkey; tape; prodset; used = !tape_clock; readers = 0; replayed = false }
       in
-      (* Least recently used first; the stored tape is the newest. *)
+      (* Victims first: tapes the plan no longer needs, then the rest,
+         each least recently used first; the stored tape goes last. *)
+      let rank h = (planned_left h.fkey > 0, h.used) in
       let rec evict count size = function
         | h :: rest when count > floor_tapes && size > Tape.max_length ->
           let size = size - Tape.footprint h.tape in
@@ -566,15 +610,37 @@ let store_tape fkey tape prodset =
           evict (count - 1) size rest
         | hs -> hs
       in
-      let hs = List.sort (fun a b -> Int.compare a.used b.used) (stored :: others) in
+      let hs = List.sort (fun a b -> compare (rank a) (rank b)) others @ [ stored ] in
       held := evict (List.length hs) (footprint hs) hs)
 
 let tapes_held () = with_tapes (fun () -> List.length !held)
 
 let tapes_footprint () = with_tapes (fun () -> footprint !held)
 
+let with_plan reqs f =
+  let counts = Hashtbl.create 64 and keys = Hashtbl.create 128 in
+  List.iter
+    (fun t ->
+      let k = key t in
+      if not (Hashtbl.mem keys k) then begin
+        Hashtbl.replace keys k ();
+        if not (Memo.mem result_memo k) then
+          let fkey = functional_key t in
+          match Hashtbl.find_opt counts fkey with
+          | Some n -> incr n
+          | None -> Hashtbl.replace counts fkey (ref 1)
+      end)
+    reqs;
+  let outer =
+    with_tapes (fun () ->
+        let outer = !plan in
+        plan := Some counts;
+        outer)
+  in
+  Fun.protect ~finally:(fun () -> with_tapes (fun () -> plan := outer)) f
+
 let clear_memory () =
-  Memo.clear baseline_memo;
+  Memo.clear result_memo;
   Memo.clear rewritten_memo;
   Memo.clear compress_memo;
   with_tapes (fun () ->
@@ -604,17 +670,18 @@ let cache_counters () =
   let h, m = Domain.DLS.get counters_key in
   (!h, !m)
 
-(* Domain-local like the cache counters: (records, replays, abandoned). *)
-let tape_counters_key : (int ref * int ref * int ref) Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> (ref 0, ref 0, ref 0))
+type tape_counts = { live : int; records : int; replays : int; abandoned : int }
 
-let tape_counters () =
-  let r, p, a = Domain.DLS.get tape_counters_key in
-  (!r, !p, !a)
+(* Domain-local like the cache counters. *)
+let tape_counters_key : tape_counts ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref { live = 0; records = 0; replays = 0; abandoned = 0 })
 
-let note_tape counter pick =
-  Metrics.Counter.incr counter;
-  incr (pick (Domain.DLS.get tape_counters_key))
+let tape_counters () = !(Domain.DLS.get tape_counters_key)
+
+let note_tape ?counter bump =
+  Option.iter Metrics.Counter.incr counter;
+  let c = Domain.DLS.get tape_counters_key in
+  c := bump !c
 
 (* Lookups route through the envelope checks of {!Cache.find}; a
    payload that decodes wrong despite a valid envelope (a schema
@@ -831,12 +898,13 @@ let simulate ?trace ?profile ?poll ?record t entry =
 
 (* A fresh result for a request whose stream may be on a tape: a
    replay when one is held, else a live run that records the stream
-   when this is its second request. Only a run that returned (halted
-   cleanly, within its step and time budgets) with a whole recording
-   stores its tape. [entry] is forced only for a live run. *)
+   when it will be requested again ([use_tape]). Only a run that
+   returned (halted cleanly, within its step and time budgets) with a
+   whole recording stores its tape. [entry] is forced only for a live
+   run. *)
 let run_stream ?poll t ~entry =
   let fkey = functional_key t in
-  match plan_tape fkey with
+  match use_tape fkey with
   | Play h ->
     Fun.protect
       ~finally:(fun () -> unpin h)
@@ -845,9 +913,12 @@ let run_stream ?poll t ~entry =
           Pipeline.replay ?controller:(controller_for t h.prodset) ?poll
             t.machine h.tape
         in
-        note_tape tape_replays (fun (_, p, _) -> p);
+        note_tape ~counter:tape_replays (fun c -> { c with replays = c.replays + 1 });
         stats)
-  | Live -> fst (simulate ?poll t (entry ()))
+  | Live ->
+    let stats = fst (simulate ?poll t (entry ())) in
+    note_tape (fun c -> { c with live = c.live + 1 });
+    stats
   | Record tape ->
     let stored = ref false in
     Fun.protect
@@ -859,9 +930,11 @@ let run_stream ?poll t ~entry =
         if Tape.complete tape then begin
           store_tape fkey tape prodset;
           stored := true;
-          note_tape tape_records (fun (r, _, _) -> r)
+          note_tape ~counter:tape_records (fun c -> { c with records = c.records + 1 })
         end
-        else note_tape tape_abandoned (fun (_, _, a) -> a);
+        else
+          note_tape ~counter:tape_abandoned (fun c ->
+              { c with abandoned = c.abandoned + 1 });
         stats)
 
 (* --- the one run path --------------------------------------------------- *)
@@ -887,7 +960,13 @@ let run_cached ?entry ?deadline t =
   let poll = poll_of_deadline deadline in
   let compute () =
     match disk_find Stats.of_json ~key:k with
-    | Some stats -> stats
+    | Some stats ->
+      (* A planned request read from disk simulates nothing. *)
+      if Option.is_some !plan then begin
+        let fkey = functional_key t in
+        with_tapes (fun () -> ignore (use_planned fkey))
+      end;
+      stats
     | None ->
       fresh := true;
       let entry () = match entry with Some e -> e | None -> derive_entry t in
@@ -896,11 +975,7 @@ let run_cached ?entry ?deadline t =
         (Stats.to_json stats);
       stats
   in
-  let stats =
-    match t.acf with
-    | Baseline -> Memo.find_or_compute baseline_memo canon compute
-    | _ -> compute ()
-  in
+  let stats = Memo.find_or_compute result_memo k compute in
   (stats, not !fresh)
 
 let run ?entry ?trace ?profile t =

@@ -12,22 +12,25 @@
     - the JSONL protocol of [disesim serve] ships {!to_json} values
       over a pipe or socket (see doc/service.md for the schema).
 
-    {b Caching.} [run] consults, in order: an in-memory memo
-    (baseline runs only — many figure cells normalize against the
-    same baseline), the configured disk cache ({!set_disk_cache}),
-    a stream tape, and finally the simulator; fresh results are
-    persisted. A {e tape} ({!Dise_machine.Tape}) is the recorded
-    post-DISE stream of one {e functional key}: the request without
-    its timing-only [machine] and [controller] (and with its scheme's
-    name blanked). The stream's second request since {!clear_memory}
-    records it; later requests of that stream replay it into a fresh
+    {b Caching.} [run] consults, in order: an in-memory memo of every
+    result (keyed by {!key}, at most 4,096 results: a claim that finds
+    it full empties it first), the configured disk cache
+    ({!set_disk_cache}), a stream tape, and finally the simulator;
+    fresh results are persisted. A {e tape} ({!Dise_machine.Tape}) is
+    the recorded post-DISE stream of one {e functional key}: the request
+    without its timing-only [machine] and [controller] (and with its
+    scheme's name blanked). A stream records when it will be requested
+    again, and later requests of that stream replay it into a fresh
     timing model under their own machine and controller, running no
-    functional machine, engine or production-set build. Storing a
-    tape evicts the least recently used ones while the table holds
-    more than four tapes {e and} more than
-    {!Dise_machine.Tape.max_length} instructions of storage
-    ({!Dise_machine.Tape.footprint}, 24 MiB): four long streams always
-    fit, and many short ones do. A recording that starts evicts
+    functional machine, engine or production-set build. Inside a plan
+    ({!with_plan}) the plan says which streams will be requested again;
+    outside one, a stream's second request since {!clear_memory}
+    records it. Storing a tape evicts, while the table holds more than
+    four tapes {e and} more than {!Dise_machine.Tape.max_length}
+    instructions of storage ({!Dise_machine.Tape.footprint}, 24 MiB),
+    first the tapes whose streams the running plan no longer needs and
+    then the others, each least recently used first: four long streams
+    always fit, and many short ones do. A recording that starts evicts
     nothing. A recording past {!Dise_machine.Tape.max_length}
     instructions is abandoned, and only a run that halted cleanly
     stores its tape. Tapes live in memory only: they are never
@@ -35,7 +38,9 @@
     result is stored to disk like any other. All four layers return
     statistics identical to a fresh simulation — every persisted
     field is an integer, so the round-trip is exact, and a replay
-    feeds the timing model the records the machine would.
+    feeds the timing model the records the machine would. A memoized
+    [Stats.t] is one record shared by every caller of its request:
+    callers must not mutate it.
 
     {b Telemetry sinks bypass every cache.} This is the single place
     the rule lives: sinks ([?trace]/[?profile]) consume the expansion {e event
@@ -273,17 +278,38 @@ val cache_counters : unit -> int * int
     on the worker that ran it) is race-free; the harness records the
     deltas in run manifests. Zero when no disk cache is installed. *)
 
-val tape_counters : unit -> int * int * int
-(** This domain's cumulative tape counts [(records, replays,
-    abandoned)]: tapes recorded and stored, results computed by
-    replaying a tape, and recordings not stored (past
-    {!Dise_machine.Tape.max_length}, or a field the tape cannot hold).
-    Domain-local like {!cache_counters}; the harness records per-cell
-    deltas in run manifests. The process-wide totals are the
+type tape_counts = {
+  live : int;  (** simulations that ran the functional machine, unrecorded *)
+  records : int;  (** tapes recorded and stored *)
+  replays : int;  (** results computed by replaying a tape *)
+  abandoned : int;
+      (** recordings not stored: past {!Dise_machine.Tape.max_length},
+          or a field the tape cannot hold *)
+}
+
+val tape_counters : unit -> tape_counts
+(** This domain's cumulative tape counts: every simulation of a
+    sink-free request is one live run, recording or replay (an
+    abandoned recording is counted as such, not as live). Domain-local
+    like {!cache_counters}; the harness records per-cell deltas in run
+    manifests. The process-wide totals of the last three are the
     [tape_records], [tape_replays] and [tape_abandoned]
     {!Dise_telemetry.Metrics} counters; a fourth,
     [tape_evicted_unreplayed], counts stored tapes evicted before
     their first replay. *)
+
+val with_plan : t list -> (unit -> 'a) -> 'a
+(** [with_plan reqs f] runs [f] under a plan of the requests it will
+    make: per functional key, the distinct requests of [reqs] that the
+    result memo does not already hold. While [f] runs, each request
+    computed (simulated, or read from the disk cache) uses up one
+    planned request of its stream, a simulation records its stream if
+    and only if the stream has a planned request left, and storing a
+    tape evicts the tapes of streams with none left first. Requests
+    whose streams [reqs] does not cover keep the second-request rule.
+    The plan is process-wide: a nested [with_plan] replaces it until it
+    returns. A figure runs each panel under its cells' plan
+    ({!Dise_harness.Figures.figure}). *)
 
 val tapes_held : unit -> int
 (** Tapes the table holds now. *)
@@ -294,9 +320,11 @@ val tapes_footprint : unit -> int
     more than four are held. *)
 
 val clear_memory : unit -> unit
-(** Drop the in-memory memo tables (baseline stats, compression
-    results, rewritten images), the stream tapes and the set of
-    streams requested so far. Mutex-protected and
+(** Drop the in-memory memo tables (results, compression results,
+    rewritten images), the stream tapes and the set of streams
+    requested so far. Each table is bounded on its own (results 4,096,
+    compressions 256, rewritten images 64, streams seen 4,096), so a
+    long-running process need not call it. Mutex-protected and
     safe to call concurrently with worker domains; clearing mid-figure
     only costs recomputation, never correctness. *)
 

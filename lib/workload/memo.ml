@@ -2,12 +2,26 @@ type 'v slot = Pending | Ready of 'v
 
 type ('k, 'v) t = {
   table : ('k, 'v slot) Hashtbl.t;
+  capacity : int;
   lock : Mutex.t;
   settled : Condition.t;
 }
 
-let create n =
-  { table = Hashtbl.create n; lock = Mutex.create (); settled = Condition.create () }
+let create ~capacity =
+  {
+    table = Hashtbl.create (min capacity 64);
+    capacity = max 1 capacity;
+    lock = Mutex.create ();
+    settled = Condition.create ();
+  }
+
+(* A full table drops its settled values; claims in flight stay, so
+   their waiters still share one computation. *)
+let make_room t =
+  if Hashtbl.length t.table >= t.capacity then
+    Hashtbl.filter_map_inplace
+      (fun _ slot -> match slot with Pending -> Some Pending | Ready _ -> None)
+      t.table
 
 let find_or_compute t key compute =
   Mutex.lock t.lock;
@@ -20,6 +34,7 @@ let find_or_compute t key compute =
       Condition.wait t.settled t.lock;
       claim ()
     | None ->
+      make_room t;
       Hashtbl.replace t.table key Pending;
       Mutex.unlock t.lock;
       None
@@ -42,4 +57,6 @@ let find_or_compute t key compute =
       settle None;
       raise e)
 
+let mem t key = Mutex.protect t.lock (fun () -> Hashtbl.mem t.table key)
+let length t = Mutex.protect t.lock (fun () -> Hashtbl.length t.table)
 let clear t = Mutex.protect t.lock (fun () -> Hashtbl.reset t.table)

@@ -18,4 +18,11 @@ val get : ?dyn_target:int -> Profile.t -> entry
 val all : ?dyn_target:int -> unit -> entry list
 (** All twelve SPEC2000-named workloads. *)
 
+val capacity : int
+(** The cache holds at most this many workloads (64); a generation
+    that finds it full empties it first ({!Memo}). *)
+
+val cached : unit -> int
+(** Workloads the cache holds now. *)
+
 val clear_cache : unit -> unit

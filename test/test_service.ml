@@ -902,11 +902,16 @@ let stats_string s = Json.to_string (Stats.to_json s)
    reference for a request's statistics. *)
 let live_stats r = Request.run ~profile:(Dise_telemetry.Profile.create ()) r
 
+(* [f]'s (live runs, recordings, replays, abandoned recordings). *)
 let tape_delta f =
-  let r0, p0, a0 = Request.tape_counters () in
+  let c0 = Request.tape_counters () in
   let v = f () in
-  let r1, p1, a1 = Request.tape_counters () in
-  (v, (r1 - r0, p1 - p0, a1 - a0))
+  let c1 = Request.tape_counters () in
+  ( v,
+    ( c1.Request.live - c0.Request.live,
+      c1.records - c0.records,
+      c1.replays - c0.replays,
+      c1.abandoned - c0.abandoned ) )
 
 let ok_stats r =
   match Request.run_ext r with
@@ -996,7 +1001,7 @@ let prop_replay_invisible =
       List.for_all
         (fun (label, acf, observe) ->
           Request.clear_memory ();
-          let (), (records, replays, _) =
+          let (), (_, records, replays, _) =
             tape_delta (fun () ->
                 List.iteri
                   (fun i (machine, controller) ->
@@ -1061,7 +1066,7 @@ let test_reference_drivers () =
   let e = W.Suite.get ~dyn_target W.Profile.tiny in
   let check_runs label runs =
     Request.clear_memory ();
-    let (), (records, replays, _) =
+    let (), (_, records, replays, _) =
       tape_delta (fun () ->
           List.iteri
             (fun i (r, reference) ->
@@ -1103,53 +1108,67 @@ let test_reference_drivers () =
       check bool_ (Printf.sprintf "switching every %d moves the stats" every) true
         (sans_jit (ref_run_with_switches e every) <> no_switch))
     [ 1_000; 3_000 ];
+  (* Four intervals, not two repeated: a repeated request is a memo hit
+     and would reach no tape. *)
   check_runs "switches"
     (List.map
        (fun every -> (switching every, ref_run_with_switches e every))
-       [ 1_000; 3_000; 1_000; 3_000 ]);
+       [ 1_000; 3_000; 2_000; 5_000 ]);
   Request.clear_memory ()
 
 let mfi_request ?(machine = Config.default) dyn_target =
   { (Request.v ~dyn_target ~acf:(Request.Mfi_dise A.Mfi.Dise3) "tiny") with
     Request.machine }
 
+(* Timing-only variants of one stream: a repeated request is a memo hit
+   and reaches no tape, so each step of a stream's tape life is
+   requested on another machine. *)
+let width2 = Config.with_width 2 Config.default
+let icache8 = Config.with_icache_kb (Some 8) Config.default
+let width8 = Config.with_width 8 Config.default
+
 let test_tapes_cleared () =
   Request.clear_memory ();
   let r = mfi_request 14_001 in
   let _, once = tape_delta (fun () -> ok_stats r) in
-  check bool_ "a stream requested once records nothing" true (once = (0, 0, 0));
+  check bool_ "a stream requested once runs live and records nothing" true
+    (once = (1, 0, 0, 0));
   check int_ "no tape held" 0 (Request.tapes_held ());
-  let _, twice = tape_delta (fun () -> ok_stats r) in
-  check bool_ "the second request records" true (twice = (1, 0, 0));
-  let _, thrice = tape_delta (fun () -> ok_stats r) in
-  check bool_ "the third replays" true (thrice = (0, 1, 0));
+  let _, twice = tape_delta (fun () -> ok_stats (mfi_request ~machine:width2 14_001)) in
+  check bool_ "its second request records" true (twice = (0, 1, 0, 0));
+  let _, thrice = tape_delta (fun () -> ok_stats (mfi_request ~machine:icache8 14_001)) in
+  check bool_ "the third replays" true (thrice = (0, 0, 1, 0));
   Request.clear_memory ();
   check int_ "clear_memory drops the tapes" 0 (Request.tapes_held ());
   let _, after = tape_delta (fun () -> ok_stats r) in
   check bool_ "and the seen set: the next request runs live" true
-    (after = (0, 0, 0));
+    (after = (1, 0, 0, 0));
   Request.clear_memory ()
 
 let evicted_unreplayed () =
   Dise_telemetry.Metrics.Counter.get
     (Option.get (Dise_telemetry.Metrics.find_counter "tape_evicted_unreplayed"))
 
-(* Request [dyn]'s stream twice, so it runs live and then records, and
-   check the table's bound: more than four tapes only within the
-   instruction budget. *)
+(* Request [dyn]'s stream on two machines, so it runs live and then
+   records, and check the table's bound: more than four tapes only
+   within the instruction budget. *)
 let record_stream dyn =
-  let r = mfi_request dyn in
-  ignore (ok_stats r);
-  ignore (ok_stats r);
+  let _, d =
+    tape_delta (fun () ->
+        ignore (ok_stats (mfi_request dyn));
+        ignore (ok_stats (mfi_request ~machine:width2 dyn)))
+  in
+  check bool_ (Printf.sprintf "%d runs live, then records" dyn) true (d = (1, 1, 0, 0));
   let n = Request.tapes_held () and f = Request.tapes_footprint () in
   check bool_
     (Printf.sprintf "after %d: %d tapes, %d instructions held" dyn n f)
     true
     (n <= 4 || f <= Dise_machine.Tape.max_length)
 
+(* A third machine of [dyn]'s stream replays its tape. *)
 let replays dyn =
-  let _, d = tape_delta (fun () -> ok_stats (mfi_request dyn)) in
-  check bool_ (Printf.sprintf "%d replays" dyn) true (d = (0, 1, 0))
+  let _, d = tape_delta (fun () -> ok_stats (mfi_request ~machine:icache8 dyn)) in
+  check bool_ (Printf.sprintf "%d replays" dyn) true (d = (0, 0, 1, 0))
 
 (* tiny's MFI stream at 250K is 448K instructions: five of them pass
    the budget, so the table keeps four. Six at 10K and one at 250K fit
@@ -1164,8 +1183,8 @@ let test_tapes_bounded () =
   check int_ "four long tapes held" 4 (Request.tapes_held ());
   check int_ "the two oldest evicted before any replay" 2
     (evicted_unreplayed () - evicted0);
-  let _, d = tape_delta (fun () -> ok_stats (mfi_request 250_001)) in
-  check bool_ "an evicted stream records again" true (d = (1, 0, 0));
+  let _, d = tape_delta (fun () -> ok_stats (mfi_request ~machine:width8 250_001)) in
+  check bool_ "an evicted stream records again" true (d = (0, 1, 0, 0));
   replays 250_006;
   Request.clear_memory ();
   let short = [ 10_001; 10_002; 10_003; 10_004; 10_005; 10_006 ] in
@@ -1183,10 +1202,9 @@ let test_abandoned_evicts_nothing () =
   let held = [ 10_011; 10_012; 10_013; 10_014 ] in
   List.iter record_stream held;
   check int_ "four tapes held" 4 (Request.tapes_held ());
-  let r = mfi_request 1_200_000 in
-  ignore (ok_stats r);
-  let _, d = tape_delta (fun () -> ok_stats r) in
-  check bool_ "the recording is abandoned" true (d = (0, 0, 1));
+  ignore (ok_stats (mfi_request 1_200_000));
+  let _, d = tape_delta (fun () -> ok_stats (mfi_request ~machine:width2 1_200_000)) in
+  check bool_ "the recording is abandoned" true (d = (0, 0, 0, 1));
   check int_ "all four still held" 4 (Request.tapes_held ());
   List.iter replays held;
   Request.clear_memory ()
@@ -1194,16 +1212,139 @@ let test_abandoned_evicts_nothing () =
 (* tiny at 1.2M dynamic instructions passes the tape's cap. *)
 let test_tape_cap () =
   Request.clear_memory ();
-  let r = mfi_request 1_200_000 in
-  let live = stats_string (live_stats r) in
+  let r = mfi_request ~machine:width2 1_200_000 in
+  let live = live_stats r in
   check bool_ "the stream passes the cap" true
-    ((live_stats r).Stats.retired > Dise_machine.Tape.max_length);
-  ignore (ok_stats r);
+    (live.Stats.retired > Dise_machine.Tape.max_length);
+  ignore (ok_stats (mfi_request 1_200_000));
   let s, d = tape_delta (fun () -> ok_stats r) in
-  check bool_ "the recording is abandoned" true (d = (0, 0, 1));
-  check string_ "and the run's stats do not change" live (stats_string s);
+  check bool_ "the recording is abandoned" true (d = (0, 0, 0, 1));
+  check string_ "and the run's stats do not change" (stats_string live) (stats_string s);
   check int_ "nothing stored" 0 (Request.tapes_held ());
   Request.clear_memory ()
+
+(* --- the result memo and the plan ---------------------------------------- *)
+
+(* A repeated request simulates once: for every ACF kind, and with
+   observers, the second [run_ext] is a memo hit with the first one's
+   statistics and no live run, recording or replay. *)
+let test_repeat_simulates_once () =
+  Request.clear_memory ();
+  let kinds =
+    tape_kinds "tiny" 9_000
+    @ [ ("profiled mfi", Request.Mfi_dise A.Mfi.Dise3, [ Request.Profile ]) ]
+  in
+  List.iter
+    (fun (label, acf, observe) ->
+      let r = Request.v ~dyn_target:9_000 ~acf ~observe "tiny" in
+      let first, hit1 = Result.get_ok (Request.run_ext r) in
+      check bool_ (label ^ ": the first request simulates") false hit1;
+      let (second, hit2), d = tape_delta (fun () -> Result.get_ok (Request.run_ext r)) in
+      check bool_ (label ^ ": the second is a hit") true hit2;
+      check string_ (label ^ ": with equal stats") (stats_string first)
+        (stats_string second);
+      check bool_ (label ^ ": and no simulation") true (d = (0, 0, 0, 0)))
+    kinds;
+  Request.clear_memory ()
+
+(* In a plan, a stream requested twice records on its first request and
+   replays on its second; one requested once runs live and records
+   nothing. Outside the plan the second-request rule holds again. *)
+let test_plan_records_reuse () =
+  Request.clear_memory ();
+  let twice = mfi_request 14_101 and again = mfi_request ~machine:width2 14_101 in
+  let once = mfi_request 14_102 in
+  Request.with_plan [ twice; once; again; twice ] (fun () ->
+      let _, d = tape_delta (fun () -> ok_stats twice) in
+      check bool_ "a reused stream records on its first request" true (d = (0, 1, 0, 0));
+      let _, d = tape_delta (fun () -> ok_stats again) in
+      check bool_ "and replays on its second" true (d = (0, 0, 1, 0));
+      let _, d = tape_delta (fun () -> ok_stats once) in
+      check bool_ "a stream requested once runs live" true (d = (1, 0, 0, 0)));
+  check int_ "one tape held" 1 (Request.tapes_held ());
+  let _, d = tape_delta (fun () -> ok_stats (mfi_request ~machine:width2 14_102)) in
+  check bool_ "outside the plan, a second request records" true (d = (0, 1, 0, 0));
+  Request.clear_memory ()
+
+(* Storing a tape evicts first the tapes whose streams have no planned
+   request left: the oldest tape, still planned, outlives three newer
+   ones the plan is done with. Five of tiny's MFI streams at 250K pass
+   the instruction budget, so the fifth store evicts one tape. *)
+let test_plan_evicts_unplanned_first () =
+  Request.clear_memory ();
+  let streams = [ 250_011; 250_012; 250_013; 250_014; 250_015 ] in
+  let kept = List.hd streams in
+  let reqs =
+    mfi_request ~machine:icache8 kept
+    :: List.concat_map
+         (fun dyn -> [ mfi_request dyn; mfi_request ~machine:width2 dyn ])
+         streams
+  in
+  let evicted0 = evicted_unreplayed () in
+  Request.with_plan reqs (fun () ->
+      let _, d = tape_delta (fun () -> ok_stats (mfi_request kept)) in
+      check bool_ "the oldest stream records" true (d = (0, 1, 0, 0));
+      List.iter
+        (fun dyn ->
+          let _, d =
+            tape_delta (fun () ->
+                ignore (ok_stats (mfi_request dyn));
+                ignore (ok_stats (mfi_request ~machine:width2 dyn)))
+          in
+          check bool_ (Printf.sprintf "%d records, then replays" dyn) true
+            (d = (0, 1, 1, 0)))
+        (List.tl streams);
+      check int_ "four tapes held" 4 (Request.tapes_held ());
+      check int_ "every evicted tape was replayed" 0 (evicted_unreplayed () - evicted0);
+      let _, d = tape_delta (fun () -> ok_stats (mfi_request ~machine:width2 kept)) in
+      check bool_ "the planned stream's tape outlived newer unplanned ones" true
+        (d = (0, 0, 1, 0));
+      let _, d = tape_delta (fun () -> ok_stats (mfi_request ~machine:icache8 kept)) in
+      check bool_ "and replays again" true (d = (0, 0, 1, 0)));
+  Request.clear_memory ()
+
+(* A panel's plan changes how many streams record, never a value:
+   fig6-cache on tiny renders the same CSV through its plan and through
+   plan-free cells that run the same requests under the second-request
+   rule. *)
+let test_plan_csv_identical () =
+  let opts = figure_opts in
+  let planned_run f =
+    Request.clear_memory ();
+    let fig, d = tape_delta f in
+    Request.clear_memory ();
+    (Report.to_csv fig, d)
+  in
+  let planned, planned_tapes = planned_run (fun () -> Figures.fig6_cache opts) in
+  let unplanned, unplanned_tapes =
+    planned_run (fun () ->
+        let rel machine acf (e : W.Suite.entry) =
+          let run acf =
+            Request.run ~entry:e
+              (Request.v ~dyn_target:opts.Figures.dyn_target ~machine ~acf "tiny")
+          in
+          Request.relative (run acf) ~baseline:(run Request.Baseline)
+        in
+        Figures.figure opts ~id:"fig6-cache"
+          ~title:"Figure 6 (middle): MFI vs I-cache size, 4-wide"
+          ~ylabel:"execution time relative to no-MFI at same I$"
+          (List.concat_map
+             (fun (size, tag) ->
+               let machine = Config.with_icache_kb size Config.default in
+               [
+                 Figures.series opts ("DISE3@" ^ tag)
+                   (rel machine (Request.Mfi_dise A.Mfi.Dise3));
+                 Figures.series opts ("rewrite@" ^ tag)
+                   (rel machine (Request.Mfi_rewrite A.Rewrite.Segment_matching));
+               ])
+             [ (Some 8, "8K"); (Some 32, "32K"); (Some 128, "128K"); (None, "inf") ]))
+  in
+  check string_ "CSV with and without the plan" unplanned planned;
+  (* Three streams (DISE3, rewrite, baseline) of four requests each. *)
+  check bool_ "the plan records each stream on its first request" true
+    (planned_tapes = (0, 3, 9, 0));
+  check bool_ "without it, each stream runs live once" true
+    (unplanned_tapes = (3, 3, 6, 0))
 
 (* A workload that traps (exit code 5) fails every request and stores
    no tape, though its recording ran to the halt. *)
@@ -1227,7 +1368,7 @@ let test_trapped_no_tape () =
             | Ok _ -> Alcotest.fail "a trapped workload answered ok")
           (List.filteri (fun i _ -> i < 3) tape_machines))
   in
-  check bool_ "no tape recorded or replayed" true (d = (0, 0, 0));
+  check bool_ "no tape recorded or replayed" true (d = (0, 0, 0, 0));
   check int_ "none held" 0 (Request.tapes_held ());
   Request.clear_memory ()
 
@@ -1248,7 +1389,7 @@ let test_replay_deadline () =
     check bool_ ("the replay timed out: " ^ msg) true (contains msg "exceeded")
   | Error d -> Alcotest.fail ("wrong diag: " ^ Diag.to_string d)
   | Ok _ -> Alcotest.fail "replay finished inside 2ms");
-  check bool_ "no live run or recording instead" true (d = (0, 0, 0));
+  check bool_ "no live run or recording instead" true (d = (0, 0, 0, 0));
   Request.clear_memory ()
 
 let suite =
@@ -1289,4 +1430,9 @@ let suite =
     ("tapes: recording past the cap abandoned", `Quick, test_tape_cap);
     ("tapes: trapped workload stores none", `Quick, test_trapped_no_tape);
     ("tapes: deadline during a replay", `Quick, test_replay_deadline);
+    ("a repeated request simulates once", `Quick, test_repeat_simulates_once);
+    ("plan: a reused stream records, a single one runs live", `Quick,
+     test_plan_records_reuse);
+    ("plan: unplanned tapes evicted first", `Quick, test_plan_evicts_unplanned_first);
+    ("plan: fig6-cache CSV with and without it", `Quick, test_plan_csv_identical);
   ]

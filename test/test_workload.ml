@@ -139,7 +139,7 @@ let test_suite_cache () =
 (* Single flight: four domains asking for one key share one
    computation, and a computation that raises leaves no claim behind. *)
 let test_memo_single_flight () =
-  let m = Memo.create 4 in
+  let m = Memo.create ~capacity:4 in
   let runs = Atomic.make 0 in
   let compute () =
     Atomic.incr runs;
@@ -157,6 +157,57 @@ let test_memo_single_flight () =
   | exception Failure _ -> ());
   check int_ "a failed claim is dropped" 8 !(Memo.find_or_compute m "bad" (fun () -> ref 8))
 
+(* The capacity rule: a claim that finds the table full empties it of
+   every computed value first, and keeps a claim in flight. *)
+let test_memo_capacity () =
+  let m = Memo.create ~capacity:3 in
+  let runs = ref 0 in
+  let get k = Memo.find_or_compute m k (fun () -> incr runs; k * 10) in
+  List.iter (fun k -> ignore (get k)) [ 1; 2; 3 ];
+  check int_ "three held" 3 (Memo.length m);
+  check int_ "a held key is a hit" 20 (get 2);
+  check int_ "three computations" 3 !runs;
+  check int_ "the fourth key empties the table first" 40 (get 4);
+  check int_ "only it is held" 1 (Memo.length m);
+  check bool_ "the others are gone" false (Memo.mem m 1 || Memo.mem m 2 || Memo.mem m 3);
+  ignore (get 1);
+  check int_ "a dropped key computes again" 5 !runs;
+  (* A full table whose claimant is computing: the claim that empties
+     the table leaves it in place, so a waiter shares its value. *)
+  let m = Memo.create ~capacity:2 in
+  ignore (Memo.find_or_compute m "held" (fun () -> ref 0));
+  let started = Atomic.make false and release = Atomic.make false in
+  let claimant =
+    Domain.spawn (fun () ->
+        Memo.find_or_compute m "slow" (fun () ->
+            Atomic.set started true;
+            while not (Atomic.get release) do Domain.cpu_relax () done;
+            ref 1))
+  in
+  while not (Atomic.get started) do Domain.cpu_relax () done;
+  ignore (Memo.find_or_compute m "new" (fun () -> ref 2));
+  check bool_ "the claim in flight survives the emptying" true (Memo.mem m "slow");
+  check bool_ "the computed value does not" false (Memo.mem m "held");
+  let waiter =
+    Domain.spawn (fun () -> Memo.find_or_compute m "slow" (fun () -> ref 99))
+  in
+  Atomic.set release true;
+  let v = Domain.join claimant in
+  check bool_ "the waiter shares the claimant's value" true (Domain.join waiter == v)
+
+(* 65 lengths of one benchmark pass the workload cache's cap of 64:
+   the 65th generation empties it, and it never holds more. *)
+let test_suite_cache_bounded () =
+  Suite.clear_cache ();
+  check int_ "the cap" 64 Suite.capacity;
+  for i = 1 to 65 do
+    ignore (Suite.get ~dyn_target:(2_000 + i) Profile.tiny);
+    if Suite.cached () > Suite.capacity then
+      Alcotest.failf "%d workloads held after %d lengths" (Suite.cached ()) i
+  done;
+  check int_ "emptied at the 65th" 1 (Suite.cached ());
+  Suite.clear_cache ()
+
 let suite =
   [
     ("rng determinism", `Quick, test_rng_determinism);
@@ -171,4 +222,6 @@ let suite =
     ("instruction mix", `Quick, test_instruction_mix);
     ("suite cache", `Quick, test_suite_cache);
     ("memo single flight", `Quick, test_memo_single_flight);
+    ("memo capacity", `Quick, test_memo_capacity);
+    ("suite cache bounded", `Quick, test_suite_cache_bounded);
   ]
